@@ -3,8 +3,8 @@
 Subcommands:
 
     verify hopf                         all exact Hopf-algebra residual suites
-    verify realization --exact          one/two-particle operator identities
-    verify equivalence --mf --mfp --k   theta* search, (US)^2, projectors
+    verify realization [--perturb]      one/two-particle operator identities
+    verify equivalence --mf --mfp --k   closed-form theta*, (US)^2, projectors
     mass compose|convert|reduced --k    non-additive mass arithmetic
     hydrogen spectrum --mf --mfp --k --nmax [--solver closed|radial|both]
     cocycle demo [--seed]               projective-phase extraction demo
@@ -103,8 +103,7 @@ def _cmd_verify_hopf(args) -> RunReport:
 
 
 def _cmd_verify_realization(args) -> RunReport:
-    report = RunReport("verify realization",
-                       {"exact": bool(args.exact), "perturb": bool(args.perturb)})
+    report = RunReport("verify realization", {"perturb": bool(args.perturb)})
     alg = hopf.GalileiHopf()
     if args.perturb:
         # intentionally break the constraint m_f = (k/2)(1 - lam^2)
@@ -136,7 +135,6 @@ def _cmd_verify_equivalence(args) -> RunReport:
     report = RunReport("verify equivalence", {"mf": m_f, "mfp": mp_f, "k": k})
     theta = equivalence.find_theta(m_f, mp_f, k)
     report.results["theta"] = theta.theta
-    report.results["closed_form_match"] = theta.closed_form_match
     report.add(CheckResult.from_residual("theta-maps-all-variables", theta.residual, 1e-10))
     pairing_ok = theta.map.preserves_pairing(m_f, mp_f, tol=1e-10)
     report.add(CheckResult("pairing-preservation",
@@ -327,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify_hopf)
 
     p = vsub.add_parser("realization", help="operator-realization identities")
-    p.add_argument("--exact", action="store_true",
-                   help="run the symbolic (rational-backend) checks")
     p.add_argument("--perturb", action="store_true",
                    help="break the mass constraint on purpose (must exit 1)")
     _add_output_flags(p)

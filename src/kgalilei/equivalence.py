@@ -1,12 +1,24 @@
-"""Unitary equivalence of the two coproduct orderings, as a linear canonical map.
+"""The two-particle linear-symplectic core and the unitary equivalence of the
+two coproduct orderings.
 
-The two-particle variable sets built from the direct and the transposed
-coproduct are related by conjugation with U = exp(i theta G), where
-G = sum_i (K_{1,i} P_{2,i} - P_{1,i} K_{2,i}).  Conjugation by U acts linearly
-on the span of (p_1, p_2, K_1, K_2) per axis, so U is represented here purely
-through its 4x4 adjoint matrix; no operator exponentials on states are ever
-formed.  theta is found by one-dimensional root solving on the first-component
-matching condition and then validated on all four variable vectors.
+Per axis, the total/relative variables (P, R, Pi, rho) of the direct and of
+the transposed coproduct are linear in (p_1, p_2, K_1, K_2).  Their
+coefficient table (``variable_table``) and the commutator form
+[u, v] = i u^T Omega v (``pairing``) are written here once, for any scalar
+type: ``realization`` evaluates them in exact rational functions, this
+module in floats.
+
+The two variable sets are related by conjugation with U = exp(i theta G),
+where G = sum_i (K_{1,i} P_{2,i} - P_{1,i} K_{2,i}).  Conjugation by U acts
+linearly on the span of (p_1, p_2, K_1, K_2) per axis, so U is represented
+here purely through its 4x4 adjoint matrix; no operator exponentials on
+states are ever formed.  The adjoint block of exp(theta* G) on the (p_1, p_2)
+and (K_1, K_2) planes is [[c, -m'_f sigma], [m_f sigma, c]] with
+
+    c = (lam + lam') / (1 + lam lam'),   sigma = -2 / (k (1 + lam lam')),
+
+so theta* = atan2(omega sigma, c) / omega with omega = sqrt(m_f m'_f); the
+map is validated on all four variable vectors.
 
 The exchange operator S swaps the two particles' momenta and boosts (and spin
 indices); (U S)^2 = 1 for identical masses, and the deformed Bose/Fermi
@@ -17,12 +29,10 @@ linear change of momentum arguments.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from . import masses
 
@@ -30,6 +40,9 @@ __all__ = [
     "StructuralFailureError",
     "PhaseSpaceVector",
     "LinearCanonicalMap",
+    "VARIABLES",
+    "variable_table",
+    "pairing",
     "adjoint_generator",
     "pairing_form",
     "variable_vectors",
@@ -43,6 +56,8 @@ __all__ = [
 
 #: Ordered basis for coefficient vectors: (p_1, p_2, K_1, K_2) per axis.
 BASIS = ("p1", "p2", "K1", "K2")
+#: The canonical variables: total momentum, center of mass, relative pair.
+VARIABLES = ("P", "R", "Pi", "rho")
 
 
 class StructuralFailureError(RuntimeError):
@@ -75,14 +90,40 @@ class LinearCanonicalMap:
         return float(np.abs(residual).max()) <= tol * max(1.0, float(np.abs(omega).max()))
 
 
+def variable_table(m_f, mp_f, lam, lamp, M_f) -> tuple[dict, dict]:
+    """BASIS coefficients of the direct and transposed variable sets.
+
+    ``lam``, ``lamp`` are e^(-m/k), e^(-m'/k) and ``M_f`` the composed mass;
+    the scalars may be floats or RationalFunctions (0 and 1 are plain ints).
+    Returns (direct, tilde), each mapping a VARIABLES label to a 4-tuple.
+    """
+    direct = {
+        "P": (lamp, 1, 0, 0),
+        "R": (0, 0, lamp / M_f, 1 / M_f),
+        "Pi": (mp_f / M_f, -m_f * lamp / M_f, 0, 0),
+        "rho": (0, 0, 1 / m_f, -lamp / mp_f),
+    }
+    tilde = {
+        "P": (1, lam, 0, 0),
+        "R": (0, 0, 1 / M_f, lam / M_f),
+        "Pi": (mp_f * lam / M_f, -m_f / M_f, 0, 0),
+        "rho": (0, 0, lam / m_f, -1 / mp_f),
+    }
+    return direct, tilde
+
+
+def pairing(u, v, m_f, mp_f):
+    """u^T Omega v, so that [u, v] = i u^T Omega v, from [K_A, p_A] = i m_{f,A}.
+
+    ``u`` and ``v`` are BASIS coefficient sequences of any scalar type.
+    """
+    return m_f * (u[2] * v[0] - u[0] * v[2]) + mp_f * (u[3] * v[1] - u[1] * v[3])
+
+
 def pairing_form(m_f: float, mp_f: float) -> np.ndarray:
-    """Commutator bilinear form on the basis, from [K_A, p_A] = i m_{f,A}."""
-    omega = np.zeros((4, 4))
-    omega[2, 0] = m_f    # <K1, p1> = m_f
-    omega[0, 2] = -m_f
-    omega[3, 1] = mp_f
-    omega[1, 3] = -mp_f
-    return omega
+    """The matrix Omega of ``pairing`` on BASIS."""
+    unit = np.eye(4)
+    return np.array([[pairing(u, v, m_f, mp_f) for v in unit] for u in unit])
 
 
 def adjoint_generator(m_f: float, mp_f: float) -> np.ndarray:
@@ -111,26 +152,19 @@ def variable_vectors(m_f: float, mp_f: float, k: float) -> tuple[dict, dict]:
     """Coefficient vectors of the direct and transposed variable sets.
 
     Returns (direct, tilde), each mapping label -> PhaseSpaceVector over the
-    (p1, p2, K1, K2) basis; identical for every spatial axis.
+    (p1, p2, K1, K2) basis; identical for every spatial axis.  Both masses
+    must be positive (rho divides by them).
     """
     masses.check_physical(m_f, k)
     masses.check_physical(mp_f, k)
-    lam = _lam(m_f, k)
-    lamp = _lam(mp_f, k)
-    Mf = masses.compose(m_f, mp_f, k)
-    direct = {
-        "P": PhaseSpaceVector("P", (lamp, 1.0, 0.0, 0.0)),
-        "R": PhaseSpaceVector("R", (0.0, 0.0, lamp / Mf, 1.0 / Mf)),
-        "Pi": PhaseSpaceVector("Pi", (mp_f / Mf, -m_f * lamp / Mf, 0.0, 0.0)),
-        "rho": PhaseSpaceVector("rho", (0.0, 0.0, 1.0 / m_f, -lamp / mp_f)),
-    }
-    tilde = {
-        "P": PhaseSpaceVector("P", (1.0, lam, 0.0, 0.0)),
-        "R": PhaseSpaceVector("R", (0.0, 0.0, 1.0 / Mf, lam / Mf)),
-        "Pi": PhaseSpaceVector("Pi", (mp_f * lam / Mf, -m_f / Mf, 0.0, 0.0)),
-        "rho": PhaseSpaceVector("rho", (0.0, 0.0, lam / m_f, -1.0 / mp_f)),
-    }
-    return direct, tilde
+    if not (m_f > 0 and mp_f > 0):
+        raise masses.MassDomainError(f"masses must be positive, got {m_f} and {mp_f}")
+    tables = variable_table(m_f, mp_f, _lam(m_f, k), _lam(mp_f, k), masses.compose(m_f, mp_f, k))
+    return tuple(
+        {name: PhaseSpaceVector(name, tuple(float(c) for c in coeffs))
+         for name, coeffs in table.items()}
+        for table in tables
+    )
 
 
 @dataclass(frozen=True)
@@ -138,90 +172,37 @@ class ThetaResult:
     theta: float
     residual: float
     map: LinearCanonicalMap
-    closed_form_match: str  # which closed-form candidate reproduces theta
-
-
-def _closed_form_candidates(m_f: float, mp_f: float, k: float) -> dict[str, float]:
-    """Closed-form angles compared against the numeric theta (soft check only).
-
-    The published formula mixes sqrt(1 - m/k) and sqrt(1 - 2m/k) factors; both
-    readings are evaluated and the matching one reported.
-    """
-    omega = math.sqrt(m_f * mp_f)
-    lam = _lam(m_f, k)
-    lamp = _lam(mp_f, k)
-    out = {}
-    den = m_f * lamp + mp_f * lam
-    out["sqrt(1-2m/k)"] = -math.atan2(omega * (1.0 - lam * lamp), den) / omega
-    if math.isinf(k):
-        half = 1.0
-        halfp = 1.0
-    else:
-        half = math.sqrt(max(1.0 - m_f / k, 0.0))
-        halfp = math.sqrt(max(1.0 - mp_f / k, 0.0))
-    out["sqrt(1-m/k)"] = -math.atan2(omega * (1.0 - half * halfp), den) / omega
-    return out
 
 
 def find_theta(m_f: float, mp_f: float, k: float, tol: float = 1e-10) -> ThetaResult:
     """The angle theta* mapping the direct variable set onto the tilde set.
 
-    Root-solves the first-component condition for the total momentum, then
-    validates all four variables under exp(theta G_ad).  Raises
-    StructuralFailureError if no root passes validation at ``tol``.
+    theta* comes from the closed form of the adjoint block (module
+    docstring) and is validated on all four variables under exp(theta* G_ad).
+    The residual is the largest coefficient mismatch relative to
+    max(1, largest |coefficient|); StructuralFailureError is raised if it
+    exceeds ``tol``.
     """
     direct, tilde = variable_vectors(m_f, mp_f, k)
-    gen = adjoint_generator(m_f, mp_f)
+    lam, lamp = _lam(m_f, k), _lam(mp_f, k)
     omega = math.sqrt(m_f * mp_f)
-    lamp = _lam(mp_f, k)
-
-    def first_component(theta: float) -> float:
-        # exp(theta G) applied to the P vector, first component, minus target
-        c, s = math.cos(omega * theta), math.sin(omega * theta)
-        return lamp * c - (mp_f / omega) * s - 1.0
-
-    def full_residual(theta: float) -> tuple[float, LinearCanonicalMap]:
-        mat = LinearCanonicalMap(expm(theta * gen))
-        worst = 0.0
-        for name in ("P", "R", "Pi", "rho"):
-            diff = mat(direct[name]).as_array() - tilde[name].as_array()
-            worst = max(worst, float(np.abs(diff).max()))
-        return worst, mat
-
-    half_period = math.pi / omega
-    grid = np.linspace(-half_period, half_period, 401)
-    values = [first_component(t) for t in grid]
-    best: ThetaResult | None = None
-    for left, right, fl, fr in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
-        if fl == 0.0:
-            roots = [left]
-        elif fl * fr < 0.0:
-            roots = [brentq(first_component, left, right, xtol=1e-15, rtol=8.9e-16)]
-        else:
-            continue
-        for theta in roots:
-            residual, mat = full_residual(theta)
-            if residual <= tol and (best is None or residual < best.residual):
-                match = _match_closed_form(theta, m_f, mp_f, k)
-                best = ThetaResult(theta, residual, mat, match)
-    if best is None:
+    c = (lam + lamp) / (1.0 + lam * lamp)
+    sigma = 0.0 if math.isinf(k) else -2.0 / (k * (1.0 + lam * lamp))
+    theta = math.atan2(omega * sigma, c) / omega
+    mat = LinearCanonicalMap(expm(theta * adjoint_generator(m_f, mp_f)))
+    worst, scale = 0.0, 1.0
+    for name in VARIABLES:
+        target = tilde[name].as_array()
+        scale = max(scale, float(np.abs(direct[name].as_array()).max()),
+                    float(np.abs(target).max()))
+        worst = max(worst, float(np.abs(mat(direct[name]).as_array() - target).max()))
+    residual = worst / scale
+    if not residual <= tol:
         raise StructuralFailureError(
-            f"no theta in (-pi/omega, pi/omega] maps all four variables "
+            f"theta* = {theta} leaves a relative residual {residual:.3e} > {tol} "
             f"(m_f={m_f}, m'_f={mp_f}, k={k})"
         )
-    return best
-
-
-def _match_closed_form(theta: float, m_f: float, mp_f: float, k: float) -> str:
-    candidates = _closed_form_candidates(m_f, mp_f, k)
-    matches = [name for name, value in candidates.items() if abs(value - theta) <= 1e-8]
-    if not matches:
-        warnings.warn(
-            "numeric theta matches neither closed-form reading of the "
-            "published arctan formula", RuntimeWarning, stacklevel=3
-        )
-        return "none"
-    return matches[0]
+    return ThetaResult(theta, residual, mat)
 
 
 def exchange_map(spin: int = 0) -> LinearCanonicalMap:

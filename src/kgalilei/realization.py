@@ -15,11 +15,17 @@ twist scalar multiplying particle 1's operators is lam' = e^(-m'/k):
     P_i^tot = lam' p_{1,i} + p_{2,i}
     K_i^tot = lam' m_f x_{1,i} + m'_f x_{2,i}
 
-and the remaining generators are plain sums.  The module also builds the
-center-of-mass / relative variable set, the transposed-coproduct ("tilde")
-set, and the exact kinetic-split identity
+and the remaining generators are plain sums.  The center-of-mass / relative
+variables (P, R, Pi, rho) of the direct and of the transposed ("tilde")
+coproduct come from the exact coefficient table and commutator form of
+``equivalence``: ``relative_variables`` turns the direct table into Weyl
+expressions, and ``canonical_residuals`` takes each pairing as
+i u^T Omega v.  The Weyl-algebra composed brackets and the exact
+kinetic-split identity
 
-    H^tot = P^2 / (2 M_f) + Pi^2 / (2 v_f).
+    H^tot = P^2 / (2 M_f) + Pi^2 / (2 v_f)
+
+stay as the independent end-to-end cross-check.
 
 Everything here is symbolic and exact; spin is carried as metadata only (the
 scalar, spin-0 realization is the default and the only one realized).
@@ -31,7 +37,8 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .hopf import GalileiHopf, UEAExpression, eps, GENERATOR_NAMES
+from .equivalence import VARIABLES, pairing, variable_table
+from .hopf import GalileiHopf, UEAExpression, eps
 from .scalars import RationalFunction, Rat, sym
 from .weyl import WeylExpression, position, momentum, scalar
 
@@ -137,10 +144,11 @@ def verify_one_particle(r: OneParticleRealization) -> list[tuple[str, WeylExpres
     All residuals vanish identically iff m_f = (k/2)(1 - lam^2).
     """
     alg = r.algebra
+    image = {g: r.realize(g) for g in _CHECKED}
     results = []
     for i, g in enumerate(_CHECKED):
         for h in _CHECKED[i + 1:]:
-            lhs = r.realize(g).commutator(r.realize(h))
+            lhs = image[g].commutator(image[h])
             rhs = r.realize_uea(alg.bracket(g, h))
             results.append((f"[{g},{h}]", lhs - rhs))
     return results
@@ -203,34 +211,22 @@ class TwoParticleSystem:
 
     # -- relative variables -------------------------------------------------
 
+    def variable_table(self) -> tuple[dict, dict]:
+        """Exact coefficient tables (direct, tilde); see ``equivalence.variable_table``."""
+        return variable_table(self.r1.m_f, self.r2.m_f, self.r1.lam, self.r2.lam, self.M_f)
+
     def relative_variables(self) -> dict[str, list[WeylExpression]]:
         """Total/center-of-mass/relative variable set of the direct coproduct."""
-        lamp = self.r2.lam
-        m1, m2, Mf = self.r1.m_f, self.r2.m_f, self.M_f
-        out = {"P": [], "R": [], "Pi": [], "rho": []}
+        direct = self.variable_table()[0]
+        out = {name: [] for name in VARIABLES}
         for i in _axes():
-            p1, p2 = momentum(1, i), momentum(2, i)
-            K1 = self.r1.realize(f"K{i}")
-            K2 = self.r2.realize(f"K{i}")
-            out["P"].append(p1.scale(lamp) + p2)
-            out["R"].append((K1.scale(lamp) + K2).scale(1 / Mf))
-            out["Pi"].append((p1.scale(m2) - p2.scale(m1 * lamp)).scale(1 / Mf))
-            out["rho"].append(K1.scale(1 / m1) - K2.scale(lamp / m2))
-        return out
-
-    def tilde_variables(self) -> dict[str, list[WeylExpression]]:
-        """The transposed-coproduct counterpart of relative_variables."""
-        lam = self.r1.lam
-        m1, m2, Mf = self.r1.m_f, self.r2.m_f, self.M_f
-        out = {"P": [], "R": [], "Pi": [], "rho": []}
-        for i in _axes():
-            p1, p2 = momentum(1, i), momentum(2, i)
-            K1 = self.r1.realize(f"K{i}")
-            K2 = self.r2.realize(f"K{i}")
-            out["P"].append(p1 + p2.scale(lam))
-            out["R"].append((K1 + K2.scale(lam)).scale(1 / Mf))
-            out["Pi"].append((p1.scale(m2 * lam) - p2.scale(m1)).scale(1 / Mf))
-            out["rho"].append(K1.scale(lam / m1) - K2.scale(1 / m2))
+            basis = (self.r1.realize(f"P{i}"), self.r2.realize(f"P{i}"),
+                     self.r1.realize(f"K{i}"), self.r2.realize(f"K{i}"))
+            for name in VARIABLES:
+                total = WeylExpression.zero()
+                for coeff, op in zip(direct[name], basis):
+                    total = total + op.scale(coeff)
+                out[name].append(total)
         return out
 
     def kinetic_split(self) -> WeylExpression:
@@ -255,22 +251,25 @@ CANONICAL_PAIRS = {("R", "P"), ("rho", "Pi")}
 
 
 def canonical_residuals(sys: TwoParticleSystem, tilde: bool = False) -> dict[tuple, WeylExpression]:
-    """All sixteen commutator pairings per axis pair, minus expected values."""
-    variables = sys.tilde_variables() if tilde else sys.relative_variables()
-    names = ("P", "R", "Pi", "rho")
+    """All sixteen commutator pairings per axis pair, minus expected values.
+
+    Each pairing is i u^T Omega v on the exact coefficient table; pairings
+    of different axes vanish because Omega does not mix axes.
+    """
+    table = sys.variable_table()[1 if tilde else 0]
+    m1, m2 = sys.r1.m_f, sys.r2.m_f
     residuals = {}
-    for a in names:
-        for b in names:
+    for a in VARIABLES:
+        for b in VARIABLES:
+            value = _I * pairing(table[a], table[b], m1, m2)
+            if (a, b) in CANONICAL_PAIRS:
+                value = value - _I
+            elif (b, a) in CANONICAL_PAIRS:
+                value = value + _I
+            same_axis = scalar(value)
             for i in _axes():
                 for j in _axes():
-                    comm = variables[a][i - 1].commutator(variables[b][j - 1])
-                    expected = WeylExpression.zero()
-                    if i == j:
-                        if (a, b) in CANONICAL_PAIRS:
-                            expected = scalar(_I)
-                        elif (b, a) in CANONICAL_PAIRS:
-                            expected = scalar(-_I)
-                    residuals[(a, b, i, j)] = comm - expected
+                    residuals[(a, b, i, j)] = same_axis if i == j else WeylExpression.zero()
     return residuals
 
 

@@ -18,7 +18,6 @@ is rational in them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from numbers import Number
 
 import sympy as sp
@@ -27,9 +26,7 @@ __all__ = [
     "DegenerateInputError",
     "PoleError",
     "MissingSymbolError",
-    "SymbolTable",
     "RationalFunction",
-    "DEFAULT_SYMBOLS",
     "sym",
     "Rat",
 ]
@@ -47,59 +44,12 @@ class MissingSymbolError(KeyError):
     """Raised when an evaluation assignment does not cover all symbols."""
 
 
-# Role tags used by SymbolTable; "unit_interval" symbols (the e^{-m/k}
-# exponentials) are sampled in (0, 1] by the numeric helpers.
-ROLE_DEFORMATION = "deformation"
-ROLE_UNIT_INTERVAL = "unit_interval"
-ROLE_MASS = "mass"
-ROLE_FREE = "free"
+def sym(name: str) -> "RationalFunction":
+    """The named formal symbol (``k``, ``lam``, ``mf``, ...) as a RationalFunction.
 
-
-@dataclass
-class SymbolTable:
-    """Registry of named formal symbols with role tags."""
-
-    roles: dict[str, str] = field(default_factory=dict)
-    symbols: dict[str, sp.Symbol] = field(default_factory=dict)
-
-    def add(self, name: str, role: str = ROLE_FREE) -> sp.Symbol:
-        if name in self.symbols:
-            if self.roles[name] != role:
-                raise ValueError(f"symbol {name!r} already registered with role {self.roles[name]!r}")
-            return self.symbols[name]
-        symbol = sp.Symbol(name)
-        self.symbols[name] = symbol
-        self.roles[name] = role
-        return symbol
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.symbols
-
-    def __getitem__(self, name: str) -> sp.Symbol:
-        return self.symbols[name]
-
-    def role(self, name: str) -> str:
-        return self.roles[name]
-
-
-#: Shared table holding the symbols every other module uses:
-#: k   -- deformation parameter (mass units)
-#: lam, lamp -- e^{-m/k} and e^{-m'/k}, dimensionless, valued in (0, 1]
-#: mu, lam_mu -- reference mass unit and e^{-mu/k}, for the unnormalized
-#:               central constant
-DEFAULT_SYMBOLS = SymbolTable()
-DEFAULT_SYMBOLS.add("k", ROLE_DEFORMATION)
-DEFAULT_SYMBOLS.add("lam", ROLE_UNIT_INTERVAL)
-DEFAULT_SYMBOLS.add("lamp", ROLE_UNIT_INTERVAL)
-DEFAULT_SYMBOLS.add("mu", ROLE_MASS)
-DEFAULT_SYMBOLS.add("lam_mu", ROLE_UNIT_INTERVAL)
-
-
-def sym(name: str, role: str = ROLE_FREE) -> "RationalFunction":
-    """Return the named symbol (registering it if new) as a RationalFunction."""
-    if name not in DEFAULT_SYMBOLS:
-        DEFAULT_SYMBOLS.add(name, role)
-    return RationalFunction(DEFAULT_SYMBOLS[name])
+    Symbols of equal name are equal, so no registry is kept.
+    """
+    return RationalFunction(sp.Symbol(name))
 
 
 def _grlex_lc(poly_expr: sp.Expr) -> sp.Expr:
@@ -289,5 +239,9 @@ def _is_simple_number(expr: sp.Expr) -> bool:
 
 
 def Rat(expr) -> RationalFunction:
-    """Shorthand constructor used throughout the package."""
-    return RationalFunction(expr)
+    """Shorthand constructor used throughout the package.
+
+    A RationalFunction is returned as it is (instances are immutable), so
+    callers share its cached canonical form.
+    """
+    return expr if isinstance(expr, RationalFunction) else RationalFunction(expr)

@@ -14,7 +14,6 @@ reduce to a coefficient computation in the scalar field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, NamedTuple
 
@@ -23,7 +22,6 @@ import sympy as sp
 from .scalars import RationalFunction, Rat
 
 __all__ = [
-    "BackendMismatchError",
     "CanonicalSymbol",
     "WeylExpression",
     "position",
@@ -34,10 +32,6 @@ __all__ = [
 ]
 
 N_SLOTS = 6  # (particle, axis) pairs flattened: slot = 3*(A-1) + (i-1)
-
-
-class BackendMismatchError(TypeError):
-    """Raised when exact and numeric coefficients are mixed in one product."""
 
 
 class CanonicalSymbol(NamedTuple):
@@ -61,125 +55,93 @@ def _check_symbol(s: CanonicalSymbol) -> None:
 # length N_SLOTS.  The zero exponent tuple:
 _ZERO = (0,) * N_SLOTS
 
-_I_EXACT = Rat(sp.I)
-
-
-def _is_exact(coeff) -> bool:
-    return isinstance(coeff, RationalFunction)
-
-
-def _imag_unit(exact: bool):
-    return _I_EXACT if exact else 1j
-
 
 class WeylExpression:
-    """Finite sum of scalar coefficients times normal-ordered monomials.
+    """Finite sum of RationalFunction coefficients times normal-ordered monomials.
 
-    Immutable; arithmetic returns new values.  Coefficients are either all
-    RationalFunction (exact backend) or all python complex (numeric backend).
+    Immutable; arithmetic returns new values.
     """
 
-    __slots__ = ("terms", "exact")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict | None = None, exact: bool = True):
+    def __init__(self, terms: dict | None = None):
         self.terms = {}
-        self.exact = exact
         if terms:
             for mono, coeff in terms.items():
-                if _is_exact(coeff) != exact:
-                    raise BackendMismatchError("coefficient backend does not match expression backend")
-                if _is_zero_coeff(coeff):
-                    continue
-                self.terms[mono] = coeff
+                if not coeff.is_zero:
+                    self.terms[mono] = coeff
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, exact: bool = True) -> "WeylExpression":
-        return cls({}, exact=exact)
+    def zero(cls) -> "WeylExpression":
+        return cls({})
 
     @classmethod
-    def unit(cls, coeff=None, exact: bool = True) -> "WeylExpression":
-        if coeff is None:
-            coeff = Rat(1) if exact else 1.0 + 0.0j
-        return cls({(_ZERO, _ZERO): coeff}, exact=_is_exact(coeff))
+    def unit(cls, coeff=1) -> "WeylExpression":
+        return cls({(_ZERO, _ZERO): Rat(coeff)})
 
     @classmethod
-    def generator(cls, symbol: CanonicalSymbol, exact: bool = True) -> "WeylExpression":
+    def generator(cls, symbol: CanonicalSymbol) -> "WeylExpression":
         _check_symbol(symbol)
         exp = list(_ZERO)
         exp[symbol.slot] = 1
         exp = tuple(exp)
         mono = (exp, _ZERO) if symbol.kind == "x" else (_ZERO, exp)
-        return cls({mono: Rat(1) if exact else 1.0 + 0.0j}, exact=exact)
+        return cls({mono: Rat(1)})
 
     # -- inspection ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not any(not _is_zero_coeff(c) for c in self.terms.values())
+        return all(c.is_zero for c in self.terms.values())
 
     def degree(self) -> int:
         if not self.terms:
             return 0
         return max(sum(xs) + sum(ps) for xs, ps in self.terms)
 
-    def pruned(self) -> "WeylExpression":
-        """Drop terms whose coefficient normalizes to zero."""
-        return WeylExpression(
-            {m: c for m, c in self.terms.items() if not _is_zero_coeff(c)}, exact=self.exact
-        )
-
-    def coefficient(self, mono) -> object:
-        return self.terms.get(mono, Rat(0) if self.exact else 0j)
+    def coefficient(self, mono) -> RationalFunction:
+        return self.terms.get(mono, Rat(0))
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _check_backend(self, other: "WeylExpression") -> None:
-        if self.exact != other.exact:
-            raise BackendMismatchError("cannot combine exact and numeric expressions")
-
     def __add__(self, other: "WeylExpression") -> "WeylExpression":
-        self._check_backend(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             if mono in out:
                 out[mono] = out[mono] + coeff
             else:
                 out[mono] = coeff
-        return WeylExpression(out, exact=self.exact)
+        return WeylExpression(out)
 
     def __neg__(self) -> "WeylExpression":
-        return WeylExpression({m: -c for m, c in self.terms.items()}, exact=self.exact)
+        return WeylExpression({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "WeylExpression") -> "WeylExpression":
         return self + (-other)
 
     def scale(self, coeff) -> "WeylExpression":
-        if _is_exact(coeff) != self.exact:
-            raise BackendMismatchError("scalar backend does not match expression backend")
-        if _is_zero_coeff(coeff):
-            return WeylExpression.zero(self.exact)
-        return WeylExpression({m: coeff * c for m, c in self.terms.items()}, exact=self.exact)
+        coeff = Rat(coeff)
+        if coeff.is_zero:
+            return WeylExpression.zero()
+        return WeylExpression({m: coeff * c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "WeylExpression":
         if not isinstance(other, WeylExpression):
-            return self.scale(other if _is_exact(other) or isinstance(other, complex) else Rat(other) if self.exact else complex(other))
-        self._check_backend(other)
+            return self.scale(other)
         out: dict = {}
-        i_unit = _imag_unit(self.exact)
         for (x1, p1), c1 in self.terms.items():
             for (x2, p2), c2 in other.terms.items():
                 base = c1 * c2
-                for exps, weight in _reorder(p1, x2, i_unit):
-                    mid_x, mid_p = exps
+                for (mid_x, mid_p), weight in _reorder(p1, x2):
                     mono = (_add_exp(x1, mid_x), _add_exp(mid_p, p2))
                     coeff = base * weight
                     if mono in out:
                         out[mono] = out[mono] + coeff
                     else:
                         out[mono] = coeff
-        return WeylExpression(out, exact=self.exact)
+        return WeylExpression(out)
 
     def __rmul__(self, other) -> "WeylExpression":
         # scalars commute with everything
@@ -210,25 +172,8 @@ class WeylExpression:
             for slot in range(N_SLOTS):
                 if ps[slot]:
                     word.append(f"p{slot // 3 + 1}{slot % 3 + 1}^{ps[slot]}")
-            coeff_str = repr(coeff.normalize().expr) if _is_exact(coeff) else repr(coeff)
-            bits.append(f"({coeff_str})*{'*'.join(word) if word else '1'}")
+            bits.append(f"({coeff.normalize().expr!r})*{'*'.join(word) if word else '1'}")
         return "WeylExpression(" + " + ".join(bits) + ")"
-
-    # -- evaluation -----------------------------------------------------------
-
-    def substitute(self, assignment: dict) -> "WeylExpression":
-        """Numeric backend copy with scalar symbols evaluated."""
-        if not self.exact:
-            return self
-        return WeylExpression(
-            {m: complex(c.evaluate(assignment)) for m, c in self.terms.items()}, exact=False
-        )
-
-
-def _is_zero_coeff(coeff) -> bool:
-    if _is_exact(coeff):
-        return coeff.is_zero
-    return coeff == 0
 
 
 def _add_exp(a: tuple, b: tuple) -> tuple:
@@ -238,11 +183,11 @@ def _add_exp(a: tuple, b: tuple) -> tuple:
 _REORDER_CACHE: dict = {}
 
 
-def _reorder(pexp: tuple, xexp: tuple, i_unit):
+def _reorder(pexp: tuple, xexp: tuple) -> list:
     """Normal-order the middle block p^pexp * x^xexp.
 
-    Yields ((x_exponents, p_exponents), scalar_weight) pairs.  Distinct slots
-    commute, so the closed form applies slot by slot and contributions
+    Returns ((x_exponents, p_exponents), scalar_weight) pairs.  Distinct
+    slots commute, so the closed form applies slot by slot and contributions
     multiply; the weight of a pattern is w * (-i)^j with integer w.
     """
     key = (pexp, xexp)
@@ -262,31 +207,25 @@ def _reorder(pexp: tuple, xexp: tuple, i_unit):
                     nps[slot] = a - j
                     expanded.append((nxs, nps, w * comb(a, j) * comb(b, j) * factorial(j), jt + j))
             results = expanded
-        cached = [((tuple(xs), tuple(ps)), w, jt) for xs, ps, w, jt in results]
+        cached = [((tuple(xs), tuple(ps)), Rat(sp.Integer(w) * (-sp.I) ** j))
+                  for xs, ps, w, j in results]
         _REORDER_CACHE[key] = cached
-    exact = isinstance(i_unit, RationalFunction)
-    for exps, w, j in cached:
-        if j:
-            yield exps, w * (-i_unit) ** j
-        else:
-            yield exps, Rat(w) if exact else complex(w)
+    return cached
 
 
 # -- convenience constructors -------------------------------------------------
 
 
-def position(particle: int, axis: int, exact: bool = True) -> WeylExpression:
-    return WeylExpression.generator(CanonicalSymbol("x", particle, axis), exact=exact)
+def position(particle: int, axis: int) -> WeylExpression:
+    return WeylExpression.generator(CanonicalSymbol("x", particle, axis))
 
 
-def momentum(particle: int, axis: int, exact: bool = True) -> WeylExpression:
-    return WeylExpression.generator(CanonicalSymbol("p", particle, axis), exact=exact)
+def momentum(particle: int, axis: int) -> WeylExpression:
+    return WeylExpression.generator(CanonicalSymbol("p", particle, axis))
 
 
 def scalar(coeff) -> WeylExpression:
     """Multiple of the identity."""
-    if not _is_exact(coeff) and not isinstance(coeff, complex):
-        coeff = Rat(coeff)
     return WeylExpression.unit(coeff)
 
 
@@ -296,15 +235,13 @@ def normal_order(raw_terms: Iterable[tuple]) -> WeylExpression:
     Symbols may appear in any order; the result is the same algebra element in
     normal order.
     """
-    total = None
+    total = WeylExpression.zero()
     for coeff, word in raw_terms:
-        if not _is_exact(coeff) and not isinstance(coeff, complex):
-            coeff = Rat(coeff)
         term = WeylExpression.unit(coeff)
         for s in word:
-            term = term * WeylExpression.generator(s, exact=term.exact)
-        total = term if total is None else total + term
-    return total if total is not None else WeylExpression.zero()
+            term = term * WeylExpression.generator(s)
+        total = total + term
+    return total
 
 
 def commutator(a: WeylExpression, b: WeylExpression) -> WeylExpression:

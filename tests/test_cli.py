@@ -98,7 +98,7 @@ def test_verify_equivalence_passes(capsys):
 
 
 def test_perturbed_mass_exits_one(capsys):
-    code = run(["verify", "realization", "--exact", "--perturb"])
+    code = run(["verify", "realization", "--perturb"])
     assert code == 1
     captured = capsys.readouterr()
     # the failing residual is printed

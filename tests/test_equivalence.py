@@ -8,6 +8,8 @@ import pytest
 from scipy.linalg import expm
 
 from kgalilei import equivalence as eq
+from kgalilei.masses import MassDomainError
+from kgalilei.scalars import sym
 
 
 def test_adjoint_generator_blocks():
@@ -34,12 +36,50 @@ def test_exchange_is_involution():
 def test_find_theta_reference_point():
     result = eq.find_theta(0.3, 0.4, 1.0)
     assert result.residual <= 1e-12
-    assert result.closed_form_match == "sqrt(1-2m/k)"
+    # the value the former grid scan plus root polish found
+    assert abs(result.theta - (-1.646938045815849)) <= 1e-12
     # theta maps every direct variable onto its tilde counterpart
     direct, tilde = eq.variable_vectors(0.3, 0.4, 1.0)
     for name in ("P", "R", "Pi", "rho"):
         mapped = result.map(direct[name])
         assert np.allclose(mapped.as_array(), tilde[name].as_array(), atol=1e-12)
+
+
+@pytest.mark.parametrize("m_f, mp_f, k", [
+    (0.5, 0.3, 1.0),         # m_f at the bound k/2
+    (0.4999999, 0.3, 1.0),   # just below it
+    (1e-9, 1e-9, 1.0),       # both masses tiny
+])
+def test_find_theta_domain_edges(m_f, mp_f, k):
+    result = eq.find_theta(m_f, mp_f, k)
+    assert result.residual <= 1e-10
+
+
+@pytest.mark.parametrize("m_f, mp_f", [(0.0, 0.3), (0.3, 0.0)])
+def test_zero_mass_is_a_domain_error(m_f, mp_f):
+    with pytest.raises(MassDomainError):
+        eq.find_theta(m_f, mp_f, 1.0)
+    with pytest.raises(MassDomainError):
+        eq.variable_vectors(m_f, mp_f, 1.0)
+
+
+def test_theta_block_exact_certificate():
+    # in Q(k, lam, lam') with m = (k/2)(1 - lam^2): the adjoint block of
+    # exp(theta* G), [[c, -m' sigma], [m sigma, c]], is a rotation of the
+    # pairing (c^2 + m m' sigma^2 = 1) and maps each direct vector onto
+    # its transposed counterpart, on the momentum and the boost plane
+    k, lam, lamp = sym("k"), sym("lam"), sym("lamp")
+    m, mp = (k / 2) * (1 - lam ** 2), (k / 2) * (1 - lamp ** 2)
+    M = m + mp - 2 * m * mp / k
+    c = (lam + lamp) / (1 + lam * lamp)
+    sigma = -2 / (k * (1 + lam * lamp))
+    assert (c * c + m * mp * sigma * sigma - 1).is_zero
+    direct, tilde = eq.variable_table(m, mp, lam, lamp, M)
+    for name in eq.VARIABLES:
+        u, v = direct[name], tilde[name]
+        for a, b in ((0, 1), (2, 3)):
+            assert (c * u[a] - mp * sigma * u[b] - v[a]).is_zero, name
+            assert (m * sigma * u[a] + c * u[b] - v[b]).is_zero, name
 
 
 def test_find_theta_random_masses():

@@ -5,6 +5,7 @@ import math
 import pytest
 import sympy as sp
 
+from kgalilei.equivalence import VARIABLES, pairing
 from kgalilei.hopf import GalileiHopf
 from kgalilei.realization import (
     CANONICAL_PAIRS,
@@ -111,20 +112,45 @@ def test_kinetic_split_at_infinite_partner_mass():
 
 
 def test_classical_limit_of_relative_variables(system):
-    # at lam = lam' = 1 the variables reduce to the undeformed ones
-    point = {"k": 1.0, "lam": 1.0, "lamp": 1.0}
-    mf = mpf = 0.0  # m_f = (k/2)(1 - lam^2) = 0 is degenerate; use floats below
+    # for weak deformation the variables are close to the undeformed ones
     point = {"k": 10.0, "lam": math.exp(-0.3 / 10.0), "lamp": math.exp(-0.4 / 10.0)}
     m1 = 5.0 * (1.0 - point["lam"] ** 2)
     m2 = 5.0 * (1.0 - point["lamp"] ** 2)
     variables = system.relative_variables()
-    P1 = variables["P"][0].substitute(point)
-    # the coefficient of p_{1,1} in P is lam', close to 1 for weak deformation
     mono = ((0,) * 6, (1, 0, 0, 0, 0, 0))
-    assert abs(P1.terms[mono] - 1.0) <= 0.05
-    Pi1 = variables["Pi"][0].substitute(point)
+    # the coefficient of p_{1,1} in P is lam', close to 1
+    assert abs(variables["P"][0].coefficient(mono).evaluate(point) - 1.0) <= 0.05
     classical = m2 / (m1 + m2)
-    assert abs(Pi1.terms[mono] - classical) <= 0.05
+    assert abs(variables["Pi"][0].coefficient(mono).evaluate(point) - classical) <= 0.05
+
+
+def _free_partner_system():
+    # particle 2's mass is a free symbol, so the composed mass no longer
+    # matches the twist lam' and the conjugate pairings fail
+    alg = GalileiHopf()
+    return compose_system(OneParticleRealization(1, sym("lam"), algebra=alg),
+                          OneParticleRealization(2, sym("lamp"), m_f=sym("mfp"), algebra=alg))
+
+
+@pytest.mark.parametrize("free_partner", [False, True])
+def test_weyl_commutators_match_pairing_table(system, free_partner):
+    # on axis 1, every Weyl commutator of the relative variables equals the
+    # bilinear form i u^T Omega v on the table they are built from
+    sys_ = _free_partner_system() if free_partner else system
+    variables = sys_.relative_variables()
+    direct = sys_.variable_table()[0]
+    residuals = canonical_residuals(sys_)
+    expected = {("R", "P"): I, ("P", "R"): -I, ("rho", "Pi"): I, ("Pi", "rho"): -I}
+    weyl_nonzero, table_nonzero = set(), set()
+    for a in VARIABLES:
+        for b in VARIABLES:
+            comm = variables[a][0].commutator(variables[b][0])
+            assert comm == scalar(I * pairing(direct[a], direct[b], sys_.r1.m_f, sys_.r2.m_f))
+            if not (comm - scalar(expected.get((a, b), Rat(0)))).is_zero:
+                weyl_nonzero.add((a, b))
+            if not residuals[(a, b, 1, 1)].is_zero:
+                table_nonzero.add((a, b))
+    assert weyl_nonzero == table_nonzero == (set(expected) if free_partner else set())
 
 
 def test_slot_and_algebra_validation():

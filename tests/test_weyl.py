@@ -2,12 +2,10 @@
 
 import random
 
-import pytest
 import sympy as sp
 
 from kgalilei.scalars import Rat, sym
 from kgalilei.weyl import (
-    BackendMismatchError,
     CanonicalSymbol,
     WeylExpression,
     commutator,
@@ -20,9 +18,9 @@ from kgalilei.weyl import (
 I = Rat(sp.I)
 
 
-def random_expression(rng, exact=False, max_terms=3, max_deg=2):
+def random_expression(rng, max_terms=3, max_deg=2):
     """Random Weyl expression: slots 1-2, axes 1-3, exponents <= max_deg."""
-    total = WeylExpression.zero(exact=exact)
+    total = WeylExpression.zero()
     for _ in range(rng.randint(1, max_terms)):
         xexp = [0] * 6
         pexp = [0] * 6
@@ -30,11 +28,11 @@ def random_expression(rng, exact=False, max_terms=3, max_deg=2):
             xexp[rng.randrange(6)] += 1
         for _ in range(rng.randint(0, max_deg)):
             pexp[rng.randrange(6)] += 1
-        c = rng.randint(-3, 3) + 1j * rng.randint(-3, 3)
-        if c == 0:
-            c = 1
-        coeff = Rat(sp.Integer(int(c.real)) + sp.I * sp.Integer(int(c.imag))) if exact else c
-        total = total + WeylExpression({(tuple(xexp), tuple(pexp)): coeff}, exact=exact)
+        re, im = rng.randint(-3, 3), rng.randint(-3, 3)
+        if re == im == 0:
+            re = 1
+        coeff = Rat(sp.Integer(re) + sp.I * sp.Integer(im))
+        total = total + WeylExpression({(tuple(xexp), tuple(pexp)): coeff})
     return total
 
 
@@ -117,44 +115,12 @@ def test_leibniz_rule_random():
         assert lhs == rhs
 
 
-def test_exact_backend_matches_numeric():
-    rng = random.Random(17)
-    for _ in range(20):
-        seed = rng.randint(0, 10 ** 6)
-        ra, rb = random.Random(seed), random.Random(seed)
-        a_exact, b_exact = random_expression(ra, exact=True), random_expression(ra, exact=True)
-        a_num, b_num = random_expression(rb), random_expression(rb)
-        exact = a_exact.commutator(b_exact)
-        numeric = a_num.commutator(b_num)
-        assert set(exact.terms) == set(numeric.terms)
-        for mono, coeff in exact.terms.items():
-            assert abs(complex(coeff.evaluate({})) - numeric.terms[mono]) <= 1e-12
-
-
-def test_backend_mixing_rejected():
-    a = momentum(1, 1, exact=True)
-    b = momentum(1, 1, exact=False)
-    with pytest.raises(BackendMismatchError):
-        _ = a + b
-    with pytest.raises(BackendMismatchError):
-        _ = a * b
-
-
 def test_symbolic_coefficients():
     lam = sym("lam")
     x, p = position(1, 1), momentum(1, 1)
     expr = (x * p).scale(lam)
     assert expr.commutator(scalar(lam)).is_zero
     assert expr - expr == WeylExpression.zero()
-
-
-def test_substitute_to_numeric():
-    lam = sym("lam")
-    expr = momentum(1, 1).scale(lam)
-    num = expr.substitute({"lam": 0.5})
-    assert not num.exact
-    ((mono, coeff),) = num.terms.items()
-    assert abs(coeff - 0.5) <= 1e-15
 
 
 def test_module_level_commutator_helper():
