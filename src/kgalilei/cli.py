@@ -11,7 +11,9 @@ Subcommands:
 
 Every subcommand emits a RunReport (text by default, ``--format json|csv``,
 ``--out <path>``).  Exit status: 0 if no check failed, 1 on a failed check
-(with the failing residual printed), 2 on usage errors.
+(with the failing residual printed), 2 on usage errors and on inputs outside
+the documented domain (a mass out of [0, k/2] or NaN, a grid too small for
+the demo), reported in one line.
 """
 
 from __future__ import annotations
@@ -397,7 +399,11 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
-    report = args.handler(args)
+    try:
+        report = args.handler(args)
+    except (masses.MassDomainError, gridrep.OutOfGridError) as exc:
+        print(f"kgalilei: error: {exc}", file=sys.stderr)
+        return 2
     report.wall_ms = (time.perf_counter() - start) * 1000.0
     text = _render(report, args.format)
     if args.out:

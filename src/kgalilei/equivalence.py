@@ -20,10 +20,10 @@ and (K_1, K_2) planes is [[c, -m'_f sigma], [m_f sigma, c]] with
 so theta* = atan2(omega sigma, c) / omega with omega = sqrt(m_f m'_f); the
 map is validated on all four variable vectors.
 
-The exchange operator S swaps the two particles' momenta and boosts (and spin
-indices); (U S)^2 = 1 for identical masses, and the deformed Bose/Fermi
-projectors (1 +/- US)/2 act on two-particle wavefunctions by the induced
-linear change of momentum arguments.
+The exchange operator S swaps the two particles' momenta and boosts; (U S)^2 = 1
+for identical masses, and the deformed Bose/Fermi projectors (1 +/- US)/2 act
+on two-particle wavefunctions by the induced linear change of momentum
+arguments.
 """
 
 from __future__ import annotations
@@ -205,12 +205,8 @@ def find_theta(m_f: float, mp_f: float, k: float, tol: float = 1e-10) -> ThetaRe
     return ThetaResult(theta, residual, mat)
 
 
-def exchange_map(spin: int = 0) -> LinearCanonicalMap:
-    """The particle exchange: swap (p1, p2) and (K1, K2).
-
-    Spin indices swap alongside for spin > 0; the linear part is spin
-    independent.  S^2 = 1 exactly.
-    """
+def exchange_map() -> LinearCanonicalMap:
+    """The particle exchange: swap (p1, p2) and (K1, K2).  S^2 = 1 exactly."""
     mat = np.zeros((4, 4))
     mat[0, 1] = mat[1, 0] = 1.0
     mat[2, 3] = mat[3, 2] = 1.0

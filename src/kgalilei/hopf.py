@@ -21,11 +21,9 @@ term has a strictly shorter non-central word.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import sympy as sp
 
-from .scalars import RationalFunction, Rat, sym
+from .scalars import LinearCombination, RationalFunction, Rat, sym
 
 __all__ = [
     "GalileiHopf",
@@ -68,52 +66,35 @@ def unnormalized_central() -> RationalFunction:
     return mu / (1 - lam_mu ** 2)
 
 
-class UEAExpression:
+def _word_str(word: tuple) -> str:
+    letters, m, e = word
+    parts = [f"{kind}{axis}" if axis else kind for kind, axis in letters]
+    if m:
+        parts.append(f"M^{m}")
+    if e:
+        parts.append(f"E^{e}")
+    return "*".join(parts) if parts else "1"
+
+
+class UEAExpression(LinearCombination):
     """Element of the enveloping algebra: dict of normal-ordered words.
 
     A word is (letters, m, e): a sorted tuple of non-central letters, the
-    power of M, and the (possibly negative) power of E.
+    power of M, and the (possibly negative) power of E.  Immutable as a
+    value; ``is_zero`` prunes zero terms in place (see ``LinearCombination``).
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "_context")
+
+    _name = "UEA"
 
     def __init__(self, algebra: "GalileiHopf", terms: dict | None = None):
         self.algebra = algebra
-        self.terms = {}
-        if terms:
-            for word, coeff in terms.items():
-                if not coeff.is_zero:
-                    self.terms[word] = coeff
-
-    # -- constructors ----------------------------------------------------
-
-    def _same(self, other: "UEAExpression") -> None:
-        if self.algebra is not other.algebra:
-            raise ValueError("expressions belong to different algebra instances")
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(not c.is_zero for c in self.terms.values())
+        self._context = (algebra,)
+        super().__init__(terms)
 
     def degree(self) -> int:
         return max((len(w[0]) + w[1] for w in self.terms), default=0)
-
-    def __add__(self, other: "UEAExpression") -> "UEAExpression":
-        self._same(other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            out[word] = out[word] + coeff if word in out else coeff
-        return UEAExpression(self.algebra, out)
-
-    def __neg__(self) -> "UEAExpression":
-        return UEAExpression(self.algebra, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "UEAExpression") -> "UEAExpression":
-        return self + (-other)
-
-    def scale(self, coeff) -> "UEAExpression":
-        coeff = coeff if isinstance(coeff, RationalFunction) else Rat(coeff)
-        return UEAExpression(self.algebra, {w: coeff * c for w, c in self.terms.items()})
 
     def __mul__(self, other) -> "UEAExpression":
         if not isinstance(other, UEAExpression):
@@ -121,85 +102,35 @@ class UEAExpression:
         self._same(other)
         alg = self.algebra
         out: dict = {}
-        for (l1, m1, e1), c1 in self.terms.items():
-            for (l2, m2, e2), c2 in other.terms.items():
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
                 base = c1 * c2
-                for factor, letters, dm, de in alg._sorted_words(l1 + l2):
-                    word = (letters, m1 + m2 + dm, e1 + e2 + de)
+                for factor, word in alg._word_product(w1, w2):
                     coeff = base * factor
                     out[word] = out[word] + coeff if word in out else coeff
         return UEAExpression(alg, out)
 
-    def __rmul__(self, other) -> "UEAExpression":
-        return self.scale(other)
-
-    def commutator(self, other: "UEAExpression") -> "UEAExpression":
-        return self * other - other * self
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UEAExpression):
-            return NotImplemented
-        return (self - other).is_zero
-
-    def __hash__(self):
-        raise TypeError("UEAExpression is unhashable (equality is semantic)")
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "UEA(0)"
-        bits = []
-        for (letters, m, e), coeff in self.terms.items():
-            if coeff.is_zero:
-                continue
-            word = [f"{kind}{axis}" if axis else kind for kind, axis in letters]
-            if m:
-                word.append(f"M^{m}")
-            if e:
-                word.append(f"E^{e}")
-            bits.append(f"({coeff.normalize().expr})*{'*'.join(word) if word else '1'}")
-        return "UEA(" + " + ".join(bits) + ")"
+    _monomial_str = staticmethod(_word_str)
 
 
-class TensorExpression:
-    """Sum of 2- or 3-leg tensor monomials, each leg a normal-ordered word."""
+class TensorExpression(LinearCombination):
+    """Sum of 2- or 3-leg tensor monomials, each leg a normal-ordered word.
 
-    __slots__ = ("algebra", "legs", "terms")
+    Immutable as a value; ``is_zero`` prunes zero terms in place (see
+    ``LinearCombination``).
+    """
+
+    __slots__ = ("algebra", "legs", "_context")
+
+    _name = "Tensor"
 
     def __init__(self, algebra: "GalileiHopf", legs: int, terms: dict | None = None):
         if legs not in (2, 3):
             raise ValueError("tensor expressions have 2 or 3 legs")
         self.algebra = algebra
         self.legs = legs
-        self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not coeff.is_zero:
-                    self.terms[key] = coeff
-
-    def _same(self, other: "TensorExpression") -> None:
-        if self.algebra is not other.algebra or self.legs != other.legs:
-            raise ValueError("tensor expressions are incompatible")
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(not c.is_zero for c in self.terms.values())
-
-    def __add__(self, other: "TensorExpression") -> "TensorExpression":
-        self._same(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out[key] + coeff if key in out else coeff
-        return TensorExpression(self.algebra, self.legs, out)
-
-    def __neg__(self) -> "TensorExpression":
-        return TensorExpression(self.algebra, self.legs, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorExpression") -> "TensorExpression":
-        return self + (-other)
-
-    def scale(self, coeff) -> "TensorExpression":
-        coeff = coeff if isinstance(coeff, RationalFunction) else Rat(coeff)
-        return TensorExpression(self.algebra, self.legs, {k: coeff * c for k, c in self.terms.items()})
+        self._context = (algebra, legs)
+        super().__init__(terms)
 
     def __mul__(self, other) -> "TensorExpression":
         if not isinstance(other, TensorExpression):
@@ -211,45 +142,16 @@ class TensorExpression:
             for words2, c2 in other.terms.items():
                 # leg-wise products, then distribute
                 partial = [((), c1 * c2)]
-                for leg in range(self.legs):
-                    w1 = UEAExpression(alg, {words1[leg]: Rat(1)})
-                    w2 = UEAExpression(alg, {words2[leg]: Rat(1)})
-                    prod = w1 * w2
-                    partial = [
-                        (key + (word,), coeff * pc)
-                        for key, coeff in partial
-                        for word, pc in prod.terms.items()
-                    ]
+                for w1, w2 in zip(words1, words2):
+                    prod = alg._word_product(w1, w2)
+                    partial = [(key + (word,), coeff * factor)
+                               for key, coeff in partial for factor, word in prod]
                 for key, coeff in partial:
                     out[key] = out[key] + coeff if key in out else coeff
         return TensorExpression(alg, self.legs, out)
 
-    def commutator(self, other: "TensorExpression") -> "TensorExpression":
-        return self * other - other * self
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorExpression):
-            return NotImplemented
-        return (self - other).is_zero
-
-    def __hash__(self):
-        raise TypeError("TensorExpression is unhashable (equality is semantic)")
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "Tensor(0)"
-        bits = []
-        for words, coeff in self.terms.items():
-            legs = []
-            for letters, m, e in words:
-                parts = [f"{kind}{axis}" if axis else kind for kind, axis in letters]
-                if m:
-                    parts.append(f"M^{m}")
-                if e:
-                    parts.append(f"E^{e}")
-                legs.append("*".join(parts) if parts else "1")
-            bits.append(f"({coeff.normalize().expr})*" + "(x)".join(legs))
-        return "Tensor(" + " + ".join(bits) + ")"
+    def _monomial_str(self, words) -> str:
+        return "(x)".join(_word_str(word) for word in words)
 
 
 class GalileiHopf:
@@ -278,9 +180,6 @@ class GalileiHopf:
         if name not in GENERATOR_NAMES:
             raise KeyError(f"unknown generator {name!r}")
         return UEAExpression(self, {((_letter(name),), 0, 0): Rat(1)})
-
-    def generators(self) -> list[str]:
-        return list(GENERATOR_NAMES)
 
     # -- structure constants ---------------------------------------------------
 
@@ -338,6 +237,12 @@ class GalileiHopf:
         self._sort_cache[letters] = result
         return result
 
+    def _word_product(self, w1: tuple, w2: tuple) -> list[tuple]:
+        """Normal-ordered product of two words, as (coeff, word) terms."""
+        (l1, m1, e1), (l2, m2, e2) = w1, w2
+        return [(factor, (letters, m1 + m2 + dm, e1 + e2 + de))
+                for factor, letters, dm, de in self._sorted_words(l1 + l2)]
+
     # -- Hopf data -----------------------------------------------------------
 
     def bracket(self, g: str, h: str) -> UEAExpression:
@@ -387,13 +292,6 @@ class GalileiHopf:
     def counit(self, g: str) -> RationalFunction:
         return Rat(1) if g in ("E", "Einv") else Rat(0)
 
-    def counit_of(self, expr: UEAExpression) -> RationalFunction:
-        total = Rat(0)
-        for (letters, m, e), coeff in expr.terms.items():
-            if not letters and m == 0:
-                total = total + coeff
-        return total
-
     def antipode(self, g: str) -> UEAExpression:
         if g == "M":
             return -self.gen("M")
@@ -437,19 +335,15 @@ class GalileiHopf:
 
     def check_coassoc(self, g: str) -> TensorExpression:
         """(Delta (x) id - id (x) Delta) applied to Delta g; three legs."""
-        two = self.coproduct(g)
-        left = TensorExpression(self, 3, {})
-        right = TensorExpression(self, 3, {})
-        for (w1, w2), coeff in two.terms.items():
-            d1 = self.coproduct_of(UEAExpression(self, {w1: coeff}))
-            for (u1, u2), c in d1.terms.items():
-                key = (u1, u2, w2)
-                left = left + TensorExpression(self, 3, {key: c})
-            d2 = self.coproduct_of(UEAExpression(self, {w2: coeff}))
-            for (u1, u2), c in d2.terms.items():
-                key = (w1, u1, u2)
-                right = right + TensorExpression(self, 3, {key: c})
-        return left - right
+        out = TensorExpression(self, 3, {})
+        for (w1, w2), coeff in self.coproduct(g).terms.items():
+            left = self.coproduct_of(UEAExpression(self, {w1: coeff}))
+            right = self.coproduct_of(UEAExpression(self, {w2: coeff}))
+            out = out + TensorExpression(
+                self, 3, {(u1, u2, w2): c for (u1, u2), c in left.terms.items()})
+            out = out - TensorExpression(
+                self, 3, {(w1, u1, u2): c for (u1, u2), c in right.terms.items()})
+        return out
 
     def check_hopf_axiom(self, g: str) -> UEAExpression:
         """multiply((S (x) id) Delta g) - counit(g) * 1; zero iff S is an antipode."""

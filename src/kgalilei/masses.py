@@ -47,8 +47,8 @@ def check_deformation(k) -> None:
 
 def check_physical(m_f, k) -> None:
     check_deformation(k)
-    if m_f < 0:
-        raise MassDomainError(f"physical mass must be nonnegative, got {m_f}")
+    if not m_f >= 0:   # also rejects NaN, which fails every comparison
+        raise MassDomainError(f"physical mass must be a nonnegative number, got {m_f}")
     if math.isfinite(k) and m_f > k / 2:
         raise MassDomainError(f"physical mass {m_f} exceeds the bound k/2 = {k / 2}")
 
@@ -56,8 +56,8 @@ def check_physical(m_f, k) -> None:
 def to_physical(m, k) -> float:
     """Physical mass of algebra mass m: (k/2)(1 - e^(-2m/k)); m for k = inf."""
     check_deformation(k)
-    if m < 0:
-        raise MassDomainError(f"algebra mass must be nonnegative, got {m}")
+    if not m >= 0:
+        raise MassDomainError(f"algebra mass must be a nonnegative number, got {m}")
     if math.isinf(k):
         return m
     return (k / 2) * -math.expm1(-2 * m / k)
@@ -68,9 +68,7 @@ def to_algebra(m_f, k) -> float:
 
     The boundary m_f = k/2 has no finite algebra coordinate and is rejected.
     """
-    check_deformation(k)
-    if m_f < 0:
-        raise MassDomainError(f"physical mass must be nonnegative, got {m_f}")
+    check_physical(m_f, k)
     if math.isinf(k):
         return m_f
     if m_f >= k / 2:

@@ -27,13 +27,13 @@ kinetic-split identity
 
 stay as the independent end-to-end cross-check.
 
-Everything here is symbolic and exact; spin is carried as metadata only (the
-scalar, spin-0 realization is the default and the only one realized).
+Everything here is symbolic and exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import sympy as sp
 
@@ -57,9 +57,7 @@ _I = Rat(sp.I)
 #: Generators whose brackets are checked against the realization.
 _CHECKED = ("J1", "J2", "J3", "K1", "K2", "K3", "P1", "P2", "P3", "H", "M", "E")
 
-
-def _axes():
-    return (1, 2, 3)
+_AXES = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,6 @@ class OneParticleRealization:
     slot: int
     lam: RationalFunction
     m_f: RationalFunction | None = None
-    spin: int = 0
     algebra: GalileiHopf = field(default_factory=GalileiHopf, compare=False)
 
     def __post_init__(self):
@@ -91,7 +88,7 @@ class OneParticleRealization:
         A = self.slot
         if name == "H":
             total = WeylExpression.zero()
-            for i in _axes():
+            for i in _AXES:
                 total = total + momentum(A, i) * momentum(A, i)
             return total.scale(1 / (2 * self.m_f))
         if name == "M":
@@ -107,8 +104,8 @@ class OneParticleRealization:
             return position(A, axis).scale(self.m_f)
         if kind == "J":
             total = WeylExpression.zero()
-            for j in _axes():
-                for l in _axes():
+            for j in _AXES:
+                for l in _AXES:
                     e = eps(axis, j, l)
                     if e:
                         total = total + (position(A, j) * momentum(A, l)).scale(Rat(e))
@@ -137,26 +134,34 @@ def _realize_words(expr: UEAExpression, gen_map, e_value: RationalFunction,
     return total
 
 
+def _bracket_residuals(alg: GalileiHopf, image: dict,
+                       realize_uea) -> list[tuple[str, WeylExpression]]:
+    """("[g,h]", [image g, image h] - realize_uea([g, h])) for each checked pair."""
+    results = []
+    for i, g in enumerate(_CHECKED):
+        for h in _CHECKED[i + 1:]:
+            lhs = image[g].commutator(image[h])
+            results.append((f"[{g},{h}]", lhs - realize_uea(alg.bracket(g, h))))
+    return results
+
+
 def verify_one_particle(r: OneParticleRealization) -> list[tuple[str, WeylExpression]]:
     """Evaluate every algebra bracket in the realization; return residuals.
 
     Each entry is ("[g,h]", commutator(real g, real h) - realize([g, h])).
     All residuals vanish identically iff m_f = (k/2)(1 - lam^2).
     """
-    alg = r.algebra
     image = {g: r.realize(g) for g in _CHECKED}
-    results = []
-    for i, g in enumerate(_CHECKED):
-        for h in _CHECKED[i + 1:]:
-            lhs = image[g].commutator(image[h])
-            rhs = r.realize_uea(alg.bracket(g, h))
-            results.append((f"[{g},{h}]", lhs - rhs))
-    return results
+    return _bracket_residuals(r.algebra, image, lambda expr: _realize_words(
+        expr, image.__getitem__, r.lam, r.algebra_mass_symbol))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwoParticleSystem:
-    """Two one-particle realizations composed through the coproduct."""
+    """Two one-particle realizations composed through the coproduct.
+
+    Frozen, so the composed generator images it caches stay its own.
+    """
 
     r1: OneParticleRealization
     r2: OneParticleRealization
@@ -190,24 +195,23 @@ class TwoParticleSystem:
             out = out + (left * right).scale(coeff)
         return out
 
+    @cached_property
+    def _images(self) -> dict[str, WeylExpression]:
+        """The composed image of every checked generator, built once."""
+        return {g: self.total(g) for g in _CHECKED}
+
     def realize_total_uea(self, expr: UEAExpression) -> WeylExpression:
         """Composed image of a UEA expression (E -> lam lam', M -> m + m')."""
         return _realize_words(
             expr,
-            self.total,
+            self._images.__getitem__,
             self.r1.lam * self.r2.lam,
             self.r1.algebra_mass_symbol + self.r2.algebra_mass_symbol,
         )
 
     def verify_composed(self) -> list[tuple[str, WeylExpression]]:
         """Brackets of the composed generators against the algebra's table."""
-        results = []
-        for i, g in enumerate(_CHECKED):
-            for h in _CHECKED[i + 1:]:
-                lhs = self.total(g).commutator(self.total(h))
-                rhs = self.realize_total_uea(self.algebra.bracket(g, h))
-                results.append((f"[{g},{h}]", lhs - rhs))
-        return results
+        return _bracket_residuals(self.algebra, self._images, self.realize_total_uea)
 
     # -- relative variables -------------------------------------------------
 
@@ -219,7 +223,7 @@ class TwoParticleSystem:
         """Total/center-of-mass/relative variable set of the direct coproduct."""
         direct = self.variable_table()[0]
         out = {name: [] for name in VARIABLES}
-        for i in _axes():
+        for i in _AXES:
             basis = (self.r1.realize(f"P{i}"), self.r2.realize(f"P{i}"),
                      self.r1.realize(f"K{i}"), self.r2.realize(f"K{i}"))
             for name in VARIABLES:
@@ -267,8 +271,8 @@ def canonical_residuals(sys: TwoParticleSystem, tilde: bool = False) -> dict[tup
             elif (b, a) in CANONICAL_PAIRS:
                 value = value + _I
             same_axis = scalar(value)
-            for i in _axes():
-                for j in _axes():
+            for i in _AXES:
+                for j in _AXES:
                     residuals[(a, b, i, j)] = same_axis if i == j else WeylExpression.zero()
     return residuals
 

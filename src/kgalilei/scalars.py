@@ -8,8 +8,12 @@ is plain structural equality, so every identity check in the package is
 decidable.
 
 Arithmetic is lazy: operations build sympy expression trees (cheap), and the
-canonical pair is computed on demand and cached.  This keeps long chains of
-coefficient arithmetic in the operator modules fast while preserving exactness.
+canonical pair is computed on demand and cached.  ``LinearCombination``, the
+sparse sum of monomials that the Weyl, enveloping-algebra and tensor elements
+share, keeps that promise: its constructor drops only structurally zero
+coefficients, and each coefficient is canonicalized once, when ``is_zero``
+(and so ``==``) reaches a verdict.  Long chains of operator arithmetic thus
+stay fast while every verdict stays exact.
 
 The deformation exponentials e^{-m/k} are adjoined as independent formal
 symbols (``lam``, ``lamp``), never expanded as series; every identity in scope
@@ -27,6 +31,7 @@ __all__ = [
     "PoleError",
     "MissingSymbolError",
     "RationalFunction",
+    "LinearCombination",
     "sym",
     "Rat",
 ]
@@ -138,9 +143,6 @@ class RationalFunction:
         num, den = self._canonical()
         return num == den
 
-    def free_symbols(self) -> set[sp.Symbol]:
-        return set(self._expr.free_symbols)
-
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod
@@ -227,6 +229,10 @@ class RationalFunction:
         return value
 
 
+#: sympy's singleton zero: the only coefficient a LinearCombination drops unasked.
+_ZERO = sp.S.Zero
+
+
 def _is_simple_number(expr: sp.Expr) -> bool:
     """True for values already in canonical shape: exact numbers over Q(i)."""
     if expr.is_Rational:
@@ -245,3 +251,86 @@ def Rat(expr) -> RationalFunction:
     callers share its cached canonical form.
     """
     return expr if isinstance(expr, RationalFunction) else RationalFunction(expr)
+
+
+class LinearCombination:
+    """Finite sum of RationalFunction coefficients keyed by monomials.
+
+    The linear arithmetic shared by the Weyl, enveloping-algebra and tensor
+    elements.  A subclass defines its monomial product (``__mul__``) and how
+    a monomial prints (``_monomial_str``).  One that lives in a context (an
+    algebra instance, a leg count) stores it as ``_context``, the tuple of
+    its constructor's leading arguments; two operands must share it.
+
+    The zero rule lives here and only here: the constructor keeps every
+    coefficient except a structural zero, and ``is_zero`` canonicalizes each
+    coefficient once and deletes the zero terms in place before it answers.
+    Immutable as a value: that pruning never changes which element it is.
+    """
+
+    __slots__ = ("terms",)
+
+    _name = "LinearCombination"
+    _context: tuple = ()
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = {m: c for m, c in terms.items() if c._expr is not _ZERO} if terms else {}
+
+    def _like(self, terms: dict):
+        return type(self)(*self._context, terms)
+
+    def _same(self, other) -> None:
+        if type(other) is not type(self) or other._context != self._context:
+            raise ValueError(f"incompatible {self._name} operands")
+
+    # -- the zero rule ------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        """True iff every coefficient is zero; drops the zero terms first."""
+        for mono in [m for m, c in self.terms.items() if c.is_zero]:
+            del self.terms[mono]
+        return not self.terms
+
+    # -- linear arithmetic ----------------------------------------------------
+
+    def __add__(self, other):
+        self._same(other)
+        out = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            out[mono] = out[mono] + coeff if mono in out else coeff
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, coeff):
+        coeff = Rat(coeff)
+        return self._like({m: coeff * c for m, c in self.terms.items()})
+
+    def __rmul__(self, other):
+        # scalars commute with everything
+        return self.scale(other)
+
+    def commutator(self, other):
+        return self * other - other * self
+
+    # -- comparison -----------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self - other).is_zero
+
+    def __hash__(self):
+        raise TypeError(f"{type(self).__name__} is unhashable (equality is semantic)")
+
+    def __repr__(self) -> str:
+        if self.is_zero:
+            return f"{self._name}(0)"
+        bits = [f"({coeff.normalize().expr!r})*{self._monomial_str(mono)}"
+                for mono, coeff in sorted(self.terms.items())]
+        return f"{self._name}(" + " + ".join(bits) + ")"

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 
 import sympy as sp
 
-from .scalars import RationalFunction, Rat
+from .scalars import LinearCombination, RationalFunction, Rat
 
 __all__ = [
     "CanonicalSymbol",
@@ -56,20 +56,16 @@ def _check_symbol(s: CanonicalSymbol) -> None:
 _ZERO = (0,) * N_SLOTS
 
 
-class WeylExpression:
+class WeylExpression(LinearCombination):
     """Finite sum of RationalFunction coefficients times normal-ordered monomials.
 
-    Immutable; arithmetic returns new values.
+    Immutable as a value; arithmetic returns new values, and ``is_zero``
+    prunes zero terms in place (see ``LinearCombination``).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict | None = None):
-        self.terms = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not coeff.is_zero:
-                    self.terms[mono] = coeff
+    _name = "WeylExpression"
 
     # -- constructors -----------------------------------------------------
 
@@ -90,42 +86,10 @@ class WeylExpression:
         mono = (exp, _ZERO) if symbol.kind == "x" else (_ZERO, exp)
         return cls({mono: Rat(1)})
 
-    # -- inspection ---------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.terms.values())
-
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(xs) + sum(ps) for xs, ps in self.terms)
-
     def coefficient(self, mono) -> RationalFunction:
         return self.terms.get(mono, Rat(0))
 
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other: "WeylExpression") -> "WeylExpression":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            if mono in out:
-                out[mono] = out[mono] + coeff
-            else:
-                out[mono] = coeff
-        return WeylExpression(out)
-
-    def __neg__(self) -> "WeylExpression":
-        return WeylExpression({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "WeylExpression") -> "WeylExpression":
-        return self + (-other)
-
-    def scale(self, coeff) -> "WeylExpression":
-        coeff = Rat(coeff)
-        if coeff.is_zero:
-            return WeylExpression.zero()
-        return WeylExpression({m: coeff * c for m, c in self.terms.items()})
+    # -- the monomial product -------------------------------------------------
 
     def __mul__(self, other) -> "WeylExpression":
         if not isinstance(other, WeylExpression):
@@ -137,43 +101,14 @@ class WeylExpression:
                 for (mid_x, mid_p), weight in _reorder(p1, x2):
                     mono = (_add_exp(x1, mid_x), _add_exp(mid_p, p2))
                     coeff = base * weight
-                    if mono in out:
-                        out[mono] = out[mono] + coeff
-                    else:
-                        out[mono] = coeff
+                    out[mono] = out[mono] + coeff if mono in out else coeff
         return WeylExpression(out)
 
-    def __rmul__(self, other) -> "WeylExpression":
-        # scalars commute with everything
-        return self.__mul__(other)
-
-    def commutator(self, other: "WeylExpression") -> "WeylExpression":
-        return self * other - other * self
-
-    # -- comparison ---------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylExpression):
-            return NotImplemented
-        return (self - other).is_zero
-
-    def __hash__(self):
-        raise TypeError("WeylExpression is unhashable (equality is semantic)")
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "WeylExpression(0)"
-        bits = []
-        for (xs, ps), coeff in sorted(self.terms.items()):
-            word = []
-            for slot in range(N_SLOTS):
-                if xs[slot]:
-                    word.append(f"x{slot // 3 + 1}{slot % 3 + 1}^{xs[slot]}")
-            for slot in range(N_SLOTS):
-                if ps[slot]:
-                    word.append(f"p{slot // 3 + 1}{slot % 3 + 1}^{ps[slot]}")
-            bits.append(f"({coeff.normalize().expr!r})*{'*'.join(word) if word else '1'}")
-        return "WeylExpression(" + " + ".join(bits) + ")"
+    def _monomial_str(self, mono) -> str:
+        xs, ps = mono
+        word = [f"{kind}{slot // 3 + 1}{slot % 3 + 1}^{exps[slot]}"
+                for kind, exps in (("x", xs), ("p", ps)) for slot in range(N_SLOTS) if exps[slot]]
+        return "*".join(word) if word else "1"
 
 
 def _add_exp(a: tuple, b: tuple) -> tuple:

@@ -1,6 +1,7 @@
 """Tests for the command-line front end and the report emitter."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +126,37 @@ def test_cocycle_demo_deterministic(tmp_path):
     del da["wall_ms"], db["wall_ms"]
     assert da == db
     assert all(c["status"] == "pass" for c in da["checks"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["mass", "compose", "--k", "1", "nan", "0.2"],
+    ["mass", "compose", "--k", "1", "0.7", "0.3"],
+    ["mass", "reduced", "--k", "1", "0", "0"],
+    ["cocycle", "demo", "--n", "4"],
+])
+def test_out_of_domain_input_exits_two(argv, capsys):
+    # a mass outside [0, k/2] (or NaN) and a grid too small for the demo are
+    # reported in one line, with no traceback and no report
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("kgalilei: error: ")
+    assert "Traceback" not in captured.err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden, code", [
+    (["verify", "hopf"], "verify_hopf.json", 0),
+    (["verify", "realization"], "verify_realization.json", 0),
+    (["verify", "realization", "--perturb"], "verify_realization_perturb.json", 1),
+])
+def test_exact_reports_match_golden(argv, golden, code, capsys):
+    # the JSON report, apart from its wall time, is byte for byte the stored one
+    assert run(argv + ["--format", "json"]) == code
+    report = json.loads(capsys.readouterr().out)
+    del report["wall_ms"]
+    assert canonical_json(report) + "\n" == (GOLDEN / golden).read_text()
+

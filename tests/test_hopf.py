@@ -5,7 +5,8 @@ import random
 import pytest
 import sympy as sp
 
-from kgalilei.hopf import GENERATOR_NAMES, GalileiHopf, eps, unnormalized_central
+from kgalilei.hopf import (GENERATOR_NAMES, GalileiHopf, TensorExpression, eps,
+                           unnormalized_central)
 from kgalilei.scalars import Rat, sym
 
 
@@ -144,3 +145,30 @@ def test_unknown_generator_rejected(alg):
         alg.gen("Q1")
     with pytest.raises(KeyError):
         alg.coproduct("Q1")
+
+
+def test_canonical_cancellation_is_pruned_at_the_verdict(alg):
+    # (k/2)(1 - lam^2) - (k/2 - k lam^2/2) is zero only in canonical form, in
+    # the enveloping algebra and in its tensor square alike
+    k, lam = sym("k"), sym("lam")
+    coeff = (k / 2) * (1 - lam ** 2) - (k / 2 - k * lam ** 2 / 2)
+    for expr in ((alg.gen("K1") * alg.gen("H")).scale(coeff), alg.coproduct("P2").scale(coeff)):
+        assert len(expr.terms) >= 1
+        assert expr.is_zero
+        assert expr.terms == {}
+
+
+def test_untwisted_coproduct_is_caught(alg, monkeypatch):
+    # negative control: with the primitive coproduct X (x) 1 + 1 (x) X for P
+    # and K, Delta is no algebra map on [K1, P1] and check_hom says so
+    broken = GalileiHopf()
+    one = ((), 0, 0)
+
+    def primitive(letter):
+        word = ((letter,), 0, 0)
+        return TensorExpression(broken, 2, {(word, one): Rat(1), (one, word): Rat(1)})
+
+    monkeypatch.setattr(broken, "_letter_coproduct", primitive)
+    residual = broken.check_hom("K1", "P1")
+    assert not residual.is_zero
+    assert alg.check_hom("K1", "P1").is_zero

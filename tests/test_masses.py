@@ -126,6 +126,12 @@ def test_domain_errors():
         reduced(0.0, 0.0, 1.0)
     with pytest.raises(MassDomainError):
         compose_many([], 1.0)
+    nan = float("nan")   # fails every comparison, so each bound must reject it
+    for call in (lambda: masses.check_physical(nan, 1.0), lambda: compose(nan, 0.2, 1.0),
+                 lambda: to_physical(nan, 1.0), lambda: to_algebra(nan, 1.0),
+                 lambda: to_algebra(nan, math.inf), lambda: masses.check_deformation(nan)):
+        with pytest.raises(MassDomainError):
+            call()
 
 
 @given(st.floats(0.5, 10.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))

@@ -60,6 +60,17 @@ def test_free_mass_breaks_constraint_exactly():
     assert not residuals["[K1,P1]"].is_zero
 
 
+def test_nonzero_residual_keeps_only_nonzero_terms():
+    # after the verdict, a refuted bracket holds exactly its surviving
+    # monomial: the identity, with coefficient i (m_f - (k/2)(1 - lam^2))
+    r = OneParticleRealization(1, sym("lam"), m_f=sym("mf"))
+    residual = dict(verify_one_particle(r))["[K1,P1]"]
+    assert not residual.is_zero
+    identity = ((0,) * 6, (0,) * 6)
+    assert set(residual.terms) == {identity}
+    assert not residual.terms[identity].is_zero
+
+
 def test_composed_mass_formula(system):
     k, lam, lamp = sym("k"), sym("lam"), sym("lamp")
     assert (system.M_f - (k / 2) * (1 - lam ** 2 * lamp ** 2)).is_zero
@@ -70,6 +81,17 @@ def test_total_momentum_twist(system):
     for i in (1, 2, 3):
         expected = momentum(1, i).scale(lamp) + momentum(2, i)
         assert system.total(f"P{i}") == expected
+
+
+def test_composed_images_built_once(monkeypatch):
+    # verify_composed realizes each checked generator's coproduct once
+    calls = []
+    total = TwoParticleSystem.total
+    monkeypatch.setattr(TwoParticleSystem, "total",
+                        lambda self, name: calls.append(name) or total(self, name))
+    residuals = default_system().verify_composed()
+    assert len(residuals) == 66
+    assert sorted(calls) == sorted(set(calls)) and len(calls) <= 13
 
 
 def test_composed_brackets_sample(system):
@@ -162,9 +184,3 @@ def test_slot_and_algebra_validation():
         TwoParticleSystem(r1, OneParticleRealization(2, sym("lamp")))
     with pytest.raises(ValueError):
         OneParticleRealization(3, sym("lam"))
-
-
-def test_spin_is_metadata_only():
-    r = OneParticleRealization(1, sym("lam"), spin=1)
-    assert r.spin == 1
-    assert r.realize("J1") == OneParticleRealization(1, sym("lam")).realize("J1")

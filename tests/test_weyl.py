@@ -125,3 +125,17 @@ def test_symbolic_coefficients():
 
 def test_module_level_commutator_helper():
     assert commutator(position(2, 3), momentum(2, 3)) == scalar(I)
+
+
+def test_canonical_cancellation_is_pruned_at_the_verdict():
+    # (k/2)(1 - lam^2) - (k/2 - k lam^2/2) is zero only in canonical form: the
+    # constructor keeps the term, is_zero finds it zero and drops it
+    k, lam = sym("k"), sym("lam")
+    coeff = (k / 2) * (1 - lam ** 2) - (k / 2 - k * lam ** 2 / 2)
+    expr = (position(1, 1) * momentum(2, 3)).scale(coeff)
+    assert len(expr.terms) == 1
+    assert expr.is_zero
+    assert expr.terms == {}
+    assert expr == WeylExpression.zero()
+    assert repr(expr) == "WeylExpression(0)"
+
