@@ -277,28 +277,47 @@ def _spectrum_csv(report: RunReport) -> str:
 # cocycle demo
 
 
+def _worst_over_draws(name: str, tol: float, item: str, count: int, mismatch):
+    """The check over ``count`` draws of ``mismatch()``, and the worst mismatch.
+
+    A draw whose composition ratio is not grid-constant has no cocycle angle:
+    it fails the check, named by its index and spread, and ends the draws.
+    """
+    worst = 0.0
+    for idx in range(count):
+        try:
+            worst = max(worst, mismatch())
+        except gridrep.ProjectivityError as exc:
+            return CheckResult(name, STATUS_FAIL, exc.spread, f"{item} {idx}: {exc}"), worst
+    return CheckResult.from_residual(name, worst, tol), worst
+
+
 def _cmd_cocycle_demo(args) -> RunReport:
     report = RunReport("cocycle demo",
                        {"seed": args.seed, "pairs": args.pairs, "n": args.n})
     rng = np.random.default_rng(args.seed)
     psi = gridrep.gaussian_packet(n=args.n)
-    worst_match = 0.0
-    for _ in range(args.pairs):
+
+    def closed_form_mismatch() -> float:
         g, gp = gridrep.random_in_grid_tuple(rng, psi, 2)
         angle = gridrep.cocycle_angle(g, gp, psi)
         expected = gridrep.expected_cocycle_angle(g, gp, psi.m_f)
-        worst_match = max(worst_match, gridrep.angle_difference(angle, expected))
-    report.add(CheckResult.from_residual("cocycle-closed-form", worst_match, 1e-8))
+        return gridrep.angle_difference(angle, expected)
 
-    worst_identity = 0.0
-    for _ in range(max(args.pairs // 3, 1)):
+    def identity_mismatch() -> float:
         g1, g2, g3 = gridrep.random_in_grid_tuple(rng, psi, 3, max_cells=1)
         lhs = (gridrep.cocycle_angle(g1, g2, psi)
                + gridrep.cocycle_angle(gridrep.galilei_multiply(g1, g2), g3, psi))
         rhs = (gridrep.cocycle_angle(g2, g3, psi)
                + gridrep.cocycle_angle(g1, gridrep.galilei_multiply(g2, g3), psi))
-        worst_identity = max(worst_identity, gridrep.angle_difference(lhs, rhs))
-    report.add(CheckResult.from_residual("cocycle-identity", worst_identity, 1e-7))
+        return gridrep.angle_difference(lhs, rhs)
+
+    check, worst_match = _worst_over_draws(
+        "cocycle-closed-form", 1e-8, "pair", args.pairs, closed_form_mismatch)
+    report.add(check)
+    check, worst_identity = _worst_over_draws(
+        "cocycle-identity", 1e-7, "triple", max(args.pairs // 3, 1), identity_mismatch)
+    report.add(check)
     report.results["worst_closed_form_mismatch"] = worst_match
     report.results["worst_identity_mismatch"] = worst_identity
     return report
@@ -412,10 +431,15 @@ def run(argv=None) -> int:
     else:
         sys.stdout.write(text)
     for check in report.failed:
-        print(f"FAIL {check.name}: residual = {format_number(check.residual)}",
+        detail = f" ({check.detail})" if check.detail else ""
+        print(f"FAIL {check.name}: residual = {format_number(check.residual)}{detail}",
               file=sys.stderr)
     return report.exit_code
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

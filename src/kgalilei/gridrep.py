@@ -52,6 +52,10 @@ class OutOfGridError(ValueError):
 class ProjectivityError(RuntimeError):
     """Raised when the composition ratio is not constant across the grid."""
 
+    def __init__(self, spread: float):
+        super().__init__(f"composition ratio varies across the grid (spread {spread:.3e})")
+        self.spread = spread
+
 
 def _check_rotation(R: np.ndarray, tol: float = 1e-12) -> None:
     R = np.asarray(R, dtype=float)
@@ -146,39 +150,78 @@ def gaussian_packet(n: int = 32, p_max: float = 8.0, m_f: float = 1.0,
     return psi
 
 
-def _interpolate(values: np.ndarray, coords: list[np.ndarray], order: int = 1) -> np.ndarray:
-    real = map_coordinates(values.real, coords, order=order, mode="constant", cval=0.0)
-    imag = map_coordinates(values.imag, coords, order=order, mode="constant", cval=0.0)
-    return real + 1j * imag
+def _signed_permutation(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """For a signed permutation matrix, each row's nonzero column and its sign; else None.
+
+    ``M`` is already known to be orthogonal, so three nonzero entries of
+    magnitude exactly 1 mean one per row and per column.
+    """
+    cols = np.abs(M).argmax(axis=1)
+    signs = M[np.arange(3), cols]
+    if np.count_nonzero(M) != 3 or np.any(np.abs(signs) != 1.0):
+        return None
+    return cols, signs
+
+
+def _linear_taps(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Two-tap linear interpolation at fractional indices, with the edge rule
+    of ``map_coordinates(order=1, mode="constant", cval=0)``: an index inside
+    [0, n - 1] reads (1 - t) f[i] + t f[i + 1] with i = floor and t the
+    fraction, and one outside it (or NaN) reads 0."""
+    inside = (coords >= 0.0) & (coords <= n - 1)
+    lo = np.where(inside, np.floor(coords), 0.0)
+    t = coords - lo
+    lo = lo.astype(int)
+    return (lo, np.minimum(lo + 1, n - 1),
+            np.where(inside, 1.0 - t, 0.0), np.where(inside, t, 0.0))
 
 
 def act(g: GroupElement, psi: GridWavefunction, in_grid_guard: bool = True,
         order: int = 1) -> GridWavefunction:
     """Projective action of g on psi (spin 0).
 
-    Phase multiplication is exact pointwise; the argument shift/rotation uses
-    trilinear interpolation (``order`` selects the spline degree for callers
-    needing generic rotations at higher accuracy).  Boost shifts larger than
-    p_max/4 are rejected to keep the packet on the grid.
+    The phase exp(i(-p^2 tau / 2m_f + p . a)) is exact pointwise and is built
+    as an outer product of one 1-D factor per axis.  The argument
+    R^{-1}(p - m_f v) is resampled by trilinear interpolation.  When R is a
+    signed permutation (the 24 cube rotations of ``axis_aligned_rotations``)
+    each output axis reads exactly one input axis, so the trilinear
+    interpolation factors into one two-tap pass per axis and a transpose.
+    Any other rotation, or a spline ``order`` other than 1 (for generic
+    rotations at higher accuracy), takes one 3-D ``map_coordinates`` pass.
+    Both resample with the same edge rule: a point off the grid reads 0.
+    Boost shifts larger than p_max/4 are rejected to keep the packet on the
+    grid.
     """
     shift = psi.m_f * np.linalg.norm(g.v)
     if in_grid_guard and shift > 0.25 * psi.p_max:
         raise OutOfGridError(f"boost shift {shift:.3g} exceeds p_max/4 = {psi.p_max / 4:.3g}")
-    px, py, pz = psi.mesh()
-    phase = np.exp(1j * (-(px ** 2 + py ** 2 + pz ** 2) * g.tau / (2.0 * psi.m_f)
-                         + px * g.a[0] + py * g.a[1] + pz * g.a[2]))
+    ax = psi.axis()
+    h = psi.spacing
     # argument: R^{-1}(p - m_f v) -- the grouping that composes with the
     # group law; converted to fractional grid indices below
+    s = [ax - psi.m_f * g.v[j] for j in range(3)]
     Rinv = g.R.T
-    sx = px - psi.m_f * g.v[0]
-    sy = py - psi.m_f * g.v[1]
-    sz = pz - psi.m_f * g.v[2]
-    qx = Rinv[0, 0] * sx + Rinv[0, 1] * sy + Rinv[0, 2] * sz
-    qy = Rinv[1, 0] * sx + Rinv[1, 1] * sy + Rinv[1, 2] * sz
-    qz = Rinv[2, 0] * sx + Rinv[2, 1] * sy + Rinv[2, 2] * sz
-    h = psi.spacing
-    coords = [(qx + psi.p_max) / h - 0.5, (qy + psi.p_max) / h - 0.5, (qz + psi.p_max) / h - 0.5]
-    moved = _interpolate(psi.values, coords, order=order)
+    perm = _signed_permutation(Rinv) if order == 1 else None
+    if perm is None:
+        sx, sy, sz = np.meshgrid(*s, indexing="ij")
+        coords = [(Rinv[i, 0] * sx + Rinv[i, 1] * sy + Rinv[i, 2] * sz + psi.p_max) / h - 0.5
+                  for i in range(3)]
+        moved = map_coordinates(psi.values, coords, order=order, mode="constant", cval=0.0)
+    else:
+        # input axis i is sampled at signs[i] * s[cols[i]], along output axis cols[i]
+        cols, signs = perm
+        moved = psi.values
+        for i in range(3):
+            lo, hi, w_lo, w_hi = _linear_taps((signs[i] * s[cols[i]] + psi.p_max) / h - 0.5, psi.n)
+            shape = [1, 1, 1]
+            shape[i] = psi.n
+            src = moved
+            moved = w_lo.reshape(shape) * np.take(src, lo, axis=i)
+            if w_hi.any():  # all zero for a move by whole cells: one tap then
+                moved += w_hi.reshape(shape) * np.take(src, hi, axis=i)
+        moved = moved.transpose(np.argsort(cols))
+    e = [np.exp(1j * (-ax ** 2 * g.tau / (2.0 * psi.m_f) + ax * g.a[j])) for j in range(3)]
+    phase = e[0][:, None, None] * e[1][None, :, None] * e[2][None, None, :]
     return GridWavefunction(phase * moved, psi.p_max, psi.m_f)
 
 
@@ -199,9 +242,7 @@ def cocycle_phase(g: GroupElement, gp: GroupElement, psi: GridWavefunction,
     mean = ratio.mean()
     spread = float(np.abs(ratio - mean).max())
     if spread > spread_tol:
-        raise ProjectivityError(
-            f"composition ratio varies across the grid (spread {spread:.3e})"
-        )
+        raise ProjectivityError(spread)
     return complex(mean / abs(mean))
 
 
@@ -269,9 +310,16 @@ def random_in_grid_tuple(rng: np.random.Generator, psi: GridWavefunction, count:
 
     Rejection-samples until every product of a contiguous subsequence keeps its
     boost shift within the p_max/4 guard, so cocycle extraction on the tuple
-    never leaves the grid.
+    never leaves the grid.  Boosts are drawn only up to the whole cells the
+    guard admits on one axis (at most ``max_cells``); asking for boosts on a
+    grid that admits none raises OutOfGridError before any draw.
     """
     bound = 0.25 * psi.p_max
+    admitted = math.floor(bound / psi.spacing)
+    if max_cells > 0 and admitted == 0:
+        raise OutOfGridError(
+            f"a {psi.n}-point grid admits no whole-cell boost within p_max/4 = {bound:.3g}")
+    max_cells = min(max_cells, admitted)
     for _ in range(max_tries):
         elements = tuple(
             random_in_grid_element(rng, psi, rotations=rotations, max_cells=max_cells)

@@ -13,7 +13,7 @@ the correction-series analysis of v_f / v = 1 / (1 - 2v/k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -45,7 +45,7 @@ class HydrogenConfig:
     hbar: float = 1.0
     n_max: int = 3
     l: int = 0
-    r_max: float | None = None   # default chosen from the outermost Bohr orbit
+    r_max: float | None = None   # None: 20 n_max Bohr radii (see _radial_eigenvalues)
     n_points: int = 6000
 
     def __post_init__(self):
@@ -64,16 +64,6 @@ class HydrogenConfig:
     def bohr_radius(self) -> float:
         return self.hbar ** 2 / (self.v_f * self.e2)
 
-    def grid(self) -> tuple[np.ndarray, float]:
-        r_max = self.r_max
-        if r_max is None:
-            # resolves the exponential tail of the outermost requested state
-            r_max = 20.0 * self.n_max * self.bohr_radius
-        h = r_max / self.n_points
-        if self.bohr_radius / h < 10.0:
-            raise ValueError("grid too coarse: fewer than 10 points per Bohr radius")
-        return np.arange(1, self.n_points) * h, h
-
 
 def bohr_levels(cfg: HydrogenConfig) -> list[float]:
     """Closed-form levels E_n = -v_f e^4 / (2 hbar^2 n^2) for n = 1..n_max."""
@@ -83,6 +73,7 @@ def bohr_levels(cfg: HydrogenConfig) -> list[float]:
 
 def _radial_eigenvalues(cfg: HydrogenConfig, potential, n_points: int, count: int) -> np.ndarray:
     """Lowest eigenvalues of the reduced radial problem on a uniform grid."""
+    # the default box is meant to hold the tail of the outermost requested state
     r_max = cfg.r_max if cfg.r_max is not None else 20.0 * cfg.n_max * cfg.bohr_radius
     h = r_max / n_points
     r = np.arange(1, n_points) * h

@@ -3,12 +3,16 @@
 JSON schema: {"command", "params", "results", "checks": [{"name", "status",
 "residual"}], "wall_ms"}, with canonical (sorted) key order and fixed float
 formatting at 12 significant digits (scientific notation below 1e-3), so that
-parsing an emitted report and re-serializing it is byte-identical.
+parsing an emitted report and re-serializing it is byte-identical.  JSON has
+no number for infinity or NaN (k = inf is the classical limit), so those are
+written as the strings "inf", "-inf" and "nan".  A check that names its
+failing item carries a "detail" string; a check without one has no such key.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["CheckResult", "RunReport", "format_number", "canonical_json"]
@@ -35,7 +39,7 @@ def _encode(obj) -> str:
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, float):
-        return format_number(obj)
+        return format_number(obj) if math.isfinite(obj) else json.dumps(format_number(obj))
     if isinstance(obj, int):
         return str(obj)
     return json.dumps(obj)
@@ -51,6 +55,7 @@ class CheckResult:
     name: str
     status: str          # exact-pass | pass | fail
     residual: float
+    detail: str = ""     # the failing item, when the check can name it
 
     @classmethod
     def from_residual(cls, name: str, residual: float, tol: float,
@@ -88,7 +93,8 @@ class RunReport:
             "params": self.params,
             "results": self.results,
             "checks": [
-                {"name": c.name, "status": c.status, "residual": float(c.residual)}
+                {"name": c.name, "status": c.status, "residual": float(c.residual),
+                 **({"detail": c.detail} if c.detail else {})}
                 for c in self.checks
             ],
             "wall_ms": float(self.wall_ms),
@@ -118,6 +124,7 @@ class RunReport:
             shown = format_number(value) if isinstance(value, (int, float)) else value
             lines.append(f"  {key}: {shown}")
         for c in self.checks:
-            lines.append(f"  [{c.status:>10}] {c.name}  residual={format_number(c.residual)}")
+            detail = f"  ({c.detail})" if c.detail else ""
+            lines.append(f"  [{c.status:>10}] {c.name}  residual={format_number(c.residual)}{detail}")
         lines.append(f"  wall time: {self.wall_ms:.1f} ms")
         return "\n".join(lines) + "\n"

@@ -1,10 +1,17 @@
 """Tests for the command-line front end and the report emitter."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import kgalilei
+from kgalilei import gridrep
 from kgalilei.cli import run
 from kgalilei.report import RunReport, CheckResult, canonical_json, format_number
 
@@ -20,6 +27,12 @@ def test_format_number():
 def test_canonical_json_sorted_keys():
     text = canonical_json({"b": 1, "a": [2.5, {"d": 0.0, "c": True}]})
     assert text == '{"a": [2.5, {"c": true, "d": 0}], "b": 1}'
+
+
+def test_canonical_json_non_finite_as_strings():
+    text = canonical_json({"a": math.inf, "b": -math.inf, "c": math.nan, "d": [1.5]})
+    assert text == '{"a": "inf", "b": "-inf", "c": "nan", "d": [1.5]}'
+    assert canonical_json(json.loads(text)) == text
 
 
 def test_report_rejects_duplicate_checks():
@@ -67,6 +80,77 @@ def test_json_round_trip_byte_identical(tmp_path):
         text = out.read_text()
         reparsed = canonical_json(json.loads(text)) + "\n"
         assert reparsed == text
+
+
+@pytest.mark.parametrize("argv", [
+    ["mass", "compose", "--k", "inf", "0.3", "0.4"],
+    ["mass", "reduced", "--k", "inf", "0.3", "0.4"],
+    ["mass", "convert", "--k", "inf", "--to", "algebra", "0.3"],
+    ["verify", "equivalence", "--mf", "0.3", "--mfp", "0.4", "--k", "inf"],
+    ["hydrogen", "spectrum", "--mf", "0.3", "--mfp", "0.4", "--k", "inf"],
+])
+def test_classical_limit_json_round_trip(argv, capsys):
+    # k = inf is in the documented domain; its report is valid JSON that
+    # re-serializes byte for byte
+    assert run(argv + ["--format", "json"]) == 0
+    text = capsys.readouterr().out
+    data = json.loads(text)
+    assert data["params"]["k"] == "inf"
+    assert canonical_json(data) + "\n" == text
+
+
+def test_classical_limit_text_and_csv_unchanged(capsys):
+    assert run(["mass", "compose", "--k", "inf", "0.3", "0.4"]) == 0
+    assert "  k = inf\n" in capsys.readouterr().out
+    assert run(["mass", "reduced", "--k", "inf", "0.3", "0.4", "--format", "csv"]) == 0
+    assert "first_order_coefficient,result,0\n" in capsys.readouterr().out
+
+
+def _python_m(*argv):
+    src = str(Path(kgalilei.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["kgalilei", "kgalilei.cli"])
+def test_python_m_runs_the_cli(module):
+    done = _python_m(module, "mass", "compose", "--k", "1", "0.3", "0.4", "--format", "json")
+    assert done.returncode == 0 and done.stderr == ""
+    report = json.loads(done.stdout)
+    assert report["command"] == "mass compose"
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("algebra-additivity", "pass")]
+    assert abs(report["results"]["M_f"] - 0.46) <= 1e-12
+    done = _python_m(module, "mass", "compose", "--k", "1", "0.7", "0.3")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("kgalilei: error: ")
+
+
+def test_cocycle_demo_names_non_projective_pair(monkeypatch, capsys):
+    # an action that is off by a p-dependent phase is not projective: the
+    # demo fails both checks and names the first draw, with no traceback
+    exact_act = gridrep.act
+
+    def broken_act(g, psi, **kwargs):
+        out = exact_act(g, psi, **kwargs)
+        px, _, _ = psi.mesh()
+        return gridrep.GridWavefunction(out.values * np.exp(0.1j * px), psi.p_max, psi.m_f)
+
+    monkeypatch.setattr(gridrep, "act", broken_act)
+    assert run(["cocycle", "demo", "--seed", "0", "--pairs", "3", "--n", "16",
+                "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    details = {c["name"]: c["detail"] for c in report["checks"] if c["status"] == "fail"}
+    assert set(details) == {"cocycle-closed-form", "cocycle-identity"}
+    assert details["cocycle-closed-form"].startswith("pair 0: composition ratio varies")
+    assert details["cocycle-identity"].startswith("triple 0: composition ratio varies")
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("FAIL cocycle-") for line in lines)
+    assert "(pair 0: " in lines[0] and "spread" in lines[0]
+    assert "Traceback" not in captured.err
 
 
 def test_hydrogen_spectrum_csv(tmp_path):
@@ -126,6 +210,8 @@ def test_cocycle_demo_deterministic(tmp_path):
     del da["wall_ms"], db["wall_ms"]
     assert da == db
     assert all(c["status"] == "pass" for c in da["checks"])
+    # a passing check carries no detail
+    assert all(set(c) == {"name", "status", "residual"} for c in da["checks"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from kgalilei.gridrep import (
     GridWavefunction,
@@ -101,6 +102,40 @@ def test_axis_aligned_rotation_exact():
         assert abs(out.norm() - psi.norm()) <= 1e-12
 
 
+def reference_act(g, psi):
+    """The action written out on the full 3-D mesh: one exp for the phase and
+    map_coordinates on the real and imaginary parts for the argument."""
+    px, py, pz = psi.mesh()
+    phase = np.exp(1j * (-(px ** 2 + py ** 2 + pz ** 2) * g.tau / (2.0 * psi.m_f)
+                         + px * g.a[0] + py * g.a[1] + pz * g.a[2]))
+    s = (px - psi.m_f * g.v[0], py - psi.m_f * g.v[1], pz - psi.m_f * g.v[2])
+    Rinv = g.R.T
+    coords = [(sum(Rinv[i, j] * s[j] for j in range(3)) + psi.p_max) / psi.spacing - 0.5
+              for i in range(3)]
+    moved = [map_coordinates(part, coords, order=1, mode="constant", cval=0.0)
+             for part in (psi.values.real, psi.values.imag)]
+    return phase * (moved[0] + 1j * moved[1])
+
+
+def test_separable_action_matches_map_coordinates():
+    # cube rotations take the per-axis two-tap path; a generic rotation takes
+    # act's own map_coordinates pass; both must match the 3-D resampling,
+    # also for fractional boosts and points moved past the grid edge
+    rng = np.random.default_rng(7)
+    for n in (8, 16, 32):
+        values = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
+        psi = GridWavefunction(values, 8.0, 1.3)
+        rotations = axis_aligned_rotations() + [random_element(rng).R for _ in range(2)]
+        for R in rotations:
+            cells = rng.integers(-3, 4, size=3)
+            for v in (cells * psi.spacing / psi.m_f, rng.uniform(-1.5, 1.5, size=3),
+                      np.array([9.0, -0.3, 12.5])):
+                g = GroupElement(tau=rng.uniform(-2, 2), a=rng.uniform(-2, 2, size=3),
+                                 v=v, R=R)
+                out = act(g, psi, in_grid_guard=False).values
+                assert np.abs(out - reference_act(g, psi)).max() <= 1e-12
+
+
 def test_generic_rotation_approximate():
     # spline interpolation at order 3 keeps a smooth packet to ~1e-4
     psi = gaussian_packet(n=32, width=2.0)
@@ -159,6 +194,41 @@ def test_random_in_grid_elements_stay_in_grid():
         g = random_in_grid_element(rng, psi)
         assert psi.m_f * np.linalg.norm(g.v) <= bound + 1e-12
         act(g, psi)  # must not raise
+
+
+def test_tuple_sampling_fails_fast_without_admissible_boosts():
+    # on 4 points per axis one cell already exceeds the p_max/4 guard
+    psi = gaussian_packet(n=4)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(OutOfGridError, match="admits no whole-cell boost"):
+        random_in_grid_tuple(rng, psi, 2)
+    assert rng.bit_generator.state == state  # nothing was drawn
+    # asking for no boosts at all still succeeds
+    g, gp = random_in_grid_tuple(rng, psi, 2, max_cells=0)
+    assert not g.v.any() and not gp.v.any()
+
+
+def test_tuple_draws_for_seed_0_unchanged():
+    # at n = 32 the guard admits 4 cells per axis, more than max_cells = 2,
+    # so the cap leaves the random stream of the cocycle demo as it was
+    psi = gaussian_packet(n=32)
+    rng = np.random.default_rng(0)
+    mats = axis_aligned_rotations()
+    drawn = []
+    for _ in range(4):
+        for e in random_in_grid_tuple(rng, psi, 2):
+            cells = tuple(int(c) for c in np.rint(e.v * psi.m_f / psi.spacing))
+            rotation = next(i for i, R in enumerate(mats) if np.array_equal(R, e.R))
+            drawn.append((e.tau, cells, rotation))
+    assert drawn == [
+        (0.5478467492858172, (-2, 2, 1), 21), (0.42654310306871945, (-1, 2, 1), 0),
+        (-0.05665856467284369, (1, 0, -1), 7), (0.3772001207987872, (-1, -1, 1), 14),
+        (-0.23849138113686408, (2, 1, -1), 23), (1.7957746997510613, (0, 0, -1), 18),
+        (-0.34137660257731683, (-2, -2, -2), 17), (1.7096957144982396, (-2, 2, 2), 22),
+    ]
+    g3 = random_in_grid_tuple(rng, psi, 3, max_cells=1)[2]
+    assert (g3.tau, float(rng.uniform())) == (-1.8379571552462615, 0.7579510023564281)
 
 
 def test_angle_difference_wraps():
