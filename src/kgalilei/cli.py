@@ -12,13 +12,14 @@ Subcommands:
 Every subcommand emits a RunReport (text by default, ``--format json|csv``,
 ``--out <path>``).  Exit status: 0 if no check failed, 1 on a failed check
 (with the failing residual printed), 2 on usage errors and on inputs outside
-the documented domain (a mass out of [0, k/2] or NaN, a grid too small for
-the demo), reported in one line.
+the documented domain (a mass out of [0, k/2] or NaN, quantum numbers outside
+0 <= l < n_max, a grid too small for the demo), reported in one line.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -66,36 +67,34 @@ def _exact_suite_check(name: str, residuals) -> CheckResult:
 # verify hopf
 
 
+def _exact_count_check(name: str, items) -> CheckResult:
+    """One exact check over ``(item, residual)`` pairs, with the failure count as residual.
+
+    A failing check names its first failing item (generator names) and that
+    item's canonical residual in ``detail``.
+    """
+    failures, first = 0, ""
+    for item, residual in items:
+        if not residual.is_zero:
+            failures += 1
+            first = first or f"{', '.join(item)}: {residual!r}"
+    if not failures:
+        return CheckResult(name, STATUS_EXACT, 0.0)
+    return CheckResult(name, STATUS_FAIL, float(failures), first)
+
+
 def _cmd_verify_hopf(args) -> RunReport:
     report = RunReport("verify hopf", {})
     alg = hopf.GalileiHopf()
     names = hopf.GENERATOR_NAMES
-
-    failures = 0
-    for g in names:
-        for h in names:
-            for f in names:
-                if not alg.check_jacobi(g, h, f).is_zero:
-                    failures += 1
-    report.add(CheckResult("jacobi", STATUS_EXACT if not failures else STATUS_FAIL,
-                           float(failures)))
-
-    failures = 0
-    for g in names:
-        for h in names:
-            if not alg.check_hom(g, h).is_zero:
-                failures += 1
-    report.add(CheckResult("coproduct-homomorphism",
-                           STATUS_EXACT if not failures else STATUS_FAIL, float(failures)))
-
-    failures = sum(0 if alg.check_coassoc(g).is_zero else 1 for g in names)
-    report.add(CheckResult("coassociativity",
-                           STATUS_EXACT if not failures else STATUS_FAIL, float(failures)))
-
-    failures = sum(0 if alg.check_hopf_axiom(g).is_zero else 1 for g in names)
-    report.add(CheckResult("hopf-axiom",
-                           STATUS_EXACT if not failures else STATUS_FAIL, float(failures)))
-
+    report.add(_exact_count_check("jacobi", (
+        (triple, alg.check_jacobi(*triple)) for triple in itertools.product(names, repeat=3))))
+    report.add(_exact_count_check("coproduct-homomorphism", (
+        (pair, alg.check_hom(*pair)) for pair in itertools.product(names, repeat=2))))
+    report.add(_exact_count_check("coassociativity", (
+        ((g,), alg.check_coassoc(g)) for g in names)))
+    report.add(_exact_count_check("hopf-axiom", (
+        ((g,), alg.check_hopf_axiom(g)) for g in names)))
     report.results["generators"] = len(names)
     return report
 
@@ -332,6 +331,13 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the report to this path")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgalilei",
@@ -396,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     csub = coc.add_subparsers(dest="op", required=True)
     p = csub.add_parser("demo")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--n", type=int, default=32, help="grid points per axis")
+    p.add_argument("--pairs", type=positive_int, default=10)
+    p.add_argument("--n", type=positive_int, default=32, help="grid points per axis")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_cocycle_demo)
 
@@ -420,7 +426,8 @@ def run(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.handler(args)
-    except (masses.MassDomainError, gridrep.OutOfGridError) as exc:
+    except (masses.MassDomainError, hydrogen.HydrogenDomainError,
+            gridrep.OutOfGridError) as exc:
         print(f"kgalilei: error: {exc}", file=sys.stderr)
         return 2
     report.wall_ms = (time.perf_counter() - start) * 1000.0

@@ -12,6 +12,7 @@ the correction-series analysis of v_f / v = 1 / (1 - 2v/k).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from . import masses
 __all__ = [
     "HydrogenConfig",
     "GridConvergenceError",
+    "HydrogenDomainError",
     "bohr_levels",
     "radial_solve",
     "correction_series",
@@ -32,6 +34,10 @@ __all__ = [
 
 class GridConvergenceError(RuntimeError):
     """Raised when two grid refinements disagree beyond the requested tolerance."""
+
+
+class HydrogenDomainError(ValueError):
+    """Raised for quantum numbers or couplings outside the model's domain."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,7 @@ class HydrogenConfig:
     hbar: float = 1.0
     n_max: int = 3
     l: int = 0
-    r_max: float | None = None   # None: 20 n_max Bohr radii (see _radial_eigenvalues)
+    r_max: float | None = None   # None: 20 n_max Bohr radii (see radial_solve)
     n_points: int = 6000
 
     def __post_init__(self):
@@ -53,8 +59,11 @@ class HydrogenConfig:
         masses.check_physical(self.mp_f, self.k)
         if self.m_f <= 0 or self.mp_f <= 0:
             raise masses.MassDomainError("masses must be positive")
-        if self.n_max < self.l + 1:
-            raise ValueError("need n_max >= l + 1")
+        if not 0 <= self.l < self.n_max:
+            raise HydrogenDomainError(
+                f"need 0 <= l < n_max (got n_max = {self.n_max}, l = {self.l})")
+        if not (self.e2 > 0 and self.hbar > 0):
+            raise HydrogenDomainError("the coupling e2 and hbar must be positive")
 
     @property
     def v_f(self) -> float:
@@ -71,18 +80,28 @@ def bohr_levels(cfg: HydrogenConfig) -> list[float]:
     return [-v_f * cfg.e2 ** 2 / (2.0 * cfg.hbar ** 2 * n ** 2) for n in range(1, cfg.n_max + 1)]
 
 
-def _radial_eigenvalues(cfg: HydrogenConfig, potential, n_points: int, count: int) -> np.ndarray:
-    """Lowest eigenvalues of the reduced radial problem on a uniform grid."""
-    # the default box is meant to hold the tail of the outermost requested state
-    r_max = cfg.r_max if cfg.r_max is not None else 20.0 * cfg.n_max * cfg.bohr_radius
-    h = r_max / n_points
-    r = np.arange(1, n_points) * h
-    v_f = cfg.v_f
-    kin = cfg.hbar ** 2 / (2.0 * v_f * h ** 2)
-    diag = 2.0 * kin + potential(r) + cfg.hbar ** 2 * cfg.l * (cfg.l + 1) / (2.0 * v_f * r ** 2)
-    off = np.full(n_points - 2, -kin)
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1), eigvals_only=True)
-    return vals
+@functools.lru_cache
+def _radial_eigenvalues(potential: str, g: float, l: int, box: float, n_points: int,
+                        count: int) -> tuple[tuple[float, ...], ...]:
+    """Lowest ``count`` radial levels in Bohr units on n, 2n and 4n grid points.
+
+    Lengths are in a_0 = hbar^2 / (v_f e^2) and energies in E_h = v_f e^4 / hbar^2,
+    so the masses enter only through the harmonic coupling ``g`` and the box
+    length ``box`` = r_max / a_0: a mass sweep on the default box reuses one
+    solve.  Returns plain float tuples, never views of the solver's output.
+    """
+    levels = []
+    for n in (n_points, 2 * n_points, 4 * n_points):
+        h = box / n
+        x = np.arange(1, n) * h
+        kin = 1.0 / (2.0 * h ** 2)
+        pot = -1.0 / x if potential == "coulomb" else 0.5 * g * x ** 2
+        diag = 2.0 * kin + pot + l * (l + 1) / (2.0 * x ** 2)
+        off = np.full(n - 2, -kin)
+        vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
+                                eigvals_only=True)
+        levels.append(tuple(vals.tolist()))
+    return tuple(levels)
 
 
 def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb",
@@ -90,20 +109,19 @@ def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb",
     """Bound-state energies by finite differences with a grid-refinement gate.
 
     ``potential`` is "coulomb" (-e^2/r) or "harmonic" (kappa r^2 / 2).  Solves
-    on the configured grid and on a doubled grid; Richardson-extrapolates the
-    second-order discretization and raises GridConvergenceError if the two
-    refinements disagree beyond ``rel_tol`` after extrapolation is applied.
+    on the configured grid and on grids twice and four times as fine;
+    Richardson-extrapolates the second-order discretization and raises
+    GridConvergenceError if successive extrapolants disagree beyond ``rel_tol``.
     """
-    if potential == "coulomb":
-        pot = lambda r: -cfg.e2 / r
-    elif potential == "harmonic":
-        pot = lambda r: 0.5 * kappa * r ** 2
-    else:
+    if potential not in ("coulomb", "harmonic"):
         raise ValueError("potential must be 'coulomb' or 'harmonic'")
-    count = cfg.n_max - cfg.l
-    coarse = _radial_eigenvalues(cfg, pot, cfg.n_points, count)
-    mid = _radial_eigenvalues(cfg, pot, 2 * cfg.n_points, count)
-    fine = _radial_eigenvalues(cfg, pot, 4 * cfg.n_points, count)
+    a0 = cfg.bohr_radius
+    e_h = cfg.v_f * cfg.e2 ** 2 / cfg.hbar ** 2
+    g = kappa * cfg.v_f * a0 ** 4 / cfg.hbar ** 2 if potential == "harmonic" else 0.0
+    # the default box is meant to hold the tail of the outermost requested state
+    box = cfg.r_max / a0 if cfg.r_max is not None else 20.0 * cfg.n_max
+    coarse, mid, fine = (e_h * np.array(levels) for levels in _radial_eigenvalues(
+        potential, g, cfg.l, box, cfg.n_points, cfg.n_max - cfg.l))
     if potential == "coulomb" and np.any(fine >= 0.0):
         raise GridConvergenceError("no bound state found on the grid")
     # second-order scheme: eliminate the h^2 term, gate on successive extrapolants
@@ -114,7 +132,7 @@ def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb",
         raise GridConvergenceError(
             f"grid too coarse: refinement changes eigenvalues by {gap.max():.3e} relative"
         )
-    return list(extrap_hi)
+    return extrap_hi.tolist()
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,28 @@ def test_usage_error_exits_two():
     assert info.value.code == 2
 
 
+_SPECTRUM = ["hydrogen", "spectrum", "--mf", "0.3", "--mfp", "0.4", "--k", "1"]
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--pairs", "0"), ("--pairs", "-2")])
+def test_cocycle_demo_needs_positive_counts(flag, value, capsys):
+    # a demo on no grid points, or over no draws, checks nothing: usage error
+    with pytest.raises(SystemExit) as info:
+        run(["cocycle", "demo", flag, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: kgalilei cocycle demo")
+    assert f"argument {flag}: must be a positive integer" in captured.err
+
+
+def test_hydrogen_spectrum_text_rows_are_plain_floats(capsys):
+    assert run(_SPECTRUM + ["--nmax", "3", "--l", "1", "--solver", "radial"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if "rows:" in line]
+    assert len(rows) == 1 and "np.float64" not in rows[0]
+    assert rows[0].startswith("  rows: [[2, 1, None, -0.0326086")
+
+
 def test_cocycle_demo_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["cocycle", "demo", "--seed", "0", "--pairs", "3", "--n", "16",
@@ -219,10 +241,14 @@ def test_cocycle_demo_deterministic(tmp_path):
     ["mass", "compose", "--k", "1", "0.7", "0.3"],
     ["mass", "reduced", "--k", "1", "0", "0"],
     ["cocycle", "demo", "--n", "4"],
+    _SPECTRUM + ["--nmax", "2", "--l", "5"],
+    _SPECTRUM + ["--nmax", "0"],
+    _SPECTRUM + ["--l", "-1"],
 ])
 def test_out_of_domain_input_exits_two(argv, capsys):
-    # a mass outside [0, k/2] (or NaN) and a grid too small for the demo are
-    # reported in one line, with no traceback and no report
+    # a mass outside [0, k/2] (or NaN), quantum numbers outside 0 <= l < n_max
+    # and a grid too small for the demo are reported in one line, with no
+    # traceback and no report
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

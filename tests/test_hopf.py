@@ -1,10 +1,12 @@
 """Tests for the deformed Hopf algebra structure."""
 
+import json
 import random
 
 import pytest
 import sympy as sp
 
+from kgalilei.cli import run
 from kgalilei.hopf import (GENERATOR_NAMES, GalileiHopf, TensorExpression, eps,
                            unnormalized_central)
 from kgalilei.scalars import Rat, sym
@@ -158,17 +160,41 @@ def test_canonical_cancellation_is_pruned_at_the_verdict(alg):
         assert expr.terms == {}
 
 
+def _primitive_coproduct(alg, letter):
+    # X (x) 1 + 1 (x) X for every letter, P and K included: the untwisted coproduct
+    one = ((), 0, 0)
+    word = ((letter,), 0, 0)
+    return TensorExpression(alg, 2, {(word, one): Rat(1), (one, word): Rat(1)})
+
+
 def test_untwisted_coproduct_is_caught(alg, monkeypatch):
     # negative control: with the primitive coproduct X (x) 1 + 1 (x) X for P
     # and K, Delta is no algebra map on [K1, P1] and check_hom says so
     broken = GalileiHopf()
-    one = ((), 0, 0)
-
-    def primitive(letter):
-        word = ((letter,), 0, 0)
-        return TensorExpression(broken, 2, {(word, one): Rat(1), (one, word): Rat(1)})
-
-    monkeypatch.setattr(broken, "_letter_coproduct", primitive)
+    monkeypatch.setattr(broken, "_letter_coproduct",
+                        lambda letter: _primitive_coproduct(broken, letter))
     residual = broken.check_hom("K1", "P1")
     assert not residual.is_zero
     assert alg.check_hom("K1", "P1").is_zero
+
+
+def test_verify_hopf_names_first_failing_item(monkeypatch, capsys):
+    # the same negative control through the CLI: a failing check names its
+    # first failing pair or generator and that item's canonical residual
+    monkeypatch.setattr(GalileiHopf, "_letter_coproduct", _primitive_coproduct)
+    assert run(["verify", "hopf", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+    assert {name: c["status"] for name, c in checks.items()} == {
+        "jacobi": "exact-pass", "coproduct-homomorphism": "fail",
+        "coassociativity": "exact-pass", "hopf-axiom": "fail"}
+    broken = GalileiHopf()
+    hom = f"K1, P1: {broken.check_hom('K1', 'P1')!r}"
+    antipode = f"K1: {broken.check_hopf_axiom('K1')!r}"
+    assert hom.startswith("K1, P1: Tensor(") and "E^2(x)E^2" in hom
+    assert checks["coproduct-homomorphism"]["detail"] == hom
+    assert checks["hopf-axiom"]["detail"] == antipode
+    assert "detail" not in checks["jacobi"]
+    assert captured.err.splitlines() == [
+        f"FAIL coproduct-homomorphism: residual = 6 ({hom})",
+        f"FAIL hopf-axiom: residual = 6 ({antipode})"]

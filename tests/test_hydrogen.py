@@ -1,14 +1,18 @@
 """Tests for the deformed hydrogen spectrum."""
 
 import math
+import random
 
+import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from kgalilei import masses
+from kgalilei import hydrogen, masses
 from kgalilei.hydrogen import (
     CorrectionSeries,
     GridConvergenceError,
     HydrogenConfig,
+    HydrogenDomainError,
     bohr_levels,
     correction_series,
     radial_solve,
@@ -44,12 +48,89 @@ def test_radial_matches_closed_form(cfg):
 def test_harmonic_oscillator_control():
     # l = 0 radial problem on the half line picks the odd 1-D levels:
     # E = (2 n_r + 3/2) omega with omega = sqrt(kappa / v_f)
-    cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_max=3, r_max=30.0)
-    omega = math.sqrt(1.0 / cfg.v_f)
-    numeric = radial_solve(cfg, potential="harmonic", kappa=1.0)
-    for n_r, e in enumerate(numeric):
-        expected = (2 * n_r + 1.5) * omega
-        assert abs(e - expected) / expected <= 1e-6
+    for m_f, mp_f in [(0.3, 0.4), (0.1, 0.45)]:
+        cfg = HydrogenConfig(m_f=m_f, mp_f=mp_f, k=1.0, n_max=3, r_max=30.0)
+        omega = math.sqrt(1.0 / cfg.v_f)
+        numeric = radial_solve(cfg, potential="harmonic", kappa=1.0)
+        for n_r, e in enumerate(numeric):
+            expected = (2 * n_r + 1.5) * omega
+            assert abs(e - expected) / expected <= 1e-6
+
+
+def test_user_box_matches_closed_form():
+    # a box given in physical units is r_max / a_0 Bohr radii, whatever the masses
+    for m_f, mp_f in [(0.3, 0.4), (0.1, 0.45)]:
+        cfg = HydrogenConfig(m_f=m_f, mp_f=mp_f, k=1.0, n_max=3, r_max=600.0)
+        for e_num, e_closed in zip(radial_solve(cfg), bohr_levels(cfg)):
+            assert abs(e_num - e_closed) / abs(e_closed) <= 1e-6
+
+
+def _physical_unit_levels(cfg):
+    # reference: the same finite-difference matrix in physical units (kinetic
+    # hbar^2 / (2 v_f h^2), Coulomb -e2 / r) on the default box of 20 n_max a_0,
+    # Richardson-extrapolated as radial_solve does
+    r_max = 20.0 * cfg.n_max * cfg.bohr_radius
+    count = cfg.n_max - cfg.l
+    solves = []
+    for n_points in (cfg.n_points, 2 * cfg.n_points, 4 * cfg.n_points):
+        h = r_max / n_points
+        r = np.arange(1, n_points) * h
+        kin = cfg.hbar ** 2 / (2.0 * cfg.v_f * h ** 2)
+        diag = (2.0 * kin - cfg.e2 / r
+                + cfg.hbar ** 2 * cfg.l * (cfg.l + 1) / (2.0 * cfg.v_f * r ** 2))
+        off = np.full(n_points - 2, -kin)
+        solves.append(eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
+                                       eigvals_only=True))
+    return (4.0 * solves[2] - solves[1]) / 3.0
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_bohr_units_match_physical_units(l):
+    cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_max=3, l=l)
+    reference = _physical_unit_levels(cfg)
+    levels = radial_solve(cfg)
+    assert len(levels) == len(reference) == 3 - l
+    for e, e_ref in zip(levels, reference):
+        assert abs(e - e_ref) / abs(e_ref) <= 1e-8
+
+
+def test_levels_scale_with_reduced_mass():
+    # in Bohr units the solve does not see the masses: E_n is v_f times a
+    # mass-independent number, so two mass pairs differ by v_f / v'_f
+    a = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_max=4, l=1)
+    b = HydrogenConfig(m_f=0.05, mp_f=0.9, k=2.5, n_max=4, l=1)
+    ratio = a.v_f / b.v_f
+    for ea, eb in zip(radial_solve(a), radial_solve(b)):
+        assert abs(ea / eb - ratio) <= 1e-12 * ratio
+
+
+def test_levels_are_fresh_python_floats(cfg):
+    first = radial_solve(cfg)
+    assert all(type(e) is float for e in first)
+    expected = list(first)
+    first[0] = 0.0
+    first.append(1.0)
+    assert radial_solve(cfg) == expected
+    # the cache keeps float copies, not views pinning the solver's whole output
+    cached = hydrogen._radial_eigenvalues("coulomb", 0.0, 0, 60.0, cfg.n_points, 3)
+    assert all(type(e) is float for grid in cached for e in grid)
+
+
+def test_mass_sweep_solves_once_per_shape():
+    # work count, not timing: a sweep over masses and k at n_max 1..4 on the
+    # default box needs one eigensolve per n_max; a mass or k in the cache
+    # key would make every point miss
+    hydrogen._radial_eigenvalues.cache_clear()
+    rng = random.Random(7)
+    for i in range(20):
+        k = rng.uniform(0.5, 4.0)
+        cfg = HydrogenConfig(m_f=rng.uniform(0.05, 0.45) * k, mp_f=rng.uniform(0.05, 0.45) * k,
+                             k=k, n_max=1 + i % 4)
+        closed = bohr_levels(cfg)
+        for e, e_closed in zip(radial_solve(cfg), closed):
+            assert abs(e - e_closed) / abs(e_closed) <= 1e-6
+    info = hydrogen._radial_eigenvalues.cache_info()
+    assert info.misses <= 4 and info.hits + info.misses == 20
 
 
 def test_l_degeneracy():
@@ -107,3 +188,6 @@ def test_config_validation():
         HydrogenConfig(m_f=0.0, mp_f=0.4, k=1.0)  # massless electron
     with pytest.raises(ValueError):
         HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_max=1, l=1)
+    for bad in [dict(n_max=0), dict(l=-1), dict(n_max=2, l=5), dict(e2=0.0), dict(hbar=-1.0)]:
+        with pytest.raises(HydrogenDomainError):
+            HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, **bad)
