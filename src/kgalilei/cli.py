@@ -13,7 +13,8 @@ Every subcommand emits a RunReport (text by default, ``--format json|csv``,
 ``--out <path>``).  Exit status: 0 if no check failed, 1 on a failed check
 (with the failing residual printed), 2 on usage errors and on inputs outside
 the documented domain (a mass out of [0, k/2] or NaN, quantum numbers outside
-0 <= l < n_max, a grid too small for the demo), reported in one line.
+0 <= l < n_max or more levels than the radial grid holds, a grid too small
+for the demo), reported in one line.
 """
 
 from __future__ import annotations

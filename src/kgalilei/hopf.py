@@ -21,9 +21,7 @@ term has a strictly shorter non-central word.
 
 from __future__ import annotations
 
-import sympy as sp
-
-from .scalars import LinearCombination, RationalFunction, Rat, sym
+from .scalars import I as _I, LinearCombination, RationalFunction, Rat, sym
 
 __all__ = [
     "GalileiHopf",
@@ -33,8 +31,6 @@ __all__ = [
     "unnormalized_central",
     "eps",
 ]
-
-_I = Rat(sp.I)
 
 KIND_RANK = {"J": 0, "K": 1, "P": 2, "H": 3}
 
@@ -102,8 +98,9 @@ class UEAExpression(LinearCombination):
         self._same(other)
         alg = self.algebra
         out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+        right = other._nonzero_terms()
+        for w1, c1 in self._nonzero_terms().items():
+            for w2, c2 in right.items():
                 base = c1 * c2
                 for factor, word in alg._word_product(w1, w2):
                     coeff = base * factor
@@ -138,8 +135,9 @@ class TensorExpression(LinearCombination):
         self._same(other)
         alg = self.algebra
         out: dict = {}
-        for words1, c1 in self.terms.items():
-            for words2, c2 in other.terms.items():
+        right = other._nonzero_terms()
+        for words1, c1 in self._nonzero_terms().items():
+            for words2, c2 in right.items():
                 # leg-wise products, then distribute
                 partial = [((), c1 * c2)]
                 for w1, w2 in zip(words1, words2):
@@ -275,7 +273,7 @@ class GalileiHopf:
         """Extend the coproduct multiplicatively to a full UEA expression."""
         out = TensorExpression(self, 2, {})
         one = (_EMPTY, 0, 0)
-        for (letters, m, e), coeff in expr.terms.items():
+        for (letters, m, e), coeff in expr._nonzero_terms().items():
             term = TensorExpression(self, 2, {(one, one): coeff})
             for letter in letters:
                 term = term * self._letter_coproduct(letter)
@@ -307,7 +305,7 @@ class GalileiHopf:
     def antipode_of(self, expr: UEAExpression) -> UEAExpression:
         """Antipode extended as an anti-homomorphism."""
         out = self.zero()
-        for (letters, m, e), coeff in expr.terms.items():
+        for (letters, m, e), coeff in expr._nonzero_terms().items():
             term = UEAExpression(self, {(_EMPTY, 0, -e): coeff * Rat(-1) ** m})
             term = term * UEAExpression(self, {(_EMPTY, m, 0): Rat(1)})
             for letter in reversed(letters):

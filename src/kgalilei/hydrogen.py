@@ -64,6 +64,11 @@ class HydrogenConfig:
                 f"need 0 <= l < n_max (got n_max = {self.n_max}, l = {self.l})")
         if not (self.e2 > 0 and self.hbar > 0):
             raise HydrogenDomainError("the coupling e2 and hbar must be positive")
+        # the coarsest grid has n_points - 1 interior points, one level each
+        if not (self.n_points >= 3 and self.n_max - self.l <= self.n_points - 1):
+            raise HydrogenDomainError(
+                f"need n_points >= 3 and n_max - l <= n_points - 1 (got n_max = {self.n_max}, "
+                f"l = {self.l}, n_points = {self.n_points})")
 
     @property
     def v_f(self) -> float:

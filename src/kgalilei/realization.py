@@ -35,11 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import sympy as sp
-
 from .equivalence import VARIABLES, pairing, variable_table
 from .hopf import GalileiHopf, UEAExpression, eps
-from .scalars import RationalFunction, Rat, sym
+from .scalars import I as _I, RationalFunction, Rat, sym
 from .weyl import WeylExpression, position, momentum, scalar
 
 __all__ = [
@@ -51,8 +49,6 @@ __all__ = [
     "default_system",
     "CANONICAL_PAIRS",
 ]
-
-_I = Rat(sp.I)
 
 #: Generators whose brackets are checked against the realization.
 _CHECKED = ("J1", "J2", "J3", "K1", "K2", "K3", "P1", "P2", "P3", "H", "M", "E")
@@ -120,7 +116,7 @@ def _realize_words(expr: UEAExpression, gen_map, e_value: RationalFunction,
                    m_value: RationalFunction) -> WeylExpression:
     """Map a UEA expression through a generator realization."""
     total = WeylExpression.zero()
-    for (letters, m, e), coeff in expr.terms.items():
+    for (letters, m, e), coeff in expr._nonzero_terms().items():
         factor = coeff
         if m:
             factor = factor * m_value ** m

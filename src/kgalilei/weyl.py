@@ -17,9 +17,7 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Iterable, NamedTuple
 
-import sympy as sp
-
-from .scalars import LinearCombination, RationalFunction, Rat
+from .scalars import I, LinearCombination, RationalFunction, Rat
 
 __all__ = [
     "CanonicalSymbol",
@@ -95,8 +93,9 @@ class WeylExpression(LinearCombination):
         if not isinstance(other, WeylExpression):
             return self.scale(other)
         out: dict = {}
-        for (x1, p1), c1 in self.terms.items():
-            for (x2, p2), c2 in other.terms.items():
+        right = other._nonzero_terms()
+        for (x1, p1), c1 in self._nonzero_terms().items():
+            for (x2, p2), c2 in right.items():
                 base = c1 * c2
                 for (mid_x, mid_p), weight in _reorder(p1, x2):
                     mono = (_add_exp(x1, mid_x), _add_exp(mid_p, p2))
@@ -142,7 +141,7 @@ def _reorder(pexp: tuple, xexp: tuple) -> list:
                     nps[slot] = a - j
                     expanded.append((nxs, nps, w * comb(a, j) * comb(b, j) * factorial(j), jt + j))
             results = expanded
-        cached = [((tuple(xs), tuple(ps)), Rat(sp.Integer(w) * (-sp.I) ** j))
+        cached = [((tuple(xs), tuple(ps)), Rat(w) * (-I) ** j)
                   for xs, ps, w, j in results]
         _REORDER_CACHE[key] = cached
     return cached

@@ -244,11 +244,12 @@ def test_cocycle_demo_deterministic(tmp_path):
     _SPECTRUM + ["--nmax", "2", "--l", "5"],
     _SPECTRUM + ["--nmax", "0"],
     _SPECTRUM + ["--l", "-1"],
+    _SPECTRUM + ["--nmax", "6000", "--solver", "radial"],
 ])
 def test_out_of_domain_input_exits_two(argv, capsys):
-    # a mass outside [0, k/2] (or NaN), quantum numbers outside 0 <= l < n_max
-    # and a grid too small for the demo are reported in one line, with no
-    # traceback and no report
+    # a mass outside [0, k/2] (or NaN), quantum numbers outside 0 <= l < n_max,
+    # more levels than the radial grid holds and a grid too small for the demo
+    # are reported in one line, with no traceback and no report
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -188,6 +188,9 @@ def test_config_validation():
         HydrogenConfig(m_f=0.0, mp_f=0.4, k=1.0)  # massless electron
     with pytest.raises(ValueError):
         HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_max=1, l=1)
-    for bad in [dict(n_max=0), dict(l=-1), dict(n_max=2, l=5), dict(e2=0.0), dict(hbar=-1.0)]:
+    for bad in [dict(n_max=0), dict(l=-1), dict(n_max=2, l=5), dict(e2=0.0), dict(hbar=-1.0),
+                dict(n_points=2), dict(n_max=6000), dict(n_max=8, n_points=7)]:
         with pytest.raises(HydrogenDomainError):
             HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, **bad)
+    # as many levels as the coarsest grid has interior points is the limit
+    HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_max=8, l=1, n_points=8)

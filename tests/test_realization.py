@@ -1,10 +1,15 @@
 """Tests for the one- and two-particle operator realizations."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy as sp
 
+import kgalilei
 from kgalilei.equivalence import VARIABLES, pairing
 from kgalilei.hopf import GalileiHopf
 from kgalilei.realization import (
@@ -184,3 +189,33 @@ def test_slot_and_algebra_validation():
         TwoParticleSystem(r1, OneParticleRealization(2, sym("lamp")))
     with pytest.raises(ValueError):
         OneParticleRealization(3, sym("lam"))
+
+
+#: The two-particle verdicts and the refutation of a free m_f, to the point
+#: where each residual is known zero or nonzero (none is printed).
+_VERDICTS_WITHOUT_SYMPY = """
+import sys
+from kgalilei import realization
+from kgalilei.scalars import sym
+
+system = realization.default_system()
+assert all(res.is_zero for _, res in system.verify_composed())
+for tilde in (False, True):
+    assert all(res.is_zero for res in realization.canonical_residuals(system, tilde).values())
+assert system.kinetic_split().is_zero
+free = realization.OneParticleRealization(1, sym("lam"), m_f=sym("mf"), algebra=system.algebra)
+nonzero = [label for label, res in realization.verify_one_particle(free) if not res.is_zero]
+assert nonzero == ["[K1,P1]", "[K2,P2]", "[K3,P3]"], nonzero
+assert "sympy" not in sys.modules
+"""
+
+
+def test_exact_verdicts_never_import_sympy():
+    # a work guard, not a timing: sympy is only the lazy printer and
+    # canonicalizer, so reaching these verdicts must not load it
+    src = str(Path(kgalilei.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", _VERDICTS_WITHOUT_SYMPY], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr

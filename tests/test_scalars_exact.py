@@ -1,0 +1,189 @@
+"""Differential tests of the exact scalar core against sympy.
+
+Seeded random expression trees over (k, lam, lamp) with Gaussian-integer
+constants are built twice, once as RationalFunctions and once as sympy
+expressions.  The core's exact zero test and equality must agree with
+``cancel(together(a - b)) == 0``, its canonical pair with ``_canonical_pair``
+of the sympy tree, and its float evaluation with sympy's.  The core's own
+invariants (normalized atoms, atoms cancelled in a division) are checked on
+its representation.
+"""
+
+import math
+import os
+import pickle
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+import sympy as sp
+
+from kgalilei import scalars
+from kgalilei.scalars import DegenerateInputError, Rat, RationalFunction, _canonical_pair, sym
+
+NAMES = ("k", "lam", "lamp")
+SYMBOLS = {name: (sym(name), sp.Symbol(name)) for name in NAMES}
+
+
+def sp_zero(expr) -> bool:
+    return sp.cancel(sp.together(expr)) == 0
+
+
+def leaf(rng):
+    if rng.random() < 0.6:
+        return SYMBOLS[rng.choice(NAMES)]
+    re, im = rng.randint(-3, 3), rng.choice((0, 0, 0, rng.randint(-2, 2)))
+    return Rat(sp.Integer(re) + sp.I * im), sp.Integer(re) + sp.I * im
+
+
+def tree(rng, depth):
+    """A (RationalFunction, sympy) pair for one random expression tree."""
+    if depth == 0 or rng.random() < 0.25:
+        return leaf(rng)
+    (a, ea), (b, eb) = tree(rng, depth - 1), tree(rng, depth - 1)
+    op = rng.choice("+-*/^")
+    if op == "+":
+        return a + b, ea + eb
+    if op == "-":
+        return a - b, ea - eb
+    if op == "*":
+        return a * b, ea * eb
+    if op == "^":
+        n = rng.choice((-2, -1, 2, 3))
+        if n < 0 and sp_zero(ea):
+            with pytest.raises(DegenerateInputError):
+                _ = a ** n
+            return a, ea
+        return a ** n, ea ** n
+    if sp_zero(eb):
+        with pytest.raises(DegenerateInputError):
+            _ = a / b
+        return a * b, ea * eb
+    return a / b, ea / eb
+
+
+def variants(rng, a, ea):
+    """Forms of the same value that differ in their atoms and numerators."""
+    (c, ec) = tree(rng, 1)
+    yield (a * c - c * a) + a, ea
+    if not sp_zero(ec):
+        yield (a * c) / c, ea
+        yield a + c / c - 1, ea
+    yield a + c, ea + ec
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_trees_agree_with_sympy(seed):
+    rng = random.Random(seed)
+    values = [tree(rng, 3) for _ in range(8)]
+    for a, ea in values:
+        assert a.is_zero == sp_zero(ea)
+        assert (a.num, a.den) == _canonical_pair(ea)
+        for b, eb in [*variants(rng, a, ea), *rng.sample(values, 2)]:
+            same = sp_zero(ea - eb)
+            assert (a == b) is same
+            assert (a - b).is_zero is same
+            assert (b - a).is_zero is same
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_trees_evaluate_like_sympy(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(10):
+        a, ea = tree(rng, 3)
+        point = {name: rng.uniform(0.2, 2.0) for name in NAMES}
+        den = complex(sp.fraction(sp.together(ea))[1].subs(
+            {sp.Symbol(n): v for n, v in point.items()}))
+        if abs(den) < 1e-6:
+            continue
+        expected = complex(ea.subs({sp.Symbol(n): v for n, v in point.items()}))
+        got = complex(a.evaluate(point))
+        assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+def test_zeros_that_need_cancellation_across_atoms():
+    k, lam = sym("k"), sym("lam")
+    assert ((lam ** 2 - 1) / (lam + 1) - (lam - 1)).is_zero
+    assert (1 / (k * (1 - lam ** 2)) - 1 / (k - k * lam ** 2)).is_zero
+    assert 1 / (1 - lam) + 1 / (lam - 1) == 0
+    assert (1 / (Rat(sp.I) * lam + 1) - (-Rat(sp.I)) / (lam - Rat(sp.I))).is_zero
+    assert not (1 / (k * (1 - lam ** 2)) - 1 / (k + k * lam ** 2)).is_zero
+
+
+def test_division_by_a_cancelling_zero_is_degenerate():
+    k, lam = sym("k"), sym("lam")
+    zero = (lam ** 2 - 1) / (lam + 1) - (lam - 1)
+    with pytest.raises(DegenerateInputError):
+        _ = k / zero
+    with pytest.raises(DegenerateInputError):
+        _ = 1 / zero
+    with pytest.raises(DegenerateInputError):
+        _ = zero ** -1
+
+
+def test_evaluate_needs_only_the_canonical_symbols():
+    k, lam = sym("k"), sym("lam")
+    assert (lam * k / k).evaluate({"lam": 0.5}) == 0.5
+    assert (lam * k / k).evaluate({sp.Symbol("lam"): 0.5}) == 0.5
+
+
+def test_sympy_operands_and_literals():
+    k = sym("k")
+    assert k + sp.Rational(1, 2) == RationalFunction(sp.Symbol("k") + sp.Rational(1, 2))
+    assert k * 0.5 == k / 2
+    assert Rat(sp.Symbol("k") ** -2) == 1 / (k * k)
+    with pytest.raises(TypeError):
+        Rat(sp.exp(sp.Symbol("k")))
+
+
+def test_atoms_are_primitive_and_unit_normalized():
+    # every denominator atom any test has made: a single variable, or a
+    # polynomial with no monomial or integer content whose leading
+    # coefficient has re > 0 and im >= 0
+    k, lam, lamp = (sym(n) for n in NAMES)
+    _ = 1 / (2 - 2 * lam) + 1 / (Rat(sp.I) * k * lam - 3 * Rat(sp.I) * k) + lamp / (lam * lamp - lamp)
+    assert scalars._ATOMS
+    for poly in scalars._ATOMS:
+        monos = list(poly)
+        re, im = poly[max(monos)]
+        assert re > 0 and im >= 0
+        if len(poly) == 1:
+            assert poly[monos[0]] == (1, 0) and len(scalars._unpack(monos[0])) == 1
+            continue
+        assert math.gcd(*(part for pair in poly.values() for part in pair)) == 1
+        exponents = [dict(scalars._unpack(m)) for m in monos]
+        assert all(min(e.get(idx, 0) for e in exponents) == 0 for idx in exponents[0])
+
+
+def test_division_cancels_common_atoms():
+    # x / y with the atoms k and 1 - lam^2 on both sides leaves only lam + 1
+    k, lam = sym("k"), sym("lam")
+    x = lam / (k * (1 - lam ** 2))
+    y = (lam + 1) / (k - k * lam ** 2)
+    q = x / y
+    assert q == lam / (lam + 1)
+    assert q._den == (1 / (lam + 1))._den
+
+
+_UNPICKLE = """
+import pickle, sys
+from kgalilei.scalars import I, sym
+sym("unrelated")  # variable ids here differ from the pickling process's
+k, lam = sym("k"), sym("lam")
+assert pickle.loads(sys.stdin.buffer.read()) == (I * lam + 1) / (k * (1 - lam ** 2))
+"""
+
+
+def test_pickle_keeps_the_value_across_processes():
+    # a value pickles as its expression, not as one process's variable and atom ids
+    k, lam = sym("k"), sym("lam")
+    f = (Rat(sp.I) * lam + 1) / (k * (1 - lam ** 2))
+    assert pickle.loads(pickle.dumps(f)) == f
+    src = str(Path(scalars.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", _UNPICKLE], input=pickle.dumps(f),
+                          capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
