@@ -268,8 +268,7 @@ def angle_difference(a: float, b: float) -> float:
     return min(d, 2.0 * math.pi - d)
 
 
-def axis_aligned_rotations() -> list[np.ndarray]:
-    """All 24 proper rotations of the cubic grid (exact under interpolation)."""
+def _cube_rotations() -> tuple[np.ndarray, ...]:
     mats = []
     for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
         for sx in (1, -1):
@@ -279,8 +278,22 @@ def axis_aligned_rotations() -> list[np.ndarray]:
                     for row, col in enumerate(perm):
                         R[row, col] = (sx, sy, sz)[row]
                     if abs(np.linalg.det(R) - 1.0) < 1e-12:
+                        R.setflags(write=False)
                         mats.append(R)
-    return mats
+    return tuple(mats)
+
+
+#: The 24 cube rotations, built once; read-only, so draws can share them.
+_CUBE_ROTATIONS = _cube_rotations()
+
+
+def axis_aligned_rotations() -> list[np.ndarray]:
+    """All 24 proper rotations of the cubic grid (exact under interpolation).
+
+    The matrices are shared and read-only; the order is fixed, so seeded
+    draws from this list are reproducible.
+    """
+    return list(_CUBE_ROTATIONS)
 
 
 def random_in_grid_element(rng: np.random.Generator, psi: GridWavefunction,
@@ -298,8 +311,7 @@ def random_in_grid_element(rng: np.random.Generator, psi: GridWavefunction,
     v = cells * psi.spacing / psi.m_f
     R = np.eye(3)
     if rotations:
-        mats = axis_aligned_rotations()
-        R = mats[int(rng.integers(len(mats)))]
+        R = _CUBE_ROTATIONS[int(rng.integers(len(_CUBE_ROTATIONS)))]
     return GroupElement(tau=tau, a=a, v=v, R=R)
 
 

@@ -17,6 +17,11 @@ Enveloping-algebra elements are kept in the normal order J < K < P < H with
 index-lexicographic ties, times central factors M^m E^e; products are
 normalized by bracket rewriting, which terminates because every correction
 term has a strictly shorter non-central word.
+
+Each algebra instance computes a generator bracket [g, h] and a left-normed
+double bracket [[g, h], f] once and keeps it (at most 13^2 + 13^3 values), so
+a Jacobi sum is three stored double brackets.  Sharing the stored values is
+safe because arithmetic on elements always builds new ones.
 """
 
 from __future__ import annotations
@@ -158,6 +163,7 @@ class GalileiHopf:
     def __init__(self, central: RationalFunction | None = None):
         self.central = central if central is not None else sym("k") / 2
         self._sort_cache: dict = {}
+        self._bracket_cache: dict = {}
         self.rewrite_steps = 0
 
     # -- element constructors ------------------------------------------------
@@ -244,8 +250,20 @@ class GalileiHopf:
     # -- Hopf data -----------------------------------------------------------
 
     def bracket(self, g: str, h: str) -> UEAExpression:
-        """Commutator of two named generators."""
-        return self.gen(g).commutator(self.gen(h))
+        """Commutator [g, h] of two named generators, computed once per pair."""
+        key = (g, h)
+        value = self._bracket_cache.get(key)
+        if value is None:
+            value = self._bracket_cache[key] = self.gen(g).commutator(self.gen(h))
+        return value
+
+    def double_bracket(self, g: str, h: str, f: str) -> UEAExpression:
+        """Left-normed [[g, h], f] of named generators, computed once per triple."""
+        key = (g, h, f)
+        value = self._bracket_cache.get(key)
+        if value is None:
+            value = self._bracket_cache[key] = self.bracket(g, h).commutator(self.gen(f))
+        return value
 
     def _letter_coproduct(self, letter: tuple) -> TensorExpression:
         kind, axis = letter
@@ -318,12 +336,8 @@ class GalileiHopf:
 
     def check_jacobi(self, g1: str, g2: str, g3: str) -> UEAExpression:
         """[[g1,g2],g3] + [[g2,g3],g1] + [[g3,g1],g2]; zero iff consistent."""
-        a, b, c = self.gen(g1), self.gen(g2), self.gen(g3)
-        return (
-            a.commutator(b).commutator(c)
-            + b.commutator(c).commutator(a)
-            + c.commutator(a).commutator(b)
-        )
+        return (self.double_bracket(g1, g2, g3) + self.double_bracket(g2, g3, g1)
+                + self.double_bracket(g3, g1, g2))
 
     def check_hom(self, g: str, h: str) -> TensorExpression:
         """Delta([g,h]) - [Delta g, Delta h]; zero iff Delta is an algebra map."""

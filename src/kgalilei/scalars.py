@@ -600,6 +600,12 @@ class RationalFunction:
         MissingSymbolError.  Both are judged on the canonical form, so a
         removable singularity evaluates, and a symbol that cancels needs no
         value.
+
+        Away from such points the value comes from the uncancelled numerator
+        and atoms, so near, but not at, a removable singularity it loses
+        relative accuracy like eps/distance:
+        ``((k*k - 1)/(k - 1)).evaluate({"k": 1 + 1e-8})`` gives 2.0, a
+        relative error of 5e-9 against k + 1.
         """
         point = {key if isinstance(key, str) else str(key): value
                  for key, value in assignment.items()}

@@ -97,6 +97,8 @@ def test_axis_aligned_rotation_exact():
     psi = gaussian_packet(n=16, center=(1.25, 0.25, -0.75))
     mats = axis_aligned_rotations()
     assert len(mats) == 24
+    # one shared table: every draw reads the same matrices, so none may change
+    assert not any(R.flags.writeable for R in mats)
     for R in mats[:6]:
         out = act(GroupElement(R=R), psi)
         assert abs(out.norm() - psi.norm()) <= 1e-12

@@ -1,5 +1,6 @@
 """Tests for the deformed Hopf algebra structure."""
 
+import itertools
 import json
 import random
 
@@ -7,7 +8,7 @@ import pytest
 import sympy as sp
 
 from kgalilei.cli import run
-from kgalilei.hopf import (GENERATOR_NAMES, GalileiHopf, TensorExpression, eps,
+from kgalilei.hopf import (GENERATOR_NAMES, GalileiHopf, TensorExpression, UEAExpression, eps,
                            unnormalized_central)
 from kgalilei.scalars import Rat, sym
 
@@ -198,3 +199,82 @@ def test_verify_hopf_names_first_failing_item(monkeypatch, capsys):
     assert captured.err.splitlines() == [
         f"FAIL coproduct-homomorphism: residual = 6 ({hom})",
         f"FAIL hopf-axiom: residual = 6 ({antipode})"]
+
+
+@pytest.mark.parametrize("central", [None, unnormalized_central()], ids=["k/2", "unnormalized"])
+def test_stored_brackets_equal_fresh_commutators(central):
+    # every stored [g, h] and [[g, h], f] equals the commutator built afresh;
+    # an algebra with another central constant keeps its own values
+    default = GalileiHopf()
+    default.bracket("K1", "P1")
+    alg = GalileiHopf(central=central)
+    gen = alg.gen
+    for g, h in itertools.product(GENERATOR_NAMES, repeat=2):
+        assert alg.bracket(g, h) == gen(g).commutator(gen(h))
+        assert alg.bracket(g, h) is alg.bracket(g, h)
+    for g, h, f in itertools.product(GENERATOR_NAMES, repeat=3):
+        assert alg.double_bracket(g, h, f) == gen(g).commutator(gen(h)).commutator(gen(f))
+    c = alg.central
+    expected = (alg.one() - gen("E") * gen("E")).scale(Rat(sp.I) * c)
+    assert alg.bracket("K1", "P1") == expected
+    assert (c == sym("k") / 2) == (central is None)
+
+
+_letter_bracket = GalileiHopf._letter_bracket
+
+
+def _wrong_sign_rotation_momentum(self, a, b):
+    # [J_i, P_j] with the wrong sign; [P_j, J_i] follows by antisymmetry,
+    # since the original flips (P, J) into (J, P) through this method
+    terms = _letter_bracket(self, a, b)
+    if (a[0], b[0]) == ("J", "P"):
+        return [(-c, ls, dm, de) for c, ls, dm, de in terms]
+    return terms
+
+
+def test_wrong_bracket_sign_breaks_jacobi(monkeypatch, capsys):
+    # negative control: with [J_i, P_j] = -i eps_ijl P_l the Jacobi identity
+    # fails, and verify hopf names the first failing triple and its residual
+    monkeypatch.setattr(GalileiHopf, "_letter_bracket", _wrong_sign_rotation_momentum)
+    broken = GalileiHopf()
+    assert broken.bracket("J1", "P2") == broken.gen("P3").scale(-Rat(sp.I))
+    assert broken.check_jacobi("J1", "K2", "H") == broken.gen("P3").scale(-2)
+
+    fresh = GalileiHopf()
+    gen = fresh.gen
+
+    def double(g, h, f):
+        return gen(g).commutator(gen(h)).commutator(gen(f))
+
+    failing = []
+    for g, h, f in itertools.product(GENERATOR_NAMES, repeat=3):
+        residual = double(g, h, f) + double(h, f, g) + double(f, g, h)
+        if not residual.is_zero:
+            failing.append(f"{g}, {h}, {f}: {residual!r}")
+    assert failing
+
+    assert run(["verify", "hopf", "--format", "json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    # the other suites hold for either sign of [J_i, P_j]
+    assert {name: c["status"] for name, c in checks.items()} == {
+        "jacobi": "fail", "coproduct-homomorphism": "exact-pass",
+        "coassociativity": "exact-pass", "hopf-axiom": "exact-pass"}
+    assert checks["jacobi"]["residual"] == len(failing)
+    assert checks["jacobi"]["detail"] == failing[0]
+
+
+def test_verify_hopf_reuses_brackets(monkeypatch, capsys):
+    # work guard, a count and not a timing: each bracket and double bracket
+    # is built once, so the scan makes under 5,000 enveloping-algebra
+    # products (it made 26,766 when every Jacobi sum built its six brackets)
+    calls = []
+    multiply = UEAExpression.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return multiply(self, other)
+
+    monkeypatch.setattr(UEAExpression, "__mul__", counted)
+    assert run(["verify", "hopf"]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 5000
