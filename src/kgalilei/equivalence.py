@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import masses
 
@@ -178,7 +177,8 @@ def find_theta(m_f: float, mp_f: float, k: float, tol: float = 1e-10) -> ThetaRe
     """The angle theta* mapping the direct variable set onto the tilde set.
 
     theta* comes from the closed form of the adjoint block (module
-    docstring) and is validated on all four variables under exp(theta* G_ad).
+    docstring) and is validated on all four variables under exp(theta* G_ad),
+    itself built in closed form: no matrix exponential, and no scipy.
     The residual is the largest coefficient mismatch relative to
     max(1, largest |coefficient|); StructuralFailureError is raised if it
     exceeds ``tol``.
@@ -189,7 +189,10 @@ def find_theta(m_f: float, mp_f: float, k: float, tol: float = 1e-10) -> ThetaRe
     c = (lam + lamp) / (1.0 + lam * lamp)
     sigma = 0.0 if math.isinf(k) else -2.0 / (k * (1.0 + lam * lamp))
     theta = math.atan2(omega * sigma, c) / omega
-    mat = LinearCanonicalMap(expm(theta * adjoint_generator(m_f, mp_f)))
+    # each 2x2 block B of ad G has B^2 = -omega^2 I, so
+    # exp(theta B) = cos(omega theta) I + (sin(omega theta) / omega) B
+    mat = LinearCanonicalMap(math.cos(omega * theta) * np.eye(4)
+                             + (math.sin(omega * theta) / omega) * adjoint_generator(m_f, mp_f))
     worst, scale = 0.0, 1.0
     for name in VARIABLES:
         target = tilde[name].as_array()

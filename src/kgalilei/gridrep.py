@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import cmath
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 __all__ = [
     "GroupElement",
@@ -163,17 +163,38 @@ def _signed_permutation(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return cols, signs
 
 
-def _linear_taps(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Two-tap linear interpolation at fractional indices, with the edge rule
-    of ``map_coordinates(order=1, mode="constant", cval=0)``: an index inside
-    [0, n - 1] reads (1 - t) f[i] + t f[i + 1] with i = floor and t the
-    fraction, and one outside it (or NaN) reads 0."""
-    inside = (coords >= 0.0) & (coords <= n - 1)
-    lo = np.where(inside, np.floor(coords), 0.0)
-    t = coords - lo
-    lo = lo.astype(int)
-    return (lo, np.minimum(lo + 1, n - 1),
-            np.where(inside, 1.0 - t, 0.0), np.where(inside, t, 0.0))
+def _slab_taps(c: np.ndarray, n: int, step: int) -> list[tuple[float, slice, slice]]:
+    """The linear-interpolation taps of a 1-D resample at a uniform shift.
+
+    ``c`` holds the fractional input indices read along one output axis; they
+    move by ``step`` (+1 or -1) per output point.  The edge rule is that of
+    ``map_coordinates(order=1, mode="constant", cval=0)``: a point with c
+    inside [0, n - 1] reads (1 - t) f[i] + t f[i + 1], with i = floor(c) and
+    t the fraction, and any other point (or NaN) reads 0.  Returns one
+    (weight, output slice, input slice) per integer tap; a move by whole
+    cells has one tap, and a move off the grid has none.
+    """
+    inside = np.flatnonzero((c >= 0.0) & (c <= n - 1))
+    if not inside.size:
+        return []
+    first, last = int(inside[0]), int(inside[-1])
+    lo = math.floor(c[first])
+    t = float(c[first]) - lo
+    taps = []
+    for offset, weight in ((0, 1.0 - t), (1, t)):
+        if weight == 0.0:
+            continue
+        # output point q reads input index start + step * (q - first); it can
+        # leave [0, n - 1] only at an end, where its weight is of rounding size
+        start = lo + offset
+        low, high = sorted((-step * start, step * (n - 1 - start)))
+        q0, q1 = first + max(low, 0), min(first + high, last)
+        if q0 > q1:
+            continue
+        src = start + step * (q0 - first)
+        stop = src + step * (q1 - q0 + 1)
+        taps.append((weight, slice(q0, q1 + 1), slice(src, stop if stop >= 0 else None, step)))
+    return taps
 
 
 def act(g: GroupElement, psi: GridWavefunction, in_grid_guard: bool = True,
@@ -184,17 +205,21 @@ def act(g: GroupElement, psi: GridWavefunction, in_grid_guard: bool = True,
     as an outer product of one 1-D factor per axis.  The argument
     R^{-1}(p - m_f v) is resampled by trilinear interpolation.  When R is a
     signed permutation (the 24 cube rotations of ``axis_aligned_rotations``)
-    each output axis reads exactly one input axis, so the trilinear
-    interpolation factors into one two-tap pass per axis and a transpose.
-    Any other rotation, or a spline ``order`` other than 1 (for generic
-    rotations at higher accuracy), takes one 3-D ``map_coordinates`` pass.
-    Both resample with the same edge rule: a point off the grid reads 0.
-    Boost shifts larger than p_max/4 are rejected to keep the packet on the
-    grid.
+    each output axis reads one input axis at a uniform index shift, so the
+    resample is one strided slab copy per integer tap, written straight into
+    the output's axis order and scaled by the product of the axes' scalar
+    weights: a move by whole grid cells, as every ``random_in_grid_*`` draw
+    makes, is a single copy.  This path loads no scipy.  Any other rotation,
+    or a spline ``order`` other than 1 (for generic rotations at higher
+    accuracy), takes one 3-D ``scipy.ndimage.map_coordinates`` pass, and
+    only that branch imports it.  Both resample with the same edge rule: a
+    point off the grid reads 0.  Boost shifts larger than p_max/4 are
+    rejected to keep the packet on the grid.
     """
     shift = psi.m_f * np.linalg.norm(g.v)
     if in_grid_guard and shift > 0.25 * psi.p_max:
         raise OutOfGridError(f"boost shift {shift:.3g} exceeds p_max/4 = {psi.p_max / 4:.3g}")
+    n = psi.n
     ax = psi.axis()
     h = psi.spacing
     # argument: R^{-1}(p - m_f v) -- the grouping that composes with the
@@ -203,26 +228,29 @@ def act(g: GroupElement, psi: GridWavefunction, in_grid_guard: bool = True,
     Rinv = g.R.T
     perm = _signed_permutation(Rinv) if order == 1 else None
     if perm is None:
+        from scipy.ndimage import map_coordinates
+
         sx, sy, sz = np.meshgrid(*s, indexing="ij")
         coords = [(Rinv[i, 0] * sx + Rinv[i, 1] * sy + Rinv[i, 2] * sz + psi.p_max) / h - 0.5
                   for i in range(3)]
-        moved = map_coordinates(psi.values, coords, order=order, mode="constant", cval=0.0)
+        out = map_coordinates(psi.values, coords, order=order, mode="constant", cval=0.0)
     else:
         # input axis i is sampled at signs[i] * s[cols[i]], along output axis cols[i]
         cols, signs = perm
-        moved = psi.values
-        for i in range(3):
-            lo, hi, w_lo, w_hi = _linear_taps((signs[i] * s[cols[i]] + psi.p_max) / h - 0.5, psi.n)
-            shape = [1, 1, 1]
-            shape[i] = psi.n
-            src = moved
-            moved = w_lo.reshape(shape) * np.take(src, lo, axis=i)
-            if w_hi.any():  # all zero for a move by whole cells: one tap then
-                moved += w_hi.reshape(shape) * np.take(src, hi, axis=i)
-        moved = moved.transpose(np.argsort(cols))
+        taps = [_slab_taps((signs[i] * s[cols[i]] + psi.p_max) / h - 0.5, n, int(signs[i]))
+                for i in range(3)]
+        out = np.zeros((n, n, n), dtype=complex)
+        view = out.transpose(cols)
+        for combo in itertools.product(*taps):
+            weights, dst, src = zip(*combo)
+            weight = math.prod(weights)
+            if weight == 1.0:  # only the first combination, onto zeros: a copy
+                view[dst] = psi.values[src]
+            else:
+                view[dst] += weight * psi.values[src]
     e = [np.exp(1j * (-ax ** 2 * g.tau / (2.0 * psi.m_f) + ax * g.a[j])) for j in range(3)]
-    phase = e[0][:, None, None] * e[1][None, :, None] * e[2][None, None, :]
-    return GridWavefunction(phase * moved, psi.p_max, psi.m_f)
+    out *= e[0][:, None, None] * e[1][None, :, None] * e[2][None, None, :]
+    return GridWavefunction(out, psi.p_max, psi.m_f)
 
 
 def cocycle_phase(g: GroupElement, gp: GroupElement, psi: GridWavefunction,
@@ -235,7 +263,8 @@ def cocycle_phase(g: GroupElement, gp: GroupElement, psi: GridWavefunction,
     """
     lhs = act(g, act(gp, psi)).values
     rhs = act(galilei_multiply(g, gp), psi).values
-    mask = np.abs(rhs) >= amplitude_cut * np.abs(rhs).max()
+    amplitude = np.abs(rhs)
+    mask = amplitude >= amplitude_cut * amplitude.max()
     if not mask.any():
         raise ValueError("wavefunction vanishes on the reference region")
     ratio = lhs[mask] / rhs[mask]

@@ -55,6 +55,22 @@ def test_find_theta_domain_edges(m_f, mp_f, k):
     assert result.residual <= 1e-10
 
 
+@pytest.mark.parametrize("m_f, mp_f, k", [
+    (0.3, 0.4, 1.0),         # interior points
+    (0.1, 0.45, 1.0),
+    (1.2, 0.7, 5.0),
+    (0.5, 0.3, 1.0),         # m_f = k/2
+    (0.5, 0.5, 1.0),         # both at k/2: theta* = -pi
+    (1e-9, 0.3, 1.0),        # m_f = 1e-9 k
+    (1e-9, 1e-9, 1.0),
+    (0.3, 0.4, math.inf),    # undeformed: theta* = 0, the identity
+])
+def test_closed_form_map_matches_expm(m_f, mp_f, k):
+    result = eq.find_theta(m_f, mp_f, k)
+    reference = expm(result.theta * eq.adjoint_generator(m_f, mp_f))
+    assert np.abs(result.map.matrix - reference).max() <= 1e-14
+
+
 @pytest.mark.parametrize("m_f, mp_f", [(0.0, 0.3), (0.3, 0.0)])
 def test_zero_mass_is_a_domain_error(m_f, mp_f):
     with pytest.raises(MassDomainError):

@@ -1,12 +1,19 @@
 """Tests for the numeric projective Galilei action and cocycle extraction."""
 
 import csv
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.ndimage import map_coordinates
 
+import kgalilei
 from kgalilei.gridrep import (
     GridWavefunction,
     GroupElement,
@@ -120,13 +127,15 @@ def reference_act(g, psi):
 
 
 def test_separable_action_matches_map_coordinates():
-    # cube rotations take the per-axis two-tap path; a generic rotation takes
-    # act's own map_coordinates pass; both must match the 3-D resampling,
-    # also for fractional boosts and points moved past the grid edge
+    # cube rotations take the slab-copy path; a generic rotation takes act's
+    # own map_coordinates pass; both must match the 3-D resampling, also for
+    # fractional boosts and points moved past the grid edge.  At m_f = 1.0,
+    # the mass of the cocycle demo, a whole-cell boost lands on exact integer
+    # indices, so the single-copy case is exercised too
     rng = np.random.default_rng(7)
-    for n in (8, 16, 32):
+    for n, m_f in itertools.product((8, 16, 32), (1.3, 1.0)):
         values = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
-        psi = GridWavefunction(values, 8.0, 1.3)
+        psi = GridWavefunction(values, 8.0, m_f)
         rotations = axis_aligned_rotations() + [random_element(rng).R for _ in range(2)]
         for R in rotations:
             cells = rng.integers(-3, 4, size=3)
@@ -136,6 +145,23 @@ def test_separable_action_matches_map_coordinates():
                                  v=v, R=R)
                 out = act(g, psi, in_grid_guard=False).values
                 assert np.abs(out - reference_act(g, psi)).max() <= 1e-12
+
+
+@given(n=st.integers(2, 8), rotation=st.integers(0, 23), m_f=st.sampled_from([1.0, 1.3]),
+       cells=st.tuples(*[st.one_of(st.integers(-20, 20).map(float), st.floats(-20.0, 20.0))
+                         for _ in range(3)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_cube_rotation_act_edges_hypothesis(n, rotation, m_f, cells, seed):
+    # small grids, whole and fractional boosts in grid cells, up to moves of
+    # the whole slab off the grid (every slice empty)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
+    psi = GridWavefunction(values, 8.0, m_f)
+    g = GroupElement(tau=rng.uniform(-2, 2), a=rng.uniform(-2, 2, size=3),
+                     v=np.array(cells) * psi.spacing / m_f, R=axis_aligned_rotations()[rotation])
+    out = act(g, psi, in_grid_guard=False).values
+    assert np.abs(out - reference_act(g, psi)).max() <= 1e-12
 
 
 def test_generic_rotation_approximate():
@@ -231,6 +257,31 @@ def test_tuple_draws_for_seed_0_unchanged():
     ]
     g3 = random_in_grid_tuple(rng, psi, 3, max_cells=1)[2]
     assert (g3.tau, float(rng.uniform())) == (-1.8379571552462615, 0.7579510023564281)
+
+
+def test_lazy_scipy_imports():
+    # work guard: the cocycle extraction on the draws of the demo and the
+    # acceptance suite never needs scipy.ndimage, and the equivalence module
+    # needs no scipy at all; checked in a fresh interpreter
+    script = """
+import sys
+import kgalilei.equivalence
+assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'equivalence loads scipy'
+import numpy as np
+from kgalilei import gridrep
+psi = gridrep.gaussian_packet(n=16)
+rng = np.random.default_rng(0)
+for _ in range(3):
+    g, gp = gridrep.random_in_grid_tuple(rng, psi, 2)
+    gridrep.cocycle_angle(g, gp, psi)
+assert 'scipy.ndimage' not in sys.modules, 'cube-rotation acts load scipy.ndimage'
+"""
+    src = str(Path(kgalilei.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_angle_difference_wraps():
