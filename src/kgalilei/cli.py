@@ -53,15 +53,30 @@ def _weyl_residual_magnitude(expr) -> float:
     return worst
 
 
-def _exact_suite_check(name: str, residuals) -> CheckResult:
-    """Summarize a family of symbolic residuals as one exact check."""
-    worst = 0.0
-    for res in residuals:
-        if not res.is_zero:
-            worst = max(worst, _weyl_residual_magnitude(res))
-    if worst == 0.0:
+def _failures(items) -> tuple[list, str]:
+    """The failing ``(item, residual)`` pairs, and the first one named.
+
+    The name is the item's parts joined by commas, then that item's
+    canonical residual: the ``detail`` of every exact check.
+    """
+    failing = [(item, residual) for item, residual in items if not residual.is_zero]
+    if not failing:
+        return failing, ""
+    item, residual = failing[0]
+    return failing, f"{', '.join(map(str, item))}: {residual!r}"
+
+
+def _exact_suite_check(name: str, items) -> CheckResult:
+    """One exact check over ``(item, residual)`` pairs of Weyl expressions.
+
+    A failing check's residual is the largest coefficient magnitude at the
+    reference point, and its ``detail`` names the first failing item.
+    """
+    failing, first = _failures(items)
+    if not failing:
         return CheckResult(name, STATUS_EXACT, 0.0)
-    return CheckResult(name, STATUS_FAIL, worst)
+    worst = max(_weyl_residual_magnitude(residual) for _, residual in failing)
+    return CheckResult(name, STATUS_FAIL, worst, first)
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +89,10 @@ def _exact_count_check(name: str, items) -> CheckResult:
     A failing check names its first failing item (generator names) and that
     item's canonical residual in ``detail``.
     """
-    failures, first = 0, ""
-    for item, residual in items:
-        if not residual.is_zero:
-            failures += 1
-            first = first or f"{', '.join(item)}: {residual!r}"
-    if not failures:
+    failing, first = _failures(items)
+    if not failing:
         return CheckResult(name, STATUS_EXACT, 0.0)
-    return CheckResult(name, STATUS_FAIL, float(failures), first)
+    return CheckResult(name, STATUS_FAIL, float(len(failing)), first)
 
 
 def _cmd_verify_hopf(args) -> RunReport:
@@ -112,19 +123,20 @@ def _cmd_verify_realization(args) -> RunReport:
         r1 = realization.OneParticleRealization(1, sym("lam"), m_f=sym("mf"), algebra=alg)
     else:
         r1 = realization.OneParticleRealization(1, sym("lam"), algebra=alg)
-    residuals = [res for _, res in realization.verify_one_particle(r1)]
-    report.add(_exact_suite_check("one-particle-brackets", residuals))
+    report.add(_exact_suite_check("one-particle-brackets", (
+        ((label,), res) for label, res in realization.verify_one_particle(r1))))
 
     if not args.perturb:
         system = realization.TwoParticleSystem(
             r1, realization.OneParticleRealization(2, sym("lamp"), algebra=alg))
+        report.add(_exact_suite_check("composed-brackets", (
+            ((label,), res) for label, res in system.verify_composed())))
         report.add(_exact_suite_check(
-            "composed-brackets", [res for _, res in system.verify_composed()]))
+            "canonical-direct", realization.canonical_residuals(system).items()))
         report.add(_exact_suite_check(
-            "canonical-direct", realization.canonical_residuals(system).values()))
+            "canonical-tilde", realization.canonical_residuals(system, tilde=True).items()))
         report.add(_exact_suite_check(
-            "canonical-tilde", realization.canonical_residuals(system, tilde=True).values()))
-        report.add(_exact_suite_check("kinetic-split", [system.kinetic_split()]))
+            "kinetic-split", [(("H^tot - P^2/(2 M_f) - Pi^2/(2 v_f)",), system.kinetic_split())]))
     return report
 
 
@@ -137,35 +149,33 @@ def _cmd_verify_equivalence(args) -> RunReport:
     report = RunReport("verify equivalence", {"mf": m_f, "mfp": mp_f, "k": k})
     theta = equivalence.find_theta(m_f, mp_f, k)
     report.results["theta"] = theta.theta
-    report.add(CheckResult.from_residual("theta-maps-all-variables", theta.residual, 1e-10))
-    pairing_ok = theta.map.preserves_pairing(m_f, mp_f, tol=1e-10)
+    report.add(CheckResult.from_residual(
+        "theta-maps-all-variables", theta.residual, equivalence.THETA_TOL))
+    pairing_ok = equivalence.preserves_pairing(theta.matrix, m_f, mp_f, tol=1e-10)
     report.add(CheckResult("pairing-preservation",
                            STATUS_PASS if pairing_ok else STATUS_FAIL,
                            0.0 if pairing_ok else 1.0))
+    us = equivalence.us_matrix(m_f, k)
     report.add(CheckResult.from_residual(
-        "involution-(US)^2", equivalence.check_involution(m_f, k), 1e-10))
+        "involution-(US)^2", equivalence.check_involution(us), 1e-10))
 
     grid = np.linspace(-2.0, 2.0, 21)
-    plus = equivalence.symmetry_projector(+1, m_f, k)
-    minus = equivalence.symmetry_projector(-1, m_f, k)
+    p, pp = np.meshgrid(grid, grid, indexing="ij")
     f = lambda p, pp: np.exp(-(p - 0.5) ** 2 - (pp + 0.3) ** 2)
-    fp, fm = plus(f), minus(f)
+    fp, fm = equivalence.project(+1, us, f), equivalence.project(-1, us, f)
     idem = max(
-        float(np.abs(plus.sample(plus(fp), grid) - plus.sample(fp, grid)).max()),
-        float(np.abs(minus.sample(minus(fm), grid) - minus.sample(fm, grid)).max()),
+        float(np.abs(equivalence.project(+1, us, fp)(p, pp) - fp(p, pp)).max()),
+        float(np.abs(equivalence.project(-1, us, fm)(p, pp) - fm(p, pp)).max()),
     )
     report.add(CheckResult.from_residual("projector-idempotence", idem, 1e-8))
-    comp = float(np.abs(plus.sample(fp, grid) + minus.sample(fm, grid)
-                        - plus.sample(f, grid)).max())
+    comp = float(np.abs(fp(p, pp) + fm(p, pp) - f(p, pp)).max())
     report.add(CheckResult.from_residual("projector-complementarity", comp, 1e-8))
 
     # US keeps the total variables and flips the relative ones (tilde set)
-    theta_eq = equivalence.find_theta(m_f, m_f, k)
-    us = theta_eq.map.matrix @ equivalence.exchange_map().matrix
     tilde = equivalence.variable_vectors(m_f, m_f, k)[1]
     flip = 0.0
     for name, sign in (("P", +1), ("R", +1), ("Pi", -1), ("rho", -1)):
-        v = tilde[name].as_array()
+        v = tilde[name]
         flip = max(flip, float(np.abs(us @ v - sign * v).max()))
     report.add(CheckResult.from_residual("us-reverses-relative-sign", flip, 1e-10))
     return report
@@ -189,7 +199,11 @@ def _cmd_mass_compose(args) -> RunReport:
             report.results[f"m_algebra_{idx}"] = m
         report.results["M_algebra"] = masses.to_algebra(total, k)
         gap = abs(masses.to_algebra(total, k) - sum(algebra_values))
-        report.add(CheckResult.from_residual("algebra-additivity", gap, 1e-12))
+        # each fold rounds M_f by a few eps k, and the algebra coordinate
+        # magnifies that by 1 / (1 - 2 M_f / k) near the bound k/2
+        rounding = (4 * len(values) * sys.float_info.epsilon * k / (1.0 - 2.0 * total / k)
+                    if math.isfinite(k) else 0.0)
+        report.add(CheckResult.from_residual("algebra-additivity", gap, 1e-12 + rounding))
     else:
         report.results["note"] = "infinite-mass fixed point: no finite algebra coordinate"
         report.add(CheckResult.from_residual(
@@ -228,8 +242,10 @@ def _cmd_mass_reduced(args) -> RunReport:
     else:
         expected = v
         report.results["first_order_coefficient"] = 0.0
+    # relative, except at v_f = 0 (a massless particle), where it is absolute
+    gap = abs(v_f - expected)
     report.add(CheckResult.from_residual(
-        "ratio-identity", abs(v_f - expected) / abs(expected), 1e-12))
+        "ratio-identity", gap / abs(expected) if expected else gap, 1e-12))
     return report
 
 

@@ -20,10 +20,10 @@ and (K_1, K_2) planes is [[c, -m'_f sigma], [m_f sigma, c]] with
 so theta* = atan2(omega sigma, c) / omega with omega = sqrt(m_f m'_f); the
 map is validated on all four variable vectors.
 
-The exchange operator S swaps the two particles' momenta and boosts; (U S)^2 = 1
-for identical masses, and the deformed Bose/Fermi projectors (1 +/- US)/2 act
-on two-particle wavefunctions by the induced linear change of momentum
-arguments.
+The exchange operator S (``EXCHANGE``) swaps the two particles' momenta and
+boosts.  For identical masses, ``us_matrix`` forms U S; (U S)^2 = 1, and the
+deformed Bose/Fermi projectors (1 +/- US)/2 act on two-particle
+wavefunctions by the induced linear change of momentum arguments.
 """
 
 from __future__ import annotations
@@ -37,56 +37,38 @@ from . import masses
 
 __all__ = [
     "StructuralFailureError",
-    "PhaseSpaceVector",
-    "LinearCanonicalMap",
     "VARIABLES",
+    "EXCHANGE",
     "variable_table",
     "pairing",
     "adjoint_generator",
     "pairing_form",
+    "preserves_pairing",
     "variable_vectors",
     "find_theta",
     "ThetaResult",
-    "exchange_map",
+    "us_matrix",
     "check_involution",
-    "symmetry_projector",
-    "SymmetryProjector",
+    "apply_us",
+    "project",
 ]
 
 #: Ordered basis for coefficient vectors: (p_1, p_2, K_1, K_2) per axis.
 BASIS = ("p1", "p2", "K1", "K2")
 #: The canonical variables: total momentum, center of mass, relative pair.
 VARIABLES = ("P", "R", "Pi", "rho")
+#: The particle exchange S on BASIS: swaps (p1, p2) and (K1, K2); S^2 = 1.
+EXCHANGE = np.array([[0.0, 1.0, 0.0, 0.0],
+                     [1.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 1.0],
+                     [0.0, 0.0, 1.0, 0.0]])
+EXCHANGE.setflags(write=False)
+#: Largest relative residual ``find_theta`` accepts.
+THETA_TOL = 1e-10
 
 
 class StructuralFailureError(RuntimeError):
     """Raised when a claimed structural property fails numerically."""
-
-
-@dataclass(frozen=True)
-class PhaseSpaceVector:
-    """A dynamical variable linear in momenta and boosts, one axis."""
-
-    label: str
-    coeffs: tuple[float, float, float, float]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=float)
-
-
-@dataclass(frozen=True)
-class LinearCanonicalMap:
-    """A 4x4 real matrix acting on PhaseSpaceVector coefficients."""
-
-    matrix: np.ndarray
-
-    def __call__(self, v: PhaseSpaceVector) -> PhaseSpaceVector:
-        return PhaseSpaceVector(v.label, tuple(self.matrix @ v.as_array()))
-
-    def preserves_pairing(self, m_f: float, mp_f: float, tol: float = 1e-12) -> bool:
-        omega = pairing_form(m_f, mp_f)
-        residual = self.matrix.T @ omega @ self.matrix - omega
-        return float(np.abs(residual).max()) <= tol * max(1.0, float(np.abs(omega).max()))
 
 
 def variable_table(m_f, mp_f, lam, lamp, M_f) -> tuple[dict, dict]:
@@ -125,6 +107,13 @@ def pairing_form(m_f: float, mp_f: float) -> np.ndarray:
     return np.array([[pairing(u, v, m_f, mp_f) for v in unit] for u in unit])
 
 
+def preserves_pairing(matrix: np.ndarray, m_f: float, mp_f: float, tol: float = 1e-12) -> bool:
+    """Whether the 4x4 ``matrix`` keeps Omega: |A^T Omega A - Omega| <= tol max(1, |Omega|)."""
+    omega = pairing_form(m_f, mp_f)
+    residual = matrix.T @ omega @ matrix - omega
+    return float(np.abs(residual).max()) <= tol * max(1.0, float(np.abs(omega).max()))
+
+
 def adjoint_generator(m_f: float, mp_f: float) -> np.ndarray:
     """Adjoint matrix of G = sum_i (K_{1,i} P_{2,i} - P_{1,i} K_{2,i}).
 
@@ -150,9 +139,9 @@ def _lam(m_f: float, k: float) -> float:
 def variable_vectors(m_f: float, mp_f: float, k: float) -> tuple[dict, dict]:
     """Coefficient vectors of the direct and transposed variable sets.
 
-    Returns (direct, tilde), each mapping label -> PhaseSpaceVector over the
-    (p1, p2, K1, K2) basis; identical for every spatial axis.  Both masses
-    must be positive (rho divides by them).
+    Returns (direct, tilde), each mapping a VARIABLES label to a float array
+    of 4 coefficients over BASIS; identical for every spatial axis.  Both
+    masses must be positive (rho divides by them).
     """
     masses.check_physical(m_f, k)
     masses.check_physical(mp_f, k)
@@ -160,8 +149,7 @@ def variable_vectors(m_f: float, mp_f: float, k: float) -> tuple[dict, dict]:
         raise masses.MassDomainError(f"masses must be positive, got {m_f} and {mp_f}")
     tables = variable_table(m_f, mp_f, _lam(m_f, k), _lam(mp_f, k), masses.compose(m_f, mp_f, k))
     return tuple(
-        {name: PhaseSpaceVector(name, tuple(float(c) for c in coeffs))
-         for name, coeffs in table.items()}
+        {name: np.array([float(c) for c in coeffs]) for name, coeffs in table.items()}
         for table in tables
     )
 
@@ -170,10 +158,10 @@ def variable_vectors(m_f: float, mp_f: float, k: float) -> tuple[dict, dict]:
 class ThetaResult:
     theta: float
     residual: float
-    map: LinearCanonicalMap
+    matrix: np.ndarray   # the 4x4 adjoint matrix of exp(theta* G) on BASIS
 
 
-def find_theta(m_f: float, mp_f: float, k: float, tol: float = 1e-10) -> ThetaResult:
+def find_theta(m_f: float, mp_f: float, k: float) -> ThetaResult:
     """The angle theta* mapping the direct variable set onto the tilde set.
 
     theta* comes from the closed form of the adjoint block (module
@@ -181,7 +169,7 @@ def find_theta(m_f: float, mp_f: float, k: float, tol: float = 1e-10) -> ThetaRe
     itself built in closed form: no matrix exponential, and no scipy.
     The residual is the largest coefficient mismatch relative to
     max(1, largest |coefficient|); StructuralFailureError is raised if it
-    exceeds ``tol``.
+    exceeds THETA_TOL.
     """
     direct, tilde = variable_vectors(m_f, mp_f, k)
     lam, lamp = _lam(m_f, k), _lam(mp_f, k)
@@ -191,81 +179,54 @@ def find_theta(m_f: float, mp_f: float, k: float, tol: float = 1e-10) -> ThetaRe
     theta = math.atan2(omega * sigma, c) / omega
     # each 2x2 block B of ad G has B^2 = -omega^2 I, so
     # exp(theta B) = cos(omega theta) I + (sin(omega theta) / omega) B
-    mat = LinearCanonicalMap(math.cos(omega * theta) * np.eye(4)
-                             + (math.sin(omega * theta) / omega) * adjoint_generator(m_f, mp_f))
+    mat = (math.cos(omega * theta) * np.eye(4)
+           + (math.sin(omega * theta) / omega) * adjoint_generator(m_f, mp_f))
     worst, scale = 0.0, 1.0
     for name in VARIABLES:
-        target = tilde[name].as_array()
-        scale = max(scale, float(np.abs(direct[name].as_array()).max()),
-                    float(np.abs(target).max()))
-        worst = max(worst, float(np.abs(mat(direct[name]).as_array() - target).max()))
+        target = tilde[name]
+        scale = max(scale, float(np.abs(direct[name]).max()), float(np.abs(target).max()))
+        worst = max(worst, float(np.abs(mat @ direct[name] - target).max()))
     residual = worst / scale
-    if not residual <= tol:
+    if not residual <= THETA_TOL:
         raise StructuralFailureError(
-            f"theta* = {theta} leaves a relative residual {residual:.3e} > {tol} "
+            f"theta* = {theta} leaves a relative residual {residual:.3e} > {THETA_TOL} "
             f"(m_f={m_f}, m'_f={mp_f}, k={k})"
         )
     return ThetaResult(theta, residual, mat)
 
 
-def exchange_map() -> LinearCanonicalMap:
-    """The particle exchange: swap (p1, p2) and (K1, K2).  S^2 = 1 exactly."""
-    mat = np.zeros((4, 4))
-    mat[0, 1] = mat[1, 0] = 1.0
-    mat[2, 3] = mat[3, 2] = 1.0
-    return LinearCanonicalMap(mat)
+def us_matrix(m_f: float, k: float) -> np.ndarray:
+    """The 4x4 matrix of U(theta*) S for two particles of identical mass m_f."""
+    return find_theta(m_f, m_f, k).matrix @ EXCHANGE
 
 
-def check_involution(m_f: float, k: float) -> float:
-    """Max-norm residual of (U S)^2 - 1 for identical masses m_f."""
-    theta = find_theta(m_f, m_f, k)
-    us = theta.map.matrix @ exchange_map().matrix
+def check_involution(us: np.ndarray) -> float:
+    """Max-norm residual of (U S)^2 - 1."""
     return float(np.abs(us @ us - np.eye(4)).max())
 
 
-class SymmetryProjector:
-    """Deformed symmetrization projector (1 +/- US)/2 on wavefunctions.
+def apply_us(us: np.ndarray, f):
+    """US acting on a wavefunction f(p, pp) (one axis; axes factorize).
 
-    Acts on callables f(p, pp) of the two momentum arguments (one axis;
-    axes factorize) through the momentum-block argument change of US.
+    The momentum plane decouples, so US changes the two momentum arguments
+    linearly by its momentum block; (US)^2 = 1 makes the block its own inverse.
     """
+    b = us[:2, :2]
 
-    def __init__(self, sign: int, m_f: float, k: float):
-        if sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-        self.sign = sign
-        self.m_f = m_f
-        self.k = k
-        theta = find_theta(m_f, m_f, k)
-        us = theta.map.matrix @ exchange_map().matrix
-        # momentum plane decouples; (US)^2 = 1 makes the block its own inverse
-        self.momentum_block = us[:2, :2]
+    def g(p, pp):
+        return f(b[0, 0] * p + b[0, 1] * pp, b[1, 0] * p + b[1, 1] * pp)
 
-    def exchange_arguments(self, p, pp):
-        b = self.momentum_block
-        return b[0, 0] * p + b[0, 1] * pp, b[1, 0] * p + b[1, 1] * pp
-
-    def apply_us(self, f):
-        """US acting on a wavefunction by linear change of arguments."""
-        def g(p, pp):
-            q, qq = self.exchange_arguments(p, pp)
-            return f(q, qq)
-        return g
-
-    def __call__(self, f):
-        usf = self.apply_us(f)
-        sign = self.sign
-
-        def projected(p, pp):
-            return 0.5 * (f(p, pp) + sign * usf(p, pp))
-
-        return projected
-
-    def sample(self, f, grid: np.ndarray) -> np.ndarray:
-        """Evaluate a projected (or plain) callable on the grid x grid mesh."""
-        p, pp = np.meshgrid(grid, grid, indexing="ij")
-        return f(p, pp)
+    return g
 
 
-def symmetry_projector(sign: int, m_f: float, k: float) -> SymmetryProjector:
-    return SymmetryProjector(sign, m_f, k)
+def project(sign: int, us: np.ndarray, f):
+    """The deformed symmetrization (1 + sign US)/2 of f, with sign +1 (Bose) or -1 (Fermi)."""
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    usf = apply_us(us, f)
+
+    def projected(p, pp):
+        return 0.5 * (f(p, pp) + sign * usf(p, pp))
+
+    return projected
+

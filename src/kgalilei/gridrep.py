@@ -44,6 +44,14 @@ __all__ = [
     "write_grid_csv",
 ]
 
+#: Points below this fraction of the peak amplitude are left out of the
+#: composition ratio in ``cocycle_phase``.
+AMPLITUDE_CUT = 0.05
+#: Largest deviation of that ratio from its mean that ``cocycle_phase`` accepts.
+SPREAD_TOL = 1e-6
+#: Draws ``random_in_grid_tuple`` makes before it gives up.
+MAX_TRIES = 1000
+
 
 class OutOfGridError(ValueError):
     """Raised when a boost would shift the wavepacket outside the grid."""
@@ -81,10 +89,6 @@ class GroupElement:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
         _check_rotation(self.R)
-
-    @classmethod
-    def identity(cls) -> "GroupElement":
-        return cls()
 
     def inverse(self) -> "GroupElement":
         Rinv = self.R.T
@@ -253,36 +257,36 @@ def act(g: GroupElement, psi: GridWavefunction, in_grid_guard: bool = True,
     return GridWavefunction(out, psi.p_max, psi.m_f)
 
 
-def cocycle_phase(g: GroupElement, gp: GroupElement, psi: GridWavefunction,
-                  amplitude_cut: float = 0.05, spread_tol: float = 1e-6) -> complex:
+def cocycle_phase(g: GroupElement, gp: GroupElement, psi: GridWavefunction) -> complex:
     """Extract the projective phase of the pair (g, g').
 
-    Computes act(g) act(g') psi and act(g g') psi, masks small-amplitude
-    points, and demands the pointwise ratio be constant across the grid
-    (max deviation from its mean <= spread_tol); returns the mean phase.
+    Computes act(g) act(g') psi and act(g g') psi, masks the points below
+    AMPLITUDE_CUT of the peak amplitude, and demands the pointwise ratio be
+    constant across the grid (max deviation from its mean <= SPREAD_TOL);
+    returns the mean phase.
     """
     lhs = act(g, act(gp, psi)).values
     rhs = act(galilei_multiply(g, gp), psi).values
     amplitude = np.abs(rhs)
-    mask = amplitude >= amplitude_cut * amplitude.max()
+    mask = amplitude >= AMPLITUDE_CUT * amplitude.max()
     if not mask.any():
         raise ValueError("wavefunction vanishes on the reference region")
     ratio = lhs[mask] / rhs[mask]
     mean = ratio.mean()
     spread = float(np.abs(ratio - mean).max())
-    if spread > spread_tol:
+    if spread > SPREAD_TOL:
         raise ProjectivityError(spread)
     return complex(mean / abs(mean))
 
 
-def cocycle_angle(g: GroupElement, gp: GroupElement, psi: GridWavefunction, **kwargs) -> float:
+def cocycle_angle(g: GroupElement, gp: GroupElement, psi: GridWavefunction) -> float:
     """The extracted 2-cocycle exponent omega(g, g') in [-pi, pi).
 
     Defined through act(g) act(g') = exp(-i omega) act(g g'), matching the
     e^{-i m (...)} grouplike composition factor of the central element, so the
     extracted value is directly comparable with expected_cocycle_angle.
     """
-    ratio = cocycle_phase(g, gp, psi, **kwargs)
+    ratio = cocycle_phase(g, gp, psi)
     return -cmath.phase(ratio)
 
 
@@ -326,7 +330,7 @@ def axis_aligned_rotations() -> list[np.ndarray]:
 
 
 def random_in_grid_element(rng: np.random.Generator, psi: GridWavefunction,
-                           rotations: bool = True, max_cells: int = 2) -> GroupElement:
+                           max_cells: int = 2) -> GroupElement:
     """A random element whose action on psi is interpolation-exact.
 
     Time shifts and translations are continuous (their action is phase-only);
@@ -338,15 +342,12 @@ def random_in_grid_element(rng: np.random.Generator, psi: GridWavefunction,
     a = rng.uniform(-2.0, 2.0, size=3)
     cells = rng.integers(-max_cells, max_cells + 1, size=3)
     v = cells * psi.spacing / psi.m_f
-    R = np.eye(3)
-    if rotations:
-        R = _CUBE_ROTATIONS[int(rng.integers(len(_CUBE_ROTATIONS)))]
+    R = _CUBE_ROTATIONS[int(rng.integers(len(_CUBE_ROTATIONS)))]
     return GroupElement(tau=tau, a=a, v=v, R=R)
 
 
 def random_in_grid_tuple(rng: np.random.Generator, psi: GridWavefunction, count: int,
-                         rotations: bool = True, max_cells: int = 2,
-                         max_tries: int = 1000) -> tuple[GroupElement, ...]:
+                         max_cells: int = 2) -> tuple[GroupElement, ...]:
     """``count`` random in-grid elements whose partial products also stay in grid.
 
     Rejection-samples until every product of a contiguous subsequence keeps its
@@ -361,11 +362,9 @@ def random_in_grid_tuple(rng: np.random.Generator, psi: GridWavefunction, count:
         raise OutOfGridError(
             f"a {psi.n}-point grid admits no whole-cell boost within p_max/4 = {bound:.3g}")
     max_cells = min(max_cells, admitted)
-    for _ in range(max_tries):
-        elements = tuple(
-            random_in_grid_element(rng, psi, rotations=rotations, max_cells=max_cells)
-            for _ in range(count)
-        )
+    for _ in range(MAX_TRIES):
+        elements = tuple(random_in_grid_element(rng, psi, max_cells=max_cells)
+                         for _ in range(count))
         ok = True
         for i in range(count):
             prod = elements[i]
@@ -381,7 +380,7 @@ def random_in_grid_tuple(rng: np.random.Generator, psi: GridWavefunction, count:
                 break
         if ok:
             return elements
-    raise OutOfGridError(f"no in-grid {count}-tuple found in {max_tries} tries")
+    raise OutOfGridError(f"no in-grid {count}-tuple found in {MAX_TRIES} tries")
 
 
 def write_grid_csv(psi: GridWavefunction, path) -> None:

@@ -47,8 +47,8 @@ def check_deformation(k) -> None:
 
 def check_physical(m_f, k) -> None:
     check_deformation(k)
-    if not m_f >= 0:   # also rejects NaN, which fails every comparison
-        raise MassDomainError(f"physical mass must be a nonnegative number, got {m_f}")
+    if not 0 <= m_f < math.inf:   # also rejects NaN, which fails every comparison
+        raise MassDomainError(f"physical mass must be a finite nonnegative number, got {m_f}")
     if math.isfinite(k) and m_f > k / 2:
         raise MassDomainError(f"physical mass {m_f} exceeds the bound k/2 = {k / 2}")
 

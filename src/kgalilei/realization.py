@@ -44,7 +44,6 @@ __all__ = [
     "OneParticleRealization",
     "TwoParticleSystem",
     "verify_one_particle",
-    "compose_system",
     "canonical_residuals",
     "default_system",
     "CANONICAL_PAIRS",
@@ -239,10 +238,6 @@ class TwoParticleSystem:
             residual = residual - (P * P).scale(1 / (2 * self.M_f))
             residual = residual - (Pi * Pi).scale(1 / (2 * self.v_f))
         return residual
-
-
-def compose_system(r1: OneParticleRealization, r2: OneParticleRealization) -> TwoParticleSystem:
-    return TwoParticleSystem(r1, r2)
 
 
 #: Expected commutators of the canonical set per axis: conjugate pairs give

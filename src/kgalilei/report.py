@@ -58,11 +58,8 @@ class CheckResult:
     detail: str = ""     # the failing item, when the check can name it
 
     @classmethod
-    def from_residual(cls, name: str, residual: float, tol: float,
-                      exact: bool = False) -> "CheckResult":
+    def from_residual(cls, name: str, residual: float, tol: float) -> "CheckResult":
         residual = float(residual)
-        if exact and residual == 0.0:
-            return cls(name, STATUS_EXACT, 0.0)
         return cls(name, STATUS_PASS if residual <= tol else STATUS_FAIL, residual)
 
 

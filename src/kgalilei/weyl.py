@@ -26,7 +26,6 @@ __all__ = [
     "momentum",
     "scalar",
     "normal_order",
-    "commutator",
 ]
 
 N_SLOTS = 6  # (particle, axis) pairs flattened: slot = 3*(A-1) + (i-1)
@@ -177,6 +176,3 @@ def normal_order(raw_terms: Iterable[tuple]) -> WeylExpression:
         total = total + term
     return total
 
-
-def commutator(a: WeylExpression, b: WeylExpression) -> WeylExpression:
-    return a.commutator(b)

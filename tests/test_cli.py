@@ -1,5 +1,7 @@
 """Tests for the command-line front end and the report emitter."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,11 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import kgalilei
-from kgalilei import gridrep
+from kgalilei import equivalence, gridrep, masses
 from kgalilei.cli import run
 from kgalilei.report import RunReport, CheckResult, canonical_json, format_number
+from kgalilei.scalars import I, sym
+from kgalilei.weyl import scalar
 
 
 def test_format_number():
@@ -191,6 +196,80 @@ def test_perturbed_mass_exits_one(capsys):
     assert "one-particle-brackets" in captured.err
 
 
+def test_perturbed_realization_names_the_failing_bracket(capsys):
+    # the first failing bracket is [K1, P1], and its canonical residual is
+    # exactly i (m_f - (k/2)(1 - lam^2))
+    assert run(["verify", "realization", "--perturb", "--format", "json"]) == 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    k, lam, mf = sym("k"), sym("lam"), sym("mf")
+    assert check["detail"] == "[K1,P1]: " + repr(scalar(I * (mf - (k / 2) * (1 - lam ** 2))))
+
+
+def test_verify_equivalence_forms_us_once(monkeypatch, capsys):
+    # theta* for the pair and theta* for identical masses (the one US):
+    # two find_theta calls, where forming US per check took five
+    calls = []
+    find_theta = equivalence.find_theta
+
+    def counting(*args):
+        calls.append(args)
+        return find_theta(*args)
+
+    monkeypatch.setattr(equivalence, "find_theta", counting)
+    assert run(["verify", "equivalence", "--mf", "0.3", "--mfp", "0.4", "--k", "1"]) == 0
+    assert len(calls) <= 2
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _mass_argv(draw):
+    k = draw(st.sampled_from([1.0, math.inf]) | st.floats(1e-3, 1e3))
+    interior = (st.floats(0.01, 0.49).map(lambda x: x * k) if math.isfinite(k)
+                else st.floats(1e-3, 1e3))
+    mass = st.sampled_from([0.0, 1e-9 * k, (k / 2) * (1 - 2e-7), k / 2]) | interior
+    op = draw(st.sampled_from([["compose"], ["convert", "--to", "physical"],
+                               ["convert", "--to", "algebra"], ["reduced"]]))
+    count = 2 if op == ["reduced"] else draw(st.integers(1, 3))
+    values = [repr(draw(mass)) for _ in range(count)]
+    return ["mass", *op, "--k", repr(k), *values]
+
+
+@settings(max_examples=300, deadline=None)
+@example(["mass", "reduced", "--k", "1.0", "0.0", "0.4"])
+@example(["mass", "reduced", "--k", "inf", "0.0", "0.4"])
+@example(["mass", "compose", "--k", "1.0", "0.4999999", "0.4999999"])
+@example(["mass", "compose", "--k", "inf", "inf", "0.3"])
+@given(_mass_argv())
+def test_mass_commands_at_domain_edges_hypothesis(argv):
+    # m_f in {0, 1e-9 k, (k/2)(1 - 2e-7), k/2, interior}, k finite or inf:
+    # a correct report (exit 0, valid JSON, no NaN) or a one-line domain
+    # error (exit 2), and never an escaping exception
+    code, out, err = _run_quietly(argv + ["--format", "json"])
+    assert code in (0, 2), (code, err)
+    if code == 0:
+        json.loads(out)
+        assert '"nan"' not in out
+    else:
+        assert out == "" and err.startswith("kgalilei: error: ")
+
+
+@pytest.mark.parametrize("values", [["0.3", "0.4"], ["0.4999999", "0.3"],
+                                    ["0.4999999", "0.4999999"]])
+def test_mass_compose_gate_catches_a_wrong_total(values, monkeypatch):
+    # the additivity gate allows for the rounding of M_f near k/2, and no
+    # more: a composed mass off by 1e-11 k fails it, inside and at the edge
+    exact = masses.compose_many
+    monkeypatch.setattr(masses, "compose_many", lambda ms, k: exact(ms, k) - 1e-11 * k)
+    code, _, err = _run_quietly(["mass", "compose", "--k", "1", *values])
+    assert code == 1 and err.startswith("FAIL algebra-additivity")
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as info:
         run(["mass", "compose", "--bogus-flag", "1"])
@@ -239,6 +318,7 @@ def test_cocycle_demo_deterministic(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["mass", "compose", "--k", "1", "nan", "0.2"],
     ["mass", "compose", "--k", "1", "0.7", "0.3"],
+    ["mass", "compose", "--k", "inf", "inf", "0.3"],
     ["mass", "reduced", "--k", "1", "0", "0"],
     ["cocycle", "demo", "--n", "4"],
     _SPECTRUM + ["--nmax", "2", "--l", "5"],

@@ -24,12 +24,11 @@ def test_exponential_preserves_pairing():
     for _ in range(25):
         m_f, mp_f = rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0)
         theta = rng.uniform(-3.0, 3.0)
-        mat = eq.LinearCanonicalMap(expm(theta * eq.adjoint_generator(m_f, mp_f)))
-        assert mat.preserves_pairing(m_f, mp_f)
+        assert eq.preserves_pairing(expm(theta * eq.adjoint_generator(m_f, mp_f)), m_f, mp_f)
 
 
 def test_exchange_is_involution():
-    s = eq.exchange_map().matrix
+    s = eq.EXCHANGE
     assert np.allclose(s @ s, np.eye(4))
 
 
@@ -41,8 +40,7 @@ def test_find_theta_reference_point():
     # theta maps every direct variable onto its tilde counterpart
     direct, tilde = eq.variable_vectors(0.3, 0.4, 1.0)
     for name in ("P", "R", "Pi", "rho"):
-        mapped = result.map(direct[name])
-        assert np.allclose(mapped.as_array(), tilde[name].as_array(), atol=1e-12)
+        assert np.allclose(result.matrix @ direct[name], tilde[name], atol=1e-12)
 
 
 @pytest.mark.parametrize("m_f, mp_f, k", [
@@ -68,7 +66,7 @@ def test_find_theta_domain_edges(m_f, mp_f, k):
 def test_closed_form_map_matches_expm(m_f, mp_f, k):
     result = eq.find_theta(m_f, mp_f, k)
     reference = expm(result.theta * eq.adjoint_generator(m_f, mp_f))
-    assert np.abs(result.map.matrix - reference).max() <= 1e-14
+    assert np.abs(result.matrix - reference).max() <= 1e-14
 
 
 @pytest.mark.parametrize("m_f, mp_f", [(0.0, 0.3), (0.3, 0.0)])
@@ -106,7 +104,7 @@ def test_find_theta_random_masses():
         mp_f = rng.uniform(0.01, 0.499) * k
         result = eq.find_theta(m_f, mp_f, k)
         assert result.residual <= 1e-10
-        assert result.map.preserves_pairing(m_f, mp_f, tol=1e-9)
+        assert eq.preserves_pairing(result.matrix, m_f, mp_f, tol=1e-9)
 
 
 def test_theta_vanishes_in_classical_limit():
@@ -118,74 +116,70 @@ def test_theta_vanishes_in_classical_limit():
 
 def test_involution_identical_masses():
     for m_f, k in ((0.3, 1.0), (0.1, 1.0), (0.49, 1.0), (1.0, 10.0)):
-        assert eq.check_involution(m_f, k) <= 1e-10
+        assert eq.check_involution(eq.us_matrix(m_f, k)) <= 1e-10
 
 
 def test_us_fixes_total_and_flips_relative():
     m_f, k = 0.3, 1.0
-    theta = eq.find_theta(m_f, m_f, k)
-    us = theta.map.matrix @ eq.exchange_map().matrix
+    us = eq.us_matrix(m_f, k)
     tilde = eq.variable_vectors(m_f, m_f, k)[1]
     for name, sign in (("P", +1), ("R", +1), ("Pi", -1), ("rho", -1)):
-        v = tilde[name].as_array()
+        v = tilde[name]
         assert np.allclose(us @ v, sign * v, atol=1e-12), name
 
 
+def _mesh(points):
+    grid = np.linspace(-2.0, 2.0, points)
+    return np.meshgrid(grid, grid, indexing="ij")
+
+
 def test_projectors_idempotent_and_complementary():
-    grid = np.linspace(-2.0, 2.0, 31)
-    plus = eq.symmetry_projector(+1, 0.3, 1.0)
-    minus = eq.symmetry_projector(-1, 0.3, 1.0)
+    p, pp = _mesh(31)
+    us = eq.us_matrix(0.3, 1.0)
     f = lambda p, pp: np.exp(-(p - 0.4) ** 2 - 2.0 * (pp + 0.2) ** 2)
-    fp, fm = plus(f), minus(f)
-    assert np.abs(plus.sample(plus(fp), grid) - plus.sample(fp, grid)).max() <= 1e-12
-    assert np.abs(minus.sample(minus(fm), grid) - minus.sample(fm, grid)).max() <= 1e-12
-    assert np.abs(plus.sample(fp, grid) + minus.sample(fm, grid)
-                  - plus.sample(f, grid)).max() <= 1e-12
+    fp, fm = eq.project(+1, us, f), eq.project(-1, us, f)
+    assert np.abs(eq.project(+1, us, fp)(p, pp) - fp(p, pp)).max() <= 1e-12
+    assert np.abs(eq.project(-1, us, fm)(p, pp) - fm(p, pp)).max() <= 1e-12
+    assert np.abs(fp(p, pp) + fm(p, pp) - f(p, pp)).max() <= 1e-12
     # cross projection annihilates: P_- P_+ f = 0
-    assert np.abs(minus.sample(minus(fp), grid)).max() <= 1e-12
+    assert np.abs(eq.project(-1, us, fp)(p, pp)).max() <= 1e-12
 
 
 def test_projected_functions_have_us_parity():
-    grid = np.linspace(-2.0, 2.0, 31)
-    plus = eq.symmetry_projector(+1, 0.3, 1.0)
-    minus = eq.symmetry_projector(-1, 0.3, 1.0)
+    p, pp = _mesh(31)
+    us = eq.us_matrix(0.3, 1.0)
     f = lambda p, pp: np.exp(-(p - 0.4) ** 2 - 2.0 * (pp + 0.2) ** 2)
-    fp, fm = plus(f), minus(f)
-    assert np.abs(plus.sample(plus.apply_us(fp), grid) - plus.sample(fp, grid)).max() <= 1e-12
-    assert np.abs(minus.sample(minus.apply_us(fm), grid) + minus.sample(fm, grid)).max() <= 1e-12
+    fp, fm = eq.project(+1, us, f), eq.project(-1, us, f)
+    assert np.abs(eq.apply_us(us, fp)(p, pp) - fp(p, pp)).max() <= 1e-12
+    assert np.abs(eq.apply_us(us, fm)(p, pp) + fm(p, pp)).max() <= 1e-12
 
 
 def test_even_and_odd_eigenfunctions():
     # functions of the US-invariant (total) and US-odd (relative) combinations
     m_f, k = 0.3, 1.0
-    theta = eq.find_theta(m_f, m_f, k)
-    us = theta.map.matrix @ eq.exchange_map().matrix
+    us = eq.us_matrix(m_f, k)
     tilde = eq.variable_vectors(m_f, m_f, k)[1]
-    ctot = tilde["P"].as_array()[:2]
-    crel = tilde["Pi"].as_array()[:2]
+    ctot = tilde["P"][:2]
+    crel = tilde["Pi"][:2]
     total = lambda p, pp: ctot[0] * p + ctot[1] * pp
     rel = lambda p, pp: crel[0] * p + crel[1] * pp
     even = lambda p, pp: np.exp(-total(p, pp) ** 2) * np.cos(rel(p, pp))
     odd = lambda p, pp: np.exp(-total(p, pp) ** 2) * np.sin(rel(p, pp))
-    grid = np.linspace(-2.0, 2.0, 31)
-    plus = eq.symmetry_projector(+1, m_f, k)
-    minus = eq.symmetry_projector(-1, m_f, k)
+    p, pp = _mesh(31)
     # even functions survive P_+ unchanged and are killed by P_-
-    assert np.abs(plus.sample(plus(even), grid) - plus.sample(even, grid)).max() <= 1e-12
-    assert np.abs(minus.sample(minus(even), grid)).max() <= 1e-12
+    assert np.abs(eq.project(+1, us, even)(p, pp) - even(p, pp)).max() <= 1e-12
+    assert np.abs(eq.project(-1, us, even)(p, pp)).max() <= 1e-12
     # odd functions survive P_- unchanged and are killed by P_+
-    assert np.abs(minus.sample(minus(odd), grid) - minus.sample(odd, grid)).max() <= 1e-12
-    assert np.abs(plus.sample(plus(odd), grid)).max() <= 1e-12
+    assert np.abs(eq.project(-1, us, odd)(p, pp) - odd(p, pp)).max() <= 1e-12
+    assert np.abs(eq.project(+1, us, odd)(p, pp)).max() <= 1e-12
 
 
 def test_classical_limit_us_is_plain_exchange():
-    theta = eq.find_theta(0.3, 0.3, math.inf)
-    us = theta.map.matrix @ eq.exchange_map().matrix
-    assert np.allclose(us, eq.exchange_map().matrix, atol=1e-10)
+    assert np.allclose(eq.us_matrix(0.3, math.inf), eq.EXCHANGE, atol=1e-10)
 
 
 def test_invalid_inputs():
     with pytest.raises(Exception):
         eq.adjoint_generator(-0.1, 0.2)
     with pytest.raises(ValueError):
-        eq.symmetry_projector(0, 0.3, 1.0)
+        eq.project(0, eq.us_matrix(0.3, 1.0), lambda p, pp: p)

@@ -75,7 +75,7 @@ def test_rotation_validation():
 
 def test_identity_acts_trivially():
     psi = gaussian_packet(n=16)
-    out = act(GroupElement.identity(), psi)
+    out = act(GroupElement(), psi)
     assert np.abs(out.values - psi.values).max() <= 1e-12
 
 

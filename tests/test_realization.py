@@ -17,7 +17,6 @@ from kgalilei.realization import (
     OneParticleRealization,
     TwoParticleSystem,
     canonical_residuals,
-    compose_system,
     default_system,
     verify_one_particle,
 )
@@ -133,7 +132,7 @@ def test_kinetic_split_at_infinite_partner_mass():
     alg = GalileiHopf()
     r1 = OneParticleRealization(1, sym("lam"), algebra=alg)
     r2 = OneParticleRealization(2, Rat(0), algebra=alg)
-    sys2 = compose_system(r1, r2)
+    sys2 = TwoParticleSystem(r1, r2)
     assert (sys2.v_f - r1.m_f).is_zero
     assert sys2.kinetic_split().is_zero
 
@@ -155,8 +154,8 @@ def _free_partner_system():
     # particle 2's mass is a free symbol, so the composed mass no longer
     # matches the twist lam' and the conjugate pairings fail
     alg = GalileiHopf()
-    return compose_system(OneParticleRealization(1, sym("lam"), algebra=alg),
-                          OneParticleRealization(2, sym("lamp"), m_f=sym("mfp"), algebra=alg))
+    return TwoParticleSystem(OneParticleRealization(1, sym("lam"), algebra=alg),
+                             OneParticleRealization(2, sym("lamp"), m_f=sym("mfp"), algebra=alg))
 
 
 @pytest.mark.parametrize("free_partner", [False, True])

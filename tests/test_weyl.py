@@ -8,7 +8,6 @@ from kgalilei.scalars import Rat, sym
 from kgalilei.weyl import (
     CanonicalSymbol,
     WeylExpression,
-    commutator,
     momentum,
     normal_order,
     position,
@@ -121,10 +120,6 @@ def test_symbolic_coefficients():
     expr = (x * p).scale(lam)
     assert expr.commutator(scalar(lam)).is_zero
     assert expr - expr == WeylExpression.zero()
-
-
-def test_module_level_commutator_helper():
-    assert commutator(position(2, 3), momentum(2, 3)) == scalar(I)
 
 
 def test_canonical_cancellation_is_pruned_at_the_verdict():
