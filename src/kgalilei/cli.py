@@ -171,13 +171,16 @@ def _cmd_verify_equivalence(args) -> RunReport:
     comp = float(np.abs(fp(p, pp) + fm(p, pp) - f(p, pp)).max())
     report.add(CheckResult.from_residual("projector-complementarity", comp, 1e-8))
 
-    # US keeps the total variables and flips the relative ones (tilde set)
+    # US keeps the total variables and flips the relative ones (tilde set);
+    # relative to max(1, largest |coefficient|) as in find_theta, since
+    # rho's coefficients are 1/m_f
     tilde = equivalence.variable_vectors(m_f, m_f, k)[1]
-    flip = 0.0
+    flip, scale = 0.0, 1.0
     for name, sign in (("P", +1), ("R", +1), ("Pi", -1), ("rho", -1)):
         v = tilde[name]
+        scale = max(scale, float(np.abs(v).max()))
         flip = max(flip, float(np.abs(us @ v - sign * v).max()))
-    report.add(CheckResult.from_residual("us-reverses-relative-sign", flip, 1e-10))
+    report.add(CheckResult.from_residual("us-reverses-relative-sign", flip / scale, 1e-10))
     return report
 
 
@@ -197,13 +200,14 @@ def _cmd_mass_compose(args) -> RunReport:
         algebra_values = [masses.to_algebra(m, k) for m in values]
         for idx, m in enumerate(algebra_values, start=1):
             report.results[f"m_algebra_{idx}"] = m
-        report.results["M_algebra"] = masses.to_algebra(total, k)
-        gap = abs(masses.to_algebra(total, k) - sum(algebra_values))
-        # each fold rounds M_f by a few eps k, and the algebra coordinate
-        # magnifies that by 1 / (1 - 2 M_f / k) near the bound k/2
-        rounding = (4 * len(values) * sys.float_info.epsilon * k / (1.0 - 2.0 * total / k)
-                    if math.isfinite(k) else 0.0)
-        report.add(CheckResult.from_residual("algebra-additivity", gap, 1e-12 + rounding))
+        report.results["M_algebra"] = algebra_total = sum(algebra_values)
+        # compared as physical masses, where both sides are well conditioned:
+        # each fold and each change of coordinate rounds by a few eps k
+        # (eps M_f at k = inf), also near the bound k/2
+        gap = abs(masses.to_physical(algebra_total, k) - total)
+        scale = k if math.isfinite(k) else total
+        report.add(CheckResult.from_residual(
+            "algebra-additivity", gap, 4 * len(values) * sys.float_info.epsilon * scale))
     else:
         report.results["note"] = "infinite-mass fixed point: no finite algebra coordinate"
         report.add(CheckResult.from_residual(

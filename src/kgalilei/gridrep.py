@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -49,8 +50,6 @@ __all__ = [
 AMPLITUDE_CUT = 0.05
 #: Largest deviation of that ratio from its mean that ``cocycle_phase`` accepts.
 SPREAD_TOL = 1e-6
-#: Draws ``random_in_grid_tuple`` makes before it gives up.
-MAX_TRIES = 1000
 
 
 class OutOfGridError(ValueError):
@@ -154,6 +153,11 @@ def gaussian_packet(n: int = 32, p_max: float = 8.0, m_f: float = 1.0,
     return psi
 
 
+def _boost_shift(psi: GridWavefunction, v: np.ndarray):
+    """|m_f v| along the last axis: how far a boost moves the packet."""
+    return psi.m_f * np.sqrt((v * v).sum(axis=-1))
+
+
 def _signed_permutation(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """For a signed permutation matrix, each row's nonzero column and its sign; else None.
 
@@ -220,7 +224,7 @@ def act(g: GroupElement, psi: GridWavefunction, in_grid_guard: bool = True,
     point off the grid reads 0.  Boost shifts larger than p_max/4 are
     rejected to keep the packet on the grid.
     """
-    shift = psi.m_f * np.linalg.norm(g.v)
+    shift = _boost_shift(psi, g.v)
     if in_grid_guard and shift > 0.25 * psi.p_max:
         raise OutOfGridError(f"boost shift {shift:.3g} exceeds p_max/4 = {psi.p_max / 4:.3g}")
     n = psi.n
@@ -329,6 +333,28 @@ def axis_aligned_rotations() -> list[np.ndarray]:
     return list(_CUBE_ROTATIONS)
 
 
+@functools.cache
+def _cells(max_cells: int) -> np.ndarray:
+    """The whole-cell boosts with at most ``max_cells`` cells per axis, one per row.
+
+    Built once per size and read-only, so draws can share it.
+    """
+    cells = np.array(list(itertools.product(range(-max_cells, max_cells + 1), repeat=3)))
+    cells.setflags(write=False)
+    return cells
+
+
+def _random_element(rng: np.random.Generator, psi: GridWavefunction,
+                    cells: np.ndarray) -> GroupElement:
+    """An element with a uniform time shift, translation and cube rotation,
+    and a boost of one of ``cells`` (whole grid cells per axis, one per row)."""
+    tau = float(rng.uniform(-2.0, 2.0))
+    a = rng.uniform(-2.0, 2.0, size=3)
+    v = cells[rng.integers(len(cells))] * psi.spacing / psi.m_f
+    R = _CUBE_ROTATIONS[int(rng.integers(len(_CUBE_ROTATIONS)))]
+    return GroupElement(tau=tau, a=a, v=v, R=R)
+
+
 def random_in_grid_element(rng: np.random.Generator, psi: GridWavefunction,
                            max_cells: int = 2) -> GroupElement:
     """A random element whose action on psi is interpolation-exact.
@@ -338,49 +364,40 @@ def random_in_grid_element(rng: np.random.Generator, psi: GridWavefunction,
     axis) and rotations drawn from the axis-aligned set, so argument moves
     land on sample points.
     """
-    tau = float(rng.uniform(-2.0, 2.0))
-    a = rng.uniform(-2.0, 2.0, size=3)
-    cells = rng.integers(-max_cells, max_cells + 1, size=3)
-    v = cells * psi.spacing / psi.m_f
-    R = _CUBE_ROTATIONS[int(rng.integers(len(_CUBE_ROTATIONS)))]
-    return GroupElement(tau=tau, a=a, v=v, R=R)
+    return _random_element(rng, psi, _cells(max_cells))
 
 
 def random_in_grid_tuple(rng: np.random.Generator, psi: GridWavefunction, count: int,
                          max_cells: int = 2) -> tuple[GroupElement, ...]:
     """``count`` random in-grid elements whose partial products also stay in grid.
 
-    Rejection-samples until every product of a contiguous subsequence keeps its
-    boost shift within the p_max/4 guard, so cocycle extraction on the tuple
-    never leaves the grid.  Boosts are drawn only up to the whole cells the
-    guard admits on one axis (at most ``max_cells``); asking for boosts on a
-    grid that admits none raises OutOfGridError before any draw.
+    Each element is drawn as by ``random_in_grid_element``, but its boost only
+    from the cells that keep every product of a contiguous subsequence ending
+    at it within the p_max/4 guard, so cocycle extraction on the tuple never
+    leaves the grid.  A zero boost always qualifies, so a tuple is found by
+    construction.  Boosts are drawn only up to the whole cells the guard
+    admits on one axis (at most ``max_cells``); asking for boosts on a grid
+    that admits none raises OutOfGridError before any draw.
     """
     bound = 0.25 * psi.p_max
     admitted = math.floor(bound / psi.spacing)
     if max_cells > 0 and admitted == 0:
         raise OutOfGridError(
             f"a {psi.n}-point grid admits no whole-cell boost within p_max/4 = {bound:.3g}")
-    max_cells = min(max_cells, admitted)
-    for _ in range(MAX_TRIES):
-        elements = tuple(random_in_grid_element(rng, psi, max_cells=max_cells)
-                         for _ in range(count))
-        ok = True
-        for i in range(count):
-            prod = elements[i]
-            if psi.m_f * np.linalg.norm(prod.v) > bound:
-                ok = False
-                break
-            for j in range(i + 1, count):
-                prod = galilei_multiply(prod, elements[j])
-                if psi.m_f * np.linalg.norm(prod.v) > bound:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return elements
-    raise OutOfGridError(f"no in-grid {count}-tuple found in {MAX_TRIES} tries")
+    cells = _cells(min(max_cells, admitted))
+    boosts = cells * psi.spacing / psi.m_f
+    # (R, v) of each product of the elements drawn so far that ends at the last one
+    products: list[tuple[np.ndarray, np.ndarray]] = []
+    elements = []
+    for _ in range(count):
+        products.append((np.eye(3), np.zeros(3)))
+        fits = np.ones(len(cells), dtype=bool)
+        for R, v in products:
+            fits &= _boost_shift(psi, boosts @ R.T + v) <= bound
+        g = _random_element(rng, psi, cells[fits])
+        products = [(R @ g.R, R @ g.v + v) for R, v in products]
+        elements.append(g)
+    return tuple(elements)
 
 
 def write_grid_csv(psi: GridWavefunction, path) -> None:

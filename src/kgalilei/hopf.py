@@ -10,18 +10,22 @@ operator M, and the invertible grouplike element E standing for exp(-M/k)
 
 with central constant c = k/2 by default (the normalized convention; the
 unnormalized mu/(1 - e^(-2 mu/k)) is available via ``unnormalized_central``).
-Coproducts: P_i and K_i are twisted primitive (X (x) E + 1 (x) X), E is
-grouplike, everything else primitive.
 
 Enveloping-algebra elements are kept in the normal order J < K < P < H with
 index-lexicographic ties, times central factors M^m E^e; products are
 normalized by bracket rewriting, which terminates because every correction
 term has a strictly shorter non-central word.
 
-Each algebra instance computes a generator bracket [g, h] and a left-normed
-double bracket [[g, h], f] once and keeps it (at most 13^2 + 13^3 values), so
-a Jacobi sum is three stored double brackets.  Sharing the stored values is
-safe because arithmetic on elements always builds new ones.
+The coproduct and antipode are written once per non-central letter: P_i and
+K_i are twisted (Delta X = X (x) E + 1 (x) X, S X = -X E^-1), J_i and H
+primitive.  M, primitive, and E, grouplike, are exponents of a word, so only
+``coproduct_of`` and ``antipode_of``, which extend the letter maps to whole
+expressions, handle them; a named generator's Delta and S are those maps
+applied to it.  Each algebra instance computes a generator bracket [g, h], a
+left-normed double bracket [[g, h], f] and a generator coproduct once and
+keeps it (at most 13^2 + 13^3 + 13 values), so a Jacobi sum is three stored
+double brackets.  Sharing the stored values is safe because arithmetic on
+elements always builds new ones.
 """
 
 from __future__ import annotations
@@ -42,7 +46,11 @@ KIND_RANK = {"J": 0, "K": 1, "P": 2, "H": 3}
 #: Public generator names of the algebra.
 GENERATOR_NAMES = ("J1", "J2", "J3", "K1", "K2", "K3", "P1", "P2", "P3", "H", "M", "E", "Einv")
 
+#: The central generators, as the exponents (m, e) of M and E in a word.
+_CENTRAL = {"M": (1, 0), "E": (0, 1), "Einv": (0, -1)}
+
 _EMPTY = ()
+_ONE = Rat(1)
 
 
 def eps(i: int, j: int, k: int) -> int:
@@ -97,20 +105,8 @@ class UEAExpression(LinearCombination):
     def degree(self) -> int:
         return max((len(w[0]) + w[1] for w in self.terms), default=0)
 
-    def __mul__(self, other) -> "UEAExpression":
-        if not isinstance(other, UEAExpression):
-            return self.scale(other)
-        self._same(other)
-        alg = self.algebra
-        out: dict = {}
-        right = other._nonzero_terms()
-        for w1, c1 in self._nonzero_terms().items():
-            for w2, c2 in right.items():
-                base = c1 * c2
-                for factor, word in alg._word_product(w1, w2):
-                    coeff = base * factor
-                    out[word] = out[word] + coeff if word in out else coeff
-        return UEAExpression(alg, out)
+    def _product(self, w1: tuple, w2: tuple) -> list[tuple]:
+        return self.algebra._word_product(w1, w2)
 
     _monomial_str = staticmethod(_word_str)
 
@@ -134,24 +130,14 @@ class TensorExpression(LinearCombination):
         self._context = (algebra, legs)
         super().__init__(terms)
 
-    def __mul__(self, other) -> "TensorExpression":
-        if not isinstance(other, TensorExpression):
-            return self.scale(other)
-        self._same(other)
-        alg = self.algebra
-        out: dict = {}
-        right = other._nonzero_terms()
-        for words1, c1 in self._nonzero_terms().items():
-            for words2, c2 in right.items():
-                # leg-wise products, then distribute
-                partial = [((), c1 * c2)]
-                for w1, w2 in zip(words1, words2):
-                    prod = alg._word_product(w1, w2)
-                    partial = [(key + (word,), coeff * factor)
-                               for key, coeff in partial for factor, word in prod]
-                for key, coeff in partial:
-                    out[key] = out[key] + coeff if key in out else coeff
-        return TensorExpression(alg, self.legs, out)
+    def _product(self, words1: tuple, words2: tuple) -> list[tuple]:
+        """Leg-wise word products, distributed over the legs."""
+        word_product = self.algebra._word_product
+        out = [(_ONE, ())]
+        for w1, w2 in zip(words1, words2):
+            out = [(c * factor, key + (word,))
+                   for c, key in out for factor, word in word_product(w1, w2)]
+        return out
 
     def _monomial_str(self, words) -> str:
         return "(x)".join(_word_str(word) for word in words)
@@ -164,6 +150,7 @@ class GalileiHopf:
         self.central = central if central is not None else sym("k") / 2
         self._sort_cache: dict = {}
         self._bracket_cache: dict = {}
+        self._coproduct_cache: dict = {}
         self.rewrite_steps = 0
 
     # -- element constructors ------------------------------------------------
@@ -175,15 +162,10 @@ class GalileiHopf:
         return UEAExpression(self, {(_EMPTY, 0, 0): Rat(1)})
 
     def gen(self, name: str) -> UEAExpression:
-        if name == "M":
-            return UEAExpression(self, {(_EMPTY, 1, 0): Rat(1)})
-        if name == "E":
-            return UEAExpression(self, {(_EMPTY, 0, 1): Rat(1)})
-        if name == "Einv":
-            return UEAExpression(self, {(_EMPTY, 0, -1): Rat(1)})
         if name not in GENERATOR_NAMES:
             raise KeyError(f"unknown generator {name!r}")
-        return UEAExpression(self, {((_letter(name),), 0, 0): Rat(1)})
+        word = (_EMPTY, *_CENTRAL[name]) if name in _CENTRAL else ((_letter(name),), 0, 0)
+        return UEAExpression(self, {word: _ONE})
 
     # -- structure constants ---------------------------------------------------
 
@@ -266,42 +248,36 @@ class GalileiHopf:
         return value
 
     def _letter_coproduct(self, letter: tuple) -> TensorExpression:
-        kind, axis = letter
-        one = (_EMPTY, 0, 0)
-        word = ((letter,), 0, 0)
-        if kind in ("P", "K"):
-            e_word = (_EMPTY, 0, 1)
-            return TensorExpression(self, 2, {(word, e_word): Rat(1), (one, word): Rat(1)})
-        return TensorExpression(self, 2, {(word, one): Rat(1), (one, word): Rat(1)})
+        """Delta X = X (x) E + 1 (x) X for the twisted P and K, X (x) 1 + 1 (x) X otherwise."""
+        word, one = ((letter,), 0, 0), (_EMPTY, 0, 0)
+        twist = (_EMPTY, 0, 1 if letter[0] in "PK" else 0)
+        return TensorExpression(self, 2, {(word, twist): _ONE, (one, word): _ONE})
+
+    def _letter_antipode(self, letter: tuple) -> UEAExpression:
+        """S X = -X E^-1 for the twisted P and K, -X otherwise."""
+        return UEAExpression(self, {((letter,), 0, -1 if letter[0] in "PK" else 0): Rat(-1)})
 
     def coproduct(self, g: str) -> TensorExpression:
-        """Coproduct of a named generator."""
-        one = (_EMPTY, 0, 0)
-        if g == "M":
-            m = (_EMPTY, 1, 0)
-            return TensorExpression(self, 2, {(m, one): Rat(1), (one, m): Rat(1)})
-        if g in ("E", "Einv"):
-            e = (_EMPTY, 0, 1 if g == "E" else -1)
-            return TensorExpression(self, 2, {(e, e): Rat(1)})
-        if g not in GENERATOR_NAMES:
-            raise KeyError(f"unknown generator {g!r}")
-        return self._letter_coproduct(_letter(g))
+        """Coproduct of a named generator, computed once per generator."""
+        value = self._coproduct_cache.get(g)
+        if value is None:
+            value = self._coproduct_cache[g] = self.coproduct_of(self.gen(g))
+        return value
 
     def coproduct_of(self, expr: UEAExpression) -> TensorExpression:
-        """Extend the coproduct multiplicatively to a full UEA expression."""
+        """Extend the coproduct multiplicatively to a full UEA expression.
+
+        M is primitive and E grouplike; every other letter has its own Delta.
+        """
+        one, m_word = (_EMPTY, 0, 0), (_EMPTY, 1, 0)
+        delta_m = TensorExpression(self, 2, {(m_word, one): _ONE, (one, m_word): _ONE})
         out = TensorExpression(self, 2, {})
-        one = (_EMPTY, 0, 0)
         for (letters, m, e), coeff in expr._nonzero_terms().items():
-            term = TensorExpression(self, 2, {(one, one): coeff})
+            term = TensorExpression(self, 2, {((_EMPTY, 0, e), (_EMPTY, 0, e)): coeff})
             for letter in letters:
                 term = term * self._letter_coproduct(letter)
-            if m:
-                dm = self.coproduct("M")
-                for _ in range(m):
-                    term = term * dm
-            if e:
-                de = TensorExpression(self, 2, {((_EMPTY, 0, e), (_EMPTY, 0, e)): Rat(1)})
-                term = term * de
+            for _ in range(m):
+                term = term * delta_m
             out = out + term
         return out
 
@@ -309,26 +285,16 @@ class GalileiHopf:
         return Rat(1) if g in ("E", "Einv") else Rat(0)
 
     def antipode(self, g: str) -> UEAExpression:
-        if g == "M":
-            return -self.gen("M")
-        if g == "E":
-            return self.gen("Einv")
-        if g == "Einv":
-            return self.gen("E")
-        kind = g[0]
-        if kind in ("P", "K"):
-            return -(self.gen(g) * self.gen("Einv"))
-        return -self.gen(g)
+        """Antipode of a named generator."""
+        return self.antipode_of(self.gen(g))
 
     def antipode_of(self, expr: UEAExpression) -> UEAExpression:
-        """Antipode extended as an anti-homomorphism."""
+        """Antipode extended as an anti-homomorphism: S M = -M, S E = E^-1."""
         out = self.zero()
         for (letters, m, e), coeff in expr._nonzero_terms().items():
-            term = UEAExpression(self, {(_EMPTY, 0, -e): coeff * Rat(-1) ** m})
-            term = term * UEAExpression(self, {(_EMPTY, m, 0): Rat(1)})
+            term = UEAExpression(self, {(_EMPTY, m, -e): coeff * Rat(-1) ** m})
             for letter in reversed(letters):
-                name = f"{letter[0]}{letter[1]}" if letter[1] else letter[0]
-                term = term * self.antipode(name)
+                term = term * self._letter_antipode(letter)
             out = out + term
         return out
 
@@ -381,10 +347,8 @@ class GalileiHopf:
                 continue
             # E^e -> 1 - e*M/k to first order
             candidates = [((letters, m, 0), coeff)]
-            if e != 0 and m == 0:
+            if e != 0 and m == 0:  # with m = 1 the E-correction is second order
                 candidates.append(((letters, 1, 0), coeff * Rat(-e) / k))
-            elif e != 0 and m == 1:
-                pass  # E-correction would be second order in M
             for word, c in candidates:
                 out[word] = out[word] + c if word in out else c
         return UEAExpression(self, out)

@@ -21,7 +21,6 @@ which selects the classical (undeformed) formulas.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 __all__ = [
     "MassDomainError",
@@ -80,13 +79,14 @@ def compose(m_f, mp_f, k):
     """Deformed total physical mass of two subsystems.
 
     Commutative and associative; maps [0, k/2] x [0, k/2] into [0, k/2] and
-    fixes k/2 ("infinite mass").  Exact on Fraction inputs.
+    fixes k/2 ("infinite mass").  Exact on Fraction inputs.  A float total
+    that rounds above k/2 is clamped to it, so a fold stays in the domain.
     """
     check_physical(m_f, k)
     check_physical(mp_f, k)
     if math.isinf(k):
         return m_f + mp_f
-    return m_f + mp_f - 2 * m_f * mp_f / k
+    return min(m_f + mp_f - 2 * m_f * mp_f / k, k / 2)
 
 
 def compose_many(masses, k):

@@ -15,13 +15,15 @@ twist scalar multiplying particle 1's operators is lam' = e^(-m'/k):
     P_i^tot = lam' p_{1,i} + p_{2,i}
     K_i^tot = lam' m_f x_{1,i} + m'_f x_{2,i}
 
-and the remaining generators are plain sums.  The center-of-mass / relative
-variables (P, R, Pi, rho) of the direct and of the transposed ("tilde")
-coproduct come from the exact coefficient table and commutator form of
-``equivalence``: ``relative_variables`` turns the direct table into Weyl
-expressions, and ``canonical_residuals`` takes each pairing as
-i u^T Omega v.  The Weyl-algebra composed brackets and the exact
-kinetic-split identity
+and the remaining generators are plain sums.  Each realization, one- or
+two-particle, builds the image of every checked generator once
+(``_images``), and every UEA expression it maps reads that table.  The
+center-of-mass / relative variables (P, R, Pi, rho) of the direct and of
+the transposed ("tilde") coproduct come from the exact coefficient table
+and commutator form of ``equivalence``: ``relative_variables`` turns the
+direct table into Weyl expressions, and ``canonical_residuals`` takes each
+pairing as i u^T Omega v.  The Weyl-algebra composed brackets and the
+exact kinetic-split identity
 
     H^tot = P^2 / (2 M_f) + Pi^2 / (2 v_f)
 
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .equivalence import VARIABLES, pairing, variable_table
-from .hopf import GalileiHopf, UEAExpression, eps
+from .hopf import GalileiHopf, UEAExpression
 from .scalars import I as _I, RationalFunction, Rat, sym
 from .weyl import WeylExpression, position, momentum, scalar
 
@@ -97,23 +99,23 @@ class OneParticleRealization:
             return momentum(A, axis)
         if kind == "K":
             return position(A, axis).scale(self.m_f)
-        if kind == "J":
-            total = WeylExpression.zero()
-            for j in _AXES:
-                for l in _AXES:
-                    e = eps(axis, j, l)
-                    if e:
-                        total = total + (position(A, j) * momentum(A, l)).scale(Rat(e))
-            return total
+        if kind == "J":  # eps_{ijl} x_j p_l, with (i, j, l) cyclic
+            j, l = axis % 3 + 1, (axis + 1) % 3 + 1
+            return position(A, j) * momentum(A, l) - position(A, l) * momentum(A, j)
         raise KeyError(f"unknown generator {name!r}")
 
+    @cached_property
+    def _images(self) -> dict[str, WeylExpression]:
+        """The image of every checked generator, built once."""
+        return {g: self.realize(g) for g in _CHECKED}
+
     def realize_uea(self, expr: UEAExpression) -> WeylExpression:
-        return _realize_words(expr, self.realize, self.lam, self.algebra_mass_symbol)
+        return _realize_words(expr, self._images, self.lam, self.algebra_mass_symbol)
 
 
-def _realize_words(expr: UEAExpression, gen_map, e_value: RationalFunction,
+def _realize_words(expr: UEAExpression, images: dict, e_value: RationalFunction,
                    m_value: RationalFunction) -> WeylExpression:
-    """Map a UEA expression through a generator realization."""
+    """Map a UEA expression through a table of generator images."""
     total = WeylExpression.zero()
     for (letters, m, e), coeff in expr._nonzero_terms().items():
         factor = coeff
@@ -124,7 +126,7 @@ def _realize_words(expr: UEAExpression, gen_map, e_value: RationalFunction,
         term = WeylExpression.unit(Rat(1))
         for kind, axis in letters:
             name = f"{kind}{axis}" if axis else kind
-            term = term * gen_map(name)
+            term = term * images[name]
         total = total + term.scale(factor)
     return total
 
@@ -146,9 +148,7 @@ def verify_one_particle(r: OneParticleRealization) -> list[tuple[str, WeylExpres
     Each entry is ("[g,h]", commutator(real g, real h) - realize([g, h])).
     All residuals vanish identically iff m_f = (k/2)(1 - lam^2).
     """
-    image = {g: r.realize(g) for g in _CHECKED}
-    return _bracket_residuals(r.algebra, image, lambda expr: _realize_words(
-        expr, image.__getitem__, r.lam, r.algebra_mass_symbol))
+    return _bracket_residuals(r.algebra, r._images, r.realize_uea)
 
 
 @dataclass(frozen=True)
@@ -197,12 +197,8 @@ class TwoParticleSystem:
 
     def realize_total_uea(self, expr: UEAExpression) -> WeylExpression:
         """Composed image of a UEA expression (E -> lam lam', M -> m + m')."""
-        return _realize_words(
-            expr,
-            self._images.__getitem__,
-            self.r1.lam * self.r2.lam,
-            self.r1.algebra_mass_symbol + self.r2.algebra_mass_symbol,
-        )
+        return _realize_words(expr, self._images, self.r1.lam * self.r2.lam,
+                              self.r1.algebra_mass_symbol + self.r2.algebra_mass_symbol)
 
     def verify_composed(self) -> list[tuple[str, WeylExpression]]:
         """Brackets of the composed generators against the algebra's table."""
@@ -219,8 +215,8 @@ class TwoParticleSystem:
         direct = self.variable_table()[0]
         out = {name: [] for name in VARIABLES}
         for i in _AXES:
-            basis = (self.r1.realize(f"P{i}"), self.r2.realize(f"P{i}"),
-                     self.r1.realize(f"K{i}"), self.r2.realize(f"K{i}"))
+            basis = (self.r1._images[f"P{i}"], self.r2._images[f"P{i}"],
+                     self.r1._images[f"K{i}"], self.r2._images[f"K{i}"])
             for name in VARIABLES:
                 total = WeylExpression.zero()
                 for coeff, op in zip(direct[name], basis):
@@ -231,7 +227,7 @@ class TwoParticleSystem:
     def kinetic_split(self) -> WeylExpression:
         """H^tot - P^2/(2 M_f) - Pi^2/(2 v_f); normalizes to exactly zero."""
         variables = self.relative_variables()
-        residual = self.total("H")
+        residual = self._images["H"]
         for i in range(3):
             P = variables["P"][i]
             Pi = variables["Pi"][i]

@@ -31,10 +31,11 @@ singularity) or a symbol is unassigned (the canonical form may not need it).
 A sympy expression converts to a value through ``Rat``/``RationalFunction``.
 
 ``LinearCombination``, the sparse sum of monomials that the Weyl,
-enveloping-algebra and tensor elements share, builds on the exact zero test:
-its constructor drops only structurally zero coefficients (built from a
-literal 0); ``is_zero`` (and so ``==``) prunes the zero terms when it
-reaches a verdict, and a product prunes its operands before it multiplies.
+enveloping-algebra and tensor elements share, with their one distributive
+product, builds on the exact zero test: its constructor drops only
+structurally zero coefficients (built from a literal 0); ``is_zero`` (and so
+``==``) prunes the zero terms when it reaches a verdict, and a product
+prunes its operands before it multiplies.
 
 The deformation exponentials e^{-m/k} are adjoined as independent formal
 symbols (``lam``, ``lamp``), never expanded as series; every identity in scope
@@ -654,9 +655,10 @@ def Rat(expr) -> RationalFunction:
 class LinearCombination:
     """Finite sum of RationalFunction coefficients keyed by monomials.
 
-    The linear arithmetic shared by the Weyl, enveloping-algebra and tensor
-    elements.  A subclass defines its monomial product (``__mul__``) and how
-    a monomial prints (``_monomial_str``).  One that lives in a context (an
+    The arithmetic shared by the Weyl, enveloping-algebra and tensor
+    elements, the distributive product included.  A subclass defines how two
+    monomials multiply (``_product``, as (factor, monomial) pairs) and how a
+    monomial prints (``_monomial_str``).  One that lives in a context (an
     algebra instance, a leg count) stores it as ``_context``, the tuple of
     its constructor's leading arguments; two operands must share it.
 
@@ -721,6 +723,22 @@ class LinearCombination:
         # scalars commute with everything
         return self.scale(other)
 
+    def __mul__(self, other):
+        """The product, distributed over the terms; a scalar operand scales."""
+        if not isinstance(other, LinearCombination):
+            return self.scale(other)
+        self._same(other)
+        product = self._product
+        out: dict = {}
+        right = other._nonzero_terms()
+        for m1, c1 in self._nonzero_terms().items():
+            for m2, c2 in right.items():
+                base = c1 * c2
+                for factor, mono in product(m1, m2):
+                    coeff = base * factor
+                    out[mono] = out[mono] + coeff if mono in out else coeff
+        return self._like(out)
+
     def commutator(self, other):
         return self * other - other * self
 
@@ -737,6 +755,6 @@ class LinearCombination:
     def __repr__(self) -> str:
         if self.is_zero:
             return f"{self._name}(0)"
-        bits = [f"({coeff.normalize().expr!r})*{self._monomial_str(mono)}"
+        bits = [f"({coeff.expr!r})*{self._monomial_str(mono)}"
                 for mono, coeff in sorted(self.terms.items())]
         return f"{self._name}(" + " + ".join(bits) + ")"

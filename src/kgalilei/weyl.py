@@ -15,6 +15,7 @@ reduce to a coefficient computation in the scalar field.
 from __future__ import annotations
 
 from math import comb, factorial
+from operator import add
 from typing import Iterable, NamedTuple
 
 from .scalars import I, LinearCombination, RationalFunction, Rat
@@ -88,29 +89,17 @@ class WeylExpression(LinearCombination):
 
     # -- the monomial product -------------------------------------------------
 
-    def __mul__(self, other) -> "WeylExpression":
-        if not isinstance(other, WeylExpression):
-            return self.scale(other)
-        out: dict = {}
-        right = other._nonzero_terms()
-        for (x1, p1), c1 in self._nonzero_terms().items():
-            for (x2, p2), c2 in right.items():
-                base = c1 * c2
-                for (mid_x, mid_p), weight in _reorder(p1, x2):
-                    mono = (_add_exp(x1, mid_x), _add_exp(mid_p, p2))
-                    coeff = base * weight
-                    out[mono] = out[mono] + coeff if mono in out else coeff
-        return WeylExpression(out)
+    @staticmethod
+    def _product(m1, m2) -> list:
+        (x1, p1), (x2, p2) = m1, m2
+        return [(weight, (tuple(map(add, x1, mid_x)), tuple(map(add, mid_p, p2))))
+                for (mid_x, mid_p), weight in _reorder(p1, x2)]
 
     def _monomial_str(self, mono) -> str:
         xs, ps = mono
         word = [f"{kind}{slot // 3 + 1}{slot % 3 + 1}^{exps[slot]}"
                 for kind, exps in (("x", xs), ("p", ps)) for slot in range(N_SLOTS) if exps[slot]]
         return "*".join(word) if word else "1"
-
-
-def _add_exp(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 _REORDER_CACHE: dict = {}

@@ -227,12 +227,21 @@ def _run_quietly(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@st.composite
-def _mass_argv(draw):
-    k = draw(st.sampled_from([1.0, math.inf]) | st.floats(1e-3, 1e3))
+#: k finite, infinite or drawn over six decades.
+_EDGE_K = st.sampled_from([1.0, math.inf]) | st.floats(1e-3, 1e3)
+
+
+def _edge_mass(k):
+    """m_f in {0, 1e-9 k, (k/2)(1 - 2e-7), k/2, interior} (the first ones are inf at k = inf)."""
     interior = (st.floats(0.01, 0.49).map(lambda x: x * k) if math.isfinite(k)
                 else st.floats(1e-3, 1e3))
-    mass = st.sampled_from([0.0, 1e-9 * k, (k / 2) * (1 - 2e-7), k / 2]) | interior
+    return st.sampled_from([0.0, 1e-9 * k, (k / 2) * (1 - 2e-7), k / 2]) | interior
+
+
+@st.composite
+def _mass_argv(draw):
+    k = draw(_EDGE_K)
+    mass = _edge_mass(k)
     op = draw(st.sampled_from([["compose"], ["convert", "--to", "physical"],
                                ["convert", "--to", "algebra"], ["reduced"]]))
     count = 2 if op == ["reduced"] else draw(st.integers(1, 3))
@@ -245,6 +254,9 @@ def _mass_argv(draw):
 @example(["mass", "reduced", "--k", "inf", "0.0", "0.4"])
 @example(["mass", "compose", "--k", "1.0", "0.4999999", "0.4999999"])
 @example(["mass", "compose", "--k", "inf", "inf", "0.3"])
+@example(["mass", "compose", "--k", "7", "3.4999999999999996", "3.4999999999999996"])
+@example(["mass", "compose", "--k", "7", *["3.4999999999999996"] * 3])
+@example(["mass", "compose", "--k", "3", "1.4999999999999998", "1.4999999999999998"])
 @given(_mass_argv())
 def test_mass_commands_at_domain_edges_hypothesis(argv):
     # m_f in {0, 1e-9 k, (k/2)(1 - 2e-7), k/2, interior}, k finite or inf:
@@ -268,6 +280,46 @@ def test_mass_compose_gate_catches_a_wrong_total(values, monkeypatch):
     monkeypatch.setattr(masses, "compose_many", lambda ms, k: exact(ms, k) - 1e-11 * k)
     code, _, err = _run_quietly(["mass", "compose", "--k", "1", *values])
     assert code == 1 and err.startswith("FAIL algebra-additivity")
+
+
+@pytest.mark.parametrize("k, values", [
+    ("7", ["3.4999999999999996", "3.4999999999999996"]),
+    ("7", ["3.4999999999999996"] * 3),
+    ("3", ["1.4999999999999998", "1.4999999999999998"]),
+])
+def test_mass_compose_near_the_bound_passes(k, values):
+    # valid masses whose total rounds to k/2 (or above it, before the clamp)
+    code, out, err = _run_quietly(["mass", "compose", "--k", k, *values, "--format", "json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["results"]["M_f"] == float(k) / 2
+    assert report["checks"][0]["name"] == "algebra-additivity"
+
+
+@st.composite
+def _pair_argv(draw):
+    k = draw(_EDGE_K)
+    mass = _edge_mass(k)
+    command = draw(st.sampled_from([["verify", "equivalence"], ["hydrogen", "spectrum"]]))
+    return [*command, "--mf", repr(draw(mass)), "--mfp", repr(draw(mass)), "--k", repr(k)]
+
+
+@settings(max_examples=200, deadline=None)
+@example(["verify", "equivalence", "--mf", "1e-09", "--mfp", "0.3", "--k", "1"])
+@example(["verify", "equivalence", "--mf", "1.0000000000000002e-06", "--mfp", "300",
+          "--k", "1000"])
+@given(_pair_argv())
+def test_pair_commands_at_domain_edges_hypothesis(argv):
+    # `verify equivalence` and `hydrogen spectrum` (default --nmax) over the
+    # same edge masses: a correct report or a one-line domain error
+    code, out, err = _run_quietly(argv + ["--format", "json"])
+    assert code in (0, 2), (code, err)
+    if code == 0:
+        json.loads(out)
+        assert '"nan"' not in out
+    else:
+        assert out == "" and err.startswith("kgalilei: error: ")
+        assert len(err.splitlines()) == 1
 
 
 def test_usage_error_exits_two():
@@ -299,6 +351,14 @@ def test_hydrogen_spectrum_text_rows_are_plain_floats(capsys):
     rows = [line for line in capsys.readouterr().out.splitlines() if "rows:" in line]
     assert len(rows) == 1 and "np.float64" not in rows[0]
     assert rows[0].startswith("  rows: [[2, 1, None, -0.0326086")
+
+
+def test_cocycle_demo_on_eight_points(capsys):
+    # the smallest grid that admits a boost: one cell per axis, which the
+    # tuple sampler keeps within the guard for every partial product
+    assert run(["cocycle", "demo", "--n", "8", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["status"] for c in report["checks"]] == ["pass", "pass"]
 
 
 def test_cocycle_demo_deterministic(tmp_path):

@@ -237,9 +237,10 @@ def test_tuple_sampling_fails_fast_without_admissible_boosts():
     assert not g.v.any() and not gp.v.any()
 
 
-def test_tuple_draws_for_seed_0_unchanged():
-    # at n = 32 the guard admits 4 cells per axis, more than max_cells = 2,
-    # so the cap leaves the random stream of the cocycle demo as it was
+def test_tuple_draws_for_seed_0_pinned():
+    # each boost is drawn from the cells that keep every partial product in
+    # grid, so a tuple takes one draw per element and the demo's random
+    # stream is fixed by the seed
     psi = gaussian_packet(n=32)
     rng = np.random.default_rng(0)
     mats = axis_aligned_rotations()
@@ -250,13 +251,34 @@ def test_tuple_draws_for_seed_0_unchanged():
             rotation = next(i for i, R in enumerate(mats) if np.array_equal(R, e.R))
             drawn.append((e.tau, cells, rotation))
     assert drawn == [
-        (0.5478467492858172, (-2, 2, 1), 21), (0.42654310306871945, (-1, 2, 1), 0),
-        (-0.05665856467284369, (1, 0, -1), 7), (0.3772001207987872, (-1, -1, 1), 14),
-        (-0.23849138113686408, (2, 1, -1), 23), (1.7957746997510613, (0, 0, -1), 18),
-        (-0.34137660257731683, (-2, -2, -2), 17), (1.7096957144982396, (-2, 2, 2), 22),
+        (0.5478467492858172, (-2, 2, -1), 19), (1.6510223091108869, (1, 0, 0), 22),
+        (1.2634142164861286, (1, 2, -2), 17), (-1.297377517589764, (1, -2, 1), 10),
+        (-1.8867213154181481, (-1, -1, 0), 14), (-0.46528978295246626, (2, 1, 0), 15),
+        (0.7537869222837603, (2, -1, -2), 12), (-0.7590324977641774, (1, -1, 0), 8),
     ]
     g3 = random_in_grid_tuple(rng, psi, 3, max_cells=1)[2]
-    assert (g3.tau, float(rng.uniform())) == (-1.8379571552462615, 0.7579510023564281)
+    assert (g3.tau, float(rng.uniform())) == (1.1483932299547335, 0.15027946689483906)
+
+
+@pytest.mark.parametrize("n", [8, 12, 32])
+def test_tuple_partial_products_stay_in_grid(n):
+    # every product of a contiguous run of the drawn elements passes the
+    # p_max/4 guard, also on the 8-point grid that admits one cell per axis
+    psi = gaussian_packet(n=n)
+    rng = np.random.default_rng(1)
+    bound = 0.25 * psi.p_max
+    moved = False
+    for count in (2, 3):
+        for _ in range(30):
+            elements = random_in_grid_tuple(rng, psi, count)
+            for i in range(count):
+                prod = elements[i]
+                for j in range(i, count):
+                    if j > i:
+                        prod = galilei_multiply(prod, elements[j])
+                    assert psi.m_f * np.linalg.norm(prod.v) <= bound
+                    moved = moved or prod.v.any()
+    assert moved  # the boosts are not all zero
 
 
 def test_lazy_scipy_imports():
