@@ -11,10 +11,11 @@ Subcommands:
 
 Every subcommand emits a RunReport (text by default, ``--format json|csv``,
 ``--out <path>``).  Exit status: 0 if no check failed, 1 on a failed check
-(with the failing residual printed), 2 on usage errors and on inputs outside
-the documented domain (a mass out of [0, k/2] or NaN, quantum numbers outside
-0 <= l < n_max or more levels than the radial grid holds, a grid too small
-for the demo), reported in one line.
+(with the failing residual printed; a radial solve whose grid does not
+converge is the failed check ``radial-grid-convergence``), 2 on usage errors
+and on inputs outside the documented domain (a mass out of [0, k/2] or NaN,
+quantum numbers outside 0 <= l < n_max or more levels than the radial grid
+holds, a grid too small for the demo), reported in one line.
 """
 
 from __future__ import annotations
@@ -265,7 +266,12 @@ def _cmd_hydrogen_spectrum(args) -> RunReport:
                         "nmax": args.nmax, "l": args.l, "solver": args.solver})
     report.results["v_f"] = cfg.v_f
     closed = hydrogen.bohr_levels(cfg) if args.solver in ("closed", "both") else None
-    radial = hydrogen.radial_solve(cfg) if args.solver in ("radial", "both") else None
+    radial = unsolved = None
+    if args.solver in ("radial", "both"):
+        try:
+            radial = hydrogen.radial_solve(cfg)
+        except hydrogen.GridConvergenceError as exc:
+            unsolved = exc
     rows = []
     for i in range(cfg.n_max - cfg.l):
         n = cfg.l + 1 + i
@@ -274,9 +280,15 @@ def _cmd_hydrogen_spectrum(args) -> RunReport:
         rel = (abs(e_radial - e_closed) / abs(e_closed)
                if closed is not None and radial is not None else None)
         rows.append([n, cfg.l, e_closed, e_radial, rel])
-        report.results[f"E_{n}"] = e_radial if closed is None else e_closed
+        level = e_radial if closed is None else e_closed
+        if level is not None:
+            report.results[f"E_{n}"] = level
     report.results["rows"] = rows
-    if closed is not None and radial is not None:
+    if unsolved is not None:
+        # the residual counts the requested levels the radial solver left unsolved
+        report.add(CheckResult("radial-grid-convergence", STATUS_FAIL,
+                               float(cfg.n_max - cfg.l), str(unsolved)))
+    elif closed is not None and radial is not None:
         worst = max(r[4] for r in rows)
         report.add(CheckResult.from_residual("radial-vs-closed", worst, 1e-6))
     else:

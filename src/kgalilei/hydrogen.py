@@ -29,7 +29,11 @@ __all__ = [
     "radial_solve",
     "correction_series",
     "CorrectionSeries",
+    "CORRECTION_ORDER",
 ]
+
+#: The highest power of 2v/k that ``correction_series`` keeps.
+CORRECTION_ORDER = 3
 
 
 class GridConvergenceError(RuntimeError):
@@ -144,20 +148,20 @@ def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb",
 class CorrectionSeries:
     """Expansion of v_f / v = 1 / (1 - 2v/k) in powers of 2v/k."""
 
-    coefficients: list[float]   # (2v/k)^j for j = 0..order
+    coefficients: list[float]   # (2v/k)^j for j = 0..CORRECTION_ORDER
     exact_ratio: float
     truncation_error: float     # remainder after the last kept term
 
 
-def correction_series(cfg: HydrogenConfig, order: int = 3) -> CorrectionSeries:
+def correction_series(cfg: HydrogenConfig) -> CorrectionSeries:
     """Geometric-series coefficients of the deformed/classical reduced-mass ratio."""
     v = masses.classical_reduced(cfg.m_f, cfg.mp_f)
     if math.isinf(cfg.k):
-        return CorrectionSeries([1.0] + [0.0] * order, 1.0, 0.0)
+        return CorrectionSeries([1.0] + [0.0] * CORRECTION_ORDER, 1.0, 0.0)
     x = 2.0 * v / cfg.k
     if x >= 1.0:
         raise masses.MassDomainError("series diverges: classical reduced mass >= k/2")
-    coefficients = [x ** j for j in range(order + 1)]
+    coefficients = [x ** j for j in range(CORRECTION_ORDER + 1)]
     exact = 1.0 / (1.0 - x)
-    truncation = x ** (order + 1) / (1.0 - x)
+    truncation = x ** (CORRECTION_ORDER + 1) / (1.0 - x)
     return CorrectionSeries(coefficients, exact, truncation)

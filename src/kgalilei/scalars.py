@@ -23,8 +23,13 @@ by a product of nonzero polynomials is zero iff its numerator is.  So
 The canonical form of a value is a coprime numerator/denominator pair of
 expanded polynomials in formal symbols, with the denominator's leading
 coefficient (graded-lex over alphabetically sorted symbols) normalized to 1.
-It is built lazily, by sympy, which is imported only then: behind ``num``,
-``den``, ``expr``, ``hash``, ``normalize`` and ``repr``.  ``evaluate`` works
+It is built lazily, as sympy expressions, so sympy is imported only then:
+behind ``num``, ``den``, ``expr``, ``hash``, ``normalize`` and ``repr``.
+When every atom is a single variable the denominator is a monomial and the
+gcd is the monomial it shares with the numerator, so sympy only builds the
+two expressions; sympy's ``together``/``cancel`` run only when an atom has
+more than one term, where they are the exact way to find the gcd (atoms are
+not factored, so no trial division proves them coprime).  ``evaluate`` works
 in floating point from the numerator and the atoms, and falls back to the
 canonical pair where an atom vanishes (the point may be a removable
 singularity) or a symbol is unassigned (the canonical form may not need it).
@@ -212,6 +217,19 @@ def _unit(re: int, im: int) -> tuple[int, int]:
     return 0, 1
 
 
+def _common_monomial(mono: int, monos) -> int:
+    """The largest monomial that divides ``mono`` and each of ``monos``."""
+    out = 0
+    for idx, e in _unpack(mono):
+        shift = idx * _BITS
+        for m in monos:
+            e = min(e, (m >> shift) & _FIELD)
+            if not e:
+                break
+        out += e << shift
+    return out
+
+
 def _divisor(poly: dict) -> tuple[int, int, int, dict]:
     """Write 1/poly as (re + i im) / (scale * product of atoms).
 
@@ -224,14 +242,7 @@ def _divisor(poly: dict) -> tuple[int, int, int, dict]:
         re, im, scale, rest = a, -b, a * a + b * b, None
     else:
         monos = list(poly)
-        mono = 0
-        for idx, e in _unpack(monos[0]):
-            shift = idx * _BITS
-            for m in monos[1:]:
-                e = min(e, (m >> shift) & _FIELD)
-                if not e:
-                    break
-            mono += e << shift
+        mono = _common_monomial(monos[0], monos[1:])
         scale = gcd(*(part for pair in poly.values() for part in pair))
         re, im = _unit(*poly[max(monos)])
         rest = {m - mono: ((a * re - b * im) // scale, (a * im + b * re) // scale)
@@ -449,14 +460,21 @@ def _canonical_pair(expr):
     return num, den
 
 
-def _poly_expr(poly: dict):
-    """A polynomial as a sympy expression."""
+def _poly_expr(poly: dict, c: int = 1):
+    """The polynomial poly / c as an expanded sympy expression.
+
+    Real and imaginary parts are separate terms: sympy keeps a Gaussian
+    coefficient times a monomial, such as ``lam*(-6 - 2*I)``, unexpanded.
+    """
     import sympy as sp
 
     terms = []
     for mono, (a, b) in poly.items():
         factors = [sp.Symbol(_VARS[idx]) ** e for idx, e in _unpack(mono)]
-        terms.append(sp.Mul(sp.Integer(a) + sp.I * b, *factors))
+        if a:
+            terms.append(sp.Mul(sp.Rational(a, c), *factors))
+        if b:
+            terms.append(sp.Mul(sp.Rational(b, c), sp.I, *factors))
     return sp.Add(*terms)
 
 
@@ -479,13 +497,25 @@ class RationalFunction:
     # -- canonical form ------------------------------------------------------
 
     def _canonical(self):
-        if self._pair is None:
-            import sympy as sp
+        """The canonical pair, cached; sympy cancels only a multi-term atom.
 
-            num = _poly_expr(self._num)
-            den = sp.Mul(self._c, *(_poly_expr(_ATOMS[atom]) ** e
-                                    for atom, e in self._den.items()))
-            self._pair = _canonical_pair(num / den)
+        When every atom is a single variable the denominator is the monomial
+        ``c * mono``, and its gcd with the numerator is the monomial they
+        have in common, so the pair is written out directly.
+        """
+        if self._pair is None:
+            if all(len(_ATOMS[atom]) == 1 for atom in self._den):
+                mono = sum(e * next(iter(_ATOMS[atom])) for atom, e in self._den.items())
+                common = _common_monomial(mono, self._num)
+                num = {m - common: v for m, v in self._num.items()} if common else self._num
+                self._pair = _poly_expr(num, self._c), _poly_expr({mono - common: (1, 0)})
+            else:
+                import sympy as sp
+
+                num = _poly_expr(self._num)
+                den = sp.Mul(self._c, *(_poly_expr(_ATOMS[atom]) ** e
+                                        for atom, e in self._den.items()))
+                self._pair = _canonical_pair(num / den)
         return self._pair
 
     @property

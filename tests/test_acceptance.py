@@ -153,7 +153,7 @@ def test_criterion_6_hydrogen():
 
 def test_criterion_7_correction_factor():
     cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0)
-    series = correction_series(cfg, order=3)
+    series = correction_series(cfg)
     v = masses.classical_reduced(0.3, 0.4)
     ratio_ok = abs(series.exact_ratio - 1.0 / (1.0 - 2.0 * v / 1.0)) <= 1e-12
     ratio_vs_masses = abs(cfg.v_f / v - series.exact_ratio) <= 1e-12

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kgalilei
-from kgalilei import equivalence, gridrep, masses
+from kgalilei import equivalence, gridrep, hydrogen, masses
 from kgalilei.cli import run
 from kgalilei.report import RunReport, CheckResult, canonical_json, format_number
 from kgalilei.scalars import I, sym
@@ -351,6 +351,40 @@ def test_hydrogen_spectrum_text_rows_are_plain_floats(capsys):
     rows = [line for line in capsys.readouterr().out.splitlines() if "rows:" in line]
     assert len(rows) == 1 and "np.float64" not in rows[0]
     assert rows[0].startswith("  rows: [[2, 1, None, -0.0326086")
+
+
+@pytest.mark.parametrize("solver", ["radial", "both"])
+@pytest.mark.parametrize("nmax", [16, 20])
+def test_radial_grid_without_convergence_is_a_failed_check(nmax, solver):
+    # the default box holds too few bound states here: one named failing
+    # check, exit 1, valid JSON and no traceback
+    code, out, err = _run_quietly(_SPECTRUM + ["--nmax", str(nmax), "--solver", solver,
+                                               "--format", "json"])
+    assert code == 1
+    report = json.loads(out)
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("radial-grid-convergence", "fail")]
+    assert report["checks"][0]["residual"] == nmax
+    assert len(report["results"]["rows"]) == nmax
+    assert ("E_1" in report["results"]) is (solver == "both")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL radial-grid-convergence: ")
+    assert "Traceback" not in err
+
+
+def test_coarse_radial_grid_is_a_failed_check(monkeypatch):
+    # radial_solve's other GridConvergenceError, raised when refinement moves
+    # the levels beyond its tolerance, is reported the same way
+    def too_coarse(cfg):
+        raise hydrogen.GridConvergenceError("grid too coarse: refinement changes "
+                                            "eigenvalues by 1.000e-03 relative")
+
+    monkeypatch.setattr(hydrogen, "radial_solve", too_coarse)
+    code, out, err = _run_quietly(_SPECTRUM + ["--solver", "radial", "--format", "csv"])
+    assert code == 1
+    assert out.splitlines()[1] == "1,0,,,"
+    assert err == ("FAIL radial-grid-convergence: residual = 3 (grid too coarse: "
+                   "refinement changes eigenvalues by 1.000e-03 relative)\n")
 
 
 def test_cocycle_demo_on_eight_points(capsys):

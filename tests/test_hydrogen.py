@@ -9,6 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from kgalilei import hydrogen, masses
 from kgalilei.hydrogen import (
+    CORRECTION_ORDER,
     CorrectionSeries,
     GridConvergenceError,
     HydrogenConfig,
@@ -165,7 +166,7 @@ def test_classical_limit():
 
 def test_correction_series():
     cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0)
-    series = correction_series(cfg, order=3)
+    series = correction_series(cfg)
     v = masses.classical_reduced(0.3, 0.4)
     x = 2.0 * v / 1.0
     assert series.coefficients[0] == 1.0
@@ -177,6 +178,7 @@ def test_correction_series():
 
 def test_correction_series_classical():
     series = correction_series(HydrogenConfig(m_f=0.3, mp_f=0.4, k=math.inf))
+    assert series.coefficients == [1.0] + [0.0] * CORRECTION_ORDER
     assert series.exact_ratio == 1.0
     assert series.truncation_error == 0.0
 

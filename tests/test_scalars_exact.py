@@ -187,3 +187,86 @@ def test_pickle_keeps_the_value_across_processes():
     done = subprocess.run([sys.executable, "-c", _UNPICKLE], input=pickle.dumps(f),
                           capture_output=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
+
+
+# -- the canonical pair of a value whose atoms are all single variables ---------
+
+
+def monomial_divisor(rng):
+    """A (RationalFunction, sympy) pair: a product of symbols and nonzero Gaussian constants."""
+    out = None
+    while out is None or sp_zero(out[1]):
+        a, ea = leaf(rng)
+        for _ in range(rng.randint(0, 2)):
+            b, eb = leaf(rng)
+            a, ea = a * b, ea * eb
+        out = a, ea
+    return out
+
+
+def monomial_tree(rng, depth):
+    """A random tree like ``tree``'s, whose divisions are by monomials only."""
+    if depth == 0 or rng.random() < 0.25:
+        return leaf(rng)
+    a, ea = monomial_tree(rng, depth - 1)
+    op = rng.choice("+-*/")
+    if op == "/":
+        b, eb = monomial_divisor(rng)
+        return a / b, ea / eb
+    b, eb = monomial_tree(rng, depth - 1)
+    if op == "+":
+        return a + b, ea + eb
+    if op == "-":
+        return a - b, ea - eb
+    return a * b, ea * eb
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a monomial denominator must not reach sympy's cancel")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_monomial_denominators_agree_with_sympy(seed, monkeypatch):
+    # the pair written out directly is the very pair sympy's cancel gives
+    rng = random.Random(200 + seed)
+    k, lam = SYMBOLS["k"], SYMBOLS["lam"]
+    values = [(k[0] ** 3 * lam[0] / k[0] ** 2, k[1] ** 3 * lam[1] / k[1] ** 2),
+              ((k[0] ** 2 + 3 * k[0]) / (2 * k[0] * lam[0]),
+               (k[1] ** 2 + 3 * k[1]) / (2 * k[1] * lam[1]))]
+    values += [monomial_tree(rng, 4) for _ in range(10)]
+    values += [(a / c, ea / c) for c in (2, 3 + sp.I) for a, ea in values[2:5]]
+    monkeypatch.setattr(scalars, "_canonical_pair", _refuse)
+    for a, ea in values:
+        assert all(len(scalars._ATOMS[atom]) == 1 for atom in a._den)
+        pair = (a.num, a.den)
+        assert pair == _canonical_pair(ea)
+        assert sp.srepr(pair) == sp.srepr(_canonical_pair(ea))
+    assert values[0][0].num == k[1] * lam[1] and values[0][0].den == 1
+    assert values[1][0].den == lam[1]
+
+
+def test_hash_agrees_across_the_two_canonical_paths():
+    # k (1 + lam) / (1 + lam) has a two-term atom, so sympy cancels it; k does not
+    k, lam = sym("k"), sym("lam")
+    cancelled = k * (1 + lam) / (1 + lam)
+    assert any(len(scalars._ATOMS[atom]) > 1 for atom in cancelled._den)
+    assert not k._den
+    assert (cancelled.num, cancelled.den) == (k.num, k.den)
+    assert cancelled == k and hash(cancelled) == hash(k)
+
+
+def test_free_mass_residuals_print_without_sympy_cancel(monkeypatch):
+    # work guard: the residuals of a realization off the mass constraint have
+    # polynomial coefficients, so printing them needs no together or cancel
+    from kgalilei import hopf, realization
+
+    r = realization.OneParticleRealization(1, sym("lam"), m_f=sym("mf"),
+                                           algebra=hopf.GalileiHopf())
+    residuals = [res for _, res in realization.verify_one_particle(r) if not res.is_zero]
+    assert residuals
+    monkeypatch.setattr(sp, "cancel", _refuse)
+    monkeypatch.setattr(sp, "together", _refuse)
+    mf, k, lam = (sp.Symbol(n) for n in ("mf", "k", "lam"))
+    for res in residuals:
+        assert [c.expr for c in res.terms.values() if not c.is_zero] == [
+            sp.expand(sp.I * (mf - k / 2 + k * lam ** 2 / 2))]
