@@ -14,8 +14,9 @@ Every subcommand emits a RunReport (text by default, ``--format json|csv``,
 (with the failing residual printed; a radial solve whose grid does not
 converge is the failed check ``radial-grid-convergence``), 2 on usage errors
 and on inputs outside the documented domain (a mass out of [0, k/2] or NaN,
-quantum numbers outside 0 <= l < n_max or more levels than the radial grid
-holds, a grid too small for the demo), reported in one line.
+a positive mass or reduced mass below the smallest normal float, quantum
+numbers outside 0 <= l < n_max or more levels than the radial grid holds, a
+grid too small for the demo), reported in one line.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ wavefunctions by the induced linear change of momentum arguments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,12 +142,15 @@ def variable_vectors(m_f: float, mp_f: float, k: float) -> tuple[dict, dict]:
 
     Returns (direct, tilde), each mapping a VARIABLES label to a float array
     of 4 coefficients over BASIS; identical for every spatial axis.  Both
-    masses must be positive (rho divides by them).
+    masses must be positive normal floats (rho divides by them).
     """
     masses.check_physical(m_f, k)
     masses.check_physical(mp_f, k)
     if not (m_f > 0 and mp_f > 0):
         raise masses.MassDomainError(f"masses must be positive, got {m_f} and {mp_f}")
+    if min(m_f, mp_f) < sys.float_info.min:
+        raise masses.MassDomainError(
+            f"mass {min(m_f, mp_f)} lies below the smallest normal float {sys.float_info.min}")
     tables = variable_table(m_f, mp_f, _lam(m_f, k), _lam(mp_f, k), masses.compose(m_f, mp_f, k))
     return tuple(
         {name: np.array([float(c) for c in coeffs]) for name, coeffs in table.items()}
@@ -173,7 +177,10 @@ def find_theta(m_f: float, mp_f: float, k: float) -> ThetaResult:
     """
     direct, tilde = variable_vectors(m_f, mp_f, k)
     lam, lamp = _lam(m_f, k), _lam(mp_f, k)
-    omega = math.sqrt(m_f * mp_f)
+    product = m_f * mp_f
+    # one square root per mass where their product would underflow
+    omega = (math.sqrt(product) if product >= sys.float_info.min
+             else math.sqrt(m_f) * math.sqrt(mp_f))
     c = (lam + lamp) / (1.0 + lam * lamp)
     sigma = 0.0 if math.isinf(k) else -2.0 / (k * (1.0 + lam * lamp))
     theta = math.atan2(omega * sigma, c) / omega

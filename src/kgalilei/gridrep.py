@@ -9,9 +9,11 @@ and acts projectively on a momentum wavefunction (spin 0) by
 
     psi(p) -> exp(i(-p^2 tau / (2 m_f) + p . a)) psi(R^{-1} p - m_f v)
 
-The composition of two such actions differs from the action of the product by
-a constant phase (the 2-cocycle); ``cocycle_phase`` extracts it numerically
-and checks that the pointwise ratio really is grid-constant.  The closed form
+On the grid R is one of the 24 cube rotations, so ``act`` resamples by
+strided slab copies, with numpy alone.  The composition of two such actions
+differs from the action of the product by a constant phase (the 2-cocycle);
+``cocycle_phase`` extracts it numerically and checks that the pointwise ratio
+really is grid-constant.  The closed form
 exp(i m_f (v^2 tau' / 2 + v . R a')) is validated against this extraction in
 the tests, never assumed.
 """
@@ -19,7 +21,6 @@ the tests, never assumed.
 from __future__ import annotations
 
 import cmath
-import csv
 import functools
 import itertools
 import math
@@ -42,7 +43,6 @@ __all__ = [
     "axis_aligned_rotations",
     "random_in_grid_element",
     "random_in_grid_tuple",
-    "write_grid_csv",
 ]
 
 #: Points below this fraction of the peak amplitude are left out of the
@@ -175,11 +175,10 @@ def _slab_taps(c: np.ndarray, n: int, step: int) -> list[tuple[float, slice, sli
     """The linear-interpolation taps of a 1-D resample at a uniform shift.
 
     ``c`` holds the fractional input indices read along one output axis; they
-    move by ``step`` (+1 or -1) per output point.  The edge rule is that of
-    ``map_coordinates(order=1, mode="constant", cval=0)``: a point with c
-    inside [0, n - 1] reads (1 - t) f[i] + t f[i + 1], with i = floor(c) and
-    t the fraction, and any other point (or NaN) reads 0.  Returns one
-    (weight, output slice, input slice) per integer tap; a move by whole
+    move by ``step`` (+1 or -1) per output point.  A point with c inside
+    [0, n - 1] reads (1 - t) f[i] + t f[i + 1], with i = floor(c) and t the
+    fraction; any other point (or NaN) is off the grid and reads 0.  Returns
+    one (weight, output slice, input slice) per integer tap; a move by whole
     cells has one tap, and a move off the grid has none.
     """
     inside = np.flatnonzero((c >= 0.0) & (c <= n - 1))
@@ -205,57 +204,47 @@ def _slab_taps(c: np.ndarray, n: int, step: int) -> list[tuple[float, slice, sli
     return taps
 
 
-def act(g: GroupElement, psi: GridWavefunction, in_grid_guard: bool = True,
-        order: int = 1) -> GridWavefunction:
-    """Projective action of g on psi (spin 0).
+def act(g: GroupElement, psi: GridWavefunction, in_grid_guard: bool = True) -> GridWavefunction:
+    """Projective action of g on psi (spin 0), for R a cube rotation.
 
     The phase exp(i(-p^2 tau / 2m_f + p . a)) is exact pointwise and is built
     as an outer product of one 1-D factor per axis.  The argument
-    R^{-1}(p - m_f v) is resampled by trilinear interpolation.  When R is a
-    signed permutation (the 24 cube rotations of ``axis_aligned_rotations``)
-    each output axis reads one input axis at a uniform index shift, so the
-    resample is one strided slab copy per integer tap, written straight into
-    the output's axis order and scaled by the product of the axes' scalar
-    weights: a move by whole grid cells, as every ``random_in_grid_*`` draw
-    makes, is a single copy.  This path loads no scipy.  Any other rotation,
-    or a spline ``order`` other than 1 (for generic rotations at higher
-    accuracy), takes one 3-D ``scipy.ndimage.map_coordinates`` pass, and
-    only that branch imports it.  Both resample with the same edge rule: a
-    point off the grid reads 0.  Boost shifts larger than p_max/4 are
-    rejected to keep the packet on the grid.
+    R^{-1}(p - m_f v) is resampled by trilinear interpolation, a point off the
+    grid reading 0.  R is a signed permutation (one of the 24 rotations of
+    ``axis_aligned_rotations``), so each output axis reads one input axis at a
+    uniform index shift: the resample is one strided slab copy per integer
+    tap, written straight into the output's axis order and scaled by the
+    product of the axes' scalar weights.  A move by whole grid cells, as every
+    ``random_in_grid_*`` draw makes, is a single copy.  Any other rotation
+    would mix the axes and raises ValueError.  Boost shifts larger than
+    p_max/4 are rejected to keep the packet on the grid.
     """
     shift = _boost_shift(psi, g.v)
     if in_grid_guard and shift > 0.25 * psi.p_max:
         raise OutOfGridError(f"boost shift {shift:.3g} exceeds p_max/4 = {psi.p_max / 4:.3g}")
+    perm = _signed_permutation(g.R.T)
+    if perm is None:
+        raise ValueError("the grid action needs a cube rotation (a signed permutation "
+                         "matrix); a generic rotation mixes the grid axes")
     n = psi.n
     ax = psi.axis()
     h = psi.spacing
     # argument: R^{-1}(p - m_f v) -- the grouping that composes with the
-    # group law; converted to fractional grid indices below
+    # group law; input axis i is sampled at signs[i] * s[cols[i]], along
+    # output axis cols[i], at the fractional grid indices below
     s = [ax - psi.m_f * g.v[j] for j in range(3)]
-    Rinv = g.R.T
-    perm = _signed_permutation(Rinv) if order == 1 else None
-    if perm is None:
-        from scipy.ndimage import map_coordinates
-
-        sx, sy, sz = np.meshgrid(*s, indexing="ij")
-        coords = [(Rinv[i, 0] * sx + Rinv[i, 1] * sy + Rinv[i, 2] * sz + psi.p_max) / h - 0.5
-                  for i in range(3)]
-        out = map_coordinates(psi.values, coords, order=order, mode="constant", cval=0.0)
-    else:
-        # input axis i is sampled at signs[i] * s[cols[i]], along output axis cols[i]
-        cols, signs = perm
-        taps = [_slab_taps((signs[i] * s[cols[i]] + psi.p_max) / h - 0.5, n, int(signs[i]))
-                for i in range(3)]
-        out = np.zeros((n, n, n), dtype=complex)
-        view = out.transpose(cols)
-        for combo in itertools.product(*taps):
-            weights, dst, src = zip(*combo)
-            weight = math.prod(weights)
-            if weight == 1.0:  # only the first combination, onto zeros: a copy
-                view[dst] = psi.values[src]
-            else:
-                view[dst] += weight * psi.values[src]
+    cols, signs = perm
+    taps = [_slab_taps((signs[i] * s[cols[i]] + psi.p_max) / h - 0.5, n, int(signs[i]))
+            for i in range(3)]
+    out = np.zeros((n, n, n), dtype=complex)
+    view = out.transpose(cols)
+    for combo in itertools.product(*taps):
+        weights, dst, src = zip(*combo)
+        weight = math.prod(weights)
+        if weight == 1.0:  # only the first combination, onto zeros: a copy
+            view[dst] = psi.values[src]
+        else:
+            view[dst] += weight * psi.values[src]
     e = [np.exp(1j * (-ax ** 2 * g.tau / (2.0 * psi.m_f) + ax * g.a[j])) for j in range(3)]
     out *= e[0][:, None, None] * e[1][None, :, None] * e[2][None, None, :]
     return GridWavefunction(out, psi.p_max, psi.m_f)
@@ -398,16 +387,3 @@ def random_in_grid_tuple(rng: np.random.Generator, psi: GridWavefunction, count:
         products = [(R @ g.R, R @ g.v + v) for R, v in products]
         elements.append(g)
     return tuple(elements)
-
-
-def write_grid_csv(psi: GridWavefunction, path) -> None:
-    """Dump grid samples as (i, j, k, re, im) rows for external inspection."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["i", "j", "k", "re", "im"])
-        n = psi.n
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    val = psi.values[i, j, k]
-                    writer.writerow([i, j, k, repr(float(val.real)), repr(float(val.imag))])

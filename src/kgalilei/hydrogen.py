@@ -1,9 +1,10 @@
 """The deformed hydrogen toy model.
 
 In relative coordinates the two-particle Hamiltonian is standard except that
-the reduced mass is the deformed v_f = m_f m'_f / M_f, so the Bohr levels are
+the reduced mass is the deformed v_f = m_f m'_f / M_f.  In atomic units
+(Planck's constant and the Coulomb coupling e^2 both 1) the Bohr levels are
 
-    E_n = - v_f e^4 / (2 hbar^2 n^2)
+    E_n = - v_f / (2 n^2)
 
 The module provides the closed form, an independent finite-difference radial
 solver used to cross-check it (and a harmonic-oscillator control case), and
@@ -30,10 +31,14 @@ __all__ = [
     "correction_series",
     "CorrectionSeries",
     "CORRECTION_ORDER",
+    "RADIAL_TOL",
 ]
 
 #: The highest power of 2v/k that ``correction_series`` keeps.
 CORRECTION_ORDER = 3
+#: Largest relative change of a level between successive Richardson
+#: extrapolants that ``radial_solve`` accepts.
+RADIAL_TOL = 1e-6
 
 
 class GridConvergenceError(RuntimeError):
@@ -46,13 +51,11 @@ class HydrogenDomainError(ValueError):
 
 @dataclass(frozen=True)
 class HydrogenConfig:
-    """Parameters of the two-body Coulomb (or harmonic) problem."""
+    """Parameters of the two-body Coulomb (or harmonic) problem, in atomic units."""
 
     m_f: float
     mp_f: float
     k: float
-    e2: float = 1.0          # Coulomb coupling e^2
-    hbar: float = 1.0
     n_max: int = 3
     l: int = 0
     r_max: float | None = None   # None: 20 n_max Bohr radii (see radial_solve)
@@ -66,8 +69,6 @@ class HydrogenConfig:
         if not 0 <= self.l < self.n_max:
             raise HydrogenDomainError(
                 f"need 0 <= l < n_max (got n_max = {self.n_max}, l = {self.l})")
-        if not (self.e2 > 0 and self.hbar > 0):
-            raise HydrogenDomainError("the coupling e2 and hbar must be positive")
         # the coarsest grid has n_points - 1 interior points, one level each
         if not (self.n_points >= 3 and self.n_max - self.l <= self.n_points - 1):
             raise HydrogenDomainError(
@@ -80,13 +81,13 @@ class HydrogenConfig:
 
     @property
     def bohr_radius(self) -> float:
-        return self.hbar ** 2 / (self.v_f * self.e2)
+        return 1.0 / self.v_f
 
 
 def bohr_levels(cfg: HydrogenConfig) -> list[float]:
-    """Closed-form levels E_n = -v_f e^4 / (2 hbar^2 n^2) for n = 1..n_max."""
+    """Closed-form levels E_n = -v_f / (2 n^2) for n = 1..n_max."""
     v_f = cfg.v_f
-    return [-v_f * cfg.e2 ** 2 / (2.0 * cfg.hbar ** 2 * n ** 2) for n in range(1, cfg.n_max + 1)]
+    return [-v_f / (2.0 * n ** 2) for n in range(1, cfg.n_max + 1)]
 
 
 @functools.lru_cache
@@ -94,7 +95,7 @@ def _radial_eigenvalues(potential: str, g: float, l: int, box: float, n_points: 
                         count: int) -> tuple[tuple[float, ...], ...]:
     """Lowest ``count`` radial levels in Bohr units on n, 2n and 4n grid points.
 
-    Lengths are in a_0 = hbar^2 / (v_f e^2) and energies in E_h = v_f e^4 / hbar^2,
+    Lengths are in a_0 = 1 / v_f and energies in E_h = v_f,
     so the masses enter only through the harmonic coupling ``g`` and the box
     length ``box`` = r_max / a_0: a mass sweep on the default box reuses one
     solve.  Returns plain float tuples, never views of the solver's output.
@@ -113,20 +114,19 @@ def _radial_eigenvalues(potential: str, g: float, l: int, box: float, n_points: 
     return tuple(levels)
 
 
-def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb",
-                 kappa: float = 1.0, rel_tol: float = 1e-6) -> list[float]:
+def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb") -> list[float]:
     """Bound-state energies by finite differences with a grid-refinement gate.
 
-    ``potential`` is "coulomb" (-e^2/r) or "harmonic" (kappa r^2 / 2).  Solves
-    on the configured grid and on grids twice and four times as fine;
+    ``potential`` is "coulomb" (-1/r) or "harmonic" (r^2 / 2).  Solves on the
+    configured grid and on grids twice and four times as fine;
     Richardson-extrapolates the second-order discretization and raises
-    GridConvergenceError if successive extrapolants disagree beyond ``rel_tol``.
+    GridConvergenceError if successive extrapolants disagree beyond RADIAL_TOL.
     """
     if potential not in ("coulomb", "harmonic"):
         raise ValueError("potential must be 'coulomb' or 'harmonic'")
     a0 = cfg.bohr_radius
-    e_h = cfg.v_f * cfg.e2 ** 2 / cfg.hbar ** 2
-    g = kappa * cfg.v_f * a0 ** 4 / cfg.hbar ** 2 if potential == "harmonic" else 0.0
+    e_h = cfg.v_f
+    g = cfg.v_f * a0 ** 4 if potential == "harmonic" else 0.0
     # the default box is meant to hold the tail of the outermost requested state
     box = cfg.r_max / a0 if cfg.r_max is not None else 20.0 * cfg.n_max
     coarse, mid, fine = (e_h * np.array(levels) for levels in _radial_eigenvalues(
@@ -137,7 +137,7 @@ def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb",
     extrap_lo = (4.0 * mid - coarse) / 3.0
     extrap_hi = (4.0 * fine - mid) / 3.0
     gap = np.abs(extrap_hi - extrap_lo) / np.abs(extrap_hi)
-    if np.any(gap > rel_tol):
+    if np.any(gap > RADIAL_TOL):
         raise GridConvergenceError(
             f"grid too coarse: refinement changes eigenvalues by {gap.max():.3e} relative"
         )

@@ -21,6 +21,7 @@ which selects the classical (undeformed) formulas.
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = [
     "MassDomainError",
@@ -101,17 +102,29 @@ def compose_many(masses, k):
     return total
 
 
+def _product_over(m_f, mp_f, total):
+    """m_f m'_f / total for total >= max(m_f, m'_f); as m_f (m'_f / total) where
+    the product would underflow.  A float result of two positive masses below
+    the smallest normal float has lost bits, and is rejected."""
+    product = m_f * mp_f
+    value = product / total if product >= sys.float_info.min else m_f * (mp_f / total)
+    if isinstance(value, float) and m_f > 0 and mp_f > 0 and value < sys.float_info.min:
+        raise MassDomainError(f"the reduced mass of {m_f} and {mp_f} lies below the "
+                              f"smallest normal float {sys.float_info.min}")
+    return value
+
+
 def reduced(m_f, mp_f, k):
     """Deformed reduced mass m_f m'_f / M_f; equals v / (1 - 2v/k) with the
     classical reduced mass v."""
     total = compose(m_f, mp_f, k)
     if total == 0:
         raise MassDomainError("reduced mass undefined for two massless particles")
-    return m_f * mp_f / total
+    return _product_over(m_f, mp_f, total)
 
 
 def classical_reduced(m_f, mp_f):
     """Undeformed reduced mass m m' / (m + m')."""
     if m_f + mp_f == 0:
         raise MassDomainError("reduced mass undefined for two massless particles")
-    return m_f * mp_f / (m_f + mp_f)
+    return _product_over(m_f, mp_f, m_f + mp_f)

@@ -142,7 +142,7 @@ def test_criterion_6_hydrogen():
     ground_ok = abs(closed[0] + 0.1304348) <= 1e-6
     harm_cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_max=3, r_max=30.0)
     omega = math.sqrt(1.0 / harm_cfg.v_f)
-    harmonic = radial_solve(harm_cfg, potential="harmonic", kappa=1.0)
+    harmonic = radial_solve(harm_cfg, potential="harmonic")
     worst_harm = max(abs(e - (2 * i + 1.5) * omega) / ((2 * i + 1.5) * omega)
                      for i, e in enumerate(harmonic))
     elapsed = time.perf_counter() - start

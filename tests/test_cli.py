@@ -308,6 +308,13 @@ def _pair_argv(draw):
 @example(["verify", "equivalence", "--mf", "1e-09", "--mfp", "0.3", "--k", "1"])
 @example(["verify", "equivalence", "--mf", "1.0000000000000002e-06", "--mfp", "300",
           "--k", "1000"])
+# masses whose product m_f m'_f underflows, down to the smallest subnormal
+@example(["verify", "equivalence", "--mf", "1e-170", "--mfp", "1e-170", "--k", "1"])
+@example(["hydrogen", "spectrum", "--mf", "1e-162", "--mfp", "1e-162", "--k", "1"])
+@example(["mass", "reduced", "--k", "1", "1e-161", "1e-161"])
+@example(["verify", "equivalence", "--mf", "5e-324", "--mfp", "5e-324", "--k", "1"])
+@example(["hydrogen", "spectrum", "--mf", "5e-324", "--mfp", "5e-324", "--k", "1"])
+@example(["mass", "reduced", "--k", "1", "5e-324", "5e-324"])
 @given(_pair_argv())
 def test_pair_commands_at_domain_edges_hypothesis(argv):
     # `verify equivalence` and `hydrogen spectrum` (default --nmax) over the
@@ -320,6 +327,20 @@ def test_pair_commands_at_domain_edges_hypothesis(argv):
     else:
         assert out == "" and err.startswith("kgalilei: error: ")
         assert len(err.splitlines()) == 1
+
+
+def test_reduced_mass_where_the_product_underflows():
+    # m_f m'_f = 1e-322 is subnormal, but v_f = m_f / (2 (1 - m_f)) is a
+    # normal float: 5e-162 to the last bit, as is the classical 5e-162
+    assert masses.reduced(1e-161, 1e-161, 1.0) == 5e-162
+    assert masses.classical_reduced(1e-161, 1e-161) == 5e-162
+    code, out, err = _run_quietly(["mass", "reduced", "--k", "1", "1e-161", "1e-161",
+                                   "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["v_f"] == 5e-162
+    # a reduced mass below the smallest normal float is out of the domain
+    with pytest.raises(masses.MassDomainError, match="smallest normal float"):
+        masses.reduced(5e-324, 5e-324, 1.0)
 
 
 def test_usage_error_exits_two():
@@ -393,6 +414,41 @@ def test_cocycle_demo_on_eight_points(capsys):
     assert run(["cocycle", "demo", "--n", "8", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [c["status"] for c in report["checks"]] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_cocycle_demo_grid_sizes(n):
+    # below 8 points per axis no whole-cell boost fits the p_max/4 guard: a
+    # one-line domain error; from 8 points on, one passing pair
+    code, out, err = _run_quietly(["cocycle", "demo", "--n", str(n), "--pairs", "1",
+                                   "--format", "json"])
+    if n < 8:
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("kgalilei: error: ")
+    else:
+        assert (code, err) == (0, "")
+        assert [c["status"] for c in json.loads(out)["checks"]] == ["pass", "pass"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(nmax=st.integers(1, 20), l=st.integers(-1, 20),
+       solver=st.sampled_from(["closed", "radial", "both"]))
+def test_hydrogen_spectrum_quantum_numbers_hypothesis(nmax, l, solver):
+    # any --nmax 1..20, --l and --solver: a report whose only failing checks
+    # are the radial cross-checks (exit 1), a passing report (exit 0), or a
+    # one-line domain error (exit 2); never a traceback
+    code, out, err = _run_quietly(_SPECTRUM + ["--nmax", str(nmax), "--l", str(l),
+                                               "--solver", solver, "--format", "json"])
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("kgalilei: error: ")
+        return
+    report = json.loads(out)
+    failed = {c["name"] for c in report["checks"] if c["status"] == "fail"}
+    assert bool(failed) is (code == 1)
+    assert failed <= {"radial-vs-closed", "radial-grid-convergence"}
 
 
 def test_cocycle_demo_deterministic(tmp_path):
