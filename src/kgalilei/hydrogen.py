@@ -9,12 +9,18 @@ the reduced mass is the deformed v_f = m_f m'_f / M_f.  In atomic units
 The module provides the closed form, an independent finite-difference radial
 solver used to cross-check it (and a harmonic-oscillator control case), and
 the correction-series analysis of v_f / v = 1 / (1 - 2v/k).
+
+The radial solver works on a grid uniform in s, where r = s^2: points crowd
+towards the 1/r region near the origin and thin out in the exponential tail.
+Its default box is 2 n_max^2 + 20 n_max Bohr radii, the classical turning
+point of the outermost requested state plus 20 of its decay lengths.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +64,8 @@ class HydrogenConfig:
     k: float
     n_max: int = 3
     l: int = 0
-    r_max: float | None = None   # None: 20 n_max Bohr radii (see radial_solve)
-    n_points: int = 6000
+    r_max: float | None = None   # None: 2 n_max^2 + 20 n_max Bohr radii (see radial_solve)
+    n_points: int = 1000
 
     def __post_init__(self):
         masses.check_physical(self.m_f, self.k)
@@ -99,17 +105,27 @@ def _radial_eigenvalues(potential: str, g: float, l: int, box: float, n_points: 
     so the masses enter only through the harmonic coupling ``g`` and the box
     length ``box`` = r_max / a_0: a mass sweep on the default box reuses one
     solve.  Returns plain float tuples, never views of the solver's output.
+
+    The grid is uniform in s = sqrt(r): s_i = i ds with ds = sqrt(box) / n,
+    and u vanishes at s = 0 and s = sqrt(box).  Discretizing the energy
+    functional with weight dr = 2 s ds gives the couplings
+    c_j = 1 / (2 ds^2 (j + 1/2)) at the midpoints and the weights b_i = 2 s_i ds;
+    w = sqrt(b) u makes the matrix symmetric.
     """
     levels = []
     for n in (n_points, 2 * n_points, 4 * n_points):
-        h = box / n
-        x = np.arange(1, n) * h
-        kin = 1.0 / (2.0 * h ** 2)
+        ds = math.sqrt(box) / n
+        c = 1.0 / (2.0 * ds ** 2 * (np.arange(n) + 0.5))
+        s = np.arange(1, n) * ds
+        x = s * s
+        b = 2.0 * s * ds
         pot = -1.0 / x if potential == "coulomb" else 0.5 * g * x ** 2
-        diag = 2.0 * kin + pot + l * (l + 1) / (2.0 * x ** 2)
-        off = np.full(n - 2, -kin)
+        diag = (c[:-1] + c[1:]) / (2.0 * b) + pot + l * (l + 1) / (2.0 * x ** 2)
+        off = -c[1:-1] / (2.0 * np.sqrt(b[:-1] * b[1:]))
+        # the diagonal grows like 1 / ds^4 near the origin, so the default
+        # absolute tolerance eps * ||T||_1 would swamp the levels
         vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
-                                eigvals_only=True)
+                                eigvals_only=True, tol=sys.float_info.min)
         levels.append(tuple(vals.tolist()))
     return tuple(levels)
 
@@ -127,13 +143,14 @@ def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb") -> list[float]
     a0 = cfg.bohr_radius
     e_h = cfg.v_f
     g = cfg.v_f * a0 ** 4 if potential == "harmonic" else 0.0
-    # the default box is meant to hold the tail of the outermost requested state
-    box = cfg.r_max / a0 if cfg.r_max is not None else 20.0 * cfg.n_max
+    # the default box holds the outermost requested state's turning point
+    # (2 n_max^2) and 20 of its decay lengths (n_max each)
+    box = cfg.r_max / a0 if cfg.r_max is not None else 2.0 * cfg.n_max ** 2 + 20.0 * cfg.n_max
     coarse, mid, fine = (e_h * np.array(levels) for levels in _radial_eigenvalues(
         potential, g, cfg.l, box, cfg.n_points, cfg.n_max - cfg.l))
     if potential == "coulomb" and np.any(fine >= 0.0):
         raise GridConvergenceError("no bound state found on the grid")
-    # second-order scheme: eliminate the h^2 term, gate on successive extrapolants
+    # second-order scheme: eliminate the ds^2 term, gate on successive extrapolants
     extrap_lo = (4.0 * mid - coarse) / 3.0
     extrap_hi = (4.0 * fine - mid) / 3.0
     gap = np.abs(extrap_hi - extrap_lo) / np.abs(extrap_hi)

@@ -82,12 +82,17 @@ def compose(m_f, mp_f, k):
     Commutative and associative; maps [0, k/2] x [0, k/2] into [0, k/2] and
     fixes k/2 ("infinite mass").  Exact on Fraction inputs.  A float total
     that rounds above k/2 is clamped to it, so a fold stays in the domain.
+    Where the float product 2 m_f m'_f overflows, the cross term is formed as
+    m'_f (2 m_f / k), which m_f <= k/2 keeps finite.
     """
     check_physical(m_f, k)
     check_physical(mp_f, k)
     if math.isinf(k):
         return m_f + mp_f
-    return min(m_f + mp_f - 2 * m_f * mp_f / k, k / 2)
+    cross = 2 * m_f * mp_f / k
+    if cross == math.inf:
+        cross = mp_f * (2 * m_f / k)
+    return min(m_f + mp_f - cross, k / 2)
 
 
 def compose_many(masses, k):
@@ -104,10 +109,11 @@ def compose_many(masses, k):
 
 def _product_over(m_f, mp_f, total):
     """m_f m'_f / total for total >= max(m_f, m'_f); as m_f (m'_f / total) where
-    the product would underflow.  A float result of two positive masses below
-    the smallest normal float has lost bits, and is rejected."""
+    the product would underflow or overflow.  A float result of two positive
+    masses below the smallest normal float has lost bits, and is rejected."""
     product = m_f * mp_f
-    value = product / total if product >= sys.float_info.min else m_f * (mp_f / total)
+    value = (product / total if sys.float_info.min <= product < math.inf
+             else m_f * (mp_f / total))
     if isinstance(value, float) and m_f > 0 and mp_f > 0 and value < sys.float_info.min:
         raise MassDomainError(f"the reduced mass of {m_f} and {mp_f} lies below the "
                               f"smallest normal float {sys.float_info.min}")

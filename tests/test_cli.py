@@ -315,6 +315,12 @@ def _pair_argv(draw):
 @example(["verify", "equivalence", "--mf", "5e-324", "--mfp", "5e-324", "--k", "1"])
 @example(["hydrogen", "spectrum", "--mf", "5e-324", "--mfp", "5e-324", "--k", "1"])
 @example(["mass", "reduced", "--k", "1", "5e-324", "5e-324"])
+# masses whose product m_f m'_f overflows, with 2 m_f m'_f / k far below k
+@example(["mass", "compose", "--k", "6.221138091977962e+296", "9.232684596437353e+150",
+          "1.6088209741652738e+176"])
+@example(["mass", "reduced", "--k", "6.221138091977962e+296", "9.232684596437353e+150",
+          "1.6088209741652738e+176"])
+@example(["hydrogen", "spectrum", "--mf", "1.19e+73", "--mfp", "6.89e+247", "--k", "2.69e+259"])
 @given(_pair_argv())
 def test_pair_commands_at_domain_edges_hypothesis(argv):
     # `verify equivalence` and `hydrogen spectrum` (default --nmax) over the
@@ -376,9 +382,29 @@ def test_hydrogen_spectrum_text_rows_are_plain_floats(capsys):
 
 @pytest.mark.parametrize("solver", ["radial", "both"])
 @pytest.mark.parametrize("nmax", [16, 20])
-def test_radial_grid_without_convergence_is_a_failed_check(nmax, solver):
-    # the default box holds too few bound states here: one named failing
-    # check, exit 1, valid JSON and no traceback
+def test_radial_solve_at_large_nmax(nmax, solver):
+    # the default box of 2 n_max^2 + 20 n_max Bohr radii holds every
+    # requested state: exit 0, and the radial levels agree with the closed form
+    code, out, err = _run_quietly(_SPECTRUM + ["--nmax", str(nmax), "--solver", solver,
+                                               "--format", "json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    name = "radial-vs-closed" if solver == "both" else "radial-solver-completed"
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [(name, "pass")]
+    rows = report["results"]["rows"]
+    assert len(rows) == nmax
+    for n, _, _, e_radial, _ in rows:
+        closed = -report["results"]["v_f"] / (2.0 * n ** 2)
+        assert abs(e_radial - closed) / abs(closed) <= 1e-6
+
+
+@pytest.mark.parametrize("solver", ["radial", "both"])
+@pytest.mark.parametrize("nmax", [16, 20])
+def test_radial_grid_without_convergence_is_a_failed_check(nmax, solver, monkeypatch):
+    # a grid that holds too few bound states (stood in for by non-negative
+    # levels): one named failing check, exit 1, valid JSON and no traceback
+    monkeypatch.setattr(hydrogen, "_radial_eigenvalues",
+                        lambda potential, g, l, box, n_points, count: ((0.0,) * count,) * 3)
     code, out, err = _run_quietly(_SPECTRUM + ["--nmax", str(nmax), "--solver", solver,
                                                "--format", "json"])
     assert code == 1
@@ -389,7 +415,8 @@ def test_radial_grid_without_convergence_is_a_failed_check(nmax, solver):
     assert len(report["results"]["rows"]) == nmax
     assert ("E_1" in report["results"]) is (solver == "both")
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("FAIL radial-grid-convergence: ")
+    assert len(lines) == 1 and lines[0].startswith(
+        "FAIL radial-grid-convergence: ") and "no bound state" in lines[0]
     assert "Traceback" not in err
 
 

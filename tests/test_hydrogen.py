@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -67,22 +68,26 @@ def test_user_box_matches_closed_form():
 
 
 def _physical_unit_levels(cfg):
-    # reference: the same finite-difference matrix in physical units (kinetic
-    # hbar^2 / (2 v_f h^2), Coulomb -e2 / r, with hbar = e2 = 1) on the default
-    # box of 20 n_max a_0 = 20 n_max hbar^2 / (v_f e2), Richardson-extrapolated
-    # as radial_solve does
+    # reference: the same s-grid matrix (r = s^2) in physical units (kinetic
+    # hbar^2 / v_f in the couplings, Coulomb -e2 / r, with hbar = e2 = 1) on
+    # the default box of 2 n_max^2 + 20 n_max Bohr radii with
+    # a_0 = hbar^2 / (v_f e2), Richardson-extrapolated as radial_solve does
     hbar, e2 = 1.0, 1.0
-    r_max = 20.0 * cfg.n_max * hbar ** 2 / (cfg.v_f * e2)
+    a0 = hbar ** 2 / (cfg.v_f * e2)
+    r_max = (2.0 * cfg.n_max ** 2 + 20.0 * cfg.n_max) * a0
     count = cfg.n_max - cfg.l
     solves = []
     for n_points in (cfg.n_points, 2 * cfg.n_points, 4 * cfg.n_points):
-        h = r_max / n_points
-        r = np.arange(1, n_points) * h
-        kin = hbar ** 2 / (2.0 * cfg.v_f * h ** 2)
-        diag = (2.0 * kin - e2 / r + hbar ** 2 * cfg.l * (cfg.l + 1) / (2.0 * cfg.v_f * r ** 2))
-        off = np.full(n_points - 2, -kin)
+        ds = math.sqrt(r_max) / n_points
+        c = hbar ** 2 / (2.0 * cfg.v_f * ds ** 2 * (np.arange(n_points) + 0.5))
+        s = np.arange(1, n_points) * ds
+        r = s * s
+        b = 2.0 * s * ds
+        diag = ((c[:-1] + c[1:]) / (2.0 * b) - e2 / r
+                + hbar ** 2 * cfg.l * (cfg.l + 1) / (2.0 * cfg.v_f * r ** 2))
+        off = -c[1:-1] / (2.0 * np.sqrt(b[:-1] * b[1:]))
         solves.append(eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
-                                       eigvals_only=True))
+                                       eigvals_only=True, tol=sys.float_info.min))
     return (4.0 * solves[2] - solves[1]) / 3.0
 
 
@@ -145,11 +150,37 @@ def test_l_degeneracy():
 
 
 def test_convergence_gate_triggers():
-    # on 400 points refinement moves the levels by about 1.5e-5 relative,
-    # beyond RADIAL_TOL; the default 6000 points stay within it
-    cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_points=400)
+    # on 100 points refinement moves the levels by about 7.2e-6 relative,
+    # beyond RADIAL_TOL; 400 points move them by 2.8e-8, and the default
+    # 1000 points stay well within it
+    cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_points=100)
     with pytest.raises(GridConvergenceError, match="grid too coarse"):
         radial_solve(cfg)
+
+
+@pytest.mark.parametrize("n_max", [6, 8, 12, 16, 24, 30])
+def test_outer_levels_match_closed_form(n_max):
+    # the default box of 2 n_max^2 + 20 n_max Bohr radii holds the outermost
+    # state, innermost (l = 0) and circular (l = n_max - 1) alike; a box of
+    # 20 n_max truncated it from n_max 8 on
+    for l in (0, n_max - 1):
+        cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_max=n_max, l=l)
+        levels = radial_solve(cfg)
+        closed = bohr_levels(cfg)[l:]
+        assert len(levels) == len(closed) == n_max - l
+        for e, e_closed in zip(levels, closed):
+            assert abs(e - e_closed) / abs(e_closed) <= 1e-6
+
+
+def test_eigensolver_tolerance_is_relative():
+    # the near-origin diagonal grows like 1 / ds^4, so eigh_tridiagonal's
+    # default absolute tolerance eps * ||T||_1 would leave the ground state
+    # off by about 4e-4 relative on 2000 points; the explicit tiny tol keeps
+    # the bisection at a few ulp of each level
+    cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_max=1, n_points=2000)
+    (level,) = radial_solve(cfg)
+    (closed,) = bohr_levels(cfg)
+    assert abs(level - closed) / abs(closed) <= 1e-8
 
 
 def test_classical_limit():
