@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from . import equivalence, gridrep, hopf, hydrogen, masses, realization
+from . import equivalence, gridrep, hopf, masses, realization
 from .report import (RunReport, CheckResult, STATUS_EXACT, STATUS_PASS,
                      STATUS_FAIL, format_number)
 from .scalars import sym
@@ -260,6 +260,9 @@ def _cmd_mass_reduced(args) -> RunReport:
 
 
 def _cmd_hydrogen_spectrum(args) -> RunReport:
+    # the one handler that needs scipy, through hydrogen: imported only here
+    from . import hydrogen
+
     cfg = hydrogen.HydrogenConfig(m_f=args.mf, mp_f=args.mfp, k=args.k,
                                   n_max=args.nmax, l=args.l)
     report = RunReport("hydrogen spectrum",
@@ -454,14 +457,24 @@ def _render(report: RunReport, fmt: str) -> str:
     return report.to_text()
 
 
+def _domain_errors() -> tuple:
+    """The exceptions reported as one-line usage errors (exit 2).
+
+    Evaluated only when a handler raises.  ``hydrogen`` is loaded by its own
+    handler alone, so its error is looked up, not imported.
+    """
+    hydrogen = sys.modules.get(f"{__package__}.hydrogen")
+    loaded = (hydrogen.HydrogenDomainError,) if hydrogen is not None else ()
+    return (masses.MassDomainError, gridrep.OutOfGridError, *loaded)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
         report = args.handler(args)
-    except (masses.MassDomainError, hydrogen.HydrogenDomainError,
-            gridrep.OutOfGridError) as exc:
+    except _domain_errors() as exc:
         print(f"kgalilei: error: {exc}", file=sys.stderr)
         return 2
     report.wall_ms = (time.perf_counter() - start) * 1000.0

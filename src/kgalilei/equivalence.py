@@ -178,22 +178,29 @@ def find_theta(m_f: float, mp_f: float, k: float) -> ThetaResult:
     direct, tilde = variable_vectors(m_f, mp_f, k)
     lam, lamp = _lam(m_f, k), _lam(mp_f, k)
     product = m_f * mp_f
-    # one square root per mass where their product would underflow
-    omega = (math.sqrt(product) if product >= sys.float_info.min
+    # one square root per mass where their product would underflow or overflow
+    omega = (math.sqrt(product) if sys.float_info.min <= product <= sys.float_info.max
              else math.sqrt(m_f) * math.sqrt(mp_f))
     c = (lam + lamp) / (1.0 + lam * lamp)
     sigma = 0.0 if math.isinf(k) else -2.0 / (k * (1.0 + lam * lamp))
-    theta = math.atan2(omega * sigma, c) / omega
+    if c > 0.0:
+        # theta* = (sigma / c) atan(x) / x with x = omega sigma / c, formed
+        # without the product omega sigma (subnormal for a light pair at
+        # large k), and without sigma / c where that could overflow (k < 2)
+        x = omega * (sigma / c) if abs(sigma) <= 1.0 else (omega / c) * sigma
+        theta = sigma * (math.atan(x) / x if x else 1.0) / c
+    else:
+        theta = math.atan2(omega * sigma, c) / omega
     # each 2x2 block B of ad G has B^2 = -omega^2 I, so
     # exp(theta B) = cos(omega theta) I + (sin(omega theta) / omega) B
     mat = (math.cos(omega * theta) * np.eye(4)
            + (math.sin(omega * theta) / omega) * adjoint_generator(m_f, mp_f))
-    worst, scale = 0.0, 1.0
-    for name in VARIABLES:
-        target = tilde[name]
-        scale = max(scale, float(np.abs(direct[name]).max()), float(np.abs(target).max()))
-        worst = max(worst, float(np.abs(mat @ direct[name] - target).max()))
-    residual = worst / scale
+    # one row per variable; an array's max, unlike the builtin max, keeps a
+    # NaN gap, which then fails the gate
+    before = np.array([direct[name] for name in VARIABLES])
+    after = np.array([tilde[name] for name in VARIABLES])
+    scale = max(1.0, float(np.abs(before).max()), float(np.abs(after).max()))
+    residual = float(np.abs(before @ mat.T - after).max()) / scale
     if not residual <= THETA_TOL:
         raise StructuralFailureError(
             f"theta* = {theta} leaves a relative residual {residual:.3e} > {THETA_TOL} "

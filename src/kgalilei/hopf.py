@@ -22,10 +22,14 @@ primitive.  M, primitive, and E, grouplike, are exponents of a word, so only
 ``coproduct_of`` and ``antipode_of``, which extend the letter maps to whole
 expressions, handle them; a named generator's Delta and S are those maps
 applied to it.  Each algebra instance computes a generator bracket [g, h], a
-left-normed double bracket [[g, h], f] and a generator coproduct once and
-keeps it (at most 13^2 + 13^3 + 13 values), so a Jacobi sum is three stored
-double brackets.  Sharing the stored values is safe because arithmetic on
-elements always builds new ones.
+left-normed double bracket [[g, h], f], a homomorphism residual
+Delta([g, h]) - [Delta g, Delta h] and a generator coproduct once and keeps it
+(at most 13^2 + 13^3 + 13^2 + 13 values), so a Jacobi sum is three stored
+double brackets.  The first three are antisymmetric in (g, h): each is built
+once per unordered pair and its mirror stored as the exact negation, the
+diagonal is zero, and a double bracket whose inner bracket is zero is stored
+as zero with no commutator taken.  Sharing the stored values is safe because
+arithmetic on elements always builds new ones.
 """
 
 from __future__ import annotations
@@ -149,6 +153,8 @@ class GalileiHopf:
     def __init__(self, central: RationalFunction | None = None):
         self.central = central if central is not None else sym("k") / 2
         self._sort_cache: dict = {}
+        # [g, h] under (g, h), [[g, h], f] under (g, h, f), and the
+        # homomorphism residual of (g, h) under ("Delta", g, h); see _stored
         self._bracket_cache: dict = {}
         self._coproduct_cache: dict = {}
         self.rewrite_steps = 0
@@ -231,21 +237,35 @@ class GalileiHopf:
 
     # -- Hopf data -----------------------------------------------------------
 
-    def bracket(self, g: str, h: str) -> UEAExpression:
-        """Commutator [g, h] of two named generators, computed once per pair."""
-        key = (g, h)
-        value = self._bracket_cache.get(key)
+    def _stored(self, key: tuple, mirror: tuple, build):
+        """The value under ``key``: the negation of the stored ``mirror``, or ``build()``.
+
+        Either way it is computed once and kept.  The negation is exact
+        because ``commutator(a, b)`` is a*b - b*a, whatever the product does,
+        and each stored value is linear in one such commutator.
+        """
+        cache = self._bracket_cache
+        value = cache.get(key)
         if value is None:
-            value = self._bracket_cache[key] = self.gen(g).commutator(self.gen(h))
+            partner = cache.get(mirror)
+            value = cache[key] = build() if partner is None else -partner
         return value
 
+    def bracket(self, g: str, h: str) -> UEAExpression:
+        """Commutator [g, h] of two named generators; [h, g] is its negation."""
+        build = self.zero if g == h else lambda: self.gen(g).commutator(self.gen(h))
+        return self._stored((g, h), (h, g), build)
+
     def double_bracket(self, g: str, h: str, f: str) -> UEAExpression:
-        """Left-normed [[g, h], f] of named generators, computed once per triple."""
-        key = (g, h, f)
-        value = self._bracket_cache.get(key)
-        if value is None:
-            value = self._bracket_cache[key] = self.bracket(g, h).commutator(self.gen(f))
-        return value
+        """Left-normed [[g, h], f]; [[h, g], f] is its negation.
+
+        Both are zero, with no commutator taken, wherever [g, h] is.
+        """
+        def build():
+            inner = self.bracket(g, h)
+            return self.zero() if inner.is_zero else inner.commutator(self.gen(f))
+
+        return self._stored((g, h, f), (h, g, f), build)
 
     def _letter_coproduct(self, letter: tuple) -> TensorExpression:
         """Delta X = X (x) E + 1 (x) X for the twisted P and K, X (x) 1 + 1 (x) X otherwise."""
@@ -306,10 +326,19 @@ class GalileiHopf:
                 + self.double_bracket(g3, g1, g2))
 
     def check_hom(self, g: str, h: str) -> TensorExpression:
-        """Delta([g,h]) - [Delta g, Delta h]; zero iff Delta is an algebra map."""
-        lhs = self.coproduct_of(self.bracket(g, h))
-        rhs = self.coproduct(g).commutator(self.coproduct(h))
-        return lhs - rhs
+        """Delta([g,h]) - [Delta g, Delta h]; zero iff Delta is an algebra map.
+
+        Antisymmetric in (g, h), since ``coproduct_of`` is linear, and zero
+        on the diagonal: the residual of (h, g) is stored as the negation of
+        that of (g, h).
+        """
+        def build():
+            if g == h:
+                return TensorExpression(self, 2, {})
+            lhs = self.coproduct_of(self.bracket(g, h))
+            return lhs - self.coproduct(g).commutator(self.coproduct(h))
+
+        return self._stored(("Delta", g, h), ("Delta", h, g), build)
 
     def check_coassoc(self, g: str) -> TensorExpression:
         """(Delta (x) id - id (x) Delta) applied to Delta g; three legs."""

@@ -111,26 +111,47 @@ def test_classical_limit_text_and_csv_unchanged(capsys):
     assert "first_order_coefficient,result,0\n" in capsys.readouterr().out
 
 
-def _python_m(*argv):
+def _python(*argv):
+    """Run a fresh interpreter with this kgalilei on its path."""
     src = str(Path(kgalilei.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           env=env, timeout=120)
 
 
 @pytest.mark.parametrize("module", ["kgalilei", "kgalilei.cli"])
 def test_python_m_runs_the_cli(module):
-    done = _python_m(module, "mass", "compose", "--k", "1", "0.3", "0.4", "--format", "json")
+    done = _python("-m", module, "mass", "compose", "--k", "1", "0.3", "0.4", "--format", "json")
     assert done.returncode == 0 and done.stderr == ""
     report = json.loads(done.stdout)
     assert report["command"] == "mass compose"
     assert [(c["name"], c["status"]) for c in report["checks"]] == [
         ("algebra-additivity", "pass")]
     assert abs(report["results"]["M_f"] - 0.46) <= 1e-12
-    done = _python_m(module, "mass", "compose", "--k", "1", "0.7", "0.3")
+    done = _python("-m", module, "mass", "compose", "--k", "1", "0.7", "0.3")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("kgalilei: error: ")
+
+
+def test_only_the_hydrogen_handler_loads_scipy():
+    # work guard, in a fresh interpreter: `mass compose` and `verify hopf`
+    # load no scipy, which `cli` reaches only through the hydrogen handler
+    script = """
+import contextlib, io, sys
+from kgalilei import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(['mass', 'compose', '--k', '1', '0.3', '0.4']) == 0
+    assert cli.run(['verify', 'hopf']) == 0
+assert 'scipy' not in sys.modules, 'cli loads scipy'
+"""
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
+    # a hydrogen domain error raised in a fresh interpreter is still one line
+    done = _python("-m", "kgalilei", *_SPECTRUM, "--nmax", "2", "--l", "5")
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("kgalilei: error: need 0 <= l < n_max")
 
 
 def test_cocycle_demo_names_non_projective_pair(monkeypatch, capsys):
@@ -321,6 +342,8 @@ def _pair_argv(draw):
 @example(["mass", "reduced", "--k", "6.221138091977962e+296", "9.232684596437353e+150",
           "1.6088209741652738e+176"])
 @example(["hydrogen", "spectrum", "--mf", "1.19e+73", "--mfp", "6.89e+247", "--k", "2.69e+259"])
+@example(["verify", "equivalence", "--mf", "3.623730029388059e+220",
+          "--mfp", "4.1058744948544265e+160", "--k", "1.2348930276464552e+223"])
 @given(_pair_argv())
 def test_pair_commands_at_domain_edges_hypothesis(argv):
     # `verify equivalence` and `hydrogen spectrum` (default --nmax) over the

@@ -107,6 +107,44 @@ def test_find_theta_random_masses():
         assert eq.preserves_pairing(result.matrix, m_f, mp_f, tol=1e-9)
 
 
+def _theta_at_50_digits(m_f, mp_f, k):
+    """theta* = atan2(omega sigma, c) / omega from the exact adjoint block, in mpmath."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        m_f, mp_f, k = mpmath.mpf(m_f), mpmath.mpf(mp_f), mpmath.mpf(k)
+        lam, lamp = mpmath.sqrt(1 - 2 * m_f / k), mpmath.sqrt(1 - 2 * mp_f / k)
+        omega = mpmath.sqrt(m_f * mp_f)
+        c = (lam + lamp) / (1 + lam * lamp)
+        sigma = -2 / (k * (1 + lam * lamp))
+        return mpmath.atan2(omega * sigma, c) / omega
+
+
+@pytest.mark.parametrize("m_f, mp_f, k", [
+    (1e-10, 1e-10, 1e305),     # omega sigma = -1e-315 is subnormal
+    (1e-160, 1e-160, 1e200),   # omega sigma = -1e-360 underflows to zero
+    # m_f m'_f overflows
+    (3.623730029388059e+220, 4.1058744948544265e+160, 1.2348930276464552e+223),
+    (0.3, 0.4, 1.0),
+    (1e-9, 0.3, 1.0),
+    (0.4999999, 0.4999999, 1.0),
+    (2e-301, 4e-301, 1e-300),  # sigma = -1.4e300
+])
+def test_theta_matches_closed_form_at_50_digits(m_f, mp_f, k):
+    # theta* to 1e-14 relative at every scale, also where omega sigma is
+    # subnormal or m_f m'_f overflows
+    theta = eq.find_theta(m_f, mp_f, k).theta
+    expected = _theta_at_50_digits(m_f, mp_f, k)
+    assert abs(theta - expected) <= 1e-14 * abs(expected)
+
+
+def test_nan_map_fails_the_theta_gate(monkeypatch):
+    # a NaN coefficient gap is a failed validation, never a zero residual
+    monkeypatch.setattr(eq, "adjoint_generator", lambda m_f, mp_f: np.full((4, 4), np.nan))
+    with pytest.raises(eq.StructuralFailureError, match="nan"):
+        eq.find_theta(0.3, 0.4, 1.0)
+
+
 def test_theta_vanishes_in_classical_limit():
     result = eq.find_theta(0.3, 0.4, 1e6)
     assert abs(result.theta) <= 1e-5

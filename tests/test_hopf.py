@@ -203,15 +203,20 @@ def test_verify_hopf_names_first_failing_item(monkeypatch, capsys):
 
 @pytest.mark.parametrize("central", [None, unnormalized_central()], ids=["k/2", "unnormalized"])
 def test_stored_brackets_equal_fresh_commutators(central):
-    # every stored [g, h] and [[g, h], f] equals the commutator built afresh;
-    # an algebra with another central constant keeps its own values
+    # every stored [g, h], [[g, h], f] and homomorphism residual equals the
+    # one built afresh, mirrored and diagonal values included; an algebra
+    # with another central constant keeps its own values
     default = GalileiHopf()
     default.bracket("K1", "P1")
     alg = GalileiHopf(central=central)
     gen = alg.gen
+    fresh = GalileiHopf(central=central)
     for g, h in itertools.product(GENERATOR_NAMES, repeat=2):
         assert alg.bracket(g, h) == gen(g).commutator(gen(h))
         assert alg.bracket(g, h) is alg.bracket(g, h)
+        built = (fresh.coproduct_of(fresh.gen(g).commutator(fresh.gen(h)))
+                 - fresh.coproduct(g).commutator(fresh.coproduct(h)))
+        assert alg.check_hom(g, h) == TensorExpression(alg, 2, built.terms)
     for g, h, f in itertools.product(GENERATOR_NAMES, repeat=3):
         assert alg.double_bracket(g, h, f) == gen(g).commutator(gen(h)).commutator(gen(f))
     c = alg.central
@@ -263,18 +268,64 @@ def test_wrong_bracket_sign_breaks_jacobi(monkeypatch, capsys):
     assert checks["jacobi"]["detail"] == failing[0]
 
 
+_letter_coproduct = GalileiHopf._letter_coproduct
+
+
+def _momentum_twist_on_the_left(self, letter):
+    # Delta P = P (x) 1 + E (x) P: P's twist on the wrong leg, K's as it is
+    if letter[0] != "P":
+        return _letter_coproduct(self, letter)
+    one, word, e = ((), 0, 0), ((letter,), 0, 0), ((), 0, 1)
+    return TensorExpression(self, 2, {(word, one): Rat(1), (e, word): Rat(1)})
+
+
+
+def test_misplaced_twist_fails_only_the_homomorphism(monkeypatch, capsys):
+    # negative control: Delta P = P (x) 1 + E (x) P is coassociative with a
+    # valid antipode, but no algebra map on [K_i, P_i] and [K_i, H].  The
+    # stored scan counts the failing pairs and names the first one exactly
+    # as a scan that builds every ordered pair afresh does
+    monkeypatch.setattr(GalileiHopf, "_letter_coproduct", _momentum_twist_on_the_left)
+    failing = []
+    for g, h in itertools.product(GENERATOR_NAMES, repeat=2):
+        fresh = GalileiHopf()
+        gen, delta = fresh.gen, fresh.coproduct_of
+        residual = (delta(gen(g).commutator(gen(h)))
+                    - delta(gen(g)).commutator(delta(gen(h))))
+        if not residual.is_zero:
+            failing.append(f"{g}, {h}: {residual!r}")
+    assert len(failing) == 12 and failing[0].startswith("K1, P1: Tensor(")
+
+    assert run(["verify", "hopf", "--format", "json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert {name: c["status"] for name, c in checks.items()} == {
+        "jacobi": "exact-pass", "coproduct-homomorphism": "fail",
+        "coassociativity": "exact-pass", "hopf-axiom": "exact-pass"}
+    assert checks["coproduct-homomorphism"]["residual"] == len(failing)
+    assert checks["coproduct-homomorphism"]["detail"] == failing[0]
+
+
 def test_verify_hopf_reuses_brackets(monkeypatch, capsys):
-    # work guard, a count and not a timing: each bracket and double bracket
-    # is built once, so the scan makes under 5,000 enveloping-algebra
-    # products (it made 26,766 when every Jacobi sum built its six brackets)
-    calls = []
-    multiply = UEAExpression.__mul__
+    # work guard, counts and not timings: each antisymmetric pair of
+    # brackets, double brackets and homomorphism residuals is built once,
+    # and no commutator is taken of a zero bracket, so the scan makes at most
+    # 1,000 enveloping-algebra and 300 tensor products (4,766 and 407 when
+    # both orders of each pair were built, 26,766 UEA products when every
+    # Jacobi sum built its six brackets)
+    calls = {UEAExpression: 0, TensorExpression: 0}
 
-    def counted(self, other):
-        calls.append(None)
-        return multiply(self, other)
+    def count(cls):
+        multiply = cls.__mul__
 
-    monkeypatch.setattr(UEAExpression, "__mul__", counted)
+        def counted(self, other):
+            calls[cls] += 1
+            return multiply(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+
+    count(UEAExpression)
+    count(TensorExpression)
     assert run(["verify", "hopf"]) == 0
     capsys.readouterr()
-    assert 0 < len(calls) <= 5000
+    assert 0 < calls[UEAExpression] <= 1000
+    assert 0 < calls[TensorExpression] <= 300
