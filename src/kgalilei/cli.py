@@ -165,10 +165,11 @@ def _cmd_verify_equivalence(args) -> RunReport:
     p, pp = np.meshgrid(grid, grid, indexing="ij")
     f = lambda p, pp: np.exp(-(p - 0.5) ** 2 - (pp + 0.3) ** 2)
     fp, fm = equivalence.project(+1, us, f), equivalence.project(-1, us, f)
-    idem = max(
-        float(np.abs(equivalence.project(+1, us, fp)(p, pp) - fp(p, pp)).max()),
-        float(np.abs(equivalence.project(-1, us, fm)(p, pp) - fm(p, pp)).max()),
-    )
+    # folded by np.max, which, unlike the builtin max, keeps a NaN and so fails
+    idem = float(np.max([
+        np.abs(equivalence.project(+1, us, fp)(p, pp) - fp(p, pp)).max(),
+        np.abs(equivalence.project(-1, us, fm)(p, pp) - fm(p, pp)).max(),
+    ]))
     report.add(CheckResult.from_residual("projector-idempotence", idem, 1e-8))
     comp = float(np.abs(fp(p, pp) + fm(p, pp) - f(p, pp)).max())
     report.add(CheckResult.from_residual("projector-complementarity", comp, 1e-8))
@@ -177,11 +178,10 @@ def _cmd_verify_equivalence(args) -> RunReport:
     # relative to max(1, largest |coefficient|) as in find_theta, since
     # rho's coefficients are 1/m_f
     tilde = equivalence.variable_vectors(m_f, m_f, k)[1]
-    flip, scale = 0.0, 1.0
-    for name, sign in (("P", +1), ("R", +1), ("Pi", -1), ("rho", -1)):
-        v = tilde[name]
-        scale = max(scale, float(np.abs(v).max()))
-        flip = max(flip, float(np.abs(us @ v - sign * v).max()))
+    signs = (("P", +1), ("R", +1), ("Pi", -1), ("rho", -1))
+    scale = float(np.max([1.0, *(np.abs(tilde[name]).max() for name, _ in signs)]))
+    flip = float(np.max([np.abs(us @ tilde[name] - sign * tilde[name]).max()
+                         for name, sign in signs]))
     report.add(CheckResult.from_residual("us-reverses-relative-sign", flip / scale, 1e-10))
     return report
 
@@ -220,7 +220,7 @@ def _cmd_mass_compose(args) -> RunReport:
 def _cmd_mass_convert(args) -> RunReport:
     k = args.k
     report = RunReport("mass convert", {"k": k, "to": args.to, "masses": list(args.masses)})
-    worst = 0.0
+    gaps = []
     for idx, m in enumerate(args.masses, start=1):
         if args.to == "physical":
             out = masses.to_physical(m, k)
@@ -229,8 +229,8 @@ def _cmd_mass_convert(args) -> RunReport:
             out = masses.to_algebra(m, k)
             back = masses.to_physical(out, k)
         report.results[f"value_{idx}"] = out
-        worst = max(worst, abs(back - m) / max(abs(m), 1.0))
-    report.add(CheckResult.from_residual("round-trip", worst, 1e-12))
+        gaps.append(abs(back - m) / max(abs(m), 1.0))
+    report.add(CheckResult.from_residual("round-trip", float(np.max(gaps)), 1e-12))
     return report
 
 
@@ -293,7 +293,7 @@ def _cmd_hydrogen_spectrum(args) -> RunReport:
         report.add(CheckResult("radial-grid-convergence", STATUS_FAIL,
                                float(cfg.n_max - cfg.l), str(unsolved)))
     elif closed is not None and radial is not None:
-        worst = max(r[4] for r in rows)
+        worst = float(np.max([r[4] for r in rows]))
         report.add(CheckResult.from_residual("radial-vs-closed", worst, 1e-6))
     else:
         report.add(CheckResult(f"{args.solver}-solver-completed", STATUS_PASS, 0.0))
@@ -318,14 +318,17 @@ def _worst_over_draws(name: str, tol: float, item: str, count: int, mismatch):
 
     A draw whose composition ratio is not grid-constant has no cocycle angle:
     it fails the check, named by its index and spread, and ends the draws.
+    The worst is taken by np.max, so a NaN mismatch is the worst and fails.
     """
-    worst = 0.0
+    draws, failure = [], None
     for idx in range(count):
         try:
-            worst = max(worst, mismatch())
+            draws.append(mismatch())
         except gridrep.ProjectivityError as exc:
-            return CheckResult(name, STATUS_FAIL, exc.spread, f"{item} {idx}: {exc}"), worst
-    return CheckResult.from_residual(name, worst, tol), worst
+            failure = CheckResult(name, STATUS_FAIL, exc.spread, f"{item} {idx}: {exc}")
+            break
+    worst = float(np.max(draws, initial=0.0))
+    return failure or CheckResult.from_residual(name, worst, tol), worst
 
 
 def _cmd_cocycle_demo(args) -> RunReport:

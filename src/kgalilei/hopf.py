@@ -29,7 +29,7 @@ double brackets.  The first three are antisymmetric in (g, h): each is built
 once per unordered pair and its mirror stored as the exact negation, the
 diagonal is zero, and a double bracket whose inner bracket is zero is stored
 as zero with no commutator taken.  Sharing the stored values is safe because
-arithmetic on elements always builds new ones.
+no element changes after construction.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ class UEAExpression(LinearCombination):
     """Element of the enveloping algebra: dict of normal-ordered words.
 
     A word is (letters, m, e): a sorted tuple of non-central letters, the
-    power of M, and the (possibly negative) power of E.  Immutable as a
-    value; ``is_zero`` prunes zero terms in place (see ``LinearCombination``).
+    power of M, and the (possibly negative) power of E.  Immutable, and holds
+    no zero coefficient (see ``LinearCombination``).
     """
 
     __slots__ = ("algebra", "_context")
@@ -118,8 +118,7 @@ class UEAExpression(LinearCombination):
 class TensorExpression(LinearCombination):
     """Sum of 2- or 3-leg tensor monomials, each leg a normal-ordered word.
 
-    Immutable as a value; ``is_zero`` prunes zero terms in place (see
-    ``LinearCombination``).
+    Immutable, and holds no zero coefficient (see ``LinearCombination``).
     """
 
     __slots__ = ("algebra", "legs", "_context")
@@ -292,7 +291,7 @@ class GalileiHopf:
         one, m_word = (_EMPTY, 0, 0), (_EMPTY, 1, 0)
         delta_m = TensorExpression(self, 2, {(m_word, one): _ONE, (one, m_word): _ONE})
         out = TensorExpression(self, 2, {})
-        for (letters, m, e), coeff in expr._nonzero_terms().items():
+        for (letters, m, e), coeff in expr.terms.items():
             term = TensorExpression(self, 2, {((_EMPTY, 0, e), (_EMPTY, 0, e)): coeff})
             for letter in letters:
                 term = term * self._letter_coproduct(letter)
@@ -311,7 +310,7 @@ class GalileiHopf:
     def antipode_of(self, expr: UEAExpression) -> UEAExpression:
         """Antipode extended as an anti-homomorphism: S M = -M, S E = E^-1."""
         out = self.zero()
-        for (letters, m, e), coeff in expr._nonzero_terms().items():
+        for (letters, m, e), coeff in expr.terms.items():
             term = UEAExpression(self, {(_EMPTY, m, -e): coeff * Rat(-1) ** m})
             for letter in reversed(letters):
                 term = term * self._letter_antipode(letter)

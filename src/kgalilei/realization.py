@@ -117,7 +117,7 @@ def _realize_words(expr: UEAExpression, images: dict, e_value: RationalFunction,
                    m_value: RationalFunction) -> WeylExpression:
     """Map a UEA expression through a table of generator images."""
     total = WeylExpression.zero()
-    for (letters, m, e), coeff in expr._nonzero_terms().items():
+    for (letters, m, e), coeff in expr.terms.items():
         factor = coeff
         if m:
             factor = factor * m_value ** m

@@ -30,12 +30,13 @@ def format_number(x) -> str:
     return format(x, ".12g")
 
 
-def _encode(obj) -> str:
+def canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, fixed float formatting, one line."""
     if isinstance(obj, dict):
         items = sorted(obj.items())
-        return "{" + ", ".join(f"{json.dumps(k)}: {_encode(v)}" for k, v in items) + "}"
+        return "{" + ", ".join(f"{json.dumps(k)}: {canonical_json(v)}" for k, v in items) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_encode(v) for v in obj) + "]"
+        return "[" + ", ".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, float):
@@ -43,11 +44,6 @@ def _encode(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     return json.dumps(obj)
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed float formatting, one line."""
-    return _encode(obj)
 
 
 @dataclass

@@ -37,10 +37,9 @@ A sympy expression converts to a value through ``Rat``/``RationalFunction``.
 
 ``LinearCombination``, the sparse sum of monomials that the Weyl,
 enveloping-algebra and tensor elements share, with their one distributive
-product, builds on the exact zero test: its constructor drops only
-structurally zero coefficients (built from a literal 0); ``is_zero`` (and so
-``==``) prunes the zero terms when it reaches a verdict, and a product
-prunes its operands before it multiplies.
+product, builds on the exact zero test: it never holds a zero coefficient.
+Its constructor drops every term whose coefficient is zero, so its
+``is_zero`` is "no terms", and a value never changes after construction.
 
 The deformation exponentials e^{-m/k} are adjoined as independent formal
 symbols (``lam``, ``lamp``), never expanded as series; every identity in scope
@@ -257,9 +256,7 @@ def _divisor(poly: dict) -> tuple[int, int, int, dict]:
 
 # -- values ---------------------------------------------------------------------
 
-#: The numerator and atoms of a literal zero, the only zero a LinearCombination
-#: drops unasked; arithmetic makes fresh empty numerators.  Never mutated.
-_NO_TERMS: dict = {}
+#: The empty atom multiset, shared by every value without a denominator.
 _NO_ATOMS: dict = {}
 _ONE_TERMS = {0: (1, 0)}
 
@@ -291,7 +288,7 @@ def _reduced(num: dict, c: int, den: dict) -> "RationalFunction":
 
 def _constant(re: int, im: int = 0, c: int = 1) -> "RationalFunction":
     if not (re or im):
-        return _new(_NO_TERMS, 1, _NO_ATOMS)
+        return _new({}, 1, _NO_ATOMS)
     if c < 0:
         re, im, c = -re, -im, -c
     return _reduced({0: (re, im)}, c, _NO_ATOMS)
@@ -333,12 +330,10 @@ def _add(a: "RationalFunction", b: "RationalFunction", sign: int) -> "RationalFu
 
 
 def _mul(a: "RationalFunction", b: "RationalFunction") -> "RationalFunction":
-    if not a._num or not b._num:
-        # a literal zero stays one; any other zero product is a fresh zero
-        for x in (a, b):
-            if x._num is _NO_TERMS:
-                return x
-        return _new({}, 1, _NO_ATOMS)
+    if not a._num:
+        return a
+    if not b._num:
+        return b
     if _is_one(a):
         return b
     if _is_one(b):
@@ -692,11 +687,10 @@ class LinearCombination:
     algebra instance, a leg count) stores it as ``_context``, the tuple of
     its constructor's leading arguments; two operands must share it.
 
-    The zero rule lives here and only here: the constructor keeps every
-    coefficient except a structural zero (one built from a literal 0), and
-    ``is_zero`` drops the zero terms before it answers, as products do with
-    their operands'.  Immutable as a value: that pruning never changes which
-    element it is.
+    The zero rule lives here and only here: the constructor drops every term
+    whose coefficient is zero, so ``terms`` never holds a zero coefficient
+    and ``is_zero`` is "no terms".  Immutable: ``terms`` is never rebound or
+    changed after construction.
     """
 
     __slots__ = ("terms",)
@@ -705,7 +699,7 @@ class LinearCombination:
     _context: tuple = ()
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {m: c for m, c in terms.items() if c._num is not _NO_TERMS} if terms else {}
+        self.terms = {m: c for m, c in terms.items() if c._num} if terms else {}
 
     def _like(self, terms: dict):
         return type(self)(*self._context, terms)
@@ -718,17 +712,7 @@ class LinearCombination:
 
     @property
     def is_zero(self) -> bool:
-        """True iff every coefficient is zero; drops the zero terms first."""
-        return not self._nonzero_terms()
-
-    def _nonzero_terms(self) -> dict:
-        """The terms, with the zero ones dropped first (products skip them too)."""
-        terms = self.terms
-        for coeff in terms.values():
-            if not coeff._num:
-                self.terms = terms = {m: c for m, c in terms.items() if c._num}
-                break
-        return terms
+        return not self.terms
 
     # -- linear arithmetic ----------------------------------------------------
 
@@ -760,8 +744,8 @@ class LinearCombination:
         self._same(other)
         product = self._product
         out: dict = {}
-        right = other._nonzero_terms()
-        for m1, c1 in self._nonzero_terms().items():
+        right = other.terms
+        for m1, c1 in self.terms.items():
             for m2, c2 in right.items():
                 base = c1 * c2
                 for factor, mono in product(m1, m2):

@@ -57,8 +57,8 @@ _ZERO = (0,) * N_SLOTS
 class WeylExpression(LinearCombination):
     """Finite sum of RationalFunction coefficients times normal-ordered monomials.
 
-    Immutable as a value; arithmetic returns new values, and ``is_zero``
-    prunes zero terms in place (see ``LinearCombination``).
+    Immutable: arithmetic returns new values, and none holds a zero
+    coefficient (see ``LinearCombination``).
     """
 
     __slots__ = ()

@@ -179,6 +179,63 @@ def test_cocycle_demo_names_non_projective_pair(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+def _failed_checks(argv, capsys) -> dict:
+    """Run a command that must exit 1; the failed checks' residuals by name."""
+    assert run([*argv, "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    return {c["name"]: c["residual"] for c in report["checks"] if c["status"] == "fail"}
+
+
+def test_cocycle_demo_fails_on_a_nan_angle(monkeypatch, capsys):
+    # a NaN mismatch is the worst draw, not one that the fold skips
+    monkeypatch.setattr(gridrep, "cocycle_angle", lambda *args: math.nan)
+    failed = _failed_checks(["cocycle", "demo", "--pairs", "3", "--n", "16"], capsys)
+    assert failed == {"cocycle-closed-form": "nan", "cocycle-identity": "nan"}
+
+
+def test_verify_equivalence_fails_on_a_nan_us(monkeypatch, capsys):
+    monkeypatch.setattr(equivalence, "us_matrix", lambda m_f, k: np.full((4, 4), math.nan))
+    failed = _failed_checks(["verify", "equivalence", "--mf", "0.3", "--mfp", "0.4", "--k", "1"],
+                            capsys)
+    assert failed["us-reverses-relative-sign"] == "nan"
+    assert failed["projector-idempotence"] == "nan"
+
+
+def test_verify_equivalence_fails_on_a_nan_fermi_projector(monkeypatch, capsys):
+    # the Bose projector stays finite: its residual must not hide the NaN one
+    project = equivalence.project
+
+    def nan_fermi(sign, us, f):
+        out = project(sign, us, f)
+        return out if sign > 0 else (lambda p, pp: out(p, pp) * math.nan)
+
+    monkeypatch.setattr(equivalence, "project", nan_fermi)
+    failed = _failed_checks(["verify", "equivalence", "--mf", "0.3", "--mfp", "0.4", "--k", "1"],
+                            capsys)
+    assert failed["projector-idempotence"] == "nan"
+
+
+def test_mass_convert_fails_on_a_nan_round_trip(monkeypatch, capsys):
+    monkeypatch.setattr(masses, "to_algebra", lambda m, k: math.nan)
+    failed = _failed_checks(["mass", "convert", "--k", "1", "0.3"], capsys)
+    assert failed == {"round-trip": "nan"}
+
+
+def test_hydrogen_spectrum_fails_on_a_nan_level(monkeypatch, capsys):
+    # only the second level is NaN: the finite first one must not hide it
+    radial_solve = hydrogen.radial_solve
+
+    def nan_second(cfg):
+        levels = np.array(radial_solve(cfg))
+        levels[1] = math.nan
+        return levels
+
+    monkeypatch.setattr(hydrogen, "radial_solve", nan_second)
+    failed = _failed_checks(["hydrogen", "spectrum", "--mf", "0.3", "--mfp", "0.4", "--k", "1"],
+                            capsys)
+    assert failed == {"radial-vs-closed": "nan"}
+
+
 def test_hydrogen_spectrum_csv(tmp_path):
     out = tmp_path / "spectrum.csv"
     code = run(["hydrogen", "spectrum", "--mf", "0.3", "--mfp", "0.4",

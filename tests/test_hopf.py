@@ -150,15 +150,33 @@ def test_unknown_generator_rejected(alg):
         alg.coproduct("Q1")
 
 
-def test_canonical_cancellation_is_pruned_at_the_verdict(alg):
-    # (k/2)(1 - lam^2) - (k/2 - k lam^2/2) is zero only in canonical form, in
-    # the enveloping algebra and in its tensor square alike
+def test_canonical_cancellation_leaves_no_term(alg):
+    # (k/2)(1 - lam^2) - (k/2 - k lam^2/2) is zero, though built from nonzero
+    # parts: the constructor drops the terms, in the enveloping algebra and in
+    # its tensor square alike
     k, lam = sym("k"), sym("lam")
     coeff = (k / 2) * (1 - lam ** 2) - (k / 2 - k * lam ** 2 / 2)
     for expr in ((alg.gen("K1") * alg.gen("H")).scale(coeff), alg.coproduct("P2").scale(coeff)):
-        assert len(expr.terms) >= 1
-        assert expr.is_zero
         assert expr.terms == {}
+        assert expr.is_zero
+        assert expr == expr.scale(0)
+        assert repr(expr) == f"{expr._name}(0)"
+
+
+def test_residuals_hold_no_zero_coefficient():
+    # read before any zero test: no Jacobi sum or homomorphism residual of a
+    # fresh algebra carries a zero coefficient, and reading them changes nothing
+    fresh = GalileiHopf()
+    residuals = [fresh.check_jacobi(*t) for t in itertools.product(GENERATOR_NAMES, repeat=3)]
+    residuals += [fresh.check_hom(*p) for p in itertools.product(GENERATOR_NAMES, repeat=2)]
+    for residual in residuals:
+        assert all(not c.is_zero for c in residual.terms.values())
+    for residual in residuals:
+        terms = residual.terms
+        residual.is_zero
+        residual == residual
+        repr(residual)
+        assert residual.terms is terms
 
 
 def _primitive_coproduct(alg, letter):

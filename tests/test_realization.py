@@ -75,6 +75,19 @@ def test_nonzero_residual_keeps_only_nonzero_terms():
     assert not residual.terms[identity].is_zero
 
 
+def test_residuals_hold_no_zero_coefficient():
+    # read before any zero test: no residual of a fresh system carries a
+    # zero coefficient, so the zero kinetic split holds no term at all
+    fresh = default_system()
+    residuals = [res for _, res in fresh.verify_composed()]
+    residuals += list(canonical_residuals(fresh).values())
+    residuals += list(canonical_residuals(fresh, tilde=True).values())
+    residuals.append(fresh.kinetic_split())
+    for residual in residuals:
+        assert all(not c.is_zero for c in residual.terms.values())
+    assert fresh.kinetic_split().terms == {}
+
+
 def test_composed_mass_formula(system):
     k, lam, lamp = sym("k"), sym("lam"), sym("lamp")
     assert (system.M_f - (k / 2) * (1 - lam ** 2 * lamp ** 2)).is_zero

@@ -122,15 +122,28 @@ def test_symbolic_coefficients():
     assert expr - expr == WeylExpression.zero()
 
 
-def test_canonical_cancellation_is_pruned_at_the_verdict():
-    # (k/2)(1 - lam^2) - (k/2 - k lam^2/2) is zero only in canonical form: the
-    # constructor keeps the term, is_zero finds it zero and drops it
+def test_canonical_cancellation_leaves_no_term():
+    # (k/2)(1 - lam^2) - (k/2 - k lam^2/2) is zero, though built from nonzero
+    # parts: the constructor drops the term, before any zero test
     k, lam = sym("k"), sym("lam")
     coeff = (k / 2) * (1 - lam ** 2) - (k / 2 - k * lam ** 2 / 2)
     expr = (position(1, 1) * momentum(2, 3)).scale(coeff)
-    assert len(expr.terms) == 1
-    assert expr.is_zero
     assert expr.terms == {}
+    assert expr.is_zero
     assert expr == WeylExpression.zero()
     assert repr(expr) == "WeylExpression(0)"
+
+
+def test_zero_test_equality_and_repr_leave_terms_alone():
+    # a value is never changed after construction: reading it keeps the
+    # same terms dict, zero or not
+    k, lam = sym("k"), sym("lam")
+    for expr in (position(1, 1) * momentum(1, 1) - momentum(1, 1) * position(1, 1),
+                 (position(1, 1) * momentum(2, 3)).scale(k * (1 - lam)) - scalar(k),
+                 (position(1, 1) * momentum(2, 3)).scale(k - k)):
+        terms = expr.terms
+        expr.is_zero
+        expr == WeylExpression.zero()
+        repr(expr)
+        assert expr.terms is terms
 
