@@ -14,9 +14,11 @@ Every subcommand emits a RunReport (text by default, ``--format json|csv``,
 (with the failing residual printed; a radial solve whose grid does not
 converge is the failed check ``radial-grid-convergence``), 2 on usage errors
 and on inputs outside the documented domain (a mass out of [0, k/2] or NaN,
-a positive mass or reduced mass below the smallest normal float, quantum
-numbers outside 0 <= l < n_max or more levels than the radial grid holds, a
-grid too small for the demo), reported in one line.
+a k, a positive mass or a reduced mass below the smallest normal float, an
+algebra mass above the largest float, quantum numbers outside
+0 <= l < n_max or more levels than the radial grid holds, a negative seed, a
+demo grid too small or above MAX_GRID_N points per axis, an ``--out`` path
+that cannot be written), reported in one line.
 """
 
 from __future__ import annotations
@@ -196,6 +198,9 @@ def _cmd_mass_compose(args) -> RunReport:
     report = RunReport("mass compose", {"k": k, "masses": list(values)})
     total = masses.compose_many(values, k)
     report.results["M_f"] = float(total)
+    # each fold and each change of coordinate rounds by a few eps k (eps M_f
+    # at k = inf), also near the bound k/2
+    tol = 4 * len(values) * sys.float_info.epsilon * (k if math.isfinite(k) else total)
     algebra_values = []
     at_bound = any(math.isfinite(k) and m >= k / 2 for m in values)
     if not at_bound:
@@ -203,17 +208,15 @@ def _cmd_mass_compose(args) -> RunReport:
         for idx, m in enumerate(algebra_values, start=1):
             report.results[f"m_algebra_{idx}"] = m
         report.results["M_algebra"] = algebra_total = sum(algebra_values)
-        # compared as physical masses, where both sides are well conditioned:
-        # each fold and each change of coordinate rounds by a few eps k
-        # (eps M_f at k = inf), also near the bound k/2
+        if algebra_total == math.inf:
+            raise masses.MassDomainError(
+                f"the algebra mass total exceeds the largest float {sys.float_info.max}")
+        # compared as physical masses, where both sides are well conditioned
         gap = abs(masses.to_physical(algebra_total, k) - total)
-        scale = k if math.isfinite(k) else total
-        report.add(CheckResult.from_residual(
-            "algebra-additivity", gap, 4 * len(values) * sys.float_info.epsilon * scale))
+        report.add(CheckResult.from_residual("algebra-additivity", gap, tol))
     else:
         report.results["note"] = "infinite-mass fixed point: no finite algebra coordinate"
-        report.add(CheckResult.from_residual(
-            "fixed-point", abs(total - k / 2) if math.isfinite(k) else 0.0, 1e-12))
+        report.add(CheckResult.from_residual("fixed-point", abs(total - k / 2), tol))
     return report
 
 
@@ -371,10 +374,29 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the report to this path")
 
 
+#: Largest ``cocycle demo --n``: the demo holds a few complex n^3 grids at
+#: once, about 184 MB at its peak for n = 128.
+MAX_GRID_N = 128
+
+
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def grid_size(text: str) -> int:
+    value = positive_int(text)
+    if value > MAX_GRID_N:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_GRID_N}, got {value}")
     return value
 
 
@@ -441,9 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     coc = sub.add_parser("cocycle", help="projective-phase extraction")
     csub = coc.add_subparsers(dest="op", required=True)
     p = csub.add_parser("demo")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--pairs", type=positive_int, default=10)
-    p.add_argument("--n", type=positive_int, default=32, help="grid points per axis")
+    p.add_argument("--n", type=grid_size, default=32, help="grid points per axis")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_cocycle_demo)
 
@@ -483,8 +505,12 @@ def run(argv=None) -> int:
     report.wall_ms = (time.perf_counter() - start) * 1000.0
     text = _render(report, args.format)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"kgalilei: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     for check in report.failed:

@@ -43,7 +43,6 @@ __all__ = [
     "variable_table",
     "pairing",
     "adjoint_generator",
-    "pairing_form",
     "preserves_pairing",
     "variable_vectors",
     "find_theta",
@@ -102,15 +101,11 @@ def pairing(u, v, m_f, mp_f):
     return m_f * (u[2] * v[0] - u[0] * v[2]) + mp_f * (u[3] * v[1] - u[1] * v[3])
 
 
-def pairing_form(m_f: float, mp_f: float) -> np.ndarray:
-    """The matrix Omega of ``pairing`` on BASIS."""
-    unit = np.eye(4)
-    return np.array([[pairing(u, v, m_f, mp_f) for v in unit] for u in unit])
-
-
 def preserves_pairing(matrix: np.ndarray, m_f: float, mp_f: float, tol: float = 1e-12) -> bool:
-    """Whether the 4x4 ``matrix`` keeps Omega: |A^T Omega A - Omega| <= tol max(1, |Omega|)."""
-    omega = pairing_form(m_f, mp_f)
+    """Whether the 4x4 ``matrix`` keeps Omega, the matrix of ``pairing`` on BASIS:
+    |A^T Omega A - Omega| <= tol max(1, |Omega|)."""
+    unit = np.eye(4)
+    omega = np.array([[pairing(u, v, m_f, mp_f) for v in unit] for u in unit])
     residual = matrix.T @ omega @ matrix - omega
     return float(np.abs(residual).max()) <= tol * max(1.0, float(np.abs(omega).max()))
 
@@ -182,7 +177,9 @@ def find_theta(m_f: float, mp_f: float, k: float) -> ThetaResult:
     omega = (math.sqrt(product) if sys.float_info.min <= product <= sys.float_info.max
              else math.sqrt(m_f) * math.sqrt(mp_f))
     c = (lam + lamp) / (1.0 + lam * lamp)
-    sigma = 0.0 if math.isinf(k) else -2.0 / (k * (1.0 + lam * lamp))
+    # -2 / (k (1 + lam lam')), without the product k (1 + lam lam'), which
+    # overflows for k above half the largest float
+    sigma = 0.0 if math.isinf(k) else -1.0 / ((k / 2) * (1.0 + lam * lamp))
     if c > 0.0:
         # theta* = (sigma / c) atan(x) / x with x = omega sigma / c, formed
         # without the product omega sigma (subnormal for a light pair at

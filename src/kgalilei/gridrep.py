@@ -9,11 +9,12 @@ and acts projectively on a momentum wavefunction (spin 0) by
 
     psi(p) -> exp(i(-p^2 tau / (2 m_f) + p . a)) psi(R^{-1} p - m_f v)
 
-On the grid R is one of the 24 cube rotations, so ``act`` resamples by
-strided slab copies, with numpy alone.  The composition of two such actions
-differs from the action of the product by a constant phase (the 2-cocycle);
-``cocycle_phase`` extracts it numerically and checks that the pointwise ratio
-really is grid-constant.  The closed form
+R is one of the 24 cube rotations (``CUBE_ROTATIONS``), which the product
+and the inverse never leave, so ``act`` resamples by strided slab copies,
+with numpy alone.  The composition of two such actions differs from the
+action of the product by a constant phase (the 2-cocycle); ``cocycle_phase``
+extracts it numerically and checks that the pointwise ratio really is
+grid-constant.  The closed form
 exp(i m_f (v^2 tau' / 2 + v . R a')) is validated against this extraction in
 the tests, never assumed.
 """
@@ -40,7 +41,7 @@ __all__ = [
     "expected_cocycle_angle",
     "angle_difference",
     "gaussian_packet",
-    "axis_aligned_rotations",
+    "CUBE_ROTATIONS",
     "random_in_grid_element",
     "random_in_grid_tuple",
 ]
@@ -64,19 +65,45 @@ class ProjectivityError(RuntimeError):
         self.spread = spread
 
 
-def _check_rotation(R: np.ndarray, tol: float = 1e-12) -> None:
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise ValueError("rotation must be a 3x3 matrix")
-    if np.abs(R.T @ R - np.eye(3)).max() > tol:
-        raise ValueError("rotation is not orthogonal")
-    if abs(np.linalg.det(R) - 1.0) > 1e-10:
-        raise ValueError("rotation must have determinant +1")
+def _rotation_key(R: np.ndarray) -> tuple:
+    return tuple(R.ravel().tolist())
+
+
+def _cube_rotations() -> dict[tuple, tuple[np.ndarray, tuple, tuple]]:
+    """The 24 cube rotations R, in a fixed order, each keyed by its entries' values.
+
+    A key compares values, so -0.0 and 0.0 are one entry.  Each value holds
+    the read-only matrix and, for each axis i of R^{-1}, the axis it reads
+    and the sign it reads it with: R^{-1} p has p[cols[i]] * signs[i] at i.
+    """
+    table = {}
+    for perm in itertools.permutations(range(3)):
+        for row_signs in itertools.product((1.0, -1.0), repeat=3):
+            R = np.zeros((3, 3))
+            R[range(3), perm] = row_signs
+            if np.linalg.det(R) > 0:
+                R.setflags(write=False)
+                cols = tuple(perm.index(i) for i in range(3))
+                signs = tuple(row_signs[row] for row in cols)
+                table[_rotation_key(R)] = (R, cols, signs)
+    return table
+
+
+_ROTATIONS = _cube_rotations()
+
+#: The 24 cube rotations, the only rotations a ``GroupElement`` carries.  The
+#: matrices are shared and read-only; the order is fixed, so seeded draws
+#: from this table are reproducible.
+CUBE_ROTATIONS = tuple(R for R, _, _ in _ROTATIONS.values())
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    """One classical Galilei transformation (time shift, translation, boost, rotation)."""
+    """One classical Galilei transformation (time shift, translation, boost, rotation).
+
+    R must equal one of ``CUBE_ROTATIONS`` (any other matrix raises
+    ValueError), and the element keeps that table's own matrix.
+    """
 
     tau: float = 0.0
     a: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -86,8 +113,11 @@ class GroupElement:
     def __post_init__(self):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
-        _check_rotation(self.R)
+        R = np.asarray(self.R, dtype=float)
+        entry = _ROTATIONS.get(_rotation_key(R)) if R.shape == (3, 3) else None
+        if entry is None:
+            raise ValueError("a group element's rotation must be one of the 24 cube rotations")
+        object.__setattr__(self, "R", entry[0])
 
     def inverse(self) -> "GroupElement":
         Rinv = self.R.T
@@ -158,19 +188,6 @@ def _boost_shift(psi: GridWavefunction, v: np.ndarray):
     return psi.m_f * np.sqrt((v * v).sum(axis=-1))
 
 
-def _signed_permutation(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """For a signed permutation matrix, each row's nonzero column and its sign; else None.
-
-    ``M`` is already known to be orthogonal, so three nonzero entries of
-    magnitude exactly 1 mean one per row and per column.
-    """
-    cols = np.abs(M).argmax(axis=1)
-    signs = M[np.arange(3), cols]
-    if np.count_nonzero(M) != 3 or np.any(np.abs(signs) != 1.0):
-        return None
-    return cols, signs
-
-
 def _slab_taps(c: np.ndarray, n: int, step: int) -> list[tuple[float, slice, slice]]:
     """The linear-interpolation taps of a 1-D resample at a uniform shift.
 
@@ -204,28 +221,24 @@ def _slab_taps(c: np.ndarray, n: int, step: int) -> list[tuple[float, slice, sli
     return taps
 
 
-def act(g: GroupElement, psi: GridWavefunction, in_grid_guard: bool = True) -> GridWavefunction:
-    """Projective action of g on psi (spin 0), for R a cube rotation.
+def act(g: GroupElement, psi: GridWavefunction) -> GridWavefunction:
+    """Projective action of g on psi (spin 0).
 
     The phase exp(i(-p^2 tau / 2m_f + p . a)) is exact pointwise and is built
     as an outer product of one 1-D factor per axis.  The argument
     R^{-1}(p - m_f v) is resampled by trilinear interpolation, a point off the
-    grid reading 0.  R is a signed permutation (one of the 24 rotations of
-    ``axis_aligned_rotations``), so each output axis reads one input axis at a
-    uniform index shift: the resample is one strided slab copy per integer
-    tap, written straight into the output's axis order and scaled by the
-    product of the axes' scalar weights.  A move by whole grid cells, as every
-    ``random_in_grid_*`` draw makes, is a single copy.  Any other rotation
-    would mix the axes and raises ValueError.  Boost shifts larger than
-    p_max/4 are rejected to keep the packet on the grid.
+    grid reading 0.  R is a cube rotation, a signed permutation whose axes
+    and signs ``CUBE_ROTATIONS``' table holds, so each output axis reads one
+    input axis at a uniform index shift: the resample is one strided slab copy
+    per integer tap, written straight into the output's axis order and scaled
+    by the product of the axes' scalar weights.  A move by whole grid cells,
+    as every ``random_in_grid_*`` draw makes, is a single copy.  Boost shifts
+    larger than p_max/4 are rejected to keep the packet on the grid.
     """
     shift = _boost_shift(psi, g.v)
-    if in_grid_guard and shift > 0.25 * psi.p_max:
+    if shift > 0.25 * psi.p_max:
         raise OutOfGridError(f"boost shift {shift:.3g} exceeds p_max/4 = {psi.p_max / 4:.3g}")
-    perm = _signed_permutation(g.R.T)
-    if perm is None:
-        raise ValueError("the grid action needs a cube rotation (a signed permutation "
-                         "matrix); a generic rotation mixes the grid axes")
+    _, cols, signs = _ROTATIONS[_rotation_key(g.R)]
     n = psi.n
     ax = psi.axis()
     h = psi.spacing
@@ -233,7 +246,6 @@ def act(g: GroupElement, psi: GridWavefunction, in_grid_guard: bool = True) -> G
     # group law; input axis i is sampled at signs[i] * s[cols[i]], along
     # output axis cols[i], at the fractional grid indices below
     s = [ax - psi.m_f * g.v[j] for j in range(3)]
-    cols, signs = perm
     taps = [_slab_taps((signs[i] * s[cols[i]] + psi.p_max) / h - 0.5, n, int(signs[i]))
             for i in range(3)]
     out = np.zeros((n, n, n), dtype=complex)
@@ -294,34 +306,6 @@ def angle_difference(a: float, b: float) -> float:
     return min(d, 2.0 * math.pi - d)
 
 
-def _cube_rotations() -> tuple[np.ndarray, ...]:
-    mats = []
-    for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        for sx in (1, -1):
-            for sy in (1, -1):
-                for sz in (1, -1):
-                    R = np.zeros((3, 3))
-                    for row, col in enumerate(perm):
-                        R[row, col] = (sx, sy, sz)[row]
-                    if abs(np.linalg.det(R) - 1.0) < 1e-12:
-                        R.setflags(write=False)
-                        mats.append(R)
-    return tuple(mats)
-
-
-#: The 24 cube rotations, built once; read-only, so draws can share them.
-_CUBE_ROTATIONS = _cube_rotations()
-
-
-def axis_aligned_rotations() -> list[np.ndarray]:
-    """All 24 proper rotations of the cubic grid (exact under interpolation).
-
-    The matrices are shared and read-only; the order is fixed, so seeded
-    draws from this list are reproducible.
-    """
-    return list(_CUBE_ROTATIONS)
-
-
 @functools.cache
 def _cells(max_cells: int) -> np.ndarray:
     """The whole-cell boosts with at most ``max_cells`` cells per axis, one per row.
@@ -340,20 +324,19 @@ def _random_element(rng: np.random.Generator, psi: GridWavefunction,
     tau = float(rng.uniform(-2.0, 2.0))
     a = rng.uniform(-2.0, 2.0, size=3)
     v = cells[rng.integers(len(cells))] * psi.spacing / psi.m_f
-    R = _CUBE_ROTATIONS[int(rng.integers(len(_CUBE_ROTATIONS)))]
+    R = CUBE_ROTATIONS[int(rng.integers(len(CUBE_ROTATIONS)))]
     return GroupElement(tau=tau, a=a, v=v, R=R)
 
 
-def random_in_grid_element(rng: np.random.Generator, psi: GridWavefunction,
-                           max_cells: int = 2) -> GroupElement:
+def random_in_grid_element(rng: np.random.Generator, psi: GridWavefunction) -> GroupElement:
     """A random element whose action on psi is interpolation-exact.
 
     Time shifts and translations are continuous (their action is phase-only);
-    boost shifts are snapped to whole grid cells (at most ``max_cells`` per
-    axis) and rotations drawn from the axis-aligned set, so argument moves
-    land on sample points.
+    boost shifts are snapped to whole grid cells (at most 2 per axis) and
+    rotations drawn from ``CUBE_ROTATIONS``, so argument moves land on sample
+    points.
     """
-    return _random_element(rng, psi, _cells(max_cells))
+    return _random_element(rng, psi, _cells(2))
 
 
 def random_in_grid_tuple(rng: np.random.Generator, psi: GridWavefunction, count: int,

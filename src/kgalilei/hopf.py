@@ -8,8 +8,8 @@ operator M, and the invertible grouplike element E standing for exp(-M/k)
     [J_i, K_j] = i eps_ijl K_l        [K_i, H]   = i P_i
     [K_i, P_j] = i delta_ij c (1 - E^2)
 
-with central constant c = k/2 by default (the normalized convention; the
-unnormalized mu/(1 - e^(-2 mu/k)) is available via ``unnormalized_central``).
+with central constant c = k/2.  Every check below is linear in c, so the
+checks at c = k/2, with k a free symbol, cover every nonzero c.
 
 Enveloping-algebra elements are kept in the normal order J < K < P < H with
 index-lexicographic ties, times central factors M^m E^e; products are
@@ -41,7 +41,6 @@ __all__ = [
     "UEAExpression",
     "TensorExpression",
     "GENERATOR_NAMES",
-    "unnormalized_central",
     "eps",
 ]
 
@@ -55,6 +54,8 @@ _CENTRAL = {"M": (1, 0), "E": (0, 1), "Einv": (0, -1)}
 
 _EMPTY = ()
 _ONE = Rat(1)
+#: i c, with c = k/2 the central constant of [K_i, P_i] = i c (1 - E^2).
+_I_CENTRAL = _I * (sym("k") / 2)
 
 
 def eps(i: int, j: int, k: int) -> int:
@@ -70,13 +71,6 @@ def _letter(name: str) -> tuple:
 
 def _letter_key(letter: tuple) -> tuple:
     return (KIND_RANK[letter[0]], letter[1])
-
-
-def unnormalized_central() -> RationalFunction:
-    """The central constant mu / (1 - e^(-2 mu / k)) with mu a formal symbol."""
-    mu = sym("mu")
-    lam_mu = sym("lam_mu")
-    return mu / (1 - lam_mu ** 2)
 
 
 def _word_str(word: tuple) -> str:
@@ -105,9 +99,6 @@ class UEAExpression(LinearCombination):
         self.algebra = algebra
         self._context = (algebra,)
         super().__init__(terms)
-
-    def degree(self) -> int:
-        return max((len(w[0]) + w[1] for w in self.terms), default=0)
 
     def _product(self, w1: tuple, w2: tuple) -> list[tuple]:
         return self.algebra._word_product(w1, w2)
@@ -147,10 +138,9 @@ class TensorExpression(LinearCombination):
 
 
 class GalileiHopf:
-    """The deformed Galilei Hopf algebra with a configurable central constant."""
+    """The deformed Galilei Hopf algebra, with central constant c = k/2."""
 
-    def __init__(self, central: RationalFunction | None = None):
-        self.central = central if central is not None else sym("k") / 2
+    def __init__(self):
         self._sort_cache: dict = {}
         # [g, h] under (g, h), [[g, h], f] under (g, h, f), and the
         # homomorphism residual of (g, h) under ("Delta", g, h); see _stored
@@ -189,8 +179,7 @@ class GalileiHopf:
         if ka == "K" and kb == "P":
             if ia != ib:
                 return []
-            c = self.central
-            return [(_I * c, _EMPTY, 0, 0), (-(_I * c), _EMPTY, 0, 2)]
+            return [(_I_CENTRAL, _EMPTY, 0, 0), (-_I_CENTRAL, _EMPTY, 0, 2)]
         if ka == "K" and kb == "H":
             return [(_I, (("P", ia),), 0, 0)]
         return []
@@ -302,10 +291,6 @@ class GalileiHopf:
 
     def counit(self, g: str) -> RationalFunction:
         return Rat(1) if g in ("E", "Einv") else Rat(0)
-
-    def antipode(self, g: str) -> UEAExpression:
-        """Antipode of a named generator."""
-        return self.antipode_of(self.gen(g))
 
     def antipode_of(self, expr: UEAExpression) -> UEAExpression:
         """Antipode extended as an anti-homomorphism: S M = -M, S E = E^-1."""

@@ -43,6 +43,9 @@ class MassDomainError(ValueError):
 def check_deformation(k) -> None:
     if not (k > 0):
         raise MassDomainError(f"deformation parameter must be positive, got {k}")
+    if k < sys.float_info.min:
+        raise MassDomainError(f"deformation parameter {k} lies below the smallest normal "
+                              f"float {sys.float_info.min}")
 
 
 def check_physical(m_f, k) -> None:
@@ -54,26 +57,35 @@ def check_physical(m_f, k) -> None:
 
 
 def to_physical(m, k) -> float:
-    """Physical mass of algebra mass m: (k/2)(1 - e^(-2m/k)); m for k = inf."""
+    """Physical mass of algebra mass m: (k/2)(1 - e^(-2m/k)); m for k = inf.
+
+    2m/k is formed as m / (k/2), the same float where 2m does not overflow.
+    """
     check_deformation(k)
     if not m >= 0:
         raise MassDomainError(f"algebra mass must be a nonnegative number, got {m}")
     if math.isinf(k):
         return m
-    return (k / 2) * -math.expm1(-2 * m / k)
+    return (k / 2) * -math.expm1(-m / (k / 2))
 
 
 def to_algebra(m_f, k) -> float:
     """Algebra mass of physical mass m_f: -(k/2) ln(1 - 2 m_f / k).
 
-    The boundary m_f = k/2 has no finite algebra coordinate and is rejected.
+    The boundary m_f = k/2 has no finite algebra coordinate and is rejected,
+    and so is a mass whose algebra coordinate exceeds the largest float
+    (m_f near k/2 at k above about 1e307).
     """
     check_physical(m_f, k)
     if math.isinf(k):
         return m_f
     if m_f >= k / 2:
         raise MassDomainError("infinite mass (m_f >= k/2) has no finite algebra coordinate")
-    return -(k / 2) * math.log1p(-2 * m_f / k)
+    m = -(k / 2) * math.log1p(-2 * m_f / k)
+    if m == math.inf:
+        raise MassDomainError(f"the algebra mass of {m_f} at k = {k} exceeds the largest "
+                              f"float {sys.float_info.max}")
+    return m
 
 
 def compose(m_f, mp_f, k):
@@ -82,16 +94,17 @@ def compose(m_f, mp_f, k):
     Commutative and associative; maps [0, k/2] x [0, k/2] into [0, k/2] and
     fixes k/2 ("infinite mass").  Exact on Fraction inputs.  A float total
     that rounds above k/2 is clamped to it, so a fold stays in the domain.
-    Where the float product 2 m_f m'_f overflows, the cross term is formed as
-    m'_f (2 m_f / k), which m_f <= k/2 keeps finite.
+    Where the float product 2 m_f m'_f overflows or underflows, the cross
+    term is formed as m'_f (2 m_f / k), which m_f <= k/2 keeps comparable
+    to m'_f.
     """
     check_physical(m_f, k)
     check_physical(mp_f, k)
     if math.isinf(k):
         return m_f + mp_f
-    cross = 2 * m_f * mp_f / k
-    if cross == math.inf:
-        cross = mp_f * (2 * m_f / k)
+    product = 2 * m_f * mp_f
+    cross = (product / k if sys.float_info.min <= product < math.inf
+             else mp_f * (2 * m_f / k))
     return min(m_f + mp_f - cross, k / 2)
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from math import comb, factorial
 from operator import add
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .scalars import I, LinearCombination, RationalFunction, Rat
+from .scalars import I, LinearCombination, Rat
 
 __all__ = [
     "CanonicalSymbol",
@@ -26,7 +26,6 @@ __all__ = [
     "position",
     "momentum",
     "scalar",
-    "normal_order",
 ]
 
 N_SLOTS = 6  # (particle, axis) pairs flattened: slot = 3*(A-1) + (i-1)
@@ -83,9 +82,6 @@ class WeylExpression(LinearCombination):
         exp = tuple(exp)
         mono = (exp, _ZERO) if symbol.kind == "x" else (_ZERO, exp)
         return cls({mono: Rat(1)})
-
-    def coefficient(self, mono) -> RationalFunction:
-        return self.terms.get(mono, Rat(0))
 
     # -- the monomial product -------------------------------------------------
 
@@ -149,19 +145,4 @@ def momentum(particle: int, axis: int) -> WeylExpression:
 def scalar(coeff) -> WeylExpression:
     """Multiple of the identity."""
     return WeylExpression.unit(coeff)
-
-
-def normal_order(raw_terms: Iterable[tuple]) -> WeylExpression:
-    """Build an expression from raw (coefficient, [CanonicalSymbol, ...]) terms.
-
-    Symbols may appear in any order; the result is the same algebra element in
-    normal order.
-    """
-    total = WeylExpression.zero()
-    for coeff, word in raw_terms:
-        term = WeylExpression.unit(coeff)
-        for s in word:
-            term = term * WeylExpression.generator(s)
-        total = total + term
-    return total
 

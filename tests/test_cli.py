@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -305,8 +306,10 @@ def _run_quietly(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-#: k finite, infinite or drawn over six decades.
-_EDGE_K = st.sampled_from([1.0, math.inf]) | st.floats(1e-3, 1e3)
+#: k finite, infinite, drawn over six decades, or log-uniform over the
+#: normal floats, where the products of masses underflow and overflow.
+_EDGE_K = (st.sampled_from([1.0, math.inf]) | st.floats(1e-3, 1e3)
+           | st.floats(math.log(sys.float_info.min), math.log(1e308)).map(math.exp))
 
 
 def _edge_mass(k):
@@ -335,6 +338,18 @@ def _mass_argv(draw):
 @example(["mass", "compose", "--k", "7", "3.4999999999999996", "3.4999999999999996"])
 @example(["mass", "compose", "--k", "7", *["3.4999999999999996"] * 3])
 @example(["mass", "compose", "--k", "3", "1.4999999999999998", "1.4999999999999998"])
+# 2 m_f m'_f underflows, yet the cross term is a tenth of the total
+@example(["mass", "compose", "--k", "1e-300", "1e-301", "1e-301"])
+@example(["mass", "reduced", "--k", "1e-300", "1e-301", "1e-301"])
+# a mass at k/2, where the total is one ulp of k/2 off
+@example(["mass", "compose", "--k", "12120.246422388824", "6060.123211194412",
+          "6060.12199916977"])
+# a subnormal k, below the domain
+@example(["mass", "compose", "--k", "1e-310", "1e-311", "1e-311"])
+# algebra masses, or their sum, above the largest float; and 2m above it
+@example(["mass", "compose", "--k", "3.023383144276055e+307", "1.511691269799713e+307"])
+@example(["mass", "compose", "--k", "1.7e+308", "6.6e+307", "6.6e+307"])
+@example(["mass", "convert", "--to", "physical", "--k", "1.7e+308", "1.7e+308"])
 @given(_mass_argv())
 def test_mass_commands_at_domain_edges_hypothesis(argv):
     # m_f in {0, 1e-9 k, (k/2)(1 - 2e-7), k/2, interior}, k finite or inf:
@@ -401,15 +416,28 @@ def _pair_argv(draw):
 @example(["hydrogen", "spectrum", "--mf", "1.19e+73", "--mfp", "6.89e+247", "--k", "2.69e+259"])
 @example(["verify", "equivalence", "--mf", "3.623730029388059e+220",
           "--mfp", "4.1058744948544265e+160", "--k", "1.2348930276464552e+223"])
+# k (1 + lam lam') above the largest float
+@example(["verify", "equivalence", "--mf", "9.31267570173388e+298",
+          "--mfp", "2.32816892543347e+307", "--k", "9.31267570173388e+307"])
+# 2 m_f m'_f underflows, yet the cross term is a tenth of the total
+@example(["hydrogen", "spectrum", "--mf", "1e-301", "--mfp", "1e-301", "--k", "1e-300",
+          "--solver", "closed"])
 @given(_pair_argv())
 def test_pair_commands_at_domain_edges_hypothesis(argv):
     # `verify equivalence` and `hydrogen spectrum` (default --nmax) over the
-    # same edge masses: a correct report or a one-line domain error
+    # same edge masses: a correct report or a one-line domain error.  The
+    # spectrum's v_f matches m_f m'_f / M_f in exact arithmetic, to the 12
+    # digits a report prints
     code, out, err = _run_quietly(argv + ["--format", "json"])
     assert code in (0, 2), (code, err)
     if code == 0:
-        json.loads(out)
+        report = json.loads(out)
         assert '"nan"' not in out
+        if report["command"] == "hydrogen spectrum":
+            m, mp, k = (float(argv[argv.index(flag) + 1]) for flag in ("--mf", "--mfp", "--k"))
+            m, mp = Fraction(m), Fraction(mp)
+            exact = float(m * mp / (m + mp - (0 if math.isinf(k) else 2 * m * mp / Fraction(k))))
+            assert abs(report["results"]["v_f"] - exact) <= 1e-11 * exact
     else:
         assert out == "" and err.startswith("kgalilei: error: ")
         assert len(err.splitlines()) == 1
@@ -427,6 +455,37 @@ def test_reduced_mass_where_the_product_underflows():
     # a reduced mass below the smallest normal float is out of the domain
     with pytest.raises(masses.MassDomainError, match="smallest normal float"):
         masses.reduced(5e-324, 5e-324, 1.0)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "must be a non-negative integer, got -1"),
+    ("--n", "100000", "must be at most 128, got 100000"),
+])
+def test_cocycle_demo_rejects_a_negative_seed_and_an_oversized_grid(flag, value, message,
+                                                                     capsys):
+    # numpy's generator takes no negative seed, and a 100000-point grid per
+    # axis would need petabytes: usage errors, before the demo starts
+    with pytest.raises(SystemExit) as info:
+        run(["cocycle", "demo", flag, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: kgalilei cocycle demo")
+    assert captured.err.splitlines()[-1] == (
+        f"kgalilei cocycle demo: error: argument {flag}: {message}")
+
+
+@pytest.mark.parametrize("argv", [["mass", "compose", "--k", "1", "0.3", "0.4"],
+                                  ["verify", "equivalence", "--mf", "0.3", "--mfp", "0.4",
+                                   "--k", "1"]])
+def test_unwritable_out_path_exits_two(argv, tmp_path, capsys):
+    # a missing directory, or a directory itself: one error line, no report
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        assert run(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"kgalilei: error: cannot write {out}: ")
 
 
 def test_usage_error_exits_two():
@@ -577,6 +636,7 @@ def test_cocycle_demo_deterministic(tmp_path):
     ["mass", "compose", "--k", "1", "0.7", "0.3"],
     ["mass", "compose", "--k", "inf", "inf", "0.3"],
     ["mass", "reduced", "--k", "1", "0", "0"],
+    ["mass", "compose", "--k", "1e-310", "1e-311", "1e-311"],
     ["cocycle", "demo", "--n", "4"],
     _SPECTRUM + ["--nmax", "2", "--l", "5"],
     _SPECTRUM + ["--nmax", "0"],
@@ -584,9 +644,10 @@ def test_cocycle_demo_deterministic(tmp_path):
     _SPECTRUM + ["--nmax", "6000", "--solver", "radial"],
 ])
 def test_out_of_domain_input_exits_two(argv, capsys):
-    # a mass outside [0, k/2] (or NaN), quantum numbers outside 0 <= l < n_max,
-    # more levels than the radial grid holds and a grid too small for the demo
-    # are reported in one line, with no traceback and no report
+    # a mass outside [0, k/2] (or NaN), a k below the smallest normal float,
+    # quantum numbers outside 0 <= l < n_max, more levels than the radial grid
+    # holds and a grid too small for the demo are reported in one line, with
+    # no traceback and no report
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -14,12 +14,12 @@ from scipy.ndimage import map_coordinates
 
 import kgalilei
 from kgalilei.gridrep import (
+    CUBE_ROTATIONS,
     GridWavefunction,
     GroupElement,
     OutOfGridError,
     act,
     angle_difference,
-    axis_aligned_rotations,
     cocycle_angle,
     cocycle_phase,
     expected_cocycle_angle,
@@ -27,17 +27,17 @@ from kgalilei.gridrep import (
     gaussian_packet,
     random_in_grid_element,
     random_in_grid_tuple,
+    _slab_taps,
 )
 
 
 def random_element(rng):
-    # generic (not grid-snapped) element with a proper random rotation
-    from scipy.spatial.transform import Rotation
+    # generic (not grid-snapped) element with a random cube rotation
     return GroupElement(
         tau=rng.uniform(-1, 1),
         a=rng.uniform(-1, 1, size=3),
         v=rng.uniform(-0.5, 0.5, size=3),
-        R=Rotation.random(random_state=int(rng.integers(10 ** 6))).as_matrix(),
+        R=CUBE_ROTATIONS[int(rng.integers(len(CUBE_ROTATIONS)))],
     )
 
 
@@ -65,10 +65,38 @@ def test_inverse():
 
 
 def test_rotation_validation():
-    with pytest.raises(ValueError):
-        GroupElement(R=np.diag([1.0, 1.0, -1.0]))  # improper
-    with pytest.raises(ValueError):
-        GroupElement(R=2.0 * np.eye(3))
+    for R in (np.diag([1.0, 1.0, -1.0]),  # improper
+              2.0 * np.eye(3), np.eye(3)[:2], np.full((3, 3), np.nan)):
+        with pytest.raises(ValueError, match="cube rotations"):
+            GroupElement(R=R)
+
+
+def test_product_and_inverse_stay_in_the_rotation_table():
+    # all 576 products and 24 inverses are table matrices, and an element
+    # keeps the table's own matrix
+    table = {id(Q) for Q in CUBE_ROTATIONS}
+    for R in CUBE_ROTATIONS:
+        g = GroupElement(R=R)
+        assert g.R is R
+        inverse = g.inverse().R
+        assert id(inverse) in table and np.array_equal(inverse, R.T)
+        for Q in CUBE_ROTATIONS:
+            product = galilei_multiply(g, GroupElement(R=Q)).R
+            assert id(product) in table and np.array_equal(product, R @ Q)
+
+
+def test_negative_zero_entries_name_the_same_rotation():
+    # the table compares entry values, so -0.0 reads as 0.0
+    psi = gaussian_packet(n=16, center=(1.25, 0.25, -0.75))
+    for R in CUBE_ROTATIONS:
+        signed = np.where(R == 0.0, -0.0, R)
+        assert np.signbit(signed).sum() > np.signbit(R).sum()
+        g = GroupElement(tau=0.3, a=np.array([0.2, -0.1, 0.4]), v=np.array([0.5, 0.0, -0.5]),
+                         R=signed)
+        assert g.R is R
+        out = act(g, psi).values
+        same = act(GroupElement(tau=0.3, a=g.a, v=g.v, R=R), psi).values
+        assert np.array_equal(out, same)
 
 
 def test_identity_acts_trivially():
@@ -100,7 +128,7 @@ def test_boost_moves_packet():
 
 def test_axis_aligned_rotation_exact():
     psi = gaussian_packet(n=16, center=(1.25, 0.25, -0.75))
-    mats = axis_aligned_rotations()
+    mats = CUBE_ROTATIONS
     assert len(mats) == 24
     # one shared table: every draw reads the same matrices, so none may change
     assert not any(R.flags.writeable for R in mats)
@@ -133,48 +161,68 @@ def test_separable_action_matches_map_coordinates():
     for n, m_f in itertools.product((8, 16, 32), (1.3, 1.0)):
         values = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
         psi = GridWavefunction(values, 8.0, m_f)
-        for R in axis_aligned_rotations():
-            cells = rng.integers(-3, 4, size=3)
-            for v in (cells * psi.spacing / psi.m_f, rng.uniform(-1.5, 1.5, size=3),
-                      np.array([9.0, -0.3, 12.5])):
+        # whole cells within the guard's p_max/4, and a fractional boost
+        most = int(n / (8 * math.sqrt(3)))
+        for R in CUBE_ROTATIONS:
+            cells = rng.integers(-most, most + 1, size=3)
+            for v in (cells * psi.spacing / psi.m_f, rng.uniform(-1.1, 1.1, size=3) / m_f):
                 g = GroupElement(tau=rng.uniform(-2, 2), a=rng.uniform(-2, 2, size=3),
                                  v=v, R=R)
-                out = act(g, psi, in_grid_guard=False).values
+                out = act(g, psi).values
                 assert np.abs(out - reference_act(g, psi)).max() <= 1e-12
 
 
-@given(n=st.integers(2, 8), rotation=st.integers(0, 23), m_f=st.sampled_from([1.0, 1.3]),
-       cells=st.tuples(*[st.one_of(st.integers(-20, 20).map(float), st.floats(-20.0, 20.0))
+@given(n=st.integers(2, 16), rotation=st.integers(0, 23), m_f=st.sampled_from([1.0, 1.3]),
+       cells=st.tuples(*[st.one_of(st.integers(-2, 2).map(float), st.floats(-2.0, 2.0))
                          for _ in range(3)]),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_cube_rotation_act_edges_hypothesis(n, rotation, m_f, cells, seed):
-    # small grids, whole and fractional boosts in grid cells, up to moves of
-    # the whole slab off the grid (every slice empty)
+    # small grids, whole and fractional boosts in grid cells; a boost past
+    # the p_max/4 guard is shortened to fit it, losing its whole cells
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
     psi = GridWavefunction(values, 8.0, m_f)
+    shift = np.array(cells) * psi.spacing
+    norm, fits = np.linalg.norm(shift), 0.99 * psi.p_max / 4
+    if norm > fits:
+        shift *= fits / norm
     g = GroupElement(tau=rng.uniform(-2, 2), a=rng.uniform(-2, 2, size=3),
-                     v=np.array(cells) * psi.spacing / m_f, R=axis_aligned_rotations()[rotation])
-    out = act(g, psi, in_grid_guard=False).values
+                     v=shift / m_f, R=CUBE_ROTATIONS[rotation])
+    out = act(g, psi).values
     assert np.abs(out - reference_act(g, psi)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("step", [1, -1])
+def test_slab_moved_off_the_grid_has_no_taps(step):
+    # a whole slab moved past either edge (or read at NaN) reads nothing
+    n = 6
+    start = 0 if step > 0 else n - 1
+    for shift in (n, n + 0.5, 40.0, -n, -n - 0.25, -40.0):
+        assert _slab_taps(start + step * np.arange(n) + shift, n, step) == []
+    assert _slab_taps(np.full(n, np.nan), n, step) == []
+    # one cell short of that, a single output point reads the edge sample
+    (weight, dst, src), = _slab_taps(start + step * np.arange(n) + (n - 1), n, step)
+    assert weight == 1.0
+    assert len(range(n)[dst]) == 1 and list(range(n)[src]) == [n - 1]
+
+
 def test_generic_rotation_is_rejected():
-    # a group element may carry any proper rotation, but the grid action
-    # resamples only along the grid axes
-    psi = gaussian_packet(n=8)
-    g = GroupElement(R=random_element(np.random.default_rng(3)).R)
-    with pytest.raises(ValueError, match="cube rotation"):
-        act(g, psi)
+    # the grid resamples only along its axes, so a group element carries a
+    # cube rotation alone: any other proper rotation is rejected when built
+    from scipy.spatial.transform import Rotation
+    c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+    for R in (np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),  # 30 degrees about z
+              Rotation.random(random_state=3).as_matrix()):
+        assert abs(np.linalg.det(R) - 1.0) <= 1e-12
+        with pytest.raises(ValueError, match="cube rotations"):
+            GroupElement(R=R)
 
 
 def test_out_of_grid_guard():
     psi = gaussian_packet(n=16, p_max=8.0)
     with pytest.raises(OutOfGridError):
         act(GroupElement(v=np.array([3.0, 0.0, 0.0])), psi)
-    # the guard can be disabled explicitly
-    act(GroupElement(v=np.array([3.0, 0.0, 0.0])), psi, in_grid_guard=False)
 
 
 def test_cocycle_constant_and_matches_closed_form():
@@ -204,7 +252,7 @@ def test_cocycle_identity_on_triples():
 def test_cocycle_trivial_for_rotations_and_translations():
     psi = gaussian_packet()
     g = GroupElement(tau=0.5, a=np.array([0.3, 0.1, -0.2]))
-    gp = GroupElement(R=axis_aligned_rotations()[3])
+    gp = GroupElement(R=CUBE_ROTATIONS[3])
     assert abs(cocycle_angle(g, gp, psi)) <= 1e-10
     assert abs(expected_cocycle_angle(g, gp, psi.m_f)) <= 1e-15
 
@@ -238,7 +286,7 @@ def test_tuple_draws_for_seed_0_pinned():
     # stream is fixed by the seed
     psi = gaussian_packet(n=32)
     rng = np.random.default_rng(0)
-    mats = axis_aligned_rotations()
+    mats = CUBE_ROTATIONS
     drawn = []
     for _ in range(4):
         for e in random_in_grid_tuple(rng, psi, 2):

@@ -122,6 +122,8 @@ def test_domain_errors():
         to_algebra(0.5, 1.0)  # the bound has no finite coordinate
     with pytest.raises(MassDomainError):
         masses.check_deformation(0.0)
+    with pytest.raises(MassDomainError, match="smallest normal float"):
+        compose(1e-311, 1e-311, 1e-310)  # a subnormal k
     with pytest.raises(MassDomainError):
         reduced(0.0, 0.0, 1.0)
     with pytest.raises(MassDomainError):
@@ -139,3 +141,24 @@ def test_domain_errors():
 def test_compose_commutative_hypothesis(k, fa, fb):
     a, b = fa * k / 2, fb * k / 2
     assert compose(a, b, k) == compose(b, a, k)
+
+
+def test_conversions_near_the_largest_float():
+    # 2m overflows at m = k = 1.7e308, but 2m/k = 2 does not
+    k = 1.7e308
+    assert to_physical(k, k) == (k / 2) * -math.expm1(-2.0)
+    # the algebra mass of 0.99 (k/2) is about 2.3 k, above the largest float
+    with pytest.raises(MassDomainError, match="largest float"):
+        to_algebra(0.99 * (k / 2), k)
+
+
+@given(st.floats(0.5, 4.0), st.floats(2e-3, 1.0), st.floats(2e-3, 1.0), st.floats(-300.0, 300.0))
+@settings(max_examples=300, deadline=None)
+def test_compose_scales_with_k_hypothesis(k, fa, fb, e):
+    # M_f is homogeneous of degree one in (m_f, m'_f, k), also where the
+    # product 2 m_f m'_f underflows or overflows: within the 4 ulps that
+    # rounding the scaled inputs and the three operations allow
+    s = 10.0 ** e
+    m, mp = fa * k / 2, fb * k / 2
+    scaled = s * compose(m, mp, k)
+    assert abs(compose(s * m, s * mp, s * k) - scaled) <= 4 * math.ulp(scaled)

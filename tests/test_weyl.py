@@ -6,10 +6,8 @@ import sympy as sp
 
 from kgalilei.scalars import Rat, sym
 from kgalilei.weyl import (
-    CanonicalSymbol,
     WeylExpression,
     momentum,
-    normal_order,
     position,
     scalar,
 )
@@ -50,18 +48,16 @@ def test_canonical_commutators():
 
 
 def test_normal_order_ordered_word_unchanged():
-    x_sym = CanonicalSymbol("x", 1, 1)
-    p_sym = CanonicalSymbol("p", 1, 1)
-    ordered = normal_order([(1, [x_sym, x_sym, p_sym])])
-    assert ordered == position(1, 1) * position(1, 1) * momentum(1, 1)
+    # x x p is already in normal order: one monomial, coefficient 1
+    ordered = position(1, 1) * position(1, 1) * momentum(1, 1)
+    assert ordered.terms == {((2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)): Rat(1)}
 
 
 def test_normal_order_reorders_px():
-    x_sym = CanonicalSymbol("x", 1, 1)
-    p_sym = CanonicalSymbol("p", 1, 1)
     # p x = x p - i
-    assert normal_order([(1, [p_sym, x_sym])]) == \
-        position(1, 1) * momentum(1, 1) - scalar(I)
+    x_p = ((1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0))
+    zero = ((0,) * 6, (0,) * 6)
+    assert (momentum(1, 1) * position(1, 1)).terms == {x_p: Rat(1), zero: -I}
 
 
 def test_reorder_p_x():
