@@ -12,7 +12,8 @@ Subcommands:
 Every subcommand emits a RunReport (text by default, ``--format json|csv``,
 ``--out <path>``).  Exit status: 0 if no check failed, 1 on a failed check
 (with the failing residual printed; a radial solve whose grid does not
-converge is the failed check ``radial-grid-convergence``), 2 on usage errors
+converge is the failed check ``radial-grid-convergence``, a theta* that
+misses a variable ``theta-maps-all-variables``), 2 on usage errors
 and on inputs outside the documented domain (a mass out of [0, k/2] or NaN,
 a k, a positive mass or a reduced mass below the smallest normal float, an
 algebra mass above the largest float, quantum numbers outside
@@ -151,7 +152,14 @@ def _cmd_verify_realization(args) -> RunReport:
 def _cmd_verify_equivalence(args) -> RunReport:
     m_f, mp_f, k = args.mf, args.mfp, args.k
     report = RunReport("verify equivalence", {"mf": m_f, "mfp": mp_f, "k": k})
-    theta = equivalence.find_theta(m_f, mp_f, k)
+    try:
+        theta = equivalence.find_theta(m_f, mp_f, k)
+        us = equivalence.us_matrix(m_f, k)
+    except equivalence.StructuralFailureError as exc:
+        # theta* for the pair or for identical masses misses a variable: the
+        # other checks need its map
+        report.add(CheckResult("theta-maps-all-variables", STATUS_FAIL, exc.residual, str(exc)))
+        return report
     report.results["theta"] = theta.theta
     report.add(CheckResult.from_residual(
         "theta-maps-all-variables", theta.residual, equivalence.THETA_TOL))
@@ -159,7 +167,6 @@ def _cmd_verify_equivalence(args) -> RunReport:
     report.add(CheckResult("pairing-preservation",
                            STATUS_PASS if pairing_ok else STATUS_FAIL,
                            0.0 if pairing_ok else 1.0))
-    us = equivalence.us_matrix(m_f, k)
     report.add(CheckResult.from_residual(
         "involution-(US)^2", equivalence.check_involution(us), 1e-10))
 

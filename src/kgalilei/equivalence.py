@@ -68,7 +68,11 @@ THETA_TOL = 1e-10
 
 
 class StructuralFailureError(RuntimeError):
-    """Raised when a claimed structural property fails numerically."""
+    """Raised when a claimed structural property fails numerically by ``residual``."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 def variable_table(m_f, mp_f, lam, lamp, M_f) -> tuple[dict, dict]:
@@ -201,8 +205,7 @@ def find_theta(m_f: float, mp_f: float, k: float) -> ThetaResult:
     if not residual <= THETA_TOL:
         raise StructuralFailureError(
             f"theta* = {theta} leaves a relative residual {residual:.3e} > {THETA_TOL} "
-            f"(m_f={m_f}, m'_f={mp_f}, k={k})"
-        )
+            f"(m_f={m_f}, m'_f={mp_f}, k={k})", residual)
     return ThetaResult(theta, residual, mat)
 
 

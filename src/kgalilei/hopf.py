@@ -24,12 +24,15 @@ expressions, handle them; a named generator's Delta and S are those maps
 applied to it.  Each algebra instance computes a generator bracket [g, h], a
 left-normed double bracket [[g, h], f], a homomorphism residual
 Delta([g, h]) - [Delta g, Delta h] and a generator coproduct once and keeps it
-(at most 13^2 + 13^3 + 13^2 + 13 values), so a Jacobi sum is three stored
-double brackets.  The first three are antisymmetric in (g, h): each is built
-once per unordered pair and its mirror stored as the exact negation, the
-diagonal is zero, and a double bracket whose inner bracket is zero is stored
-as zero with no commutator taken.  Sharing the stored values is safe because
-no element changes after construction.
+(at most 13^2 + 13^3 + 13^2 + 13 values), and a Jacobi sum, three stored
+double brackets, once per set of three distinct names (286 values).  The first
+three are antisymmetric in (g, h): each is built once per unordered pair and
+its mirror stored as the exact negation, the diagonal is zero, and a double
+bracket whose inner bracket is zero is stored as zero with no commutator taken.
+The Jacobi sum is alternating for any product, each term being linear in a
+commutator: another order of its names gives the stored value or its exact
+negation, a repeated name zero.  Sharing the stored values is safe because no
+element changes after construction.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ KIND_RANK = {"J": 0, "K": 1, "P": 2, "H": 3}
 
 #: Public generator names of the algebra.
 GENERATOR_NAMES = ("J1", "J2", "J3", "K1", "K2", "K3", "P1", "P2", "P3", "H", "M", "E", "Einv")
+
+_RANK = {name: rank for rank, name in enumerate(GENERATOR_NAMES)}
 
 #: The central generators, as the exponents (m, e) of M and E in a word.
 _CENTRAL = {"M": (1, 0), "E": (0, 1), "Einv": (0, -1)}
@@ -142,8 +147,9 @@ class GalileiHopf:
 
     def __init__(self):
         self._sort_cache: dict = {}
-        # [g, h] under (g, h), [[g, h], f] under (g, h, f), and the
-        # homomorphism residual of (g, h) under ("Delta", g, h); see _stored
+        # [g, h] under (g, h), [[g, h], f] under (g, h, f), the homomorphism
+        # residual of (g, h) under ("Delta", g, h), see _stored, and the
+        # Jacobi sum of a sorted triple under ("Jacobi", g, h, f)
         self._bracket_cache: dict = {}
         self._coproduct_cache: dict = {}
         self.rewrite_steps = 0
@@ -305,9 +311,19 @@ class GalileiHopf:
     # -- residual checks ---------------------------------------------------------
 
     def check_jacobi(self, g1: str, g2: str, g3: str) -> UEAExpression:
-        """[[g1,g2],g3] + [[g2,g3],g1] + [[g3,g1],g2]; zero iff consistent."""
-        return (self.double_bracket(g1, g2, g3) + self.double_bracket(g2, g3, g1)
-                + self.double_bracket(g3, g1, g2))
+        """[[g1,g2],g3] + [[g2,g3],g1] + [[g3,g1],g2]; zero iff consistent.
+
+        Built once for the names in ``GENERATOR_NAMES`` order; see the module docstring.
+        """
+        triple = (g1, g2, g3)
+        a, b, c = sorted(triple, key=_RANK.__getitem__)
+        if a == b or b == c:
+            return self.zero()
+        cache, key = self._bracket_cache, ("Jacobi", a, b, c)
+        if key not in cache:
+            cache[key] = (self.double_bracket(a, b, c) + self.double_bracket(b, c, a)
+                          + self.double_bracket(c, a, b))
+        return cache[key] if triple in ((a, b, c), (b, c, a), (c, a, b)) else -cache[key]
 
     def check_hom(self, g: str, h: str) -> TensorExpression:
         """Delta([g,h]) - [Delta g, Delta h]; zero iff Delta is an algebra map.

@@ -202,6 +202,21 @@ def test_verify_equivalence_fails_on_a_nan_us(monkeypatch, capsys):
     assert failed["projector-idempotence"] == "nan"
 
 
+def test_verify_equivalence_reports_a_failed_theta_gate(monkeypatch, capsys):
+    # find_theta raises past its gate; the command names the failed check
+    # with its residual and one line of detail, and prints no traceback
+    monkeypatch.setattr(equivalence, "THETA_TOL", -1.0)
+    assert run(["verify", "equivalence", "--mf", "0.3", "--mfp", "0.4", "--k", "1",
+                "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    (check,) = json.loads(captured.out)["checks"]
+    assert check["name"] == "theta-maps-all-variables" and check["status"] == "fail"
+    assert 0.0 <= check["residual"] <= 1e-10
+    assert check["detail"].startswith("theta* = ") and "\n" not in check["detail"]
+    assert captured.err.startswith("FAIL theta-maps-all-variables: residual = ")
+    assert "Traceback" not in captured.err
+
+
 def test_verify_equivalence_fails_on_a_nan_fermi_projector(monkeypatch, capsys):
     # the Bose projector stays finite: its residual must not hide the NaN one
     project = equivalence.project

@@ -238,17 +238,24 @@ def test_wrong_bracket_sign_breaks_jacobi(monkeypatch, capsys):
     assert broken.bracket("J1", "P2") == broken.gen("P3").scale(-Rat(sp.I))
     assert broken.check_jacobi("J1", "K2", "H") == broken.gen("P3").scale(-2)
 
-    fresh = GalileiHopf()
-    gen = fresh.gen
+    gen = broken.gen
 
     def double(g, h, f):
         return gen(g).commutator(gen(h)).commutator(gen(f))
 
-    failing = []
+    # the stored Jacobi sums, one per unordered triple, answer every ordered
+    # triple exactly as a fresh sum does, sign included, on nonzero residuals
+    failing, repeated = [], 0
     for g, h, f in itertools.product(GENERATOR_NAMES, repeat=3):
         residual = double(g, h, f) + double(h, f, g) + double(f, g, h)
+        stored = broken.check_jacobi(g, h, f)
+        assert stored == residual, (g, h, f)
+        if len({g, h, f}) < 3:
+            repeated += 1
+            assert stored.is_zero and residual.is_zero
         if not residual.is_zero:
             failing.append(f"{g}, {h}, {f}: {residual!r}")
+    assert repeated == 481
     assert failing
 
     assert run(["verify", "hopf", "--format", "json"]) == 1
@@ -300,25 +307,29 @@ def test_misplaced_twist_fails_only_the_homomorphism(monkeypatch, capsys):
 
 def test_verify_hopf_reuses_brackets(monkeypatch, capsys):
     # work guard, counts and not timings: each antisymmetric pair of
-    # brackets, double brackets and homomorphism residuals is built once,
-    # and no commutator is taken of a zero bracket, so the scan makes at most
-    # 1,000 enveloping-algebra and 300 tensor products (4,766 and 407 when
-    # both orders of each pair were built, 26,766 UEA products when every
-    # Jacobi sum built its six brackets)
-    calls = {UEAExpression: 0, TensorExpression: 0}
+    # brackets, double brackets and homomorphism residuals is built once, no
+    # commutator is taken of a zero bracket, and each Jacobi sum is added up
+    # once per unordered triple, so the scan makes at most 700
+    # enveloping-algebra products, 300 tensor products and 1,200
+    # enveloping-algebra additions (736 products and 4,806 additions when
+    # every ordered triple added its own sum, 4,766 UEA and 407 tensor
+    # products when both orders of each pair were built)
+    calls = {(UEAExpression, "__mul__"): 0, (TensorExpression, "__mul__"): 0,
+             (UEAExpression, "__add__"): 0}
 
-    def count(cls):
-        multiply = cls.__mul__
+    def count(cls, name):
+        method = getattr(cls, name)
 
         def counted(self, other):
-            calls[cls] += 1
-            return multiply(self, other)
+            calls[cls, name] += 1
+            return method(self, other)
 
-        monkeypatch.setattr(cls, "__mul__", counted)
+        monkeypatch.setattr(cls, name, counted)
 
-    count(UEAExpression)
-    count(TensorExpression)
+    for cls, name in calls:
+        count(cls, name)
     assert run(["verify", "hopf"]) == 0
     capsys.readouterr()
-    assert 0 < calls[UEAExpression] <= 1000
-    assert 0 < calls[TensorExpression] <= 300
+    assert 0 < calls[UEAExpression, "__mul__"] <= 700
+    assert 0 < calls[TensorExpression, "__mul__"] <= 300
+    assert 0 < calls[UEAExpression, "__add__"] <= 1200
