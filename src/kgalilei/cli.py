@@ -382,7 +382,7 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 #: Largest ``cocycle demo --n``: the demo holds a few complex n^3 grids at
-#: once, about 184 MB at its peak for n = 128.
+#: once, about 169 MB at its peak (``ru_maxrss``) for n = 128.
 MAX_GRID_N = 128
 
 

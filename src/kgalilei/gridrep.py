@@ -14,9 +14,12 @@ and the inverse never leave, so ``act`` resamples by strided slab copies,
 with numpy alone.  The composition of two such actions differs from the
 action of the product by a constant phase (the 2-cocycle); ``cocycle_phase``
 extracts it numerically and checks that the pointwise ratio really is
-grid-constant.  The closed form
-exp(i m_f (v^2 tau' / 2 + v . R a')) is validated against this extraction in
-the tests, never assumed.
+grid-constant.  The closed form exp(i m_f (v^2 tau' / 2 + v . R a')) is
+validated against this extraction in the tests, never assumed.
+
+``cocycle_phase`` writes both sides into a workspace of three complex n^3
+grids, kept for the last grid size, so repeated extractions on one grid
+allocate no grid; calls from several threads at once are not supported.
 """
 
 from __future__ import annotations
@@ -221,7 +224,14 @@ def _slab_taps(c: np.ndarray, n: int, step: int) -> list[tuple[float, slice, sli
     return taps
 
 
-def act(g: GroupElement, psi: GridWavefunction) -> GridWavefunction:
+@functools.lru_cache(maxsize=1)
+def _scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three complex n^3 grids, kept for the last n: ``act``'s phase, and the
+    two sides ``cocycle_phase`` compares.  None of them leaves this module."""
+    return tuple(np.empty((n, n, n), dtype=complex) for _ in range(3))
+
+
+def act(g: GroupElement, psi: GridWavefunction, out: np.ndarray | None = None) -> GridWavefunction:
     """Projective action of g on psi (spin 0).
 
     The phase exp(i(-p^2 tau / 2m_f + p . a)) is exact pointwise and is built
@@ -234,12 +244,24 @@ def act(g: GroupElement, psi: GridWavefunction) -> GridWavefunction:
     by the product of the axes' scalar weights.  A move by whole grid cells,
     as every ``random_in_grid_*`` draw makes, is a single copy.  Boost shifts
     larger than p_max/4 are rejected to keep the packet on the grid.
+
+    The result is a new array, or ``out`` if given: a C-contiguous complex128
+    (n, n, n) array that shares no memory with psi.values (anything else
+    raises ValueError), which is overwritten.
     """
+    n = psi.n
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.complex128
+                                and out.shape == (n, n, n) and out.flags.c_contiguous
+                                and not np.shares_memory(out, psi.values)):
+        raise ValueError("out must be a C-contiguous complex128 (n, n, n) array apart from psi")
     shift = _boost_shift(psi, g.v)
     if shift > 0.25 * psi.p_max:
         raise OutOfGridError(f"boost shift {shift:.3g} exceeds p_max/4 = {psi.p_max / 4:.3g}")
+    if out is None:
+        out = np.zeros((n, n, n), dtype=complex)
+    else:
+        out.fill(0)
     _, cols, signs = _ROTATIONS[_rotation_key(g.R)]
-    n = psi.n
     ax = psi.axis()
     h = psi.spacing
     # argument: R^{-1}(p - m_f v) -- the grouping that composes with the
@@ -248,7 +270,6 @@ def act(g: GroupElement, psi: GridWavefunction) -> GridWavefunction:
     s = [ax - psi.m_f * g.v[j] for j in range(3)]
     taps = [_slab_taps((signs[i] * s[cols[i]] + psi.p_max) / h - 0.5, n, int(signs[i]))
             for i in range(3)]
-    out = np.zeros((n, n, n), dtype=complex)
     view = out.transpose(cols)
     for combo in itertools.product(*taps):
         weights, dst, src = zip(*combo)
@@ -258,7 +279,9 @@ def act(g: GroupElement, psi: GridWavefunction) -> GridWavefunction:
         else:
             view[dst] += weight * psi.values[src]
     e = [np.exp(1j * (-ax ** 2 * g.tau / (2.0 * psi.m_f) + ax * g.a[j])) for j in range(3)]
-    out *= e[0][:, None, None] * e[1][None, :, None] * e[2][None, None, :]
+    phase = _scratch(n)[0]
+    np.multiply(e[0][:, None, None] * e[1][None, :, None], e[2][None, None, :], out=phase)
+    out *= phase
     return GridWavefunction(out, psi.p_max, psi.m_f)
 
 
@@ -268,11 +291,13 @@ def cocycle_phase(g: GroupElement, gp: GroupElement, psi: GridWavefunction) -> c
     Computes act(g) act(g') psi and act(g g') psi, masks the points below
     AMPLITUDE_CUT of the peak amplitude, and demands the pointwise ratio be
     constant across the grid (max deviation from its mean <= SPREAD_TOL);
-    returns the mean phase.
+    returns the mean phase.  Both sides, and the amplitude, are written into
+    the workspace of psi's grid size.
     """
-    lhs = act(g, act(gp, psi)).values
-    rhs = act(galilei_multiply(g, gp), psi).values
-    amplitude = np.abs(rhs)
+    phase, first, second = _scratch(psi.n)
+    lhs = act(g, act(gp, psi, out=first), out=second).values
+    rhs = act(galilei_multiply(g, gp), psi, out=first).values
+    amplitude = np.abs(rhs, out=phase.real)
     mask = amplitude >= AMPLITUDE_CUT * amplitude.max()
     if not mask.any():
         raise ValueError("wavefunction vanishes on the reference region")

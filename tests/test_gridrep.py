@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from kgalilei.gridrep import (
     GridWavefunction,
     GroupElement,
     OutOfGridError,
+    ProjectivityError,
     act,
     angle_difference,
     cocycle_angle,
@@ -27,6 +29,7 @@ from kgalilei.gridrep import (
     gaussian_packet,
     random_in_grid_element,
     random_in_grid_tuple,
+    _scratch,
     _slab_taps,
 )
 
@@ -223,6 +226,69 @@ def test_out_of_grid_guard():
     psi = gaussian_packet(n=16, p_max=8.0)
     with pytest.raises(OutOfGridError):
         act(GroupElement(v=np.array([3.0, 0.0, 0.0])), psi)
+
+
+def test_act_into_out_matches_a_new_array():
+    # act(out=) overwrites out, pre-filled with NaN, with exactly the array a
+    # plain act allocates: for whole-cell draws, a fractional boost read
+    # through several taps, and a boost that moves two x-slabs off the grid
+    rng = np.random.default_rng(8)
+    n = 16
+    psi = GridWavefunction(rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n)), 8.0, 1.0)
+    h = psi.spacing
+    elements = [g for _ in range(4) for g in random_in_grid_tuple(rng, psi, 2)]
+    fractional = GroupElement(tau=0.4, a=np.array([0.3, -0.2, 0.1]),
+                              v=np.array([0.37, -0.41, 0.23]) * h, R=CUBE_ROTATIONS[5])
+    off_grid = GroupElement(tau=-0.7, a=np.array([0.2, 0.5, -0.3]), v=np.array([1.5 * h, 0.0, 0.0]))
+    out = np.empty((n, n, n), dtype=complex)
+    for g in elements + [fractional, off_grid]:
+        out.fill(np.nan)
+        result = act(g, psi, out=out).values
+        assert result is out
+        assert np.array_equal(out, act(g, psi).values)
+    assert not out[:2].any() and out[2:].all()
+    for bad in (psi.values, np.zeros((n, n, n + 1), dtype=complex),
+                np.zeros((n, n, n), dtype=np.complex64), np.zeros((n, n, n), dtype=complex, order="F")):
+        with pytest.raises(ValueError, match="out must be"):
+            act(fractional, psi, out=bad)
+
+
+def test_repeated_cocycle_extraction_allocates_no_grid():
+    # work guard: once the workspace of a grid size exists, extracting a
+    # phase on that grid allocates less than one complex n^3 grid
+    psi = gaussian_packet(n=32)
+    g, gp = random_in_grid_tuple(np.random.default_rng(9), psi, 2)
+    cocycle_phase(g, gp, psi)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cocycle_phase(g, gp, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < psi.values.nbytes
+
+
+def test_workspace_carries_no_state():
+    # grids of 16, 32 and 16 points in turn, and a pair on the 32-point grid
+    # right after an extraction that failed half-way: every angle is the one
+    # extracted on a freshly allocated workspace, bit for bit
+    rng = np.random.default_rng(10)
+    packets = [gaussian_packet(n=n, center=(0.25, -0.5, 0.75)) for n in (16, 32, 16)]
+    pairs = [random_in_grid_tuple(rng, psi, 2) for psi in packets]
+    h = packets[1].spacing
+    broken = (GroupElement(v=np.array([0.37 * h, 0.0, 0.0])),
+              GroupElement(tau=0.5, v=np.array([0.0, 0.41 * h, 0.0])))
+    runs = list(zip(pairs, packets))
+    interleaved = [cocycle_angle(g, gp, psi) for (g, gp), psi in runs]
+    with pytest.raises(ProjectivityError):
+        cocycle_phase(*broken, packets[1])
+    interleaved.append(cocycle_angle(*pairs[1], packets[1]))
+    fresh = []
+    for (g, gp), psi in runs + runs[1:2]:
+        _scratch.cache_clear()
+        fresh.append(cocycle_angle(g, gp, psi))
+    assert [a.hex() for a in interleaved] == [a.hex() for a in fresh]
 
 
 def test_cocycle_constant_and_matches_closed_form():
