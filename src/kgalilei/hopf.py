@@ -29,10 +29,12 @@ double brackets, once per set of three distinct names (286 values).  The first
 three are antisymmetric in (g, h): each is built once per unordered pair and
 its mirror stored as the exact negation, the diagonal is zero, and a double
 bracket whose inner bracket is zero is stored as zero with no commutator taken.
-The Jacobi sum is alternating for any product, each term being linear in a
-commutator: another order of its names gives the stored value or its exact
-negation, a repeated name zero.  Sharing the stored values is safe because no
-element changes after construction.
+The Jacobi sum is alternating for any product rule, each term being linear
+in a commutator, and a commutator is antisymmetric term by term: the pair
+(m1, m2) of monomials adds c1 c2 (m1 m2 - m2 m1) to [a, b] and the exact
+negation of that to [b, a].  So another order of its names gives the stored
+value or its exact negation, a repeated name zero.  Sharing the stored
+values is safe because no element changes after construction.
 """
 
 from __future__ import annotations
@@ -108,6 +110,15 @@ class UEAExpression(LinearCombination):
     def _product(self, w1: tuple, w2: tuple) -> list[tuple]:
         return self.algebra._word_product(w1, w2)
 
+    def _bracket(self, w1: tuple, w2: tuple) -> dict:
+        """The word bracket, computed once per ordered pair in each algebra."""
+        cache = self.algebra._word_bracket_cache
+        key = (w1, w2)
+        cached = cache.get(key)
+        if cached is None:
+            cached = cache[key] = super()._bracket(w1, w2)
+        return cached
+
     _monomial_str = staticmethod(_word_str)
 
 
@@ -147,6 +158,8 @@ class GalileiHopf:
 
     def __init__(self):
         self._sort_cache: dict = {}
+        # w1 w2 - w2 w1 under (w1, w2), see UEAExpression._bracket
+        self._word_bracket_cache: dict = {}
         # [g, h] under (g, h), [[g, h], f] under (g, h, f), the homomorphism
         # residual of (g, h) under ("Delta", g, h), see _stored, and the
         # Jacobi sum of a sorted triple under ("Jacobi", g, h, f)
@@ -234,9 +247,12 @@ class GalileiHopf:
     def _stored(self, key: tuple, mirror: tuple, build):
         """The value under ``key``: the negation of the stored ``mirror``, or ``build()``.
 
-        Either way it is computed once and kept.  The negation is exact
-        because ``commutator(a, b)`` is a*b - b*a, whatever the product does,
-        and each stored value is linear in one such commutator.
+        Either way it is computed once and kept.  Each stored value is
+        linear in one commutator, and the negation is exact because a
+        commutator is antisymmetric term by term, whatever the product does:
+        each pair of terms adds c1 c2 times its monomial bracket, and
+        ``_bracket(m2, m1)`` merges the same two products as
+        ``_bracket(m1, m2)`` with the opposite signs.
         """
         cache = self._bracket_cache
         value = cache.get(key)

@@ -681,11 +681,14 @@ class LinearCombination:
     """Finite sum of RationalFunction coefficients keyed by monomials.
 
     The arithmetic shared by the Weyl, enveloping-algebra and tensor
-    elements, the distributive product included.  A subclass defines how two
-    monomials multiply (``_product``, as (factor, monomial) pairs) and how a
-    monomial prints (``_monomial_str``).  One that lives in a context (an
-    algebra instance, a leg count) stores it as ``_context``, the tuple of
-    its constructor's leading arguments; two operands must share it.
+    elements, the distributive product and the commutator included.  A
+    subclass defines how two monomials multiply (``_product``, as (factor,
+    monomial) pairs) and how a monomial prints (``_monomial_str``).  The
+    commutator takes the bracket of two monomials from the ``_bracket``
+    hook, which merges the two products; a subclass may keep its values.
+    A subclass that lives in a context (an algebra instance, a leg count)
+    stores it as ``_context``, the tuple of its constructor's leading
+    arguments; two operands must share it.
 
     The zero rule lives here and only here: the constructor drops every term
     whose coefficient is zero, so ``terms`` never holds a zero coefficient
@@ -753,8 +756,41 @@ class LinearCombination:
                     out[mono] = out[mono] + coeff if mono in out else coeff
         return self._like(out)
 
+    def _bracket(self, m1, m2) -> dict:
+        """The monomial bracket m1 m2 - m2 m1, as {monomial: factor}.
+
+        Both products are merged and built through the constructor, so only
+        the factors that survive the cancellation are kept.
+        """
+        merged: dict = {}
+        for factor, mono in self._product(m1, m2):
+            merged[mono] = merged[mono] + factor if mono in merged else factor
+        for factor, mono in self._product(m2, m1):
+            merged[mono] = merged[mono] - factor if mono in merged else -factor
+        return self._like(merged).terms
+
     def commutator(self, other):
-        return self * other - other * self
+        """[self, other]: c1 c2 times the monomial bracket, summed over pairs of terms.
+
+        Scalars commute, so this is a*b - b*a exactly, whatever ``_product``
+        does, and a pair whose monomials commute costs no scalar product.
+        Termwise it is antisymmetric: ``b.commutator(a)`` is the exact
+        negation of ``a.commutator(b)``.
+        """
+        self._same(other)
+        bracket = self._bracket
+        out: dict = {}
+        right = other.terms
+        for m1, c1 in self.terms.items():
+            for m2, c2 in right.items():
+                factors = bracket(m1, m2)
+                if not factors:
+                    continue
+                base = c1 * c2
+                for mono, factor in factors.items():
+                    coeff = base * factor
+                    out[mono] = out[mono] + coeff if mono in out else coeff
+        return self._like(out)
 
     # -- comparison -----------------------------------------------------------
 

@@ -91,6 +91,14 @@ class WeylExpression(LinearCombination):
         return [(weight, (tuple(map(add, x1, mid_x)), tuple(map(add, mid_p, p2))))
                 for (mid_x, mid_p), weight in _reorder(p1, x2)]
 
+    def _bracket(self, m1, m2) -> dict:
+        """The monomial bracket, computed once per ordered pair of monomials."""
+        key = (m1, m2)
+        cached = _BRACKET_CACHE.get(key)
+        if cached is None:
+            cached = _BRACKET_CACHE[key] = super()._bracket(m1, m2)
+        return cached
+
     def _monomial_str(self, mono) -> str:
         xs, ps = mono
         word = [f"{kind}{slot // 3 + 1}{slot % 3 + 1}^{exps[slot]}"
@@ -99,6 +107,8 @@ class WeylExpression(LinearCombination):
 
 
 _REORDER_CACHE: dict = {}
+#: [m1, m2] under (m1, m2), see ``WeylExpression._bracket``; never changed once stored.
+_BRACKET_CACHE: dict = {}
 
 
 def _reorder(pexp: tuple, xexp: tuple) -> list:

@@ -20,7 +20,7 @@ from kgalilei.realization import (
     default_system,
     verify_one_particle,
 )
-from kgalilei.scalars import Rat, sym
+from kgalilei.scalars import Rat, RationalFunction, sym
 from kgalilei.weyl import momentum, position, scalar
 
 I = Rat(sp.I)
@@ -86,6 +86,26 @@ def test_residuals_hold_no_zero_coefficient():
     for residual in residuals:
         assert all(not c.is_zero for c in residual.terms.values())
     assert fresh.kinetic_split().terms == {}
+
+
+def test_realization_suites_multiply_few_scalars(monkeypatch):
+    # work guard, counts and not timings: a commutator multiplies the
+    # coefficients of each pair of terms once, and those of a pair of
+    # commuting monomials not at all (2,882 and 973 scalar products when a
+    # commutator was the literal a*b - b*a)
+    calls = [0]
+    mul = RationalFunction.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", counted)
+    default_system().verify_composed()
+    assert 0 < calls[0] <= 1000
+    calls[0] = 0
+    verify_one_particle(OneParticleRealization(1, sym("lam"), m_f=sym("mf")))
+    assert 0 < calls[0] <= 300
 
 
 def test_composed_mass_formula(system):

@@ -3,6 +3,7 @@
 import random
 
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from kgalilei.scalars import Rat, sym
 from kgalilei.weyl import (
@@ -143,3 +144,25 @@ def test_zero_test_equality_and_repr_leave_terms_alone():
         repr(expr)
         assert expr.terms is terms
 
+
+_K, _LAM = sym("k"), sym("lam")
+#: Coefficients with free symbols, a multi-term denominator among them.
+_COEFFICIENTS = (Rat(1), -I, _K / 2, _LAM ** 2 - 1, I * _K / (1 - _LAM), 3 * sym("lamp") - _K)
+#: Exponents on the six slots, of total degree at most 2.
+_EXPONENTS = st.lists(st.integers(0, 5), max_size=2).map(
+    lambda slots: tuple(slots.count(slot) for slot in range(6)))
+_EXPRESSIONS = st.dictionaries(
+    st.tuples(_EXPONENTS, _EXPONENTS),
+    st.builds(lambda c, n: c * n, st.sampled_from(_COEFFICIENTS), st.integers(-2, 2)),
+    max_size=4,
+).map(WeylExpression)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_EXPRESSIONS, _EXPRESSIONS)
+def test_commutator_is_the_literal_difference_hypothesis(a, b):
+    # the loop over pairs of terms keeps the terms of a*b - b*a, and the
+    # other order gives their exact negation
+    comm = a.commutator(b)
+    assert comm.terms == (a * b - b * a).terms
+    assert b.commutator(a).terms == (-comm).terms
