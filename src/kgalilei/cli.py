@@ -214,12 +214,20 @@ def _cmd_mass_compose(args) -> RunReport:
         algebra_values = [masses.to_algebra(m, k) for m in values]
         for idx, m in enumerate(algebra_values, start=1):
             report.results[f"m_algebra_{idx}"] = m
+        # the total is "inf" where it exceeds the largest float, at k above about 1e307
         report.results["M_algebra"] = algebra_total = sum(algebra_values)
-        if algebra_total == math.inf:
+        if math.isfinite(k):
+            # summed in units of k/2, which cannot overflow; to_physical at
+            # k = 2 maps units back to the fraction 1 - e^(-2m/k) of k/2
+            units = sum(masses.algebra_units(m, k) for m in values)
+            composed = (k / 2) * masses.to_physical(units, 2.0)
+        elif algebra_total == math.inf:
             raise masses.MassDomainError(
                 f"the algebra mass total exceeds the largest float {sys.float_info.max}")
+        else:
+            composed = algebra_total
         # compared as physical masses, where both sides are well conditioned
-        gap = abs(masses.to_physical(algebra_total, k) - total)
+        gap = abs(composed - total)
         report.add(CheckResult.from_residual("algebra-additivity", gap, tol))
     else:
         report.results["note"] = "infinite-mass fixed point: no finite algebra coordinate"

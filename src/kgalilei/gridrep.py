@@ -17,8 +17,12 @@ extracts it numerically and checks that the pointwise ratio really is
 grid-constant.  The closed form exp(i m_f (v^2 tau' / 2 + v . R a')) is
 validated against this extraction in the tests, never assumed.
 
-``cocycle_phase`` writes both sides into a workspace of three complex n^3
-grids, kept for the last grid size, so repeated extractions on one grid
+``cocycle_phase`` makes one whole-grid action, act(g g') psi, whose
+amplitude picks the points the ratio reads.  act(g) act(g') psi is computed
+only on the bounding box of those points, and act(g') psi only on the input
+box that box reads, each sample by the same operations, in the same order, as
+on the whole grid.  The three actions write into a workspace of three complex
+n^3 grids, kept for the last grid size, so repeated extractions on one grid
 allocate no grid; calls from several threads at once are not supported.
 """
 
@@ -191,7 +195,8 @@ def _boost_shift(psi: GridWavefunction, v: np.ndarray):
     return psi.m_f * np.sqrt((v * v).sum(axis=-1))
 
 
-def _slab_taps(c: np.ndarray, n: int, step: int) -> list[tuple[float, slice, slice]]:
+def _slab_taps(c: np.ndarray, n: int, step: int,
+               window: tuple[int, int]) -> list[tuple[float, slice, slice]]:
     """The linear-interpolation taps of a 1-D resample at a uniform shift.
 
     ``c`` holds the fractional input indices read along one output axis; they
@@ -199,7 +204,9 @@ def _slab_taps(c: np.ndarray, n: int, step: int) -> list[tuple[float, slice, sli
     [0, n - 1] reads (1 - t) f[i] + t f[i + 1], with i = floor(c) and t the
     fraction; any other point (or NaN) is off the grid and reads 0.  Returns
     one (weight, output slice, input slice) per integer tap; a move by whole
-    cells has one tap, and a move off the grid has none.
+    cells has one tap, and a move off the grid has none.  Only the output
+    points lo <= q < hi of ``window`` = (lo, hi) get taps, with the weights of
+    the whole axis, so a tap reads there what it reads without the window.
     """
     inside = np.flatnonzero((c >= 0.0) & (c <= n - 1))
     if not inside.size:
@@ -215,7 +222,8 @@ def _slab_taps(c: np.ndarray, n: int, step: int) -> list[tuple[float, slice, sli
         # leave [0, n - 1] only at an end, where its weight is of rounding size
         start = lo + offset
         low, high = sorted((-step * start, step * (n - 1 - start)))
-        q0, q1 = first + max(low, 0), min(first + high, last)
+        q0 = max(first + max(low, 0), window[0])
+        q1 = min(first + high, last, window[1] - 1)
         if q0 > q1:
             continue
         src = start + step * (q0 - first)
@@ -226,24 +234,85 @@ def _slab_taps(c: np.ndarray, n: int, step: int) -> list[tuple[float, slice, sli
 
 @functools.lru_cache(maxsize=1)
 def _scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three complex n^3 grids, kept for the last n: ``act``'s phase, and the
-    two sides ``cocycle_phase`` compares.  None of them leaves this module."""
+    """Three complex n^3 grids, kept for the last n: the phase of an action,
+    and the two sides ``cocycle_phase`` compares.  None of them leaves this
+    module."""
     return tuple(np.empty((n, n, n), dtype=complex) for _ in range(3))
+
+
+def _check_shift(g: GroupElement, psi: GridWavefunction) -> None:
+    """Reject a boost that moves the packet by more than p_max/4."""
+    shift = _boost_shift(psi, g.v)
+    if shift > 0.25 * psi.p_max:
+        raise OutOfGridError(f"boost shift {shift:.3g} exceeds p_max/4 = {psi.p_max / 4:.3g}")
+
+
+def _taps(g: GroupElement, psi: GridWavefunction, ax: np.ndarray, box) -> tuple[tuple, list]:
+    """The resample of act(g, psi) on an output box: (cols, taps).
+
+    ``ax`` is psi.axis() and ``box`` holds one (lo, hi) per output axis.
+    Input axis i is read along output axis cols[i], through taps[i], the
+    ``_slab_taps`` of that axis clipped to the box.
+    """
+    _, cols, signs = _ROTATIONS[_rotation_key(g.R)]
+    # argument: R^{-1}(p - m_f v) -- the grouping that composes with the
+    # group law; input axis i is sampled at signs[i] * (p - m_f v)[cols[i]],
+    # along output axis cols[i], at the fractional grid indices c[i]
+    s = ax - psi.m_f * g.v[list(cols)][:, None]
+    c = (np.array(signs)[:, None] * s + psi.p_max) / psi.spacing - 0.5
+    return cols, [_slab_taps(c[i], psi.n, int(signs[i]), box[cols[i]]) for i in range(3)]
+
+
+def _reads(taps: list, n: int) -> list[tuple[int, int]]:
+    """The input box ``taps`` read: one (lo, hi) per input axis, empty where none."""
+    box = []
+    for axis in taps:
+        reads = [range(n)[src] for _, _, src in axis]
+        ends = [i for r in reads for i in (r[0], r[-1])]
+        box.append((min(ends), max(ends) + 1) if ends else (0, 0))
+    return box
+
+
+def _act_on(g: GroupElement, psi: GridWavefunction, ax: np.ndarray, values: np.ndarray,
+            out: np.ndarray, box, cols: tuple, taps: list) -> None:
+    """Write act(g) of the samples ``values`` on psi's grid into ``out``, on the output box only.
+
+    ``cols`` and ``taps`` are ``_taps(g, psi, ax, box)``; ``values`` is read only
+    on the box they read, and ``out`` is left as it was outside ``box``.  The
+    box is zeroed, resampled and multiplied by the phase, each sample by the
+    same operations, in the same order, as on the whole grid.
+    """
+    region = tuple(slice(lo, hi) for lo, hi in box)
+    out[region] = 0
+    view = out.transpose(cols)
+    for combo in itertools.product(*taps):
+        weights, dst, src = zip(*combo)
+        weight = math.prod(weights)
+        if weight == 1.0:  # only the first combination, onto zeros: a copy
+            view[dst] = values[src]
+        else:
+            view[dst] += weight * values[src]
+    e = np.exp(1j * (-ax ** 2 * g.tau / (2.0 * psi.m_f) + ax * g.a[:, None]))
+    phase = _scratch(psi.n)[0][region]
+    np.multiply(e[0, region[0], None, None] * e[1, None, region[1], None],
+                e[2, None, None, region[2]], out=phase)
+    out[region] *= phase
 
 
 def act(g: GroupElement, psi: GridWavefunction, out: np.ndarray | None = None) -> GridWavefunction:
     """Projective action of g on psi (spin 0).
 
     The phase exp(i(-p^2 tau / 2m_f + p . a)) is exact pointwise and is built
-    as an outer product of one 1-D factor per axis.  The argument
-    R^{-1}(p - m_f v) is resampled by trilinear interpolation, a point off the
-    grid reading 0.  R is a cube rotation, a signed permutation whose axes
-    and signs ``CUBE_ROTATIONS``' table holds, so each output axis reads one
-    input axis at a uniform index shift: the resample is one strided slab copy
-    per integer tap, written straight into the output's axis order and scaled
-    by the product of the axes' scalar weights.  A move by whole grid cells,
-    as every ``random_in_grid_*`` draw makes, is a single copy.  Boost shifts
-    larger than p_max/4 are rejected to keep the packet on the grid.
+    as an outer product of one 1-D factor per axis, all three from one
+    ``np.exp``.  The argument R^{-1}(p - m_f v) is resampled by trilinear
+    interpolation, a point off the grid reading 0.  R is a cube rotation, a
+    signed permutation whose axes and signs ``CUBE_ROTATIONS``' table holds,
+    so each output axis reads one input axis at a uniform index shift: the
+    resample is one strided slab copy per integer tap, written straight into
+    the output's axis order and scaled by the product of the axes' scalar
+    weights.  A move by whole grid cells, as every ``random_in_grid_*`` draw
+    makes, is a single copy.  Boost shifts larger than p_max/4 are rejected
+    to keep the packet on the grid.
 
     The result is a new array, or ``out`` if given: a C-contiguous complex128
     (n, n, n) array that shares no memory with psi.values (anything else
@@ -254,57 +323,51 @@ def act(g: GroupElement, psi: GridWavefunction, out: np.ndarray | None = None) -
                                 and out.shape == (n, n, n) and out.flags.c_contiguous
                                 and not np.shares_memory(out, psi.values)):
         raise ValueError("out must be a C-contiguous complex128 (n, n, n) array apart from psi")
-    shift = _boost_shift(psi, g.v)
-    if shift > 0.25 * psi.p_max:
-        raise OutOfGridError(f"boost shift {shift:.3g} exceeds p_max/4 = {psi.p_max / 4:.3g}")
+    _check_shift(g, psi)
     if out is None:
-        out = np.zeros((n, n, n), dtype=complex)
-    else:
-        out.fill(0)
-    _, cols, signs = _ROTATIONS[_rotation_key(g.R)]
-    ax = psi.axis()
-    h = psi.spacing
-    # argument: R^{-1}(p - m_f v) -- the grouping that composes with the
-    # group law; input axis i is sampled at signs[i] * s[cols[i]], along
-    # output axis cols[i], at the fractional grid indices below
-    s = [ax - psi.m_f * g.v[j] for j in range(3)]
-    taps = [_slab_taps((signs[i] * s[cols[i]] + psi.p_max) / h - 0.5, n, int(signs[i]))
-            for i in range(3)]
-    view = out.transpose(cols)
-    for combo in itertools.product(*taps):
-        weights, dst, src = zip(*combo)
-        weight = math.prod(weights)
-        if weight == 1.0:  # only the first combination, onto zeros: a copy
-            view[dst] = psi.values[src]
-        else:
-            view[dst] += weight * psi.values[src]
-    e = [np.exp(1j * (-ax ** 2 * g.tau / (2.0 * psi.m_f) + ax * g.a[j])) for j in range(3)]
-    phase = _scratch(n)[0]
-    np.multiply(e[0][:, None, None] * e[1][None, :, None], e[2][None, None, :], out=phase)
-    out *= phase
+        out = np.empty((n, n, n), dtype=complex)
+    ax, box = psi.axis(), ((0, n),) * 3
+    _act_on(g, psi, ax, psi.values, out, box, *_taps(g, psi, ax, box))
     return GridWavefunction(out, psi.p_max, psi.m_f)
 
 
 def cocycle_phase(g: GroupElement, gp: GroupElement, psi: GridWavefunction) -> complex:
     """Extract the projective phase of the pair (g, g').
 
-    Computes act(g) act(g') psi and act(g g') psi, masks the points below
-    AMPLITUDE_CUT of the peak amplitude, and demands the pointwise ratio be
-    constant across the grid (max deviation from its mean <= SPREAD_TOL);
-    returns the mean phase.  Both sides, and the amplitude, are written into
-    the workspace of psi's grid size.
+    Computes act(g g') psi on the whole grid, keeps the points at or above
+    AMPLITUDE_CUT of its peak amplitude, and demands that the ratio of
+    act(g) act(g') psi to it be constant on them (max deviation from its mean
+    <= SPREAD_TOL, which a NaN deviation fails); returns the mean phase.  act(g) act(g') psi is computed
+    only on the bounding box of the kept points, and act(g') psi only on the
+    input box that box reads, so the one whole-grid action is act(g g').  A
+    peak amplitude of 0, or one that is not finite, raises ValueError.  All
+    three actions write into the workspace of psi's grid size.
     """
+    # the factors' boosts first, in the order act(g) act(g') psi applies them
+    _check_shift(gp, psi)
+    _check_shift(g, psi)
     phase, first, second = _scratch(psi.n)
-    lhs = act(g, act(gp, psi, out=first), out=second).values
     rhs = act(galilei_multiply(g, gp), psi, out=first).values
-    amplitude = np.abs(rhs, out=phase.real)
-    mask = amplitude >= AMPLITUDE_CUT * amplitude.max()
-    if not mask.any():
+    # |rhs| fills the first half of the phase grid, read as a contiguous float
+    # grid: the peak and the cut then scan contiguous memory
+    amplitude = np.abs(rhs, out=phase.view(float).reshape(-1)[:rhs.size].reshape(rhs.shape))
+    peak = amplitude.max()
+    if not np.isfinite(peak):
+        raise ValueError("wavefunction is not finite on the reference region")
+    if peak == 0:
         raise ValueError("wavefunction vanishes on the reference region")
-    ratio = lhs[mask] / rhs[mask]
+    kept = np.flatnonzero(amplitude >= AMPLITUDE_CUT * peak)
+    right = rhs.take(kept)  # gathered before act(g') psi overwrites it
+    box = [(int(i.min()), int(i.max()) + 1) for i in np.unravel_index(kept, rhs.shape)]
+    ax = psi.axis()
+    cols, taps = _taps(g, psi, ax, box)
+    reads = _reads(taps, psi.n)
+    _act_on(gp, psi, ax, psi.values, first, reads, *_taps(gp, psi, ax, reads))
+    _act_on(g, psi, ax, first, second, box, cols, taps)
+    ratio = second.take(kept) / right
     mean = ratio.mean()
     spread = float(np.abs(ratio - mean).max())
-    if spread > SPREAD_TOL:
+    if not spread <= SPREAD_TOL:  # a NaN spread fails too
         raise ProjectivityError(spread)
     return complex(mean / abs(mean))
 

@@ -29,6 +29,7 @@ __all__ = [
     "check_physical",
     "to_physical",
     "to_algebra",
+    "algebra_units",
     "compose",
     "compose_many",
     "reduced",
@@ -76,16 +77,30 @@ def to_algebra(m_f, k) -> float:
     and so is a mass whose algebra coordinate exceeds the largest float
     (m_f near k/2 at k above about 1e307).
     """
-    check_physical(m_f, k)
-    if math.isinf(k):
+    if k == math.inf:
+        check_physical(m_f, k)
         return m_f
-    if m_f >= k / 2:
-        raise MassDomainError("infinite mass (m_f >= k/2) has no finite algebra coordinate")
-    m = -(k / 2) * math.log1p(-2 * m_f / k)
+    m = (k / 2) * algebra_units(m_f, k)
     if m == math.inf:
         raise MassDomainError(f"the algebra mass of {m_f} at k = {k} exceeds the largest "
                               f"float {sys.float_info.max}")
     return m
+
+
+def algebra_units(m_f, k) -> float:
+    """Algebra mass of m_f in units of k/2, at finite k: -ln(1 - 2 m_f / k).
+
+    Below k/2 this is at most about 37 for floats, so neither it nor a sum
+    of a few of them overflows, where the algebra masses themselves can (m_f
+    near k/2 at k above about 1e307).  k = inf and the bound m_f = k/2 are
+    rejected.
+    """
+    check_physical(m_f, k)
+    if math.isinf(k):
+        raise MassDomainError("at k = inf the unit k/2 of the algebra mass is infinite")
+    if m_f >= k / 2:
+        raise MassDomainError("infinite mass (m_f >= k/2) has no finite algebra coordinate")
+    return -math.log1p(-2 * m_f / k)
 
 
 def compose(m_f, mp_f, k):

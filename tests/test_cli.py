@@ -390,6 +390,24 @@ def test_mass_compose_gate_catches_a_wrong_total(values, monkeypatch):
     assert code == 1 and err.startswith("FAIL algebra-additivity")
 
 
+def test_mass_compose_past_the_float_range(monkeypatch):
+    # two valid masses whose algebra masses sum past the largest float: the
+    # total reads "inf", and additivity is checked in units of k/2, where it
+    # still catches a composed mass off by 1e-11 k
+    argv = ["mass", "compose", "--k", "1.7e+308", "6.6e+307", "6.6e+307"]
+    code, out, err = _run_quietly(argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["results"]["M_algebra"] == "inf"
+    assert math.isclose(report["results"]["M_f"], masses.compose(6.6e307, 6.6e307, 1.7e308),
+                        rel_tol=1e-11)  # the report keeps 12 digits
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [("algebra-additivity", "pass")]
+    exact = masses.compose_many
+    monkeypatch.setattr(masses, "compose_many", lambda ms, k: exact(ms, k) - 1e-11 * k)
+    code, _, err = _run_quietly(argv)
+    assert code == 1 and err.startswith("FAIL algebra-additivity")
+
+
 @pytest.mark.parametrize("k, values", [
     ("7", ["3.4999999999999996", "3.4999999999999996"]),
     ("7", ["3.4999999999999996"] * 3),

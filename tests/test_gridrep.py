@@ -14,8 +14,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.ndimage import map_coordinates
 
 import kgalilei
+from kgalilei import gridrep
 from kgalilei.gridrep import (
+    AMPLITUDE_CUT,
     CUBE_ROTATIONS,
+    SPREAD_TOL,
     GridWavefunction,
     GroupElement,
     OutOfGridError,
@@ -202,10 +205,10 @@ def test_slab_moved_off_the_grid_has_no_taps(step):
     n = 6
     start = 0 if step > 0 else n - 1
     for shift in (n, n + 0.5, 40.0, -n, -n - 0.25, -40.0):
-        assert _slab_taps(start + step * np.arange(n) + shift, n, step) == []
-    assert _slab_taps(np.full(n, np.nan), n, step) == []
+        assert _slab_taps(start + step * np.arange(n) + shift, n, step, (0, n)) == []
+    assert _slab_taps(np.full(n, np.nan), n, step, (0, n)) == []
     # one cell short of that, a single output point reads the edge sample
-    (weight, dst, src), = _slab_taps(start + step * np.arange(n) + (n - 1), n, step)
+    (weight, dst, src), = _slab_taps(start + step * np.arange(n) + (n - 1), n, step, (0, n))
     assert weight == 1.0
     assert len(range(n)[dst]) == 1 and list(range(n)[src]) == [n - 1]
 
@@ -289,6 +292,139 @@ def test_workspace_carries_no_state():
         _scratch.cache_clear()
         fresh.append(cocycle_angle(g, gp, psi))
     assert [a.hex() for a in interleaved] == [a.hex() for a in fresh]
+
+
+def literal_cocycle(g, gp, psi):
+    """cocycle_phase spelled out from the public act on whole grids: the
+    spread of the ratio on the kept points, and its mean phase."""
+    lhs = act(g, act(gp, psi)).values
+    rhs = act(galilei_multiply(g, gp), psi).values
+    amplitude = np.abs(rhs)
+    mask = amplitude >= AMPLITUDE_CUT * amplitude.max()
+    ratio = lhs[mask] / rhs[mask]
+    mean = ratio.mean()
+    return float(np.abs(ratio - mean).max()), complex(mean / abs(mean))
+
+
+def matches_literal(g, gp, psi) -> bool:
+    """Assert that cocycle_phase returns the literal phase, or raises
+    ProjectivityError with its spread, bit for bit; True if projective."""
+    spread, phase = literal_cocycle(g, gp, psi)
+    if spread <= SPREAD_TOL:
+        got = cocycle_phase(g, gp, psi)
+        assert (got.real.hex(), got.imag.hex()) == (phase.real.hex(), phase.imag.hex())
+        return True
+    with pytest.raises(ProjectivityError) as raised:
+        cocycle_phase(g, gp, psi)
+    assert raised.value.spread.hex() == spread.hex()
+    return False
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_cocycle_phase_equals_the_whole_grid_literal_on_draws(n):
+    # seeded whole-cell draws, on an off-centre Gaussian, whose kept points
+    # fill a small box, and on noise, whose kept points fill most of the
+    # grid: there a boost moves samples off the grid edge that the product's
+    # action keeps, so most noise pairs are not projective
+    rng = np.random.default_rng(20 + n)
+    psi = gaussian_packet(n=n, center=(0.75, -0.5, 1.25))
+    for _ in range(10):
+        assert matches_literal(*random_in_grid_tuple(rng, psi, 2), psi)
+    noise = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
+    psi = GridWavefunction(noise, 8.0, 1.0)
+    for _ in range(10):
+        matches_literal(*random_in_grid_tuple(rng, psi, 2), psi)
+
+
+def test_cocycle_phase_equals_the_literal_on_fractional_boosts():
+    # g' boosts by fractions of a cell, read through two taps per axis, after
+    # which g rotates and moves by whole cells: projective.  With g boosted
+    # by fractions of a cell too, the two interpolations do not compose, and
+    # the ProjectivityError carries the literal spread
+    psi = gaussian_packet(n=24, m_f=1.3, center=(0.5, -0.25, 0.75))
+    rng = np.random.default_rng(30)
+    cells = psi.spacing / psi.m_f
+
+    def element(v):
+        return GroupElement(tau=rng.uniform(-1, 1), a=rng.uniform(-1, 1, size=3), v=v,
+                            R=CUBE_ROTATIONS[int(rng.integers(len(CUBE_ROTATIONS)))])
+
+    for _ in range(12):
+        gp = element(rng.uniform(-1.0, 1.0, size=3) * cells)
+        one_cell = np.zeros(3)
+        one_cell[rng.integers(3)] = rng.choice([-1.0, 1.0]) * cells
+        assert matches_literal(element(one_cell), gp, psi)
+        assert not matches_literal(element(rng.uniform(-0.5, 0.5, size=3) * cells), gp, psi)
+
+
+def test_cocycle_phase_equals_the_literal_past_the_grid_edge():
+    # a packet near the +x face, moved one cell further out by each element:
+    # its outer part leaves the grid, and the kept points reach the last slab
+    psi = gaussian_packet(n=16, center=(5.75, 0.5, -0.5))
+    h = psi.spacing
+    g = GroupElement(tau=0.3, a=np.array([0.4, -0.2, 0.1]), v=np.array([h, 0.0, 0.0]))
+    gps = [GroupElement(tau=-0.6, a=np.array([0.1, 0.3, -0.5]), v=np.array([h, 0.0, 0.0])),
+           GroupElement(tau=0.2, a=np.array([-0.3, 0.1, 0.2]), v=np.array([0.6 * h, 0.0, 0.0]))]
+    for gp in gps:
+        rhs = act(galilei_multiply(g, gp), psi).values
+        amplitude = np.abs(rhs)
+        assert (amplitude[-1] >= AMPLITUDE_CUT * amplitude.max()).any()
+        assert matches_literal(g, gp, psi)
+
+
+def test_cocycle_phase_makes_one_whole_grid_action(monkeypatch):
+    # work guard, counting calls and points, not time: each extraction makes
+    # one act, on the whole grid, and composes the two actions on boxes of at
+    # most an eighth of the grid (10^3 of 32^3 points for these draws); the
+    # composed side, whose workspace grid is filled with NaN first, is
+    # written on no more points than that
+    psi = gaussian_packet(n=32)
+    rng = np.random.default_rng(11)
+    acts, boxes = [], []
+    whole, on_box = gridrep.act, gridrep._act_on
+
+    def counted_act(*args, **kwargs):
+        acts.append(args[0])
+        return whole(*args, **kwargs)
+
+    def counted_act_on(g, psi, ax, values, out, box, cols, taps):
+        boxes.append(math.prod(hi - lo for lo, hi in box))
+        return on_box(g, psi, ax, values, out, box, cols, taps)
+
+    monkeypatch.setattr(gridrep, "act", counted_act)
+    monkeypatch.setattr(gridrep, "_act_on", counted_act_on)
+    composed = _scratch(psi.n)[2]
+    for _ in range(10):
+        acts.clear()
+        boxes.clear()
+        composed.fill(np.nan)
+        cocycle_phase(*random_in_grid_tuple(rng, psi, 2), psi)
+        assert len(acts) == 1 and len(boxes) == 3
+        assert boxes[0] == psi.n ** 3 and max(boxes[1:]) <= (psi.n // 2) ** 3
+        assert np.count_nonzero(~np.isnan(composed)) <= (psi.n // 2) ** 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_vanishing_or_non_finite_packet_is_named():
+    # an all-zero packet has no peak to cut at, and a NaN or infinite sample
+    # leaves none; each is a ValueError naming its cause, with no warning
+    g, gp = GroupElement(tau=0.3), GroupElement(a=np.array([0.1, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="vanishes"):
+        cocycle_angle(g, gp, GridWavefunction(np.zeros((8, 8, 8)), 8.0, 1.0))
+    for bad in (np.nan, np.inf):
+        psi = gaussian_packet(n=8)
+        psi.values[4, 4, 4] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            cocycle_angle(g, gp, psi)
+    # a NaN sample that act(g g') moves off the grid, but that the two half
+    # cell moves of act(g) act(g') interpolate into kept points: the NaN
+    # spread fails the gate, where a NaN phase would pass it
+    psi = gaussian_packet(n=16, center=(-7.5, 0.0, 0.0))
+    psi.values[0, 8, 8] = np.nan
+    half = GroupElement(v=np.array([-0.5 * psi.spacing, 0.0, 0.0]))
+    with pytest.raises(ProjectivityError) as raised:
+        cocycle_phase(half, half, psi)
+    assert math.isnan(raised.value.spread)
 
 
 def test_cocycle_constant_and_matches_closed_form():

@@ -150,6 +150,23 @@ def test_conversions_near_the_largest_float():
     # the algebra mass of 0.99 (k/2) is about 2.3 k, above the largest float
     with pytest.raises(MassDomainError, match="largest float"):
         to_algebra(0.99 * (k / 2), k)
+    # in units of k/2 it is -ln(0.01), and the largest float mass below k/2
+    # is under 37 units
+    assert masses.algebra_units(0.99 * (k / 2), k) == -math.log1p(-0.99)
+    assert masses.algebra_units(math.nextafter(k / 2, 0.0), k) < 37.0
+
+
+def test_algebra_units_scale_to_the_algebra_mass():
+    # to_algebra is k/2 times the units, bit for bit; the units reject what
+    # has no finite unit or coordinate
+    rng = random.Random(3)
+    for _ in range(200):
+        k = 10.0 ** rng.uniform(-300, 300)
+        m_f = rng.uniform(0.0, 0.499) * k
+        assert to_algebra(m_f, k) == (k / 2) * masses.algebra_units(m_f, k)
+    for m_f, k in ((0.5, 1.0), (0.3, math.inf), (0.6, 1.0), (float("nan"), 1.0)):
+        with pytest.raises(MassDomainError):
+            masses.algebra_units(m_f, k)
 
 
 @given(st.floats(0.5, 4.0), st.floats(2e-3, 1.0), st.floats(2e-3, 1.0), st.floats(-300.0, 300.0))
