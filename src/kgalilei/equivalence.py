@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import masses
+from .report import CheckFailure
 
 __all__ = [
     "StructuralFailureError",
@@ -43,7 +44,7 @@ __all__ = [
     "variable_table",
     "pairing",
     "adjoint_generator",
-    "preserves_pairing",
+    "pairing_residual",
     "variable_vectors",
     "find_theta",
     "ThetaResult",
@@ -67,12 +68,8 @@ EXCHANGE.setflags(write=False)
 THETA_TOL = 1e-10
 
 
-class StructuralFailureError(RuntimeError):
+class StructuralFailureError(CheckFailure):
     """Raised when a claimed structural property fails numerically by ``residual``."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 def variable_table(m_f, mp_f, lam, lamp, M_f) -> tuple[dict, dict]:
@@ -105,13 +102,13 @@ def pairing(u, v, m_f, mp_f):
     return m_f * (u[2] * v[0] - u[0] * v[2]) + mp_f * (u[3] * v[1] - u[1] * v[3])
 
 
-def preserves_pairing(matrix: np.ndarray, m_f: float, mp_f: float, tol: float = 1e-12) -> bool:
-    """Whether the 4x4 ``matrix`` keeps Omega, the matrix of ``pairing`` on BASIS:
-    |A^T Omega A - Omega| <= tol max(1, |Omega|)."""
+def pairing_residual(matrix: np.ndarray, m_f: float, mp_f: float) -> dict[tuple, float]:
+    """How far the 4x4 ``matrix`` A is from keeping Omega, the matrix of ``pairing``:
+    |A^T Omega A - Omega| / max(1, |Omega|) per entry, keyed by its BASIS (row, column)."""
     unit = np.eye(4)
     omega = np.array([[pairing(u, v, m_f, mp_f) for v in unit] for u in unit])
-    residual = matrix.T @ omega @ matrix - omega
-    return float(np.abs(residual).max()) <= tol * max(1.0, float(np.abs(omega).max()))
+    residual = np.abs(matrix.T @ omega @ matrix - omega) / max(1.0, float(np.abs(omega).max()))
+    return {(BASIS[i], BASIS[j]): float(residual[i, j]) for i in range(4) for j in range(4)}
 
 
 def adjoint_generator(m_f: float, mp_f: float) -> np.ndarray:

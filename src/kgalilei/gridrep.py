@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .report import CheckFailure
+
 __all__ = [
     "GroupElement",
     "GridWavefunction",
@@ -64,11 +66,11 @@ class OutOfGridError(ValueError):
     """Raised when a boost would shift the wavepacket outside the grid."""
 
 
-class ProjectivityError(RuntimeError):
+class ProjectivityError(CheckFailure):
     """Raised when the composition ratio is not constant across the grid."""
 
     def __init__(self, spread: float):
-        super().__init__(f"composition ratio varies across the grid (spread {spread:.3e})")
+        super().__init__(f"composition ratio varies across the grid (spread {spread:.3e})", spread)
         self.spread = spread
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import masses
+from .report import CheckFailure
 
 __all__ = [
     "HydrogenConfig",
@@ -47,8 +48,11 @@ CORRECTION_ORDER = 3
 RADIAL_TOL = 1e-6
 
 
-class GridConvergenceError(RuntimeError):
-    """Raised when two grid refinements disagree beyond the requested tolerance."""
+class GridConvergenceError(CheckFailure):
+    """Raised when two grid refinements disagree beyond the requested tolerance;
+    the residual counts the levels left unsolved."""
+
+    check = "radial-grid-convergence"
 
 
 class HydrogenDomainError(ValueError):
@@ -149,15 +153,15 @@ def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb") -> list[float]
     coarse, mid, fine = (e_h * np.array(levels) for levels in _radial_eigenvalues(
         potential, g, cfg.l, box, cfg.n_points, cfg.n_max - cfg.l))
     if potential == "coulomb" and np.any(fine >= 0.0):
-        raise GridConvergenceError("no bound state found on the grid")
+        raise GridConvergenceError("no bound state found on the grid", len(fine))
     # second-order scheme: eliminate the ds^2 term, gate on successive extrapolants
     extrap_lo = (4.0 * mid - coarse) / 3.0
     extrap_hi = (4.0 * fine - mid) / 3.0
     gap = np.abs(extrap_hi - extrap_lo) / np.abs(extrap_hi)
     if np.any(gap > RADIAL_TOL):
         raise GridConvergenceError(
-            f"grid too coarse: refinement changes eigenvalues by {gap.max():.3e} relative"
-        )
+            f"grid too coarse: refinement changes eigenvalues by {gap.max():.3e} relative",
+            len(gap))
     return extrap_hi.tolist()
 
 

@@ -111,12 +111,16 @@ def compose(m_f, mp_f, k):
     that rounds above k/2 is clamped to it, so a fold stays in the domain.
     Where the float product 2 m_f m'_f overflows or underflows, the cross
     term is formed as m'_f (2 m_f / k), which m_f <= k/2 keeps comparable
-    to m'_f.
+    to m'_f.  At k = inf a total above the largest float is rejected.
     """
     check_physical(m_f, k)
     check_physical(mp_f, k)
     if math.isinf(k):
-        return m_f + mp_f
+        total = m_f + mp_f
+        if total == math.inf:
+            raise MassDomainError(f"the composed mass of {m_f} and {mp_f} exceeds the largest "
+                                  f"float {sys.float_info.max}")
+        return total
     product = 2 * m_f * mp_f
     cross = (product / k if sys.float_info.min <= product < math.inf
              else mp_f * (2 * m_f / k))
@@ -136,7 +140,7 @@ def compose_many(masses, k):
 
 
 def _product_over(m_f, mp_f, total):
-    """m_f m'_f / total for total >= max(m_f, m'_f); as m_f (m'_f / total) where
+    """m_f m'_f / total for total >= m'_f; as m_f (m'_f / total) where
     the product would underflow or overflow.  A float result of two positive
     masses below the smallest normal float has lost bits, and is rejected."""
     product = m_f * mp_f
@@ -150,7 +154,11 @@ def _product_over(m_f, mp_f, total):
 
 def reduced(m_f, mp_f, k):
     """Deformed reduced mass m_f m'_f / M_f; equals v / (1 - 2v/k) with the
-    classical reduced mass v."""
+    classical reduced mass v, and v itself at k = inf."""
+    if math.isinf(k):
+        check_physical(m_f, k)
+        check_physical(mp_f, k)
+        return classical_reduced(m_f, mp_f)
     total = compose(m_f, mp_f, k)
     if total == 0:
         raise MassDomainError("reduced mass undefined for two massless particles")
@@ -158,7 +166,11 @@ def reduced(m_f, mp_f, k):
 
 
 def classical_reduced(m_f, mp_f):
-    """Undeformed reduced mass m m' / (m + m')."""
-    if m_f + mp_f == 0:
+    """Undeformed reduced mass m m' / (m + m'); as m (m'/2) / (m/2 + m'/2)
+    where the total m + m' overflows."""
+    total = m_f + mp_f
+    if total == 0:
         raise MassDomainError("reduced mass undefined for two massless particles")
-    return _product_over(m_f, mp_f, m_f + mp_f)
+    if total == math.inf:
+        return _product_over(m_f, mp_f / 2, m_f / 2 + mp_f / 2)
+    return _product_over(m_f, mp_f, total)

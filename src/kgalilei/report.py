@@ -5,8 +5,12 @@ JSON schema: {"command", "params", "results", "checks": [{"name", "status",
 formatting at 12 significant digits (scientific notation below 1e-3), so that
 parsing an emitted report and re-serializing it is byte-identical.  JSON has
 no number for infinity or NaN (k = inf is the classical limit), so those are
-written as the strings "inf", "-inf" and "nan".  A check that names its
-failing item carries a "detail" string; a check without one has no such key.
+written as the strings "inf", "-inf" and "nan".
+
+Every check is made by ``RunReport.check``.  A failing check carries a
+"detail" string that names its first failing item (exact checks) or its worst
+item (float checks) with that item's residual, or the item on which an engine
+raised ``CheckFailure``, with its message; a passing check has no such key.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["CheckResult", "RunReport", "format_number", "canonical_json"]
+__all__ = ["CheckFailure", "CheckResult", "RunReport", "format_number", "canonical_json"]
 
 STATUS_EXACT = "exact-pass"
 STATUS_PASS = "pass"
@@ -46,17 +50,34 @@ def canonical_json(obj) -> str:
     return json.dumps(obj)
 
 
+class CheckFailure(RuntimeError):
+    """An engine's verdict that the item it computes fails, with a residual.
+    ``check`` names the check it fails, where that is not the running one."""
+
+    check: str | None = None
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
+
+
+def _worse(value, worst) -> bool:
+    """Whether ``value`` is worse than ``worst``: larger, or a NaN where ``worst`` is none."""
+    return value > worst or (value != value and worst == worst)
+
+
+def _named(item, text: str) -> str:
+    """``text`` after the item's name (a tuple's parts joined by commas), if it has one."""
+    name = ", ".join(map(str, item)) if isinstance(item, tuple) else str(item)
+    return f"{name}: {text}" if name else text
+
+
 @dataclass
 class CheckResult:
     name: str
     status: str          # exact-pass | pass | fail
     residual: float
     detail: str = ""     # the failing item, when the check can name it
-
-    @classmethod
-    def from_residual(cls, name: str, residual: float, tol: float) -> "CheckResult":
-        residual = float(residual)
-        return cls(name, STATUS_PASS if residual <= tol else STATUS_FAIL, residual)
 
 
 @dataclass
@@ -67,10 +88,43 @@ class RunReport:
     results: dict = field(default_factory=dict)
     wall_ms: float = 0.0
 
-    def add(self, check: CheckResult) -> None:
-        if any(c.name == check.name for c in self.checks):
-            raise ValueError(f"check {check.name!r} registered twice")
-        self.checks.append(check)
+    def check(self, name: str, items, residual, tol=None, size=None) -> CheckResult:
+        """Check ``items`` in order, calling ``residual(item)`` once per item.
+
+        Exact (``tol`` None): an item fails unless its residual ``is_zero``; the
+        check's residual is the count of failing items, or the largest ``size``
+        of their residuals.  Float: the check's residual is the worst item's
+        value, NaN being the worst, and it passes iff that is <= ``tol`` (no
+        items pass with 0.0).  A ``CheckFailure`` raised on an item ends the
+        check as failed with its residual.  The result is appended and returned.
+        """
+        named, worst, item = None, 0.0, ()
+        try:
+            for item in items:
+                value = residual(item)
+                if tol is None:
+                    if not value.is_zero:
+                        named = named or (item, value)   # the first failing item
+                        measured = worst + 1 if size is None else size(value)
+                        if _worse(measured, worst):
+                            worst = measured
+                elif named is None or _worse(value, worst):
+                    named, worst = (item, value), value
+                item = ()   # an error while the next item is drawn names none
+        except CheckFailure as exc:
+            result = CheckResult(exc.check or name, STATUS_FAIL, float(exc.residual),
+                                 _named(item, str(exc)))
+        else:
+            if named is None or (tol is not None and worst <= tol):
+                result = CheckResult(name, STATUS_EXACT if tol is None else STATUS_PASS,
+                                     float(worst))
+            else:
+                text = repr(named[1]) if tol is None else format_number(worst)
+                result = CheckResult(name, STATUS_FAIL, float(worst), _named(named[0], text))
+        if any(c.name == result.name for c in self.checks):
+            raise ValueError(f"check {result.name!r} registered twice")
+        self.checks.append(result)
+        return result
 
     @property
     def failed(self) -> list[CheckResult]:

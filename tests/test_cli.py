@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kgalilei
-from kgalilei import equivalence, gridrep, hydrogen, masses
+from kgalilei import equivalence, gridrep, hopf, hydrogen, masses
 from kgalilei.cli import run
-from kgalilei.report import RunReport, CheckResult, canonical_json, format_number
+from kgalilei.report import RunReport, canonical_json, format_number
 from kgalilei.scalars import I, sym
 from kgalilei.weyl import scalar
 
@@ -43,16 +44,16 @@ def test_canonical_json_non_finite_as_strings():
 
 def test_report_rejects_duplicate_checks():
     report = RunReport("x", {})
-    report.add(CheckResult("a", "pass", 0.0))
+    report.check("a", [()], lambda _: 0.0, tol=0.0)
     with pytest.raises(ValueError):
-        report.add(CheckResult("a", "pass", 0.0))
+        report.check("a", [()], lambda _: 0.0, tol=0.0)
 
 
 def test_report_exit_code():
     report = RunReport("x", {})
-    report.add(CheckResult("a", "pass", 0.0))
+    report.check("a", [()], lambda _: 0.0, tol=0.0)
     assert report.exit_code == 0
-    report.add(CheckResult("b", "fail", 1.0))
+    report.check("b", [()], lambda _: 1.0, tol=0.0)
     assert report.exit_code == 1
 
 
@@ -597,7 +598,8 @@ def test_coarse_radial_grid_is_a_failed_check(monkeypatch):
     # the levels beyond its tolerance, is reported the same way
     def too_coarse(cfg):
         raise hydrogen.GridConvergenceError("grid too coarse: refinement changes "
-                                            "eigenvalues by 1.000e-03 relative")
+                                            "eigenvalues by 1.000e-03 relative",
+                                            cfg.n_max - cfg.l)
 
     monkeypatch.setattr(hydrogen, "radial_solve", too_coarse)
     code, out, err = _run_quietly(_SPECTRUM + ["--solver", "radial", "--format", "csv"])
@@ -704,3 +706,126 @@ def test_exact_reports_match_golden(argv, golden, code, capsys):
     del report["wall_ms"]
     assert canonical_json(report) + "\n" == (GOLDEN / golden).read_text()
 
+
+
+#: The engines as the helpers below call them, unpatched.
+_FIND_THETA, _PROJECT, _RADIAL_SOLVE = (equivalence.find_theta, equivalence.project,
+                                        hydrogen.radial_solve)
+_TO_ALGEBRA = masses.to_algebra
+_PAIR = ["--mf", "0.3", "--mfp", "0.4", "--k", "1"]
+
+
+def _nan_back_from_the_second_value(m, k):
+    # the round trip of the second value, 0.2, comes back NaN
+    return math.nan if m == masses.to_physical(0.2, k) else _TO_ALGEBRA(m, k)
+
+
+def _us_off_in_the_boost_plane(m_f, k):
+    # US with a wrong K2 coefficient: R and rho go wrong, rho most, P and Pi not
+    us = _FIND_THETA(m_f, m_f, k).matrix @ equivalence.EXCHANGE
+    us[3, 3] = 1e3
+    return us
+
+
+def _theta_with_a_nan_entry(m_f, mp_f, k):
+    theta = _FIND_THETA(m_f, mp_f, k)
+    matrix = theta.matrix.copy()
+    matrix[3, 3] = math.nan
+    return equivalence.ThetaResult(theta.theta, theta.residual, matrix)
+
+
+def _nan_fermi_projector(sign, us, f):
+    out = _PROJECT(sign, us, f)
+    return out if sign > 0 else (lambda p, pp: out(p, pp) * math.nan)
+
+
+def _radial_levels_off(cfg):
+    # level 2 is NaN and level 3 far off: the NaN is the worst
+    levels = np.array(_RADIAL_SOLVE(cfg))
+    levels[1], levels[2] = math.nan, 2 * levels[2]
+    return levels
+
+
+@pytest.mark.parametrize("argv, owner, name, patch, check, worst", [
+    (["mass", "convert", "--k", "1", "0.1", "0.2", "0.3"], masses, "to_algebra",
+     _nan_back_from_the_second_value, "round-trip", "2: nan"),
+    (["verify", "equivalence", *_PAIR], equivalence, "us_matrix", _us_off_in_the_boost_plane,
+     "us-reverses-relative-sign", "rho: "),
+    (["hydrogen", "spectrum", *_PAIR, "--nmax", "3"], hydrogen, "radial_solve",
+     _radial_levels_off, "radial-vs-closed", "2: nan"),
+    (["verify", "equivalence", *_PAIR], equivalence, "find_theta", _theta_with_a_nan_entry,
+     "pairing-preservation", "p1, K2: nan"),
+    (["verify", "equivalence", *_PAIR], equivalence, "project", _nan_fermi_projector,
+     "projector-idempotence", "-1: nan"),
+])
+def test_failing_float_check_names_its_worst_item(argv, owner, name, patch, check, worst,
+                                                  monkeypatch):
+    # the detail names the worst item (a value index, a variable, a level n,
+    # an entry of A^T Omega A - Omega, a projector's sign) with its residual,
+    # and the stderr FAIL line repeats it
+    monkeypatch.setattr(owner, name, patch)
+    code, out, err = _run_quietly([*argv, "--format", "json"])
+    assert code == 1
+    (failed,) = [c for c in json.loads(out)["checks"] if c["name"] == check]
+    assert failed["status"] == "fail" and failed["detail"].startswith(worst)
+    assert failed["detail"].endswith(": " + format_number(float(failed["residual"])))
+    assert f"FAIL {check}: residual = " in err and f"({failed['detail']})" in err
+
+
+def test_verify_hopf_makes_one_check_call_per_item(monkeypatch, capsys):
+    # work guard for the benchmark's item structure, calls and not time:
+    # 2,392 check calls in order, the 2,197 Jacobi triples, then the 169
+    # coproduct pairs, then each generator's coassociativity and Hopf axiom
+    calls = []
+
+    def record(name):
+        method = getattr(hopf.GalileiHopf, name)
+        monkeypatch.setattr(hopf.GalileiHopf, name,
+                            lambda alg, *args: calls.append((name, args)) or method(alg, *args))
+
+    for name in ("check_jacobi", "check_hom", "check_coassoc", "check_hopf_axiom"):
+        record(name)
+    assert run(["verify", "hopf"]) == 0
+    capsys.readouterr()
+    names = hopf.GENERATOR_NAMES
+    assert calls == ([("check_jacobi", t) for t in itertools.product(names, repeat=3)]
+                     + [("check_hom", p) for p in itertools.product(names, repeat=2)]
+                     + [("check_coassoc", (g,)) for g in names]
+                     + [("check_hopf_axiom", (g,)) for g in names])
+    assert len(calls) == 2392
+
+
+def _exact_reduced(m_f, mp_f) -> Fraction:
+    return Fraction(m_f) * Fraction(mp_f) / (Fraction(m_f) + Fraction(mp_f))
+
+
+@pytest.mark.parametrize("m_f, mp_f", [(1e308, 1e308), (1.79e308, 1e306),
+                                       (sys.float_info.max, sys.float_info.max)])
+def test_mass_reduced_where_the_total_overflows(m_f, mp_f):
+    # k = inf with m_f + m'_f above the largest float: the total is no float,
+    # but the reduced mass m_f m'_f / (m_f + m'_f) is
+    code, out, err = _run_quietly(["mass", "reduced", "--k", "inf", repr(m_f), repr(mp_f),
+                                   "--format", "json"])
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    exact = float(f"{float(_exact_reduced(m_f, mp_f)):.12g}")   # the report keeps 12 digits
+    assert results["v_f"] == results["v_classical"] == exact
+
+
+@pytest.mark.parametrize("m_f, mp_f", [(1e308, 1e308), (1.79e308, 1e306)])
+def test_hydrogen_spectrum_where_the_total_overflows(m_f, mp_f):
+    code, out, err = _run_quietly(["hydrogen", "spectrum", "--mf", repr(m_f), "--mfp", repr(mp_f),
+                                   "--k", "inf", "--format", "json"])
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    v = _exact_reduced(m_f, mp_f)
+    assert results["v_f"] == float(f"{float(v):.12g}")
+    assert results["E_1"] == float(f"{float(-v / 2):.12g}")
+
+
+def test_mass_compose_past_the_float_range_at_k_inf():
+    # the composed mass itself exceeds the largest float: exit 2, naming why
+    code, out, err = _run_quietly(["mass", "compose", "--k", "inf", "1e308", "1e308"])
+    assert (code, out) == (2, "")
+    assert err == ("kgalilei: error: the composed mass of 1e+308 and 1e+308 exceeds the "
+                   f"largest float {sys.float_info.max}\n")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -179,3 +180,19 @@ def test_compose_scales_with_k_hypothesis(k, fa, fb, e):
     m, mp = fa * k / 2, fb * k / 2
     scaled = s * compose(m, mp, k)
     assert abs(compose(s * m, s * mp, s * k) - scaled) <= 4 * math.ulp(scaled)
+
+
+@pytest.mark.parametrize("m_f, mp_f", [(1e308, 1e308), (1.79e308, 1e306), (1e308, 8e307),
+                                       (sys.float_info.max, sys.float_info.max), (0.3, 0.4)])
+def test_classical_limit_where_the_total_overflows(m_f, mp_f):
+    # at k = inf the composed mass m_f + m'_f is rejected where it exceeds
+    # the largest float, while the reduced mass, which never exceeds m_f,
+    # is the exact m_f m'_f / (m_f + m'_f) correctly rounded
+    total = Fraction(m_f) + Fraction(mp_f)
+    exact = float(Fraction(m_f) * Fraction(mp_f) / total)
+    if total > sys.float_info.max:
+        with pytest.raises(MassDomainError, match="composed mass .* exceeds the largest float"):
+            compose(m_f, mp_f, math.inf)
+    else:
+        assert compose(m_f, mp_f, math.inf) == float(total)
+    assert reduced(m_f, mp_f, math.inf) == classical_reduced(m_f, mp_f) == exact
