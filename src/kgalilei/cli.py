@@ -18,7 +18,7 @@ check ``radial-grid-convergence``, a theta* that misses a variable
 documented domain (a mass out of [0, k/2] or NaN, a k, a positive mass or a
 reduced mass below the smallest normal float, an algebra mass, or at k = inf
 the composed mass, above the largest float, quantum numbers outside
-0 <= l < n_max or more levels than the radial grid holds, a negative seed, a
+0 <= l < n_max or an n_max above hydrogen.MAX_N_MAX, a negative seed, a
 demo grid too small or above MAX_GRID_N points per axis, an ``--out`` path
 that cannot be written), reported in one line.
 """
@@ -222,7 +222,6 @@ def _cmd_mass_reduced(args) -> RunReport:
 
 
 def _cmd_hydrogen_spectrum(args) -> RunReport:
-    # the one handler that needs scipy, through hydrogen: imported only here
     from . import hydrogen
 
     cfg = hydrogen.HydrogenConfig(m_f=args.mf, mp_f=args.mfp, k=args.k,
@@ -235,8 +234,8 @@ def _cmd_hydrogen_spectrum(args) -> RunReport:
     radial = None
 
     def levels():
-        # the radial solve comes before the first level: a grid that does not
-        # converge fails the check radial-grid-convergence, and names no level
+        # the radial solve comes before the first level: meshes that do not
+        # converge fail the check radial-grid-convergence, and name no level
         nonlocal radial
         if args.solver in ("radial", "both"):
             radial = hydrogen.radial_solve(cfg)

@@ -6,25 +6,28 @@ the reduced mass is the deformed v_f = m_f m'_f / M_f.  In atomic units
 
     E_n = - v_f / (2 n^2)
 
-The module provides the closed form, an independent finite-difference radial
-solver used to cross-check it (and a harmonic-oscillator control case), and
-the correction-series analysis of v_f / v = 1 / (1 - 2v/k).
+The module provides the closed form, an independent radial solver used to
+cross-check it (and a harmonic-oscillator control case), and the
+correction-series analysis of v_f / v = 1 / (1 - 2v/k).
 
-The radial solver works on a grid uniform in s, where r = s^2: points crowd
-towards the 1/r region near the origin and thin out in the exponential tail.
-Its default box is 2 n_max^2 + 20 n_max Bohr radii, the classical turning
-point of the outermost requested state plus 20 of its decay lengths.
+The radial solver is the regularized Lagrange-Laguerre mesh (D. Baye, Phys.
+Rep. 565 (2015) 1-107): mesh points r_i = h x_i at the zeros x_i of the
+Laguerre polynomial L_N, a kinetic matrix in closed form and a diagonal
+potential, so one dense symmetric eigensolve gives the levels, which converge
+exponentially in N.  Two meshes are solved, the second finer and on a box half
+again as large, so that a box too small for the states shows as a gap between
+them.  The default box is 1.5 (2 n_max^2 + 20 n_max) Bohr radii: half again
+the classical turning point of the outermost requested state plus 20 of its
+decay lengths.  Only numpy is needed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import masses
 from .report import CheckFailure
@@ -38,18 +41,22 @@ __all__ = [
     "correction_series",
     "CorrectionSeries",
     "CORRECTION_ORDER",
+    "MAX_N_MAX",
     "RADIAL_TOL",
 ]
 
 #: The highest power of 2v/k that ``correction_series`` keeps.
 CORRECTION_ORDER = 3
-#: Largest relative change of a level between successive Richardson
-#: extrapolants that ``radial_solve`` accepts.
+#: Largest n_max a config accepts.  The finer radial mesh then has
+#: 4 n_max + 50 = 2050 points at the default n_points, a 34 MB dense matrix.
+MAX_N_MAX = 500
+#: Largest relative change of a level between the two radial meshes that
+#: ``radial_solve`` accepts.
 RADIAL_TOL = 1e-6
 
 
 class GridConvergenceError(CheckFailure):
-    """Raised when two grid refinements disagree beyond the requested tolerance;
+    """Raised when the two radial meshes disagree beyond the requested tolerance;
     the residual counts the levels left unsolved."""
 
     check = "radial-grid-convergence"
@@ -68,8 +75,8 @@ class HydrogenConfig:
     k: float
     n_max: int = 3
     l: int = 0
-    r_max: float | None = None   # None: 2 n_max^2 + 20 n_max Bohr radii (see radial_solve)
-    n_points: int = 1000
+    r_max: float | None = None   # None: 1.5 (2 n_max^2 + 20 n_max) Bohr radii (see radial_solve)
+    n_points: int = 30           # the coarser radial mesh has n_points + 3 n_max points
 
     def __post_init__(self):
         masses.check_physical(self.m_f, self.k)
@@ -79,11 +86,11 @@ class HydrogenConfig:
         if not 0 <= self.l < self.n_max:
             raise HydrogenDomainError(
                 f"need 0 <= l < n_max (got n_max = {self.n_max}, l = {self.l})")
-        # the coarsest grid has n_points - 1 interior points, one level each
-        if not (self.n_points >= 3 and self.n_max - self.l <= self.n_points - 1):
-            raise HydrogenDomainError(
-                f"need n_points >= 3 and n_max - l <= n_points - 1 (got n_max = {self.n_max}, "
-                f"l = {self.l}, n_points = {self.n_points})")
+        # the meshes are dense: their size, and so n_max, is capped
+        if self.n_max > MAX_N_MAX:
+            raise HydrogenDomainError(f"need n_max <= {MAX_N_MAX} (got n_max = {self.n_max})")
+        if self.n_points < 1:
+            raise HydrogenDomainError(f"need n_points >= 1 (got n_points = {self.n_points})")
 
     @property
     def v_f(self) -> float:
@@ -100,69 +107,88 @@ def bohr_levels(cfg: HydrogenConfig) -> list[float]:
     return [-v_f / (2.0 * n ** 2) for n in range(1, cfg.n_max + 1)]
 
 
+def _mesh_levels(potential: str, g: float, l: int, box: float, n: int,
+                 count: int) -> np.ndarray:
+    """Lowest ``count`` levels on the n-point Lagrange-Laguerre mesh of scale box / (4n).
+
+    The largest zero of L_n lies just below 4n, so the mesh reaches about
+    ``box``.  The regularized kinetic matrix (the matrix of -d^2/dx^2) is
+
+        T_ii = (4 + (4n + 2) x_i - x_i^2) / (12 x_i^2)
+        T_ij = (-1)^(i-j) (x_i + x_j) / (sqrt(x_i x_j) (x_i - x_j)^2)
+
+    and -d^2/dr^2 / 2 is T / (2 h^2).
+    """
+    # Golub-Welsch: the zeros of L_n are the eigenvalues of its Jacobi
+    # matrix, diagonal 2j + 1 and subdiagonal j; eigvalsh reads the lower triangle
+    j = np.arange(n)
+    jacobi = np.zeros((n, n))
+    jacobi[j, j] = 2.0 * j + 1.0
+    jacobi[j[1:], j[:-1]] = j[1:]
+    x = np.linalg.eigvalsh(jacobi)
+    del jacobi
+    h = box / (4.0 * n)
+    # u_i u_j = 1 / (2 h^2 sqrt(x_i x_j)); the sign (-1)^(i-j) = (-1)^i (-1)^j
+    # is a diagonal similarity, which leaves the eigenvalues alone, so it is dropped
+    u = 1.0 / (h * np.sqrt(2.0 * x))
+    matrix = np.subtract.outer(x, x)
+    matrix *= matrix
+    np.fill_diagonal(matrix, 1.0)
+    np.divide(np.add.outer(x, x), matrix, out=matrix)
+    matrix *= u
+    matrix *= u[:, None]
+    r = h * x
+    pot = -1.0 / r if potential == "coulomb" else 0.5 * g * r ** 2
+    kinetic = (4.0 + (4.0 * n + 2.0) * x - x * x) / (24.0 * r * r)
+    np.fill_diagonal(matrix, kinetic + pot + l * (l + 1) / (2.0 * r * r))
+    return np.linalg.eigvalsh(matrix)[:count]
+
+
 @functools.lru_cache
 def _radial_eigenvalues(potential: str, g: float, l: int, box: float, n_points: int,
                         count: int) -> tuple[tuple[float, ...], ...]:
-    """Lowest ``count`` radial levels in Bohr units on n, 2n and 4n grid points.
+    """Lowest ``count`` radial levels in Bohr units on the two meshes.
 
     Lengths are in a_0 = 1 / v_f and energies in E_h = v_f,
     so the masses enter only through the harmonic coupling ``g`` and the box
     length ``box`` = r_max / a_0: a mass sweep on the default box reuses one
     solve.  Returns plain float tuples, never views of the solver's output.
 
-    The grid is uniform in s = sqrt(r): s_i = i ds with ds = sqrt(box) / n,
-    and u vanishes at s = 0 and s = sqrt(box).  Discretizing the energy
-    functional with weight dr = 2 s ds gives the couplings
-    c_j = 1 / (2 ds^2 (j + 1/2)) at the midpoints and the weights b_i = 2 s_i ds;
-    w = sqrt(b) u makes the matrix symmetric.
+    The coarser mesh has n_points + 3 n_max points on ``box``; the finer one
+    has n_max + 20 points more, on a box half again as large.
     """
-    levels = []
-    for n in (n_points, 2 * n_points, 4 * n_points):
-        ds = math.sqrt(box) / n
-        c = 1.0 / (2.0 * ds ** 2 * (np.arange(n) + 0.5))
-        s = np.arange(1, n) * ds
-        x = s * s
-        b = 2.0 * s * ds
-        pot = -1.0 / x if potential == "coulomb" else 0.5 * g * x ** 2
-        diag = (c[:-1] + c[1:]) / (2.0 * b) + pot + l * (l + 1) / (2.0 * x ** 2)
-        off = -c[1:-1] / (2.0 * np.sqrt(b[:-1] * b[1:]))
-        # the diagonal grows like 1 / ds^4 near the origin, so the default
-        # absolute tolerance eps * ||T||_1 would swamp the levels
-        vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
-                                eigvals_only=True, tol=sys.float_info.min)
-        levels.append(tuple(vals.tolist()))
-    return tuple(levels)
+    n = n_points + 3 * (l + count)
+    return tuple(tuple(_mesh_levels(potential, g, l, b, size, count).tolist())
+                 for b, size in ((box, n), (1.5 * box, n + l + count + 20)))
 
 
 def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb") -> list[float]:
-    """Bound-state energies by finite differences with a grid-refinement gate.
+    """Bound-state energies on a Lagrange-Laguerre mesh with a convergence gate.
 
-    ``potential`` is "coulomb" (-1/r) or "harmonic" (r^2 / 2).  Solves on the
-    configured grid and on grids twice and four times as fine;
-    Richardson-extrapolates the second-order discretization and raises
-    GridConvergenceError if successive extrapolants disagree beyond RADIAL_TOL.
+    ``potential`` is "coulomb" (-1/r) or "harmonic" (r^2 / 2).  Solves on two
+    meshes in Bohr units, the second finer and on a box half again as large,
+    returns the second's levels scaled by v_f, and raises GridConvergenceError
+    unless every level agrees between them to RADIAL_TOL relative.
     """
     if potential not in ("coulomb", "harmonic"):
         raise ValueError("potential must be 'coulomb' or 'harmonic'")
     a0 = cfg.bohr_radius
-    e_h = cfg.v_f
     g = cfg.v_f * a0 ** 4 if potential == "harmonic" else 0.0
     # the default box holds the outermost requested state's turning point
-    # (2 n_max^2) and 20 of its decay lengths (n_max each)
-    box = cfg.r_max / a0 if cfg.r_max is not None else 2.0 * cfg.n_max ** 2 + 20.0 * cfg.n_max
-    coarse, mid, fine = (e_h * np.array(levels) for levels in _radial_eigenvalues(
+    # (2 n_max^2) and 20 of its decay lengths (n_max each), with half again as margin
+    box = (cfg.r_max / a0 if cfg.r_max is not None
+           else 1.5 * (2.0 * cfg.n_max ** 2 + 20.0 * cfg.n_max))
+    coarse, fine = (np.array(levels) for levels in _radial_eigenvalues(
         potential, g, cfg.l, box, cfg.n_points, cfg.n_max - cfg.l))
     if potential == "coulomb" and np.any(fine >= 0.0):
-        raise GridConvergenceError("no bound state found on the grid", len(fine))
-    # second-order scheme: eliminate the ds^2 term, gate on successive extrapolants
-    extrap_lo = (4.0 * mid - coarse) / 3.0
-    extrap_hi = (4.0 * fine - mid) / 3.0
-    gap = np.abs(extrap_hi - extrap_lo) / np.abs(extrap_hi)
-    if np.any(gap > RADIAL_TOL):
+        raise GridConvergenceError("no bound state found on the mesh", len(fine))
+    gap = np.abs(fine - coarse) / np.abs(fine)
+    # written so that a NaN gap fails
+    if not np.all(gap <= RADIAL_TOL):
         raise GridConvergenceError(
-            f"grid too coarse: refinement changes eigenvalues by {gap.max():.3e} relative",
+            f"grid too coarse: the finer mesh changes eigenvalues by {gap.max():.3e} relative",
             len(gap))
-    return extrap_hi.tolist()
+    return (cfg.v_f * fine).tolist()
 
 
 @dataclass(frozen=True)

@@ -136,16 +136,22 @@ def test_python_m_runs_the_cli(module):
     assert done.stderr.startswith("kgalilei: error: ")
 
 
-def test_only_the_hydrogen_handler_loads_scipy():
-    # work guard, in a fresh interpreter: `mass compose` and `verify hopf`
-    # load no scipy, which `cli` reaches only through the hydrogen handler
+def test_no_command_loads_scipy():
+    # work guard, in a fresh interpreter: neither the hydrogen module nor
+    # the CLI's `mass compose`, `verify hopf` and radial `hydrogen spectrum`
+    # load any scipy module
     script = """
 import contextlib, io, sys
+scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']
+import kgalilei.hydrogen
+assert not scipy(), 'hydrogen loads scipy'
 from kgalilei import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(['mass', 'compose', '--k', '1', '0.3', '0.4']) == 0
     assert cli.run(['verify', 'hopf']) == 0
-assert 'scipy' not in sys.modules, 'cli loads scipy'
+    assert cli.run(['hydrogen', 'spectrum', '--mf', '0.3', '--mfp', '0.4', '--k', '1',
+                    '--nmax', '4', '--solver', 'both']) == 0
+assert not scipy(), 'cli loads scipy'
 """
     done = _python("-c", script)
     assert done.returncode == 0, done.stderr
@@ -574,10 +580,10 @@ def test_radial_solve_at_large_nmax(nmax, solver):
 @pytest.mark.parametrize("solver", ["radial", "both"])
 @pytest.mark.parametrize("nmax", [16, 20])
 def test_radial_grid_without_convergence_is_a_failed_check(nmax, solver, monkeypatch):
-    # a grid that holds too few bound states (stood in for by non-negative
-    # levels): one named failing check, exit 1, valid JSON and no traceback
+    # meshes that hold too few bound states (stood in for by non-negative
+    # levels on both): one named failing check, exit 1, valid JSON and no traceback
     monkeypatch.setattr(hydrogen, "_radial_eigenvalues",
-                        lambda potential, g, l, box, n_points, count: ((0.0,) * count,) * 3)
+                        lambda potential, g, l, box, n_points, count: ((0.0,) * count,) * 2)
     code, out, err = _run_quietly(_SPECTRUM + ["--nmax", str(nmax), "--solver", solver,
                                                "--format", "json"])
     assert code == 1
@@ -677,12 +683,15 @@ def test_cocycle_demo_deterministic(tmp_path):
     _SPECTRUM + ["--nmax", "0"],
     _SPECTRUM + ["--l", "-1"],
     _SPECTRUM + ["--nmax", "6000", "--solver", "radial"],
+    _SPECTRUM + ["--nmax", "1000", "--l", "999"],
+    _SPECTRUM + ["--nmax", "100000", "--l", "99999", "--solver", "radial"],
+    _SPECTRUM + ["--nmax", str(hydrogen.MAX_N_MAX + 1), "--solver", "closed"],
 ])
 def test_out_of_domain_input_exits_two(argv, capsys):
     # a mass outside [0, k/2] (or NaN), a k below the smallest normal float,
-    # quantum numbers outside 0 <= l < n_max, more levels than the radial grid
-    # holds and a grid too small for the demo are reported in one line, with
-    # no traceback and no report
+    # quantum numbers outside 0 <= l < n_max, an n_max above the radial
+    # solver's cap and a grid too small for the demo are reported in one
+    # line, with no traceback and no report
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -812,15 +821,34 @@ def test_mass_reduced_where_the_total_overflows(m_f, mp_f):
     assert results["v_f"] == results["v_classical"] == exact
 
 
-@pytest.mark.parametrize("m_f, mp_f", [(1e308, 1e308), (1.79e308, 1e306)])
+@pytest.mark.parametrize("m_f, mp_f", [(1e308, 1e308), (1.79e308, 1e306),
+                                       (sys.float_info.max, sys.float_info.max)])
 def test_hydrogen_spectrum_where_the_total_overflows(m_f, mp_f):
+    # the radial solve runs in Bohr units and scales by v_f (up to 8.99e307)
+    # only at the end, so nothing overflows and no warning is printed
     code, out, err = _run_quietly(["hydrogen", "spectrum", "--mf", repr(m_f), "--mfp", repr(mp_f),
-                                   "--k", "inf", "--format", "json"])
+                                   "--k", "inf", "--solver", "both", "--format", "json"])
     assert (code, err) == (0, "")
     results = json.loads(out)["results"]
     v = _exact_reduced(m_f, mp_f)
     assert results["v_f"] == float(f"{float(v):.12g}")
     assert results["E_1"] == float(f"{float(-v / 2):.12g}")
+    closed = hydrogen.bohr_levels(hydrogen.HydrogenConfig(m_f=m_f, mp_f=mp_f, k=math.inf))
+    assert len(results["rows"]) == len(closed) == 3
+    for (_, _, _, e_radial, _), e_closed in zip(results["rows"], closed):
+        assert abs(e_radial - e_closed) <= 1e-6 * abs(e_closed)
+
+
+def test_radial_solve_through_nmax_60_and_at_the_cap():
+    # `--solver both` passes at l = 0 and at l = n_max - 1 for every n_max
+    # from 1 to 60, and at the cap
+    for nmax in [*range(1, 61), hydrogen.MAX_N_MAX]:
+        for l in sorted({0, nmax - 1}):
+            code, out, err = _run_quietly(_SPECTRUM + ["--nmax", str(nmax), "--l", str(l),
+                                                       "--format", "json"])
+            assert (code, err) == (0, ""), (nmax, l, err)
+            report = json.loads(out)
+            assert len(report["results"]["rows"]) == nmax - l
 
 
 def test_mass_compose_past_the_float_range_at_k_inf():
