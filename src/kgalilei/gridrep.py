@@ -17,13 +17,17 @@ extracts it numerically and checks that the pointwise ratio really is
 grid-constant.  The closed form exp(i m_f (v^2 tau' / 2 + v . R a')) is
 validated against this extraction in the tests, never assumed.
 
-``cocycle_phase`` makes one whole-grid action, act(g g') psi, whose
-amplitude picks the points the ratio reads.  act(g) act(g') psi is computed
-only on the bounding box of those points, and act(g') psi only on the input
-box that box reads, each sample by the same operations, in the same order, as
-on the whole grid.  The three actions write into a workspace of three complex
-n^3 grids, kept for the last grid size, so repeated extractions on one grid
-allocate no grid; calls from several threads at once are not supported.
+``cocycle_phase`` computes act(g g') psi, whose amplitude picks the points
+the ratio reads, only on the output box that reads psi's support: the input
+box where psi reaches half the amplitude cut.  An amplitude bound certifies
+that no point outside that box reaches the cut; where it cannot, the action
+is rerun on the whole grid.  act(g) act(g') psi is computed only on the
+bounding box of the kept points, and act(g') psi only on the input box that
+box reads.  Each boxed sample goes through the same operations, in the same
+order, as on the whole grid.  The actions write into a workspace of three
+complex n^3 grids, kept for the last grid size, so repeated extractions on
+one grid allocate no grid; calls from several threads at once are not
+supported.
 """
 
 from __future__ import annotations
@@ -224,14 +228,26 @@ def _slab_taps(c: np.ndarray, n: int, step: int,
         # leave [0, n - 1] only at an end, where its weight is of rounding size
         start = lo + offset
         low, high = sorted((-step * start, step * (n - 1 - start)))
-        q0 = max(first + max(low, 0), window[0])
-        q1 = min(first + high, last, window[1] - 1)
-        if q0 > q1:
-            continue
-        src = start + step * (q0 - first)
-        stop = src + step * (q1 - q0 + 1)
-        taps.append((weight, slice(q0, q1 + 1), slice(src, stop if stop >= 0 else None, step)))
-    return taps
+        q0 = first + max(low, 0)
+        taps.append((weight, slice(q0, min(first + high, last) + 1),
+                     slice(start + step * (q0 - first), None, step)))
+    return _window(taps, window)
+
+
+def _window(taps: list, window: tuple[int, int]) -> list[tuple[float, slice, slice]]:
+    """The taps of one axis, kept on the output points lo <= q < hi of ``window`` = (lo, hi).
+
+    A tap's input slice moves with its output slice; a tap left with no
+    output point is dropped.
+    """
+    kept = []
+    for weight, dst, src in taps:
+        q0, q1 = max(dst.start, window[0]), min(dst.stop, window[1])
+        if q0 < q1:
+            start = src.start + src.step * (q0 - dst.start)
+            stop = start + src.step * (q1 - q0)
+            kept.append((weight, slice(q0, q1), slice(start, stop if stop >= 0 else None, src.step)))
+    return kept
 
 
 @functools.lru_cache(maxsize=1)
@@ -273,6 +289,31 @@ def _reads(taps: list, n: int) -> list[tuple[int, int]]:
         ends = [i for r in reads for i in (r[0], r[-1])]
         box.append((min(ends), max(ends) + 1) if ends else (0, 0))
     return box
+
+
+def _image(cols: tuple, taps: list, box, n: int) -> list[tuple[int, int]]:
+    """The output box that reads the input box ``box`` through ``taps``, the mirror of ``_reads``.
+
+    ``cols`` and ``taps`` are ``_taps`` on the whole grid, and ``box`` holds
+    one (lo, hi) per input axis.  Returns one (lo, hi) per output axis: the
+    points on output axis cols[i] whose taps read input axis i inside
+    box[i], empty where none does.
+    """
+    image = [(0, 0)] * 3
+    for i, axis in enumerate(taps):
+        lo, hi = box[i]
+        ends = []
+        for _, dst, src in axis:
+            out, read = range(n)[dst], range(n)[src]
+            # the positions j along the tap whose read[j] lies in [lo, hi)
+            first, last = ((lo - read.start, hi - 1 - read.start) if read.step > 0
+                           else (read.start - hi + 1, read.start - lo))
+            first, last = max(first, 0), min(last, len(read) - 1)
+            if first <= last:
+                ends += (out[first], out[last])
+        if ends:
+            image[cols[i]] = (min(ends), max(ends) + 1)
+    return image
 
 
 def _act_on(g: GroupElement, psi: GridWavefunction, ax: np.ndarray, values: np.ndarray,
@@ -336,34 +377,66 @@ def act(g: GroupElement, psi: GridWavefunction, out: np.ndarray | None = None) -
 def cocycle_phase(g: GroupElement, gp: GroupElement, psi: GridWavefunction) -> complex:
     """Extract the projective phase of the pair (g, g').
 
-    Computes act(g g') psi on the whole grid, keeps the points at or above
-    AMPLITUDE_CUT of its peak amplitude, and demands that the ratio of
-    act(g) act(g') psi to it be constant on them (max deviation from its mean
-    <= SPREAD_TOL, which a NaN deviation fails); returns the mean phase.  act(g) act(g') psi is computed
-    only on the bounding box of the kept points, and act(g') psi only on the
-    input box that box reads, so the one whole-grid action is act(g g').  A
-    peak amplitude of 0, or one that is not finite, raises ValueError.  All
-    three actions write into the workspace of psi's grid size.
+    Computes act(g g') psi, keeps the points at or above AMPLITUDE_CUT of its
+    peak amplitude, and demands that the ratio of act(g) act(g') psi to it be
+    constant on them (max deviation from its mean <= SPREAD_TOL, which a NaN
+    deviation fails); returns the mean phase.  A peak amplitude of 0, or one
+    that is not finite, raises ValueError.
+
+    act(g g') psi is computed only on the output box that reads the support
+    box of psi, where the axis profiles of |psi| reach floor = AMPLITUDE_CUT/2
+    max|psi|.  A point outside that box reads only samples below floor, with
+    weights that sum to at most 1 and a phase of modulus 1, so its amplitude
+    is at most floor (1 + O(eps)).  When the box's peak P has AMPLITUDE_CUT P
+    above that, the peak, the kept points and their values are those of the
+    whole grid; otherwise (a peak moved off the grid, noise, an all-zero or a
+    non-finite packet) the action is rerun on the whole grid.
+    act(g) act(g') psi is computed only on the bounding box of the kept
+    points, and act(g') psi only on the input box that box reads.  All the
+    actions write into the workspace of psi's grid size.
     """
     # the factors' boosts first, in the order act(g) act(g') psi applies them
     _check_shift(gp, psi)
     _check_shift(g, psi)
-    phase, first, second = _scratch(psi.n)
-    rhs = act(galilei_multiply(g, gp), psi, out=first).values
-    # |rhs| fills the first half of the phase grid, read as a contiguous float
-    # grid: the peak and the cut then scan contiguous memory
-    amplitude = np.abs(rhs, out=phase.view(float).reshape(-1)[:rhs.size].reshape(rhs.shape))
-    peak = amplitude.max()
+    product = galilei_multiply(g, gp)
+    _check_shift(product, psi)
+    n = psi.n
+    phase, first, second = _scratch(n)
+    # amplitudes go into the phase grid, read as a contiguous float grid
+    floats = phase.view(float).reshape(-1)
+    magnitude = np.abs(psi.values, out=floats[:n ** 3].reshape(n, n, n))
+    rows = magnitude.reshape(n, n * n)
+    plane = rows.max(0).reshape(n, n)
+    profiles = (rows.max(1), plane.max(1), plane.max(0))
+    floor = 0.5 * AMPLITUDE_CUT * profiles[0].max()
+    support = []
+    for profile in profiles:
+        hits = np.flatnonzero(profile >= floor)  # none where floor is NaN
+        support.append((int(hits[0]), int(hits[-1]) + 1) if hits.size else (0, 0))
+    ax, whole = psi.axis(), ((0, n),) * 3
+    cols, taps = _taps(product, psi, ax, whole)
+    for box in (_image(cols, taps, support, n), whole):
+        _act_on(product, psi, ax, psi.values, first, box, cols,
+                [_window(axis, box[col]) for col, axis in zip(cols, taps)])
+        rhs = first[tuple(slice(lo, hi) for lo, hi in box)]
+        amplitude = np.abs(rhs, out=floats[:rhs.size].reshape(rhs.shape))
+        peak = amplitude.max(initial=0.0)
+        # every point outside the box is at most floor (1 + O(eps)), so above
+        # that the box holds the whole grid's peak and kept points; NaN fails
+        if AMPLITUDE_CUT * peak > floor * (1.0 + 1e-12):
+            break
     if not np.isfinite(peak):
         raise ValueError("wavefunction is not finite on the reference region")
     if peak == 0:
         raise ValueError("wavefunction vanishes on the reference region")
-    kept = np.flatnonzero(amplitude >= AMPLITUDE_CUT * peak)
-    right = rhs.take(kept)  # gathered before act(g') psi overwrites it
-    box = [(int(i.min()), int(i.max()) + 1) for i in np.unravel_index(kept, rhs.shape)]
-    ax = psi.axis()
+    # box-local indices in C order, made global: the ratio reads the points
+    # in the order of the whole grid
+    local = np.nonzero(amplitude >= AMPLITUDE_CUT * peak)
+    kept = np.ravel_multi_index(tuple(i + lo for i, (lo, _) in zip(local, box)), first.shape)
+    right = first.take(kept)  # gathered before act(g') psi overwrites it
+    box = [(int(i.min()) + lo, int(i.max()) + 1 + lo) for i, (lo, _) in zip(local, box)]
     cols, taps = _taps(g, psi, ax, box)
-    reads = _reads(taps, psi.n)
+    reads = _reads(taps, n)
     _act_on(gp, psi, ax, psi.values, first, reads, *_taps(gp, psi, ax, reads))
     _act_on(g, psi, ax, first, second, box, cols, taps)
     ratio = second.take(kept) / right

@@ -16,9 +16,10 @@ Laguerre polynomial L_N, a kinetic matrix in closed form and a diagonal
 potential, so one dense symmetric eigensolve gives the levels, which converge
 exponentially in N.  Two meshes are solved, the second finer and on a box half
 again as large, so that a box too small for the states shows as a gap between
-them.  The default box is 1.5 (2 n_max^2 + 20 n_max) Bohr radii: half again
-the classical turning point of the outermost requested state plus 20 of its
-decay lengths.  Only numpy is needed.
+them.  The default box is half again the classical turning point of the
+outermost requested state plus some of its decay lengths: 1.5 (2 n_max^2 +
+20 n_max) Bohr radii for Coulomb, and 1.5 (sqrt(4 n_max + 2 l + 3) + 10)
+oscillator lengths for the harmonic control.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class HydrogenConfig:
     k: float
     n_max: int = 3
     l: int = 0
-    r_max: float | None = None   # None: 1.5 (2 n_max^2 + 20 n_max) Bohr radii (see radial_solve)
+    r_max: float | None = None   # None: a default box for the potential (see radial_solve)
     n_points: int = 30           # the coarser radial mesh has n_points + 3 n_max points
 
     def __post_init__(self):
@@ -175,9 +176,15 @@ def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb") -> list[float]
     a0 = cfg.bohr_radius
     g = cfg.v_f * a0 ** 4 if potential == "harmonic" else 0.0
     # the default box holds the outermost requested state's turning point
-    # (2 n_max^2) and 20 of its decay lengths (n_max each), with half again as margin
-    box = (cfg.r_max / a0 if cfg.r_max is not None
-           else 1.5 * (2.0 * cfg.n_max ** 2 + 20.0 * cfg.n_max))
+    # and some of its decay lengths, with half again as margin: for Coulomb
+    # 2 n_max^2 and 20 decay lengths of n_max each; for the oscillator
+    # sqrt(4 n_max + 2 l + 3) and 10 oscillator lengths g^(-1/4)
+    if cfg.r_max is not None:
+        box = cfg.r_max / a0
+    elif potential == "harmonic":
+        box = 1.5 * (math.sqrt(4.0 * cfg.n_max + 2.0 * cfg.l + 3.0) + 10.0) * g ** -0.25
+    else:
+        box = 1.5 * (2.0 * cfg.n_max ** 2 + 20.0 * cfg.n_max)
     coarse, fine = (np.array(levels) for levels in _radial_eigenvalues(
         potential, g, cfg.l, box, cfg.n_points, cfg.n_max - cfg.l))
     if potential == "coulomb" and np.any(fine >= 0.0):

@@ -164,15 +164,16 @@ assert not scipy(), 'cli loads scipy'
 
 def test_cocycle_demo_names_non_projective_pair(monkeypatch, capsys):
     # an action that is off by a p-dependent phase is not projective: the
-    # demo fails both checks and names the first draw, with no traceback
-    exact_act = gridrep.act
+    # demo fails both checks and names the first draw, with no traceback.
+    # The phase goes onto every boxed action, on the box it writes
+    exact_act_on = gridrep._act_on
 
-    def broken_act(g, psi, **kwargs):
-        out = exact_act(g, psi, **kwargs)
-        px, _, _ = psi.mesh()
-        return gridrep.GridWavefunction(out.values * np.exp(0.1j * px), psi.p_max, psi.m_f)
+    def broken_act_on(g, psi, ax, values, out, box, cols, taps):
+        exact_act_on(g, psi, ax, values, out, box, cols, taps)
+        (lo, hi), _, _ = box
+        out[lo:hi] *= np.exp(0.1j * ax[lo:hi])[:, None, None]
 
-    monkeypatch.setattr(gridrep, "act", broken_act)
+    monkeypatch.setattr(gridrep, "_act_on", broken_act_on)
     assert run(["cocycle", "demo", "--seed", "0", "--pairs", "3", "--n", "16",
                 "--format", "json"]) == 1
     captured = capsys.readouterr()

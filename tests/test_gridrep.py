@@ -306,10 +306,14 @@ def literal_cocycle(g, gp, psi):
     return float(np.abs(ratio - mean).max()), complex(mean / abs(mean))
 
 
-def matches_literal(g, gp, psi) -> bool:
+def matches_literal(g, gp, psi, boxes=None) -> bool:
     """Assert that cocycle_phase returns the literal phase, or raises
-    ProjectivityError with its spread, bit for bit; True if projective."""
+    ProjectivityError with its spread, bit for bit; True if projective.
+    ``boxes``, a ``spy_act_on`` record, is cleared after the literal's
+    actions, so that it holds the extraction's alone."""
     spread, phase = literal_cocycle(g, gp, psi)
+    if boxes is not None:
+        boxes.clear()
     if spread <= SPREAD_TOL:
         got = cocycle_phase(g, gp, psi)
         assert (got.real.hex(), got.imag.hex()) == (phase.real.hex(), phase.imag.hex())
@@ -372,36 +376,88 @@ def test_cocycle_phase_equals_the_literal_past_the_grid_edge():
         assert matches_literal(g, gp, psi)
 
 
-def test_cocycle_phase_makes_one_whole_grid_action(monkeypatch):
-    # work guard, counting calls and points, not time: each extraction makes
-    # one act, on the whole grid, and composes the two actions on boxes of at
-    # most an eighth of the grid (10^3 of 32^3 points for these draws); the
-    # composed side, whose workspace grid is filled with NaN first, is
-    # written on no more points than that
-    psi = gaussian_packet(n=32)
-    rng = np.random.default_rng(11)
-    acts, boxes = [], []
-    whole, on_box = gridrep.act, gridrep._act_on
-
-    def counted_act(*args, **kwargs):
-        acts.append(args[0])
-        return whole(*args, **kwargs)
+def spy_act_on(monkeypatch) -> list:
+    """Record the size of every box ``_act_on`` writes, in call order."""
+    boxes, on_box = [], gridrep._act_on
 
     def counted_act_on(g, psi, ax, values, out, box, cols, taps):
         boxes.append(math.prod(hi - lo for lo, hi in box))
         return on_box(g, psi, ax, values, out, box, cols, taps)
 
-    monkeypatch.setattr(gridrep, "act", counted_act)
     monkeypatch.setattr(gridrep, "_act_on", counted_act_on)
+    return boxes
+
+
+def test_cocycle_phase_makes_no_whole_grid_action(monkeypatch):
+    # work guard, counting calls and points, not time: an extraction calls
+    # no act, and makes three actions on boxes of at most an eighth of the
+    # grid (10^3 of 32^3 points for these draws); the composed side, whose
+    # workspace grid is filled with NaN first, is written on no more points
+    # than that
+    psi = gaussian_packet(n=32)
+    rng = np.random.default_rng(11)
+    acts = []
+    whole = gridrep.act
+
+    def counted_act(*args, **kwargs):
+        acts.append(args[0])
+        return whole(*args, **kwargs)
+
+    monkeypatch.setattr(gridrep, "act", counted_act)
+    boxes = spy_act_on(monkeypatch)
     composed = _scratch(psi.n)[2]
     for _ in range(10):
-        acts.clear()
         boxes.clear()
         composed.fill(np.nan)
         cocycle_phase(*random_in_grid_tuple(rng, psi, 2), psi)
-        assert len(acts) == 1 and len(boxes) == 3
-        assert boxes[0] == psi.n ** 3 and max(boxes[1:]) <= (psi.n // 2) ** 3
+        assert not acts and len(boxes) == 3
+        assert max(boxes) <= (psi.n // 2) ** 3
         assert np.count_nonzero(~np.isnan(composed)) <= (psi.n // 2) ** 3
+
+
+def test_cocycle_phase_falls_back_to_the_whole_grid(monkeypatch):
+    # where the amplitude bound cannot certify the image of psi's support,
+    # the reference action is rerun on the whole grid, and the phase, or the
+    # error, is the literal one bit for bit
+    n = 16
+    whole = n ** 3
+    boxes = spy_act_on(monkeypatch)
+    h = 16.0 / n  # the spacing of an n-point grid at p_max 8
+    out = GroupElement(tau=0.4, a=np.array([0.3, -0.2, 0.1]), v=np.array([h, 0.0, 0.0]))
+    # two lobes: act(g g') moves the taller, at the +x face, off the grid,
+    # and keeps the lower one, so its peak is below half of max|psi|
+    psi = gaussian_packet(n=n, center=(7.5, 0.5, 0.5), width=0.5)
+    psi.values += 0.3 * gaussian_packet(n=n, center=(-2.5, 1.5, 0.5)).values
+    product = act(galilei_multiply(out, out), psi).values
+    assert np.abs(product).max() < 0.5 * np.abs(psi.values).max()
+    assert matches_literal(out, out, psi, boxes)
+    assert boxes[0] < whole == boxes[1] and len(boxes) == 4
+    # a NaN sample outside the support box, which every action moves off
+    # the grid: the profiles' peak is NaN, so the support box is empty
+    psi = gaussian_packet(n=n, center=(0.5, -1.5, 1.0))
+    psi.values[0, 0, 0] = np.nan
+    back = GroupElement(tau=-0.2, a=np.array([0.1, 0.2, -0.3]), v=np.array([-h, 0.0, 0.0]))
+    assert matches_literal(back, back, psi, boxes)
+    assert boxes[0] == 0 and boxes[1] == whole and len(boxes) == 4
+    # noise reaches half the cut on every slab, so its support is the whole
+    # grid, which an unboosted product reads whole
+    rng = np.random.default_rng(12)
+    psi = GridWavefunction(rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n)), 8.0, 1.0)
+    for _ in range(3):
+        g, gp = (GroupElement(tau=rng.uniform(-1, 1), a=rng.uniform(-1, 1, size=3),
+                              R=CUBE_ROTATIONS[int(rng.integers(len(CUBE_ROTATIONS)))])
+                 for _ in range(2))
+        assert matches_literal(g, gp, psi, boxes)
+        assert boxes[0] == whole
+    # the all-zero packet
+    boxes.clear()
+    with pytest.raises(ValueError, match="vanishes"):
+        cocycle_phase(out, out, GridWavefunction(np.zeros((n, n, n)), 8.0, 1.0))
+    assert boxes[0] < whole == boxes[1] and len(boxes) == 2
+    # a Gaussian draw runs no whole box
+    psi = gaussian_packet(n=n, center=(0.5, -1.5, 1.0))
+    assert matches_literal(*random_in_grid_tuple(rng, psi, 2), psi, boxes)
+    assert len(boxes) == 3 and max(boxes) < whole
 
 
 @pytest.mark.filterwarnings("error")

@@ -63,6 +63,21 @@ def test_harmonic_oscillator_control():
                     assert abs(e - expected) / expected <= 1e-12
 
 
+def test_harmonic_default_box_up_to_the_cap():
+    # without r_max the oscillator gets its own box, in oscillator lengths:
+    # every level agrees with (2 n_r + l + 3/2) omega at n_max 1-60 and
+    # 100-500, at l = 0, n_max/3, n_max/2 and n_max - 1
+    for n_max in [*range(1, 61), 100, 200, 300, 500]:
+        for l in sorted({0, n_max // 3, n_max // 2, n_max - 1}):
+            cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_max=n_max, l=l)
+            omega = math.sqrt(1.0 / cfg.v_f)
+            numeric = radial_solve(cfg, potential="harmonic")
+            assert len(numeric) == n_max - l
+            for n_r, e in enumerate(numeric):
+                expected = (2 * n_r + l + 1.5) * omega
+                assert abs(e - expected) / expected <= 1e-11, (n_max, l, n_r)
+
+
 def test_user_box_matches_closed_form():
     # a box given in physical units is r_max / a_0 Bohr radii, whatever the masses
     for m_f, mp_f in [(0.3, 0.4), (0.1, 0.45)]:

@@ -196,3 +196,83 @@ def test_classical_limit_where_the_total_overflows(m_f, mp_f):
     else:
         assert compose(m_f, mp_f, math.inf) == float(total)
     assert reduced(m_f, mp_f, math.inf) == classical_reduced(m_f, mp_f) == exact
+
+
+# Fraction oracles across the documented domain.  k is log-uniform over
+# 1e-307 - 1e308, or infinite; each mass is log-uniform below the bound k/2
+# (the largest float at k = inf), from subnormal sizes up, or within a
+# relative 1e-16 - 1e-1 of it.  A call returns a value within ORACLE_ULPS of
+# the exact rational value, or raises MassDomainError exactly where that
+# value lies outside the range the function returns: above the largest
+# float for the composed masses, and below the smallest normal float for
+# the reduced masses, whose subnormal values have lost bits.  Within
+# ORACLE_ULPS of that edge, either outcome is accepted.
+
+ORACLE_ULPS = 8
+_MAX, _MIN = sys.float_info.max, sys.float_info.min
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(lambda x: min(math.exp(x), hi))
+
+
+@st.composite
+def _deformation_and_masses(draw, count):
+    k = draw(st.one_of(_log_uniform(1e-307, 1e308), st.just(math.inf)))
+    bound = _MAX if math.isinf(k) else k / 2
+    mass = st.one_of(_log_uniform(1e-320, bound),
+                     _log_uniform(1e-16, 1e-1).map(lambda d: bound * (1 - d)))
+    return k, draw(st.lists(mass, min_size=count, max_size=count))
+
+
+def _exact_compose(total, m_f, k):
+    total, m_f = Fraction(total), Fraction(m_f)
+    return total + m_f if math.isinf(k) else total + m_f - 2 * total * m_f / Fraction(k)
+
+
+def _matches_oracle(call, exact, edge):
+    """call() is within ORACLE_ULPS of ``exact``, or raises MassDomainError
+    exactly where ``exact`` lies past ``edge`` (_MAX above, _MIN below)."""
+    outside = exact > _MAX if edge == _MAX else exact < _MIN
+    near = abs(exact - Fraction(edge)) <= ORACLE_ULPS * Fraction(math.ulp(edge))
+    try:
+        value = call()
+    except MassDomainError:
+        assert outside or near, float(exact)
+        return
+    assert not outside or near, (value, float(exact))
+    ulp = Fraction(math.ulp(float(min(exact, Fraction(_MAX)))))
+    assert abs(Fraction(value) - exact) <= ORACLE_ULPS * ulp, (value, float(exact))
+
+
+@given(_deformation_and_masses(2))
+@settings(max_examples=500, deadline=None)
+def test_compose_matches_the_fraction_oracle(drawn):
+    k, (m_f, mp_f) = drawn
+    _matches_oracle(lambda: compose(m_f, mp_f, k), _exact_compose(m_f, mp_f, k), _MAX)
+
+
+@given(st.integers(1, 6).flatmap(_deformation_and_masses))
+@settings(max_examples=300, deadline=None)
+def test_compose_many_matches_the_fraction_oracle(drawn):
+    k, ms = drawn
+    exact = Fraction(ms[0])
+    for m_f in ms[1:]:
+        exact = _exact_compose(exact, m_f, k)
+    _matches_oracle(lambda: compose_many(ms, k), exact, _MAX)
+
+
+@given(_deformation_and_masses(2))
+@settings(max_examples=500, deadline=None)
+def test_reduced_matches_the_fraction_oracle(drawn):
+    k, (m_f, mp_f) = drawn
+    exact = Fraction(m_f) * Fraction(mp_f) / _exact_compose(m_f, mp_f, k)
+    _matches_oracle(lambda: reduced(m_f, mp_f, k), exact, _MIN)
+
+
+@given(_deformation_and_masses(2))
+@settings(max_examples=500, deadline=None)
+def test_classical_reduced_matches_the_fraction_oracle(drawn):
+    _, (m_f, mp_f) = drawn
+    exact = Fraction(m_f) * Fraction(mp_f) / (Fraction(m_f) + Fraction(mp_f))
+    _matches_oracle(lambda: classical_reduced(m_f, mp_f), exact, _MIN)
