@@ -21,20 +21,24 @@ K_i are twisted (Delta X = X (x) E + 1 (x) X, S X = -X E^-1), J_i and H
 primitive.  M, primitive, and E, grouplike, are exponents of a word, so only
 ``coproduct_of`` and ``antipode_of``, which extend the letter maps to whole
 expressions, handle them; a named generator's Delta and S are those maps
-applied to it.  Each algebra instance computes a generator bracket [g, h], a
-left-normed double bracket [[g, h], f], a homomorphism residual
-Delta([g, h]) - [Delta g, Delta h] and a generator coproduct once and keeps it
-(at most 13^2 + 13^3 + 13^2 + 13 values), and a Jacobi sum, three stored
-double brackets, once per set of three distinct names (286 values).  The first
-three are antisymmetric in (g, h): each is built once per unordered pair and
-its mirror stored as the exact negation, the diagonal is zero, and a double
-bracket whose inner bracket is zero is stored as zero with no commutator taken.
-The Jacobi sum is alternating for any product rule, each term being linear
-in a commutator, and a commutator is antisymmetric term by term: the pair
-(m1, m2) of monomials adds c1 c2 (m1 m2 - m2 m1) to [a, b] and the exact
-negation of that to [b, a].  So another order of its names gives the stored
-value or its exact negation, a repeated name zero.  Sharing the stored
-values is safe because no element changes after construction.
+applied to it.  Each algebra instance keeps every generator coproduct and
+one signed store of residuals keyed by the ordered names: a bracket [g, h]
+under (g, h), a homomorphism residual Delta([g, h]) - [Delta g, Delta h]
+under ("Delta", g, h), and a Jacobi sum under (g, h, f).  A value is built
+once, for the first ordering asked for (the sorted one, for a Jacobi sum),
+and stored at once under every ordering of its names: the value itself
+under the even orderings, its exact negation under the odd ones.  A
+repeated call is then one dictionary lookup.  The bracket and the
+homomorphism residual are antisymmetric in (g, h), since ``coproduct_of`` is
+linear.  The Jacobi sum is alternating for any product rule, each term being
+linear in a commutator, and a commutator is antisymmetric term by term: the
+pair (m1, m2) of monomials adds c1 c2 (m1 m2 - m2 m1) to [a, b] and the
+exact negation of that to [b, a].  A zero value is its own negation, and the
+diagonal pair and every triple with a repeated name share one zero per
+algebra.  A double bracket [[g, h], f] is not stored: it reads the stored
+[g, h] and takes one commutator only where that is nonzero, and the scan
+reads each one once, in one Jacobi sum.  Sharing the stored values is safe
+because no element changes after construction.
 """
 
 from __future__ import annotations
@@ -160,17 +164,19 @@ class GalileiHopf:
         self._sort_cache: dict = {}
         # w1 w2 - w2 w1 under (w1, w2), see UEAExpression._bracket
         self._word_bracket_cache: dict = {}
-        # [g, h] under (g, h), [[g, h], f] under (g, h, f), the homomorphism
-        # residual of (g, h) under ("Delta", g, h), see _stored, and the
-        # Jacobi sum of a sorted triple under ("Jacobi", g, h, f)
-        self._bracket_cache: dict = {}
+        # [g, h] under (g, h), the homomorphism residual of (g, h) under
+        # ("Delta", g, h) and the Jacobi sum of (g, h, f) under (g, h, f),
+        # each under every ordering of its names, see _fill
+        self._store: dict = {}
         self._coproduct_cache: dict = {}
+        self._zero = UEAExpression(self, {})
+        self._zero_tensor = TensorExpression(self, 2, {})
         self.rewrite_steps = 0
 
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> UEAExpression:
-        return UEAExpression(self, {})
+        return self._zero
 
     def one(self) -> UEAExpression:
         return UEAExpression(self, {(_EMPTY, 0, 0): Rat(1)})
@@ -244,38 +250,32 @@ class GalileiHopf:
 
     # -- Hopf data -----------------------------------------------------------
 
-    def _stored(self, key: tuple, mirror: tuple, build):
-        """The value under ``key``: the negation of the stored ``mirror``, or ``build()``.
+    def _fill(self, even: tuple, odd: tuple, value):
+        """Store ``value`` under the keys ``even`` and its negation under ``odd``; return it.
 
-        Either way it is computed once and kept.  Each stored value is
-        linear in one commutator, and the negation is exact because a
-        commutator is antisymmetric term by term, whatever the product does:
-        each pair of terms adds c1 c2 times its monomial bracket, and
-        ``_bracket(m2, m1)`` merges the same two products as
-        ``_bracket(m1, m2)`` with the opposite signs.
+        The negation is exact because each stored value is alternating in its
+        names (see the module docstring), and a zero value is its own.
         """
-        cache = self._bracket_cache
-        value = cache.get(key)
-        if value is None:
-            partner = cache.get(mirror)
-            value = cache[key] = build() if partner is None else -partner
+        store = self._store
+        mirror = -value if value.terms else value
+        for key in even:
+            store[key] = value
+        for key in odd:
+            store[key] = mirror
         return value
 
     def bracket(self, g: str, h: str) -> UEAExpression:
         """Commutator [g, h] of two named generators; [h, g] is its negation."""
-        build = self.zero if g == h else lambda: self.gen(g).commutator(self.gen(h))
-        return self._stored((g, h), (h, g), build)
+        value = self._store.get((g, h))
+        if value is None:
+            value = self._fill(((g, h),), ((h, g),), self._zero if g == h
+                               else self.gen(g).commutator(self.gen(h)))
+        return value
 
     def double_bracket(self, g: str, h: str, f: str) -> UEAExpression:
-        """Left-normed [[g, h], f]; [[h, g], f] is its negation.
-
-        Both are zero, with no commutator taken, wherever [g, h] is.
-        """
-        def build():
-            inner = self.bracket(g, h)
-            return self.zero() if inner.is_zero else inner.commutator(self.gen(f))
-
-        return self._stored((g, h, f), (h, g, f), build)
+        """Left-normed [[g, h], f]; zero, with no commutator taken, wherever [g, h] is."""
+        inner = self.bracket(g, h)
+        return inner.commutator(self.gen(f)) if inner.terms else self._zero
 
     def _letter_coproduct(self, letter: tuple) -> TensorExpression:
         """Delta X = X (x) E + 1 (x) X for the twisted P and K, X (x) 1 + 1 (x) X otherwise."""
@@ -329,32 +329,33 @@ class GalileiHopf:
     def check_jacobi(self, g1: str, g2: str, g3: str) -> UEAExpression:
         """[[g1,g2],g3] + [[g2,g3],g1] + [[g3,g1],g2]; zero iff consistent.
 
-        Built once for the names in ``GENERATOR_NAMES`` order; see the module docstring.
+        Built once per set of names, for its ``GENERATOR_NAMES`` order; see
+        the module docstring.
         """
-        triple = (g1, g2, g3)
-        a, b, c = sorted(triple, key=_RANK.__getitem__)
-        if a == b or b == c:
-            return self.zero()
-        cache, key = self._bracket_cache, ("Jacobi", a, b, c)
-        if key not in cache:
-            cache[key] = (self.double_bracket(a, b, c) + self.double_bracket(b, c, a)
-                          + self.double_bracket(c, a, b))
-        return cache[key] if triple in ((a, b, c), (b, c, a), (c, a, b)) else -cache[key]
+        value = self._store.get((g1, g2, g3))
+        if value is None:
+            a, b, c = sorted((g1, g2, g3), key=_RANK.__getitem__)
+            if a == b or b == c:
+                return self._fill(((g1, g2, g3),), (), self._zero)
+            self._fill(((a, b, c), (b, c, a), (c, a, b)), ((b, a, c), (a, c, b), (c, b, a)),
+                       self.double_bracket(a, b, c) + self.double_bracket(b, c, a)
+                       + self.double_bracket(c, a, b))
+            value = self._store[g1, g2, g3]
+        return value
 
     def check_hom(self, g: str, h: str) -> TensorExpression:
         """Delta([g,h]) - [Delta g, Delta h]; zero iff Delta is an algebra map.
 
         Antisymmetric in (g, h), since ``coproduct_of`` is linear, and zero
-        on the diagonal: the residual of (h, g) is stored as the negation of
-        that of (g, h).
+        on the diagonal.
         """
-        def build():
-            if g == h:
-                return TensorExpression(self, 2, {})
-            lhs = self.coproduct_of(self.bracket(g, h))
-            return lhs - self.coproduct(g).commutator(self.coproduct(h))
-
-        return self._stored(("Delta", g, h), ("Delta", h, g), build)
+        key = ("Delta", g, h)
+        value = self._store.get(key)
+        if value is None:
+            value = self._fill((key,), (("Delta", h, g),), self._zero_tensor if g == h
+                               else self.coproduct_of(self.bracket(g, h))
+                               - self.coproduct(g).commutator(self.coproduct(h)))
+        return value
 
     def check_coassoc(self, g: str) -> TensorExpression:
         """(Delta (x) id - id (x) Delta) applied to Delta g; three legs."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +164,23 @@ def _radial_eigenvalues(potential: str, g: float, l: int, box: float, n_points: 
                  for b, size in ((box, n), (1.5 * box, n + l + count + 20)))
 
 
+def _harmonic_coupling(v_f: float) -> float:
+    """The unit spring constant in Bohr units, v_f a_0^4 = v_f^-3.
+
+    Formed as one power: a_0^4 alone overflows for v_f below about 1e-77 and
+    underflows to 0 above about 1e77.  For v_f outside about [2e-103, 4e102]
+    g itself leaves the normal floats, and that is a domain error.
+    """
+    try:
+        g = v_f ** -3.0
+    except OverflowError:
+        g = math.inf
+    if not sys.float_info.min <= g < math.inf:
+        raise HydrogenDomainError(f"the harmonic coupling v_f^-3 of v_f = {v_f} lies outside "
+                                  f"the normal float range")
+    return g
+
+
 def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb") -> list[float]:
     """Bound-state energies on a Lagrange-Laguerre mesh with a convergence gate.
 
@@ -174,7 +192,7 @@ def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb") -> list[float]
     if potential not in ("coulomb", "harmonic"):
         raise ValueError("potential must be 'coulomb' or 'harmonic'")
     a0 = cfg.bohr_radius
-    g = cfg.v_f * a0 ** 4 if potential == "harmonic" else 0.0
+    g = _harmonic_coupling(cfg.v_f) if potential == "harmonic" else 0.0
     # the default box holds the outermost requested state's turning point
     # and some of its decay lengths, with half again as margin: for Coulomb
     # 2 n_max^2 and 20 decay lengths of n_max each; for the oscillator

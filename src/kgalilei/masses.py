@@ -61,13 +61,18 @@ def to_physical(m, k) -> float:
     """Physical mass of algebra mass m: (k/2)(1 - e^(-2m/k)); m for k = inf.
 
     2m/k is formed as m / (k/2), the same float where 2m does not overflow.
+    Where it lies below the smallest normal float it has lost bits, and the
+    mass is m itself, m (1 - m/k + ...) to well within rounding.
     """
     check_deformation(k)
     if not m >= 0:
         raise MassDomainError(f"algebra mass must be a nonnegative number, got {m}")
     if math.isinf(k):
         return m
-    return (k / 2) * -math.expm1(-m / (k / 2))
+    ratio = m / (k / 2)
+    if ratio < sys.float_info.min:
+        return m
+    return (k / 2) * -math.expm1(-ratio)
 
 
 def to_algebra(m_f, k) -> float:
@@ -75,12 +80,17 @@ def to_algebra(m_f, k) -> float:
 
     The boundary m_f = k/2 has no finite algebra coordinate and is rejected,
     and so is a mass whose algebra coordinate exceeds the largest float
-    (m_f near k/2 at k above about 1e307).
+    (m_f near k/2 at k above about 1e307).  Where the units lie below the
+    smallest normal float they have lost bits, and the mass is m_f itself,
+    m_f (1 + m_f/k + ...) to well within rounding.
     """
     if k == math.inf:
         check_physical(m_f, k)
         return m_f
-    m = (k / 2) * algebra_units(m_f, k)
+    units = algebra_units(m_f, k)
+    if units < sys.float_info.min:
+        return m_f
+    m = (k / 2) * units
     if m == math.inf:
         raise MassDomainError(f"the algebra mass of {m_f} at k = {k} exceeds the largest "
                               f"float {sys.float_info.max}")
@@ -93,14 +103,19 @@ def algebra_units(m_f, k) -> float:
     Below k/2 this is at most about 37 for floats, so neither it nor a sum
     of a few of them overflows, where the algebra masses themselves can (m_f
     near k/2 at k above about 1e307).  k = inf and the bound m_f = k/2 are
-    rejected.
+    rejected.  From 2 m_f >= k/2 on, the log reads (k - 2 m_f) / k, whose
+    difference is exact (Sterbenz's lemma), where rounding 2 m_f / k would
+    wipe out the digits of 1 - 2 m_f / k.
     """
     check_physical(m_f, k)
     if math.isinf(k):
         raise MassDomainError("at k = inf the unit k/2 of the algebra mass is infinite")
     if m_f >= k / 2:
         raise MassDomainError("infinite mass (m_f >= k/2) has no finite algebra coordinate")
-    return -math.log1p(-2 * m_f / k)
+    twice = 2 * m_f
+    if twice < k / 2:
+        return -math.log1p(-twice / k)
+    return -math.log((k - twice) / k)
 
 
 def compose(m_f, mp_f, k):

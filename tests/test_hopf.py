@@ -9,7 +9,7 @@ import sympy as sp
 
 from kgalilei.cli import run
 from kgalilei.hopf import GENERATOR_NAMES, GalileiHopf, TensorExpression, UEAExpression, eps
-from kgalilei.scalars import Rat, RationalFunction, sym
+from kgalilei.scalars import LinearCombination, Rat, RationalFunction, sym
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +216,47 @@ def test_stored_brackets_equal_fresh_commutators():
         assert alg.double_bracket(g, h, f) == gen(g).commutator(gen(h)).commutator(gen(f))
     expected = (alg.one() - gen("E") * gen("E")).scale(Rat(sp.I) * sym("k") / 2)
     assert alg.bracket("K1", "P1") == expected
+
+
+def test_mirrored_homomorphism_residuals_equal_fresh_ones(monkeypatch):
+    # with the untwisted coproduct six ordered pairs fail, (K_i, P_i) and
+    # (P_i, K_i); every stored residual, the mirrors filled in at build time
+    # included, equals the one built afresh for its own order, sign included
+    monkeypatch.setattr(GalileiHopf, "_letter_coproduct", _primitive_coproduct)
+    alg, fresh = GalileiHopf(), GalileiHopf()
+    nonzero = []
+    for g, h in itertools.product(GENERATOR_NAMES, repeat=2):
+        built = (fresh.coproduct_of(fresh.gen(g).commutator(fresh.gen(h)))
+                 - fresh.coproduct(g).commutator(fresh.coproduct(h)))
+        stored = alg.check_hom(g, h)
+        assert stored == TensorExpression(alg, 2, built.terms), (g, h)
+        if not stored.is_zero:
+            nonzero.append((g, h))
+    assert sorted(nonzero) == sorted([(f"K{i}", f"P{i}") for i in "123"]
+                                     + [(f"P{i}", f"K{i}") for i in "123"])
+
+
+def test_repeat_scan_is_lookups(monkeypatch):
+    # work guard: once a scan has filled the store, a second scan of every
+    # ordered triple and pair returns the very same objects and constructs
+    # no element at all: no sort, no negation, no fresh zero
+    alg = GalileiHopf()
+    triples = list(itertools.product(GENERATOR_NAMES, repeat=3))
+    pairs = list(itertools.product(GENERATOR_NAMES, repeat=2))
+    first = ([alg.check_jacobi(*t) for t in triples], [alg.check_hom(*p) for p in pairs])
+    built = []
+    init = LinearCombination.__init__
+
+    def counted(self, terms=None):
+        built.append(type(self))
+        init(self, terms)
+
+    monkeypatch.setattr(LinearCombination, "__init__", counted)
+    second = ([alg.check_jacobi(*t) for t in triples], [alg.check_hom(*p) for p in pairs])
+    assert (len(second[0]), len(second[1])) == (2197, 169)
+    for old, new in zip(first[0] + first[1], second[0] + second[1]):
+        assert new is old
+    assert built == []
 
 
 _letter_bracket = GalileiHopf._letter_bracket

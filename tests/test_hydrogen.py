@@ -78,6 +78,26 @@ def test_harmonic_default_box_up_to_the_cap():
                 assert abs(e - expected) / expected <= 1e-11, (n_max, l, n_r)
 
 
+@pytest.mark.parametrize("mass, k", [(1e-80, 1e300), (1e100, math.inf)])
+def test_harmonic_control_at_extreme_reduced_masses(mass, k):
+    # the coupling v_f a_0^4 = v_f^-3 is one power: a_0^4 overflowed at
+    # v_f = 5e-81 and underflowed to 0 at v_f = 5e99
+    cfg = HydrogenConfig(m_f=mass, mp_f=mass, k=k, n_max=2)
+    omega = math.sqrt(1.0 / cfg.v_f)
+    for n_r, e in enumerate(radial_solve(cfg, potential="harmonic")):
+        expected = (2 * n_r + 1.5) * omega
+        assert abs(e - expected) / expected <= 1e-12
+
+
+@pytest.mark.parametrize("mass", [2e-103, 1e103])
+def test_harmonic_coupling_past_the_floats_is_a_domain_error(mass):
+    # v_f = 1e-103 and 5e102: v_f^-3 lies above the largest and below the
+    # smallest normal float
+    cfg = HydrogenConfig(m_f=mass, mp_f=mass, k=math.inf, n_max=2)
+    with pytest.raises(HydrogenDomainError, match="harmonic coupling"):
+        radial_solve(cfg, potential="harmonic")
+
+
 def test_user_box_matches_closed_form():
     # a box given in physical units is r_max / a_0 Bohr radii, whatever the masses
     for m_f, mp_f in [(0.3, 0.4), (0.1, 0.45)]:

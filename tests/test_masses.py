@@ -5,8 +5,9 @@ import random
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kgalilei import masses
 from kgalilei.masses import (
@@ -151,9 +152,12 @@ def test_conversions_near_the_largest_float():
     # the algebra mass of 0.99 (k/2) is about 2.3 k, above the largest float
     with pytest.raises(MassDomainError, match="largest float"):
         to_algebra(0.99 * (k / 2), k)
-    # in units of k/2 it is -ln(0.01), and the largest float mass below k/2
-    # is under 37 units
-    assert masses.algebra_units(0.99 * (k / 2), k) == -math.log1p(-0.99)
+    # in units of k/2 it is -ln(1 - 2 m_f / k), about -ln(0.01), correctly
+    # rounded; and the largest float mass below k/2 is under 37 units
+    m_f = 0.99 * (k / 2)
+    with mpmath.workdps(60):
+        exact = -mpmath.log(1 - 2 * mpmath.mpf(m_f) / mpmath.mpf(k))
+        assert masses.algebra_units(m_f, k) == float(exact)
     assert masses.algebra_units(math.nextafter(k / 2, 0.0), k) < 37.0
 
 
@@ -276,3 +280,64 @@ def test_classical_reduced_matches_the_fraction_oracle(drawn):
     _, (m_f, mp_f) = drawn
     exact = Fraction(m_f) * Fraction(mp_f) / (Fraction(m_f) + Fraction(mp_f))
     _matches_oracle(lambda: classical_reduced(m_f, mp_f), exact, _MIN)
+
+
+# mpmath oracles for the changes of mass coordinate, which are
+# transcendental: the same domain and contract as above, against the
+# formula evaluated at 60 digits.  An algebra mass is drawn like a physical
+# one, or as 1e-3 - 1e3 units of k/2, where the exponential neither
+# linearizes nor saturates.
+
+def _mp_exact(value):
+    """A nonnegative mpmath value as a Fraction; an infinite one, the algebra
+    coordinate of m_f = k/2, as twice the largest float, past every float."""
+    if mpmath.isinf(value):
+        return 2 * Fraction(_MAX)
+    return Fraction(value.man) * Fraction(2) ** value.exp
+
+
+@st.composite
+def _deformation_and_algebra_mass(draw):
+    k, (m,) = draw(_deformation_and_masses(1))
+    if math.isfinite(k) and draw(st.booleans()):
+        m = min(draw(_log_uniform(1e-3, 1e3)) * (k / 2), _MAX)
+    return k, m
+
+
+def _mp_units(m_f, k):
+    """-ln(1 - 2 m_f / k) at 60 digits; infinite at m_f = k/2."""
+    with mpmath.workdps(60):
+        return -mpmath.log1p(-2 * mpmath.mpf(m_f) / mpmath.mpf(k))
+
+
+@given(_deformation_and_algebra_mass())
+@settings(max_examples=500, deadline=None)
+def test_to_physical_matches_the_mpmath_oracle(drawn):
+    k, m = drawn
+    if math.isinf(k):
+        exact = Fraction(m)
+    else:
+        with mpmath.workdps(60):
+            half = mpmath.mpf(k) / 2
+            exact = _mp_exact(-half * mpmath.expm1(-mpmath.mpf(m) / half))
+    _matches_oracle(lambda: to_physical(m, k), exact, _MAX)
+
+
+@given(_deformation_and_masses(1))
+@settings(max_examples=500, deadline=None)
+def test_to_algebra_matches_the_mpmath_oracle(drawn):
+    k, (m_f,) = drawn
+    if math.isinf(k):
+        exact = Fraction(m_f)
+    else:
+        with mpmath.workdps(60):
+            exact = _mp_exact(mpmath.mpf(k) / 2 * _mp_units(m_f, k))
+    _matches_oracle(lambda: to_algebra(m_f, k), exact, _MAX)
+
+
+@given(_deformation_and_masses(1))
+@settings(max_examples=500, deadline=None)
+def test_algebra_units_match_the_mpmath_oracle(drawn):
+    k, (m_f,) = drawn
+    assume(math.isfinite(k))
+    _matches_oracle(lambda: masses.algebra_units(m_f, k), _mp_exact(_mp_units(m_f, k)), _MAX)
