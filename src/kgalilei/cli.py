@@ -156,9 +156,10 @@ def _cmd_mass_compose(args) -> RunReport:
     report = RunReport("mass compose", {"k": k, "masses": list(values)})
     total = masses.compose_many(values, k)
     report.results["M_f"] = float(total)
-    # each fold and each change of coordinate rounds by a few eps k (eps M_f
-    # at k = inf), also near the bound k/2
-    tol = 4 * len(values) * sys.float_info.epsilon * (k if math.isfinite(k) else total)
+    # each fold and each change of coordinate rounds by a few eps M_f, also
+    # near the bound k/2; below the smallest normal float the spacing of
+    # floats is fixed, so there a rounding is a few eps of that float
+    tol = 4 * len(values) * sys.float_info.epsilon * max(total, sys.float_info.min)
     if any(math.isfinite(k) and m >= k / 2 for m in values):
         report.results["note"] = "infinite-mass fixed point: no finite algebra coordinate"
         report.check("fixed-point", [()], lambda _: abs(total - k / 2), tol=tol)
@@ -168,13 +169,16 @@ def _cmd_mass_compose(args) -> RunReport:
         report.results[f"m_algebra_{idx}"] = m
     # the total is "inf" where it exceeds the largest float, at k above about 1e307
     report.results["M_algebra"] = algebra_total = sum(algebra_values)
-    if math.isfinite(k):
-        # summed in units of k/2, which cannot overflow; to_physical at
-        # k = 2 maps units back to the fraction 1 - e^(-2m/k) of k/2
-        units = sum(masses.algebra_units(m, k) for m in values)
-        composed = (k / 2) * masses.to_physical(units, 2.0)
-    else:
+    if math.isinf(k):
         composed = algebra_total
+    else:
+        # summed in units of k/2, which cannot overflow; to_physical at
+        # k = 2 maps units back to the fraction 1 - e^(-2m/k) of k/2.
+        # Subnormal units have lost bits: there the algebra masses, far
+        # below k, are summed directly
+        units = sum(masses.algebra_units(m, k) for m in values)
+        composed = ((k / 2) * masses.to_physical(units, 2.0) if units >= sys.float_info.min
+                    else masses.to_physical(algebra_total, k))
     # compared as physical masses, where both sides are well conditioned
     report.check("algebra-additivity", [()], lambda _: abs(composed - total), tol=tol)
     return report
@@ -193,7 +197,9 @@ def _cmd_mass_convert(args) -> RunReport:
             out = masses.to_algebra(m, k)
             back = masses.to_physical(out, k)
         report.results[f"value_{idx}"] = out
-        return abs(back - m) / max(abs(m), 1.0)
+        # relative to m; below the smallest normal float, where the spacing
+        # of floats is fixed, relative to that float
+        return abs(back - m) / max(m, sys.float_info.min)
 
     report.check("round-trip", range(1, len(args.masses) + 1), round_trip, tol=1e-12)
     return report
@@ -315,8 +321,9 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the report to this path")
 
 
-#: Largest ``cocycle demo --n``: the demo holds a few complex n^3 grids at
-#: once, about 169 MB at its peak (``ru_maxrss``) for n = 128.
+#: Largest ``cocycle demo --n``: the demo builds no n^3 grid, but the ratio
+#: is formed on the Gaussian's kept points, a box of about (0.3 n)^3; at
+#: n = 128 the process peaks at about 40 MB (``ru_maxrss``).
 MAX_GRID_N = 128
 
 

@@ -17,17 +17,13 @@ extracts it numerically and checks that the pointwise ratio really is
 grid-constant.  The closed form exp(i m_f (v^2 tau' / 2 + v . R a')) is
 validated against this extraction in the tests, never assumed.
 
-``cocycle_phase`` computes act(g g') psi, whose amplitude picks the points
-the ratio reads, only on the output box that reads psi's support: the input
-box where psi reaches half the amplitude cut.  An amplitude bound certifies
-that no point outside that box reaches the cut; where it cannot, the action
-is rerun on the whole grid.  act(g) act(g') psi is computed only on the
-bounding box of the kept points, and act(g') psi only on the input box that
-box reads.  Each boxed sample goes through the same operations, in the same
-order, as on the whole grid.  The actions write into a workspace of three
-complex n^3 grids, kept for the last grid size, so repeated extractions on
-one grid allocate no grid; calls from several threads at once are not
-supported.
+A packet is either dense (``GridWavefunction``) or a product of one factor
+per axis (``SeparablePacket``), as the Gaussian test packet is.  The phase
+is a product of one factor per axis, and a cube rotation reads each input
+axis along one output axis, so the action maps a product to a product: each
+factor is resampled along its own axis through the taps of the dense
+action.  ``cocycle_phase`` acts on the three factors alone and forms the
+composition ratio only at the points it keeps, so it builds no n^3 grid.
 """
 
 from __future__ import annotations
@@ -45,6 +41,7 @@ from .report import CheckFailure
 __all__ = [
     "GroupElement",
     "GridWavefunction",
+    "SeparablePacket",
     "OutOfGridError",
     "ProjectivityError",
     "galilei_multiply",
@@ -152,8 +149,29 @@ def galilei_multiply(g: GroupElement, gp: GroupElement) -> GroupElement:
     )
 
 
+def _axis(n: int, p_max: float) -> np.ndarray:
+    """The n cell-centered sample points of one axis: uniform spacing 2 p_max / n,
+    no duplicated endpoint."""
+    return -p_max + (np.arange(n) + 0.5) * (2.0 * p_max / n)
+
+
+class _CenteredGrid:
+    """The regular centered 3-D momentum grid of a packet with ``n`` and ``p_max``."""
+
+    @property
+    def spacing(self) -> float:
+        return 2.0 * self.p_max / self.n
+
+    def axis(self) -> np.ndarray:
+        return _axis(self.n, self.p_max)
+
+    def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ax = self.axis()
+        return np.meshgrid(ax, ax, ax, indexing="ij")
+
+
 @dataclass
-class GridWavefunction:
+class GridWavefunction(_CenteredGrid):
     """Complex samples on a regular centered 3-D momentum grid."""
 
     values: np.ndarray         # shape (N, N, N), complex
@@ -169,40 +187,60 @@ class GridWavefunction:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.p_max / self.n
-
-    def axis(self) -> np.ndarray:
-        # cell-centered grid, uniform spacing, no duplicated endpoint
-        return -self.p_max + (np.arange(self.n) + 0.5) * self.spacing
-
-    def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ax = self.axis()
-        return np.meshgrid(ax, ax, ax, indexing="ij")
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.spacing ** 3))
 
 
+@dataclass
+class SeparablePacket(_CenteredGrid):
+    """A packet f_0(p_x) f_1(p_y) f_2(p_z) on the same grid, stored as its three factors."""
+
+    factors: np.ndarray        # shape (3, N), complex: row i is the factor of axis i
+    p_max: float
+    m_f: float
+
+    def __post_init__(self):
+        self.factors = np.asarray(self.factors, dtype=complex)
+        if self.factors.ndim != 2 or self.factors.shape[0] != 3:
+            raise ValueError("factors must be a (3, n) array")
+
+    @property
+    def n(self) -> int:
+        return self.factors.shape[1]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense (n, n, n) outer product of the factors, built on each call and read-only."""
+        f0, f1, f2 = self.factors
+        values = f0[:, None, None] * f1[None, :, None] * f2[None, None, :]
+        values.setflags(write=False)
+        return values
+
+    def norm(self) -> float:
+        return float(np.sqrt(np.prod(np.sum(np.abs(self.factors) ** 2, axis=1))
+                             * self.spacing ** 3))
+
+
+#: Either packet: the functions below read only its grid (n, p_max, spacing,
+#: axis) and m_f, and ``act`` its dense values.
+_Packet = GridWavefunction | SeparablePacket
+
+
 def gaussian_packet(n: int = 32, p_max: float = 8.0, m_f: float = 1.0,
-                    center=(0.0, 0.0, 0.0), width: float = 1.0) -> GridWavefunction:
-    """A unit-width Gaussian test packet, the default acceptance workload."""
-    psi = GridWavefunction(np.zeros((n, n, n), dtype=complex), p_max, m_f)
-    px, py, pz = psi.mesh()
+                    center=(0.0, 0.0, 0.0), width: float = 1.0) -> SeparablePacket:
+    """A Gaussian test packet, the default acceptance workload: the product
+    of one 1-D Gaussian per axis."""
     c = np.asarray(center, dtype=float)
-    r2 = (px - c[0]) ** 2 + (py - c[1]) ** 2 + (pz - c[2]) ** 2
-    psi.values = np.exp(-r2 / (2.0 * width ** 2)).astype(complex)
-    return psi
+    factors = np.exp(-(_axis(n, p_max) - c[:, None]) ** 2 / (2.0 * width ** 2))
+    return SeparablePacket(factors, p_max, m_f)
 
 
-def _boost_shift(psi: GridWavefunction, v: np.ndarray):
+def _boost_shift(psi: _Packet, v: np.ndarray):
     """|m_f v| along the last axis: how far a boost moves the packet."""
     return psi.m_f * np.sqrt((v * v).sum(axis=-1))
 
 
-def _slab_taps(c: np.ndarray, n: int, step: int,
-               window: tuple[int, int]) -> list[tuple[float, slice, slice]]:
+def _slab_taps(c: np.ndarray, n: int, step: int) -> list[tuple[float, slice, slice]]:
     """The linear-interpolation taps of a 1-D resample at a uniform shift.
 
     ``c`` holds the fractional input indices read along one output axis; they
@@ -210,9 +248,7 @@ def _slab_taps(c: np.ndarray, n: int, step: int,
     [0, n - 1] reads (1 - t) f[i] + t f[i + 1], with i = floor(c) and t the
     fraction; any other point (or NaN) is off the grid and reads 0.  Returns
     one (weight, output slice, input slice) per integer tap; a move by whole
-    cells has one tap, and a move off the grid has none.  Only the output
-    points lo <= q < hi of ``window`` = (lo, hi) get taps, with the weights of
-    the whole axis, so a tap reads there what it reads without the window.
+    cells has one tap, and a move off the grid has none.
     """
     inside = np.flatnonzero((c >= 0.0) & (c <= n - 1))
     if not inside.size:
@@ -228,49 +264,25 @@ def _slab_taps(c: np.ndarray, n: int, step: int,
         # leave [0, n - 1] only at an end, where its weight is of rounding size
         start = lo + offset
         low, high = sorted((-step * start, step * (n - 1 - start)))
-        q0 = first + max(low, 0)
-        taps.append((weight, slice(q0, min(first + high, last) + 1),
-                     slice(start + step * (q0 - first), None, step)))
-    return _window(taps, window)
+        q0, q1 = first + max(low, 0), min(first + high, last) + 1
+        read = start + step * (q0 - first)
+        stop = read + step * (q1 - q0)
+        taps.append((weight, slice(q0, q1), slice(read, stop if stop >= 0 else None, step)))
+    return taps
 
 
-def _window(taps: list, window: tuple[int, int]) -> list[tuple[float, slice, slice]]:
-    """The taps of one axis, kept on the output points lo <= q < hi of ``window`` = (lo, hi).
-
-    A tap's input slice moves with its output slice; a tap left with no
-    output point is dropped.
-    """
-    kept = []
-    for weight, dst, src in taps:
-        q0, q1 = max(dst.start, window[0]), min(dst.stop, window[1])
-        if q0 < q1:
-            start = src.start + src.step * (q0 - dst.start)
-            stop = start + src.step * (q1 - q0)
-            kept.append((weight, slice(q0, q1), slice(start, stop if stop >= 0 else None, src.step)))
-    return kept
-
-
-@functools.lru_cache(maxsize=1)
-def _scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three complex n^3 grids, kept for the last n: the phase of an action,
-    and the two sides ``cocycle_phase`` compares.  None of them leaves this
-    module."""
-    return tuple(np.empty((n, n, n), dtype=complex) for _ in range(3))
-
-
-def _check_shift(g: GroupElement, psi: GridWavefunction) -> None:
+def _check_shift(g: GroupElement, psi: _Packet) -> None:
     """Reject a boost that moves the packet by more than p_max/4."""
     shift = _boost_shift(psi, g.v)
     if shift > 0.25 * psi.p_max:
         raise OutOfGridError(f"boost shift {shift:.3g} exceeds p_max/4 = {psi.p_max / 4:.3g}")
 
 
-def _taps(g: GroupElement, psi: GridWavefunction, ax: np.ndarray, box) -> tuple[tuple, list]:
-    """The resample of act(g, psi) on an output box: (cols, taps).
+def _taps(g: GroupElement, psi: _Packet, ax: np.ndarray) -> tuple[tuple, list]:
+    """The resample of act(g, psi): (cols, taps).
 
-    ``ax`` is psi.axis() and ``box`` holds one (lo, hi) per output axis.
-    Input axis i is read along output axis cols[i], through taps[i], the
-    ``_slab_taps`` of that axis clipped to the box.
+    ``ax`` is psi.axis().  Input axis i is read along output axis cols[i],
+    through taps[i], the ``_slab_taps`` of that axis.
     """
     _, cols, signs = _ROTATIONS[_rotation_key(g.R)]
     # argument: R^{-1}(p - m_f v) -- the grouping that composes with the
@@ -278,72 +290,28 @@ def _taps(g: GroupElement, psi: GridWavefunction, ax: np.ndarray, box) -> tuple[
     # along output axis cols[i], at the fractional grid indices c[i]
     s = ax - psi.m_f * g.v[list(cols)][:, None]
     c = (np.array(signs)[:, None] * s + psi.p_max) / psi.spacing - 0.5
-    return cols, [_slab_taps(c[i], psi.n, int(signs[i]), box[cols[i]]) for i in range(3)]
+    return cols, [_slab_taps(c[i], psi.n, int(signs[i])) for i in range(3)]
 
 
-def _reads(taps: list, n: int) -> list[tuple[int, int]]:
-    """The input box ``taps`` read: one (lo, hi) per input axis, empty where none."""
-    box = []
-    for axis in taps:
-        reads = [range(n)[src] for _, _, src in axis]
-        ends = [i for r in reads for i in (r[0], r[-1])]
-        box.append((min(ends), max(ends) + 1) if ends else (0, 0))
-    return box
+def _phase(g: GroupElement, psi: _Packet, ax: np.ndarray) -> np.ndarray:
+    """The phase exp(i(-p^2 tau / 2m_f + p . a)) of act(g), one row per axis: (3, n)."""
+    return np.exp(1j * (-ax ** 2 * g.tau / (2.0 * psi.m_f) + ax * g.a[:, None]))
 
 
-def _image(cols: tuple, taps: list, box, n: int) -> list[tuple[int, int]]:
-    """The output box that reads the input box ``box`` through ``taps``, the mirror of ``_reads``.
-
-    ``cols`` and ``taps`` are ``_taps`` on the whole grid, and ``box`` holds
-    one (lo, hi) per input axis.  Returns one (lo, hi) per output axis: the
-    points on output axis cols[i] whose taps read input axis i inside
-    box[i], empty where none does.
-    """
-    image = [(0, 0)] * 3
-    for i, axis in enumerate(taps):
-        lo, hi = box[i]
-        ends = []
-        for _, dst, src in axis:
-            out, read = range(n)[dst], range(n)[src]
-            # the positions j along the tap whose read[j] lies in [lo, hi)
-            first, last = ((lo - read.start, hi - 1 - read.start) if read.step > 0
-                           else (read.start - hi + 1, read.start - lo))
-            first, last = max(first, 0), min(last, len(read) - 1)
-            if first <= last:
-                ends += (out[first], out[last])
-        if ends:
-            image[cols[i]] = (min(ends), max(ends) + 1)
-    return image
-
-
-def _act_on(g: GroupElement, psi: GridWavefunction, ax: np.ndarray, values: np.ndarray,
-            out: np.ndarray, box, cols: tuple, taps: list) -> None:
-    """Write act(g) of the samples ``values`` on psi's grid into ``out``, on the output box only.
-
-    ``cols`` and ``taps`` are ``_taps(g, psi, ax, box)``; ``values`` is read only
-    on the box they read, and ``out`` is left as it was outside ``box``.  The
-    box is zeroed, resampled and multiplied by the phase, each sample by the
-    same operations, in the same order, as on the whole grid.
-    """
-    region = tuple(slice(lo, hi) for lo, hi in box)
-    out[region] = 0
-    view = out.transpose(cols)
+def _resample(out: np.ndarray, values: np.ndarray, taps: list) -> None:
+    """Add the taps' weighted slabs of ``values`` into ``out``, which holds zeros:
+    one slab per combination of one tap per axis of ``taps``."""
     for combo in itertools.product(*taps):
         weights, dst, src = zip(*combo)
         weight = math.prod(weights)
         if weight == 1.0:  # only the first combination, onto zeros: a copy
-            view[dst] = values[src]
+            out[dst] = values[src]
         else:
-            view[dst] += weight * values[src]
-    e = np.exp(1j * (-ax ** 2 * g.tau / (2.0 * psi.m_f) + ax * g.a[:, None]))
-    phase = _scratch(psi.n)[0][region]
-    np.multiply(e[0, region[0], None, None] * e[1, None, region[1], None],
-                e[2, None, None, region[2]], out=phase)
-    out[region] *= phase
+            out[dst] += weight * values[src]
 
 
-def act(g: GroupElement, psi: GridWavefunction, out: np.ndarray | None = None) -> GridWavefunction:
-    """Projective action of g on psi (spin 0).
+def act(g: GroupElement, psi: _Packet) -> GridWavefunction:
+    """Projective action of g on psi (spin 0), as a new dense packet.
 
     The phase exp(i(-p^2 tau / 2m_f + p . a)) is exact pointwise and is built
     as an outer product of one 1-D factor per axis, all three from one
@@ -356,90 +324,77 @@ def act(g: GroupElement, psi: GridWavefunction, out: np.ndarray | None = None) -
     weights.  A move by whole grid cells, as every ``random_in_grid_*`` draw
     makes, is a single copy.  Boost shifts larger than p_max/4 are rejected
     to keep the packet on the grid.
-
-    The result is a new array, or ``out`` if given: a C-contiguous complex128
-    (n, n, n) array that shares no memory with psi.values (anything else
-    raises ValueError), which is overwritten.
     """
-    n = psi.n
-    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.complex128
-                                and out.shape == (n, n, n) and out.flags.c_contiguous
-                                and not np.shares_memory(out, psi.values)):
-        raise ValueError("out must be a C-contiguous complex128 (n, n, n) array apart from psi")
     _check_shift(g, psi)
-    if out is None:
-        out = np.empty((n, n, n), dtype=complex)
-    ax, box = psi.axis(), ((0, n),) * 3
-    _act_on(g, psi, ax, psi.values, out, box, *_taps(g, psi, ax, box))
+    n, ax = psi.n, psi.axis()
+    cols, taps = _taps(g, psi, ax)
+    out = np.zeros((n, n, n), dtype=complex)
+    _resample(out.transpose(cols), psi.values, taps)
+    e = _phase(g, psi, ax)
+    out *= e[0, :, None, None] * e[1, None, :, None] * e[2, None, None, :]
     return GridWavefunction(out, psi.p_max, psi.m_f)
 
 
-def cocycle_phase(g: GroupElement, gp: GroupElement, psi: GridWavefunction) -> complex:
-    """Extract the projective phase of the pair (g, g').
+def _act_factors(g: GroupElement, psi: SeparablePacket, factors: np.ndarray) -> np.ndarray:
+    """act(g) on the product of the (3, n) ``factors``, on psi's grid, as its own three factors.
+
+    The resample and the phase of a product are products: each input factor
+    is resampled through its axis' taps of ``_taps`` into the factor of the
+    output axis it is read along, then times that axis' row of ``_phase``.
+    No boost check is made here.
+    """
+    ax = psi.axis()
+    cols, taps = _taps(g, psi, ax)
+    out = np.zeros((3, psi.n), dtype=complex)
+    for i in range(3):
+        _resample(out[cols[i]], factors[i], [taps[i]])
+    out *= _phase(g, psi, ax)
+    return out
+
+
+def cocycle_phase(g: GroupElement, gp: GroupElement, psi: SeparablePacket) -> complex:
+    """Extract the projective phase of the pair (g, g') on a separable packet.
 
     Computes act(g g') psi, keeps the points at or above AMPLITUDE_CUT of its
     peak amplitude, and demands that the ratio of act(g) act(g') psi to it be
     constant on them (max deviation from its mean <= SPREAD_TOL, which a NaN
     deviation fails); returns the mean phase.  A peak amplitude of 0, or one
-    that is not finite, raises ValueError.
+    that is not finite, raises ValueError; a dense packet raises TypeError.
 
-    act(g g') psi is computed only on the output box that reads the support
-    box of psi, where the axis profiles of |psi| reach floor = AMPLITUDE_CUT/2
-    max|psi|.  A point outside that box reads only samples below floor, with
-    weights that sum to at most 1 and a phase of modulus 1, so its amplitude
-    is at most floor (1 + O(eps)).  When the box's peak P has AMPLITUDE_CUT P
-    above that, the peak, the kept points and their values are those of the
-    whole grid; otherwise (a peak moved off the grid, noise, an all-zero or a
-    non-finite packet) the action is rerun on the whole grid.
-    act(g) act(g') psi is computed only on the bounding box of the kept
-    points, and act(g') psi only on the input box that box reads.  All the
-    actions write into the workspace of psi's grid size.
+    Both sides are kept as three factors (``_act_factors``), and a point's
+    amplitude is the product of its factors' moduli.  A float product of
+    non-negative numbers is monotone in each of them, so the peak is the
+    product of the factors' maxima, and the kept points lie in the box
+    where each factor, times the other two maxima, reaches the cut; the
+    ratio is formed only at the kept points of that box.
     """
+    if not isinstance(psi, SeparablePacket):
+        raise TypeError("cocycle_phase needs a SeparablePacket")
     # the factors' boosts first, in the order act(g) act(g') psi applies them
     _check_shift(gp, psi)
     _check_shift(g, psi)
     product = galilei_multiply(g, gp)
     _check_shift(product, psi)
-    n = psi.n
-    phase, first, second = _scratch(n)
-    # amplitudes go into the phase grid, read as a contiguous float grid
-    floats = phase.view(float).reshape(-1)
-    magnitude = np.abs(psi.values, out=floats[:n ** 3].reshape(n, n, n))
-    rows = magnitude.reshape(n, n * n)
-    plane = rows.max(0).reshape(n, n)
-    profiles = (rows.max(1), plane.max(1), plane.max(0))
-    floor = 0.5 * AMPLITUDE_CUT * profiles[0].max()
-    support = []
-    for profile in profiles:
-        hits = np.flatnonzero(profile >= floor)  # none where floor is NaN
-        support.append((int(hits[0]), int(hits[-1]) + 1) if hits.size else (0, 0))
-    ax, whole = psi.axis(), ((0, n),) * 3
-    cols, taps = _taps(product, psi, ax, whole)
-    for box in (_image(cols, taps, support, n), whole):
-        _act_on(product, psi, ax, psi.values, first, box, cols,
-                [_window(axis, box[col]) for col, axis in zip(cols, taps)])
-        rhs = first[tuple(slice(lo, hi) for lo, hi in box)]
-        amplitude = np.abs(rhs, out=floats[:rhs.size].reshape(rhs.shape))
-        peak = amplitude.max(initial=0.0)
-        # every point outside the box is at most floor (1 + O(eps)), so above
-        # that the box holds the whole grid's peak and kept points; NaN fails
-        if AMPLITUDE_CUT * peak > floor * (1.0 + 1e-12):
-            break
+    rhs = _act_factors(product, psi, psi.factors)
+    amplitude = np.abs(rhs)
+    top = amplitude.max(axis=1)
+    # every product below is formed in the order of a point's (a0 a1) a2
+    peak = top[0] * top[1] * top[2]
     if not np.isfinite(peak):
         raise ValueError("wavefunction is not finite on the reference region")
     if peak == 0:
         raise ValueError("wavefunction vanishes on the reference region")
-    # box-local indices in C order, made global: the ratio reads the points
-    # in the order of the whole grid
-    local = np.nonzero(amplitude >= AMPLITUDE_CUT * peak)
-    kept = np.ravel_multi_index(tuple(i + lo for i, (lo, _) in zip(local, box)), first.shape)
-    right = first.take(kept)  # gathered before act(g') psi overwrites it
-    box = [(int(i.min()) + lo, int(i.max()) + 1 + lo) for i, (lo, _) in zip(local, box)]
-    cols, taps = _taps(g, psi, ax, box)
-    reads = _reads(taps, n)
-    _act_on(gp, psi, ax, psi.values, first, reads, *_taps(gp, psi, ax, reads))
-    _act_on(g, psi, ax, first, second, box, cols, taps)
-    ratio = second.take(kept) / right
+    cut = AMPLITUDE_CUT * peak
+    box = []
+    for reach in (amplitude[0] * top[1] * top[2], top[0] * amplitude[1] * top[2],
+                  top[0] * top[1] * amplitude[2]):
+        hits = np.flatnonzero(reach >= cut)
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    a0, a1, a2 = (a[s] for a, s in zip(amplitude, box))
+    kept = np.nonzero(a0[:, None, None] * a1[None, :, None] * a2[None, None, :] >= cut)
+    i, j, k = (index + s.start for index, s in zip(kept, box))
+    lhs = _act_factors(g, psi, _act_factors(gp, psi, psi.factors))
+    ratio = (lhs[0, i] * lhs[1, j] * lhs[2, k]) / (rhs[0, i] * rhs[1, j] * rhs[2, k])
     mean = ratio.mean()
     spread = float(np.abs(ratio - mean).max())
     if not spread <= SPREAD_TOL:  # a NaN spread fails too
@@ -447,7 +402,7 @@ def cocycle_phase(g: GroupElement, gp: GroupElement, psi: GridWavefunction) -> c
     return complex(mean / abs(mean))
 
 
-def cocycle_angle(g: GroupElement, gp: GroupElement, psi: GridWavefunction) -> float:
+def cocycle_angle(g: GroupElement, gp: GroupElement, psi: SeparablePacket) -> float:
     """The extracted 2-cocycle exponent omega(g, g') in [-pi, pi).
 
     Defined through act(g) act(g') = exp(-i omega) act(g g'), matching the
@@ -480,7 +435,7 @@ def _cells(max_cells: int) -> np.ndarray:
     return cells
 
 
-def _random_element(rng: np.random.Generator, psi: GridWavefunction,
+def _random_element(rng: np.random.Generator, psi: _Packet,
                     cells: np.ndarray) -> GroupElement:
     """An element with a uniform time shift, translation and cube rotation,
     and a boost of one of ``cells`` (whole grid cells per axis, one per row)."""
@@ -491,7 +446,7 @@ def _random_element(rng: np.random.Generator, psi: GridWavefunction,
     return GroupElement(tau=tau, a=a, v=v, R=R)
 
 
-def random_in_grid_element(rng: np.random.Generator, psi: GridWavefunction) -> GroupElement:
+def random_in_grid_element(rng: np.random.Generator, psi: _Packet) -> GroupElement:
     """A random element whose action on psi is interpolation-exact.
 
     Time shifts and translations are continuous (their action is phase-only);
@@ -502,7 +457,7 @@ def random_in_grid_element(rng: np.random.Generator, psi: GridWavefunction) -> G
     return _random_element(rng, psi, _cells(2))
 
 
-def random_in_grid_tuple(rng: np.random.Generator, psi: GridWavefunction, count: int,
+def random_in_grid_tuple(rng: np.random.Generator, psi: _Packet, count: int,
                          max_cells: int = 2) -> tuple[GroupElement, ...]:
     """``count`` random in-grid elements whose partial products also stay in grid.
 

@@ -10,10 +10,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import kgalilei
 from kgalilei import equivalence, gridrep, hopf, hydrogen, masses
@@ -165,15 +166,15 @@ assert not scipy(), 'cli loads scipy'
 def test_cocycle_demo_names_non_projective_pair(monkeypatch, capsys):
     # an action that is off by a p-dependent phase is not projective: the
     # demo fails both checks and names the first draw, with no traceback.
-    # The phase goes onto every boxed action, on the box it writes
-    exact_act_on = gridrep._act_on
+    # The phase goes onto every factor that a factor-wise resample writes
+    exact_resample = gridrep._resample
 
-    def broken_act_on(g, psi, ax, values, out, box, cols, taps):
-        exact_act_on(g, psi, ax, values, out, box, cols, taps)
-        (lo, hi), _, _ = box
-        out[lo:hi] *= np.exp(0.1j * ax[lo:hi])[:, None, None]
+    def broken_resample(out, values, taps):
+        exact_resample(out, values, taps)
+        if out.ndim == 1:
+            out *= np.exp(0.1j * np.arange(out.size))
 
-    monkeypatch.setattr(gridrep, "_act_on", broken_act_on)
+    monkeypatch.setattr(gridrep, "_resample", broken_resample)
     assert run(["cocycle", "demo", "--seed", "0", "--pairs", "3", "--n", "16",
                 "--format", "json"]) == 1
     captured = capsys.readouterr()
@@ -414,6 +415,103 @@ def test_mass_compose_past_the_float_range(monkeypatch):
     monkeypatch.setattr(masses, "compose_many", lambda ms, k: exact(ms, k) - 1e-11 * k)
     code, _, err = _run_quietly(argv)
     assert code == 1 and err.startswith("FAIL algebra-additivity")
+
+
+@contextlib.contextmanager
+def _off_at(module, name, index):
+    """Patch ``module.name`` so that its call number ``index`` (from 0) returns
+    a value off by a relative 1e-6."""
+    exact, calls = getattr(module, name), itertools.count()
+
+    def faulty(*args):
+        value = exact(*args)
+        if next(calls) != index:
+            return value
+        # a phase is a complex array, a mass a float: each is off by 1e-6
+        return value * (1 + 1e-6j if isinstance(value, np.ndarray) else 1 + 1e-6)
+
+    with mock.patch.object(module, name, faulty):
+        yield
+
+
+def _in_domain(argv) -> bool:
+    """Run a command unpatched: it passes (True) or is outside the domain
+    (exit 2, False), and never fails a check."""
+    code, _, err = _run_quietly(argv)
+    assert code in (0, 2), (code, err)
+    return code == 0
+
+
+def _failed_details(argv) -> dict:
+    """Run a command that must exit 1; the failed checks' details by name."""
+    code, out, err = _run_quietly([*argv, "--format", "json"])
+    assert code == 1, (code, err)
+    return {c["name"]: c.get("detail", "") for c in json.loads(out)["checks"]
+            if c["status"] == "fail"}
+
+
+#: k finite over the normal floats.
+_FINITE_K = st.floats(math.log(sys.float_info.min), math.log(1e308)).map(math.exp)
+
+
+def _below(top):
+    """A normal float log-uniform over 300 decades below ``top``."""
+    return (st.floats(0.0, 690.0).map(lambda u: top * math.exp(-u))
+            .filter(lambda m: m >= sys.float_info.min))
+
+
+def _normal_mass(k):
+    """A physical mass up to k/4, or within a relative 1e-15 - 1e-1 of k/2."""
+    near = st.floats(math.log(1e-15), math.log(1e-1)).map(lambda d: (k / 2) * (1 - math.exp(d)))
+    return _below(k / 4) | near.filter(lambda m: m >= sys.float_info.min)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=_FINITE_K, data=st.data())
+def test_mass_compose_catches_to_physical_off_by_1e_6_hypothesis(k, data):
+    # fault injection: the one to_physical call that maps the summed algebra
+    # mass back is off by a relative 1e-6, whatever the masses' size
+    # against k; additivity, the check's single item, fails
+    values = data.draw(st.lists(_normal_mass(k), min_size=1, max_size=3))
+    argv = ["mass", "compose", "--k", repr(k), *map(repr, values)]
+    assume(_in_domain(argv))
+    with _off_at(masses, "to_physical", 0):
+        failed = _failed_details(argv)
+    assert list(failed) == ["algebra-additivity"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=_FINITE_K | st.just(math.inf), to=st.sampled_from(["physical", "algebra"]),
+       data=st.data())
+def test_mass_convert_catches_to_physical_off_by_1e_6_hypothesis(k, to, data):
+    # fault injection: to_physical is off by a relative 1e-6 on one mass
+    # only, in either direction; the round trip names that mass.  Algebra
+    # masses are drawn up to k, where the round trip is well conditioned
+    mass = (_below(1e300) if math.isinf(k) else _normal_mass(k) if to == "algebra"
+            else _below(k))
+    values = data.draw(st.lists(mass, min_size=1, max_size=3))
+    index = data.draw(st.integers(0, len(values) - 1))
+    argv = ["mass", "convert", "--k", repr(k), "--to", to, *map(repr, values)]
+    assume(_in_domain(argv))
+    with _off_at(masses, "to_physical", index):
+        failed = _failed_details(argv)
+    assert list(failed) == ["round-trip"]
+    assert failed["round-trip"].startswith(f"{index + 1}: ")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(8, 32), pairs=st.integers(1, 4),
+       data=st.data())
+def test_cocycle_demo_catches_a_phase_off_by_1e_6_hypothesis(seed, n, pairs, data):
+    # fault injection: one of the three factor-wise actions of one drawn
+    # pair gets a phase off by a relative 1e-6, a constant angle that the
+    # spread cannot see; the closed form names that pair
+    index = data.draw(st.integers(0, 3 * pairs - 1))
+    with _off_at(gridrep, "_phase", index):
+        failed = _failed_details(["cocycle", "demo", "--seed", str(seed), "--pairs", str(pairs),
+                                  "--n", str(n)])
+    assert list(failed) == ["cocycle-closed-form"]
+    assert failed["cocycle-closed-form"].startswith(f"pair {index // 3}: ")
 
 
 @pytest.mark.parametrize("k, values", [
