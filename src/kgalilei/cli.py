@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from . import equivalence, gridrep, hopf, masses, realization
-from .report import RunReport, STATUS_FAIL, format_number
+from .report import CheckFailure, RunReport, STATUS_FAIL, format_number
 from .scalars import sym
 
 __all__ = ["main", "run"]
@@ -188,20 +188,31 @@ def _cmd_mass_convert(args) -> RunReport:
     k = args.k
     report = RunReport("mass convert", {"k": k, "to": args.to, "masses": list(args.masses)})
 
+    tol = 1e-12
+
     def round_trip(idx):
         m = args.masses[idx - 1]
+        scale = 1.0
         if args.to == "physical":
-            out = masses.to_physical(m, k)
+            out = report.results[f"value_{idx}"] = masses.to_physical(m, k)
+            if out > k / 2:   # no algebra mass maps there, and the way back rejects it
+                raise CheckFailure(f"physical mass {format_number(out)} exceeds k/2", math.inf)
             back = masses.to_algebra(out, k)
+            # the way back multiplies the rounding of out by its condition
+            # number (e^x - 1) / x, x = 2m/k, which reaches 1e14 near the
+            # bound; where that times 4 eps exceeds tol, the error is
+            # measured in units of it
+            x = m / (k / 2)
+            if x:
+                scale = max(1.0, 4 * sys.float_info.epsilon * math.expm1(x) / x / tol)
         else:
-            out = masses.to_algebra(m, k)
+            out = report.results[f"value_{idx}"] = masses.to_algebra(m, k)
             back = masses.to_physical(out, k)
-        report.results[f"value_{idx}"] = out
         # relative to m; below the smallest normal float, where the spacing
         # of floats is fixed, relative to that float
-        return abs(back - m) / max(m, sys.float_info.min)
+        return abs(back - m) / max(m, sys.float_info.min) / scale
 
-    report.check("round-trip", range(1, len(args.masses) + 1), round_trip, tol=1e-12)
+    report.check("round-trip", range(1, len(args.masses) + 1), round_trip, tol=tol)
     return report
 
 

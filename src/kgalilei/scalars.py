@@ -685,7 +685,8 @@ class LinearCombination:
     subclass defines how two monomials multiply (``_product``, as (factor,
     monomial) pairs) and how a monomial prints (``_monomial_str``).  The
     commutator takes the bracket of two monomials from the ``_bracket``
-    hook, which merges the two products; a subclass may keep its values.
+    hook, which merges the two products; a subclass may keep its values or
+    take the bracket in closed form.
     A subclass that lives in a context (an algebra instance, a leg count)
     stores it as ``_context``, the tuple of its constructor's leading
     arguments; two operands must share it.

@@ -9,16 +9,24 @@ product of normal-ordered monomials uses the closed form
     p^a x^b = sum_j (-i)^j j! C(a,j) C(b,j) x^(b-j) p^(a-j)
 
 per canonical pair, which is exact; all operator-identity checks downstream
-reduce to a coefficient computation in the scalar field.
+reduce to a coefficient computation in the scalar field.  The weight of each
+term is a Gaussian integer, kept once per exponent pair both as a scalar
+(read by the product) and as an integer pair (read by the bracket).
+
+The monomial bracket [m1, m2] is taken in closed form.  Two monomials commute
+unless some slot pairs a momentum exponent of one with a position exponent of
+the other; such a bracket is empty and reorders nothing.  Otherwise the two
+orders are merged as Gaussian-integer pairs, where their j = 0 terms always
+cancel, and only the surviving terms become scalars.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
-from .scalars import I, LinearCombination, Rat
+from .scalars import LinearCombination, Rat, _constant
 
 __all__ = [
     "CanonicalSymbol",
@@ -89,14 +97,24 @@ class WeylExpression(LinearCombination):
     def _product(m1, m2) -> list:
         (x1, p1), (x2, p2) = m1, m2
         return [(weight, (tuple(map(add, x1, mid_x)), tuple(map(add, mid_p, p2))))
-                for (mid_x, mid_p), weight in _reorder(p1, x2)]
+                for (mid_x, mid_p), weight, _ in _reorder(p1, x2)]
 
     def _bracket(self, m1, m2) -> dict:
-        """The monomial bracket, computed once per ordered pair of monomials."""
+        """The monomial bracket m1 m2 - m2 m1 in closed form (see the module
+        docstring), computed once per ordered pair of monomials."""
         key = (m1, m2)
         cached = _BRACKET_CACHE.get(key)
         if cached is None:
-            cached = _BRACKET_CACHE[key] = super()._bracket(m1, m2)
+            (x1, p1), (x2, p2) = m1, m2
+            merged: dict = {}
+            if any(map(mul, p1, x2)) or any(map(mul, p2, x1)):
+                for xa, pa, xb, pb, sign in ((x1, p1, x2, p2, 1), (x2, p2, x1, p1, -1)):
+                    for (mid_x, mid_p), _, (re, im) in _reorder(pa, xb):
+                        mono = (tuple(map(add, xa, mid_x)), tuple(map(add, mid_p, pb)))
+                        r0, i0 = merged.get(mono, (0, 0))
+                        merged[mono] = (r0 + sign * re, i0 + sign * im)
+            cached = _BRACKET_CACHE[key] = {
+                mono: _constant(re, im) for mono, (re, im) in merged.items() if re or im}
         return cached
 
     def _monomial_str(self, mono) -> str:
@@ -114,9 +132,10 @@ _BRACKET_CACHE: dict = {}
 def _reorder(pexp: tuple, xexp: tuple) -> list:
     """Normal-order the middle block p^pexp * x^xexp.
 
-    Returns ((x_exponents, p_exponents), scalar_weight) pairs.  Distinct
-    slots commute, so the closed form applies slot by slot and contributions
-    multiply; the weight of a pattern is w * (-i)^j with integer w.
+    Returns ((x_exponents, p_exponents), scalar_weight, (re, im)) triples.
+    Distinct slots commute, so the closed form applies slot by slot and
+    contributions multiply; the weight of a pattern is the Gaussian integer
+    w * (-i)^j with integer w, held both as a scalar and as the pair (re, im).
     """
     key = (pexp, xexp)
     cached = _REORDER_CACHE.get(key)
@@ -135,8 +154,10 @@ def _reorder(pexp: tuple, xexp: tuple) -> list:
                     nps[slot] = a - j
                     expanded.append((nxs, nps, w * comb(a, j) * comb(b, j) * factorial(j), jt + j))
             results = expanded
-        cached = [((tuple(xs), tuple(ps)), Rat(w) * (-I) ** j)
-                  for xs, ps, w, j in results]
+        cached = []
+        for xs, ps, w, j in results:
+            gauss = ((w, 0), (0, -w), (-w, 0), (0, w))[j % 4]  # w * (-i)^j
+            cached.append(((tuple(xs), tuple(ps)), _constant(*gauss), gauss))
         _REORDER_CACHE[key] = cached
     return cached
 

@@ -486,9 +486,11 @@ def test_mass_compose_catches_to_physical_off_by_1e_6_hypothesis(k, data):
 def test_mass_convert_catches_to_physical_off_by_1e_6_hypothesis(k, to, data):
     # fault injection: to_physical is off by a relative 1e-6 on one mass
     # only, in either direction; the round trip names that mass.  Algebra
-    # masses are drawn up to k, where the round trip is well conditioned
+    # masses are drawn up to 18 k, where the way back amplifies the
+    # rounding of the physical mass by about e^36 / 36, and a fault pushes
+    # it above k/2 from about 7 k on
     mass = (_below(1e300) if math.isinf(k) else _normal_mass(k) if to == "algebra"
-            else _below(k))
+            else _below(k) | st.floats(1.0, 18.0).map(lambda r: r * k).filter(math.isfinite))
     values = data.draw(st.lists(mass, min_size=1, max_size=3))
     index = data.draw(st.integers(0, len(values) - 1))
     argv = ["mass", "convert", "--k", repr(k), "--to", to, *map(repr, values)]
@@ -497,6 +499,19 @@ def test_mass_convert_catches_to_physical_off_by_1e_6_hypothesis(k, to, data):
         failed = _failed_details(argv)
     assert list(failed) == ["round-trip"]
     assert failed["round-trip"].startswith(f"{index + 1}: ")
+
+
+@pytest.mark.parametrize("k, m", [(1.0, 10.0), (1.0, 18.0), (3e-300, 5.1e-299), (1e300, 9e300)])
+def test_mass_convert_to_physical_far_above_k_passes(k, m):
+    # the physical mass (k/2)(1 - e^(-2m/k)) is correct to its rounding, and
+    # the round trip allows what the way back's conditioning makes of it
+    code, out, err = _run_quietly(["mass", "convert", "--k", repr(k), "--to", "physical",
+                                   repr(m), "--format", "json"])
+    assert (code, err) == (0, ""), err
+    report = json.loads(out)
+    assert math.isclose(report["results"]["value_1"], -(k / 2) * math.expm1(-2 * m / k),
+                        rel_tol=1e-11)  # the report keeps 12 digits
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [("round-trip", "pass")]
 
 
 @settings(max_examples=40, deadline=None)

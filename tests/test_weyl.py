@@ -5,6 +5,8 @@ import random
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from kgalilei import weyl
+from kgalilei.realization import default_system
 from kgalilei.scalars import Rat, sym
 from kgalilei.weyl import (
     WeylExpression,
@@ -166,3 +168,104 @@ def test_commutator_is_the_literal_difference_hypothesis(a, b):
     comm = a.commutator(b)
     assert comm.terms == (a * b - b * a).terms
     assert b.commutator(a).terms == (-comm).terms
+
+
+#: Exponents up to 3 on x_11 and on x_22 (one slot of each particle), so that
+#: a reordering reaches j = 3 and (-i)^j takes all four values.
+_HIGH_EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+    lambda e: (e[0], 0, 0, 0, e[1], 0))
+_HIGH_EXPRESSIONS = st.dictionaries(
+    st.tuples(_HIGH_EXPONENTS, _HIGH_EXPONENTS),
+    st.builds(lambda c, n: c * n, st.sampled_from(_COEFFICIENTS), st.integers(-2, 2)),
+    max_size=3,
+).map(WeylExpression)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_HIGH_EXPRESSIONS, _HIGH_EXPRESSIONS)
+def test_closed_form_bracket_is_the_literal_difference_hypothesis(a, b):
+    # the monomial brackets merged over Gaussian integers give exactly the
+    # terms of a*b - b*a, and the other order their exact negation
+    comm = a.commutator(b)
+    assert comm.terms == (a * b - b * a).terms
+    assert b.commutator(a).terms == (-comm).terms
+
+
+def test_cubic_bracket_on_one_slot():
+    # p^3 x^3 = x^3 p^3 - 9i x^2 p^2 - 18 x p + 6i, so [p^3, x^3] is all of it
+    # but the leading term: j = 1, 2, 3 give -i, -1 and i
+    x, p = position(1, 1), momentum(1, 1)
+    p3, x3 = p * p * p, x * x * x
+    expected = (x * x * p * p).scale(-9 * I) - (x * p).scale(18) + scalar(6 * I)
+    assert p3.commutator(x3) == expected
+    assert p3.commutator(x3).terms == (p3 * x3 - x3 * p3).terms
+    assert x3.commutator(p3) == -expected
+
+
+def test_mixed_particle_bracket():
+    # [x_11 p_22, p_11 x_22] = -i x_11 p_11 + i x_22 p_22: each particle's
+    # pair contributes one j = 1 term, and the j = 0 terms cancel
+    a = position(1, 1) * momentum(2, 2)
+    b = momentum(1, 1) * position(2, 2)
+    expected = (position(2, 2) * momentum(2, 2) - position(1, 1) * momentum(1, 1)).scale(I)
+    assert a.commutator(b) == expected
+    assert a.commutator(b).terms == (a * b - b * a).terms
+    assert b.commutator(a) == -expected
+
+
+def _commute(m1, m2) -> bool:
+    """No slot pairs a momentum exponent of one monomial with a position exponent of the other."""
+    (x1, p1), (x2, p2) = m1, m2
+    return not any(p1[s] and x2[s] or p2[s] and x1[s] for s in range(6))
+
+
+def test_commuting_monomials_reorder_nothing(monkeypatch):
+    # momenta of each side sit on slots where the other side has no position:
+    # the bracket is zero, and no reordering is asked for
+    a = WeylExpression({((7, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 7)): Rat(3)})
+    b = WeylExpression({((6, 2, 0, 0, 0, 0), (0, 0, 0, 0, 5, 0)): sym("lam"),
+                        ((0, 0, 5, 0, 0, 0), (0, 0, 0, 6, 0, 0)): -I})
+    for m1 in a.terms:
+        for m2 in b.terms:
+            assert _commute(m1, m2)
+            assert (m1, m2) not in weyl._BRACKET_CACHE and (m2, m1) not in weyl._BRACKET_CACHE
+
+    def no_reorder(pexp, xexp):
+        raise AssertionError(f"reordered p^{pexp} x^{xexp}")
+
+    monkeypatch.setattr(weyl, "_reorder", no_reorder)
+    assert a.commutator(b).is_zero
+    assert b.commutator(a).is_zero
+
+
+def test_composed_brackets_reorder_only_noncommuting_pairs(monkeypatch):
+    # from empty caches, the composed verdict fills a bracket per new pair of
+    # monomials; a commuting pair reorders nothing, any other pair reorders
+    # its two orders once each
+    monkeypatch.setattr(weyl, "_BRACKET_CACHE", {})
+    monkeypatch.setattr(weyl, "_REORDER_CACHE", {})
+    reorders = []
+    reorder = weyl._reorder
+
+    def counting(pexp, xexp):
+        reorders.append((pexp, xexp))
+        return reorder(pexp, xexp)
+
+    fills = []
+    bracket = WeylExpression._bracket
+
+    def tracking(self, m1, m2):
+        new, before = (m1, m2) not in weyl._BRACKET_CACHE, len(reorders)
+        out = bracket(self, m1, m2)
+        if new:
+            fills.append((_commute(m1, m2), len(reorders) - before))
+        return out
+
+    monkeypatch.setattr(weyl, "_reorder", counting)
+    monkeypatch.setattr(WeylExpression, "_bracket", tracking)
+    residuals = default_system().verify_composed()
+    assert all(value.is_zero for _, value in residuals)
+    noncommuting = sum(1 for commute, _ in fills if not commute)
+    assert 0 < noncommuting < len(fills) == len(weyl._BRACKET_CACHE)
+    assert all(count == (0 if commute else 2) for commute, count in fills)
+    assert sum(count for _, count in fills) == 2 * noncommuting
