@@ -68,10 +68,10 @@ class OutOfGridError(ValueError):
 
 
 class ProjectivityError(CheckFailure):
-    """Raised when the composition ratio is not constant across the grid."""
+    """Raised when the composition ratio is not a constant phase across the grid."""
 
-    def __init__(self, spread: float):
-        super().__init__(f"composition ratio varies across the grid (spread {spread:.3e})", spread)
+    def __init__(self, spread: float, what: str = "varies across the grid"):
+        super().__init__(f"composition ratio {what} (spread {spread:.3e})", spread)
         self.spread = spread
 
 
@@ -358,7 +358,10 @@ def cocycle_phase(g: GroupElement, gp: GroupElement, psi: SeparablePacket) -> co
     Computes act(g g') psi, keeps the points at or above AMPLITUDE_CUT of its
     peak amplitude, and demands that the ratio of act(g) act(g') psi to it be
     constant on them (max deviation from its mean <= SPREAD_TOL, which a NaN
-    deviation fails); returns the mean phase.  A peak amplitude of 0, or one
+    deviation fails); returns the mean phase.  A mean within SPREAD_TOL of 0
+    is no phase: act(g) act(g') psi vanishes where act(g g') psi does not,
+    say where act(g') moved part of the packet off the grid, and it raises
+    ProjectivityError with spread 1 - |mean|.  A peak amplitude of 0, or one
     that is not finite, raises ValueError; a dense packet raises TypeError.
 
     Both sides are kept as three factors (``_act_factors``), and a point's
@@ -399,6 +402,8 @@ def cocycle_phase(g: GroupElement, gp: GroupElement, psi: SeparablePacket) -> co
     spread = float(np.abs(ratio - mean).max())
     if not spread <= SPREAD_TOL:  # a NaN spread fails too
         raise ProjectivityError(spread)
+    if not abs(mean) > SPREAD_TOL:
+        raise ProjectivityError(1.0 - abs(mean), "vanishes on the grid")
     return complex(mean / abs(mean))
 
 

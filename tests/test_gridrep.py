@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.ndimage import map_coordinates
 
 import kgalilei
@@ -320,6 +320,8 @@ def literal_cocycle(g, gp, psi):
     spread = float(np.abs(ratio - mean).max())
     if not spread <= SPREAD_TOL:
         return ProjectivityError(spread)
+    if not abs(mean) > SPREAD_TOL:
+        return ProjectivityError(1.0 - abs(mean), "vanishes on the grid")
     return complex(mean / abs(mean))
 
 
@@ -335,6 +337,7 @@ def matches_literal(g, gp, psi) -> bool:
         cocycle_phase(g, gp, psi)
     assert type(raised.value) is type(expected)
     if isinstance(expected, ProjectivityError):
+        assert str(raised.value).split(" (")[0] == str(expected).split(" (")[0]
         got, want = raised.value.spread, expected.spread
         assert math.isnan(got) == math.isnan(want)
         assert math.isnan(got) or math.isclose(got, want, rel_tol=1e-9)
@@ -413,11 +416,14 @@ def test_cocycle_phase_equals_the_literal_past_the_grid_edge():
 @given(n=st.integers(8, 24), gaussian=st.booleans(),
        cells=st.tuples(*[st.one_of(st.just(0.0), st.floats(-0.5, 0.5)) for _ in range(3)]),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(n=10, gaussian=True, cells=(0.0, 0.0, 0.0), seed=233163471)
 @settings(max_examples=100, deadline=None)
 def test_separable_cocycle_matches_the_dense_literal_hypothesis(n, gaussian, cells, seed):
     # a seeded whole-cell pair on an off-centre Gaussian or random complex
     # factors, with g' boosted further by up to half a cell per axis: the
-    # phase of the literal, or its exception (also a boost past the guard)
+    # phase of the literal, or its exception (also a boost past the guard).
+    # The example's act(g') moves the peak of one factor off the grid, so
+    # act(g) act(g') psi is zero on every kept point: no phase
     rng = np.random.default_rng(seed)
     psi = (gaussian_packet(n=n, center=rng.uniform(-6, 6, size=3), width=rng.uniform(0.5, 2))
            if gaussian else random_packet(rng, n))
