@@ -24,6 +24,7 @@ axis along one output axis, so the action maps a product to a product: each
 factor is resampled along its own axis through the taps of the dense
 action.  ``cocycle_phase`` acts on the three factors alone and forms the
 composition ratio only at the points it keeps, so it builds no n^3 grid.
+A pair's three actions share one tap table and one ``np.exp``.
 """
 
 from __future__ import annotations
@@ -149,10 +150,13 @@ def galilei_multiply(g: GroupElement, gp: GroupElement) -> GroupElement:
     )
 
 
+@functools.lru_cache(maxsize=64)
 def _axis(n: int, p_max: float) -> np.ndarray:
     """The n cell-centered sample points of one axis: uniform spacing 2 p_max / n,
-    no duplicated endpoint."""
-    return -p_max + (np.arange(n) + 0.5) * (2.0 * p_max / n)
+    no duplicated endpoint.  Built once per (n, p_max) and read-only."""
+    ax = -p_max + (np.arange(n) + 0.5) * (2.0 * p_max / n)
+    ax.setflags(write=False)
+    return ax
 
 
 class _CenteredGrid:
@@ -235,67 +239,80 @@ def gaussian_packet(n: int = 32, p_max: float = 8.0, m_f: float = 1.0,
     return SeparablePacket(factors, p_max, m_f)
 
 
-def _boost_shift(psi: _Packet, v: np.ndarray):
-    """|m_f v| along the last axis: how far a boost moves the packet."""
-    return psi.m_f * np.sqrt((v * v).sum(axis=-1))
+def _boost_shift(m_f: float, v: np.ndarray):
+    """|m_f v| along the last axis: how far a boost moves a packet of mass m_f."""
+    return m_f * np.sqrt((v * v).sum(axis=-1))
 
 
-def _slab_taps(c: np.ndarray, n: int, step: int) -> list[tuple[float, slice, slice]]:
-    """The linear-interpolation taps of a 1-D resample at a uniform shift.
+def _tap_table(c: np.ndarray, steps: list[int]) -> list[list[tuple[float, slice, slice]]]:
+    """The linear-interpolation taps of 1-D resamples at uniform shifts, one list per row.
 
-    ``c`` holds the fractional input indices read along one output axis; they
-    move by ``step`` (+1 or -1) per output point.  A point with c inside
-    [0, n - 1] reads (1 - t) f[i] + t f[i + 1], with i = floor(c) and t the
-    fraction; any other point (or NaN) is off the grid and reads 0.  Returns
-    one (weight, output slice, input slice) per integer tap; a move by whole
-    cells has one tap, and a move off the grid has none.
+    Row r of the (rows, n) array ``c`` holds the fractional input indices
+    read along one output axis; they move by ``steps[r]`` (+1 or -1) per
+    output point.  A point with c inside [0, n - 1] reads (1 - t) f[i] +
+    t f[i + 1], with i = floor(c) and t the fraction, both read at the row's
+    first such point; any other point (or NaN) is off the grid and reads 0.
+    A row's taps are one (weight, output slice, input slice) per integer
+    tap; a move by whole cells has one tap, and a move off the grid has none.
     """
-    inside = np.flatnonzero((c >= 0.0) & (c <= n - 1))
-    if not inside.size:
-        return []
-    first, last = int(inside[0]), int(inside[-1])
-    lo = math.floor(c[first])
-    t = float(c[first]) - lo
-    taps = []
-    for offset, weight in ((0, 1.0 - t), (1, t)):
-        if weight == 0.0:
+    n = c.shape[1]
+    inside = (c >= 0.0) & (c <= n - 1)
+    firsts = inside.argmax(axis=1)
+    lasts = (n - 1 - inside[:, ::-1].argmax(axis=1)).tolist()
+    rows = np.arange(len(c))
+    table = []
+    for on, first, last, c0, step in zip(inside[rows, firsts].tolist(), firsts.tolist(), lasts,
+                                         c[rows, firsts].tolist(), steps):
+        taps = []
+        table.append(taps)
+        if not on:  # argmax found no point on the grid
             continue
-        # output point q reads input index start + step * (q - first); it can
-        # leave [0, n - 1] only at an end, where its weight is of rounding size
-        start = lo + offset
-        low, high = sorted((-step * start, step * (n - 1 - start)))
-        q0, q1 = first + max(low, 0), min(first + high, last) + 1
-        read = start + step * (q0 - first)
-        stop = read + step * (q1 - q0)
-        taps.append((weight, slice(q0, q1), slice(read, stop if stop >= 0 else None, step)))
-    return taps
+        lo = math.floor(c0)
+        t = c0 - lo
+        for offset, weight in ((0, 1.0 - t), (1, t)):
+            if weight == 0.0:
+                continue
+            # output point q reads input index start + step * (q - first); it can
+            # leave [0, n - 1] only at an end, where its weight is of rounding size
+            start = lo + offset
+            low, high = sorted((-step * start, step * (n - 1 - start)))
+            q0, q1 = first + max(low, 0), min(first + high, last) + 1
+            read = start + step * (q0 - first)
+            stop = read + step * (q1 - q0)
+            taps.append((weight, slice(q0, q1), slice(read, stop if stop >= 0 else None, step)))
+    return table
 
 
 def _check_shift(g: GroupElement, psi: _Packet) -> None:
     """Reject a boost that moves the packet by more than p_max/4."""
-    shift = _boost_shift(psi, g.v)
+    shift = _boost_shift(psi.m_f, g.v)
     if shift > 0.25 * psi.p_max:
         raise OutOfGridError(f"boost shift {shift:.3g} exceeds p_max/4 = {psi.p_max / 4:.3g}")
 
 
-def _taps(g: GroupElement, psi: _Packet, ax: np.ndarray) -> tuple[tuple, list]:
-    """The resample of act(g, psi): (cols, taps).
+def _phase(elements, psi: _Packet, ax: np.ndarray) -> np.ndarray:
+    """The phase exp(i(-p^2 tau / 2m_f + p . a)) of act(g) for each g of ``elements``,
+    one row per axis, all from one ``np.exp``: (len(elements), 3, n)."""
+    tau = np.array([g.tau for g in elements])[:, None, None]
+    a = np.array([g.a for g in elements])[:, :, None]
+    return np.exp(1j * (-ax ** 2 * tau / (2.0 * psi.m_f) + ax * a))
 
-    ``ax`` is psi.axis().  Input axis i is read along output axis cols[i],
-    through taps[i], the ``_slab_taps`` of that axis.
-    """
-    _, cols, signs = _ROTATIONS[_rotation_key(g.R)]
+
+def _actions(elements, psi: _Packet) -> list[tuple[tuple, list, np.ndarray]]:
+    """(cols, taps, phase) of act(g) on psi's grid for each g of ``elements``, from
+    one ``_tap_table`` and one ``_phase``: input axis i is read along output
+    axis cols[i] through taps[i], and phase holds the (3, n) phase rows."""
+    ax = _axis(psi.n, psi.p_max)
+    _, cols, signs = zip(*(_ROTATIONS[_rotation_key(g.R)] for g in elements))
     # argument: R^{-1}(p - m_f v) -- the grouping that composes with the
     # group law; input axis i is sampled at signs[i] * (p - m_f v)[cols[i]],
     # along output axis cols[i], at the fractional grid indices c[i]
-    s = ax - psi.m_f * g.v[list(cols)][:, None]
-    c = (np.array(signs)[:, None] * s + psi.p_max) / psi.spacing - 0.5
-    return cols, [_slab_taps(c[i], psi.n, int(signs[i])) for i in range(3)]
-
-
-def _phase(g: GroupElement, psi: _Packet, ax: np.ndarray) -> np.ndarray:
-    """The phase exp(i(-p^2 tau / 2m_f + p . a)) of act(g), one row per axis: (3, n)."""
-    return np.exp(1j * (-ax ** 2 * g.tau / (2.0 * psi.m_f) + ax * g.a[:, None]))
+    v = np.array([g.v[list(col)] for g, col in zip(elements, cols)])
+    s = ax - psi.m_f * v[:, :, None]
+    c = (np.array(signs)[:, :, None] * s + psi.p_max) / psi.spacing - 0.5
+    taps = _tap_table(c.reshape(-1, psi.n), [int(sign) for row in signs for sign in row])
+    phase = _phase(elements, psi, ax)
+    return [(col, taps[3 * k:3 * k + 3], phase[k]) for k, col in enumerate(cols)]
 
 
 def _resample(out: np.ndarray, values: np.ndarray, taps: list) -> None:
@@ -323,33 +340,41 @@ def act(g: GroupElement, psi: _Packet) -> GridWavefunction:
     the output's axis order and scaled by the product of the axes' scalar
     weights.  A move by whole grid cells, as every ``random_in_grid_*`` draw
     makes, is a single copy.  Boost shifts larger than p_max/4 are rejected
-    to keep the packet on the grid.
+    to keep the packet on the grid, and a NaN or infinite sample raises
+    ValueError.
     """
     _check_shift(g, psi)
-    n, ax = psi.n, psi.axis()
-    cols, taps = _taps(g, psi, ax)
+    values = psi.values
+    if not np.isfinite(values).all():  # before a phase of 0 turns an inf into NaN
+        raise ValueError("wavefunction is not finite")
+    n = psi.n
+    (cols, taps, e), = _actions((g,), psi)
     out = np.zeros((n, n, n), dtype=complex)
-    _resample(out.transpose(cols), psi.values, taps)
-    e = _phase(g, psi, ax)
+    _resample(out.transpose(cols), values, taps)
     out *= e[0, :, None, None] * e[1, None, :, None] * e[2, None, None, :]
     return GridWavefunction(out, psi.p_max, psi.m_f)
 
 
-def _act_factors(g: GroupElement, psi: SeparablePacket, factors: np.ndarray) -> np.ndarray:
-    """act(g) on the product of the (3, n) ``factors``, on psi's grid, as its own three factors.
+def _act_factors(action: tuple, factors: np.ndarray) -> np.ndarray:
+    """act(g) on the product of the (3, n) ``factors``, as its own three factors.
 
-    The resample and the phase of a product are products: each input factor
-    is resampled through its axis' taps of ``_taps`` into the factor of the
-    output axis it is read along, then times that axis' row of ``_phase``.
-    No boost check is made here.
+    ``action`` is g's (cols, taps, phase) of ``_actions``.  The resample and
+    the phase of a product are products: each input factor is resampled
+    through its axis' taps into the factor of the output axis it is read
+    along, then times that axis' phase row.  No boost check is made here.
     """
-    ax = psi.axis()
-    cols, taps = _taps(g, psi, ax)
-    out = np.zeros((3, psi.n), dtype=complex)
+    cols, taps, phase = action
+    out = np.zeros(factors.shape, dtype=complex)
     for i in range(3):
         _resample(out[cols[i]], factors[i], [taps[i]])
-    out *= _phase(g, psi, ax)
+    out *= phase
     return out
+
+
+def _outer_on(factors: np.ndarray, box: list[slice]) -> np.ndarray:
+    """The outer product of the three ``factors`` on ``box``, formed as (f0 f1) f2."""
+    f0, f1, f2 = (row[s] for row, s in zip(factors, box))
+    return f0[:, None, None] * f1[None, :, None] * f2[None, None, :]
 
 
 def cocycle_phase(g: GroupElement, gp: GroupElement, psi: SeparablePacket) -> complex:
@@ -361,10 +386,12 @@ def cocycle_phase(g: GroupElement, gp: GroupElement, psi: SeparablePacket) -> co
     deviation fails); returns the mean phase.  A mean within SPREAD_TOL of 0
     is no phase: act(g) act(g') psi vanishes where act(g g') psi does not,
     say where act(g') moved part of the packet off the grid, and it raises
-    ProjectivityError with spread 1 - |mean|.  A peak amplitude of 0, or one
-    that is not finite, raises ValueError; a dense packet raises TypeError.
+    ProjectivityError with spread 1 - |mean|.  A NaN or infinite factor
+    entry, a peak amplitude of 0, or one that is not finite, raises
+    ValueError; a dense packet raises TypeError.
 
-    Both sides are kept as three factors (``_act_factors``), and a point's
+    Both sides are kept as three factors (``_act_factors``), and the three
+    actions' taps and phases come from one ``_actions`` call.  A point's
     amplitude is the product of its factors' moduli.  A float product of
     non-negative numbers is monotone in each of them, so the peak is the
     product of the factors' maxima, and the kept points lie in the box
@@ -378,26 +405,30 @@ def cocycle_phase(g: GroupElement, gp: GroupElement, psi: SeparablePacket) -> co
     _check_shift(g, psi)
     product = galilei_multiply(g, gp)
     _check_shift(product, psi)
-    rhs = _act_factors(product, psi, psi.factors)
+    factors = psi.factors
+    if not np.isfinite(factors).all():  # before a phase of 0 turns an inf into NaN
+        raise ValueError("wavefunction is not finite")
+    on_gp, on_g, on_product = _actions((gp, g, product), psi)
+    rhs = _act_factors(on_product, factors)
     amplitude = np.abs(rhs)
-    top = amplitude.max(axis=1)
+    top0, top1, top2 = amplitude.max(axis=1).tolist()
     # every product below is formed in the order of a point's (a0 a1) a2
-    peak = top[0] * top[1] * top[2]
-    if not np.isfinite(peak):
+    peak = top0 * top1 * top2
+    if not math.isfinite(peak):
         raise ValueError("wavefunction is not finite on the reference region")
     if peak == 0:
         raise ValueError("wavefunction vanishes on the reference region")
     cut = AMPLITUDE_CUT * peak
-    box = []
-    for reach in (amplitude[0] * top[1] * top[2], top[0] * amplitude[1] * top[2],
-                  top[0] * top[1] * amplitude[2]):
-        hits = np.flatnonzero(reach >= cut)
-        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
-    a0, a1, a2 = (a[s] for a, s in zip(amplitude, box))
-    kept = np.nonzero(a0[:, None, None] * a1[None, :, None] * a2[None, None, :] >= cut)
-    i, j, k = (index + s.start for index, s in zip(kept, box))
-    lhs = _act_factors(g, psi, _act_factors(gp, psi, psi.factors))
-    ratio = (lhs[0, i] * lhs[1, j] * lhs[2, k]) / (rhs[0, i] * rhs[1, j] * rhs[2, k])
+    # each factor times the other two maxima: (a0 t1) t2, (a1 t0) t2, (a2 (t0 t1)) 1
+    reach = (amplitude * np.array(((top1,), (top0,), (top0 * top1,)))
+             * np.array(((top2,), (top2,), (1.0,))))
+    hits = reach >= cut  # the peak's point reaches it on every row
+    firsts = hits.argmax(axis=1).tolist()
+    ends = (psi.n - hits[:, ::-1].argmax(axis=1)).tolist()
+    box = [slice(first, end) for first, end in zip(firsts, ends)]
+    kept = _outer_on(amplitude, box) >= cut
+    lhs = _act_factors(on_g, _act_factors(on_gp, factors))
+    ratio = _outer_on(lhs, box)[kept] / _outer_on(rhs, box)[kept]
     mean = ratio.mean()
     spread = float(np.abs(ratio - mean).max())
     if not spread <= SPREAD_TOL:  # a NaN spread fails too
@@ -462,6 +493,19 @@ def random_in_grid_element(rng: np.random.Generator, psi: _Packet) -> GroupEleme
     return _random_element(rng, psi, _cells(2))
 
 
+@functools.lru_cache(maxsize=64)
+def _admitted_cells(max_cells: int, spacing: float, m_f: float,
+                    bound: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_cells(max_cells)``, their boosts, and the mask of the cells whose boost
+    alone moves a packet by at most ``bound``; built once per key and read-only."""
+    cells = _cells(max_cells)
+    boosts = cells * spacing / m_f
+    fits = _boost_shift(m_f, boosts) <= bound
+    boosts.setflags(write=False)
+    fits.setflags(write=False)
+    return cells, boosts, fits
+
+
 def random_in_grid_tuple(rng: np.random.Generator, psi: _Packet, count: int,
                          max_cells: int = 2) -> tuple[GroupElement, ...]:
     """``count`` random in-grid elements whose partial products also stay in grid.
@@ -479,17 +523,17 @@ def random_in_grid_tuple(rng: np.random.Generator, psi: _Packet, count: int,
     if max_cells > 0 and admitted == 0:
         raise OutOfGridError(
             f"a {psi.n}-point grid admits no whole-cell boost within p_max/4 = {bound:.3g}")
-    cells = _cells(min(max_cells, admitted))
-    boosts = cells * psi.spacing / psi.m_f
-    # (R, v) of each product of the elements drawn so far that ends at the last one
+    # the element alone is the product of length one: its cells are cached
+    cells, boosts, alone = _admitted_cells(min(max_cells, admitted), psi.spacing, psi.m_f, bound)
+    # (R, v) of each longer product of the elements drawn so far that ends at the last one
     products: list[tuple[np.ndarray, np.ndarray]] = []
     elements = []
     for _ in range(count):
-        products.append((np.eye(3), np.zeros(3)))
-        fits = np.ones(len(cells), dtype=bool)
+        fits = alone
         for R, v in products:
-            fits &= _boost_shift(psi, boosts @ R.T + v) <= bound
+            fits = fits & (_boost_shift(psi.m_f, boosts @ R.T + v) <= bound)
         g = _random_element(rng, psi, cells[fits])
         products = [(R @ g.R, R @ g.v + v) for R, v in products]
+        products.append((g.R, g.v))
         elements.append(g)
     return tuple(elements)

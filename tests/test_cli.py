@@ -418,14 +418,18 @@ def test_mass_compose_past_the_float_range(monkeypatch):
 
 
 @contextlib.contextmanager
-def _off_at(module, name, index):
+def _off_at(module, name, index, row=None):
     """Patch ``module.name`` so that its call number ``index`` (from 0) returns
-    a value off by a relative 1e-6."""
+    a value off by a relative 1e-6; with ``row``, only that row of the array."""
     exact, calls = getattr(module, name), itertools.count()
 
     def faulty(*args):
         value = exact(*args)
         if next(calls) != index:
+            return value
+        if row is not None:
+            value = value.copy()
+            value[row] *= 1 + 1e-6j
             return value
         # a phase is a complex array, a mass a float: each is off by 1e-6
         return value * (1 + 1e-6j if isinstance(value, np.ndarray) else 1 + 1e-6)
@@ -520,9 +524,10 @@ def test_mass_convert_to_physical_far_above_k_passes(k, m):
 def test_cocycle_demo_catches_a_phase_off_by_1e_6_hypothesis(seed, n, pairs, data):
     # fault injection: one of the three factor-wise actions of one drawn
     # pair gets a phase off by a relative 1e-6, a constant angle that the
-    # spread cannot see; the closed form names that pair
+    # spread cannot see; the closed form names that pair.  A pair's one
+    # _phase call returns the three actions' phases as its rows
     index = data.draw(st.integers(0, 3 * pairs - 1))
-    with _off_at(gridrep, "_phase", index):
+    with _off_at(gridrep, "_phase", index // 3, row=index % 3):
         failed = _failed_details(["cocycle", "demo", "--seed", str(seed), "--pairs", str(pairs),
                                   "--n", str(n)])
     assert list(failed) == ["cocycle-closed-form"]

@@ -34,7 +34,9 @@ from kgalilei.gridrep import (
     random_in_grid_element,
     random_in_grid_tuple,
     _act_factors,
-    _slab_taps,
+    _actions,
+    _resample,
+    _tap_table,
 )
 
 
@@ -209,16 +211,58 @@ def test_cube_rotation_act_edges_hypothesis(n, rotation, m_f, cells, seed):
 
 @pytest.mark.parametrize("step", [1, -1])
 def test_slab_moved_off_the_grid_has_no_taps(step):
-    # a whole slab moved past either edge (or read at NaN) reads nothing
+    # a whole slab moved past either edge (or read at NaN) reads nothing;
+    # one cell short of that, a single output point reads the edge sample.
+    # Every case is a row of one table
     n = 6
     start = 0 if step > 0 else n - 1
-    for shift in (n, n + 0.5, 40.0, -n, -n - 0.25, -40.0):
-        assert _slab_taps(start + step * np.arange(n) + shift, n, step) == []
-    assert _slab_taps(np.full(n, np.nan), n, step) == []
-    # one cell short of that, a single output point reads the edge sample
-    (weight, dst, src), = _slab_taps(start + step * np.arange(n) + (n - 1), n, step)
+    rows = [start + step * np.arange(n) + shift
+            for shift in (n, n + 0.5, 40.0, -n, -n - 0.25, -40.0)]
+    rows += [np.full(n, np.nan), start + step * np.arange(n) + (n - 1)]
+    *off, ((weight, dst, src),) = _tap_table(np.array(rows), [step] * len(rows))
+    assert off == [[]] * 7
     assert weight == 1.0
     assert len(range(n)[dst]) == 1 and list(range(n)[src]) == [n - 1]
+
+
+def reference_resample(c, f):
+    """The 1-D linear interpolation of ``f`` at the fractional indices ``c``,
+    point by point: floor and fraction of each point, and 0 off the grid."""
+    n, out = len(f), np.zeros(len(c), dtype=complex)
+    for q, x in enumerate(c):
+        if 0.0 <= x <= n - 1:  # NaN is neither
+            i = math.floor(x)
+            t = x - i
+            out[q] = (1.0 - t) * f[i] + (t * f[i + 1] if t else 0.0)
+    return out
+
+
+def _tap_rows(n):
+    """Up to nine (step, shift) rows for an n-point axis."""
+    shift = st.one_of(st.integers(-n - 2, n + 2).map(float),   # whole cells, also off the grid
+                      st.floats(-n - 2.0, n + 2.0),            # fractional, across either edge
+                      st.sampled_from([40.0, -40.0, math.nan, math.inf, -math.inf]))
+    return st.tuples(st.just(n), st.lists(st.tuples(st.sampled_from([1, -1]), shift),
+                                          min_size=1, max_size=9))
+
+
+@given(case=st.integers(1, 16).flatmap(_tap_rows), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_tap_table_matches_the_per_point_reference_hypothesis(case, seed):
+    # one table for up to nine rows, each moved by whole cells, by a
+    # fraction, past either edge or to NaN, in either step direction: every
+    # row's resample is the per-point interpolation, to rounding of the
+    # fraction, which the table reads at a row's first point on the grid
+    n, rows = case
+    f = np.array([1.0, 1j]) @ np.random.default_rng(seed).normal(size=(2, n))
+    c = np.array([(0 if step > 0 else n - 1) + step * np.arange(n) + shift
+                  for step, shift in rows])
+    table = _tap_table(c, [step for step, _ in rows])
+    assert len(table) == len(rows)
+    for row, taps in zip(c, table):
+        out = np.zeros(n, dtype=complex)
+        _resample(out, f, [taps])
+        assert np.abs(out - reference_resample(row, f)).max() <= 1e-12 * np.abs(f).max()
 
 
 def test_generic_rotation_is_rejected():
@@ -278,7 +322,8 @@ def test_separable_action_matches_the_dense_act_hypothesis(n, rotation, m_f, cel
     psi = random_packet(rng, n, m_f)
     g = GroupElement(tau=rng.uniform(-2, 2), a=rng.uniform(-2, 2, size=3),
                      v=boost_within_guard(psi, cells), R=CUBE_ROTATIONS[rotation])
-    out = SeparablePacket(_act_factors(g, psi, psi.factors), psi.p_max, psi.m_f).values
+    out = SeparablePacket(_act_factors(_actions((g,), psi)[0], psi.factors),
+                          psi.p_max, psi.m_f).values
     assert np.abs(out - act(g, psi).values).max() <= 1e-12
 
 
@@ -306,7 +351,7 @@ def literal_cocycle(g, gp, psi):
     try:
         lhs = act(g, act(gp, psi)).values
         rhs = act(galilei_multiply(g, gp), psi).values
-    except OutOfGridError as exc:
+    except ValueError as exc:  # a boost past the guard, or a packet that is not finite
         return exc
     amplitude = np.abs(rhs)
     peak = amplitude.max()
@@ -435,32 +480,34 @@ def test_separable_cocycle_matches_the_dense_literal_hypothesis(n, gaussian, cel
 
 def test_cocycle_phase_makes_no_whole_grid_action(monkeypatch):
     # work guard, counting calls, not time: an extraction calls no act,
-    # never builds the packet's dense values, and makes three factor-wise
-    # actions
+    # never builds the packet's dense values, builds one tap table and runs
+    # one np.exp for its three actions, then makes three factor-wise actions
     psi = gaussian_packet(n=32)
     rng = np.random.default_rng(11)
     calls = []
-    factor_wise = gridrep._act_factors
 
-    def counted_act_factors(g, packet, factors):
-        calls.append("factors")
-        return factor_wise(g, packet, factors)
+    def counted(name, function):
+        return lambda *args: calls.append(name) or function(*args)
 
     monkeypatch.setattr(gridrep, "act", lambda *args: calls.append("act"))
     monkeypatch.setattr(SeparablePacket, "values", property(lambda self: calls.append("values")))
-    monkeypatch.setattr(gridrep, "_act_factors", counted_act_factors)
+    monkeypatch.setattr(gridrep, "_tap_table", counted("taps", gridrep._tap_table))
+    monkeypatch.setattr(gridrep, "_act_factors", counted("factors", gridrep._act_factors))
     for _ in range(10):
+        g, gp = random_in_grid_tuple(rng, psi, 2)
         calls.clear()
-        cocycle_phase(*random_in_grid_tuple(rng, psi, 2), psi)
-        assert calls == ["factors"] * 3
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "exp", counted("exp", np.exp))
+            cocycle_phase(g, gp, psi)
+        assert calls == ["taps", "exp"] + ["factors"] * 3
 
 
 @pytest.mark.filterwarnings("error")
-def test_vanishing_or_non_finite_packet_is_named():
+def test_vanishing_or_non_finite_packet_is_named(monkeypatch):
     # an all-zero packet has no peak to cut at, and a NaN or infinite factor
-    # entry leaves none; each is a ValueError naming its cause, the literal's
-    # where the dense packet can be built without a warning.  A dense packet
-    # is refused
+    # entry is refused before any phase multiplies it; each is a ValueError
+    # naming its cause, the literal's where the dense packet can be built
+    # without a warning.  A dense packet is refused
     g, gp = GroupElement(tau=0.3), GroupElement(a=np.array([0.1, 0.0, 0.0]))
     zero = SeparablePacket(np.zeros((3, 8)), 8.0, 1.0)
     with pytest.raises(ValueError, match="vanishes"):
@@ -475,16 +522,44 @@ def test_vanishing_or_non_finite_packet_is_named():
     assert not matches_literal(g, gp, psi)
     with pytest.raises(TypeError, match="SeparablePacket"):
         cocycle_phase(g, gp, GridWavefunction(gaussian_packet(n=8).values, 8.0, 1.0))
+    # the identity's phase is exactly 1+0j, which would multiply an infinite
+    # sample into inf+NaN i with a warning: a dense sample or a factor entry
+    # that is not finite is refused first
+    identity = GroupElement()
+    for bad in (np.nan, np.inf):
+        dense = GridWavefunction(np.ones((8, 8, 8)), 8.0, 1.0)
+        dense.values[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            act(identity, dense)
+        psi = gaussian_packet(n=8)
+        psi.factors[2, 5] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            cocycle_phase(identity, identity, psi)
     # a NaN factor entry that act(g g') moves off the grid, but that the two
-    # half cell moves of act(g) act(g') interpolate into kept points: the NaN
-    # spread fails the gate, where a NaN phase would pass it
+    # half cell moves of act(g) act(g') would interpolate into kept points:
+    # refused up front, as the literal's dense act refuses it
     psi = gaussian_packet(n=16, center=(-7.5, 0.0, 0.0))
     psi.factors[0, 0] = np.nan
     half = GroupElement(v=np.array([-0.5 * psi.spacing, 0.0, 0.0]))
-    with pytest.raises(ProjectivityError) as raised:
+    with pytest.raises(ValueError, match="not finite"):
         cocycle_phase(half, half, psi)
-    assert math.isnan(raised.value.spread)
     assert not matches_literal(half, half, psi)
+    # a NaN that reaches a kept point of act(g) act(g') psi alone, injected
+    # into the last factor-wise action: the NaN spread fails the gate, where
+    # a NaN phase would pass it
+    factor_wise, calls = gridrep._act_factors, []
+
+    def nan_in_the_composition(action, factors):
+        out = factor_wise(action, factors)
+        calls.append(action)
+        if len(calls) == 3:  # act(g) on act(g') psi
+            out[0, 8] = np.nan
+        return out
+
+    monkeypatch.setattr(gridrep, "_act_factors", nan_in_the_composition)
+    with pytest.raises(ProjectivityError) as raised:
+        cocycle_phase(g, gp, gaussian_packet(n=16))
+    assert len(calls) == 3 and math.isnan(raised.value.spread)
 
 
 def test_cocycle_constant_and_matches_closed_form():
@@ -563,6 +638,51 @@ def test_tuple_draws_for_seed_0_pinned():
     ]
     g3 = random_in_grid_tuple(rng, psi, 3, max_cells=1)[2]
     assert (g3.tau, float(rng.uniform())) == (1.1483932299547335, 0.15027946689483906)
+
+
+def reference_tuple(rng, psi, count, max_cells):
+    """random_in_grid_tuple written out with no cached mask: every product
+    of a contiguous run ending at the next element, the element alone
+    included, tests every cell."""
+    bound = 0.25 * psi.p_max
+    most = min(max_cells, math.floor(bound / psi.spacing))
+    cells = np.array(list(itertools.product(range(-most, most + 1), repeat=3)))
+    boosts = cells * psi.spacing / psi.m_f
+    products, elements = [], []
+    for _ in range(count):
+        products.append((np.eye(3), np.zeros(3)))
+        fits = np.ones(len(cells), dtype=bool)
+        for R, v in products:
+            moved = boosts @ R.T + v
+            fits &= psi.m_f * np.sqrt((moved * moved).sum(axis=-1)) <= bound
+        allowed = cells[fits]
+        tau = float(rng.uniform(-2.0, 2.0))
+        a = rng.uniform(-2.0, 2.0, size=3)
+        v = allowed[rng.integers(len(allowed))] * psi.spacing / psi.m_f
+        R = CUBE_ROTATIONS[int(rng.integers(len(CUBE_ROTATIONS)))]
+        g = GroupElement(tau=tau, a=a, v=v, R=R)
+        products = [(R @ g.R, R @ g.v + v) for R, v in products]
+        elements.append(g)
+    return tuple(elements)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 128])
+def test_draw_identity_with_the_reference_sampler(n):
+    # the sampler with its cached admitted-cell mask draws the very same
+    # elements as the reference, bit for bit and with the table's own
+    # rotation, and leaves the generator in the same state
+    psi = gaussian_packet(n=n)
+    for count, max_cells in itertools.product((1, 2, 3), (1, 2)):
+        seed = 1000 * n + 10 * count + max_cells
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(30):
+            drawn = random_in_grid_tuple(rng, psi, count, max_cells=max_cells)
+            expected = reference_tuple(reference, psi, count, max_cells)
+            assert len(drawn) == len(expected) == count
+            for g, e in zip(drawn, expected):
+                assert g.tau == e.tau and g.R is e.R
+                assert g.a.tobytes() == e.a.tobytes() and g.v.tobytes() == e.v.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [8, 12, 32])
