@@ -344,8 +344,12 @@ def act(g: GroupElement, psi: _Packet) -> GridWavefunction:
     ValueError.
     """
     _check_shift(g, psi)
+    # checked before anything multiplies an inf by a 0 into NaN: a separable
+    # packet's factors before their outer product, the samples before the phase
+    if isinstance(psi, SeparablePacket) and not np.isfinite(psi.factors).all():
+        raise ValueError("wavefunction is not finite")
     values = psi.values
-    if not np.isfinite(values).all():  # before a phase of 0 turns an inf into NaN
+    if not np.isfinite(values).all():
         raise ValueError("wavefunction is not finite")
     n = psi.n
     (cols, taps, e), = _actions((g,), psi)

@@ -14,7 +14,22 @@ checks at c = k/2, with k a free symbol, cover every nonzero c.
 Enveloping-algebra elements are kept in the normal order J < K < P < H with
 index-lexicographic ties, times central factors M^m E^e; products are
 normalized by bracket rewriting, which terminates because every correction
-term has a strictly shorter non-central word.
+term has a strictly shorter non-central word.  The letter table
+``_letter_bracket`` is antisymmetric: it gives a pair out of normal order as
+the exact negation of the ordered pair.
+
+A word bracket is taken in closed form where one exists.  A word with no
+letters is central, and two words with the same letters multiply to the
+same word either way, so their bracket is empty; two single letters read
+the letter table, their central exponents added to each term's.  Only
+longer words merge the two rewritten products.  A tensor monomial bracket
+follows the Leibniz rule
+
+    [(x)_i u_i, (x)_i w_i] = sum_k (x)_{i<k} w_i u_i (x) [u_k, w_k] (x) (x)_{i>k} u_i w_i,
+
+which telescopes to the difference of the two leg-wise products, so a pair
+whose legs all commute forms no product.  Both brackets are kept per
+ordered pair in each algebra.
 
 The coproduct and antipode are written once per non-central letter: P_i and
 K_i are twisted (Delta X = X (x) E + 1 (x) X, S X = -X E^-1), J_i and H
@@ -32,10 +47,13 @@ repeated call is then one dictionary lookup.  The bracket and the
 homomorphism residual are antisymmetric in (g, h), since ``coproduct_of`` is
 linear.  The Jacobi sum is alternating for any product rule, each term being
 linear in a commutator, and a commutator is antisymmetric term by term: the
-pair (m1, m2) of monomials adds c1 c2 (m1 m2 - m2 m1) to [a, b] and the
-exact negation of that to [b, a].  A zero value is its own negation, and the
-diagonal pair and every triple with a repeated name share one zero per
-algebra.  A double bracket [[g, h], f] is not stored: it reads the stored
+pair (m1, m2) of monomials adds c1 c2 [m1, m2] to [a, b] and c2 c1 [m2, m1]
+to [b, a], and [m2, m1] is the exact negation of [m1, m2].  Central words
+and words with the same letters give an empty bracket either way, two
+letters read the antisymmetric table, and longer words and tensor
+monomials give the difference of their two products.  A zero value is its
+own negation, and the diagonal pair and every triple with a repeated name
+share one zero per algebra.  A double bracket [[g, h], f] is not stored: it reads the stored
 [g, h] and takes one commutator only where that is nonzero, and the scan
 reads each one once, in one Jacobi sum.  Sharing the stored values is safe
 because no element changes after construction.
@@ -115,15 +133,18 @@ class UEAExpression(LinearCombination):
         return self.algebra._word_product(w1, w2)
 
     def _bracket(self, w1: tuple, w2: tuple) -> dict:
-        """The word bracket, computed once per ordered pair in each algebra."""
-        cache = self.algebra._word_bracket_cache
-        key = (w1, w2)
-        cached = cache.get(key)
-        if cached is None:
-            cached = cache[key] = super()._bracket(w1, w2)
-        return cached
+        return self.algebra._word_bracket(w1, w2)
 
     _monomial_str = staticmethod(_word_str)
+
+
+def _distribute(legs) -> list[tuple]:
+    """The tensor monomials of per-leg (factor, word) lists, as (factor, words) terms."""
+    first, *rest = legs
+    out = [(factor, (word,)) for factor, word in first]
+    for terms in rest:
+        out = [(c * factor, key + (word,)) for c, key in out for factor, word in terms]
+    return out
 
 
 class TensorExpression(LinearCombination):
@@ -146,12 +167,29 @@ class TensorExpression(LinearCombination):
 
     def _product(self, words1: tuple, words2: tuple) -> list[tuple]:
         """Leg-wise word products, distributed over the legs."""
-        word_product = self.algebra._word_product
-        out = [(_ONE, ())]
-        for w1, w2 in zip(words1, words2):
-            out = [(c * factor, key + (word,))
-                   for c, key in out for factor, word in word_product(w1, w2)]
-        return out
+        return _distribute(map(self.algebra._word_product, words1, words2))
+
+    def _bracket(self, words1: tuple, words2: tuple) -> dict:
+        """The monomial bracket by the Leibniz rule (see the module
+        docstring), once per ordered pair in each algebra: leg k's word
+        bracket, between the reversed products of the legs before it and the
+        products of those after it."""
+        alg = self.algebra
+        key = (words1, words2)
+        cached = alg._tensor_bracket_cache.get(key)
+        if cached is None:
+            merged: dict = {}
+            for k, (u, w) in enumerate(zip(words1, words2)):
+                middle = alg._word_bracket(u, w)
+                if not middle:
+                    continue
+                legs = [*map(alg._word_product, words2[:k], words1[:k]),
+                        [(factor, word) for word, factor in middle.items()],
+                        *map(alg._word_product, words1[k + 1:], words2[k + 1:])]
+                for factor, mono in _distribute(legs):
+                    merged[mono] = merged[mono] + factor if mono in merged else factor
+            cached = alg._tensor_bracket_cache[key] = self._like(merged).terms
+        return cached
 
     def _monomial_str(self, words) -> str:
         return "(x)".join(_word_str(word) for word in words)
@@ -162,8 +200,10 @@ class GalileiHopf:
 
     def __init__(self):
         self._sort_cache: dict = {}
-        # w1 w2 - w2 w1 under (w1, w2), see UEAExpression._bracket
+        # w1 w2 - w2 w1 under (w1, w2), see _word_bracket, and the same for
+        # tensor monomials, see TensorExpression._bracket
         self._word_bracket_cache: dict = {}
+        self._tensor_bracket_cache: dict = {}
         # [g, h] under (g, h), the homomorphism residual of (g, h) under
         # ("Delta", g, h) and the Jacobi sum of (g, h, f) under (g, h, f),
         # each under every ordering of its names, see _fill
@@ -247,6 +287,26 @@ class GalileiHopf:
         (l1, m1, e1), (l2, m2, e2) = w1, w2
         return [(factor, (letters, m1 + m2 + dm, e1 + e2 + de))
                 for factor, letters, dm, de in self._sorted_words(l1 + l2)]
+
+    def _word_bracket(self, w1: tuple, w2: tuple) -> dict:
+        """The word bracket w1 w2 - w2 w1 as {word: factor}, in closed form
+        where it has one (see the module docstring), once per ordered pair."""
+        key = (w1, w2)
+        cached = self._word_bracket_cache.get(key)
+        if cached is None:
+            (l1, m1, e1), (l2, m2, e2) = w1, w2
+            if not l1 or not l2 or l1 == l2:
+                cached = {}
+            elif len(l1) == len(l2) == 1:
+                merged: dict = {}
+                for c, letters, dm, de in self._letter_bracket(l1[0], l2[0]):
+                    word = (letters, m1 + m2 + dm, e1 + e2 + de)
+                    merged[word] = merged[word] + c if word in merged else c
+                cached = UEAExpression(self, merged).terms
+            else:
+                cached = LinearCombination._bracket(self._zero, w1, w2)
+            self._word_bracket_cache[key] = cached
+        return cached
 
     # -- Hopf data -----------------------------------------------------------
 

@@ -505,6 +505,31 @@ def test_mass_convert_catches_to_physical_off_by_1e_6_hypothesis(k, to, data):
     assert failed["round-trip"].startswith(f"{index + 1}: ")
 
 
+@st.composite
+def _reduced_argv(draw):
+    """mass reduced at a drawn k, finite or inf, of two positive masses."""
+    k = draw(_FINITE_K | st.just(math.inf))
+    mass = _below(1e308) if math.isinf(k) else _normal_mass(k)
+    return ["mass", "reduced", "--k", repr(k), repr(draw(mass)), repr(draw(mass))]
+
+
+@settings(max_examples=100, deadline=None)
+@example(["mass", "reduced", "--k", "1e+300", "1e-20", "1e-20"])
+@example(["mass", "reduced", "--k", "1e+300", "4.9999999999999996e+299", "1e-20"])
+@example(["mass", "reduced", "--k", "1.0", "0.4999999999999999", "0.4999999999999999"])
+@example(["mass", "reduced", "--k", "1e-300", "1e-301", "1e-301"])
+@example(["mass", "reduced", "--k", "inf", "1e-300", "1e-300"])
+@example(["mass", "reduced", "--k", "inf", "1e+308", "1e+308"])
+@given(_reduced_argv())
+def test_mass_reduced_catches_reduced_off_by_1e_6_hypothesis(argv):
+    # fault injection: the deformed reduced mass is off by a relative 1e-6;
+    # the ratio identity, the check's single item, fails, at k = inf too
+    assume(_in_domain(argv))
+    with _off_at(masses, "reduced", 0):
+        failed = _failed_details(argv)
+    assert list(failed) == ["ratio-identity"]
+
+
 @pytest.mark.parametrize("k, m", [(1.0, 10.0), (1.0, 18.0), (3e-300, 5.1e-299), (1e300, 9e300)])
 def test_mass_convert_to_physical_far_above_k_passes(k, m):
     # the physical mass (k/2)(1 - e^(-2m/k)) is correct to its rounding, and

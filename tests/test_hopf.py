@@ -3,9 +3,11 @@
 import itertools
 import json
 import random
+import types
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from kgalilei.cli import run
 from kgalilei.hopf import GENERATOR_NAMES, GalileiHopf, TensorExpression, UEAExpression, eps
@@ -374,6 +376,69 @@ def test_misplaced_twist_fails_only_the_homomorphism(monkeypatch, capsys):
     assert checks["coproduct-homomorphism"]["detail"] == failing[0]
 
 
+def _assert_closed_form_brackets(alg, word_pairs, tensor_pairs):
+    # the closed-form word bracket and the Leibniz tensor bracket hold the
+    # terms of the two monomial products merged, as the generic hook does
+    # without any closed form
+    for w1, w2 in word_pairs:
+        literal = LinearCombination._bracket(alg.zero(), w1, w2)
+        assert alg._word_bracket(w1, w2) == literal, (w1, w2)
+    for m1, m2 in tensor_pairs:
+        expr = TensorExpression(alg, len(m1), {})
+        assert expr._bracket(m1, m2) == LinearCombination._bracket(expr, m1, m2), (m1, m2)
+
+
+@pytest.mark.parametrize("fault", [None, "_letter_bracket", "_letter_coproduct"])
+def test_closed_form_brackets_on_the_scanned_pairs(monkeypatch, capsys, fault):
+    # every word pair and tensor pair that verify hopf and verify
+    # realization bracket, with the algebra that met it; under a wrong-sign
+    # letter table and a misplaced twist too, where the scan fails
+    if fault:
+        monkeypatch.setattr(GalileiHopf, fault, {"_letter_bracket": _wrong_sign_rotation_momentum,
+                                                 "_letter_coproduct": _momentum_twist_on_the_left}[fault])
+    met = {UEAExpression: set(), TensorExpression: set()}
+    word_bracket, tensor_bracket = GalileiHopf._word_bracket, TensorExpression._bracket
+
+    def record_words(alg, w1, w2):
+        met[UEAExpression].add((alg, w1, w2))
+        return word_bracket(alg, w1, w2)
+
+    def record_tensors(expr, m1, m2):
+        met[TensorExpression].add((expr.algebra, m1, m2))
+        return tensor_bracket(expr, m1, m2)
+
+    monkeypatch.setattr(GalileiHopf, "_word_bracket", record_words)
+    monkeypatch.setattr(TensorExpression, "_bracket", record_tensors)
+    for command in ("hopf", "realization"):
+        assert run(["verify", command]) == (1 if fault else 0)
+    capsys.readouterr()
+    monkeypatch.setattr(GalileiHopf, "_word_bracket", word_bracket)
+    monkeypatch.setattr(TensorExpression, "_bracket", tensor_bracket)
+    assert met[UEAExpression] and met[TensorExpression]
+    for alg in {alg for pairs in met.values() for alg, _, _ in pairs}:
+        _assert_closed_form_brackets(
+            alg, [(w1, w2) for a, w1, w2 in met[UEAExpression] if a is alg],
+            [(m1, m2) for a, m1, m2 in met[TensorExpression] if a is alg])
+
+
+_LETTERS = [(name[0], int(name[1]) if len(name) > 1 else 0) for name in GENERATOR_NAMES[:10]]
+#: A normal-ordered word: up to three sorted letters, powers of M and E.
+_WORDS = st.tuples(st.lists(st.sampled_from(_LETTERS), max_size=3).map(
+    lambda ls: tuple(sorted(ls, key=_LETTERS.index))), st.integers(0, 2), st.integers(-2, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(legs=st.integers(2, 3), wrong_sign=st.booleans(), data=st.data())
+def test_closed_form_brackets_on_drawn_monomials_hypothesis(legs, wrong_sign, data):
+    # drawn words and 2- and 3-leg tensor monomials, under the letter table
+    # and under the wrong-sign one, whose a b - b a rewriting it also feeds
+    alg = GalileiHopf()
+    if wrong_sign:
+        alg._letter_bracket = types.MethodType(_wrong_sign_rotation_momentum, alg)
+    m1, m2 = (data.draw(st.tuples(*[_WORDS] * legs)) for _ in range(2))
+    _assert_closed_form_brackets(alg, list(zip(m1, m2)), [(m1, m2), (m2, m1), (m1, m1)])
+
+
 def test_verify_hopf_reuses_brackets(monkeypatch, capsys):
     # work guard, counts and not timings: each antisymmetric pair of
     # brackets, double brackets and homomorphism residuals is built once, no
@@ -382,28 +447,42 @@ def test_verify_hopf_reuses_brackets(monkeypatch, capsys):
     # enveloping-algebra products, 300 tensor products and 1,200
     # enveloping-algebra additions (736 products and 4,806 additions when
     # every ordered triple added its own sum, 4,766 UEA and 407 tensor
-    # products when both orders of each pair were built).  A commutator
-    # multiplies the coefficients of each pair of terms once, and those of a
-    # commuting pair not at all, so the scan makes at most 2,100 scalar
-    # products (4,268 when a commutator was the literal a*b - b*a, whose
-    # products the counts above then included)
+    # products when both orders of each pair were built).  Word brackets
+    # are taken in closed form and tensor brackets leg by leg, so no
+    # bracket merges two products and no word is rewritten (415 merged
+    # brackets and 45 rewrite steps when they did); a commutator multiplies
+    # the coefficients of each pair of terms once, and those of a commuting
+    # pair not at all, so the scan makes at most 1,000 scalar products (754
+    # here, 1,951 with merged brackets, 4,268 when a commutator was the
+    # literal a*b - b*a, whose products the counts above then included)
     calls = {(UEAExpression, "__mul__"): 0, (TensorExpression, "__mul__"): 0,
-             (UEAExpression, "__add__"): 0, (RationalFunction, "__mul__"): 0}
+             (UEAExpression, "__add__"): 0, (RationalFunction, "__mul__"): 0,
+             (LinearCombination, "_bracket"): 0}
 
     def count(cls, name):
         method = getattr(cls, name)
 
-        def counted(self, other):
+        def counted(self, *args):
             calls[cls, name] += 1
-            return method(self, other)
+            return method(self, *args)
 
         monkeypatch.setattr(cls, name, counted)
 
     for cls, name in calls:
         count(cls, name)
+    algebras = []
+    init = GalileiHopf.__init__
+
+    def register(alg):
+        init(alg)
+        algebras.append(alg)
+
+    monkeypatch.setattr(GalileiHopf, "__init__", register)
     assert run(["verify", "hopf"]) == 0
     capsys.readouterr()
     assert 0 < calls[UEAExpression, "__mul__"] <= 700
     assert 0 < calls[TensorExpression, "__mul__"] <= 300
     assert 0 < calls[UEAExpression, "__add__"] <= 1200
-    assert 0 < calls[RationalFunction, "__mul__"] <= 2100
+    assert 0 < calls[RationalFunction, "__mul__"] <= 1000
+    assert calls[LinearCombination, "_bracket"] == 0
+    assert algebras and [alg.rewrite_steps for alg in algebras] == [0] * len(algebras)
