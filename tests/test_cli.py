@@ -860,6 +860,41 @@ def test_exact_reports_match_golden(argv, golden, code, capsys):
     assert canonical_json(report) + "\n" == (GOLDEN / golden).read_text()
 
 
+_GROUPS = ("verify", "mass", "hydrogen", "cocycle")
+_LEAVES = (("verify", "hopf"), ("verify", "realization"), ("verify", "equivalence"),
+           ("mass", "compose"), ("mass", "convert"), ("mass", "reduced"),
+           ("hydrogen", "spectrum"), ("cocycle", "demo"))
+#: Every help text and a usage error of each kind: an unknown group or leaf,
+#: a surplus argument, and a missing required option.
+_USAGE_ARGVS = ([["--help"]] + [[group, "--help"] for group in _GROUPS]
+                + [[*leaf, "--help"] for leaf in _LEAVES]
+                + [[], ["nope"]] + [[group, "nope"] for group in _GROUPS]
+                + [["verify", "hopf", "extra"], ["verify", "equivalence", "--mfp", "0.4", "--k", "1"],
+                   ["mass", "compose", "0.3", "0.4"], ["hydrogen", "spectrum", "--mfp", "0.4", "--k", "1"]])
+
+
+def _usage_transcript(argvs) -> str:
+    """Each invocation's exit status, stdout and stderr, as one text."""
+    blocks = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+        blocks.append(f"$ kgalilei {' '.join(argv)}\nexit {code}\n"
+                      f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+    return "".join(blocks)
+
+
+def test_usage_and_help_texts_match_golden(monkeypatch):
+    # every help text and usage error, with its exit status, byte for byte as
+    # stored (written by _usage_transcript with COLUMNS=80)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _usage_transcript(_USAGE_ARGVS) == (GOLDEN / "cli_usage.txt").read_text()
+
+
 
 #: The engines as the helpers below call them, unpatched.
 _FIND_THETA, _PROJECT, _RADIAL_SOLVE = (equivalence.find_theta, equivalence.project,
