@@ -9,6 +9,11 @@ Subcommands:
     hydrogen spectrum --mf --mfp --k --nmax [--solver closed|radial|both]
     cocycle demo [--seed]               projective-phase extraction demo
 
+Each leaf command is one row of ``_COMMANDS``.  A command line that names a
+leaf builds only that leaf's parser, under the top one and all four groups
+(the top usage line names them); any other builds the whole tree.  Either
+way the help and error texts are the same.
+
 Every subcommand emits a RunReport (text by default, ``--format json|csv``,
 ``--out <path>``); each handler is a list of ``RunReport.check`` calls.  Exit
 status: 0 if no check failed, 1 on a failed check (with the failing residual
@@ -327,11 +332,6 @@ def _cmd_cocycle_demo(args) -> RunReport:
 # plumbing
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--out", default=None, help="write the report to this path")
-
-
 #: Largest ``cocycle demo --n``: the demo builds no n^3 grid, but the ratio
 #: is formed on the Gaussian's kept points, a box of about (0.3 n)^3; at
 #: n = 128 the process peaks at about 40 MB (``ru_maxrss``).
@@ -359,75 +359,56 @@ def grid_size(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: The groups, in usage order: their help and the dest of their leaf's name.
+_GROUPS = {"verify": ("run a verification suite", "suite"),
+           "mass": ("non-additive mass arithmetic", "op"),
+           "hydrogen": ("deformed hydrogen spectrum", "op"),
+           "cocycle": ("projective-phase extraction", "op")}
+_PAIR = dict.fromkeys(("--mf", "--mfp", "--k"), dict(type=float, required=True))
+_K = {"--k": _PAIR["--k"]}
+_OUTPUT = {"--format": dict(choices=("text", "json", "csv"), default="text"),
+           "--out": dict(default=None, help="write the report to this path")}
+#: Each leaf, (group, leaf) -> (help, handler, arguments), in help order.  The
+#: arguments are {name: add_argument keywords} in usage order, before the
+#: output flags every leaf takes; a leaf with no help is listed by name alone.
+_COMMANDS = {
+    ("verify", "hopf"): ("exact Hopf-algebra residual suites", _cmd_verify_hopf, {}),
+    ("verify", "realization"): ("operator-realization identities", _cmd_verify_realization, {
+        "--perturb": dict(action="store_true",
+                          help="break the mass constraint on purpose (must exit 1)")}),
+    ("verify", "equivalence"): ("theta*, (US)^2, projectors", _cmd_verify_equivalence, _PAIR),
+    ("mass", "compose"): ("compose physical masses", _cmd_mass_compose,
+                          {**_K, "masses": dict(type=float, nargs="+")}),
+    ("mass", "convert"): ("convert between mass coordinates", _cmd_mass_convert, {
+        **_K, "--to": dict(choices=("physical", "algebra"), default="physical"),
+        "masses": dict(type=float, nargs="+")}),
+    ("mass", "reduced"): ("deformed reduced mass of a pair", _cmd_mass_reduced,
+                          {**_K, "masses": dict(type=float, nargs=2)}),
+    ("hydrogen", "spectrum"): (None, _cmd_hydrogen_spectrum, {
+        **_PAIR, "--nmax": dict(type=int, default=3), "--l": dict(type=int, default=0),
+        "--solver": dict(choices=("closed", "radial", "both"), default="both")}),
+    ("cocycle", "demo"): (None, _cmd_cocycle_demo, {
+        "--seed": dict(type=nonnegative_int, default=0),
+        "--pairs": dict(type=positive_int, default=10),
+        "--n": dict(type=grid_size, default=32, help="grid points per axis")}),
+}
+
+
+def build_parser(leaf: tuple | None = None) -> argparse.ArgumentParser:
+    """The whole parser tree, or only the (group, leaf) ``leaf`` under the
+    top parser and all four groups, whose names the top usage line shows."""
     parser = argparse.ArgumentParser(
         prog="kgalilei",
         description="Verification suites for the deformed Galilei group G_k.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="run a verification suite")
-    vsub = verify.add_subparsers(dest="suite", required=True)
-
-    p = vsub.add_parser("hopf", help="exact Hopf-algebra residual suites")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify_hopf)
-
-    p = vsub.add_parser("realization", help="operator-realization identities")
-    p.add_argument("--perturb", action="store_true",
-                   help="break the mass constraint on purpose (must exit 1)")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify_realization)
-
-    p = vsub.add_parser("equivalence", help="theta*, (US)^2, projectors")
-    p.add_argument("--mf", type=float, required=True)
-    p.add_argument("--mfp", type=float, required=True)
-    p.add_argument("--k", type=float, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify_equivalence)
-
-    mass = sub.add_parser("mass", help="non-additive mass arithmetic")
-    msub = mass.add_subparsers(dest="op", required=True)
-
-    p = msub.add_parser("compose", help="compose physical masses")
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("masses", type=float, nargs="+")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_mass_compose)
-
-    p = msub.add_parser("convert", help="convert between mass coordinates")
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--to", choices=("physical", "algebra"), default="physical")
-    p.add_argument("masses", type=float, nargs="+")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_mass_convert)
-
-    p = msub.add_parser("reduced", help="deformed reduced mass of a pair")
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("masses", type=float, nargs=2)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_mass_reduced)
-
-    hyd = sub.add_parser("hydrogen", help="deformed hydrogen spectrum")
-    hsub = hyd.add_subparsers(dest="op", required=True)
-    p = hsub.add_parser("spectrum")
-    p.add_argument("--mf", type=float, required=True)
-    p.add_argument("--mfp", type=float, required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--l", type=int, default=0)
-    p.add_argument("--solver", choices=("closed", "radial", "both"), default="both")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_hydrogen_spectrum)
-
-    coc = sub.add_parser("cocycle", help="projective-phase extraction")
-    csub = coc.add_subparsers(dest="op", required=True)
-    p = csub.add_parser("demo")
-    p.add_argument("--seed", type=nonnegative_int, default=0)
-    p.add_argument("--pairs", type=positive_int, default=10)
-    p.add_argument("--n", type=grid_size, default=32, help="grid points per axis")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_cocycle_demo)
-
+    groups = {group: sub.add_parser(group, help=text).add_subparsers(dest=dest, required=True)
+              for group, (text, dest) in _GROUPS.items()}
+    for (group, name), (text, handler, arguments) in _COMMANDS.items():
+        if leaf in (None, (group, name)):
+            p = groups[group].add_parser(name, **({"help": text} if text else {}))
+            for flag, keywords in {**arguments, **_OUTPUT}.items():
+                p.add_argument(flag, **keywords)
+            p.set_defaults(handler=handler)
     return parser
 
 
@@ -453,8 +434,9 @@ def _domain_errors() -> tuple:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    leaf = tuple(argv[:2])
+    args = build_parser(leaf if leaf in _COMMANDS else None).parse_args(argv)
     start = time.perf_counter()
     try:
         report = args.handler(args)

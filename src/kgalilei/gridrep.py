@@ -344,11 +344,11 @@ def act(g: GroupElement, psi: _Packet) -> GridWavefunction:
     ValueError.
     """
     _check_shift(g, psi)
-    # checked before anything multiplies an inf by a 0 into NaN: a separable
-    # packet's factors before their outer product, the samples before the phase
-    if isinstance(psi, SeparablePacket) and not np.isfinite(psi.factors).all():
-        raise ValueError("wavefunction is not finite")
-    values = psi.values
+    # a separable packet's outer product may overflow, or multiply an inf by
+    # a 0 into NaN: formed quietly, it is refused with any non-finite dense
+    # sample before the phase multiplies one
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = psi.values
     if not np.isfinite(values).all():
         raise ValueError("wavefunction is not finite")
     n = psi.n

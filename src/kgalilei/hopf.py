@@ -36,8 +36,9 @@ K_i are twisted (Delta X = X (x) E + 1 (x) X, S X = -X E^-1), J_i and H
 primitive.  M, primitive, and E, grouplike, are exponents of a word, so only
 ``coproduct_of`` and ``antipode_of``, which extend the letter maps to whole
 expressions, handle them; a named generator's Delta and S are those maps
-applied to it.  Each algebra instance keeps every generator coproduct and
-one signed store of residuals keyed by the ordered names: a bracket [g, h]
+applied to it.  Each algebra instance keeps a table of its generator
+elements, each built on first use, every generator coproduct, and one
+signed store of residuals keyed by the ordered names: a bracket [g, h]
 under (g, h), a homomorphism residual Delta([g, h]) - [Delta g, Delta h]
 under ("Delta", g, h), and a Jacobi sum under (g, h, f).  A value is built
 once, for the first ordering asked for (the sorted one, for a Jacobi sum),
@@ -52,10 +53,12 @@ to [b, a], and [m2, m1] is the exact negation of [m1, m2].  Central words
 and words with the same letters give an empty bracket either way, two
 letters read the antisymmetric table, and longer words and tensor
 monomials give the difference of their two products.  A zero value is its
-own negation, and the diagonal pair and every triple with a repeated name
-share one zero per algebra.  A double bracket [[g, h], f] is not stored: it reads the stored
-[g, h] and takes one commutator only where that is nonzero, and the scan
-reads each one once, in one Jacobi sum.  Sharing the stored values is safe
+own negation, the same object, and a sum with a zero operand is the other
+operand, so a Jacobi sum of three zero double brackets builds no element:
+it, the diagonal pair and every triple with a repeated name share one zero
+per algebra.  A double bracket [[g, h], f] is not stored: it reads the
+stored [g, h] and takes one commutator only where that is nonzero, and the
+scan reads each one once, in one Jacobi sum.  Sharing the stored values is safe
 because no element changes after construction.
 """
 
@@ -208,6 +211,7 @@ class GalileiHopf:
         # ("Delta", g, h) and the Jacobi sum of (g, h, f) under (g, h, f),
         # each under every ordering of its names, see _fill
         self._store: dict = {}
+        self._generators: dict = {}
         self._coproduct_cache: dict = {}
         self._zero = UEAExpression(self, {})
         self._zero_tensor = TensorExpression(self, 2, {})
@@ -222,10 +226,14 @@ class GalileiHopf:
         return UEAExpression(self, {(_EMPTY, 0, 0): Rat(1)})
 
     def gen(self, name: str) -> UEAExpression:
-        if name not in GENERATOR_NAMES:
-            raise KeyError(f"unknown generator {name!r}")
-        word = (_EMPTY, *_CENTRAL[name]) if name in _CENTRAL else ((_letter(name),), 0, 0)
-        return UEAExpression(self, {word: _ONE})
+        """The named generator, built on first use and then shared."""
+        value = self._generators.get(name)
+        if value is None:
+            if name not in GENERATOR_NAMES:
+                raise KeyError(f"unknown generator {name!r}")
+            word = (_EMPTY, *_CENTRAL[name]) if name in _CENTRAL else ((_letter(name),), 0, 0)
+            value = self._generators[name] = UEAExpression(self, {word: _ONE})
+        return value
 
     # -- structure constants ---------------------------------------------------
 
@@ -317,7 +325,7 @@ class GalileiHopf:
         names (see the module docstring), and a zero value is its own.
         """
         store = self._store
-        mirror = -value if value.terms else value
+        mirror = -value
         for key in even:
             store[key] = value
         for key in odd:

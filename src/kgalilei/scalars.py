@@ -694,7 +694,8 @@ class LinearCombination:
     The zero rule lives here and only here: the constructor drops every term
     whose coefficient is zero, so ``terms`` never holds a zero coefficient
     and ``is_zero`` is "no terms".  Immutable: ``terms`` is never rebound or
-    changed after construction.
+    changed after construction, so a sum with an operand of no terms is the
+    other operand itself, and the negation of a zero is that zero.
     """
 
     __slots__ = ("terms",)
@@ -722,12 +723,18 @@ class LinearCombination:
 
     def __add__(self, other):
         self._same(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             out[mono] = out[mono] + coeff if mono in out else coeff
         return self._like(out)
 
     def __neg__(self):
+        if not self.terms:
+            return self
         return self._like({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):

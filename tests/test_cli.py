@@ -1,5 +1,6 @@
 """Tests for the command-line front end and the report emitter."""
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -893,6 +894,28 @@ def test_usage_and_help_texts_match_golden(monkeypatch):
     # stored (written by _usage_transcript with COLUMNS=80)
     monkeypatch.setenv("COLUMNS", "80")
     assert _usage_transcript(_USAGE_ARGVS) == (GOLDEN / "cli_usage.txt").read_text()
+
+
+def test_a_named_leaf_builds_only_its_own_parser(monkeypatch, capsys):
+    # work guard: a command line naming a leaf builds the top parser, the
+    # four groups its usage line names and that leaf, 6 of the tree's 13
+    # parsers; any other command line builds the whole tree
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(["verify", "hopf"]) == 0
+    assert len(built) == 6
+    built.clear()
+    with pytest.raises(SystemExit) as info:
+        run(["--help"])
+    assert info.value.code == 0
+    assert len(built) == 13
+    capsys.readouterr()
 
 
 

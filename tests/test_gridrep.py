@@ -520,14 +520,19 @@ def test_vanishing_or_non_finite_packet_is_named(monkeypatch):
             cocycle_angle(g, gp, psi)
     psi.factors[1, 4] = np.nan
     assert not matches_literal(g, gp, psi)
-    # dense act on a separable packet checks its factors before their outer
-    # product, which would multiply an infinite entry by another factor's
-    # imaginary 0 into NaN, with a warning
+    # dense act on a separable packet forms the outer product of its factors
+    # with no warning, although it would multiply an infinite entry by
+    # another factor's imaginary 0 into NaN, or overflow from finite entries
+    # of 1e200 on three axes, and refuses it
     for bad in (np.nan, np.inf, -np.inf):
         psi = gaussian_packet(n=8)
         psi.factors[1, 4] = bad
         with pytest.raises(ValueError, match="not finite"):
             act(GroupElement(), psi)
+    psi = gaussian_packet(n=8)
+    psi.factors[:, 4] = 1e200
+    with pytest.raises(ValueError, match="not finite"):
+        act(GroupElement(), psi)
     with pytest.raises(TypeError, match="SeparablePacket"):
         cocycle_phase(g, gp, GridWavefunction(gaussian_packet(n=8).values, 8.0, 1.0))
     # the identity's phase is exactly 1+0j, which would multiply an infinite

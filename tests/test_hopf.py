@@ -261,6 +261,48 @@ def test_repeat_scan_is_lookups(monkeypatch):
     assert built == []
 
 
+def test_generators_are_built_once(alg):
+    # work guard: a generator is one immutable element per algebra
+    for name in GENERATOR_NAMES:
+        assert alg.gen(name) is alg.gen(name)
+    assert GalileiHopf().gen("P1") is not alg.gen("P1")
+
+
+def test_sum_with_an_empty_operand_is_the_other_operand(alg):
+    # work guard: elements are immutable, so adding or negating a zero
+    # builds nothing; an operand of another algebra is still refused
+    p1, zero = alg.gen("P1"), UEAExpression(alg, {})
+    assert p1 + zero is p1
+    assert zero + p1 is p1
+    assert -zero is zero
+    assert p1 - zero is p1
+    assert (zero - p1) == -p1
+    for operand in (UEAExpression(GalileiHopf(), {}), TensorExpression(alg, 2, {})):
+        for left, right in ((zero, operand), (operand, zero), (p1, operand), (operand, p1)):
+            with pytest.raises(ValueError, match="incompatible"):
+                left + right
+
+
+def test_zero_jacobi_triple_builds_no_element(monkeypatch):
+    # work guard: [P1, P2], [P2, M] and [M, P1] are zero, so once they are
+    # stored the Jacobi sum of (P1, P2, M) takes no commutator and adds three
+    # shared zeros into the same zero, constructing no element
+    alg = GalileiHopf()
+    for g, h in (("P1", "P2"), ("P2", "M"), ("M", "P1")):
+        assert alg.bracket(g, h).is_zero
+    built = []
+    init = UEAExpression.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(UEAExpression, "__init__", counted)
+    assert alg.check_jacobi("P1", "P2", "M") is alg.zero()
+    assert alg.check_jacobi("M", "P2", "P1") is alg.zero()
+    assert built == []
+
+
 _letter_bracket = GalileiHopf._letter_bracket
 
 
@@ -443,21 +485,24 @@ def test_verify_hopf_reuses_brackets(monkeypatch, capsys):
     # work guard, counts and not timings: each antisymmetric pair of
     # brackets, double brackets and homomorphism residuals is built once, no
     # commutator is taken of a zero bracket, and each Jacobi sum is added up
-    # once per unordered triple, so the scan makes at most 700
-    # enveloping-algebra products, 300 tensor products and 1,200
-    # enveloping-algebra additions (736 products and 4,806 additions when
-    # every ordered triple added its own sum, 4,766 UEA and 407 tensor
-    # products when both orders of each pair were built).  Word brackets
-    # are taken in closed form and tensor brackets leg by leg, so no
-    # bracket merges two products and no word is rewritten (415 merged
-    # brackets and 45 rewrite steps when they did); a commutator multiplies
-    # the coefficients of each pair of terms once, and those of a commuting
-    # pair not at all, so the scan makes at most 1,000 scalar products (754
-    # here, 1,951 with merged brackets, 4,268 when a commutator was the
-    # literal a*b - b*a, whose products the counts above then included)
+    # once per unordered triple (736 products and 4,806 additions when every
+    # ordered triple added its own sum, 4,766 UEA and 407 tensor products
+    # when both orders of each pair were built).  Word brackets are taken in
+    # closed form and tensor brackets leg by leg, so no bracket merges two
+    # products and no word is rewritten (415 merged brackets and 45 rewrite
+    # steps when they did); a commutator multiplies the coefficients of each
+    # pair of terms once, and those of a commuting pair not at all (1,951
+    # scalar products with merged brackets, 4,268 when a commutator was the
+    # literal a*b - b*a).  A generator is built once per algebra, and a sum
+    # with an empty operand, or the negation of a zero, is that operand
+    # (1,671 elements constructed when each generator use and each such sum
+    # or negation built a new one).  The bounds are the measured counts: 34
+    # enveloping-algebra products, 51 tensor products, 633
+    # enveloping-algebra additions, 754 scalar products and 677 constructed
+    # enveloping-algebra elements
     calls = {(UEAExpression, "__mul__"): 0, (TensorExpression, "__mul__"): 0,
              (UEAExpression, "__add__"): 0, (RationalFunction, "__mul__"): 0,
-             (LinearCombination, "_bracket"): 0}
+             (LinearCombination, "_bracket"): 0, (UEAExpression, "__init__"): 0}
 
     def count(cls, name):
         method = getattr(cls, name)
@@ -480,9 +525,10 @@ def test_verify_hopf_reuses_brackets(monkeypatch, capsys):
     monkeypatch.setattr(GalileiHopf, "__init__", register)
     assert run(["verify", "hopf"]) == 0
     capsys.readouterr()
-    assert 0 < calls[UEAExpression, "__mul__"] <= 700
-    assert 0 < calls[TensorExpression, "__mul__"] <= 300
-    assert 0 < calls[UEAExpression, "__add__"] <= 1200
-    assert 0 < calls[RationalFunction, "__mul__"] <= 1000
+    assert 0 < calls[UEAExpression, "__mul__"] <= 34
+    assert 0 < calls[TensorExpression, "__mul__"] <= 51
+    assert 0 < calls[UEAExpression, "__add__"] <= 633
+    assert 0 < calls[RationalFunction, "__mul__"] <= 754
+    assert 0 < calls[UEAExpression, "__init__"] <= 677
     assert calls[LinearCombination, "_bracket"] == 0
     assert algebras and [alg.rewrite_steps for alg in algebras] == [0] * len(algebras)
