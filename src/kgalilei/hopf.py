@@ -58,8 +58,8 @@ operand, so a Jacobi sum of three zero double brackets builds no element:
 it, the diagonal pair and every triple with a repeated name share one zero
 per algebra.  A double bracket [[g, h], f] is not stored: it reads the
 stored [g, h] and takes one commutator only where that is nonzero, and the
-scan reads each one once, in one Jacobi sum.  Sharing the stored values is safe
-because no element changes after construction.
+scan reads each one once, in one Jacobi sum.  Sharing the stored values is
+safe because no element changes after construction.
 """
 
 from __future__ import annotations

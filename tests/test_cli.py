@@ -870,8 +870,10 @@ _LEAVES = (("verify", "hopf"), ("verify", "realization"), ("verify", "equivalenc
 _USAGE_ARGVS = ([["--help"]] + [[group, "--help"] for group in _GROUPS]
                 + [[*leaf, "--help"] for leaf in _LEAVES]
                 + [[], ["nope"]] + [[group, "nope"] for group in _GROUPS]
-                + [["verify", "hopf", "extra"], ["verify", "equivalence", "--mfp", "0.4", "--k", "1"],
-                   ["mass", "compose", "0.3", "0.4"], ["hydrogen", "spectrum", "--mfp", "0.4", "--k", "1"]])
+                + [["verify", "hopf", "extra"],
+                   ["verify", "equivalence", "--mfp", "0.4", "--k", "1"],
+                   ["mass", "compose", "0.3", "0.4"],
+                   ["hydrogen", "spectrum", "--mfp", "0.4", "--k", "1"]])
 
 
 def _usage_transcript(argvs) -> str:
