@@ -34,11 +34,18 @@ ordered pair in each algebra.
 The coproduct and antipode are written once per non-central letter: P_i and
 K_i are twisted (Delta X = X (x) E + 1 (x) X, S X = -X E^-1), J_i and H
 primitive.  M, primitive, and E, grouplike, are exponents of a word, so only
-``coproduct_of`` and ``antipode_of``, which extend the letter maps to whole
-expressions, handle them; a named generator's Delta and S are those maps
-applied to it.  Each algebra instance keeps a table of its generator
-elements, each built on first use, every generator coproduct, and one
-signed store of residuals keyed by the ordered names: a bracket [g, h]
+the word coproducts and ``antipode_of``, which extend the letter maps to
+whole expressions, handle them; a named generator's Delta and S are those
+maps applied to it.  Each algebra keeps the Delta of every word it meets in
+its own store, built from ``_letter_coproduct`` on first use: the central
+part M^m E^e in closed form, and a word with letters as its stored prefix
+times its last letter's Delta.  ``coproduct``, ``coproduct_of`` (one pass
+over the words' stored values) and ``check_coassoc`` read that store, so a
+negative control that patches ``_letter_coproduct`` on a class or on one
+instance reaches all of them.  Each algebra instance also keeps a table of
+its generator elements and one of their coproducts, each built on first
+use, and one signed store of residuals keyed by the ordered names: a
+bracket [g, h]
 under (g, h), a homomorphism residual Delta([g, h]) - [Delta g, Delta h]
 under ("Delta", g, h), and a Jacobi sum under (g, h, f).  A value is built
 once, for the first ordering asked for (the sorted one, for a Jacobi sum),
@@ -64,7 +71,9 @@ safe because no element changes after construction.
 
 from __future__ import annotations
 
-from .scalars import I as _I, LinearCombination, RationalFunction, Rat, sym
+from math import comb
+
+from .scalars import I as _I, LinearCombination, RationalFunction, Rat, _accumulate, sym
 
 __all__ = [
     "GalileiHopf",
@@ -213,6 +222,8 @@ class GalileiHopf:
         self._store: dict = {}
         self._generators: dict = {}
         self._coproduct_cache: dict = {}
+        # Delta of each word under the word, see _word_coproduct
+        self._word_coproducts: dict = {}
         self._zero = UEAExpression(self, {})
         self._zero_tensor = TensorExpression(self, 2, {})
         self.rewrite_steps = 0
@@ -355,29 +366,40 @@ class GalileiHopf:
         """S X = -X E^-1 for the twisted P and K, -X otherwise."""
         return UEAExpression(self, {((letter,), 0, -1 if letter[0] in "PK" else 0): Rat(-1)})
 
+    def _word_coproduct(self, word: tuple) -> TensorExpression:
+        """Delta of one word, built once per algebra and kept in its store.
+
+        M is primitive and E grouplike, so the central part M^m E^e has the
+        closed form sum_j C(m, j) M^j E^e (x) M^(m-j) E^e; a word with letters
+        is its stored prefix times ``_letter_coproduct`` of its last letter.
+        """
+        value = self._word_coproducts.get(word)
+        if value is None:
+            letters, m, e = word
+            if letters:
+                value = (self._word_coproduct((letters[:-1], m, e))
+                         * self._letter_coproduct(letters[-1]))
+            else:
+                value = TensorExpression(self, 2, {
+                    ((_EMPTY, j, e), (_EMPTY, m - j, e)): Rat(comb(m, j)) for j in range(m + 1)})
+            self._word_coproducts[word] = value
+        return value
+
     def coproduct(self, g: str) -> TensorExpression:
-        """Coproduct of a named generator, computed once per generator."""
+        """Coproduct of a named generator: its word's stored Delta, kept by name."""
         value = self._coproduct_cache.get(g)
         if value is None:
-            value = self._coproduct_cache[g] = self.coproduct_of(self.gen(g))
+            (word,) = self.gen(g).terms
+            value = self._coproduct_cache[g] = self._word_coproduct(word)
         return value
 
     def coproduct_of(self, expr: UEAExpression) -> TensorExpression:
-        """Extend the coproduct multiplicatively to a full UEA expression.
-
-        M is primitive and E grouplike; every other letter has its own Delta.
-        """
-        one, m_word = (_EMPTY, 0, 0), (_EMPTY, 1, 0)
-        delta_m = TensorExpression(self, 2, {(m_word, one): _ONE, (one, m_word): _ONE})
-        out = TensorExpression(self, 2, {})
-        for (letters, m, e), coeff in expr.terms.items():
-            term = TensorExpression(self, 2, {((_EMPTY, 0, e), (_EMPTY, 0, e)): coeff})
-            for letter in letters:
-                term = term * self._letter_coproduct(letter)
-            for _ in range(m):
-                term = term * delta_m
-            out = out + term
-        return out
+        """Extend the coproduct linearly to a full UEA expression, in one pass
+        over its words' stored coproducts."""
+        out: dict = {}
+        for word, coeff in expr.terms.items():
+            _accumulate(out, self._word_coproduct(word).terms, coeff)
+        return TensorExpression(self, 2, out)
 
     def counit(self, g: str) -> RationalFunction:
         return Rat(1) if g in ("E", "Einv") else Rat(0)
@@ -427,15 +449,13 @@ class GalileiHopf:
 
     def check_coassoc(self, g: str) -> TensorExpression:
         """(Delta (x) id - id (x) Delta) applied to Delta g; three legs."""
-        out = TensorExpression(self, 3, {})
+        out: dict = {}
         for (w1, w2), coeff in self.coproduct(g).terms.items():
-            left = self.coproduct_of(UEAExpression(self, {w1: coeff}))
-            right = self.coproduct_of(UEAExpression(self, {w2: coeff}))
-            out = out + TensorExpression(
-                self, 3, {(u1, u2, w2): c for (u1, u2), c in left.terms.items()})
-            out = out - TensorExpression(
-                self, 3, {(w1, u1, u2): c for (u1, u2), c in right.terms.items()})
-        return out
+            left = self._word_coproduct(w1).terms
+            right = self._word_coproduct(w2).terms
+            _accumulate(out, {(u1, u2, w2): c for (u1, u2), c in left.items()}, coeff)
+            _accumulate(out, {(w1, u1, u2): c for (u1, u2), c in right.items()}, coeff, -1)
+        return TensorExpression(self, 3, out)
 
     def check_hopf_axiom(self, g: str) -> UEAExpression:
         """multiply((S (x) id) Delta g) - counit(g) * 1; zero iff S is an antipode."""

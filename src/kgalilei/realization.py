@@ -17,13 +17,18 @@ twist scalar multiplying particle 1's operators is lam' = e^(-m'/k):
 
 and the remaining generators are plain sums.  Each realization, one- or
 two-particle, builds the image of every checked generator once
-(``_images``), and every UEA expression it maps reads that table.  The
-center-of-mass / relative variables (P, R, Pi, rho) of the direct and of
-the transposed ("tilde") coproduct come from the exact coefficient table
-and commutator form of ``equivalence``: ``relative_variables`` turns the
-direct table into Weyl expressions, and ``canonical_residuals`` takes each
-pairing as i u^T Omega v.  The Weyl-algebra composed brackets and the
-exact kinetic-split identity
+(``_images``), and every UEA expression it maps reads that table in one
+pass: each word's terms, times its coefficient and central factor, go
+straight into one sum, and a one-letter word is its table entry.  A
+composed generator is the Weyl product of each coproduct term's legs, read
+from the two one-particle tables.  The center-of-mass / relative variables
+(P, R, Pi, rho) of the direct and of the transposed ("tilde") coproduct
+come from the exact coefficient table and commutator form of
+``equivalence``: ``relative_variables`` turns the direct table into Weyl
+expressions, and ``canonical_residuals`` takes each pairing as i u^T Omega
+v, antisymmetric in the pair, so only the six unordered pairings per axis
+are taken.  The Weyl-algebra composed brackets and the exact kinetic-split
+identity
 
     H^tot = P^2 / (2 M_f) + Pi^2 / (2 v_f)
 
@@ -39,7 +44,7 @@ from functools import cached_property
 
 from .equivalence import VARIABLES, pairing, variable_table
 from .hopf import GalileiHopf, UEAExpression
-from .scalars import I as _I, RationalFunction, Rat, sym
+from .scalars import I as _I, RationalFunction, Rat, _accumulate, sym
 from .weyl import WeylExpression, position, momentum, scalar
 
 __all__ = [
@@ -55,6 +60,8 @@ __all__ = [
 _CHECKED = ("J1", "J2", "J3", "K1", "K2", "K3", "P1", "P2", "P3", "H", "M", "E")
 
 _AXES = (1, 2, 3)
+
+_ONE = Rat(1)
 
 
 @dataclass(frozen=True)
@@ -113,22 +120,38 @@ class OneParticleRealization:
         return _realize_words(expr, self._images, self.lam, self.algebra_mass_symbol)
 
 
+_UNIT = WeylExpression.unit()
+
+
+def _word_image(word: tuple, images: dict, e_value: RationalFunction,
+                m_value: RationalFunction) -> tuple[RationalFunction, WeylExpression]:
+    """(central factor, image of the letters) of one normal-ordered word.
+
+    A one-letter word's image is the table's own entry; longer words are
+    Weyl products of the letters' images, and a word with no letters is 1.
+    """
+    letters, m, e = word
+    factor = _ONE
+    if m:
+        factor = m_value ** m
+    if e:
+        factor = factor * e_value ** e
+    image = _UNIT
+    for n, (kind, axis) in enumerate(letters):
+        letter = images[f"{kind}{axis}" if axis else kind]
+        image = image * letter if n else letter
+    return factor, image
+
+
 def _realize_words(expr: UEAExpression, images: dict, e_value: RationalFunction,
                    m_value: RationalFunction) -> WeylExpression:
-    """Map a UEA expression through a table of generator images."""
-    total = WeylExpression.zero()
-    for (letters, m, e), coeff in expr.terms.items():
-        factor = coeff
-        if m:
-            factor = factor * m_value ** m
-        if e:
-            factor = factor * e_value ** e
-        term = WeylExpression.unit(Rat(1))
-        for kind, axis in letters:
-            name = f"{kind}{axis}" if axis else kind
-            term = term * images[name]
-        total = total + term.scale(factor)
-    return total
+    """Map a UEA expression through a table of generator images, in one pass:
+    every word's terms go straight into one sum."""
+    out: dict = {}
+    for word, coeff in expr.terms.items():
+        factor, image = _word_image(word, images, e_value, m_value)
+        _accumulate(out, image.terms, coeff * factor)
+    return WeylExpression(out)
 
 
 def _bracket_residuals(alg: GalileiHopf, image: dict,
@@ -182,23 +205,33 @@ class TwoParticleSystem:
         return self.r1.m_f * self.r2.m_f / self.M_f
 
     def total(self, name: str) -> WeylExpression:
-        """Composed generator: realization of the coproduct with leg A = particle A."""
-        out = WeylExpression.zero()
+        """Composed generator: realization of the coproduct with leg A = particle A.
+
+        Each term of Delta(name) is the Weyl product of its two legs' images,
+        their central factors and the term's coefficient taken as one scalar.
+        """
+        r1, r2 = self.r1, self.r2
+        out: dict = {}
         for (w1, w2), coeff in self.algebra.coproduct(name).terms.items():
-            left = self.r1.realize_uea(UEAExpression(self.algebra, {w1: Rat(1)}))
-            right = self.r2.realize_uea(UEAExpression(self.algebra, {w2: Rat(1)}))
-            out = out + (left * right).scale(coeff)
-        return out
+            f1, left = _word_image(w1, r1._images, r1.lam, r1.algebra_mass_symbol)
+            f2, right = _word_image(w2, r2._images, r2.lam, r2.algebra_mass_symbol)
+            _accumulate(out, (left * right).terms, coeff * f1 * f2)
+        return WeylExpression(out)
 
     @cached_property
     def _images(self) -> dict[str, WeylExpression]:
         """The composed image of every checked generator, built once."""
         return {g: self.total(g) for g in _CHECKED}
 
+    @cached_property
+    def _central_values(self) -> tuple[RationalFunction, RationalFunction]:
+        """The composed values (lam lam', m + m') of E and M, formed once."""
+        r1, r2 = self.r1, self.r2
+        return r1.lam * r2.lam, r1.algebra_mass_symbol + r2.algebra_mass_symbol
+
     def realize_total_uea(self, expr: UEAExpression) -> WeylExpression:
         """Composed image of a UEA expression (E -> lam lam', M -> m + m')."""
-        return _realize_words(expr, self._images, self.r1.lam * self.r2.lam,
-                              self.r1.algebra_mass_symbol + self.r2.algebra_mass_symbol)
+        return _realize_words(expr, self._images, *self._central_values)
 
     def verify_composed(self) -> list[tuple[str, WeylExpression]]:
         """Brackets of the composed generators against the algebra's table."""
@@ -218,22 +251,21 @@ class TwoParticleSystem:
             basis = (self.r1._images[f"P{i}"], self.r2._images[f"P{i}"],
                      self.r1._images[f"K{i}"], self.r2._images[f"K{i}"])
             for name in VARIABLES:
-                total = WeylExpression.zero()
+                total: dict = {}
                 for coeff, op in zip(direct[name], basis):
-                    total = total + op.scale(coeff)
-                out[name].append(total)
+                    _accumulate(total, op.terms, Rat(coeff))
+                out[name].append(WeylExpression(total))
         return out
 
     def kinetic_split(self) -> WeylExpression:
         """H^tot - P^2/(2 M_f) - Pi^2/(2 v_f); normalizes to exactly zero."""
         variables = self.relative_variables()
-        residual = self._images["H"]
-        for i in range(3):
-            P = variables["P"][i]
-            Pi = variables["Pi"][i]
-            residual = residual - (P * P).scale(1 / (2 * self.M_f))
-            residual = residual - (Pi * Pi).scale(1 / (2 * self.v_f))
-        return residual
+        residual = dict(self._images["H"].terms)
+        for name, mass in (("P", self.M_f), ("Pi", self.v_f)):
+            factor = 1 / (2 * mass)
+            for op in variables[name]:
+                _accumulate(residual, (op * op).terms, factor, -1)
+        return WeylExpression(residual)
 
 
 #: Expected commutators of the canonical set per axis: conjugate pairs give
@@ -245,22 +277,32 @@ def canonical_residuals(sys: TwoParticleSystem, tilde: bool = False) -> dict[tup
     """All sixteen commutator pairings per axis pair, minus expected values.
 
     Each pairing is i u^T Omega v on the exact coefficient table; pairings
-    of different axes vanish because Omega does not mix axes.
+    of different axes vanish because Omega does not mix axes.  The residual
+    is antisymmetric in (a, b), since ``pairing`` is and so is each expected
+    value, so only the six unordered pairings per axis are taken: (b, a)
+    holds the exact negation of (a, b), and the diagonal and every pairing
+    of different axes share one zero.
     """
     table = sys.variable_table()[1 if tilde else 0]
     m1, m2 = sys.r1.m_f, sys.r2.m_f
-    residuals = {}
-    for a in VARIABLES:
-        for b in VARIABLES:
+    zero = WeylExpression.zero()
+    same_axis = {}
+    for n, a in enumerate(VARIABLES):
+        same_axis[(a, a)] = zero
+        for b in VARIABLES[n + 1:]:
             value = _I * pairing(table[a], table[b], m1, m2)
             if (a, b) in CANONICAL_PAIRS:
                 value = value - _I
             elif (b, a) in CANONICAL_PAIRS:
                 value = value + _I
-            same_axis = scalar(value)
+            same_axis[(a, b)] = scalar(value)
+            same_axis[(b, a)] = -same_axis[(a, b)]
+    residuals = {}
+    for a in VARIABLES:
+        for b in VARIABLES:
             for i in _AXES:
                 for j in _AXES:
-                    residuals[(a, b, i, j)] = same_axis if i == j else WeylExpression.zero()
+                    residuals[(a, b, i, j)] = same_axis[(a, b)] if i == j else zero
     return residuals
 
 

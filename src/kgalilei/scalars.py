@@ -677,6 +677,19 @@ def Rat(expr) -> RationalFunction:
     return expr if isinstance(expr, RationalFunction) else RationalFunction(expr)
 
 
+def _accumulate(out: dict, terms: dict, factor: RationalFunction | None = None,
+                sign: int = 1) -> None:
+    """Add sign * factor * terms (factor None: sign * terms) into ``out`` in
+    place; a cancelled coefficient stays as a zero for the constructor to drop."""
+    for mono, coeff in terms.items():
+        if factor is not None:
+            coeff = _mul(factor, coeff)
+        if mono in out:
+            out[mono] = _add(out[mono], coeff, sign)
+        else:
+            out[mono] = coeff if sign > 0 else -coeff
+
+
 class LinearCombination:
     """Finite sum of RationalFunction coefficients keyed by monomials.
 
@@ -695,7 +708,10 @@ class LinearCombination:
     whose coefficient is zero, so ``terms`` never holds a zero coefficient
     and ``is_zero`` is "no terms".  Immutable: ``terms`` is never rebound or
     changed after construction, so a sum with an operand of no terms is the
-    other operand itself, and the negation of a zero is that zero.
+    other operand itself, and the negation of a zero is that zero.  Sums are
+    one pass: ``a + b`` and ``a - b`` copy a's terms once and accumulate b's
+    into the copy (``_accumulate``, which the realization and coproduct sums
+    share), so ``a - b`` builds no ``-b``.
     """
 
     __slots__ = ("terms",)
@@ -728,8 +744,7 @@ class LinearCombination:
         if not self.terms:
             return other
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out[mono] + coeff if mono in out else coeff
+        _accumulate(out, other.terms)
         return self._like(out)
 
     def __neg__(self):
@@ -738,11 +753,18 @@ class LinearCombination:
         return self._like({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._same(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        out = dict(self.terms)
+        _accumulate(out, other.terms, sign=-1)
+        return self._like(out)
 
     def scale(self, coeff):
         coeff = Rat(coeff)
-        return self._like({m: coeff * c for m, c in self.terms.items()})
+        return self._like({m: _mul(coeff, c) for m, c in self.terms.items()})
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -758,10 +780,10 @@ class LinearCombination:
         right = other.terms
         for m1, c1 in self.terms.items():
             for m2, c2 in right.items():
-                base = c1 * c2
+                base = _mul(c1, c2)
                 for factor, mono in product(m1, m2):
-                    coeff = base * factor
-                    out[mono] = out[mono] + coeff if mono in out else coeff
+                    coeff = _mul(base, factor)
+                    out[mono] = _add(out[mono], coeff, 1) if mono in out else coeff
         return self._like(out)
 
     def _bracket(self, m1, m2) -> dict:
@@ -794,10 +816,8 @@ class LinearCombination:
                 factors = bracket(m1, m2)
                 if not factors:
                     continue
-                base = c1 * c2
-                for mono, factor in factors.items():
-                    coeff = base * factor
-                    out[mono] = out[mono] + coeff if mono in out else coeff
+                base = _mul(c1, c2)
+                _accumulate(out, factors, base)
         return self._like(out)
 
     # -- comparison -----------------------------------------------------------

@@ -9,9 +9,10 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from kgalilei import hopf
 from kgalilei.cli import run
 from kgalilei.hopf import GENERATOR_NAMES, GalileiHopf, TensorExpression, UEAExpression, eps
-from kgalilei.scalars import LinearCombination, Rat, RationalFunction, sym
+from kgalilei.scalars import LinearCombination, Rat, sym
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +179,88 @@ def test_untwisted_coproduct_is_caught(alg, monkeypatch):
     residual = broken.check_hom("K1", "P1")
     assert not residual.is_zero
     assert alg.check_hom("K1", "P1").is_zero
+
+
+def _letter_by_letter_coproduct_of(alg, expr):
+    # reference route: each word's Delta rebuilt from E^e (x) E^e by one
+    # tensor product per letter and per power of M, summed word by word
+    one, m_word = ((), 0, 0), ((), 1, 0)
+    delta_m = TensorExpression(alg, 2, {(m_word, one): Rat(1), (one, m_word): Rat(1)})
+    out = TensorExpression(alg, 2, {})
+    for (letters, m, e), coeff in expr.terms.items():
+        term = TensorExpression(alg, 2, {(((), 0, e), ((), 0, e)): coeff})
+        for letter in letters:
+            term = term * alg._letter_coproduct(letter)
+        for _ in range(m):
+            term = term * delta_m
+        out = out + term
+    return out
+
+
+def _reference_coassoc(alg, g):
+    # (Delta (x) id - id (x) Delta) Delta g, each leg through the reference route
+    out = TensorExpression(alg, 3, {})
+    for (w1, w2), coeff in alg.coproduct(g).terms.items():
+        left = _letter_by_letter_coproduct_of(alg, UEAExpression(alg, {w1: coeff}))
+        right = _letter_by_letter_coproduct_of(alg, UEAExpression(alg, {w2: coeff}))
+        out = out + TensorExpression(alg, 3, {(u1, u2, w2): c for (u1, u2), c in left.terms.items()})
+        out = out - TensorExpression(alg, 3, {(w1, u1, u2): c for (u1, u2), c in right.terms.items()})
+    return out
+
+
+def _doubled_left_leg(alg, letter):
+    # Delta X = 2 X (x) 1 + 1 (x) X for every letter: not coassociative
+    one, word = ((), 0, 0), ((letter,), 0, 0)
+    return TensorExpression(alg, 2, {(word, one): Rat(2), (one, word): Rat(1)})
+
+
+@pytest.mark.parametrize("fault", [None, "untwisted", "doubled"])
+def test_stored_word_coproducts_match_letter_by_letter_route(monkeypatch, fault):
+    # Delta of every generator, of every word in the 78 stored brackets and
+    # of each bracket as a whole, read from the per-word store, equals the
+    # letter-by-letter reference exactly; so does the coassociativity
+    # residual, which is nonzero under a doubled left leg
+    if fault:
+        monkeypatch.setattr(GalileiHopf, "_letter_coproduct",
+                            {"untwisted": _primitive_coproduct, "doubled": _doubled_left_leg}[fault])
+    alg = GalileiHopf()
+    for g in GENERATOR_NAMES:
+        assert alg.coproduct(g) == _letter_by_letter_coproduct_of(alg, alg.gen(g)), g
+        coassoc = alg.check_coassoc(g)
+        assert coassoc == _reference_coassoc(alg, g), g
+        assert coassoc.is_zero == (fault != "doubled" or g in ("M", "E", "Einv")), g
+    pairs = list(itertools.combinations(GENERATOR_NAMES, 2))
+    words = set()
+    for g, h in pairs:
+        bracket = alg.bracket(g, h)
+        assert alg.coproduct_of(bracket) == _letter_by_letter_coproduct_of(alg, bracket), (g, h)
+        words.update(bracket.terms)
+    assert len(pairs) == 78 and len(words) > 1
+    for word in words:
+        single = UEAExpression(alg, {word: Rat(1)})
+        assert alg.coproduct_of(single) == _letter_by_letter_coproduct_of(alg, single), word
+
+
+@pytest.mark.parametrize("broken_first", [False, True])
+def test_word_coproduct_store_is_per_algebra(monkeypatch, broken_first):
+    # the per-word store lives in each algebra: one whose _letter_coproduct is
+    # patched on the instance and a clean one, in one process and in either
+    # order, keep their own Delta(P1), and only the patched one fails the
+    # homomorphism check on (K1, P1); no module-level table holds a word
+    clean, broken = GalileiHopf(), GalileiHopf()
+    monkeypatch.setattr(broken, "_letter_coproduct",
+                        lambda letter: _primitive_coproduct(broken, letter))
+    for alg in (broken, clean) if broken_first else (clean, broken):
+        alg.coproduct("P1")
+        alg.check_hom("K1", "P1")
+    assert clean.coproduct("P1").terms != broken.coproduct("P1").terms
+    one, p1, e = ((), 0, 0), ((("P", 1),), 0, 0), ((), 0, 1)
+    assert clean.coproduct("P1").terms == {(p1, e): Rat(1), (one, p1): Rat(1)}
+    assert clean.check_hom("K1", "P1").is_zero
+    assert not broken.check_hom("K1", "P1").is_zero
+    assert clean._word_coproducts is not broken._word_coproducts
+    assert clean._word_coproducts[p1] is not broken._word_coproducts[p1]
+    assert not any(isinstance(value, dict) and p1 in value for value in vars(hopf).values())
 
 
 def test_verify_hopf_names_first_failing_item(monkeypatch, capsys):
@@ -481,7 +564,7 @@ def test_closed_form_brackets_on_drawn_monomials_hypothesis(legs, wrong_sign, da
     _assert_closed_form_brackets(alg, list(zip(m1, m2)), [(m1, m2), (m2, m1), (m1, m1)])
 
 
-def test_verify_hopf_reuses_brackets(monkeypatch, capsys):
+def test_verify_hopf_reuses_brackets(monkeypatch, capsys, scalar_products):
     # work guard, counts and not timings: each antisymmetric pair of
     # brackets, double brackets and homomorphism residuals is built once, no
     # commutator is taken of a zero bracket, and each Jacobi sum is added up
@@ -496,12 +579,16 @@ def test_verify_hopf_reuses_brackets(monkeypatch, capsys):
     # literal a*b - b*a).  A generator is built once per algebra, and a sum
     # with an empty operand, or the negation of a zero, is that operand
     # (1,671 elements constructed when each generator use and each such sum
-    # or negation built a new one).  The bounds are the measured counts: 34
-    # enveloping-algebra products, 51 tensor products, 633
-    # enveloping-algebra additions, 754 scalar products and 677 constructed
-    # enveloping-algebra elements
+    # or negation built a new one).  Each word's coproduct is built once per
+    # algebra from its prefix's, and a coproduct of an expression is one
+    # pass over its words' (51 tensor products, 754 scalar products, 633
+    # additions and 677 elements when every coproduct was rebuilt letter by
+    # letter).  Scalar products are counted at the kernel.  The bounds are
+    # the measured counts: 34 enveloping-algebra products, 10 tensor
+    # products, 620 enveloping-algebra additions, 620 scalar products and
+    # 627 constructed enveloping-algebra elements
     calls = {(UEAExpression, "__mul__"): 0, (TensorExpression, "__mul__"): 0,
-             (UEAExpression, "__add__"): 0, (RationalFunction, "__mul__"): 0,
+             (UEAExpression, "__add__"): 0,
              (LinearCombination, "_bracket"): 0, (UEAExpression, "__init__"): 0}
 
     def count(cls, name):
@@ -526,9 +613,9 @@ def test_verify_hopf_reuses_brackets(monkeypatch, capsys):
     assert run(["verify", "hopf"]) == 0
     capsys.readouterr()
     assert 0 < calls[UEAExpression, "__mul__"] <= 34
-    assert 0 < calls[TensorExpression, "__mul__"] <= 51
-    assert 0 < calls[UEAExpression, "__add__"] <= 633
-    assert 0 < calls[RationalFunction, "__mul__"] <= 754
-    assert 0 < calls[UEAExpression, "__init__"] <= 677
+    assert 0 < calls[TensorExpression, "__mul__"] <= 10
+    assert 0 < calls[UEAExpression, "__add__"] <= 620
+    assert 0 < scalar_products[0] <= 620
+    assert 0 < calls[UEAExpression, "__init__"] <= 627
     assert calls[LinearCombination, "_bracket"] == 0
     assert algebras and [alg.rewrite_steps for alg in algebras] == [0] * len(algebras)

@@ -11,7 +11,7 @@ import sympy as sp
 
 import kgalilei
 from kgalilei.equivalence import VARIABLES, pairing
-from kgalilei.hopf import GalileiHopf
+from kgalilei.hopf import GalileiHopf, UEAExpression
 from kgalilei.realization import (
     CANONICAL_PAIRS,
     OneParticleRealization,
@@ -20,8 +20,8 @@ from kgalilei.realization import (
     default_system,
     verify_one_particle,
 )
-from kgalilei.scalars import Rat, RationalFunction, sym
-from kgalilei.weyl import momentum, position, scalar
+from kgalilei.scalars import Rat, sym
+from kgalilei.weyl import WeylExpression, momentum, position, scalar
 
 I = Rat(sp.I)
 
@@ -88,24 +88,22 @@ def test_residuals_hold_no_zero_coefficient():
     assert fresh.kinetic_split().terms == {}
 
 
-def test_realization_suites_multiply_few_scalars(monkeypatch):
+def test_realization_suites_multiply_few_scalars(scalar_products):
     # work guard, counts and not timings: a commutator multiplies the
     # coefficients of each pair of terms once, and those of a pair of
     # commuting monomials not at all (2,882 and 973 scalar products when a
-    # commutator was the literal a*b - b*a)
-    calls = [0]
-    mul = RationalFunction.__mul__
-
-    def counted(self, other):
-        calls[0] += 1
-        return mul(self, other)
-
-    monkeypatch.setattr(RationalFunction, "__mul__", counted)
+    # commutator was the literal a*b - b*a).  Each word's image goes
+    # straight into one sum, a one-letter word is its image, and a composed
+    # generator's legs are read from the one-particle images (734 and 223
+    # products, counted at the kernel, when every word was a product from
+    # the unit scaled into a chained sum).  The bounds are the measured
+    # counts, the same under every hash seed tried
+    calls = scalar_products
     default_system().verify_composed()
-    assert 0 < calls[0] <= 1000
+    assert 0 < calls[0] <= 531
     calls[0] = 0
     verify_one_particle(OneParticleRealization(1, sym("lam"), m_f=sym("mf")))
-    assert 0 < calls[0] <= 300
+    assert 0 < calls[0] <= 205
 
 
 def test_composed_mass_formula(system):
@@ -138,6 +136,87 @@ def test_composed_brackets_sample(system):
         lhs = system.total(g).commutator(system.total(h))
         rhs = system.realize_total_uea(alg.bracket(g, h))
         assert (lhs - rhs).is_zero, (g, h)
+
+
+_CHECKED_NAMES = ("J1", "J2", "J3", "K1", "K2", "K3", "P1", "P2", "P3", "H", "M", "E")
+
+
+def _chained_realize_words(expr, images, e_value, m_value):
+    # reference route: every word a Weyl product starting from the unit,
+    # scaled by its coefficient times its central factor and added to a
+    # running total
+    total = WeylExpression.zero()
+    for (letters, m, e), coeff in expr.terms.items():
+        factor = coeff
+        if m:
+            factor = factor * m_value ** m
+        if e:
+            factor = factor * e_value ** e
+        term = WeylExpression.unit(Rat(1))
+        for kind, axis in letters:
+            term = term * images[f"{kind}{axis}" if axis else kind]
+        total = total + term.scale(factor)
+    return total
+
+
+def _reference_residuals(alg, images, realize):
+    # [image g, image h] - realize([g, h]) for each checked pair, by label
+    names = list(images)
+    return {f"[{g},{h}]": images[g].commutator(images[h]) - realize(alg.bracket(g, h))
+            for n, g in enumerate(names) for h in names[n + 1:]}
+
+
+def _reference_one_particle(r):
+    images = {g: r.realize(g) for g in _CHECKED_NAMES}
+    return _reference_residuals(r.algebra, images, lambda expr: _chained_realize_words(
+        expr, images, r.lam, r.algebra_mass_symbol))
+
+
+def _reference_composed(sys_):
+    # each coproduct leg wrapped as an enveloping-algebra element and mapped
+    # through the chained route, the Weyl product of the legs scaled and summed
+    r1, r2, alg = sys_.r1, sys_.r2, sys_.algebra
+    one = {g: r1.realize(g) for g in _CHECKED_NAMES}
+    two = {g: r2.realize(g) for g in _CHECKED_NAMES}
+    images = {}
+    for g in _CHECKED_NAMES:
+        total = WeylExpression.zero()
+        for (w1, w2), coeff in alg.coproduct(g).terms.items():
+            left = _chained_realize_words(UEAExpression(alg, {w1: Rat(1)}), one, r1.lam,
+                                          r1.algebra_mass_symbol)
+            right = _chained_realize_words(UEAExpression(alg, {w2: Rat(1)}), two, r2.lam,
+                                           r2.algebra_mass_symbol)
+            total = total + (left * right).scale(coeff)
+        images[g] = total
+    lam, mass = r1.lam * r2.lam, r1.algebra_mass_symbol + r2.algebra_mass_symbol
+    return _reference_residuals(alg, images,
+                                lambda expr: _chained_realize_words(expr, images, lam, mass))
+
+
+def _assert_same_residuals(new, reference):
+    assert len(new) == len(reference) == 66
+    assert [label for label, _ in new] == list(reference)
+    for label, residual in new:
+        assert residual == reference[label], label
+        assert all(not c.is_zero for c in residual.terms.values()), label
+
+
+@pytest.mark.parametrize("free_mass", [False, True])
+def test_one_pass_route_matches_chained_reference(free_mass):
+    # the one-pass sums, the one-letter words read from the image table and
+    # the composed legs read straight from the one-particle images give
+    # exactly the residuals of the chained route, at the default mass and
+    # with a free m_f, where the three [K_i, P_i] residuals are nonzero
+    alg = GalileiHopf()
+    m_f = sym("mf") if free_mass else None
+    r1 = OneParticleRealization(1, sym("lam"), m_f=m_f, algebra=alg)
+    sys_ = TwoParticleSystem(r1, OneParticleRealization(2, sym("lamp"), algebra=alg))
+    one, composed = verify_one_particle(r1), sys_.verify_composed()
+    _assert_same_residuals(one, _reference_one_particle(r1))
+    _assert_same_residuals(composed, _reference_composed(sys_))
+    for residuals in (one, composed):
+        nonzero = [label for label, res in residuals if not res.is_zero]
+        assert nonzero == (["[K1,P1]", "[K2,P2]", "[K3,P3]"] if free_mass else [])
 
 
 def test_canonical_pairs_direct(system):
@@ -210,6 +289,36 @@ def test_weyl_commutators_match_pairing_table(system, free_partner):
             if not residuals[(a, b, 1, 1)].is_zero:
                 table_nonzero.add((a, b))
     assert weyl_nonzero == table_nonzero == (set(expected) if free_partner else set())
+
+
+@pytest.mark.parametrize("tilde", [False, True])
+@pytest.mark.parametrize("free_partner", [False, True])
+def test_canonical_residuals_are_antisymmetric(system, tilde, free_partner):
+    # each same-axis entry is i u^T Omega v minus its expected value for its
+    # own order, and the mirror of an off-diagonal one is its exact negation;
+    # the diagonal and the pairings of different axes share one zero
+    sys_ = _free_partner_system() if free_partner else system
+    table = sys_.variable_table()[1 if tilde else 0]
+    residuals = canonical_residuals(sys_, tilde=tilde)
+    expected = {("R", "P"): I, ("P", "R"): -I, ("rho", "Pi"): I, ("Pi", "rho"): -I}
+    assert len(residuals) == 144 and residuals[("P", "P", 1, 1)].terms == {}
+    nonzero = set()
+    for a in VARIABLES:
+        for b in VARIABLES:
+            value = I * pairing(table[a], table[b], sys_.r1.m_f, sys_.r2.m_f)
+            value = value - expected.get((a, b), Rat(0))
+            for i in (1, 2, 3):
+                for j in (1, 2, 3):
+                    residual = residuals[(a, b, i, j)]
+                    if i != j or a == b:
+                        assert residual is residuals[("P", "P", 1, 1)], (a, b, i, j)
+                        continue
+                    assert residual == scalar(value), (a, b, i)
+                    assert (residual + residuals[(b, a, i, i)]).is_zero, (a, b, i)
+                    if not residual.is_zero:
+                        nonzero.add((a, b))
+    # a free m'_f breaks the direct twist lam' only; the tilde set twists by lam
+    assert nonzero == (set(expected) if free_partner and not tilde else set())
 
 
 def test_slot_and_algebra_validation():
