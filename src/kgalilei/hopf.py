@@ -33,47 +33,36 @@ ordered pair in each algebra.
 
 The coproduct and antipode are written once per non-central letter: P_i and
 K_i are twisted (Delta X = X (x) E + 1 (x) X, S X = -X E^-1), J_i and H
-primitive.  M, primitive, and E, grouplike, are exponents of a word, so only
-the word coproducts and ``antipode_of``, which extend the letter maps to
-whole expressions, handle them; a named generator's Delta and S are those
-maps applied to it.  Each algebra keeps the Delta of every word it meets in
-its own store, built from ``_letter_coproduct`` on first use: the central
-part M^m E^e in closed form, and a word with letters as its stored prefix
-times its last letter's Delta.  ``coproduct``, ``coproduct_of`` (one pass
-over the words' stored values) and ``check_coassoc`` read that store, so a
-negative control that patches ``_letter_coproduct`` on a class or on one
-instance reaches all of them.  Each algebra instance also keeps a table of
-its generator elements and one of their coproducts, each built on first
-use, and one signed store of residuals keyed by the ordered names: a
-bracket [g, h]
-under (g, h), a homomorphism residual Delta([g, h]) - [Delta g, Delta h]
-under ("Delta", g, h), and a Jacobi sum under (g, h, f).  A value is built
-once, for the first ordering asked for (the sorted one, for a Jacobi sum),
-and stored at once under every ordering of its names: the value itself
-under the even orderings, its exact negation under the odd ones.  A
-repeated call is then one dictionary lookup.  The bracket and the
-homomorphism residual are antisymmetric in (g, h), since ``coproduct_of`` is
-linear.  The Jacobi sum is alternating for any product rule, each term being
-linear in a commutator, and a commutator is antisymmetric term by term: the
-pair (m1, m2) of monomials adds c1 c2 [m1, m2] to [a, b] and c2 c1 [m2, m1]
-to [b, a], and [m2, m1] is the exact negation of [m1, m2].  Central words
-and words with the same letters give an empty bracket either way, two
-letters read the antisymmetric table, and longer words and tensor
-monomials give the difference of their two products.  A zero value is its
-own negation, the same object, and a sum with a zero operand is the other
-operand, so a Jacobi sum of three zero double brackets builds no element:
-it, the diagonal pair and every triple with a repeated name share one zero
-per algebra.  A double bracket [[g, h], f] is not stored: it reads the
-stored [g, h] and takes one commutator only where that is nonzero, and the
-scan reads each one once, in one Jacobi sum.  Sharing the stored values is
-safe because no element changes after construction.
+primitive; M, primitive, and E, grouplike, are exponents of a word.  Each
+algebra keeps Delta and S of every word it meets, built on first use from
+``_letter_coproduct`` and ``_letter_antipode``, and every coproduct and
+antipode read goes through them, so a negative control that patches a
+letter map on a class or on one instance reaches every check.  It also
+keeps its generator elements and one signed store keyed by the ordered
+names: [g, h] under (g, h), Delta([g, h]) - [Delta g, Delta h] under
+("Delta", g, h), and the Jacobi sum under (g, h, f).  A bracket is built
+for g before h, and [h, g], its exact negation, on its first read.  A
+residual is built once, in one dict, for the first ordering asked for (the
+sorted one, for a Jacobi sum), and stored at once under every ordering of
+its names: the value under the even orderings, its exact negation under
+the odd ones.  Both residuals are alternating: a commutator is
+antisymmetric term by term, as every word and tensor bracket changes sign
+exactly with its order, and Delta is linear.  The rule that a word with no
+letters brackets to nothing holds for whole residuals too: M, E and Einv
+are such words, as is every leg of their Delta, so a triple or pair that
+holds one has a zero residual in closed form.  A zero is its own negation,
+the same object, so these residuals, the diagonal, the triples with a
+repeated name and every sum that gathers no term share one zero per
+algebra.  Sharing stored values is safe: no element changes after
+construction.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .scalars import I as _I, LinearCombination, RationalFunction, Rat, _accumulate, sym
+from .scalars import (I as _I, LinearCombination, RationalFunction, Rat, _accumulate, _add,
+                      _mul, sym)
 
 __all__ = [
     "GalileiHopf",
@@ -94,6 +83,7 @@ _RANK = {name: rank for rank, name in enumerate(GENERATOR_NAMES)}
 _CENTRAL = {"M": (1, 0), "E": (0, 1), "Einv": (0, -1)}
 
 _EMPTY = ()
+_UNIT = (_EMPTY, 0, 0)
 _ONE = Rat(1)
 #: i c, with c = k/2 the central constant of [K_i, P_i] = i c (1 - E^2).
 _I_CENTRAL = _I * (sym("k") / 2)
@@ -216,14 +206,15 @@ class GalileiHopf:
         # tensor monomials, see TensorExpression._bracket
         self._word_bracket_cache: dict = {}
         self._tensor_bracket_cache: dict = {}
-        # [g, h] under (g, h), the homomorphism residual of (g, h) under
-        # ("Delta", g, h) and the Jacobi sum of (g, h, f) under (g, h, f),
-        # each under every ordering of its names, see _fill
+        # [g, h] under (g, h), see bracket, and the homomorphism residual of
+        # (g, h) under ("Delta", g, h) and the Jacobi sum of (g, h, f) under
+        # (g, h, f), each under every ordering of its names, see _fill
         self._store: dict = {}
         self._generators: dict = {}
         self._coproduct_cache: dict = {}
-        # Delta of each word under the word, see _word_coproduct
+        # Delta and S of each word, see _word_coproduct and _word_antipode
         self._word_coproducts: dict = {}
+        self._word_antipodes: dict = {}
         self._zero = UEAExpression(self, {})
         self._zero_tensor = TensorExpression(self, 2, {})
         self.rewrite_steps = 0
@@ -234,7 +225,7 @@ class GalileiHopf:
         return self._zero
 
     def one(self) -> UEAExpression:
-        return UEAExpression(self, {(_EMPTY, 0, 0): Rat(1)})
+        return UEAExpression(self, {_UNIT: _ONE})
 
     def gen(self, name: str) -> UEAExpression:
         """The named generator, built on first use and then shared."""
@@ -344,17 +335,18 @@ class GalileiHopf:
         return value
 
     def bracket(self, g: str, h: str) -> UEAExpression:
-        """Commutator [g, h] of two named generators; [h, g] is its negation."""
+        """Commutator [g, h] of two named generators; [h, g], built on its
+        first read, is its negation."""
         value = self._store.get((g, h))
         if value is None:
-            value = self._fill(((g, h),), ((h, g),), self._zero if g == h
-                               else self.gen(g).commutator(self.gen(h)))
+            if g == h:
+                value = self._zero
+            elif _RANK[g] < _RANK[h]:
+                value = self.gen(g).commutator(self.gen(h))
+            else:
+                value = -self.bracket(h, g)
+            self._store[g, h] = value
         return value
-
-    def double_bracket(self, g: str, h: str, f: str) -> UEAExpression:
-        """Left-normed [[g, h], f]; zero, with no commutator taken, wherever [g, h] is."""
-        inner = self.bracket(g, h)
-        return inner.commutator(self.gen(f)) if inner.terms else self._zero
 
     def _letter_coproduct(self, letter: tuple) -> TensorExpression:
         """Delta X = X (x) E + 1 (x) X for the twisted P and K, X (x) 1 + 1 (x) X otherwise."""
@@ -404,15 +396,29 @@ class GalileiHopf:
     def counit(self, g: str) -> RationalFunction:
         return Rat(1) if g in ("E", "Einv") else Rat(0)
 
+    def _word_antipode(self, word: tuple) -> UEAExpression:
+        """S of one word, built once per algebra: (-1)^m M^m E^-e times S of
+        its letter, or 1, for a word of at most one letter; S of its tail
+        times S of its first letter for a longer word."""
+        value = self._word_antipodes.get(word)
+        if value is None:
+            letters, m, e = word
+            if len(letters) > 1:
+                value = (self._word_antipode((letters[1:], m, e))
+                         * self._letter_antipode(letters[0]))
+            else:
+                terms = self._letter_antipode(letters[0]).terms if letters else {_UNIT: _ONE}
+                value = UEAExpression(self, {(ls, lm + m, le - e): -c if m % 2 else c
+                                             for (ls, lm, le), c in terms.items()})
+            self._word_antipodes[word] = value
+        return value
+
     def antipode_of(self, expr: UEAExpression) -> UEAExpression:
-        """Antipode extended as an anti-homomorphism: S M = -M, S E = E^-1."""
-        out = self.zero()
-        for (letters, m, e), coeff in expr.terms.items():
-            term = UEAExpression(self, {(_EMPTY, m, -e): coeff * Rat(-1) ** m})
-            for letter in reversed(letters):
-                term = term * self._letter_antipode(letter)
-            out = out + term
-        return out
+        """Antipode extended linearly, in one pass over its words' stored antipodes."""
+        out: dict = {}
+        for word, coeff in expr.terms.items():
+            _accumulate(out, self._word_antipode(word).terms, coeff)
+        return UEAExpression(self, out)
 
     # -- residual checks ---------------------------------------------------------
 
@@ -427,24 +433,42 @@ class GalileiHopf:
             a, b, c = sorted((g1, g2, g3), key=_RANK.__getitem__)
             if a == b or b == c:
                 return self._fill(((g1, g2, g3),), (), self._zero)
-            self._fill(((a, b, c), (b, c, a), (c, a, b)), ((b, a, c), (a, c, b), (c, b, a)),
-                       self.double_bracket(a, b, c) + self.double_bracket(b, c, a)
-                       + self.double_bracket(c, a, b))
+            value = self._zero
+            if c not in _CENTRAL:   # central names sort last
+                out: dict = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    (word_z,) = self.gen(z).terms
+                    for word, coeff in self.bracket(x, y).terms.items():
+                        _accumulate(out, self._word_bracket(word, word_z), coeff)
+                if out:
+                    value = UEAExpression(self, out)
+            self._fill(((a, b, c), (b, c, a), (c, a, b)), ((b, a, c), (a, c, b), (c, b, a)), value)
             value = self._store[g1, g2, g3]
         return value
 
     def check_hom(self, g: str, h: str) -> TensorExpression:
         """Delta([g,h]) - [Delta g, Delta h]; zero iff Delta is an algebra map.
 
-        Antisymmetric in (g, h), since ``coproduct_of`` is linear, and zero
-        on the diagonal.
+        Antisymmetric in (g, h), and zero on the diagonal and where a name
+        is central.
         """
         key = ("Delta", g, h)
         value = self._store.get(key)
         if value is None:
-            value = self._fill((key,), (("Delta", h, g),), self._zero_tensor if g == h
-                               else self.coproduct_of(self.bracket(g, h))
-                               - self.coproduct(g).commutator(self.coproduct(h)))
+            value = self._zero_tensor
+            if g != h and g not in _CENTRAL and h not in _CENTRAL:
+                out: dict = {}
+                for word, coeff in self.bracket(g, h).terms.items():
+                    _accumulate(out, self._word_coproduct(word).terms, coeff)
+                tensor_bracket, right = self._zero_tensor._bracket, self.coproduct(h).terms
+                for m1, c1 in self.coproduct(g).terms.items():
+                    for m2, c2 in right.items():
+                        factors = tensor_bracket(m1, m2)
+                        if factors:
+                            _accumulate(out, factors, _mul(c1, c2), -1)
+                if out:
+                    value = TensorExpression(self, 2, out)
+            self._fill((key,), (("Delta", h, g),), value)
         return value
 
     def check_coassoc(self, g: str) -> TensorExpression:
@@ -459,12 +483,15 @@ class GalileiHopf:
 
     def check_hopf_axiom(self, g: str) -> UEAExpression:
         """multiply((S (x) id) Delta g) - counit(g) * 1; zero iff S is an antipode."""
-        total = self.zero()
+        out: dict = {}
         for (w1, w2), coeff in self.coproduct(g).terms.items():
-            left = self.antipode_of(UEAExpression(self, {w1: Rat(1)}))
-            right = UEAExpression(self, {w2: Rat(1)})
-            total = total + (left * right).scale(coeff)
-        return total - self.one().scale(self.counit(g))
+            for word, c in self._word_antipode(w1).terms.items():
+                base = _mul(coeff, c)
+                for factor, mono in self._word_product(word, w2):
+                    add = _mul(base, factor)
+                    out[mono] = _add(out[mono], add, 1) if mono in out else add
+        _accumulate(out, {_UNIT: self.counit(g)}, sign=-1)
+        return UEAExpression(self, out)
 
     # -- classical limit -----------------------------------------------------------
 

@@ -106,6 +106,27 @@ def test_realization_suites_multiply_few_scalars(scalar_products):
     assert 0 < calls[0] <= 205
 
 
+def test_one_particle_suite_builds_no_unread_mirror(monkeypatch):
+    # work guard: the realization suites read [g, h] for g before h only,
+    # and the algebra builds the mirror [h, g] on its first read, so
+    # verify_one_particle negates no enveloping-algebra element (21 mirrors
+    # and 144 elements when each nonzero bracket's mirror was built with
+    # it).  The bound is the measured count
+    r = OneParticleRealization(1, sym("lam"), m_f=sym("mf"))
+    calls = {"__init__": 0, "__neg__": 0}
+    for name in calls:
+        method = getattr(UEAExpression, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(UEAExpression, name, counted)
+    assert len(verify_one_particle(r)) == 66
+    assert calls["__neg__"] == 0
+    assert 0 < calls["__init__"] <= 123
+
+
 def test_composed_mass_formula(system):
     k, lam, lamp = sym("k"), sym("lam"), sym("lamp")
     assert (system.M_f - (k / 2) * (1 - lam ** 2 * lamp ** 2)).is_zero
