@@ -16,13 +16,18 @@ index-lexicographic ties, times central factors M^m E^e; products are
 normalized by bracket rewriting, which terminates because every correction
 term has a strictly shorter non-central word.  The letter table
 ``_letter_bracket`` is antisymmetric: it gives a pair out of normal order as
-the exact negation of the ordered pair.
+the exact negation of the ordered pair.  It holds [a, b] as a
+{(letters, dm, de): coeff} dict, the term format of every product, bracket
+and rewriting here, with dm and de the powers of M and E it adds; a
+rewritten letter tuple is held the same way.  ``_shifted`` adds two words'
+central exponents to such a dict, which makes it their product, or, from
+the letter table, their bracket.
 
 A word bracket is taken in closed form where one exists.  A word with no
 letters is central, and two words with the same letters multiply to the
 same word either way, so their bracket is empty; two single letters read
-the letter table, their central exponents added to each term's.  Only
-longer words merge the two rewritten products.  A tensor monomial bracket
+the letter table, shifted by their central exponents.  Only longer words
+merge the two rewritten products.  A tensor monomial bracket
 follows the Leibniz rule
 
     [(x)_i u_i, (x)_i w_i] = sum_k (x)_{i<k} w_i u_i (x) [u_k, w_k] (x) (x)_{i>k} u_i w_i,
@@ -52,17 +57,17 @@ letters brackets to nothing holds for whole residuals too: M, E and Einv
 are such words, as is every leg of their Delta, so a triple or pair that
 holds one has a zero residual in closed form.  A zero is its own negation,
 the same object, so these residuals, the diagonal, the triples with a
-repeated name and every sum that gathers no term share one zero per
-algebra.  Sharing stored values is safe: no element changes after
-construction.
+repeated name and every sum that cancels to nothing share one zero per
+algebra; a sum is filtered by ``_nonzero`` before any element is built.
+Sharing stored values is safe: no element changes after construction.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .scalars import (I as _I, LinearCombination, RationalFunction, Rat, _accumulate, _add,
-                      _mul, sym)
+from .scalars import (I as _I, LinearCombination, RationalFunction, Rat, _accumulate, _mul,
+                      _nonzero, sym)
 
 __all__ = [
     "GalileiHopf",
@@ -131,7 +136,7 @@ class UEAExpression(LinearCombination):
         self._context = (algebra,)
         super().__init__(terms)
 
-    def _product(self, w1: tuple, w2: tuple) -> list[tuple]:
+    def _product(self, w1: tuple, w2: tuple) -> dict:
         return self.algebra._word_product(w1, w2)
 
     def _bracket(self, w1: tuple, w2: tuple) -> dict:
@@ -140,12 +145,19 @@ class UEAExpression(LinearCombination):
     _monomial_str = staticmethod(_word_str)
 
 
-def _distribute(legs) -> list[tuple]:
-    """The tensor monomials of per-leg (factor, word) lists, as (factor, words) terms."""
+def _shifted(terms: dict, m: int, e: int) -> dict:
+    """Terms keyed (letters, dm, de) as {word: factor}, with m added to each
+    power of M and e to each power of E."""
+    return {(letters, dm + m, de + e): c for (letters, dm, de), c in terms.items()}
+
+
+def _distribute(legs) -> dict:
+    """The tensor monomials of per-leg {word: factor} dicts, as {words: factor}."""
     first, *rest = legs
-    out = [(factor, (word,)) for factor, word in first]
+    out = {(word,): factor for word, factor in first.items()}
     for terms in rest:
-        out = [(c * factor, key + (word,)) for c, key in out for factor, word in terms]
+        out = {key + (word,): c * factor
+               for key, c in out.items() for word, factor in terms.items()}
     return out
 
 
@@ -167,7 +179,7 @@ class TensorExpression(LinearCombination):
         self._context = (algebra, legs)
         super().__init__(terms)
 
-    def _product(self, words1: tuple, words2: tuple) -> list[tuple]:
+    def _product(self, words1: tuple, words2: tuple) -> dict:
         """Leg-wise word products, distributed over the legs."""
         return _distribute(map(self.algebra._word_product, words1, words2))
 
@@ -185,12 +197,10 @@ class TensorExpression(LinearCombination):
                 middle = alg._word_bracket(u, w)
                 if not middle:
                     continue
-                legs = [*map(alg._word_product, words2[:k], words1[:k]),
-                        [(factor, word) for word, factor in middle.items()],
+                legs = [*map(alg._word_product, words2[:k], words1[:k]), middle,
                         *map(alg._word_product, words1[k + 1:], words2[k + 1:])]
-                for factor, mono in _distribute(legs):
-                    merged[mono] = merged[mono] + factor if mono in merged else factor
-            cached = alg._tensor_bracket_cache[key] = self._like(merged).terms
+                _accumulate(merged, _distribute(legs))
+            cached = alg._tensor_bracket_cache[key] = _nonzero(merged)
         return cached
 
     def _monomial_str(self, words) -> str:
@@ -211,7 +221,6 @@ class GalileiHopf:
         # (g, h, f), each under every ordering of its names, see _fill
         self._store: dict = {}
         self._generators: dict = {}
-        self._coproduct_cache: dict = {}
         # Delta and S of each word, see _word_coproduct and _word_antipode
         self._word_coproducts: dict = {}
         self._word_antipodes: dict = {}
@@ -239,28 +248,28 @@ class GalileiHopf:
 
     # -- structure constants ---------------------------------------------------
 
-    def _letter_bracket(self, a: tuple, b: tuple) -> list[tuple]:
-        """[a, b] for single letters, as (coeff, letters, dm, de) terms."""
+    def _letter_bracket(self, a: tuple, b: tuple) -> dict:
+        """[a, b] for single letters, as {(letters, dm, de): coeff}."""
         ka, ia = a
         kb, ib = b
         if _letter_key(a) > _letter_key(b):
-            return [(-c, ls, dm, de) for c, ls, dm, de in self._letter_bracket(b, a)]
+            return {key: -c for key, c in self._letter_bracket(b, a).items()}
         if ka == "J" and kb in ("J", "K", "P"):
             e = eps(ia, ib, 6 - ia - ib) if ia != ib else 0
             if e == 0:
-                return []
+                return {}
             other = 6 - ia - ib
-            return [(_I * e, ((kb, other),), 0, 0)]
+            return {(((kb, other),), 0, 0): _I * e}
         if ka == "K" and kb == "P":
             if ia != ib:
-                return []
-            return [(_I_CENTRAL, _EMPTY, 0, 0), (-_I_CENTRAL, _EMPTY, 0, 2)]
+                return {}
+            return {(_EMPTY, 0, 0): _I_CENTRAL, (_EMPTY, 0, 2): -_I_CENTRAL}
         if ka == "K" and kb == "H":
-            return [(_I, (("P", ia),), 0, 0)]
-        return []
+            return {((("P", ia),), 0, 0): _I}
+        return {}
 
-    def _sorted_words(self, letters: tuple) -> list[tuple]:
-        """Normal-order a letter tuple; returns (coeff, letters, dm, de) terms."""
+    def _sorted_words(self, letters: tuple) -> dict:
+        """Normal-order a letter tuple, as {(letters, dm, de): coeff}."""
         cached = self._sort_cache.get(letters)
         if cached is not None:
             return cached
@@ -270,33 +279,23 @@ class GalileiHopf:
                 idx = i
                 break
         if idx < 0:
-            result = [(Rat(1), letters, 0, 0)]
-            self._sort_cache[letters] = result
-            return result
-        self.rewrite_steps += 1
-        a, b = letters[idx], letters[idx + 1]
-        prefix, suffix = letters[:idx], letters[idx + 2:]
-        out: dict = {}
-        # swapped term: a b = b a + [a, b]
-        for coeff, ls, dm, de in self._sorted_words(prefix + (b, a) + suffix):
-            key = (ls, dm, de)
-            cur = out.get(key)
-            out[key] = coeff if cur is None else cur + coeff
-        for bc, bletters, bdm, bde in self._letter_bracket(a, b):
-            for coeff, ls, dm, de in self._sorted_words(prefix + bletters + suffix):
-                key = (ls, dm + bdm, de + bde)
-                add = bc * coeff
-                cur = out.get(key)
-                out[key] = add if cur is None else cur + add
-        result = [(c, ls, dm, de) for (ls, dm, de), c in out.items()]
-        self._sort_cache[letters] = result
-        return result
+            out = {(letters, 0, 0): _ONE}
+        else:
+            self.rewrite_steps += 1
+            a, b = letters[idx], letters[idx + 1]
+            prefix, suffix = letters[:idx], letters[idx + 2:]
+            # swapped term: a b = b a + [a, b]
+            out = dict(self._sorted_words(prefix + (b, a) + suffix))
+            for (bletters, bdm, bde), bc in self._letter_bracket(a, b).items():
+                inner = self._sorted_words(prefix + bletters + suffix)
+                _accumulate(out, _shifted(inner, bdm, bde), bc)
+        self._sort_cache[letters] = out
+        return out
 
-    def _word_product(self, w1: tuple, w2: tuple) -> list[tuple]:
-        """Normal-ordered product of two words, as (coeff, word) terms."""
+    def _word_product(self, w1: tuple, w2: tuple) -> dict:
+        """Normal-ordered product of two words, as {word: coeff}."""
         (l1, m1, e1), (l2, m2, e2) = w1, w2
-        return [(factor, (letters, m1 + m2 + dm, e1 + e2 + de))
-                for factor, letters, dm, de in self._sorted_words(l1 + l2)]
+        return _shifted(self._sorted_words(l1 + l2), m1 + m2, e1 + e2)
 
     def _word_bracket(self, w1: tuple, w2: tuple) -> dict:
         """The word bracket w1 w2 - w2 w1 as {word: factor}, in closed form
@@ -308,11 +307,7 @@ class GalileiHopf:
             if not l1 or not l2 or l1 == l2:
                 cached = {}
             elif len(l1) == len(l2) == 1:
-                merged: dict = {}
-                for c, letters, dm, de in self._letter_bracket(l1[0], l2[0]):
-                    word = (letters, m1 + m2 + dm, e1 + e2 + de)
-                    merged[word] = merged[word] + c if word in merged else c
-                cached = UEAExpression(self, merged).terms
+                cached = _nonzero(_shifted(self._letter_bracket(l1[0], l2[0]), m1 + m2, e1 + e2))
             else:
                 cached = LinearCombination._bracket(self._zero, w1, w2)
             self._word_bracket_cache[key] = cached
@@ -378,12 +373,9 @@ class GalileiHopf:
         return value
 
     def coproduct(self, g: str) -> TensorExpression:
-        """Coproduct of a named generator: its word's stored Delta, kept by name."""
-        value = self._coproduct_cache.get(g)
-        if value is None:
-            (word,) = self.gen(g).terms
-            value = self._coproduct_cache[g] = self._word_coproduct(word)
-        return value
+        """Coproduct of a named generator: its word's stored Delta."""
+        (word,) = self.gen(g).terms
+        return self._word_coproduct(word)
 
     def coproduct_of(self, expr: UEAExpression) -> TensorExpression:
         """Extend the coproduct linearly to a full UEA expression, in one pass
@@ -440,6 +432,7 @@ class GalileiHopf:
                     (word_z,) = self.gen(z).terms
                     for word, coeff in self.bracket(x, y).terms.items():
                         _accumulate(out, self._word_bracket(word, word_z), coeff)
+                out = _nonzero(out)
                 if out:
                     value = UEAExpression(self, out)
             self._fill(((a, b, c), (b, c, a), (c, a, b)), ((b, a, c), (a, c, b), (c, b, a)), value)
@@ -466,6 +459,7 @@ class GalileiHopf:
                         factors = tensor_bracket(m1, m2)
                         if factors:
                             _accumulate(out, factors, _mul(c1, c2), -1)
+                out = _nonzero(out)
                 if out:
                     value = TensorExpression(self, 2, out)
             self._fill((key,), (("Delta", h, g),), value)
@@ -486,10 +480,7 @@ class GalileiHopf:
         out: dict = {}
         for (w1, w2), coeff in self.coproduct(g).terms.items():
             for word, c in self._word_antipode(w1).terms.items():
-                base = _mul(coeff, c)
-                for factor, mono in self._word_product(word, w2):
-                    add = _mul(base, factor)
-                    out[mono] = _add(out[mono], add, 1) if mono in out else add
+                _accumulate(out, self._word_product(word, w2), _mul(coeff, c))
         _accumulate(out, {_UNIT: self.counit(g)}, sign=-1)
         return UEAExpression(self, out)
 
@@ -507,9 +498,8 @@ class GalileiHopf:
             if m > 1:
                 continue
             # E^e -> 1 - e*M/k to first order
-            candidates = [((letters, m, 0), coeff)]
+            terms = {(letters, m, 0): coeff}
             if e != 0 and m == 0:  # with m = 1 the E-correction is second order
-                candidates.append(((letters, 1, 0), coeff * Rat(-e) / k))
-            for word, c in candidates:
-                out[word] = out[word] + c if word in out else c
+                terms[letters, 1, 0] = coeff * Rat(-e) / k
+            _accumulate(out, terms)
         return UEAExpression(self, out)

@@ -37,9 +37,14 @@ A sympy expression converts to a value through ``Rat``/``RationalFunction``.
 
 ``LinearCombination``, the sparse sum of monomials that the Weyl,
 enveloping-algebra and tensor elements share, with their one distributive
-product, builds on the exact zero test: it never holds a zero coefficient.
-Its constructor drops every term whose coefficient is zero, so its
-``is_zero`` is "no terms", and a value never changes after construction.
+product, builds on the exact zero test.  Every term table of the exact
+engines, an element's terms, a monomial product or bracket and a letter
+table alike, is a {monomial: coefficient} dict.  ``_accumulate`` is the one
+merge of such dicts, and ``_nonzero`` the one zero filter: the zero rule
+lives there and only there.  The constructor runs it, so an element never
+holds a zero coefficient and its ``is_zero`` is "no terms"; the bracket
+caches run it with no element built.  A value never changes after
+construction.
 
 The deformation exponentials e^{-m/k} are adjoined as independent formal
 symbols (``lam``, ``lamp``), never expanded as series; every identity in scope
@@ -680,7 +685,8 @@ def Rat(expr) -> RationalFunction:
 def _accumulate(out: dict, terms: dict, factor: RationalFunction | None = None,
                 sign: int = 1) -> None:
     """Add sign * factor * terms (factor None: sign * terms) into ``out`` in
-    place; a cancelled coefficient stays as a zero for the constructor to drop."""
+    place: the one merge of {monomial: coefficient} dicts.  A cancelled
+    coefficient stays as a zero for ``_nonzero`` to drop."""
     for mono, coeff in terms.items():
         if factor is not None:
             coeff = _mul(factor, coeff)
@@ -690,28 +696,32 @@ def _accumulate(out: dict, terms: dict, factor: RationalFunction | None = None,
             out[mono] = coeff if sign > 0 else -coeff
 
 
+def _nonzero(terms: dict) -> dict:
+    """The terms whose coefficient is not zero: the one zero filter."""
+    return {mono: coeff for mono, coeff in terms.items() if coeff._num}
+
+
 class LinearCombination:
     """Finite sum of RationalFunction coefficients keyed by monomials.
 
     The arithmetic shared by the Weyl, enveloping-algebra and tensor
     elements, the distributive product and the commutator included.  A
-    subclass defines how two monomials multiply (``_product``, as (factor,
-    monomial) pairs) and how a monomial prints (``_monomial_str``).  The
-    commutator takes the bracket of two monomials from the ``_bracket``
+    subclass defines how two monomials multiply (``_product``, as a
+    {monomial: factor} dict) and how a monomial prints (``_monomial_str``).
+    The commutator takes the bracket of two monomials from the ``_bracket``
     hook, which merges the two products; a subclass may keep its values or
     take the bracket in closed form.
     A subclass that lives in a context (an algebra instance, a leg count)
     stores it as ``_context``, the tuple of its constructor's leading
     arguments; two operands must share it.
 
-    The zero rule lives here and only here: the constructor drops every term
-    whose coefficient is zero, so ``terms`` never holds a zero coefficient
-    and ``is_zero`` is "no terms".  Immutable: ``terms`` is never rebound or
-    changed after construction, so a sum with an operand of no terms is the
-    other operand itself, and the negation of a zero is that zero.  Sums are
-    one pass: ``a + b`` and ``a - b`` copy a's terms once and accumulate b's
-    into the copy (``_accumulate``, which the realization and coproduct sums
-    share), so ``a - b`` builds no ``-b``.
+    The constructor drops every zero coefficient through ``_nonzero``, so
+    ``terms`` never holds one and ``is_zero`` is "no terms".  Immutable:
+    ``terms`` is never rebound or changed after construction, so a sum with
+    an operand of no terms is the other operand itself, and the negation of
+    a zero is that zero.  Sums, products and brackets are one pass each
+    through ``_accumulate``: ``a + b`` and ``a - b`` copy a's terms once
+    and accumulate b's into the copy, so ``a - b`` builds no ``-b``.
     """
 
     __slots__ = ("terms",)
@@ -720,7 +730,7 @@ class LinearCombination:
     _context: tuple = ()
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {m: c for m, c in terms.items() if c._num} if terms else {}
+        self.terms = _nonzero(terms) if terms else {}
 
     def _like(self, terms: dict):
         return type(self)(*self._context, terms)
@@ -780,24 +790,16 @@ class LinearCombination:
         right = other.terms
         for m1, c1 in self.terms.items():
             for m2, c2 in right.items():
-                base = _mul(c1, c2)
-                for factor, mono in product(m1, m2):
-                    coeff = _mul(base, factor)
-                    out[mono] = _add(out[mono], coeff, 1) if mono in out else coeff
+                _accumulate(out, product(m1, m2), _mul(c1, c2))
         return self._like(out)
 
     def _bracket(self, m1, m2) -> dict:
-        """The monomial bracket m1 m2 - m2 m1, as {monomial: factor}.
-
-        Both products are merged and built through the constructor, so only
-        the factors that survive the cancellation are kept.
-        """
-        merged: dict = {}
-        for factor, mono in self._product(m1, m2):
-            merged[mono] = merged[mono] + factor if mono in merged else factor
-        for factor, mono in self._product(m2, m1):
-            merged[mono] = merged[mono] - factor if mono in merged else -factor
-        return self._like(merged).terms
+        """The monomial bracket m1 m2 - m2 m1, as {monomial: factor}: the
+        two products merged, with only the factors that survive the
+        cancellation kept."""
+        merged = dict(self._product(m1, m2))
+        _accumulate(merged, self._product(m2, m1), sign=-1)
+        return _nonzero(merged)
 
     def commutator(self, other):
         """[self, other]: c1 c2 times the monomial bracket, summed over pairs of terms.

@@ -94,10 +94,10 @@ class WeylExpression(LinearCombination):
     # -- the monomial product -------------------------------------------------
 
     @staticmethod
-    def _product(m1, m2) -> list:
+    def _product(m1, m2) -> dict:
         (x1, p1), (x2, p2) = m1, m2
-        return [(weight, (tuple(map(add, x1, mid_x)), tuple(map(add, mid_p, p2))))
-                for (mid_x, mid_p), weight, _ in _reorder(p1, x2)]
+        return {(tuple(map(add, x1, mid_x)), tuple(map(add, mid_p, p2))): weight
+                for (mid_x, mid_p), weight, _ in _reorder(p1, x2)}
 
     def _bracket(self, m1, m2) -> dict:
         """The monomial bracket m1 m2 - m2 m1 in closed form (see the module

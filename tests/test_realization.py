@@ -10,6 +10,7 @@ import pytest
 import sympy as sp
 
 import kgalilei
+from kgalilei.cli import run
 from kgalilei.equivalence import VARIABLES, pairing
 from kgalilei.hopf import GalileiHopf, UEAExpression
 from kgalilei.realization import (
@@ -104,6 +105,23 @@ def test_realization_suites_multiply_few_scalars(scalar_products):
     calls[0] = 0
     verify_one_particle(OneParticleRealization(1, sym("lam"), m_f=sym("mf")))
     assert 0 < calls[0] <= 205
+
+
+def test_verify_realization_builds_few_elements(monkeypatch, capsys):
+    # work guard: a word bracket drops its zero coefficients with no element
+    # built (124 enveloping-algebra elements when each two-letter bracket
+    # was built as an element to drop them).  The bound is the measured count
+    calls = [0]
+    init = UEAExpression.__init__
+
+    def counted(self, *args):
+        calls[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(UEAExpression, "__init__", counted)
+    assert run(["verify", "realization"]) == 0
+    capsys.readouterr()
+    assert 0 < calls[0] <= 79
 
 
 def test_one_particle_suite_builds_no_unread_mirror(monkeypatch):

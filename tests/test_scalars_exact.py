@@ -270,3 +270,46 @@ def test_free_mass_residuals_print_without_sympy_cancel(monkeypatch):
     for res in residuals:
         assert [c.expr for c in res.terms.values() if not c.is_zero] == [
             sp.expand(sp.I * (mf - k / 2 + k * lam ** 2 / 2))]
+
+
+def _reference_accumulate(out: dict, terms: dict, factor, sign: int) -> dict:
+    """out + sign * factor * terms, merged with RationalFunction operators."""
+    out = dict(out)
+    for mono, coeff in terms.items():
+        add = coeff if factor is None else factor * coeff
+        add = add if sign > 0 else -add
+        out[mono] = out[mono] + add if mono in out else add
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_accumulate_and_nonzero_match_the_operators(seed):
+    # drawn term dicts over a few shared keys, so that some keys meet and
+    # some are on one side only, with and without a factor, of either sign
+    rng = random.Random(300 + seed)
+    for _ in range(8):
+        out, terms = ({m: tree(rng, 2)[0] for m in rng.sample(range(5), rng.randint(0, 4))}
+                      for _ in range(2))
+        factor = None if rng.random() < 0.4 else tree(rng, 2)[0]
+        sign = rng.choice((1, -1))
+        expected = _reference_accumulate(out, terms, factor, sign)
+        before = dict(terms)
+        scalars._accumulate(out, terms, factor, sign)
+        assert terms == before and list(terms) == list(before)
+        assert list(out) == list(expected) and out == expected
+        kept = scalars._nonzero(out)
+        assert kept == {m: c for m, c in expected.items() if c != 0}
+        assert all(not c.is_zero for c in kept.values())
+
+
+def test_accumulate_keeps_a_cancelled_coefficient_for_nonzero_to_drop():
+    k, lam = sym("k"), sym("lam")
+    out = {"a": k * lam, "b": k}
+    scalars._accumulate(out, {"a": k, "c": lam}, lam, -1)
+    assert list(out) == ["a", "b", "c"]
+    assert out["a"].is_zero and out["b"] == k and out["c"] == -lam * lam
+    assert scalars._nonzero(out) == {"b": k, "c": -lam * lam}
+    out = {"a": k}
+    scalars._accumulate(out, {"a": -k})
+    assert list(out) == ["a"] and out["a"].is_zero
+    assert scalars._nonzero(out) == {}
