@@ -10,9 +10,9 @@ and acts projectively on a momentum wavefunction (spin 0) by
     psi(p) -> exp(i(-p^2 tau / (2 m_f) + p . a)) psi(R^{-1} p - m_f v)
 
 R is one of the 24 cube rotations (``CUBE_ROTATIONS``), which the product
-and the inverse never leave, so ``act`` resamples by strided slab copies,
-with numpy alone.  The composition of two such actions differs from the
-action of the product by a constant phase (the 2-cocycle); ``cocycle_phase``
+never leaves, so ``act`` resamples by strided slab copies, with numpy alone.
+The composition of two such actions differs from the action of the product
+by a constant phase (the 2-cocycle); ``cocycle_phase``
 extracts it numerically and checks that the pointwise ratio really is
 grid-constant.  The closed form exp(i m_f (v^2 tau' / 2 + v . R a')) is
 validated against this extraction in the tests, never assumed.
@@ -129,15 +129,6 @@ class GroupElement:
         if entry is None:
             raise ValueError("a group element's rotation must be one of the 24 cube rotations")
         object.__setattr__(self, "R", entry[0])
-
-    def inverse(self) -> "GroupElement":
-        Rinv = self.R.T
-        return GroupElement(
-            tau=-self.tau,
-            a=-Rinv @ (self.a - self.v * self.tau),
-            v=-Rinv @ self.v,
-            R=Rinv,
-        )
 
 
 def galilei_multiply(g: GroupElement, gp: GroupElement) -> GroupElement:

@@ -33,8 +33,9 @@ follows the Leibniz rule
     [(x)_i u_i, (x)_i w_i] = sum_k (x)_{i<k} w_i u_i (x) [u_k, w_k] (x) (x)_{i>k} u_i w_i,
 
 which telescopes to the difference of the two leg-wise products, so a pair
-whose legs all commute forms no product.  Both brackets are kept per
-ordered pair in each algebra.
+whose legs all commute forms no product.  Word brackets are kept per
+ordered pair in each algebra; a tensor bracket is not, as each ordered pair
+of tensor monomials is bracketed once.
 
 The coproduct and antipode are written once per non-central letter: P_i and
 K_i are twisted (Delta X = X (x) E + 1 (x) X, S X = -X E^-1), J_i and H
@@ -185,23 +186,18 @@ class TensorExpression(LinearCombination):
 
     def _bracket(self, words1: tuple, words2: tuple) -> dict:
         """The monomial bracket by the Leibniz rule (see the module
-        docstring), once per ordered pair in each algebra: leg k's word
-        bracket, between the reversed products of the legs before it and the
-        products of those after it."""
+        docstring): leg k's word bracket, between the reversed products of
+        the legs before it and the products of those after it."""
         alg = self.algebra
-        key = (words1, words2)
-        cached = alg._tensor_bracket_cache.get(key)
-        if cached is None:
-            merged: dict = {}
-            for k, (u, w) in enumerate(zip(words1, words2)):
-                middle = alg._word_bracket(u, w)
-                if not middle:
-                    continue
-                legs = [*map(alg._word_product, words2[:k], words1[:k]), middle,
-                        *map(alg._word_product, words1[k + 1:], words2[k + 1:])]
-                _accumulate(merged, _distribute(legs))
-            cached = alg._tensor_bracket_cache[key] = _nonzero(merged)
-        return cached
+        merged: dict = {}
+        for k, (u, w) in enumerate(zip(words1, words2)):
+            middle = alg._word_bracket(u, w)
+            if not middle:
+                continue
+            legs = [*map(alg._word_product, words2[:k], words1[:k]), middle,
+                    *map(alg._word_product, words1[k + 1:], words2[k + 1:])]
+            _accumulate(merged, _distribute(legs))
+        return _nonzero(merged)
 
     def _monomial_str(self, words) -> str:
         return "(x)".join(_word_str(word) for word in words)
@@ -212,10 +208,8 @@ class GalileiHopf:
 
     def __init__(self):
         self._sort_cache: dict = {}
-        # w1 w2 - w2 w1 under (w1, w2), see _word_bracket, and the same for
-        # tensor monomials, see TensorExpression._bracket
+        # w1 w2 - w2 w1 under (w1, w2), see _word_bracket
         self._word_bracket_cache: dict = {}
-        self._tensor_bracket_cache: dict = {}
         # [g, h] under (g, h), see bracket, and the homomorphism residual of
         # (g, h) under ("Delta", g, h) and the Jacobi sum of (g, h, f) under
         # (g, h, f), each under every ordering of its names, see _fill

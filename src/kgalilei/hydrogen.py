@@ -6,9 +6,8 @@ the reduced mass is the deformed v_f = m_f m'_f / M_f.  In atomic units
 
     E_n = - v_f / (2 n^2)
 
-The module provides the closed form, an independent radial solver used to
-cross-check it (and a harmonic-oscillator control case), and the
-correction-series analysis of v_f / v = 1 / (1 - 2v/k).
+The module provides the closed form and an independent radial solver used to
+cross-check it.
 
 The radial solver is the regularized Lagrange-Laguerre mesh (D. Baye, Phys.
 Rep. 565 (2015) 1-107): mesh points r_i = h x_i at the zeros x_i of the
@@ -17,16 +16,13 @@ potential, so one dense symmetric eigensolve gives the levels, which converge
 exponentially in N.  Two meshes are solved, the second finer and on a box half
 again as large, so that a box too small for the states shows as a gap between
 them.  The default box is half again the classical turning point of the
-outermost requested state plus some of its decay lengths: 1.5 (2 n_max^2 +
-20 n_max) Bohr radii for Coulomb, and 1.5 (sqrt(4 n_max + 2 l + 3) + 10)
-oscillator lengths for the harmonic control.  Only numpy is needed.
+outermost requested state plus some of its decay lengths, 1.5 (2 n_max^2 +
+20 n_max) Bohr radii.  Only numpy is needed.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +36,10 @@ __all__ = [
     "HydrogenDomainError",
     "bohr_levels",
     "radial_solve",
-    "correction_series",
-    "CorrectionSeries",
-    "CORRECTION_ORDER",
     "MAX_N_MAX",
     "RADIAL_TOL",
 ]
 
-#: The highest power of 2v/k that ``correction_series`` keeps.
-CORRECTION_ORDER = 3
 #: Largest n_max a config accepts.  The finer radial mesh then has
 #: 4 n_max + 50 = 2050 points at the default n_points, a 34 MB dense matrix.
 MAX_N_MAX = 500
@@ -65,19 +56,19 @@ class GridConvergenceError(CheckFailure):
 
 
 class HydrogenDomainError(ValueError):
-    """Raised for quantum numbers or couplings outside the model's domain."""
+    """Raised for quantum numbers or mesh sizes outside the model's domain."""
 
 
 @dataclass(frozen=True)
 class HydrogenConfig:
-    """Parameters of the two-body Coulomb (or harmonic) problem, in atomic units."""
+    """Parameters of the two-body Coulomb problem, in atomic units."""
 
     m_f: float
     mp_f: float
     k: float
     n_max: int = 3
     l: int = 0
-    r_max: float | None = None   # None: a default box for the potential (see radial_solve)
+    r_max: float | None = None   # None: the default box (see radial_solve)
     n_points: int = 30           # the coarser radial mesh has n_points + 3 n_max points
 
     def __post_init__(self):
@@ -109,12 +100,13 @@ def bohr_levels(cfg: HydrogenConfig) -> list[float]:
     return [-v_f / (2.0 * n ** 2) for n in range(1, cfg.n_max + 1)]
 
 
-def _mesh_levels(potential: str, g: float, l: int, box: float, n: int,
-                 count: int) -> np.ndarray:
-    """Lowest ``count`` levels on the n-point Lagrange-Laguerre mesh of scale box / (4n).
+def _mesh(box: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Lagrange-Laguerre mesh of scale h = box / (4n), in Bohr units.
 
-    The largest zero of L_n lies just below 4n, so the mesh reaches about
-    ``box``.  The regularized kinetic matrix (the matrix of -d^2/dx^2) is
+    Returns the points r and the kinetic matrix, the matrix of -d^2/dr^2 / 2,
+    to which a caller adds its potential on the diagonal.  The largest zero
+    of L_n lies just below 4n, so the mesh reaches about ``box``.  The
+    regularized matrix of -d^2/dx^2 is
 
         T_ii = (4 + (4n + 2) x_i - x_i^2) / (12 x_i^2)
         T_ij = (-1)^(i-j) (x_i + x_j) / (sqrt(x_i x_j) (x_i - x_j)^2)
@@ -140,72 +132,50 @@ def _mesh_levels(potential: str, g: float, l: int, box: float, n: int,
     matrix *= u
     matrix *= u[:, None]
     r = h * x
-    pot = -1.0 / r if potential == "coulomb" else 0.5 * g * r ** 2
-    kinetic = (4.0 + (4.0 * n + 2.0) * x - x * x) / (24.0 * r * r)
-    np.fill_diagonal(matrix, kinetic + pot + l * (l + 1) / (2.0 * r * r))
-    return np.linalg.eigvalsh(matrix)[:count]
+    np.fill_diagonal(matrix, (4.0 + (4.0 * n + 2.0) * x - x * x) / (24.0 * r * r))
+    return r, matrix
 
 
 @functools.lru_cache
-def _radial_eigenvalues(potential: str, g: float, l: int, box: float, n_points: int,
+def _radial_eigenvalues(l: int, box: float, n_points: int,
                         count: int) -> tuple[tuple[float, ...], ...]:
-    """Lowest ``count`` radial levels in Bohr units on the two meshes.
+    """Lowest ``count`` Coulomb levels in Bohr units on the two meshes.
 
-    Lengths are in a_0 = 1 / v_f and energies in E_h = v_f,
-    so the masses enter only through the harmonic coupling ``g`` and the box
-    length ``box`` = r_max / a_0: a mass sweep on the default box reuses one
-    solve.  Returns plain float tuples, never views of the solver's output.
+    Lengths are in a_0 = 1 / v_f and energies in E_h = v_f, so the masses
+    enter only through the box length ``box`` = r_max / a_0: a mass sweep on
+    the default box reuses one solve.  Returns plain float tuples, never
+    views of the solver's output.
 
     The coarser mesh has n_points + 3 n_max points on ``box``; the finer one
     has n_max + 20 points more, on a box half again as large.
     """
     n = n_points + 3 * (l + count)
-    return tuple(tuple(_mesh_levels(potential, g, l, b, size, count).tolist())
-                 for b, size in ((box, n), (1.5 * box, n + l + count + 20)))
+    levels = []
+    for b, size in ((box, n), (1.5 * box, n + l + count + 20)):
+        r, matrix = _mesh(b, size)
+        np.fill_diagonal(matrix, matrix.diagonal() - 1.0 / r + l * (l + 1) / (2.0 * r * r))
+        levels.append(tuple(np.linalg.eigvalsh(matrix)[:count].tolist()))
+        del matrix   # freed before the finer mesh is built
+    return tuple(levels)
 
 
-def _harmonic_coupling(v_f: float) -> float:
-    """The unit spring constant in Bohr units, v_f a_0^4 = v_f^-3.
+def radial_solve(cfg: HydrogenConfig) -> list[float]:
+    """Coulomb bound-state energies on a Lagrange-Laguerre mesh with a convergence gate.
 
-    Formed as one power: a_0^4 alone overflows for v_f below about 1e-77 and
-    underflows to 0 above about 1e77.  For v_f outside about [2e-103, 4e102]
-    g itself leaves the normal floats, and that is a domain error.
+    Solves on two meshes in Bohr units, the second finer and on a box half
+    again as large, returns the second's levels scaled by v_f, and raises
+    GridConvergenceError unless every level is bound and agrees between them
+    to RADIAL_TOL relative.
     """
-    try:
-        g = v_f ** -3.0
-    except OverflowError:
-        g = math.inf
-    if not sys.float_info.min <= g < math.inf:
-        raise HydrogenDomainError(f"the harmonic coupling v_f^-3 of v_f = {v_f} lies outside "
-                                  f"the normal float range")
-    return g
-
-
-def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb") -> list[float]:
-    """Bound-state energies on a Lagrange-Laguerre mesh with a convergence gate.
-
-    ``potential`` is "coulomb" (-1/r) or "harmonic" (r^2 / 2).  Solves on two
-    meshes in Bohr units, the second finer and on a box half again as large,
-    returns the second's levels scaled by v_f, and raises GridConvergenceError
-    unless every level agrees between them to RADIAL_TOL relative.
-    """
-    if potential not in ("coulomb", "harmonic"):
-        raise ValueError("potential must be 'coulomb' or 'harmonic'")
-    a0 = cfg.bohr_radius
-    g = _harmonic_coupling(cfg.v_f) if potential == "harmonic" else 0.0
     # the default box holds the outermost requested state's turning point
-    # and some of its decay lengths, with half again as margin: for Coulomb
-    # 2 n_max^2 and 20 decay lengths of n_max each; for the oscillator
-    # sqrt(4 n_max + 2 l + 3) and 10 oscillator lengths g^(-1/4)
+    # 2 n_max^2 and 20 of its decay lengths n_max, with half again as margin
     if cfg.r_max is not None:
-        box = cfg.r_max / a0
-    elif potential == "harmonic":
-        box = 1.5 * (math.sqrt(4.0 * cfg.n_max + 2.0 * cfg.l + 3.0) + 10.0) * g ** -0.25
+        box = cfg.r_max / cfg.bohr_radius
     else:
         box = 1.5 * (2.0 * cfg.n_max ** 2 + 20.0 * cfg.n_max)
     coarse, fine = (np.array(levels) for levels in _radial_eigenvalues(
-        potential, g, cfg.l, box, cfg.n_points, cfg.n_max - cfg.l))
-    if potential == "coulomb" and np.any(fine >= 0.0):
+        cfg.l, box, cfg.n_points, cfg.n_max - cfg.l))
+    if np.any(fine >= 0.0):
         raise GridConvergenceError("no bound state found on the mesh", len(fine))
     gap = np.abs(fine - coarse) / np.abs(fine)
     # written so that a NaN gap fails
@@ -214,26 +184,3 @@ def radial_solve(cfg: HydrogenConfig, potential: str = "coulomb") -> list[float]
             f"grid too coarse: the finer mesh changes eigenvalues by {gap.max():.3e} relative",
             len(gap))
     return (cfg.v_f * fine).tolist()
-
-
-@dataclass(frozen=True)
-class CorrectionSeries:
-    """Expansion of v_f / v = 1 / (1 - 2v/k) in powers of 2v/k."""
-
-    coefficients: list[float]   # (2v/k)^j for j = 0..CORRECTION_ORDER
-    exact_ratio: float
-    truncation_error: float     # remainder after the last kept term
-
-
-def correction_series(cfg: HydrogenConfig) -> CorrectionSeries:
-    """Geometric-series coefficients of the deformed/classical reduced-mass ratio."""
-    v = masses.classical_reduced(cfg.m_f, cfg.mp_f)
-    if math.isinf(cfg.k):
-        return CorrectionSeries([1.0] + [0.0] * CORRECTION_ORDER, 1.0, 0.0)
-    x = 2.0 * v / cfg.k
-    if x >= 1.0:
-        raise masses.MassDomainError("series diverges: classical reduced mass >= k/2")
-    coefficients = [x ** j for j in range(CORRECTION_ORDER + 1)]
-    exact = 1.0 / (1.0 - x)
-    truncation = x ** (CORRECTION_ORDER + 1) / (1.0 - x)
-    return CorrectionSeries(coefficients, exact, truncation)

@@ -24,12 +24,10 @@ from __future__ import annotations
 
 from math import comb, factorial
 from operator import add, mul
-from typing import NamedTuple
 
 from .scalars import LinearCombination, Rat, _constant
 
 __all__ = [
-    "CanonicalSymbol",
     "WeylExpression",
     "position",
     "momentum",
@@ -37,23 +35,6 @@ __all__ = [
 ]
 
 N_SLOTS = 6  # (particle, axis) pairs flattened: slot = 3*(A-1) + (i-1)
-
-
-class CanonicalSymbol(NamedTuple):
-    """One canonical generator: kind 'x' or 'p', particle 1..2, axis 1..3."""
-
-    kind: str
-    particle: int
-    axis: int
-
-    @property
-    def slot(self) -> int:
-        return 3 * (self.particle - 1) + (self.axis - 1)
-
-
-def _check_symbol(s: CanonicalSymbol) -> None:
-    if s.kind not in ("x", "p") or s.particle not in (1, 2) or s.axis not in (1, 2, 3):
-        raise ValueError(f"invalid canonical symbol {s}")
 
 
 # A monomial is a pair of exponent tuples (positions, momenta), each of
@@ -81,15 +62,6 @@ class WeylExpression(LinearCombination):
     @classmethod
     def unit(cls, coeff=1) -> "WeylExpression":
         return cls({(_ZERO, _ZERO): Rat(coeff)})
-
-    @classmethod
-    def generator(cls, symbol: CanonicalSymbol) -> "WeylExpression":
-        _check_symbol(symbol)
-        exp = list(_ZERO)
-        exp[symbol.slot] = 1
-        exp = tuple(exp)
-        mono = (exp, _ZERO) if symbol.kind == "x" else (_ZERO, exp)
-        return cls({mono: Rat(1)})
 
     # -- the monomial product -------------------------------------------------
 
@@ -165,15 +137,25 @@ def _reorder(pexp: tuple, xexp: tuple) -> list:
 # -- convenience constructors -------------------------------------------------
 
 
+def _generator(kind: str, particle: int, axis: int) -> WeylExpression:
+    """The canonical generator of ``kind`` 'x' or 'p' for particle 1..2 and axis 1..3."""
+    if particle not in (1, 2) or axis not in (1, 2, 3):
+        raise ValueError(f"invalid canonical symbol {kind}{particle}{axis}: "
+                         f"need particle 1 or 2 and axis 1, 2 or 3")
+    exp = [0] * N_SLOTS
+    exp[3 * (particle - 1) + (axis - 1)] = 1
+    mono = (tuple(exp), _ZERO) if kind == "x" else (_ZERO, tuple(exp))
+    return WeylExpression({mono: Rat(1)})
+
+
 def position(particle: int, axis: int) -> WeylExpression:
-    return WeylExpression.generator(CanonicalSymbol("x", particle, axis))
+    return _generator("x", particle, axis)
 
 
 def momentum(particle: int, axis: int) -> WeylExpression:
-    return WeylExpression.generator(CanonicalSymbol("p", particle, axis))
+    return _generator("p", particle, axis)
 
 
 def scalar(coeff) -> WeylExpression:
     """Multiple of the identity."""
     return WeylExpression.unit(coeff)
-

@@ -4,6 +4,9 @@ Each test prints one PASS/FAIL line; tolerances and runtime budgets are
 pinned in the assertions.
 """
 
+import contextlib
+import io
+import json
 import math
 import random
 import time
@@ -13,9 +16,9 @@ import numpy as np
 import sympy as sp
 
 from kgalilei import equivalence as eq
-from kgalilei import gridrep, masses
+from kgalilei import cli, gridrep, masses
 from kgalilei.hopf import GENERATOR_NAMES, GalileiHopf
-from kgalilei.hydrogen import HydrogenConfig, bohr_levels, correction_series, radial_solve
+from kgalilei.hydrogen import HydrogenConfig, bohr_levels, radial_solve
 from kgalilei.realization import (
     OneParticleRealization,
     TwoParticleSystem,
@@ -133,7 +136,7 @@ def test_criterion_5_unitary_equivalence():
                 f"|theta(k=1e6)| {theta_limit:.1e}, {elapsed:.1f} s")
 
 
-def test_criterion_6_hydrogen():
+def test_criterion_6_hydrogen(harmonic_levels):
     start = time.perf_counter()
     cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_max=3)
     closed = bohr_levels(cfg)
@@ -142,7 +145,7 @@ def test_criterion_6_hydrogen():
     ground_ok = abs(closed[0] + 0.1304348) <= 1e-6
     harm_cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_max=3, r_max=30.0)
     omega = math.sqrt(1.0 / harm_cfg.v_f)
-    harmonic = radial_solve(harm_cfg, potential="harmonic")
+    harmonic = harmonic_levels(harm_cfg)
     worst_harm = max(abs(e - (2 * i + 1.5) * omega) / ((2 * i + 1.5) * omega)
                      for i, e in enumerate(harmonic))
     elapsed = time.perf_counter() - start
@@ -152,14 +155,20 @@ def test_criterion_6_hydrogen():
 
 
 def test_criterion_7_correction_factor():
+    # v_f / v = 1 / (1 - 2v/k), whose first-order coefficient is 2v/k;
+    # `mass reduced` reports that coefficient and gates the identity
     cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0)
-    series = correction_series(cfg)
     v = masses.classical_reduced(0.3, 0.4)
-    ratio_ok = abs(series.exact_ratio - 1.0 / (1.0 - 2.0 * v / 1.0)) <= 1e-12
-    ratio_vs_masses = abs(cfg.v_f / v - series.exact_ratio) <= 1e-12
-    first_ok = series.coefficients[1] == 2.0 * v / 1.0
-    _report("criterion 7: correction factor",
-            ratio_ok and ratio_vs_masses and first_ok)
+    x = 2.0 * v / 1.0
+    ratio_ok = abs(cfg.v_f / v - 1.0 / (1.0 - x)) <= 1e-12
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["mass", "reduced", "--k", "1", "0.3", "0.4", "--format", "json"])
+    report = json.loads(out.getvalue())
+    cli_ok = code == 0 and [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("ratio-identity", "pass")]
+    first_ok = abs(report["results"]["first_order_coefficient"] - x) <= 1e-12
+    _report("criterion 7: correction factor", ratio_ok and cli_ok and first_ok)
 
 
 def test_criterion_8_projective_action():

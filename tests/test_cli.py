@@ -728,7 +728,7 @@ def test_radial_grid_without_convergence_is_a_failed_check(nmax, solver, monkeyp
     # meshes that hold too few bound states (stood in for by non-negative
     # levels on both): one named failing check, exit 1, valid JSON and no traceback
     monkeypatch.setattr(hydrogen, "_radial_eigenvalues",
-                        lambda potential, g, l, box, n_points, count: ((0.0,) * count,) * 2)
+                        lambda l, box, n_points, count: ((0.0,) * count,) * 2)
     code, out, err = _run_quietly(_SPECTRUM + ["--nmax", str(nmax), "--solver", solver,
                                                "--format", "json"])
     assert code == 1

@@ -62,17 +62,6 @@ def test_group_law_associative():
         assert np.abs(a.R - b.R).max() <= 1e-12
 
 
-def test_inverse():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        g = random_element(rng)
-        e = galilei_multiply(g, g.inverse())
-        assert abs(e.tau) <= 1e-12
-        assert np.abs(e.a).max() <= 1e-12
-        assert np.abs(e.v).max() <= 1e-12
-        assert np.abs(e.R - np.eye(3)).max() <= 1e-12
-
-
 def test_rotation_validation():
     for R in (np.diag([1.0, 1.0, -1.0]),  # improper
               2.0 * np.eye(3), np.eye(3)[:2], np.full((3, 3), np.nan)):
@@ -80,15 +69,13 @@ def test_rotation_validation():
             GroupElement(R=R)
 
 
-def test_product_and_inverse_stay_in_the_rotation_table():
-    # all 576 products and 24 inverses are table matrices, and an element
-    # keeps the table's own matrix
+def test_product_stays_in_the_rotation_table():
+    # all 576 products are table matrices, and an element keeps the table's
+    # own matrix
     table = {id(Q) for Q in CUBE_ROTATIONS}
     for R in CUBE_ROTATIONS:
         g = GroupElement(R=R)
         assert g.R is R
-        inverse = g.inverse().R
-        assert id(inverse) in table and np.array_equal(inverse, R.T)
         for Q in CUBE_ROTATIONS:
             product = galilei_multiply(g, GroupElement(R=Q)).R
             assert id(product) in table and np.array_equal(product, R @ Q)

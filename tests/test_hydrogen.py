@@ -8,15 +8,12 @@ import pytest
 
 from kgalilei import hydrogen, masses
 from kgalilei.hydrogen import (
-    CORRECTION_ORDER,
     MAX_N_MAX,
     RADIAL_TOL,
-    CorrectionSeries,
     GridConvergenceError,
     HydrogenConfig,
     HydrogenDomainError,
     bohr_levels,
-    correction_series,
     radial_solve,
 )
 
@@ -47,7 +44,8 @@ def test_radial_matches_closed_form(cfg):
         assert abs(e_num - e_closed) / abs(e_closed) <= 1e-6
 
 
-def test_harmonic_oscillator_control():
+def test_harmonic_oscillator_control(harmonic_levels):
+    # the kinetic matrix of the radial mesh against a second exact spectrum:
     # the radial problem on the half line has E = (2 n_r + l + 3/2) omega with
     # omega = sqrt(1 / v_f) (unit spring constant); at l = 0 these are the odd
     # 1-D levels
@@ -56,46 +54,11 @@ def test_harmonic_oscillator_control():
             for l in (0, 1):
                 cfg = HydrogenConfig(m_f=m_f, mp_f=mp_f, k=1.0, n_max=3, l=l, r_max=r_max)
                 omega = math.sqrt(1.0 / cfg.v_f)
-                numeric = radial_solve(cfg, potential="harmonic")
+                numeric = harmonic_levels(cfg)
                 assert len(numeric) == 3 - l
                 for n_r, e in enumerate(numeric):
                     expected = (2 * n_r + l + 1.5) * omega
                     assert abs(e - expected) / expected <= 1e-12
-
-
-def test_harmonic_default_box_up_to_the_cap():
-    # without r_max the oscillator gets its own box, in oscillator lengths:
-    # every level agrees with (2 n_r + l + 3/2) omega at n_max 1-60 and
-    # 100-500, at l = 0, n_max/3, n_max/2 and n_max - 1
-    for n_max in [*range(1, 61), 100, 200, 300, 500]:
-        for l in sorted({0, n_max // 3, n_max // 2, n_max - 1}):
-            cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0, n_max=n_max, l=l)
-            omega = math.sqrt(1.0 / cfg.v_f)
-            numeric = radial_solve(cfg, potential="harmonic")
-            assert len(numeric) == n_max - l
-            for n_r, e in enumerate(numeric):
-                expected = (2 * n_r + l + 1.5) * omega
-                assert abs(e - expected) / expected <= 1e-11, (n_max, l, n_r)
-
-
-@pytest.mark.parametrize("mass, k", [(1e-80, 1e300), (1e100, math.inf)])
-def test_harmonic_control_at_extreme_reduced_masses(mass, k):
-    # the coupling v_f a_0^4 = v_f^-3 is one power: a_0^4 overflowed at
-    # v_f = 5e-81 and underflowed to 0 at v_f = 5e99
-    cfg = HydrogenConfig(m_f=mass, mp_f=mass, k=k, n_max=2)
-    omega = math.sqrt(1.0 / cfg.v_f)
-    for n_r, e in enumerate(radial_solve(cfg, potential="harmonic")):
-        expected = (2 * n_r + 1.5) * omega
-        assert abs(e - expected) / expected <= 1e-12
-
-
-@pytest.mark.parametrize("mass", [2e-103, 1e103])
-def test_harmonic_coupling_past_the_floats_is_a_domain_error(mass):
-    # v_f = 1e-103 and 5e102: v_f^-3 lies above the largest and below the
-    # smallest normal float
-    cfg = HydrogenConfig(m_f=mass, mp_f=mass, k=math.inf, n_max=2)
-    with pytest.raises(HydrogenDomainError, match="harmonic coupling"):
-        radial_solve(cfg, potential="harmonic")
 
 
 def test_user_box_matches_closed_form():
@@ -157,7 +120,7 @@ def test_levels_are_fresh_python_floats(cfg):
     first.append(1.0)
     assert radial_solve(cfg) == expected
     # the cache keeps float copies, not views pinning the solver's whole output
-    cached = hydrogen._radial_eigenvalues("coulomb", 0.0, 0, 60.0, cfg.n_points, 3)
+    cached = hydrogen._radial_eigenvalues(0, 60.0, cfg.n_points, 3)
     assert all(type(e) is float for grid in cached for e in grid)
 
 
@@ -278,25 +241,6 @@ def test_classical_limit():
     classical = bohr_levels(HydrogenConfig(m_f=0.3, mp_f=0.4, k=math.inf))
     for a, b in zip(deformed, classical):
         assert abs(a - b) / abs(b) <= 1e-5
-
-
-def test_correction_series():
-    cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0)
-    series = correction_series(cfg)
-    v = masses.classical_reduced(0.3, 0.4)
-    x = 2.0 * v / 1.0
-    assert series.coefficients[0] == 1.0
-    assert abs(series.coefficients[1] - x) <= 1e-15
-    assert abs(series.exact_ratio - cfg.v_f / v) <= 1e-12
-    assert abs(sum(series.coefficients) + series.truncation_error
-               - series.exact_ratio) <= 1e-12
-
-
-def test_correction_series_classical():
-    series = correction_series(HydrogenConfig(m_f=0.3, mp_f=0.4, k=math.inf))
-    assert series.coefficients == [1.0] + [0.0] * CORRECTION_ORDER
-    assert series.exact_ratio == 1.0
-    assert series.truncation_error == 0.0
 
 
 def test_config_validation():

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +49,14 @@ def test_canonical_commutators():
                         assert comm.is_zero
                     assert position(A, i).commutator(position(B, j)).is_zero
                     assert momentum(A, i).commutator(momentum(B, j)).is_zero
+
+
+def test_generator_outside_the_slots_is_a_value_error():
+    # two particles and three axes: anything else names no slot
+    for particle, axis in ((0, 1), (3, 1), (1, 0), (2, 4), (-1, -1)):
+        for make in (position, momentum):
+            with pytest.raises(ValueError, match="invalid canonical symbol"):
+                make(particle, axis)
 
 
 def test_normal_order_ordered_word_unchanged():
