@@ -25,7 +25,9 @@ reduced mass below the smallest normal float, an algebra mass, or at k = inf
 the composed mass, above the largest float, quantum numbers outside
 0 <= l < n_max or an n_max above hydrogen.MAX_N_MAX, a negative seed, a
 demo grid too small or above MAX_GRID_N points per axis, an ``--out`` path
-that cannot be written), reported in one line.
+that cannot be written), reported in one line: a handler raises
+``report.DomainError`` for them.  Only the handler that needs them imports
+numpy and the numeric layers, so the exact and mass commands never load it.
 """
 
 from __future__ import annotations
@@ -36,10 +38,8 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from . import equivalence, gridrep, hopf, masses, realization
-from .report import CheckFailure, RunReport, STATUS_FAIL, format_number
+from . import hopf, masses, realization
+from .report import CheckFailure, DomainError, RunReport, STATUS_FAIL, format_number
 from .scalars import sym
 
 __all__ = ["main", "run"]
@@ -106,6 +106,9 @@ def _cmd_verify_realization(args) -> RunReport:
 
 
 def _cmd_verify_equivalence(args) -> RunReport:
+    import numpy as np
+    from . import equivalence
+
     m_f, mp_f, k = args.mf, args.mfp, args.k
     report = RunReport("verify equivalence", {"mf": m_f, "mfp": mp_f, "k": k})
     theta = us = None
@@ -297,6 +300,9 @@ def _spectrum_csv(report: RunReport) -> str:
 
 
 def _cmd_cocycle_demo(args) -> RunReport:
+    import numpy as np
+    from . import gridrep
+
     report = RunReport("cocycle demo",
                        {"seed": args.seed, "pairs": args.pairs, "n": args.n})
     rng = np.random.default_rng(args.seed)
@@ -422,17 +428,6 @@ def _render(report: RunReport, fmt: str) -> str:
     return report.to_text()
 
 
-def _domain_errors() -> tuple:
-    """The exceptions reported as one-line usage errors (exit 2).
-
-    Evaluated only when a handler raises.  ``hydrogen`` is loaded by its own
-    handler alone, so its error is looked up, not imported.
-    """
-    hydrogen = sys.modules.get(f"{__package__}.hydrogen")
-    loaded = (hydrogen.HydrogenDomainError,) if hydrogen is not None else ()
-    return (masses.MassDomainError, gridrep.OutOfGridError, *loaded)
-
-
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     leaf = tuple(argv[:2])
@@ -440,7 +435,7 @@ def run(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.handler(args)
-    except _domain_errors() as exc:
+    except DomainError as exc:
         print(f"kgalilei: error: {exc}", file=sys.stderr)
         return 2
     report.wall_ms = (time.perf_counter() - start) * 1000.0

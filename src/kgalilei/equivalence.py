@@ -2,11 +2,8 @@
 two coproduct orderings.
 
 Per axis, the total/relative variables (P, R, Pi, rho) of the direct and of
-the transposed coproduct are linear in (p_1, p_2, K_1, K_2).  Their
-coefficient table (``variable_table``) and the commutator form
-[u, v] = i u^T Omega v (``pairing``) are written here once, for any scalar
-type: ``realization`` evaluates them in exact rational functions, this
-module in floats.
+the transposed coproduct are linear in (p_1, p_2, K_1, K_2); this module
+takes their table and commutator form from ``masses``, in floats.
 
 The two variable sets are related by conjugation with U = exp(i theta G),
 where G = sum_i (K_{1,i} P_{2,i} - P_{1,i} K_{2,i}).  Conjugation by U acts
@@ -35,14 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import masses
+from .masses import BASIS, VARIABLES, pairing, variable_table
 from .report import CheckFailure
 
 __all__ = [
     "StructuralFailureError",
-    "VARIABLES",
     "EXCHANGE",
-    "variable_table",
-    "pairing",
     "adjoint_generator",
     "pairing_residual",
     "variable_vectors",
@@ -54,10 +49,6 @@ __all__ = [
     "project",
 ]
 
-#: Ordered basis for coefficient vectors: (p_1, p_2, K_1, K_2) per axis.
-BASIS = ("p1", "p2", "K1", "K2")
-#: The canonical variables: total momentum, center of mass, relative pair.
-VARIABLES = ("P", "R", "Pi", "rho")
 #: The particle exchange S on BASIS: swaps (p1, p2) and (K1, K2); S^2 = 1.
 EXCHANGE = np.array([[0.0, 1.0, 0.0, 0.0],
                      [1.0, 0.0, 0.0, 0.0],
@@ -70,36 +61,6 @@ THETA_TOL = 1e-10
 
 class StructuralFailureError(CheckFailure):
     """Raised when a claimed structural property fails numerically by ``residual``."""
-
-
-def variable_table(m_f, mp_f, lam, lamp, M_f) -> tuple[dict, dict]:
-    """BASIS coefficients of the direct and transposed variable sets.
-
-    ``lam``, ``lamp`` are e^(-m/k), e^(-m'/k) and ``M_f`` the composed mass;
-    the scalars may be floats or RationalFunctions (0 and 1 are plain ints).
-    Returns (direct, tilde), each mapping a VARIABLES label to a 4-tuple.
-    """
-    direct = {
-        "P": (lamp, 1, 0, 0),
-        "R": (0, 0, lamp / M_f, 1 / M_f),
-        "Pi": (mp_f / M_f, -m_f * lamp / M_f, 0, 0),
-        "rho": (0, 0, 1 / m_f, -lamp / mp_f),
-    }
-    tilde = {
-        "P": (1, lam, 0, 0),
-        "R": (0, 0, 1 / M_f, lam / M_f),
-        "Pi": (mp_f * lam / M_f, -m_f / M_f, 0, 0),
-        "rho": (0, 0, lam / m_f, -1 / mp_f),
-    }
-    return direct, tilde
-
-
-def pairing(u, v, m_f, mp_f):
-    """u^T Omega v, so that [u, v] = i u^T Omega v, from [K_A, p_A] = i m_{f,A}.
-
-    ``u`` and ``v`` are BASIS coefficient sequences of any scalar type.
-    """
-    return m_f * (u[2] * v[0] - u[0] * v[2]) + mp_f * (u[3] * v[1] - u[1] * v[3])
 
 
 def pairing_residual(matrix: np.ndarray, m_f: float, mp_f: float) -> dict[tuple, float]:

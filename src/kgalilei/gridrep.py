@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .report import CheckFailure
+from .report import CheckFailure, DomainError
 
 __all__ = [
     "GroupElement",
@@ -64,7 +64,7 @@ AMPLITUDE_CUT = 0.05
 SPREAD_TOL = 1e-6
 
 
-class OutOfGridError(ValueError):
+class OutOfGridError(DomainError):
     """Raised when a boost would shift the wavepacket outside the grid."""
 
 

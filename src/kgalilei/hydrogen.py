@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import masses
-from .report import CheckFailure
+from .report import CheckFailure, DomainError
 
 __all__ = [
     "HydrogenConfig",
@@ -55,7 +55,7 @@ class GridConvergenceError(CheckFailure):
     check = "radial-grid-convergence"
 
 
-class HydrogenDomainError(ValueError):
+class HydrogenDomainError(DomainError):
     """Raised for quantum numbers or mesh sizes outside the model's domain."""
 
 

@@ -16,12 +16,18 @@ deformed reduced mass is v_f = m_f m'_f / M_f.
 All composition formulas are rational, so they accept ints, floats, and
 fractions.Fraction and are exact on exact inputs.  k may be ``math.inf``,
 which selects the classical (undeformed) formulas.
+
+``variable_table`` and ``pairing``, the two-particle variables' coefficients
+and commutator form, take any scalar type too: ``realization`` reads them
+exact, ``equivalence`` in floats.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+
+from .report import DomainError
 
 __all__ = [
     "MassDomainError",
@@ -34,10 +40,13 @@ __all__ = [
     "compose_many",
     "reduced",
     "classical_reduced",
+    "VARIABLES",
+    "variable_table",
+    "pairing",
 ]
 
 
-class MassDomainError(ValueError):
+class MassDomainError(DomainError):
     """Raised for masses outside the accepted domain."""
 
 
@@ -189,3 +198,35 @@ def classical_reduced(m_f, mp_f):
     if total == math.inf:
         return _product_over(m_f, mp_f / 2, m_f / 2 + mp_f / 2)
     return _product_over(m_f, mp_f, total)
+
+
+#: Ordered basis for coefficient vectors: (p_1, p_2, K_1, K_2) per axis.
+BASIS = ("p1", "p2", "K1", "K2")
+#: The canonical variables: total momentum, center of mass, relative pair.
+VARIABLES = ("P", "R", "Pi", "rho")
+
+
+def variable_table(m_f, mp_f, lam, lamp, M_f) -> tuple[dict, dict]:
+    """BASIS coefficients of the direct and transposed variable sets: (direct,
+    tilde), each mapping a VARIABLES label to a 4-tuple.  ``lam``, ``lamp`` are
+    e^(-m/k), e^(-m'/k) and ``M_f`` the composed mass; the scalars may be floats
+    or RationalFunctions (0 and 1 are plain ints)."""
+    direct = {
+        "P": (lamp, 1, 0, 0),
+        "R": (0, 0, lamp / M_f, 1 / M_f),
+        "Pi": (mp_f / M_f, -m_f * lamp / M_f, 0, 0),
+        "rho": (0, 0, 1 / m_f, -lamp / mp_f),
+    }
+    tilde = {
+        "P": (1, lam, 0, 0),
+        "R": (0, 0, 1 / M_f, lam / M_f),
+        "Pi": (mp_f * lam / M_f, -m_f / M_f, 0, 0),
+        "rho": (0, 0, lam / m_f, -1 / mp_f),
+    }
+    return direct, tilde
+
+
+def pairing(u, v, m_f, mp_f):
+    """u^T Omega v for BASIS coefficient sequences of any scalar type, so that
+    [u, v] = i u^T Omega v, from [K_A, p_A] = i m_{f,A}."""
+    return m_f * (u[2] * v[0] - u[0] * v[2]) + mp_f * (u[3] * v[1] - u[1] * v[3])

@@ -24,7 +24,7 @@ composed generator is the Weyl product of each coproduct term's legs, read
 from the two one-particle tables.  The center-of-mass / relative variables
 (P, R, Pi, rho) of the direct and of the transposed ("tilde") coproduct
 come from the exact coefficient table and commutator form of
-``equivalence``: ``relative_variables`` turns the direct table into Weyl
+``masses``: ``relative_variables`` turns the direct table into Weyl
 expressions, and ``canonical_residuals`` takes each pairing as i u^T Omega
 v, antisymmetric in the pair, so only the six unordered pairings per axis
 are taken.  The Weyl-algebra composed brackets and the exact kinetic-split
@@ -42,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .equivalence import VARIABLES, pairing, variable_table
 from .hopf import GalileiHopf, UEAExpression
+from .masses import VARIABLES, pairing, variable_table
 from .scalars import I as _I, RationalFunction, Rat, _accumulate, sym
 from .weyl import WeylExpression, position, momentum, scalar
 
@@ -240,7 +240,7 @@ class TwoParticleSystem:
     # -- relative variables -------------------------------------------------
 
     def variable_table(self) -> tuple[dict, dict]:
-        """Exact coefficient tables (direct, tilde); see ``equivalence.variable_table``."""
+        """Exact coefficient tables (direct, tilde); see ``masses.variable_table``."""
         return variable_table(self.r1.m_f, self.r2.m_f, self.r1.lam, self.r2.lam, self.M_f)
 
     def relative_variables(self) -> dict[str, list[WeylExpression]]:

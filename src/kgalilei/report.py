@@ -11,6 +11,9 @@ Every check is made by ``RunReport.check``.  A failing check carries a
 "detail" string that names its first failing item (exact checks) or its worst
 item (float checks) with that item's residual, or the item on which an engine
 raised ``CheckFailure``, with its message; a passing check has no such key.
+
+A ``CheckFailure`` fails a check (exit 1); a ``DomainError``, the base of
+each layer's domain error, is an input outside the documented domain (exit 2).
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["CheckFailure", "CheckResult", "RunReport", "format_number", "canonical_json"]
+__all__ = ["CheckFailure", "DomainError", "CheckResult", "RunReport", "format_number",
+           "canonical_json"]
 
 STATUS_EXACT = "exact-pass"
 STATUS_PASS = "pass"
@@ -59,6 +63,10 @@ class CheckFailure(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
+
+
+class DomainError(ValueError):
+    """An input outside the documented domain: a usage error, not a verdict."""
 
 
 def _worse(value, worst) -> bool:

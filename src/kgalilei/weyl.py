@@ -72,22 +72,17 @@ class WeylExpression(LinearCombination):
                 for (mid_x, mid_p), weight, _ in _reorder(p1, x2)}
 
     def _bracket(self, m1, m2) -> dict:
-        """The monomial bracket m1 m2 - m2 m1 in closed form (see the module
-        docstring), computed once per ordered pair of monomials."""
-        key = (m1, m2)
-        cached = _BRACKET_CACHE.get(key)
-        if cached is None:
-            (x1, p1), (x2, p2) = m1, m2
-            merged: dict = {}
-            if any(map(mul, p1, x2)) or any(map(mul, p2, x1)):
-                for xa, pa, xb, pb, sign in ((x1, p1, x2, p2, 1), (x2, p2, x1, p1, -1)):
-                    for (mid_x, mid_p), _, (re, im) in _reorder(pa, xb):
-                        mono = (tuple(map(add, xa, mid_x)), tuple(map(add, mid_p, pb)))
-                        r0, i0 = merged.get(mono, (0, 0))
-                        merged[mono] = (r0 + sign * re, i0 + sign * im)
-            cached = _BRACKET_CACHE[key] = {
-                mono: _constant(re, im) for mono, (re, im) in merged.items() if re or im}
-        return cached
+        """m1 m2 - m2 m1 in closed form (module docstring); not cached, as few pairs recur."""
+        (x1, p1), (x2, p2) = m1, m2
+        if not (any(map(mul, p1, x2)) or any(map(mul, p2, x1))):
+            return {}
+        merged: dict = {}
+        for xa, pa, xb, pb, sign in ((x1, p1, x2, p2, 1), (x2, p2, x1, p1, -1)):
+            for (mid_x, mid_p), _, (re, im) in _reorder(pa, xb):
+                mono = (tuple(map(add, xa, mid_x)), tuple(map(add, mid_p, pb)))
+                r0, i0 = merged.get(mono, (0, 0))
+                merged[mono] = (r0 + sign * re, i0 + sign * im)
+        return {mono: _constant(re, im) for mono, (re, im) in merged.items() if re or im}
 
     def _monomial_str(self, mono) -> str:
         xs, ps = mono
@@ -97,8 +92,6 @@ class WeylExpression(LinearCombination):
 
 
 _REORDER_CACHE: dict = {}
-#: [m1, m2] under (m1, m2), see ``WeylExpression._bracket``; never changed once stored.
-_BRACKET_CACHE: dict = {}
 
 
 def _reorder(pexp: tuple, xexp: tuple) -> list:

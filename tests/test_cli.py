@@ -18,9 +18,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import kgalilei
-from kgalilei import equivalence, gridrep, hopf, hydrogen, masses
+from kgalilei import cli, equivalence, gridrep, hopf, hydrogen, masses
 from kgalilei.cli import run
-from kgalilei.report import RunReport, canonical_json, format_number
+from kgalilei.report import DomainError, RunReport, canonical_json, format_number
 from kgalilei.scalars import I, sym
 from kgalilei.weyl import scalar
 
@@ -162,6 +162,70 @@ assert not scipy(), 'cli loads scipy'
     assert done.returncode == 2 and done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("kgalilei: error: need 0 <= l < n_max")
+
+
+#: The README commands that need no numpy, with their exit codes; the
+#: failing one last, as it loads sympy to print its residual.
+_NUMPY_FREE = [(["verify", "hopf"], 0), (["verify", "realization"], 0),
+               (["mass", "compose", "--k", "1", "0.3", "0.4"], 0),
+               (["mass", "convert", "--k", "1", "--to", "physical", "0.5"], 0),
+               (["mass", "reduced", "--k", "1", "0.3", "0.4"], 0),
+               (["verify", "realization", "--perturb"], 1)]
+
+#: Runs each argv of argv[1] through ``cli.run``, with numpy blocked when
+#: argv[2] is "block"; prints per command its exit code, its JSON report and
+#: which of numpy and sympy it left loaded.
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+if sys.argv[2] == "block":
+    sys.modules["numpy"] = None
+from kgalilei import cli
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv + ["--format", "json"])
+    loaded = sorted({m.split(".")[0] for m, module in sys.modules.items() if module is not None}
+                    & {"numpy", "sympy"})
+    print(json.dumps([code, out.getvalue(), loaded]))
+"""
+
+
+@pytest.mark.parametrize("block", ["block", "load"])
+def test_exact_and_mass_commands_need_no_numpy(block, capsys):
+    # work guard, in a fresh interpreter: the exact and mass commands give the
+    # same exit code and report as here, with numpy blocked or not, and none
+    # of the passing ones has loaded numpy or sympy
+    done = _python("-c", _WITHOUT_NUMPY, json.dumps([argv for argv, _ in _NUMPY_FREE]), block)
+    assert done.returncode == 0, done.stderr
+    for (argv, code), line in zip(_NUMPY_FREE, done.stdout.splitlines(), strict=True):
+        fresh_code, fresh_out, loaded = json.loads(line)
+        assert run(argv + ["--format", "json"]) == fresh_code == code, argv
+        expected, fresh = json.loads(capsys.readouterr().out), json.loads(fresh_out)
+        del expected["wall_ms"], fresh["wall_ms"]
+        assert fresh == expected, argv
+        if code == 0:
+            assert loaded == [], (argv, loaded)
+
+
+def test_a_domain_error_is_one_usage_line(monkeypatch, capsys):
+    # any DomainError a handler raises exits 2 with one stderr line and no report
+    class OutOfRange(DomainError):
+        pass
+
+    def handler(args):
+        raise OutOfRange("value out of range")
+
+    text, _, arguments = cli._COMMANDS[("mass", "compose")]
+    monkeypatch.setitem(cli._COMMANDS, ("mass", "compose"), (text, handler, arguments))
+    assert run(["mass", "compose", "--k", "1", "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "kgalilei: error: value out of range\n")
+
+
+@pytest.mark.parametrize("error", [masses.MassDomainError, gridrep.OutOfGridError,
+                                   hydrogen.HydrogenDomainError])
+def test_layer_domain_errors_are_usage_errors(error):
+    assert issubclass(error, DomainError) and issubclass(error, ValueError)
 
 
 def test_cocycle_demo_names_non_projective_pair(monkeypatch, capsys):

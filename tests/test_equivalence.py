@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from kgalilei import equivalence as eq
-from kgalilei.masses import MassDomainError
+from kgalilei.masses import VARIABLES, MassDomainError, variable_table
 from kgalilei.scalars import sym
 
 
@@ -89,8 +89,8 @@ def test_theta_block_exact_certificate():
     c = (lam + lamp) / (1 + lam * lamp)
     sigma = -2 / (k * (1 + lam * lamp))
     assert (c * c + m * mp * sigma * sigma - 1).is_zero
-    direct, tilde = eq.variable_table(m, mp, lam, lamp, M)
-    for name in eq.VARIABLES:
+    direct, tilde = variable_table(m, mp, lam, lamp, M)
+    for name in VARIABLES:
         u, v = direct[name], tilde[name]
         for a, b in ((0, 1), (2, 3)):
             assert (c * u[a] - mp * sigma * u[b] - v[a]).is_zero, name

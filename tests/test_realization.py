@@ -11,8 +11,8 @@ import sympy as sp
 
 import kgalilei
 from kgalilei.cli import run
-from kgalilei.equivalence import VARIABLES, pairing
 from kgalilei.hopf import GalileiHopf, UEAExpression
+from kgalilei.masses import VARIABLES, pairing
 from kgalilei.realization import (
     CANONICAL_PAIRS,
     OneParticleRealization,

@@ -237,7 +237,6 @@ def test_commuting_monomials_reorder_nothing(monkeypatch):
     for m1 in a.terms:
         for m2 in b.terms:
             assert _commute(m1, m2)
-            assert (m1, m2) not in weyl._BRACKET_CACHE and (m2, m1) not in weyl._BRACKET_CACHE
 
     def no_reorder(pexp, xexp):
         raise AssertionError(f"reordered p^{pexp} x^{xexp}")
@@ -248,11 +247,8 @@ def test_commuting_monomials_reorder_nothing(monkeypatch):
 
 
 def test_composed_brackets_reorder_only_noncommuting_pairs(monkeypatch):
-    # from empty caches, the composed verdict fills a bracket per new pair of
-    # monomials; a commuting pair reorders nothing, any other pair reorders
-    # its two orders once each
-    monkeypatch.setattr(weyl, "_BRACKET_CACHE", {})
-    monkeypatch.setattr(weyl, "_REORDER_CACHE", {})
+    # in the composed verdict, a bracket of a commuting pair of monomials
+    # reorders nothing, and any other bracket reorders its two orders once each
     reorders = []
     reorder = weyl._reorder
 
@@ -260,21 +256,18 @@ def test_composed_brackets_reorder_only_noncommuting_pairs(monkeypatch):
         reorders.append((pexp, xexp))
         return reorder(pexp, xexp)
 
-    fills = []
+    calls = []
     bracket = WeylExpression._bracket
 
     def tracking(self, m1, m2):
-        new, before = (m1, m2) not in weyl._BRACKET_CACHE, len(reorders)
+        before = len(reorders)
         out = bracket(self, m1, m2)
-        if new:
-            fills.append((_commute(m1, m2), len(reorders) - before))
+        calls.append((_commute(m1, m2), len(reorders) - before))
         return out
 
     monkeypatch.setattr(weyl, "_reorder", counting)
     monkeypatch.setattr(WeylExpression, "_bracket", tracking)
     residuals = default_system().verify_composed()
     assert all(value.is_zero for _, value in residuals)
-    noncommuting = sum(1 for commute, _ in fills if not commute)
-    assert 0 < noncommuting < len(fills) == len(weyl._BRACKET_CACHE)
-    assert all(count == (0 if commute else 2) for commute, count in fills)
-    assert sum(count for _, count in fills) == 2 * noncommuting
+    assert {commute for commute, _ in calls} == {True, False}
+    assert all(count == (0 if commute else 2) for commute, count in calls)
