@@ -26,8 +26,12 @@ the composed mass, above the largest float, quantum numbers outside
 0 <= l < n_max or an n_max above hydrogen.MAX_N_MAX, a negative seed, a
 demo grid too small or above MAX_GRID_N points per axis, an ``--out`` path
 that cannot be written), reported in one line: a handler raises
-``report.DomainError`` for them.  Only the handler that needs them imports
-numpy and the numeric layers, so the exact and mass commands never load it.
+``report.DomainError`` for them.
+
+Imports: the module imports only the standard library and ``report``, and
+each handler the layers it uses.  So no exact or mass command loads numpy,
+and no numeric or mass command the exact layers (``hopf``, ``realization``,
+``weyl``, ``scalars``).
 """
 
 from __future__ import annotations
@@ -38,9 +42,7 @@ import math
 import sys
 import time
 
-from . import hopf, masses, realization
 from .report import CheckFailure, DomainError, RunReport, STATUS_FAIL, format_number
-from .scalars import sym
 
 __all__ = ["main", "run"]
 
@@ -60,6 +62,8 @@ def _weyl_residual_magnitude(expr) -> float:
 
 
 def _cmd_verify_hopf(args) -> RunReport:
+    from . import hopf
+
     report = RunReport("verify hopf", {})
     alg = hopf.GalileiHopf()
     names = hopf.GENERATOR_NAMES
@@ -78,6 +82,9 @@ def _cmd_verify_hopf(args) -> RunReport:
 
 
 def _cmd_verify_realization(args) -> RunReport:
+    from . import hopf, realization
+    from .scalars import sym
+
     report = RunReport("verify realization", {"perturb": bool(args.perturb)})
     alg = hopf.GalileiHopf()
     if args.perturb:
@@ -159,6 +166,8 @@ def _cmd_verify_equivalence(args) -> RunReport:
 
 
 def _cmd_mass_compose(args) -> RunReport:
+    from . import masses
+
     k = args.k
     values = args.masses
     report = RunReport("mass compose", {"k": k, "masses": list(values)})
@@ -193,6 +202,8 @@ def _cmd_mass_compose(args) -> RunReport:
 
 
 def _cmd_mass_convert(args) -> RunReport:
+    from . import masses
+
     k = args.k
     report = RunReport("mass convert", {"k": k, "to": args.to, "masses": list(args.masses)})
 
@@ -225,6 +236,8 @@ def _cmd_mass_convert(args) -> RunReport:
 
 
 def _cmd_mass_reduced(args) -> RunReport:
+    from . import masses
+
     k = args.k
     m_f, mp_f = args.masses
     report = RunReport("mass reduced", {"k": k, "masses": [m_f, mp_f]})

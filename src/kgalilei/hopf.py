@@ -11,56 +11,56 @@ operator M, and the invertible grouplike element E standing for exp(-M/k)
 with central constant c = k/2.  Every check below is linear in c, so the
 checks at c = k/2, with k a free symbol, cover every nonzero c.
 
-Enveloping-algebra elements are kept in the normal order J < K < P < H with
-index-lexicographic ties, times central factors M^m E^e; products are
-normalized by bracket rewriting, which terminates because every correction
-term has a strictly shorter non-central word.  The letter table
-``_letter_bracket`` is antisymmetric: it gives a pair out of normal order as
-the exact negation of the ordered pair.  It holds [a, b] as a
-{(letters, dm, de): coeff} dict, the term format of every product, bracket
-and rewriting here, with dm and de the powers of M and E it adds; a
-rewritten letter tuple is held the same way.  ``_shifted`` adds two words'
-central exponents to such a dict, which makes it their product, or, from
-the letter table, their bracket.
+The presentation is one block of data below, and a letter is its generator
+name ("P1", "H").  ``_DEGREE`` lists the non-central letters in normal order
+with their mass degree, 1 for P and K and 0 for J and H; ``_CENTRAL`` gives
+M, E and Einv as exponents of M and E; ``_RANK`` orders ``GENERATOR_NAMES``;
+``_BRACKETS`` holds the 21 nonzero brackets of ordered letter pairs, shared
+and never mutated.  The coproduct and antipode of a letter read its degree,
+
+    Delta X = X (x) E^deg + 1 (x) X,        S X = -X E^-deg,
+
+the mass grading of a Jordanian twist; M is primitive and E grouplike.
+
+A word is normal-ordered letters times M^m E^e; products are normalized by
+bracket rewriting, which terminates because every correction term has a
+strictly shorter non-central word.  ``_letter_bracket`` reads ``_BRACKETS``
+and gives a pair out of normal order as the exact negation of the ordered
+pair.  Every product, bracket and rewriting is a {(letters, dm, de): coeff}
+dict, with dm and de the powers of M and E it adds; ``_shifted`` adds two
+words' central exponents to one, which makes it their product, or, from the
+letter table, their bracket.
 
 A word bracket is taken in closed form where one exists.  A word with no
 letters is central, and two words with the same letters multiply to the
 same word either way, so their bracket is empty; two single letters read
 the letter table, shifted by their central exponents.  Only longer words
-merge the two rewritten products.  A tensor monomial bracket
-follows the Leibniz rule
+merge the two rewritten products, and each algebra keeps them per ordered
+pair.  A tensor monomial bracket follows the Leibniz rule
 
     [(x)_i u_i, (x)_i w_i] = sum_k (x)_{i<k} w_i u_i (x) [u_k, w_k] (x) (x)_{i>k} u_i w_i,
 
 which telescopes to the difference of the two leg-wise products, so a pair
-whose legs all commute forms no product.  Word brackets are kept per
-ordered pair in each algebra; a tensor bracket is not, as each ordered pair
-of tensor monomials is bracketed once.
+whose legs all commute forms no product; it is not kept, as each ordered
+pair of tensor monomials is bracketed once.
 
-The coproduct and antipode are written once per non-central letter: P_i and
-K_i are twisted (Delta X = X (x) E + 1 (x) X, S X = -X E^-1), J_i and H
-primitive; M, primitive, and E, grouplike, are exponents of a word.  Each
-algebra keeps Delta and S of every word it meets, built on first use from
-``_letter_coproduct`` and ``_letter_antipode``, and every coproduct and
-antipode read goes through them, so a negative control that patches a
-letter map on a class or on one instance reaches every check.  It also
-keeps its generator elements and one signed store keyed by the ordered
-names: [g, h] under (g, h), Delta([g, h]) - [Delta g, Delta h] under
-("Delta", g, h), and the Jacobi sum under (g, h, f).  A bracket is built
-for g before h, and [h, g], its exact negation, on its first read.  A
-residual is built once, in one dict, for the first ordering asked for (the
-sorted one, for a Jacobi sum), and stored at once under every ordering of
-its names: the value under the even orderings, its exact negation under
-the odd ones.  Both residuals are alternating: a commutator is
-antisymmetric term by term, as every word and tensor bracket changes sign
-exactly with its order, and Delta is linear.  The rule that a word with no
-letters brackets to nothing holds for whole residuals too: M, E and Einv
-are such words, as is every leg of their Delta, so a triple or pair that
-holds one has a zero residual in closed form.  A zero is its own negation,
-the same object, so these residuals, the diagonal, the triples with a
-repeated name and every sum that cancels to nothing share one zero per
-algebra; a sum is filtered by ``_nonzero`` before any element is built.
-Sharing stored values is safe: no element changes after construction.
+Each algebra keeps Delta and S of every word it meets, built on first use
+from ``_letter_coproduct`` and ``_letter_antipode``, so a negative control
+that patches a letter map on a class or on one instance reaches every check.
+It keeps its generator elements too, and one signed store keyed by the
+ordered names: [g, h] under (g, h), Delta([g, h]) - [Delta g, Delta h] under
+("Delta", g, h), and the Jacobi sum under (g, h, f).  A bracket is built for
+g before h; [h, g] is its negation.  A residual is built once, in one dict,
+for the first ordering asked for (the sorted one, for a Jacobi sum), and
+stored under every ordering of its names, negated under the odd ones: both
+residuals are alternating, as every word and tensor bracket changes sign
+exactly with its order and Delta is linear.  A word with no letters brackets
+to nothing, and M, E and Einv are such words, as is every leg of their
+Delta, so a triple or pair that holds one has a zero residual in closed
+form.  These, the diagonal, the triples with a repeated name and every sum
+that cancels share one zero per algebra, its own negation; a sum is filtered
+by ``_nonzero`` before any element is built.  Sharing is safe: no element
+changes after construction.
 """
 
 from __future__ import annotations
@@ -70,49 +70,48 @@ from math import comb
 from .scalars import (I as _I, LinearCombination, RationalFunction, Rat, _accumulate, _mul,
                       _nonzero, sym)
 
-__all__ = [
-    "GalileiHopf",
-    "UEAExpression",
-    "TensorExpression",
-    "GENERATOR_NAMES",
-    "eps",
-]
+__all__ = ["GalileiHopf", "UEAExpression", "TensorExpression", "GENERATOR_NAMES"]
 
-KIND_RANK = {"J": 0, "K": 1, "P": 2, "H": 3}
+# -- the presentation ----------------------------------------------------------
 
-#: Public generator names of the algebra.
-GENERATOR_NAMES = ("J1", "J2", "J3", "K1", "K2", "K3", "P1", "P2", "P3", "H", "M", "E", "Einv")
-
-_RANK = {name: rank for rank, name in enumerate(GENERATOR_NAMES)}
+#: The non-central letters in normal order, each with its mass degree.
+_DEGREE = {"J1": 0, "J2": 0, "J3": 0, "K1": 1, "K2": 1, "K3": 1, "P1": 1, "P2": 1, "P3": 1,
+           "H": 0}
 
 #: The central generators, as the exponents (m, e) of M and E in a word.
 _CENTRAL = {"M": (1, 0), "E": (0, 1), "Einv": (0, -1)}
 
+#: Public generator names of the algebra.
+GENERATOR_NAMES = (*_DEGREE, *_CENTRAL)
+
+_RANK = {name: rank for rank, name in enumerate(GENERATOR_NAMES)}
+
 _EMPTY = ()
 _UNIT = (_EMPTY, 0, 0)
 _ONE = Rat(1)
-#: i c, with c = k/2 the central constant of [K_i, P_i] = i c (1 - E^2).
-_I_CENTRAL = _I * (sym("k") / 2)
 
 
-def eps(i: int, j: int, k: int) -> int:
-    """Levi-Civita symbol on axes 1..3."""
-    return (i - j) * (j - k) * (k - i) // 2
+def _brackets() -> dict:
+    """The nonzero [a, b] of letters a before b in normal order, as term dicts."""
+    i_c = _I * (sym("k") / 2)   # i c, with c = k/2
+    table = {}
+    for i, j, l in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):   # eps_ijl = 1 = -eps_jil
+        for kind in "JKP":
+            table[f"J{i}", f"{kind}{j}"] = {((f"{kind}{l}",), 0, 0): _I}
+            table[f"J{j}", f"{kind}{i}"] = {((f"{kind}{l}",), 0, 0): -_I}
+    for i in "123":
+        table[f"K{i}", f"P{i}"] = {_UNIT: i_c, (_EMPTY, 0, 2): -i_c}
+        table[f"K{i}", "H"] = {((f"P{i}",), 0, 0): _I}
+    return {(a, b): terms for (a, b), terms in table.items() if _RANK[a] < _RANK[b]}
 
 
-def _letter(name: str) -> tuple:
-    kind = name[0]
-    axis = int(name[1]) if len(name) > 1 else 0
-    return (kind, axis)
-
-
-def _letter_key(letter: tuple) -> tuple:
-    return (KIND_RANK[letter[0]], letter[1])
+#: The 21 nonzero brackets of ordered letter pairs.  Shared: never mutated.
+_BRACKETS = _brackets()
 
 
 def _word_str(word: tuple) -> str:
     letters, m, e = word
-    parts = [f"{kind}{axis}" if axis else kind for kind, axis in letters]
+    parts = list(letters)
     if m:
         parts.append(f"M^{m}")
     if e:
@@ -236,42 +235,26 @@ class GalileiHopf:
         if value is None:
             if name not in GENERATOR_NAMES:
                 raise KeyError(f"unknown generator {name!r}")
-            word = (_EMPTY, *_CENTRAL[name]) if name in _CENTRAL else ((_letter(name),), 0, 0)
+            word = (_EMPTY, *_CENTRAL[name]) if name in _CENTRAL else ((name,), 0, 0)
             value = self._generators[name] = UEAExpression(self, {word: _ONE})
         return value
 
     # -- structure constants ---------------------------------------------------
 
-    def _letter_bracket(self, a: tuple, b: tuple) -> dict:
-        """[a, b] for single letters, as {(letters, dm, de): coeff}."""
-        ka, ia = a
-        kb, ib = b
-        if _letter_key(a) > _letter_key(b):
+    def _letter_bracket(self, a: str, b: str) -> dict:
+        """[a, b] for single letters, as {(letters, dm, de): coeff}, read from
+        ``_BRACKETS``; a pair out of normal order is the negation of the other."""
+        if _RANK[a] > _RANK[b]:
             return {key: -c for key, c in self._letter_bracket(b, a).items()}
-        if ka == "J" and kb in ("J", "K", "P"):
-            e = eps(ia, ib, 6 - ia - ib) if ia != ib else 0
-            if e == 0:
-                return {}
-            other = 6 - ia - ib
-            return {(((kb, other),), 0, 0): _I * e}
-        if ka == "K" and kb == "P":
-            if ia != ib:
-                return {}
-            return {(_EMPTY, 0, 0): _I_CENTRAL, (_EMPTY, 0, 2): -_I_CENTRAL}
-        if ka == "K" and kb == "H":
-            return {((("P", ia),), 0, 0): _I}
-        return {}
+        return _BRACKETS.get((a, b), {})
 
     def _sorted_words(self, letters: tuple) -> dict:
         """Normal-order a letter tuple, as {(letters, dm, de): coeff}."""
         cached = self._sort_cache.get(letters)
         if cached is not None:
             return cached
-        idx = -1
-        for i in range(len(letters) - 1):
-            if _letter_key(letters[i]) > _letter_key(letters[i + 1]):
-                idx = i
-                break
+        idx = next((i for i in range(len(letters) - 1)
+                    if _RANK[letters[i]] > _RANK[letters[i + 1]]), -1)
         if idx < 0:
             out = {(letters, 0, 0): _ONE}
         else:
@@ -337,15 +320,15 @@ class GalileiHopf:
             self._store[g, h] = value
         return value
 
-    def _letter_coproduct(self, letter: tuple) -> TensorExpression:
-        """Delta X = X (x) E + 1 (x) X for the twisted P and K, X (x) 1 + 1 (x) X otherwise."""
-        word, one = ((letter,), 0, 0), (_EMPTY, 0, 0)
-        twist = (_EMPTY, 0, 1 if letter[0] in "PK" else 0)
-        return TensorExpression(self, 2, {(word, twist): _ONE, (one, word): _ONE})
+    def _letter_coproduct(self, letter: str) -> TensorExpression:
+        """Delta X = X (x) E^deg + 1 (x) X, deg the letter's mass degree."""
+        word = ((letter,), 0, 0)
+        return TensorExpression(self, 2, {(word, (_EMPTY, 0, _DEGREE[letter])): _ONE,
+                                          (_UNIT, word): _ONE})
 
-    def _letter_antipode(self, letter: tuple) -> UEAExpression:
-        """S X = -X E^-1 for the twisted P and K, -X otherwise."""
-        return UEAExpression(self, {((letter,), 0, -1 if letter[0] in "PK" else 0): Rat(-1)})
+    def _letter_antipode(self, letter: str) -> UEAExpression:
+        """S X = -X E^-deg, deg the letter's mass degree."""
+        return UEAExpression(self, {((letter,), 0, -_DEGREE[letter]): Rat(-1)})
 
     def _word_coproduct(self, word: tuple) -> TensorExpression:
         """Delta of one word, built once per algebra and kept in its store.

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .hopf import GalileiHopf, UEAExpression
+from .hopf import GENERATOR_NAMES, GalileiHopf, UEAExpression
 from .masses import VARIABLES, pairing, variable_table
 from .scalars import I as _I, RationalFunction, Rat, _accumulate, sym
 from .weyl import WeylExpression, position, momentum, scalar
@@ -56,8 +56,9 @@ __all__ = [
     "CANONICAL_PAIRS",
 ]
 
-#: Generators whose brackets are checked against the realization.
-_CHECKED = ("J1", "J2", "J3", "K1", "K2", "K3", "P1", "P2", "P3", "H", "M", "E")
+#: Generators whose brackets are checked against the realization: all but
+#: Einv, the inverse of E.
+_CHECKED = tuple(name for name in GENERATOR_NAMES if name != "Einv")
 
 _AXES = (1, 2, 3)
 
@@ -137,9 +138,8 @@ def _word_image(word: tuple, images: dict, e_value: RationalFunction,
     if e:
         factor = factor * e_value ** e
     image = _UNIT
-    for n, (kind, axis) in enumerate(letters):
-        letter = images[f"{kind}{axis}" if axis else kind]
-        image = image * letter if n else letter
+    for n, letter in enumerate(letters):
+        image = image * images[letter] if n else images[letter]
     return factor, image
 
 

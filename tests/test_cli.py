@@ -164,47 +164,79 @@ assert not scipy(), 'cli loads scipy'
     assert len(lines) == 1 and lines[0].startswith("kgalilei: error: need 0 <= l < n_max")
 
 
-#: The README commands that need no numpy, with their exit codes; the
-#: failing one last, as it loads sympy to print its residual.
-_NUMPY_FREE = [(["verify", "hopf"], 0), (["verify", "realization"], 0),
-               (["mass", "compose", "--k", "1", "0.3", "0.4"], 0),
+#: The README commands that need no numpy, with their exit codes: the mass
+#: ones first, as a fresh interpreter runs them all and the exact layers stay
+#: loaded once a command has loaded them, and the failing one last, as it
+#: loads sympy to print its residual.
+_NUMPY_FREE = [(["mass", "compose", "--k", "1", "0.3", "0.4"], 0),
                (["mass", "convert", "--k", "1", "--to", "physical", "0.5"], 0),
                (["mass", "reduced", "--k", "1", "0.3", "0.4"], 0),
+               (["verify", "hopf"], 0), (["verify", "realization"], 0),
                (["verify", "realization", "--perturb"], 1)]
 
-#: Runs each argv of argv[1] through ``cli.run``, with numpy blocked when
-#: argv[2] is "block"; prints per command its exit code, its JSON report and
-#: which of numpy and sympy it left loaded.
-_WITHOUT_NUMPY = """
+#: The README commands that need numpy, with their exit codes.
+_NUMERIC = [(["verify", "equivalence", "--mf", "0.3", "--mfp", "0.4", "--k", "1"], 0),
+            (["hydrogen", "spectrum", "--mf", "0.3", "--mfp", "0.4", "--k", "1", "--nmax", "3",
+              "--solver", "both"], 0),
+            (["cocycle", "demo", "--seed", "0"], 0)]
+
+#: The exact layers, which the numeric and mass commands do not load.
+_EXACT_LAYERS = ["kgalilei.hopf", "kgalilei.realization", "kgalilei.weyl", "kgalilei.scalars"]
+
+#: Runs each argv of argv[1] through ``cli.run``, with the modules named in
+#: argv[2] blocked; prints per command its exit code, its JSON report and
+#: which of numpy, sympy and the exact layers it has left loaded.
+_FRESH_RUN = f"""
 import contextlib, io, json, sys
-if sys.argv[2] == "block":
-    sys.modules["numpy"] = None
+for name in json.loads(sys.argv[2]):
+    sys.modules[name] = None
 from kgalilei import cli
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.run(argv + ["--format", "json"])
-    loaded = sorted({m.split(".")[0] for m, module in sys.modules.items() if module is not None}
-                    & {"numpy", "sympy"})
+    loaded = [name for name in ["numpy", "sympy", *{_EXACT_LAYERS!r}]
+              if sys.modules.get(name) is not None]
     print(json.dumps([code, out.getvalue(), loaded]))
 """
+
+
+def _fresh_runs(commands, blocked, capsys) -> list:
+    """Run ``commands`` in a fresh interpreter with ``blocked`` modules blocked;
+    check that each gives the same exit code and report as here, and return
+    the modules loaded after each."""
+    done = _python("-c", _FRESH_RUN, json.dumps([argv for argv, _ in commands]),
+                   json.dumps(blocked))
+    assert done.returncode == 0, done.stderr
+    loaded = []
+    for (argv, code), line in zip(commands, done.stdout.splitlines(), strict=True):
+        fresh_code, fresh_out, fresh_loaded = json.loads(line)
+        assert run(argv + ["--format", "json"]) == fresh_code == code, argv
+        expected, fresh = json.loads(capsys.readouterr().out), json.loads(fresh_out)
+        del expected["wall_ms"], fresh["wall_ms"]
+        assert fresh == expected, argv
+        loaded.append(fresh_loaded)
+    return loaded
 
 
 @pytest.mark.parametrize("block", ["block", "load"])
 def test_exact_and_mass_commands_need_no_numpy(block, capsys):
     # work guard, in a fresh interpreter: the exact and mass commands give the
-    # same exit code and report as here, with numpy blocked or not, and none
-    # of the passing ones has loaded numpy or sympy
-    done = _python("-c", _WITHOUT_NUMPY, json.dumps([argv for argv, _ in _NUMPY_FREE]), block)
-    assert done.returncode == 0, done.stderr
-    for (argv, code), line in zip(_NUMPY_FREE, done.stdout.splitlines(), strict=True):
-        fresh_code, fresh_out, loaded = json.loads(line)
-        assert run(argv + ["--format", "json"]) == fresh_code == code, argv
-        expected, fresh = json.loads(capsys.readouterr().out), json.loads(fresh_out)
-        del expected["wall_ms"], fresh["wall_ms"]
-        assert fresh == expected, argv
+    # same exit code and report as here, with numpy blocked or not; none of
+    # the passing ones has loaded numpy or sympy, and the mass ones have
+    # loaded no exact layer either
+    loaded = _fresh_runs(_NUMPY_FREE, ["numpy"] if block == "block" else [], capsys)
+    for (argv, code), names in zip(_NUMPY_FREE, loaded):
         if code == 0:
-            assert loaded == [], (argv, loaded)
+            assert not {"numpy", "sympy"} & set(names), (argv, names)
+        if argv[0] == "mass":
+            assert names == [], (argv, names)
+
+
+def test_numeric_commands_need_no_exact_layer(capsys):
+    # work guard, in a fresh interpreter: with the exact layers blocked, the
+    # numeric commands give the same exit code and report as here
+    _fresh_runs(_NUMERIC, _EXACT_LAYERS, capsys)
 
 
 def test_a_domain_error_is_one_usage_line(monkeypatch, capsys):

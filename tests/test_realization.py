@@ -192,8 +192,8 @@ def _chained_realize_words(expr, images, e_value, m_value):
         if e:
             factor = factor * e_value ** e
         term = WeylExpression.unit(Rat(1))
-        for kind, axis in letters:
-            term = term * images[f"{kind}{axis}" if axis else kind]
+        for letter in letters:
+            term = term * images[letter]
         total = total + term.scale(factor)
     return total
 

@@ -16,8 +16,7 @@ from operator import add
 from hypothesis import given, settings, strategies as st
 
 from kgalilei import weyl
-from kgalilei.hopf import (GENERATOR_NAMES, GalileiHopf, TensorExpression, UEAExpression,
-                           _letter_key)
+from kgalilei.hopf import GENERATOR_NAMES, GalileiHopf, TensorExpression, UEAExpression, _RANK
 from kgalilei.scalars import I, LinearCombination, Rat, sym
 from kgalilei.weyl import WeylExpression
 
@@ -61,7 +60,7 @@ def _reference_sorted_words(alg, letters: tuple, cache: dict) -> list:
     if letters in cache:
         return cache[letters]
     idx = next((i for i in range(len(letters) - 1)
-                if _letter_key(letters[i]) > _letter_key(letters[i + 1])), -1)
+                if _RANK[letters[i]] > _RANK[letters[i + 1]]), -1)
     if idx < 0:
         result = [(Rat(1), letters, 0, 0)]
     else:
@@ -109,7 +108,7 @@ _EXPONENTS = st.lists(st.integers(0, 5), max_size=2).map(
     lambda slots: tuple(slots.count(slot) for slot in range(6)))
 _WEYL = st.dictionaries(st.tuples(_EXPONENTS, _EXPONENTS), _COEFFICIENTS,
                         max_size=3).map(WeylExpression)
-_LETTERS = [(name[0], int(name[1]) if len(name) > 1 else 0) for name in GENERATOR_NAMES[:10]]
+_LETTERS = list(GENERATOR_NAMES[:10])
 #: A normal-ordered word: up to three sorted letters, powers of M and E.
 _WORDS = st.tuples(st.lists(st.sampled_from(_LETTERS), max_size=3).map(
     lambda ls: tuple(sorted(ls, key=_LETTERS.index))), st.integers(0, 2), st.integers(-2, 2))
