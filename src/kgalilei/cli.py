@@ -216,12 +216,25 @@ def _cmd_mass_convert(args) -> RunReport:
             out = report.results[f"value_{idx}"] = masses.to_physical(m, k)
             if out > k / 2:   # no algebra mass maps there, and the way back rejects it
                 raise CheckFailure(f"physical mass {format_number(out)} exceeds k/2", math.inf)
+            # from m = 18.7 k a finite mass's physical mass
+            # (k/2)(1 - e^(-2m/k)) rounds to k/2, which has no way back:
+            # there out must be k/2 or the float below it, and the deficit
+            # (k/2) e^(-2m/k), formed with exp, below half an ulp of k/2
+            x = m / (k / 2)
+            deficit, half_ulp = (k / 2) * math.exp(-x), math.ulp(k / 2) / 2
+            if math.isfinite(m) and math.isfinite(k) and (out == k / 2 or deficit < half_ulp):
+                gap = abs(k / 2 - out - deficit) / (k / 2)
+                if not (deficit < half_ulp and out >= math.nextafter(k / 2, 0)):
+                    raise CheckFailure(
+                        f"physical mass {format_number(out)} is not k/2 to within an ulp, "
+                        f"or k/2 is not (k/2)(1 - e^(-2m/k)): the deficit (k/2) e^(-2m/k) "
+                        f"is {format_number(deficit)}", gap)
+                return gap
             back = masses.to_algebra(out, k)
             # the way back multiplies the rounding of out by its condition
             # number (e^x - 1) / x, x = 2m/k, which reaches 1e14 near the
             # bound; where that times 4 eps exceeds tol, the error is
             # measured in units of it
-            x = m / (k / 2)
             if x:
                 scale = max(1.0, 4 * sys.float_info.epsilon * math.expm1(x) / x / tol)
         else:

@@ -126,11 +126,13 @@ def find_theta(m_f: float, mp_f: float, k: float) -> ThetaResult:
     """The angle theta* mapping the direct variable set onto the tilde set.
 
     theta* comes from the closed form of the adjoint block (module
-    docstring) and is validated on all four variables under exp(theta* G_ad),
-    itself built in closed form: no matrix exponential, and no scipy.
-    The residual is the largest coefficient mismatch relative to
-    max(1, largest |coefficient|); StructuralFailureError is raised if it
-    exceeds THETA_TOL.
+    docstring).  It is held, relative to its own size, to the relation
+    c sin(omega theta) = omega sigma cos(omega theta), and the map
+    exp(theta* G_ad), itself built in closed form (no matrix exponential,
+    and no scipy), is validated on all four variables.  The residual is the
+    map's largest coefficient mismatch relative to max(1, largest
+    |coefficient|); StructuralFailureError is raised if either exceeds
+    THETA_TOL.
     """
     direct, tilde = variable_vectors(m_f, mp_f, k)
     lam, lamp = _lam(m_f, k), _lam(mp_f, k)
@@ -150,6 +152,20 @@ def find_theta(m_f: float, mp_f: float, k: float) -> ThetaResult:
         theta = sigma * (math.atan(x) / x if x else 1.0) / c
     else:
         theta = math.atan2(omega * sigma, c) / omega
+    # (c, omega sigma) is the unit vector at angle omega theta*, so theta*
+    # keeps c sin(omega theta) = omega sigma cos(omega theta), a relation
+    # that reads no atan.  Divided by omega, with sin(omega theta) / omega
+    # as theta sinc(omega theta), and relative to |sigma|, it holds theta
+    # to its own size and forms no subnormal product omega sigma
+    phase = omega * theta
+    sinc = math.sin(phase) / phase if phase else 1.0
+    gap = abs(c * theta * sinc - sigma * math.cos(phase))
+    if not gap <= THETA_TOL * abs(sigma):
+        relative = gap / abs(sigma) if sigma else math.inf
+        raise StructuralFailureError(
+            f"theta* = {theta} misses c sin(omega theta) = omega sigma cos(omega theta) "
+            f"by a relative {relative:.3e} > {THETA_TOL} (m_f={m_f}, m'_f={mp_f}, k={k})",
+            relative)
     # each 2x2 block B of ad G has B^2 = -omega^2 I, so
     # exp(theta B) = cos(omega theta) I + (sin(omega theta) / omega) B
     mat = (math.cos(omega * theta) * np.eye(4)

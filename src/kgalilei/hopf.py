@@ -45,16 +45,18 @@ whose legs all commute forms no product; it is not kept, as each ordered
 pair of tensor monomials is bracketed once.
 
 Each algebra keeps Delta and S of every word it meets, built on first use
-from ``_letter_coproduct`` and ``_letter_antipode``, so a negative control
-that patches a letter map on a class or on one instance reaches every check.
-It keeps its generator elements too, and one signed store keyed by the
-ordered names: [g, h] under (g, h), Delta([g, h]) - [Delta g, Delta h] under
-("Delta", g, h), and the Jacobi sum under (g, h, f).  A bracket is built for
-g before h; [h, g] is its negation.  A residual is built once, in one dict,
-for the first ordering asked for (the sorted one, for a Jacobi sum), and
-stored under every ordering of its names, negated under the odd ones: both
-residuals are alternating, as every word and tensor bracket changes sign
-exactly with its order and Delta is linear.  A word with no letters brackets
+from ``_letter_coproduct`` and ``_letter_antipode``; a lone letter's Delta is
+its ``_letter_coproduct`` itself.  So a negative control that patches a
+letter map on a class or on one instance reaches every check.  It keeps its
+generator elements too, and one signed store keyed by the ordered names:
+[g, h] under (g, h), Delta([g, h]) - [Delta g, Delta h] under ("Delta", g,
+h), and the Jacobi sum under (g, h, f).  A bracket of two generators is read
+from ``_letter_bracket`` for g before h, with no commutator taken; [h, g] is
+its negation.  A residual is built once, in one dict, for the first ordering
+asked for (the sorted one, for a Jacobi sum), and stored under every
+ordering of its names, negated under the odd ones: both residuals are
+alternating, as every word and tensor bracket changes sign exactly with its
+order and Delta is linear.  A word with no letters brackets
 to nothing, and M, E and Einv are such words, as is every leg of their
 Delta, so a triple or pair that holds one has a zero residual in closed
 form.  These, the diagonal, the triples with a repeated name and every sum
@@ -307,14 +309,15 @@ class GalileiHopf:
         return value
 
     def bracket(self, g: str, h: str) -> UEAExpression:
-        """Commutator [g, h] of two named generators; [h, g], built on its
-        first read, is its negation."""
+        """Commutator [g, h] of two named generators, read from
+        ``_letter_bracket``: zero on the diagonal and where a name is central;
+        [h, g], built on its first read, is its negation."""
         value = self._store.get((g, h))
         if value is None:
-            if g == h:
+            if g == h or g in _CENTRAL or h in _CENTRAL:
                 value = self._zero
             elif _RANK[g] < _RANK[h]:
-                value = self.gen(g).commutator(self.gen(h))
+                value = UEAExpression(self, self._letter_bracket(g, h))
             else:
                 value = -self.bracket(h, g)
             self._store[g, h] = value
@@ -334,13 +337,16 @@ class GalileiHopf:
         """Delta of one word, built once per algebra and kept in its store.
 
         M is primitive and E grouplike, so the central part M^m E^e has the
-        closed form sum_j C(m, j) M^j E^e (x) M^(m-j) E^e; a word with letters
-        is its stored prefix times ``_letter_coproduct`` of its last letter.
+        closed form sum_j C(m, j) M^j E^e (x) M^(m-j) E^e; a letter alone is
+        its ``_letter_coproduct``, and any other word with letters is its
+        stored prefix times ``_letter_coproduct`` of its last letter.
         """
         value = self._word_coproducts.get(word)
         if value is None:
             letters, m, e = word
-            if letters:
+            if len(letters) == 1 and not m and not e:
+                value = self._letter_coproduct(letters[0])
+            elif letters:
                 value = (self._word_coproduct((letters[:-1], m, e))
                          * self._letter_coproduct(letters[-1]))
             else:

@@ -21,13 +21,16 @@ two-particle, builds the image of every checked generator once
 pass: each word's terms, times its coefficient and central factor, go
 straight into one sum, and a one-letter word is its table entry.  A
 composed generator is the Weyl product of each coproduct term's legs, read
-from the two one-particle tables.  The center-of-mass / relative variables
-(P, R, Pi, rho) of the direct and of the transposed ("tilde") coproduct
-come from the exact coefficient table and commutator form of
-``masses``: ``relative_variables`` turns the direct table into Weyl
-expressions, and ``canonical_residuals`` takes each pairing as i u^T Omega
-v, antisymmetric in the pair, so only the six unordered pairings per axis
-are taken.  The Weyl-algebra composed brackets and the exact kinetic-split
+from the two one-particle tables; a leg with no letters is 1, so the other
+leg's terms are added with no product.  Each bracket residual is built in
+one dict: the commutator's terms of the two images, with the images of the
+words of the algebra's [g, h] subtracted into it, filtered once.  The
+center-of-mass / relative variables (P, R, Pi, rho) of the direct and of the
+transposed ("tilde") coproduct come from the exact coefficient table and
+commutator form of ``masses``: ``relative_variables`` turns the direct
+table into Weyl expressions, and ``canonical_residuals`` takes each pairing
+as i u^T Omega v, antisymmetric in the pair, so only the six unordered
+pairings per axis are taken.  The Weyl-algebra composed brackets and the exact kinetic-split
 identity
 
     H^tot = P^2 / (2 M_f) + Pi^2 / (2 v_f)
@@ -143,25 +146,34 @@ def _word_image(word: tuple, images: dict, e_value: RationalFunction,
     return factor, image
 
 
-def _realize_words(expr: UEAExpression, images: dict, e_value: RationalFunction,
-                   m_value: RationalFunction) -> WeylExpression:
-    """Map a UEA expression through a table of generator images, in one pass:
-    every word's terms go straight into one sum."""
-    out: dict = {}
+def _accumulate_words(out: dict, expr: UEAExpression, images: dict, e_value: RationalFunction,
+                      m_value: RationalFunction, sign: int = 1) -> None:
+    """Add sign times the image of a UEA expression into ``out`` in place:
+    every word's terms, times its coefficient and central factor, in one pass."""
     for word, coeff in expr.terms.items():
         factor, image = _word_image(word, images, e_value, m_value)
-        _accumulate(out, image.terms, coeff * factor)
+        _accumulate(out, image.terms, coeff * factor, sign)
+
+
+def _realize_words(expr: UEAExpression, images: dict, e_value: RationalFunction,
+                   m_value: RationalFunction) -> WeylExpression:
+    """Map a UEA expression through a table of generator images, in one sum."""
+    out: dict = {}
+    _accumulate_words(out, expr, images, e_value, m_value)
     return WeylExpression(out)
 
 
-def _bracket_residuals(alg: GalileiHopf, image: dict,
-                       realize_uea) -> list[tuple[str, WeylExpression]]:
-    """("[g,h]", [image g, image h] - realize_uea([g, h])) for each checked pair."""
+def _bracket_residuals(alg: GalileiHopf, images: dict, e_value: RationalFunction,
+                       m_value: RationalFunction) -> list[tuple[str, WeylExpression]]:
+    """("[g,h]", [image g, image h] - image of [g, h]) for each checked pair,
+    each built in one dict: the commutator's terms, minus the bracket's words'
+    images, with E -> e_value and M -> m_value."""
     results = []
     for i, g in enumerate(_CHECKED):
         for h in _CHECKED[i + 1:]:
-            lhs = image[g].commutator(image[h])
-            results.append((f"[{g},{h}]", lhs - realize_uea(alg.bracket(g, h))))
+            out = images[g]._commutator_terms(images[h])
+            _accumulate_words(out, alg.bracket(g, h), images, e_value, m_value, -1)
+            results.append((f"[{g},{h}]", WeylExpression(out)))
     return results
 
 
@@ -171,7 +183,7 @@ def verify_one_particle(r: OneParticleRealization) -> list[tuple[str, WeylExpres
     Each entry is ("[g,h]", commutator(real g, real h) - realize([g, h])).
     All residuals vanish identically iff m_f = (k/2)(1 - lam^2).
     """
-    return _bracket_residuals(r.algebra, r._images, r.realize_uea)
+    return _bracket_residuals(r.algebra, r._images, r.lam, r.algebra_mass_symbol)
 
 
 @dataclass(frozen=True)
@@ -208,14 +220,22 @@ class TwoParticleSystem:
         """Composed generator: realization of the coproduct with leg A = particle A.
 
         Each term of Delta(name) is the Weyl product of its two legs' images,
-        their central factors and the term's coefficient taken as one scalar.
+        their central factors and the term's coefficient taken as one scalar;
+        a leg with no letters has image 1, so the other leg's terms are added
+        as they are.
         """
         r1, r2 = self.r1, self.r2
         out: dict = {}
         for (w1, w2), coeff in self.algebra.coproduct(name).terms.items():
             f1, left = _word_image(w1, r1._images, r1.lam, r1.algebra_mass_symbol)
             f2, right = _word_image(w2, r2._images, r2.lam, r2.algebra_mass_symbol)
-            _accumulate(out, (left * right).terms, coeff * f1 * f2)
+            if not w1[0]:
+                terms = right.terms
+            elif not w2[0]:
+                terms = left.terms
+            else:
+                terms = (left * right).terms
+            _accumulate(out, terms, coeff * f1 * f2)
         return WeylExpression(out)
 
     @cached_property
@@ -235,7 +255,7 @@ class TwoParticleSystem:
 
     def verify_composed(self) -> list[tuple[str, WeylExpression]]:
         """Brackets of the composed generators against the algebra's table."""
-        return _bracket_residuals(self.algebra, self._images, self.realize_total_uea)
+        return _bracket_residuals(self.algebra, self._images, *self._central_values)
 
     # -- relative variables -------------------------------------------------
 

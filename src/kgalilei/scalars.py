@@ -801,14 +801,9 @@ class LinearCombination:
         _accumulate(merged, self._product(m2, m1), sign=-1)
         return _nonzero(merged)
 
-    def commutator(self, other):
-        """[self, other]: c1 c2 times the monomial bracket, summed over pairs of terms.
-
-        Scalars commute, so this is a*b - b*a exactly, whatever ``_product``
-        does, and a pair whose monomials commute costs no scalar product.
-        Termwise it is antisymmetric: ``b.commutator(a)`` is the exact
-        negation of ``a.commutator(b)``.
-        """
+    def _commutator_terms(self, other) -> dict:
+        """The terms of [self, other] as one unfiltered dict, for a caller to
+        add to before it drops the zeros (see ``commutator``)."""
         self._same(other)
         bracket = self._bracket
         out: dict = {}
@@ -820,7 +815,17 @@ class LinearCombination:
                     continue
                 base = _mul(c1, c2)
                 _accumulate(out, factors, base)
-        return self._like(out)
+        return out
+
+    def commutator(self, other):
+        """[self, other]: c1 c2 times the monomial bracket, summed over pairs of terms.
+
+        Scalars commute, so this is a*b - b*a exactly, whatever ``_product``
+        does, and a pair whose monomials commute costs no scalar product.
+        Termwise it is antisymmetric: ``b.commutator(a)`` is the exact
+        negation of ``a.commutator(b)``.
+        """
+        return self._like(self._commutator_terms(other))
 
     # -- comparison -----------------------------------------------------------
 

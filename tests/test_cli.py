@@ -627,10 +627,13 @@ def test_mass_reduced_catches_reduced_off_by_1e_6_hypothesis(argv):
     assert list(failed) == ["ratio-identity"]
 
 
-@pytest.mark.parametrize("k, m", [(1.0, 10.0), (1.0, 18.0), (3e-300, 5.1e-299), (1e300, 9e300)])
+@pytest.mark.parametrize("k, m", [(1.0, 10.0), (1.0, 18.0), (3e-300, 5.1e-299), (1e300, 9e300),
+                                  (1.0, 19.0), (1.0, 40.0), (1.0, 1e300)])
 def test_mass_convert_to_physical_far_above_k_passes(k, m):
     # the physical mass (k/2)(1 - e^(-2m/k)) is correct to its rounding, and
-    # the round trip allows what the way back's conditioning makes of it
+    # the round trip allows what the way back's conditioning makes of it;
+    # from m = 18.7 k it rounds to k/2, which has no way back, and the
+    # deficit (k/2) e^(-2m/k) is held below half an ulp of k/2 instead
     code, out, err = _run_quietly(["mass", "convert", "--k", repr(k), "--to", "physical",
                                    repr(m), "--format", "json"])
     assert (code, err) == (0, ""), err
@@ -638,6 +641,29 @@ def test_mass_convert_to_physical_far_above_k_passes(k, m):
     assert math.isclose(report["results"]["value_1"], -(k / 2) * math.expm1(-2 * m / k),
                         rel_tol=1e-11)  # the report keeps 12 digits
     assert [(c["name"], c["status"]) for c in report["checks"]] == [("round-trip", "pass")]
+
+
+#: Wrong physical masses of an algebra mass m at k: off by a relative 1e-6
+#: either way, k/2 itself, and the fourth float below k/2.
+_WRONG_PHYSICAL = {
+    "low": lambda value, k: value * (1 - 1e-6),
+    "high": lambda value, k: value * (1 + 1e-6),
+    "k/2": lambda value, k: k / 2,
+    "4 ulp below k/2": lambda value, k: k / 2 - 4 * math.ulp(k / 2),
+}
+
+
+@pytest.mark.parametrize("m, fault", [(19.0, "low"), (40.0, "low"), (19.0, "high"),
+                                      (10.0, "k/2"), (17.0, "k/2"), (40.0, "4 ulp below k/2")])
+def test_mass_convert_near_k_half_catches_a_wrong_physical_mass(m, fault):
+    # fault injection at k = 1, where m from about 18.7 has the physical
+    # mass k/2: a value off by a relative 1e-6 or by four floats fails, and
+    # so does k/2 for a mass whose deficit from k/2 is wider than half an ulp
+    exact, wrong = masses.to_physical, _WRONG_PHYSICAL[fault]
+    with mock.patch.object(masses, "to_physical", lambda mass, k: wrong(exact(mass, k), k)):
+        failed = _failed_details(["mass", "convert", "--k", "1", "--to", "physical", repr(m)])
+    assert list(failed) == ["round-trip"]
+    assert failed["round-trip"].startswith("1: ")
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Tests for the unitary equivalence of the coproduct orderings."""
 
+import json
 import math
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from kgalilei import equivalence as eq
+from kgalilei.cli import run
 from kgalilei.masses import VARIABLES, MassDomainError, variable_table
 from kgalilei.scalars import sym
 
@@ -145,6 +147,43 @@ def test_nan_map_fails_the_theta_gate(monkeypatch):
     monkeypatch.setattr(eq, "adjoint_generator", lambda m_f, mp_f: np.full((4, 4), np.nan))
     with pytest.raises(eq.StructuralFailureError, match="nan"):
         eq.find_theta(0.3, 0.4, 1.0)
+
+
+class _SkewedAtan:
+    """``math`` whose atan and atan2 return (1 + 1e-6) times the true value."""
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    @staticmethod
+    def atan(x):
+        return math.atan(x) * (1 + 1e-6)
+
+    @staticmethod
+    def atan2(y, x):
+        return math.atan2(y, x) * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("m_f, mp_f, k", [
+    (0.3, 0.4, 1.0),
+    (1e-8, 1e-8, 1.0),       # the map's residual moves by 1e-14 only
+    (0.3, 0.4, 1e6),         # by 3e-13
+    (1e-3, 1e-3, 1e3),       # by 1e-12
+])
+def test_theta_off_by_a_relative_1e6_fails(monkeypatch, capsys, m_f, mp_f, k):
+    # fault injection: theta* one part in a million off fails the theta gate
+    # at every scale, where the map's residual, relative to its largest
+    # coefficient, stays far below THETA_TOL at three of these points
+    argv = ["verify", "equivalence", "--mf", str(m_f), "--mfp", str(mp_f), "--k", str(k),
+            "--format", "json"]
+    assert eq.find_theta(m_f, mp_f, k).residual <= eq.THETA_TOL
+    monkeypatch.setattr(eq, "math", _SkewedAtan())
+    with pytest.raises(eq.StructuralFailureError, match="relative"):
+        eq.find_theta(m_f, mp_f, k)
+    assert run(argv) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [("theta-maps-all-variables", "fail")]
+    assert checks[0]["residual"] >= 1e-7
 
 
 def test_theta_vanishes_in_classical_limit():

@@ -13,6 +13,7 @@ from kgalilei import hopf
 from kgalilei.cli import run
 from kgalilei.hopf import GENERATOR_NAMES, GalileiHopf, TensorExpression, UEAExpression
 from kgalilei.scalars import LinearCombination, Rat, sym
+from kgalilei.weyl import WeylExpression
 
 
 @pytest.fixture(scope="module")
@@ -471,6 +472,26 @@ def test_wrong_bracket_sign_breaks_jacobi(monkeypatch, capsys):
     assert checks["jacobi"]["detail"] == failing[0]
 
 
+@pytest.mark.parametrize("wrong_sign", [False, True])
+def test_table_reads_equal_the_generic_routes(monkeypatch, wrong_sign):
+    # a generator bracket is read from the letter table and a letter's
+    # coproduct is its table entry: all 169 ordered brackets equal the
+    # commutator of the two generator elements, and every letter's Delta
+    # equals 1 (x) 1 times it, term by term, under the letter table and
+    # under a wrong-sign one, which both routes read through the instance
+    if wrong_sign:
+        monkeypatch.setattr(GalileiHopf, "_letter_bracket", _wrong_sign_rotation_momentum)
+    alg, fresh = GalileiHopf(), GalileiHopf()
+    for g, h in itertools.product(GENERATOR_NAMES, repeat=2):
+        assert alg.bracket(g, h).terms == fresh.gen(g).commutator(fresh.gen(h)).terms, (g, h)
+    sign = -1 if wrong_sign else 1
+    assert alg.bracket("J1", "P2") == alg.gen("P3").scale(sign * Rat(sp.I))
+    unit = ((), 0, 0)
+    one = TensorExpression(fresh, 2, {(unit, unit): Rat(1)})
+    for letter in GENERATOR_NAMES[:10]:
+        assert alg.coproduct(letter).terms == (one * fresh._letter_coproduct(letter)).terms
+
+
 def _assert_literal_commutator(a, b):
     comm = a.commutator(b)
     assert comm.terms == (a * b - b * a).terms
@@ -747,10 +768,13 @@ def test_verify_hopf_reuses_brackets(monkeypatch, capsys, scalar_products):
     # and a residual drop their zero coefficients with no element built, and
     # a residual that cancels to nothing is the shared zero (216
     # enveloping-algebra and 240 tensor elements when each built an element
-    # to drop its zeros).  Scalar products are counted at the kernel.  The
+    # to drop its zeros).  A generator bracket is read from the letter table
+    # and a letter's coproduct is its table entry (45 commutators, 10 tensor
+    # products, 463 scalar products and 39 tensor elements when each bracket
+    # was the commutator of two generators and each letter's coproduct a
+    # product by 1 (x) 1).  Scalar products are counted at the kernel.  The
     # bounds are the measured counts, the same under every hash seed tried:
-    # 10 tensor products, 45 commutators, 490 scalar products, 114
-    # enveloping-algebra and 39 tensor elements
+    # 358 scalar products, 114 enveloping-algebra and 29 tensor elements
     calls = {(UEAExpression, "__mul__"): 0, (TensorExpression, "__mul__"): 0,
              (UEAExpression, "__add__"): 0, (LinearCombination, "commutator"): 0,
              (LinearCombination, "_bracket"): 0, (UEAExpression, "__init__"): 0,
@@ -778,21 +802,23 @@ def test_verify_hopf_reuses_brackets(monkeypatch, capsys, scalar_products):
     assert run(["verify", "hopf"]) == 0
     capsys.readouterr()
     assert calls[UEAExpression, "__mul__"] == 0
-    assert 0 < calls[TensorExpression, "__mul__"] <= 10
+    assert calls[TensorExpression, "__mul__"] == 0
     assert calls[UEAExpression, "__add__"] == 0
-    assert 0 < calls[LinearCombination, "commutator"] <= 45
-    assert 0 < scalar_products[0] <= 490
+    assert calls[LinearCombination, "commutator"] == 0
+    assert 0 < scalar_products[0] <= 358
     assert 0 < calls[UEAExpression, "__init__"] <= 114
-    assert 0 < calls[TensorExpression, "__init__"] <= 39
+    assert 0 < calls[TensorExpression, "__init__"] <= 29
     assert calls[LinearCombination, "_bracket"] == 0
     assert algebras and [alg.rewrite_steps for alg in algebras] == [0] * len(algebras)
 
 
 @pytest.mark.parametrize("command", ["hopf", "realization"])
 def test_brackets_build_no_element(monkeypatch, capsys, command):
-    # work guard: a word or tensor bracket, closed-form or merged, drops its
-    # zero coefficients with no element built, so no element is constructed
-    # while one of the three bracket hooks is on the stack
+    # work guard: a word, tensor or Weyl bracket, closed-form or merged,
+    # drops its zero coefficients with no element built, so no element is
+    # constructed while one of the four bracket hooks is on the stack.  The
+    # Hopf scan takes word and tensor brackets; the realization suites read
+    # the algebra's brackets from the letter table and take Weyl brackets
     depth, entered, built = [0], {}, []
 
     def nest(owner, name):
@@ -809,7 +835,7 @@ def test_brackets_build_no_element(monkeypatch, capsys, command):
         monkeypatch.setattr(owner, name, nested)
 
     for owner, name in ((GalileiHopf, "_word_bracket"), (TensorExpression, "_bracket"),
-                        (LinearCombination, "_bracket")):
+                        (WeylExpression, "_bracket"), (LinearCombination, "_bracket")):
         nest(owner, name)
     init = LinearCombination.__init__
 
@@ -821,7 +847,9 @@ def test_brackets_build_no_element(monkeypatch, capsys, command):
     monkeypatch.setattr(LinearCombination, "__init__", counted)
     assert run(["verify", command]) == 0
     capsys.readouterr()
-    assert entered.get((GalileiHopf, "_word_bracket"), 0) > 0
     if command == "hopf":
+        assert entered.get((GalileiHopf, "_word_bracket"), 0) > 0
         assert entered.get((TensorExpression, "_bracket"), 0) > 0
+    else:
+        assert entered.get((WeylExpression, "_bracket"), 0) > 0
     assert built == []
