@@ -196,8 +196,24 @@ def _cmd_mass_compose(args) -> RunReport:
         units = sum(masses.algebra_units(m, k) for m in values)
         composed = ((k / 2) * masses.to_physical(units, 2.0) if units >= sys.float_info.min
                     else masses.to_physical(algebra_total, k))
-    # compared as physical masses, where both sides are well conditioned
-    report.check("algebra-additivity", [()], lambda _: abs(composed - total), tol=tol)
+    printed = [(f"m_algebra_{idx}", m, value)
+               for idx, (m, value) in enumerate(zip(algebra_values, values), start=1)]
+    if math.isfinite(algebra_total):
+        printed.append(("M_algebra", algebra_total, total))
+
+    def additivity(_):
+        # each printed algebra mass must map back to its physical mass, by
+        # mass convert's round-trip rule; then the sum is compared as
+        # physical masses, where both sides are well conditioned
+        for name, m, value in printed:
+            back = masses.to_physical(m, k)
+            gap = abs(back - value) / max(value, sys.float_info.min)
+            if not gap <= 1e-12:
+                raise CheckFailure(f"{name} {format_number(m)} maps back to "
+                                   f"{format_number(back)}, not {format_number(value)}", gap)
+        return abs(composed - total)
+
+    report.check("algebra-additivity", [()], additivity, tol=tol)
     return report
 
 

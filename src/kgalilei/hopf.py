@@ -56,13 +56,18 @@ its negation.  A residual is built once, in one dict, for the first ordering
 asked for (the sorted one, for a Jacobi sum), and stored under every
 ordering of its names, negated under the odd ones: both residuals are
 alternating, as every word and tensor bracket changes sign exactly with its
-order and Delta is linear.  A word with no letters brackets
-to nothing, and M, E and Einv are such words, as is every leg of their
-Delta, so a triple or pair that holds one has a zero residual in closed
-form.  These, the diagonal, the triples with a repeated name and every sum
-that cancels share one zero per algebra, its own negation; a sum is filtered
-by ``_nonzero`` before any element is built.  Sharing is safe: no element
-changes after construction.
+order and Delta is linear.
+
+Most items are zero by their names alone, and are answered from the names
+before any sort, build or store write.  A word with no letters brackets to
+nothing, and M, E and Einv are such words, as is every leg of their Delta,
+so a bracket, triple or pair that holds one is zero in closed form; so are a
+bracket or homomorphism residual on the diagonal, and a Jacobi sum with a
+repeated name, whose two remaining double brackets cancel by antisymmetry.
+These and every sum that cancels share one zero per algebra, its own
+negation; a sum is filtered by ``_nonzero`` before any element is built.  So
+the store holds only the brackets and residuals that were built, and their
+mirrors.  Sharing is safe: no element changes after construction.
 """
 
 from __future__ import annotations
@@ -211,9 +216,10 @@ class GalileiHopf:
         self._sort_cache: dict = {}
         # w1 w2 - w2 w1 under (w1, w2), see _word_bracket
         self._word_bracket_cache: dict = {}
-        # [g, h] under (g, h), see bracket, and the homomorphism residual of
-        # (g, h) under ("Delta", g, h) and the Jacobi sum of (g, h, f) under
-        # (g, h, f), each under every ordering of its names, see _fill
+        # for distinct non-central names: [g, h] under (g, h), see bracket,
+        # and the homomorphism residual of (g, h) under ("Delta", g, h) and
+        # the Jacobi sum of (g, h, f) under (g, h, f), each under every
+        # ordering of its names, see _fill
         self._store: dict = {}
         self._generators: dict = {}
         # Delta and S of each word, see _word_coproduct and _word_antipode
@@ -295,7 +301,8 @@ class GalileiHopf:
     # -- Hopf data -----------------------------------------------------------
 
     def _fill(self, even: tuple, odd: tuple, value):
-        """Store ``value`` under the keys ``even`` and its negation under ``odd``; return it.
+        """Store a built residual ``value`` under the keys ``even`` and its
+        negation under ``odd``; return it.
 
         The negation is exact because each stored value is alternating in its
         names (see the module docstring), and a zero value is its own.
@@ -309,14 +316,15 @@ class GalileiHopf:
         return value
 
     def bracket(self, g: str, h: str) -> UEAExpression:
-        """Commutator [g, h] of two named generators, read from
-        ``_letter_bracket``: zero on the diagonal and where a name is central;
-        [h, g], built on its first read, is its negation."""
+        """Commutator [g, h] of two named generators: the shared zero on the
+        diagonal and where a name is central, read from the names alone;
+        otherwise read from ``_letter_bracket`` for g before h, and [h, g],
+        built on its first read, is its negation."""
+        if g == h or g in _CENTRAL or h in _CENTRAL:
+            return self._zero
         value = self._store.get((g, h))
         if value is None:
-            if g == h or g in _CENTRAL or h in _CENTRAL:
-                value = self._zero
-            elif _RANK[g] < _RANK[h]:
+            if _RANK[g] < _RANK[h]:
                 value = UEAExpression(self, self._letter_bracket(g, h))
             else:
                 value = -self.bracket(h, g)
@@ -400,52 +408,49 @@ class GalileiHopf:
     def check_jacobi(self, g1: str, g2: str, g3: str) -> UEAExpression:
         """[[g1,g2],g3] + [[g2,g3],g1] + [[g3,g1],g2]; zero iff consistent.
 
-        Built once per set of names, for its ``GENERATOR_NAMES`` order; see
-        the module docstring.
+        The shared zero where a name repeats or is central, read from the
+        names alone; otherwise built once per set of names, for its
+        ``GENERATOR_NAMES`` order.  See the module docstring.
         """
+        if g1 == g2 or g2 == g3 or g1 == g3 or g1 in _CENTRAL or g2 in _CENTRAL or g3 in _CENTRAL:
+            return self._zero
         value = self._store.get((g1, g2, g3))
         if value is None:
             a, b, c = sorted((g1, g2, g3), key=_RANK.__getitem__)
-            if a == b or b == c:
-                return self._fill(((g1, g2, g3),), (), self._zero)
-            value = self._zero
-            if c not in _CENTRAL:   # central names sort last
-                out: dict = {}
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    (word_z,) = self.gen(z).terms
-                    for word, coeff in self.bracket(x, y).terms.items():
-                        _accumulate(out, self._word_bracket(word, word_z), coeff)
-                out = _nonzero(out)
-                if out:
-                    value = UEAExpression(self, out)
-            self._fill(((a, b, c), (b, c, a), (c, a, b)), ((b, a, c), (a, c, b), (c, b, a)), value)
+            out: dict = {}
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                (word_z,) = self.gen(z).terms
+                for word, coeff in self.bracket(x, y).terms.items():
+                    _accumulate(out, self._word_bracket(word, word_z), coeff)
+            out = _nonzero(out)
+            self._fill(((a, b, c), (b, c, a), (c, a, b)), ((b, a, c), (a, c, b), (c, b, a)),
+                       UEAExpression(self, out) if out else self._zero)
             value = self._store[g1, g2, g3]
         return value
 
     def check_hom(self, g: str, h: str) -> TensorExpression:
         """Delta([g,h]) - [Delta g, Delta h]; zero iff Delta is an algebra map.
 
-        Antisymmetric in (g, h), and zero on the diagonal and where a name
-        is central.
+        Antisymmetric in (g, h); the shared zero on the diagonal and where a
+        name is central, read from the names alone.
         """
+        if g == h or g in _CENTRAL or h in _CENTRAL:
+            return self._zero_tensor
         key = ("Delta", g, h)
         value = self._store.get(key)
         if value is None:
-            value = self._zero_tensor
-            if g != h and g not in _CENTRAL and h not in _CENTRAL:
-                out: dict = {}
-                for word, coeff in self.bracket(g, h).terms.items():
-                    _accumulate(out, self._word_coproduct(word).terms, coeff)
-                tensor_bracket, right = self._zero_tensor._bracket, self.coproduct(h).terms
-                for m1, c1 in self.coproduct(g).terms.items():
-                    for m2, c2 in right.items():
-                        factors = tensor_bracket(m1, m2)
-                        if factors:
-                            _accumulate(out, factors, _mul(c1, c2), -1)
-                out = _nonzero(out)
-                if out:
-                    value = TensorExpression(self, 2, out)
-            self._fill((key,), (("Delta", h, g),), value)
+            out: dict = {}
+            for word, coeff in self.bracket(g, h).terms.items():
+                _accumulate(out, self._word_coproduct(word).terms, coeff)
+            tensor_bracket, right = self._zero_tensor._bracket, self.coproduct(h).terms
+            for m1, c1 in self.coproduct(g).terms.items():
+                for m2, c2 in right.items():
+                    factors = tensor_bracket(m1, m2)
+                    if factors:
+                        _accumulate(out, factors, _mul(c1, c2), -1)
+            out = _nonzero(out)
+            value = self._fill((key,), (("Delta", h, g),),
+                               TensorExpression(self, 2, out) if out else self._zero_tensor)
         return value
 
     def check_coassoc(self, g: str) -> TensorExpression:

@@ -17,21 +17,24 @@ twist scalar multiplying particle 1's operators is lam' = e^(-m'/k):
 
 and the remaining generators are plain sums.  Each realization, one- or
 two-particle, builds the image of every checked generator once
-(``_images``), and every UEA expression it maps reads that table in one
-pass: each word's terms, times its coefficient and central factor, go
-straight into one sum, and a one-letter word is its table entry.  A
-composed generator is the Weyl product of each coproduct term's legs, read
-from the two one-particle tables; a leg with no letters is 1, so the other
-leg's terms are added with no product.  Each bracket residual is built in
-one dict: the commutator's terms of the two images, with the images of the
-words of the algebra's [g, h] subtracted into it, filtered once.  The
-center-of-mass / relative variables (P, R, Pi, rho) of the direct and of the
-transposed ("tilde") coproduct come from the exact coefficient table and
-commutator form of ``masses``: ``relative_variables`` turns the direct
-table into Weyl expressions, and ``canonical_residuals`` takes each pairing
-as i u^T Omega v, antisymmetric in the pair, so only the six unordered
-pairings per axis are taken.  The Weyl-algebra composed brackets and the exact kinetic-split
-identity
+(``_images``).  A one-particle image is a sum of monomials already in
+normal order (p_i, m_f x_i, x_j p_l, p_i^2), written through
+``weyl._normal_ordered`` with no Weyl product.  Every UEA expression a
+realization maps reads its table in one pass: each word's terms, times its
+coefficient and central factor, go straight into one sum, and a one-letter
+word is its table entry.  A composed generator is the Weyl product of each
+coproduct term's legs, read from the two one-particle tables; a leg with no
+letters is 1, so the other leg's terms are added with no product.  Each
+bracket residual is built in one dict: the commutator's terms of the two
+images, with the images of the words of the algebra's [g, h] subtracted into
+it, filtered once.  The center-of-mass / relative variables (P, R, Pi, rho)
+of the direct and of the transposed ("tilde") coproduct come from the exact
+coefficient table and commutator form of ``masses``, formed once per system
+with its M_f and v_f: ``relative_variables`` turns the direct table into
+Weyl expressions, and ``canonical_residuals`` takes each pairing as
+i u^T Omega v, antisymmetric in the pair, so only the six unordered pairings
+per axis are taken.  The Weyl-algebra composed brackets and the exact
+kinetic-split identity
 
     H^tot = P^2 / (2 M_f) + Pi^2 / (2 v_f)
 
@@ -48,7 +51,7 @@ from functools import cached_property
 from .hopf import GENERATOR_NAMES, GalileiHopf, UEAExpression
 from .masses import VARIABLES, pairing, variable_table
 from .scalars import I as _I, RationalFunction, Rat, _accumulate, sym
-from .weyl import WeylExpression, position, momentum, scalar
+from .weyl import WeylExpression, _normal_ordered, momentum, scalar
 
 __all__ = [
     "OneParticleRealization",
@@ -92,13 +95,11 @@ class OneParticleRealization:
         return sym(f"m{self.slot}")
 
     def realize(self, name: str) -> WeylExpression:
-        """Weyl-algebra image of a named generator."""
+        """Weyl-algebra image of a named generator.  Each image is a sum of
+        normal-ordered monomials, written as such through ``_normal_ordered``."""
         A = self.slot
         if name == "H":
-            total = WeylExpression.zero()
-            for i in _AXES:
-                total = total + momentum(A, i) * momentum(A, i)
-            return total.scale(1 / (2 * self.m_f))
+            return _normal_ordered({((), ((A, i), (A, i))): 1 / (2 * self.m_f) for i in _AXES})
         if name == "M":
             return WeylExpression.unit(self.algebra_mass_symbol)
         if name == "E":
@@ -109,10 +110,10 @@ class OneParticleRealization:
         if kind == "P":
             return momentum(A, axis)
         if kind == "K":
-            return position(A, axis).scale(self.m_f)
+            return _normal_ordered({(((A, axis),), ()): self.m_f})
         if kind == "J":  # eps_{ijl} x_j p_l, with (i, j, l) cyclic
             j, l = axis % 3 + 1, (axis + 1) % 3 + 1
-            return position(A, j) * momentum(A, l) - position(A, l) * momentum(A, j)
+            return _normal_ordered({(((A, j),), ((A, l),)): 1, (((A, l),), ((A, j),)): -1})
         raise KeyError(f"unknown generator {name!r}")
 
     @cached_property
@@ -190,7 +191,8 @@ def verify_one_particle(r: OneParticleRealization) -> list[tuple[str, WeylExpres
 class TwoParticleSystem:
     """Two one-particle realizations composed through the coproduct.
 
-    Frozen, so the composed generator images it caches stay its own.
+    Frozen, so what it caches stays its own: the composed generator images,
+    M_f, v_f and the variable tables, each formed once.
     """
 
     r1: OneParticleRealization
@@ -206,13 +208,13 @@ class TwoParticleSystem:
     def algebra(self) -> GalileiHopf:
         return self.r1.algebra
 
-    @property
+    @cached_property
     def M_f(self) -> RationalFunction:
         """Composed physical mass; equals (k/2)(1 - lam^2 lam'^2) by default."""
         k = sym("k")
         return self.r1.m_f + self.r2.m_f - 2 * self.r1.m_f * self.r2.m_f / k
 
-    @property
+    @cached_property
     def v_f(self) -> RationalFunction:
         return self.r1.m_f * self.r2.m_f / self.M_f
 
@@ -261,6 +263,11 @@ class TwoParticleSystem:
 
     def variable_table(self) -> tuple[dict, dict]:
         """Exact coefficient tables (direct, tilde); see ``masses.variable_table``."""
+        return self._variable_tables
+
+    @cached_property
+    def _variable_tables(self) -> tuple[dict, dict]:
+        """The tables of ``variable_table``, formed once; shared, never mutated."""
         return variable_table(self.r1.m_f, self.r2.m_f, self.r1.lam, self.r2.lam, self.M_f)
 
     def relative_variables(self) -> dict[str, list[WeylExpression]]:

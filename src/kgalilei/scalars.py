@@ -710,7 +710,8 @@ class LinearCombination:
     {monomial: factor} dict) and how a monomial prints (``_monomial_str``).
     The commutator takes the bracket of two monomials from the ``_bracket``
     hook, which merges the two products; a subclass may keep its values or
-    take the bracket in closed form.
+    take the bracket in closed form.  It skips a pair of monomials that the
+    ``_support`` hook shows to commute; by default none is skipped.
     A subclass that lives in a context (an algebra instance, a leg count)
     stores it as ``_context``, the tuple of its constructor's leading
     arguments; two operands must share it.
@@ -801,20 +802,29 @@ class LinearCombination:
         _accumulate(merged, self._product(m2, m1), sign=-1)
         return _nonzero(merged)
 
+    @staticmethod
+    def _support(mono) -> tuple[int, int]:
+        """Bit masks (a, b) of a monomial such that two monomials commute
+        where a1 & b2 and a2 & b1 are both 0.  All bits set here, so no pair
+        is taken to commute; a subclass that can tell overrides it."""
+        return -1, -1
+
     def _commutator_terms(self, other) -> dict:
         """The terms of [self, other] as one unfiltered dict, for a caller to
-        add to before it drops the zeros (see ``commutator``)."""
+        add to before it drops the zeros (see ``commutator``).  Each
+        monomial's ``_support`` is read once, and a pair that it shows to
+        commute is skipped with no ``_bracket`` call."""
         self._same(other)
-        bracket = self._bracket
+        bracket, support = self._bracket, self._support
         out: dict = {}
-        right = other.terms
+        right = [(m2, c2, *support(m2)) for m2, c2 in other.terms.items()]
         for m1, c1 in self.terms.items():
-            for m2, c2 in right.items():
-                factors = bracket(m1, m2)
-                if not factors:
-                    continue
-                base = _mul(c1, c2)
-                _accumulate(out, factors, base)
+            a1, b1 = support(m1)
+            for m2, c2, a2, b2 in right:
+                if a1 & b2 or a2 & b1:
+                    factors = bracket(m1, m2)
+                    if factors:
+                        _accumulate(out, factors, _mul(c1, c2))
         return out
 
     def commutator(self, other):

@@ -15,15 +15,22 @@ term is a Gaussian integer, kept once per exponent pair both as a scalar
 
 The monomial bracket [m1, m2] is taken in closed form.  Two monomials commute
 unless some slot pairs a momentum exponent of one with a position exponent of
-the other; such a bracket is empty and reorders nothing.  Otherwise the two
-orders are merged as Gaussian-integer pairs, where their j = 0 terms always
-cancel, and only the surviving terms become scalars.
+the other.  Each monomial's slot supports, a p-mask and an x-mask, are formed
+once and kept, and the commutator skips a pair whose masks show it commutes:
+no bracket is taken and nothing is reordered.  Any other pair merges its two
+orders as Gaussian-integer pairs, where their j = 0 terms always cancel, and
+only the surviving terms become scalars.
+
+A monomial written as positions times momenta is already in normal order, so
+``_normal_ordered`` builds such sums directly from (particle, axis) factors;
+``position``, ``momentum`` and the realizations' images go through it, and
+none is a product.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
-from operator import add, mul
+from operator import add
 
 from .scalars import LinearCombination, Rat, _constant
 
@@ -71,11 +78,23 @@ class WeylExpression(LinearCombination):
         return {(tuple(map(add, x1, mid_x)), tuple(map(add, mid_p, p2))): weight
                 for (mid_x, mid_p), weight, _ in _reorder(p1, x2)}
 
+    @staticmethod
+    def _support(mono) -> tuple[int, int]:
+        """(p-mask, x-mask) of a monomial, bit s set where slot s holds a
+        momentum, a position exponent; formed once per monomial.  Two
+        monomials commute unless a momentum slot of one is a position slot
+        of the other (module docstring)."""
+        masks = _SUPPORTS.get(mono)
+        if masks is None:
+            xs, ps = mono
+            masks = _SUPPORTS[mono] = (_mask(ps), _mask(xs))
+        return masks
+
     def _bracket(self, m1, m2) -> dict:
-        """m1 m2 - m2 m1 in closed form (module docstring); not cached, as few pairs recur."""
+        """m1 m2 - m2 m1 in closed form (module docstring); not cached, as few
+        pairs recur.  Both orders are reordered: the commutator takes no
+        commuting pair (see ``_support``), and one would cancel to {}."""
         (x1, p1), (x2, p2) = m1, m2
-        if not (any(map(mul, p1, x2)) or any(map(mul, p2, x1))):
-            return {}
         merged: dict = {}
         for xa, pa, xb, pb, sign in ((x1, p1, x2, p2, 1), (x2, p2, x1, p1, -1)):
             for (mid_x, mid_p), _, (re, im) in _reorder(pa, xb):
@@ -92,6 +111,14 @@ class WeylExpression(LinearCombination):
 
 
 _REORDER_CACHE: dict = {}
+
+#: (p-mask, x-mask) per monomial, see ``WeylExpression._support``.
+_SUPPORTS: dict = {}
+
+
+def _mask(exps: tuple) -> int:
+    """The slots of nonzero exponent, as bits."""
+    return sum(1 << slot for slot, n in enumerate(exps) if n)
 
 
 def _reorder(pexp: tuple, xexp: tuple) -> list:
@@ -130,23 +157,31 @@ def _reorder(pexp: tuple, xexp: tuple) -> list:
 # -- convenience constructors -------------------------------------------------
 
 
-def _generator(kind: str, particle: int, axis: int) -> WeylExpression:
-    """The canonical generator of ``kind`` 'x' or 'p' for particle 1..2 and axis 1..3."""
-    if particle not in (1, 2) or axis not in (1, 2, 3):
-        raise ValueError(f"invalid canonical symbol {kind}{particle}{axis}: "
-                         f"need particle 1 or 2 and axis 1, 2 or 3")
-    exp = [0] * N_SLOTS
-    exp[3 * (particle - 1) + (axis - 1)] = 1
-    mono = (tuple(exp), _ZERO) if kind == "x" else (_ZERO, tuple(exp))
-    return WeylExpression({mono: Rat(1)})
+def _normal_ordered(terms: dict) -> WeylExpression:
+    """The sum of coeff * x^a p^b over ``terms``, {(xs, ps): coeff}, where xs
+    and ps list the (particle, axis) of each position and momentum factor, a
+    repeat raising its power, and no two keys give the same monomial.
+    Positions stand left of momenta, so each such monomial is already in
+    normal order and nothing is multiplied."""
+    out = {}
+    for symbols, coeff in terms.items():
+        mono = ([0] * N_SLOTS, [0] * N_SLOTS)
+        for kind, exps, factors in zip("xp", mono, symbols):
+            for particle, axis in factors:
+                if particle not in (1, 2) or axis not in (1, 2, 3):
+                    raise ValueError(f"invalid canonical symbol {kind}{particle}{axis}: "
+                                     f"need particle 1 or 2 and axis 1, 2 or 3")
+                exps[3 * (particle - 1) + (axis - 1)] += 1
+        out[tuple(mono[0]), tuple(mono[1])] = Rat(coeff)
+    return WeylExpression(out)
 
 
 def position(particle: int, axis: int) -> WeylExpression:
-    return _generator("x", particle, axis)
+    return _normal_ordered({(((particle, axis),), ()): 1})
 
 
 def momentum(particle: int, axis: int) -> WeylExpression:
-    return _generator("p", particle, axis)
+    return _normal_ordered({((), ((particle, axis),)): 1})
 
 
 def scalar(coeff) -> WeylExpression:

@@ -581,6 +581,26 @@ def test_mass_compose_catches_to_physical_off_by_1e_6_hypothesis(k, data):
     assert list(failed) == ["algebra-additivity"]
 
 
+def test_mass_compose_reads_back_the_printed_algebra_masses(monkeypatch):
+    # fault injection: with to_algebra off by a relative 1e-6, the report
+    # prints m_algebra_1 = 0.458145824082 for 0.458145365937; the additivity
+    # check maps each printed algebra mass back to its physical mass and
+    # fails, naming the first one that misses, whichever call is off
+    argv = ["mass", "compose", "--k", "1", "0.3", "0.4"]
+    exact = masses.to_algebra
+    with mock.patch.object(masses, "to_algebra", lambda m, k: exact(m, k) * (1 + 1e-6)):
+        code, out, err = _run_quietly(argv)
+    assert code == 1
+    assert "m_algebra_1: 0.458145824082" in out
+    assert err.startswith("FAIL algebra-additivity: residual = ")
+    assert "(m_algebra_1 0.458145824082 maps back to 0.300000183258, not 0.3)" in err
+    for index in (0, 1):
+        with _off_at(masses, "to_algebra", index):
+            failed = _failed_details(argv)
+        assert list(failed) == ["algebra-additivity"]
+        assert failed["algebra-additivity"].startswith(f"m_algebra_{index + 1} ")
+
+
 @settings(max_examples=100, deadline=None)
 @given(k=_FINITE_K | st.just(math.inf), to=st.sampled_from(["physical", "algebra"]),
        data=st.data())

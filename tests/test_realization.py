@@ -10,6 +10,7 @@ import pytest
 import sympy as sp
 
 import kgalilei
+from kgalilei import realization
 from kgalilei.cli import run
 from kgalilei.hopf import GalileiHopf, UEAExpression
 from kgalilei.masses import VARIABLES, pairing
@@ -46,6 +47,9 @@ def test_generator_images():
     # J_3 = x_1 p_2 - x_2 p_1
     expected = position(1, 1) * momentum(1, 2) - position(1, 2) * momentum(1, 1)
     assert r.realize("J3") == expected
+    # H = p^2 / (2 m_f), the same as the products of the momenta
+    p_squared = sum((momentum(1, i) * momentum(1, i) for i in (1, 2, 3)), WeylExpression.zero())
+    assert r.realize("H") == p_squared.scale(1 / (2 * r.m_f))
 
 
 def test_one_particle_brackets_all_vanish():
@@ -151,6 +155,62 @@ def test_one_particle_suite_builds_no_unread_mirror(monkeypatch):
     assert len(verify_one_particle(r)) == 66
     assert calls["__neg__"] == 0
     assert 0 < calls["__init__"] <= 45
+
+
+def _count_weyl_work(monkeypatch) -> dict:
+    """Count Weyl brackets and products and variable-table builds."""
+    calls = {"_bracket": 0, "__mul__": 0, "variable_table": 0}
+    for name in ("_bracket", "__mul__"):
+        method = getattr(WeylExpression, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(WeylExpression, name, counted)
+    table = realization.variable_table
+
+    def counted_table(*args):
+        calls["variable_table"] += 1
+        return table(*args)
+
+    monkeypatch.setattr(realization, "variable_table", counted_table)
+    return calls
+
+
+def test_composed_verdicts_take_few_weyl_brackets_and_products(monkeypatch):
+    # work guard: the commutator skips a pair of commuting monomials by
+    # their slot masks, and the one-particle images of H and J are written
+    # as the normal-ordered monomials they are, so the constraint-satisfying
+    # verdict (composed brackets, direct pairings, kinetic split) takes 60
+    # Weyl brackets and 6 products, and the refutation (one particle and
+    # the pair, with m_f free) 90 and none (457 and 24, and 587 and 18, when
+    # each pair reached the bracket and each image was a product of
+    # generators).  A system forms its variable tables once (twice when
+    # each pairing suite and the kinetic split formed their own).  The
+    # counts are the measured ones, the same under every hash seed tried
+    calls = _count_weyl_work(monkeypatch)
+    system = default_system()
+    assert all(res.is_zero for _, res in system.verify_composed())
+    assert all(res.is_zero for res in canonical_residuals(system).values())
+    assert system.kinetic_split().is_zero
+    assert calls == {"_bracket": 60, "__mul__": 6, "variable_table": 1}
+    for name in calls:
+        calls[name] = 0
+    alg = GalileiHopf()
+    r1 = OneParticleRealization(1, sym("lam"), m_f=sym("mf"), algebra=alg)
+    refuted = TwoParticleSystem(r1, OneParticleRealization(2, sym("lamp"), algebra=alg))
+    assert len(verify_one_particle(r1)) == len(refuted.verify_composed()) == 66
+    assert calls == {"_bracket": 90, "__mul__": 0, "variable_table": 0}
+
+
+def test_verify_realization_forms_the_variable_tables_once(monkeypatch, capsys):
+    # work guard: the direct and tilde pairings and the kinetic split read
+    # one system's tables (three builds when each formed its own)
+    calls = _count_weyl_work(monkeypatch)
+    assert run(["verify", "realization"]) == 0
+    capsys.readouterr()
+    assert calls["variable_table"] == 1
 
 
 def test_composed_mass_formula(system):
