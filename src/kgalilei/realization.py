@@ -24,17 +24,35 @@ realization maps reads its table in one pass: each word's terms, times its
 coefficient and central factor, go straight into one sum, and a one-letter
 word is its table entry.  A composed generator is the Weyl product of each
 coproduct term's legs, read from the two one-particle tables; a leg with no
-letters is 1, so the other leg's terms are added with no product.  Each
-bracket residual is built in one dict: the commutator's terms of the two
-images, with the images of the words of the algebra's [g, h] subtracted into
-it, filtered once.  The center-of-mass / relative variables (P, R, Pi, rho)
-of the direct and of the transposed ("tilde") coproduct come from the exact
-coefficient table and commutator form of ``masses``, formed once per system
-with its M_f and v_f: ``relative_variables`` turns the direct table into
-Weyl expressions, and ``canonical_residuals`` takes each pairing as
-i u^T Omega v, antisymmetric in the pair, so only the six unordered pairings
-per axis are taken.  The Weyl-algebra composed brackets and the exact
-kinetic-split identity
+letters is 1, so the other leg's terms are added with no product.
+
+The bracket residuals are taken along the orbits of sigma, the cyclic
+relabeling of the axes 1 -> 2 -> 3 -> 1.  M and E = e^(-M/k) are rotation
+scalars, so Delta X = X (x) E^(deg X) + 1 (x) X and both realizations commute
+with sigma (the rotation covariance of the Galilei algebra): the residual of
+(sigma g, sigma h) is sigma of the residual of (g, h).  The 66 checked pairs
+fall into 24 orbits, 21 of three pairs and the three pairs of H, M and E.
+The first pair of each orbit in label order is built in one dict: the
+commutator's terms of the two images, with the images of the words of the
+algebra's [g, h] subtracted into it, filtered once.  Each further pair is
+sigma of the pair before it (``weyl._rotated``), negated where sigma reverses
+the pair's order ([X1, X3] from [X2, X3]), under an exact certificate for
+that pair: sigma carries the images of both generators, and of every letter
+of their bracket, onto the images of the rotated generators, and the
+algebra's bracket of the pair is the relabeled bracket of its pre-image, read
+for g before h with the sign.  Images are compared by their terms, by stored
+form and else by exact difference, with no sympy; a pair that fails the
+certificate, as under a fault on one axis, takes its own commutator.  So a
+suite takes 24 commutators where the symmetry holds, and exactly the direct
+route's residuals where it does not.
+
+The center-of-mass / relative variables (P, R, Pi, rho) of the direct and of
+the transposed ("tilde") coproduct come from the exact coefficient table and
+commutator form of ``masses``, formed once per system with its M_f and v_f:
+``relative_variables`` turns the direct table into Weyl expressions, and
+``canonical_residuals`` takes each pairing as i u^T Omega v, antisymmetric in
+the pair, so only the six unordered pairings per axis are taken.  The
+Weyl-algebra composed brackets and the exact kinetic-split identity
 
     H^tot = P^2 / (2 M_f) + Pi^2 / (2 v_f)
 
@@ -50,8 +68,8 @@ from functools import cached_property
 
 from .hopf import GENERATOR_NAMES, GalileiHopf, UEAExpression
 from .masses import VARIABLES, pairing, variable_table
-from .scalars import I as _I, RationalFunction, Rat, _accumulate, sym
-from .weyl import WeylExpression, _normal_ordered, momentum, scalar
+from .scalars import I as _I, RationalFunction, Rat, _accumulate, _same_terms, sym
+from .weyl import WeylExpression, _normal_ordered, _rotated, momentum, scalar
 
 __all__ = [
     "OneParticleRealization",
@@ -164,18 +182,86 @@ def _realize_words(expr: UEAExpression, images: dict, e_value: RationalFunction,
     return WeylExpression(out)
 
 
+#: The checked pairs (g, h), g before h in ``_CHECKED``, in label order.
+_PAIRS = tuple((g, h) for n, g in enumerate(_CHECKED) for h in _CHECKED[n + 1:])
+
+#: sigma, the cyclic relabeling of the axes 1 -> 2 -> 3 -> 1; H, M and E are fixed.
+_ROTATION = {name: f"{name[0]}{int(name[1]) % 3 + 1}" if name[1:] in ("1", "2", "3") else name
+             for name in _CHECKED}
+
+
+def _orbit_plan() -> tuple:
+    """(g, h, source, sign) for every checked pair, orbit by orbit under
+    sigma.  The first pair of each orbit in label order has source None; the
+    next pair is sigma of the one before it, which is its source, with sign
+    -1 where sigma reverses the ``_CHECKED`` order of the pair.  24 orbits:
+    21 of three pairs and the three pairs of H, M and E."""
+    rank = {name: n for n, name in enumerate(_CHECKED)}
+    plan, seen = [], set()
+    for pair in _PAIRS:
+        source, sign = None, 1
+        while pair not in seen:
+            seen.add(pair)
+            plan.append((*pair, source, sign))
+            g, h = (_ROTATION[name] for name in pair)
+            source, sign = pair, 1
+            if rank[g] > rank[h]:
+                g, h, sign = h, g, -1
+            pair = (g, h)
+    return tuple(plan)
+
+
+_ORBIT_PLAN = _orbit_plan()
+
+
+def _rotating(images: dict) -> set:
+    """The generators g whose image sigma carries onto the image of sigma(g)."""
+    return {g for g in _CHECKED
+            if _same_terms(_rotated(images[g].terms), images[_ROTATION[g]].terms)}
+
+
+def _carried(alg: GalileiHopf, source: tuple, bracket: UEAExpression, sign: int,
+             rotating: set) -> bool:
+    """The certificate that sign times sigma of the residual of ``source`` is
+    the residual of the pair whose algebra bracket is ``bracket``: sigma
+    carries the images of both source generators, and of every letter of
+    their bracket, onto the rotated generators' images, and sign times the
+    relabeled bracket of the source is ``bracket``.  The source's bracket is
+    read for its first generator before its second, as stored; a word of
+    more than one letter is not certified."""
+    a, b = source
+    if a not in rotating or b not in rotating:
+        return False
+    rotated = {}
+    for (letters, m, e), coeff in alg.bracket(a, b).terms.items():
+        if len(letters) > 1 or (letters and letters[0] not in rotating):
+            return False
+        rotated[tuple(_ROTATION[letter] for letter in letters), m, e] = \
+            coeff if sign > 0 else -coeff
+    return _same_terms(rotated, bracket.terms)
+
+
 def _bracket_residuals(alg: GalileiHopf, images: dict, e_value: RationalFunction,
                        m_value: RationalFunction) -> list[tuple[str, WeylExpression]]:
     """("[g,h]", [image g, image h] - image of [g, h]) for each checked pair,
-    each built in one dict: the commutator's terms, minus the bracket's words'
-    images, with E -> e_value and M -> m_value."""
-    results = []
-    for i, g in enumerate(_CHECKED):
-        for h in _CHECKED[i + 1:]:
-            out = images[g]._commutator_terms(images[h])
-            _accumulate_words(out, alg.bracket(g, h), images, e_value, m_value, -1)
-            results.append((f"[{g},{h}]", WeylExpression(out)))
-    return results
+    in label order, with E -> e_value and M -> m_value.
+
+    The first pair of each sigma orbit, and any pair whose certificate
+    (``_carried``) fails, is built in one dict: the commutator's terms, minus
+    the bracket's words' images.  Every other pair is sigma of its source's
+    residual, negated where sigma reverses the pair (``weyl._rotated``).
+    """
+    rotating = _rotating(images)
+    done = {}
+    for g, h, source, sign in _ORBIT_PLAN:
+        bracket = alg.bracket(g, h)
+        if source is not None and _carried(alg, source, bracket, sign, rotating):
+            terms = _rotated(done[source].terms, sign)
+        else:
+            terms = images[g]._commutator_terms(images[h])
+            _accumulate_words(terms, bracket, images, e_value, m_value, -1)
+        done[g, h] = WeylExpression(terms)
+    return [(f"[{g},{h}]", done[g, h]) for g, h in _PAIRS]
 
 
 def verify_one_particle(r: OneParticleRealization) -> list[tuple[str, WeylExpression]]:

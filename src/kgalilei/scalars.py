@@ -43,8 +43,9 @@ table alike, is a {monomial: coefficient} dict.  ``_accumulate`` is the one
 merge of such dicts, and ``_nonzero`` the one zero filter: the zero rule
 lives there and only there.  The constructor runs it, so an element never
 holds a zero coefficient and its ``is_zero`` is "no terms"; the bracket
-caches run it with no element built.  A value never changes after
-construction.
+caches run it with no element built.  ``_same_terms`` compares two such
+dicts, by stored form first and by exact difference only where the forms
+differ.  A value never changes after construction.
 
 The deformation exponentials e^{-m/k} are adjoined as independent formal
 symbols (``lam``, ``lamp``), never expanded as series; every identity in scope
@@ -699,6 +700,20 @@ def _accumulate(out: dict, terms: dict, factor: RationalFunction | None = None,
 def _nonzero(terms: dict) -> dict:
     """The terms whose coefficient is not zero: the one zero filter."""
     return {mono: coeff for mono, coeff in terms.items() if coeff._num}
+
+
+def _same_terms(terms: dict, other: dict) -> bool:
+    """True when two term dicts hold the same monomials with equal
+    coefficients: the same object or the same stored form, else an exact
+    zero difference (the form is not unique).  Loads no sympy."""
+    if terms.keys() != other.keys():
+        return False
+    for mono, a in terms.items():
+        b = other[mono]
+        if a is not b and (a._num != b._num or a._c != b._c or a._den != b._den) \
+                and _add(a, b, -1)._num:
+            return False
+    return True
 
 
 class LinearCombination:

@@ -25,12 +25,17 @@ A monomial written as positions times momenta is already in normal order, so
 ``_normal_ordered`` builds such sums directly from (particle, axis) factors;
 ``position``, ``momentum`` and the realizations' images go through it, and
 none is a product.
+
+``_rotated`` relabels every particle's axes 1 -> 2 -> 3 -> 1: slot
+3(A-1) + (i-1) moves to particle A's next axis.  Positions and momenta move
+alike, so a monomial stays in normal order and a relabeled sum needs no
+rewriting; the realizations carry a residual along its rotation orbit with it.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
-from operator import add
+from operator import add, itemgetter
 
 from .scalars import LinearCombination, Rat, _constant
 
@@ -174,6 +179,20 @@ def _normal_ordered(terms: dict) -> WeylExpression:
                 exps[3 * (particle - 1) + (axis - 1)] += 1
         out[tuple(mono[0]), tuple(mono[1])] = Rat(coeff)
     return WeylExpression(out)
+
+
+#: The exponent tuple with each particle's axes relabeled 1 -> 2 -> 3 -> 1: new
+#: slot 3(A-1) + (i-1) reads old slot 3(A-1) + (i-2) mod 3.
+_rotate = itemgetter(*(3 * (slot // 3) + (slot - 1) % 3 for slot in range(N_SLOTS)))
+
+
+def _rotated(terms: dict, sign: int = 1) -> dict:
+    """``terms`` with every particle's axes relabeled 1 -> 2 -> 3 -> 1, each
+    coefficient object kept, or negated where ``sign`` is -1.  A relabeled
+    normal-ordered monomial is normal-ordered, so nothing is rewritten."""
+    if sign > 0:
+        return {(_rotate(xs), _rotate(ps)): coeff for (xs, ps), coeff in terms.items()}
+    return {(_rotate(xs), _rotate(ps)): -coeff for (xs, ps), coeff in terms.items()}
 
 
 def position(particle: int, axis: int) -> WeylExpression:

@@ -1127,6 +1127,71 @@ def test_failing_float_check_names_its_worst_item(argv, owner, name, patch, chec
     assert f"FAIL {check}: residual = " in err and f"({failed['detail']})" in err
 
 
+@contextlib.contextmanager
+def _scaled(owner, name, factor, index=None):
+    """Patch ``owner.name`` so that the value of its call number ``index``
+    (from 0; every call for None) is scaled by ``factor``; a list of levels
+    comes back as an array."""
+    exact, calls = getattr(owner, name), itertools.count()
+
+    def off(*args):
+        value = exact(*args)
+        if index is not None and next(calls) != index:
+            return value
+        return np.asarray(value) * factor if isinstance(value, list) else value * factor
+
+    with mock.patch.object(owner, name, off):
+        yield
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6])
+@pytest.mark.parametrize("argv, owner, name, check, item", [
+    (["mass", "compose", "--k", "1", "0.3", "0.4"], masses, "compose_many",
+     "algebra-additivity", "M_algebra "),
+    (["mass", "compose", "--k", "1", "0.3", "0.4"], masses, "algebra_units",
+     "algebra-additivity", "m_algebra_1 "),
+    (["mass", "convert", "--k", "1", "--to", "algebra", "0.3"], masses, "algebra_units",
+     "round-trip", "1: "),
+    (["verify", "equivalence", *_PAIR], equivalence, "us_matrix",
+     "us-reverses-relative-sign", "rho: "),
+    (["hydrogen", "spectrum", *_PAIR, "--nmax", "3"], hydrogen, "radial_solve",
+     "radial-vs-closed", ""),
+])
+def test_a_float_formula_off_by_1e_6_fails_its_check(argv, owner, name, check, item, factor):
+    # fault injection at the README points: the composed mass, the algebra
+    # units, US and the radial levels, each off by a relative 1e-6 either
+    # way, fail a named check (exit 1) whose detail names the worst item.
+    # Before radial-vs-closed held the levels to 1e-8, a level 1e-6 too
+    # deep passed it
+    with _scaled(owner, name, factor):
+        failed = _failed_details(argv)
+    assert check in failed
+    assert failed[check].startswith(item)
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6])
+@pytest.mark.parametrize("argv, index, check, detail", [
+    (["mass", "convert", "--k", "1", "--to", "algebra", "0.4999999999"], 0, "round-trip", "1: "),
+    (["mass", "compose", "--k", "1", "0.4999999999"], 0, "algebra-additivity", "m_algebra_1 "),
+    (["mass", "compose", "--k", "1", "0.3", "0.4999999999"], 1, "algebra-additivity",
+     "m_algebra_2 "),
+])
+def test_mass_gates_catch_a_wrong_algebra_mass_near_k_half(argv, index, check, detail, factor):
+    # fault injection: the way back damps a relative error d of the algebra
+    # mass m to d x / (e^x - 1), x = 2m/k, about 4.5e-15 for 1e-6 at
+    # 1e-10 k below k/2, so the round trip judges it as an error of m; the
+    # printed values differ in the 16th digit, and are shown in full
+    assert _in_domain(argv)
+    with _scaled(masses, "to_algebra", factor, index):
+        failed = _failed_details(argv)
+    assert list(failed) == [check]
+    assert failed[check].startswith(detail)
+    if check == "algebra-additivity":
+        assert failed[check].endswith(", not 0.4999999999")
+        back = failed[check].split(" maps back to ")[1].split(",")[0]
+        assert float(back) != 0.4999999999 and len(back) > 14
+
+
 def test_verify_hopf_makes_one_check_call_per_item(monkeypatch, capsys):
     # work guard for the benchmark's item structure, calls and not time:
     # 2,392 check calls in order, the 2,197 Jacobi triples, then the 169

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 import kgalilei
-from kgalilei import realization
+from kgalilei import hopf, realization
 from kgalilei.cli import run
 from kgalilei.hopf import GalileiHopf, UEAExpression
 from kgalilei.masses import VARIABLES, pairing
@@ -23,7 +25,7 @@ from kgalilei.realization import (
     verify_one_particle,
 )
 from kgalilei.scalars import Rat, sym
-from kgalilei.weyl import WeylExpression, momentum, position, scalar
+from kgalilei.weyl import WeylExpression, _normal_ordered, momentum, position, scalar
 
 I = Rat(sp.I)
 
@@ -180,28 +182,30 @@ def _count_weyl_work(monkeypatch) -> dict:
 
 def test_composed_verdicts_take_few_weyl_brackets_and_products(monkeypatch):
     # work guard: the commutator skips a pair of commuting monomials by
-    # their slot masks, and the one-particle images of H and J are written
-    # as the normal-ordered monomials they are, so the constraint-satisfying
-    # verdict (composed brackets, direct pairings, kinetic split) takes 60
+    # their slot masks, the one-particle images of H and J are written as
+    # the normal-ordered monomials they are, and only the first pair of each
+    # axis-rotation orbit takes a commutator, so the constraint-satisfying
+    # verdict (composed brackets, direct pairings, kinetic split) takes 20
     # Weyl brackets and 6 products, and the refutation (one particle and
-    # the pair, with m_f free) 90 and none (457 and 24, and 587 and 18, when
-    # each pair reached the bracket and each image was a product of
-    # generators).  A system forms its variable tables once (twice when
-    # each pairing suite and the kinetic split formed their own).  The
-    # counts are the measured ones, the same under every hash seed tried
+    # the pair, with m_f free) 30 and none (60 and 90 when every pair took
+    # its commutator; 457 and 24, and 587 and 18, when each pair reached
+    # the bracket and each image was a product of generators).  A system
+    # forms its variable tables once (twice when each pairing suite and the
+    # kinetic split formed their own).  The counts are the measured ones,
+    # the same under every hash seed tried
     calls = _count_weyl_work(monkeypatch)
     system = default_system()
     assert all(res.is_zero for _, res in system.verify_composed())
     assert all(res.is_zero for res in canonical_residuals(system).values())
     assert system.kinetic_split().is_zero
-    assert calls == {"_bracket": 60, "__mul__": 6, "variable_table": 1}
+    assert calls == {"_bracket": 20, "__mul__": 6, "variable_table": 1}
     for name in calls:
         calls[name] = 0
     alg = GalileiHopf()
     r1 = OneParticleRealization(1, sym("lam"), m_f=sym("mf"), algebra=alg)
     refuted = TwoParticleSystem(r1, OneParticleRealization(2, sym("lamp"), algebra=alg))
     assert len(verify_one_particle(r1)) == len(refuted.verify_composed()) == 66
-    assert calls == {"_bracket": 90, "__mul__": 0, "variable_table": 0}
+    assert calls == {"_bracket": 30, "__mul__": 0, "variable_table": 0}
 
 
 def test_verify_realization_forms_the_variable_tables_once(monkeypatch, capsys):
@@ -368,6 +372,166 @@ def test_one_dict_residuals_equal_commutator_minus_realized_bracket(free_mass):
             assert residual.terms.keys() == expected.terms.keys(), label
             for mono, coeff in residual.terms.items():
                 assert (coeff - expected.terms[mono]).is_zero, (label, mono)
+
+
+def _direct_route(suite):
+    # every pair takes its own commutator: the orbit plan with no source
+    plan = tuple((g, h, None, 1) for g, h in realization._PAIRS)
+    with mock.patch.object(realization, "_ORBIT_PLAN", plan):
+        return suite()
+
+
+def _count_commutators(suite) -> tuple:
+    """(number of Weyl commutators taken, residuals) of one suite run."""
+    calls = [0]
+    terms = WeylExpression._commutator_terms
+
+    def counted(self, other):
+        calls[0] += 1
+        return terms(self, other)
+
+    with mock.patch.object(WeylExpression, "_commutator_terms", counted):
+        residuals = suite()
+    return calls[0], residuals
+
+
+@pytest.mark.parametrize("free_mass", [False, True])
+def test_each_suite_takes_24_commutators(free_mass):
+    # work guard: the first pair of each of the 24 orbits of the axis
+    # rotation takes its commutator, and the other 42 pairs are its rotated
+    # copies, certified (66 commutators per suite when every pair took its
+    # own).  The count is exact
+    r1, sys_ = _pair(free_mass)
+    assert _count_commutators(lambda: verify_one_particle(r1))[0] == 24
+    assert _count_commutators(sys_.verify_composed)[0] == 24
+    r1, sys_ = _pair(free_mass)
+    assert _count_commutators(lambda: _direct_route(lambda: verify_one_particle(r1)))[0] == 66
+    assert _count_commutators(lambda: _direct_route(sys_.verify_composed))[0] == 66
+
+
+def test_rotated_copies_keep_or_negate_their_coefficients():
+    # a rotated copy keeps its source's coefficient objects, and the one
+    # pair of each kind that the rotation reverses, [X1,X3] from [X2,X3],
+    # holds their negations
+    residuals = dict(verify_one_particle(OneParticleRealization(1, sym("lam"), m_f=sym("mf"))))
+    source = residuals["[K1,P1]"].terms
+    for label in ("[K2,P2]", "[K3,P3]"):
+        assert [id(c) for c in residuals[label].terms.values()] == [id(c) for c in source.values()]
+    assert [plan[3] for plan in realization._ORBIT_PLAN if plan[3] < 0] == [-1, -1, -1]
+    assert {(g, h): source_pair for g, h, source_pair, sign in realization._ORBIT_PLAN
+            if sign < 0} == {("J1", "J3"): ("J2", "J3"), ("K1", "K3"): ("K2", "K3"),
+                             ("P1", "P3"): ("P2", "P3")}
+
+
+@pytest.mark.parametrize("kind", ["image", "table"])
+def test_a_rotation_symmetric_fault_is_carried_exactly(kind):
+    # a fault that every axis shares keeps the certificate: a stray s J_i in
+    # each boost's image, or each [J_i, J_j] entry of the letter table
+    # doubled.  The suites still take 24 commutators, the reversed pairs
+    # [X1,X3] are nonzero, and every residual equals the chained reference's
+    realize = OneParticleRealization.realize
+
+    def faulty(self, name):
+        image = realize(self, name)
+        if name[0] != "K":
+            return image
+        return image + realize(self, f"J{name[1]}").scale(sym("s"))
+
+    doubled = {key: {word: 2 * c for word, c in terms.items()}
+               for key, terms in hopf._BRACKETS.items() if key[0][0] == key[1][0] == "J"}
+    patch = (mock.patch.object(OneParticleRealization, "realize", faulty) if kind == "image"
+             else mock.patch.dict(hopf._BRACKETS, doubled))
+    reversed_pair = "[K1,K3]" if kind == "image" else "[J1,J3]"
+    with patch:
+        r1, sys_ = _pair(False)
+        for (count, residuals), reference in (
+                (_count_commutators(lambda: verify_one_particle(r1)), _reference_one_particle(r1)),
+                (_count_commutators(sys_.verify_composed), _reference_composed(sys_))):
+            assert count == 24
+            _assert_same_residuals(residuals, reference)
+            assert not dict(residuals)[reversed_pair].is_zero
+
+
+#: Generators whose one-particle image a fault may break: each per-axis
+#: generator, and H, whose fault sits on one axis.
+_BREAKABLE = tuple(f"{kind}{i}" for kind in "JKP" for i in (1, 2, 3)) + ("H",)
+
+_COEFFICIENTS = st.sampled_from([Rat(2), Rat(-3), I, sym("s"), 1 / sym("lam")])
+
+
+@st.composite
+def _symmetry_fault(draw):
+    """(kind, target, change, value): a stray term added to, or one
+    coefficient scaled in, one generator's image ("image") or one entry of
+    the letter table ("table")."""
+    kind = draw(st.sampled_from(["image", "table"]))
+    target = draw(st.sampled_from(_BREAKABLE if kind == "image" else sorted(hopf._BRACKETS)))
+    change = draw(st.sampled_from(["stray", "scale"]))
+    if change == "stray" and kind == "image":
+        # one position or momentum factor, or a product of two, on one axis
+        axis = draw(st.sampled_from((1, 2, 3)))
+        particle = draw(st.sampled_from((1, 2)))
+        shape = draw(st.sampled_from([(((particle, axis),), ()), ((), ((particle, axis),)),
+                                      (((particle, axis),), ((particle, axis),))]))
+        mono = next(iter(_normal_ordered({shape: 1}).terms))
+        return kind, target, change, (mono, draw(_COEFFICIENTS))
+    if change == "stray":
+        letter = draw(st.sampled_from(_BREAKABLE))
+        word = draw(st.sampled_from([((letter,), 0, 0), ((), 0, 1), ((), 1, 0)]))
+        return kind, target, change, (word, draw(_COEFFICIENTS))
+    return kind, target, change, draw(_COEFFICIENTS)
+
+
+def _broken(terms: dict, change: str, value) -> dict:
+    """``terms`` with a stray term added or its first coefficient scaled."""
+    out = dict(terms)
+    if change == "stray":
+        mono, coeff = value
+        out[mono] = out[mono] + coeff if mono in out else coeff
+    else:
+        mono = sorted(out)[0]
+        out[mono] = out[mono] * value
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(fault=_symmetry_fault(), free_mass=st.booleans())
+def test_orbit_route_matches_the_direct_route_under_a_broken_symmetry_hypothesis(fault,
+                                                                                  free_mass):
+    # fault injection: one image or one letter-table entry breaks the axis
+    # rotation on one axis.  The certificate then sends the pairs it touches
+    # to their own commutators, and every residual of both suites equals,
+    # key by key, the chained reference's, with the nonzero labels of the
+    # direct route, where every pair takes its commutator.  More than 24
+    # pairs take their commutator
+    kind, target, change, value = fault
+    realize = OneParticleRealization.realize
+
+    def faulty(self, name):
+        image = realize(self, name)
+        if name != target or self.slot != 1:
+            return image
+        return WeylExpression(_broken(image.terms, change, value))
+
+    if kind == "image":
+        patch = mock.patch.object(OneParticleRealization, "realize", faulty)
+    else:
+        patch = mock.patch.dict(hopf._BRACKETS,
+                                {target: _broken(hopf._BRACKETS[target], change, value)})
+    with patch:
+        r1, sys_ = _pair(free_mass)
+        (one_count, one), (composed_count, composed) = (
+            _count_commutators(lambda: verify_one_particle(r1)),
+            _count_commutators(sys_.verify_composed))
+        assert one_count > 24 and composed_count > 24
+        _assert_same_residuals(one, _reference_one_particle(r1))
+        _assert_same_residuals(composed, _reference_composed(sys_))
+        r1, sys_ = _pair(free_mass)
+        for new, direct in ((one, _direct_route(lambda: verify_one_particle(r1))),
+                            (composed, _direct_route(sys_.verify_composed))):
+            assert ([label for label, res in new if not res.is_zero]
+                    == [label for label, res in direct if not res.is_zero])
+            assert all(a == b for (_, a), (_, b) in zip(new, direct))
 
 
 def test_canonical_pairs_direct(system):

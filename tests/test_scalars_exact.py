@@ -313,3 +313,16 @@ def test_accumulate_keeps_a_cancelled_coefficient_for_nonzero_to_drop():
     scalars._accumulate(out, {"a": -k})
     assert list(out) == ["a"] and out["a"].is_zero
     assert scalars._nonzero(out) == {}
+
+
+def test_same_terms_compares_stored_forms_then_exactly():
+    # the stored form is not unique: (k^2 - 1)/(k - 1) and k + 1 differ in
+    # form and are equal, which the exact difference shows; a different
+    # coefficient or a different set of monomials is not the same
+    k = sym("k")
+    a, b = (k * k - 1) / (k - 1), k + 1
+    assert (a._num, a._den) != (b._num, b._den)
+    assert scalars._same_terms({1: a, 2: k}, {2: k, 1: b})
+    assert not scalars._same_terms({1: a}, {1: b + 1})
+    assert not scalars._same_terms({1: a}, {2: a})
+    assert not scalars._same_terms({1: a}, {1: a, 2: k})
