@@ -14,9 +14,10 @@ checks at c = k/2, with k a free symbol, cover every nonzero c.
 The presentation is one block of data below, and a letter is its generator
 name ("P1", "H").  ``_DEGREE`` lists the non-central letters in normal order
 with their mass degree, 1 for P and K and 0 for J and H; ``_CENTRAL`` gives
-M, E and Einv as exponents of M and E; ``_RANK`` orders ``GENERATOR_NAMES``;
-``_BRACKETS`` holds the 21 nonzero brackets of ordered letter pairs, shared
-and never mutated.  The coproduct and antipode of a letter read its degree,
+M, E and Einv as exponents of M and E; ``_RANK`` orders ``GENERATOR_NAMES``
+and ``_LETTER`` marks its letters; ``_BRACKETS`` holds the 21 nonzero
+brackets of ordered letter pairs, shared and never mutated.  The coproduct
+and antipode of a letter read its degree,
 
     Delta X = X (x) E^deg + 1 (x) X,        S X = -X E^-deg,
 
@@ -59,15 +60,16 @@ alternating, as every word and tensor bracket changes sign exactly with its
 order and Delta is linear.
 
 Most items are zero by their names alone, and are answered from the names
-before any sort, build or store write.  A word with no letters brackets to
-nothing, and M, E and Einv are such words, as is every leg of their Delta,
-so a bracket, triple or pair that holds one is zero in closed form; so are a
-bracket or homomorphism residual on the diagonal, and a Jacobi sum with a
-repeated name, whose two remaining double brackets cancel by antisymmetry.
-These and every sum that cancels share one zero per algebra, its own
-negation; a sum is filtered by ``_nonzero`` before any element is built.  So
-the store holds only the brackets and residuals that were built, and their
-mirrors.  Sharing is safe: no element changes after construction.
+before any sort, build or store write, once ``_LETTER`` has read each name,
+so an unknown one raises KeyError as in ``gen``.  A word with no letters
+brackets to nothing, and M, E and Einv are such words, as is every leg of
+their Delta, so a bracket, triple or pair that holds one is zero in closed
+form; so are a bracket or homomorphism residual on the diagonal, and a Jacobi
+sum with a repeated name, whose two remaining double brackets cancel by
+antisymmetry.  These and every sum that cancels share one zero per algebra,
+its own negation; a sum is filtered by ``_nonzero`` before any element is
+built.  So the store holds only the brackets and residuals that were built,
+and their mirrors.  Sharing is safe: no element changes after construction.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ _CENTRAL = {"M": (1, 0), "E": (0, 1), "Einv": (0, -1)}
 GENERATOR_NAMES = (*_DEGREE, *_CENTRAL)
 
 _RANK = {name: rank for rank, name in enumerate(GENERATOR_NAMES)}
+_LETTER = {name: name in _DEGREE for name in GENERATOR_NAMES}
 
 _EMPTY = ()
 _UNIT = (_EMPTY, 0, 0)
@@ -320,7 +323,7 @@ class GalileiHopf:
         diagonal and where a name is central, read from the names alone;
         otherwise read from ``_letter_bracket`` for g before h, and [h, g],
         built on its first read, is its negation."""
-        if g == h or g in _CENTRAL or h in _CENTRAL:
+        if not (_LETTER[g] & _LETTER[h]) or g == h:
             return self._zero
         value = self._store.get((g, h))
         if value is None:
@@ -412,7 +415,7 @@ class GalileiHopf:
         names alone; otherwise built once per set of names, for its
         ``GENERATOR_NAMES`` order.  See the module docstring.
         """
-        if g1 == g2 or g2 == g3 or g1 == g3 or g1 in _CENTRAL or g2 in _CENTRAL or g3 in _CENTRAL:
+        if not (_LETTER[g1] & _LETTER[g2] & _LETTER[g3]) or g1 == g2 or g2 == g3 or g1 == g3:
             return self._zero
         value = self._store.get((g1, g2, g3))
         if value is None:
@@ -434,7 +437,7 @@ class GalileiHopf:
         Antisymmetric in (g, h); the shared zero on the diagonal and where a
         name is central, read from the names alone.
         """
-        if g == h or g in _CENTRAL or h in _CENTRAL:
+        if not (_LETTER[g] & _LETTER[h]) or g == h:
             return self._zero_tensor
         key = ("Delta", g, h)
         value = self._store.get(key)

@@ -1,6 +1,9 @@
 """Exact scalar arithmetic: multivariate rational functions over Q(i).
 
-All coefficients in the algebraic modules live here.  A value is held as
+All coefficients in the algebraic modules live here.  A value is built from
+ints, ``I`` and the symbols of ``sym`` by arithmetic: ``Rat`` and every
+operand take an int or a value, and anything else (a float, a Fraction, a
+sympy tree) is a TypeError, so nothing is rounded in.  It is held as
 
     numerator / (c * A_1^e_1 * ... * A_n^e_n)
 
@@ -23,8 +26,10 @@ by a product of nonzero polynomials is zero iff its numerator is.  So
 The canonical form of a value is a coprime numerator/denominator pair of
 expanded polynomials in formal symbols, with the denominator's leading
 coefficient (graded-lex over alphabetically sorted symbols) normalized to 1.
-It is built lazily, as sympy expressions, so sympy is imported only then:
-behind ``num``, ``den``, ``expr``, ``hash``, ``normalize`` and ``repr``.
+It is built lazily, as sympy expressions, behind ``num``, ``den``, ``expr``,
+``hash``, ``normalize`` and ``repr``: sympy is imported only by the five
+functions of that form, ``_poly_expr``, ``_canonical_pair``, ``_grlex_lc``,
+``_canonical`` and ``evaluate``'s fallback ``_evaluate_canonical``.
 When every atom is a single variable the denominator is a monomial and the
 gcd is the monomial it shares with the numerator, so sympy only builds the
 two expressions; sympy's ``together``/``cancel`` run only when an atom has
@@ -33,7 +38,8 @@ not factored, so no trial division proves them coprime).  ``evaluate`` works
 in floating point from the numerator and the atoms, and falls back to the
 canonical pair where an atom vanishes (the point may be a removable
 singularity) or a symbol is unassigned (the canonical form may not need it).
-A sympy expression converts to a value through ``Rat``/``RationalFunction``.
+A value pickles by variable names, and the reading process divides by each
+atom again, so it normalizes and interns the atoms in its own variable order.
 
 ``LinearCombination``, the sparse sum of monomials that the Weyl,
 enveloping-algebra and tensor elements share, with their one distributive
@@ -55,11 +61,8 @@ is rational in them.  A monomial packs its exponents into one integer,
 
 from __future__ import annotations
 
-import sys
 import threading
-from fractions import Fraction
 from math import gcd, lcm
-from numbers import Number
 
 __all__ = [
     "DegenerateInputError",
@@ -386,41 +389,13 @@ def _div(a: "RationalFunction", b: "RationalFunction") -> "RationalFunction":
     return _reduced(num, a._c * scale, den)
 
 
-def _from_sympy(expr) -> "RationalFunction":
-    """Convert a sympy expression (or anything sympify takes) by its tree."""
-    import sympy as sp
-
-    expr = sp.sympify(expr)
-    if expr.is_Rational:
-        return _constant(int(expr.p), 0, int(expr.q))
-    if expr.is_Float:
-        return _from_sympy(sp.Rational(expr))
-    if expr is sp.I:
-        return I
-    if expr.is_Symbol:
-        return sym(expr.name)
-    if expr.is_Add or expr.is_Mul:
-        parts = [_from_sympy(arg) for arg in expr.args]
-        out = parts[0]
-        for part in parts[1:]:
-            out = _add(out, part, 1) if expr.is_Add else _mul(out, part)
-        return out
-    if expr.is_Pow and expr.exp.is_Integer:
-        return _from_sympy(expr.base) ** int(expr.exp)
-    raise TypeError(f"not a rational function over Q(i): {expr}")
-
-
 def _coerce(value) -> "RationalFunction | None":
-    """An arithmetic operand as a RationalFunction, or None if it is not a scalar."""
+    """An arithmetic operand as a RationalFunction, or None if it is not an
+    int or a RationalFunction."""
     if isinstance(value, RationalFunction):
         return value
     if isinstance(value, int):
         return _constant(value)
-    if isinstance(value, Fraction):
-        return _constant(value.numerator, 0, value.denominator)
-    sympy = sys.modules.get("sympy")
-    if isinstance(value, Number) or (sympy is not None and isinstance(value, sympy.Basic)):
-        return _from_sympy(value)
     return None
 
 
@@ -492,7 +467,7 @@ class RationalFunction:
     def __init__(self, expr):
         value = _coerce(expr)
         if value is None:
-            value = _from_sympy(expr)
+            raise TypeError(f"not an int or a RationalFunction: {expr!r}")
         self._num, self._c, self._den, self._pair = value._num, value._c, value._den, value._pair
 
     # -- canonical form ------------------------------------------------------
@@ -619,8 +594,9 @@ class RationalFunction:
         return f"RationalFunction({self.expr})"
 
     def __reduce__(self):
-        # variable indices and atom ids are per process: pickle the expression
-        return Rat, (self.expr,)
+        # variable indices and atom ids are per process: pickle by names
+        return _rebuild, (_named(self._num), self._c,
+                          [(_named(_ATOMS[atom]), e) for atom, e in self._den.items()])
 
     # -- evaluation ------------------------------------------------------------
 
@@ -681,6 +657,26 @@ def Rat(expr) -> RationalFunction:
     callers share its cached canonical form.
     """
     return expr if isinstance(expr, RationalFunction) else RationalFunction(expr)
+
+
+def _named(poly: dict) -> list:
+    """A polynomial's terms, each keyed by its (variable name, exponent) pairs."""
+    return [(tuple((_VARS[idx], e) for idx, e in _unpack(mono)), coeff)
+            for mono, coeff in poly.items()]
+
+
+def _rebuild(num: list, c: int, atoms: list) -> RationalFunction:
+    """The value that ``__reduce__`` wrote, over this process's variables: the
+    numerator over c, divided by each atom as often as it occurs."""
+    def poly(terms: list) -> dict:
+        return {sum(e * _var(name) for name, e in names): v for names, v in terms}
+
+    out = _reduced(poly(num), c, _NO_ATOMS)
+    for terms, e in atoms:
+        atom = _new(poly(terms), 1, _NO_ATOMS)
+        for _ in range(e):
+            out = _div(out, atom)
+    return out
 
 
 def _accumulate(out: dict, terms: dict, factor: RationalFunction | None = None,

@@ -13,7 +13,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import sympy as sp
 
 from kgalilei import equivalence as eq
 from kgalilei import cli, gridrep, masses
@@ -26,7 +25,7 @@ from kgalilei.realization import (
     default_system,
     verify_one_particle,
 )
-from kgalilei.scalars import Rat, sym
+from kgalilei.scalars import I, Rat, sym
 from kgalilei.weyl import scalar
 
 
@@ -65,7 +64,7 @@ def test_criterion_2_mass_constraint_both_directions():
     mf, k, lam = sym("mf"), sym("k"), sym("lam")
     r_free = OneParticleRealization(1, lam, m_f=mf)
     residuals = dict(verify_one_particle(r_free))
-    expected = scalar(Rat(sp.I) * (mf - (k / 2) * (1 - lam ** 2)))
+    expected = scalar(I * (mf - (k / 2) * (1 - lam ** 2)))
     free_ok = all(residuals[f"[K{i},P{i}]"] == expected for i in (1, 2, 3))
     free_ok = free_ok and not expected.is_zero
     _report("criterion 2: mass constraint (both directions)",

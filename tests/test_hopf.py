@@ -6,13 +6,12 @@ import random
 import types
 
 import pytest
-import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from kgalilei import hopf
 from kgalilei.cli import run
 from kgalilei.hopf import GENERATOR_NAMES, GalileiHopf, TensorExpression, UEAExpression
-from kgalilei.scalars import LinearCombination, Rat, sym
+from kgalilei.scalars import I, LinearCombination, Rat, sym
 from kgalilei.weyl import WeylExpression
 
 
@@ -29,14 +28,13 @@ def _table_bracket(alg, g, h):
     """[g, h] as the module docstring's table states it, or None for a pair
     the table lists in neither order."""
     (a, i), (b, j) = ((name[0], int(name[1:]) if name[1:].isdigit() else 0) for name in (g, h))
-    i_unit = Rat(sp.I)
     if a == "J" and b in "JKP":   # [J_i, X_j] = i eps_ijl X_l
-        return sum((alg.gen(f"{b}{l}").scale(i_unit * _levi_civita(i, j, l)) for l in (1, 2, 3)),
+        return sum((alg.gen(f"{b}{l}").scale(I * _levi_civita(i, j, l)) for l in (1, 2, 3)),
                    alg.zero())
     if (a, b) == ("K", "H"):   # [K_i, H] = i P_i
-        return alg.gen(f"P{i}").scale(i_unit)
+        return alg.gen(f"P{i}").scale(I)
     if (a, b) == ("K", "P"):   # [K_i, P_j] = i delta_ij (k/2)(1 - E^2)
-        return (alg.one() - alg.gen("E") * alg.gen("E")).scale(i_unit * sym("k") / 2 * (i == j))
+        return (alg.one() - alg.gen("E") * alg.gen("E")).scale(I * sym("k") / 2 * (i == j))
     return None
 
 
@@ -59,20 +57,20 @@ def test_deformed_boost_momentum_bracket(alg):
     # [K_i, P_j] = i delta_ij (k/2)(1 - E^2)
     k = sym("k")
     c = k / 2
-    expected = (alg.one() - alg.gen("E") * alg.gen("E")).scale(Rat(sp.I) * c)
+    expected = (alg.one() - alg.gen("E") * alg.gen("E")).scale(I * c)
     assert alg.bracket("K1", "P1") == expected
     assert alg.bracket("K1", "P2").is_zero
     assert alg.bracket("K2", "P1").is_zero
 
 
 def test_boost_hamiltonian_bracket(alg):
-    assert alg.bracket("K1", "H") == alg.gen("P1").scale(Rat(sp.I))
+    assert alg.bracket("K1", "H") == alg.gen("P1").scale(I)
 
 
 def test_rotation_brackets(alg):
-    assert alg.bracket("J1", "J2") == alg.gen("J3").scale(Rat(sp.I))
-    assert alg.bracket("J1", "P2") == alg.gen("P3").scale(Rat(sp.I))
-    assert alg.bracket("J2", "K3") == alg.gen("K1").scale(Rat(sp.I))
+    assert alg.bracket("J1", "J2") == alg.gen("J3").scale(I)
+    assert alg.bracket("J1", "P2") == alg.gen("P3").scale(I)
+    assert alg.bracket("J2", "K3") == alg.gen("K1").scale(I)
 
 
 def test_central_elements(alg):
@@ -145,7 +143,7 @@ def test_antipode_is_antihomomorphism(alg):
 def test_classical_limit_bracket(alg):
     # first order in M/k: [K_i, P_j] -> i delta_ij M
     limit = alg.first_order_classical(alg.bracket("K1", "P1"))
-    expected = alg.first_order_classical(alg.gen("M").scale(Rat(sp.I)))
+    expected = alg.first_order_classical(alg.gen("M").scale(I))
     assert (limit - expected).is_zero
 
 
@@ -161,6 +159,12 @@ def test_unknown_generator_rejected(alg):
         alg.gen("Q1")
     with pytest.raises(KeyError):
         alg.coproduct("Q1")
+    # the checks read every name before they answer a zero from the names
+    for call in (lambda: alg.check_hom("Q1", "Q1"), lambda: alg.bracket("Q1", "Q1"),
+                 lambda: alg.bracket("Q1", "M"), lambda: alg.bracket("M", "Q1"),
+                 lambda: alg.check_jacobi("Q1", "Q1", "J1")):
+        with pytest.raises(KeyError):
+            call()
 
 
 def test_canonical_cancellation_leaves_no_term(alg):
@@ -335,7 +339,7 @@ def test_stored_brackets_equal_fresh_commutators():
         assert alg.check_hom(g, h) == TensorExpression(alg, 2, built.terms)
     for g, h, f in itertools.product(GENERATOR_NAMES, repeat=3):
         assert _double_bracket(alg, g, h, f) == gen(g).commutator(gen(h)).commutator(gen(f))
-    expected = (alg.one() - gen("E") * gen("E")).scale(Rat(sp.I) * sym("k") / 2)
+    expected = (alg.one() - gen("E") * gen("E")).scale(I * sym("k") / 2)
     assert alg.bracket("K1", "P1") == expected
 
 
@@ -439,7 +443,7 @@ def test_wrong_bracket_sign_breaks_jacobi(monkeypatch, capsys):
     # fails, and verify hopf names the first failing triple and its residual
     monkeypatch.setattr(GalileiHopf, "_letter_bracket", _wrong_sign_rotation_momentum)
     broken = GalileiHopf()
-    assert broken.bracket("J1", "P2") == broken.gen("P3").scale(-Rat(sp.I))
+    assert broken.bracket("J1", "P2") == broken.gen("P3").scale(-I)
     assert broken.check_jacobi("J1", "K2", "H") == broken.gen("P3").scale(-2)
 
     gen = broken.gen
@@ -485,7 +489,7 @@ def test_table_reads_equal_the_generic_routes(monkeypatch, wrong_sign):
     for g, h in itertools.product(GENERATOR_NAMES, repeat=2):
         assert alg.bracket(g, h).terms == fresh.gen(g).commutator(fresh.gen(h)).terms, (g, h)
     sign = -1 if wrong_sign else 1
-    assert alg.bracket("J1", "P2") == alg.gen("P3").scale(sign * Rat(sp.I))
+    assert alg.bracket("J1", "P2") == alg.gen("P3").scale(sign * I)
     unit = ((), 0, 0)
     one = TensorExpression(fresh, 2, {(unit, unit): Rat(1)})
     for letter in GENERATOR_NAMES[:10]:

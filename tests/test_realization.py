@@ -8,7 +8,6 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 import kgalilei
@@ -24,10 +23,8 @@ from kgalilei.realization import (
     default_system,
     verify_one_particle,
 )
-from kgalilei.scalars import Rat, sym
+from kgalilei.scalars import I, Rat, sym
 from kgalilei.weyl import WeylExpression, _normal_ordered, momentum, position, scalar
-
-I = Rat(sp.I)
 
 
 @pytest.fixture(scope="module")

@@ -9,19 +9,22 @@ invariants (normalized atoms, atoms cancelled in a division) are checked on
 its representation.
 """
 
+import ast
+import inspect
 import math
 import os
 import pickle
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy as sp
 
 from kgalilei import scalars
-from kgalilei.scalars import DegenerateInputError, Rat, RationalFunction, _canonical_pair, sym
+from kgalilei.scalars import DegenerateInputError, I, Rat, RationalFunction, _canonical_pair, sym
 
 NAMES = ("k", "lam", "lamp")
 SYMBOLS = {name: (sym(name), sp.Symbol(name)) for name in NAMES}
@@ -35,7 +38,7 @@ def leaf(rng):
     if rng.random() < 0.6:
         return SYMBOLS[rng.choice(NAMES)]
     re, im = rng.randint(-3, 3), rng.choice((0, 0, 0, rng.randint(-2, 2)))
-    return Rat(sp.Integer(re) + sp.I * im), sp.Integer(re) + sp.I * im
+    return re + im * I, sp.Integer(re) + sp.I * im
 
 
 def tree(rng, depth):
@@ -108,7 +111,7 @@ def test_zeros_that_need_cancellation_across_atoms():
     assert ((lam ** 2 - 1) / (lam + 1) - (lam - 1)).is_zero
     assert (1 / (k * (1 - lam ** 2)) - 1 / (k - k * lam ** 2)).is_zero
     assert 1 / (1 - lam) + 1 / (lam - 1) == 0
-    assert (1 / (Rat(sp.I) * lam + 1) - (-Rat(sp.I)) / (lam - Rat(sp.I))).is_zero
+    assert (1 / (I * lam + 1) - (-I) / (lam - I)).is_zero
     assert not (1 / (k * (1 - lam ** 2)) - 1 / (k + k * lam ** 2)).is_zero
 
 
@@ -129,21 +132,27 @@ def test_evaluate_needs_only_the_canonical_symbols():
     assert (lam * k / k).evaluate({sp.Symbol("lam"): 0.5}) == 0.5
 
 
-def test_sympy_operands_and_literals():
+def test_foreign_operands_are_refused():
+    # a value is built from ints and values only: a float, a Fraction, a
+    # complex or a sympy object would be rounded or converted on the way in
     k = sym("k")
-    assert k + sp.Rational(1, 2) == RationalFunction(sp.Symbol("k") + sp.Rational(1, 2))
-    assert k * 0.5 == k / 2
-    assert Rat(sp.Symbol("k") ** -2) == 1 / (k * k)
-    with pytest.raises(TypeError):
-        Rat(sp.exp(sp.Symbol("k")))
+    for make in (lambda: k * 0.1, lambda: 0.1 * k, lambda: k + Fraction(1, 2),
+                 lambda: k + sp.Rational(1, 2), lambda: sp.I * k, lambda: k * (1 + 2j),
+                 lambda: Rat(0.1), lambda: Rat(sp.I), lambda: RationalFunction(sp.Symbol("k"))):
+        with pytest.raises(TypeError):
+            make()
+    assert k * True == k
+    assert Rat(3) / 4 * 4 == 3
 
 
-def test_atoms_are_primitive_and_unit_normalized():
-    # every denominator atom any test has made: a single variable, or a
-    # polynomial with no monomial or integer content whose leading
-    # coefficient has re > 0 and im >= 0
-    k, lam, lamp = (sym(n) for n in NAMES)
-    _ = 1 / (2 - 2 * lam) + 1 / (Rat(sp.I) * k * lam - 3 * Rat(sp.I) * k) + lamp / (lam * lamp - lamp)
+def assert_atoms_normalized():
+    """Every atom made so far in this process is a single variable, or a
+    polynomial with no monomial or integer content whose leading coefficient
+    has re > 0 and im >= 0.  Self-contained, so a subprocess can run it."""
+    import math
+
+    from kgalilei import scalars
+
     assert scalars._ATOMS
     for poly in scalars._ATOMS:
         monos = list(poly)
@@ -157,6 +166,13 @@ def test_atoms_are_primitive_and_unit_normalized():
         assert all(min(e.get(idx, 0) for e in exponents) == 0 for idx in exponents[0])
 
 
+def test_atoms_are_primitive_and_unit_normalized():
+    # every denominator atom any test has made
+    k, lam, lamp = (sym(n) for n in NAMES)
+    _ = 1 / (2 - 2 * lam) + 1 / (I * k * lam - 3 * I * k) + lamp / (lam * lamp - lamp)
+    assert_atoms_normalized()
+
+
 def test_division_cancels_common_atoms():
     # x / y with the atoms k and 1 - lam^2 on both sides leaves only lam + 1
     k, lam = sym("k"), sym("lam")
@@ -167,26 +183,80 @@ def test_division_cancels_common_atoms():
     assert q._den == (1 / (lam + 1))._den
 
 
-_UNPICKLE = """
+def pickled_value():
+    """The value pickled across processes.  Its atom k - I*lam has another
+    leading term, so another unit, in the other variable order."""
+    from kgalilei.scalars import I, sym
+
+    k, lam = sym("k"), sym("lam")
+    return (I * lam + 1) / (k * (1 - lam ** 2) * (k - I * lam) ** 2)
+
+
+_PICKLE = inspect.getsource(pickled_value) + """
 import pickle, sys
-from kgalilei.scalars import I, sym
-sym("unrelated")  # variable ids here differ from the pickling process's
-k, lam = sym("k"), sym("lam")
-assert pickle.loads(sys.stdin.buffer.read()) == (I * lam + 1) / (k * (1 - lam ** 2))
+data = pickle.dumps(pickled_value())
+assert "sympy" not in sys.modules
+sys.stdout.buffer.write(data)
+"""
+
+_UNPICKLE = inspect.getsource(assert_atoms_normalized) + inspect.getsource(pickled_value) + """
+import pickle, sys
+sys.modules["sympy"] = None
+from kgalilei.scalars import sym
+sym("unrelated")  # variable ids here differ from the pickling process's,
+sym("lam"), sym("k")  # and so does the order of k and lam
+assert pickle.loads(sys.stdin.buffer.read()) == pickled_value()
+assert_atoms_normalized()
 """
 
 
 def test_pickle_keeps_the_value_across_processes():
-    # a value pickles as its expression, not as one process's variable and atom ids
-    k, lam = sym("k"), sym("lam")
-    f = (Rat(sp.I) * lam + 1) / (k * (1 - lam ** 2))
+    # a value pickles by variable names, not as one process's variable and
+    # atom ids, and neither side imports sympy
+    f = pickled_value()
     assert pickle.loads(pickle.dumps(f)) == f
     src = str(Path(scalars.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", _UNPICKLE], input=pickle.dumps(f),
+    wrote = subprocess.run([sys.executable, "-c", _PICKLE], capture_output=True, env=env,
+                           timeout=120)
+    assert wrote.returncode == 0, wrote.stderr.decode()
+    done = subprocess.run([sys.executable, "-c", _UNPICKLE], input=wrote.stdout,
                           capture_output=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
+
+
+#: The functions of the canonical form, the only ones that may import sympy.
+_SYMPY_SCOPES = {("scalars.py", name) for name in (
+    "_grlex_lc", "_canonical_pair", "_poly_expr", "RationalFunction._canonical",
+    "RationalFunction._evaluate_canonical")}
+
+
+def test_sympy_is_imported_only_behind_the_canonical_form():
+    # every sympy import in the package, with the function it sits in; and
+    # no lookup of sympy by name, as in sys.modules.get("sympy")
+    imports, lookups = [], []
+
+    def walk(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, path, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            else:
+                modules = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+            if any(module.split(".")[0] == "sympy" for module in modules):
+                imports.append((path.name, ".".join(scope)))
+            if isinstance(child, ast.Constant) and child.value == "sympy":
+                lookups.append((path.name, child.lineno))
+            walk(child, path, scope)
+
+    for path in sorted(Path(scalars.__file__).resolve().parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), path, ())
+    assert imports, "the walk must see the canonical form's own imports"
+    assert [where for where in imports if where not in _SYMPY_SCOPES] == []
+    assert lookups == []
 
 
 # -- the canonical pair of a value whose atoms are all single variables ---------
@@ -234,7 +304,7 @@ def test_monomial_denominators_agree_with_sympy(seed, monkeypatch):
               ((k[0] ** 2 + 3 * k[0]) / (2 * k[0] * lam[0]),
                (k[1] ** 2 + 3 * k[1]) / (2 * k[1] * lam[1]))]
     values += [monomial_tree(rng, 4) for _ in range(10)]
-    values += [(a / c, ea / c) for c in (2, 3 + sp.I) for a, ea in values[2:5]]
+    values += [(a / c, ea / ec) for c, ec in ((2, 2), (3 + I, 3 + sp.I)) for a, ea in values[2:5]]
     monkeypatch.setattr(scalars, "_canonical_pair", _refuse)
     for a, ea in values:
         assert all(len(scalars._ATOMS[atom]) == 1 for atom in a._den)

@@ -3,20 +3,17 @@
 import random
 
 import pytest
-import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from kgalilei import weyl
 from kgalilei.realization import default_system
-from kgalilei.scalars import Rat, sym
+from kgalilei.scalars import I, Rat, sym
 from kgalilei.weyl import (
     WeylExpression,
     momentum,
     position,
     scalar,
 )
-
-I = Rat(sp.I)
 
 
 def random_expression(rng, max_terms=3, max_deg=2):
@@ -32,7 +29,7 @@ def random_expression(rng, max_terms=3, max_deg=2):
         re, im = rng.randint(-3, 3), rng.randint(-3, 3)
         if re == im == 0:
             re = 1
-        coeff = Rat(sp.Integer(re) + sp.I * sp.Integer(im))
+        coeff = re + im * I
         total = total + WeylExpression({(tuple(xexp), tuple(pexp)): coeff})
     return total
 
