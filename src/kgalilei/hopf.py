@@ -59,6 +59,16 @@ ordering of its names, negated under the odd ones: both residuals are
 alternating, as every word and tensor bracket changes sign exactly with its
 order and Delta is linear.
 
+sigma, the cyclic relabeling of the axes 1 -> 2 -> 3 -> 1 (``_SIGMA``), maps
+the built residuals onto each other in orbits of three, or of one for the
+three axes of a kind.  ``_sigma_equivariant``, taken once per algebra,
+certifies that sigma commutes with the letter maps, none of whose words has
+two letters.  A generator's Jacobi sum and homomorphism residual then read
+only words of at most one letter, so they do no rewriting of letter order,
+and each is term for term sigma of its orbit source's.  A zero residual is
+then stored for its whole orbit; a nonzero one is never carried, so a
+failing report is the direct route's and no relabeled word needs a re-sort.
+
 Most items are zero by their names alone, and are answered from the names
 before any sort, build or store write, once ``_LETTER`` has read each name,
 so an unknown one raises KeyError as in ``gen``.  A word with no letters
@@ -69,7 +79,7 @@ sum with a repeated name, whose two remaining double brackets cancel by
 antisymmetry.  These and every sum that cancels share one zero per algebra,
 its own negation; a sum is filtered by ``_nonzero`` before any element is
 built.  So the store holds only the brackets and residuals that were built,
-and their mirrors.  Sharing is safe: no element changes after construction.
+their mirrors and orbits.  Sharing is safe: no element changes once built.
 """
 
 from __future__ import annotations
@@ -77,7 +87,7 @@ from __future__ import annotations
 from math import comb
 
 from .scalars import (I as _I, LinearCombination, RationalFunction, Rat, _accumulate, _mul,
-                      _nonzero, sym)
+                      _nonzero, _same_terms, sym)
 
 __all__ = ["GalileiHopf", "UEAExpression", "TensorExpression", "GENERATOR_NAMES"]
 
@@ -95,6 +105,10 @@ GENERATOR_NAMES = (*_DEGREE, *_CENTRAL)
 
 _RANK = {name: rank for rank, name in enumerate(GENERATOR_NAMES)}
 _LETTER = {name: name in _DEGREE for name in GENERATOR_NAMES}
+
+#: sigma, the cyclic relabeling of the axes 1 -> 2 -> 3 -> 1; H, M, E and Einv are fixed.
+_SIGMA = {name: f"{name[0]}{int(name[1]) % 3 + 1}" if name[1:] in ("1", "2", "3") else name
+          for name in GENERATOR_NAMES}
 
 _EMPTY = ()
 _UNIT = (_EMPTY, 0, 0)
@@ -117,6 +131,20 @@ def _brackets() -> dict:
 
 #: The 21 nonzero brackets of ordered letter pairs.  Shared: never mutated.
 _BRACKETS = _brackets()
+
+
+def _relabeled(word: tuple) -> tuple:
+    """sigma of a word's letters."""
+    letters, m, e = word
+    return tuple(map(_SIGMA.__getitem__, letters)), m, e
+
+
+def _orbit(keys: tuple) -> tuple:
+    """Store keys and their sigma and sigma^2 images; ``keys`` alone where
+    sigma maps them onto themselves, as for the three axes of a kind."""
+    image = tuple(tuple(_SIGMA.get(name, name) for name in key) for key in keys)
+    return keys if image[0] in keys else keys + image + tuple(
+        tuple(_SIGMA.get(name, name) for name in key) for key in image)
 
 
 def _word_str(word: tuple) -> str:
@@ -230,6 +258,7 @@ class GalileiHopf:
         self._word_antipodes: dict = {}
         self._zero = UEAExpression(self, {})
         self._zero_tensor = TensorExpression(self, 2, {})
+        self._equivariant = None   # _sigma_equivariant, taken on first use in _fill
         self.rewrite_steps = 0
 
     # -- element constructors ------------------------------------------------
@@ -308,15 +337,40 @@ class GalileiHopf:
         negation under ``odd``; return it.
 
         The negation is exact because each stored value is alternating in its
-        names (see the module docstring), and a zero value is its own.
+        names (see the module docstring), and a zero value is its own.  Under
+        ``_sigma_equivariant`` a zero is stored for the sigma orbit of its keys.
         """
         store = self._store
         mirror = -value
+        if not value.terms:
+            if self._equivariant is None:
+                self._equivariant = self._sigma_equivariant()
+            even, odd = (_orbit(even), _orbit(odd)) if self._equivariant else (even, odd)
         for key in even:
             store[key] = value
         for key in odd:
             store[key] = mirror
         return value
+
+    def _sigma_equivariant(self) -> bool:
+        """The certificate that ``_letter_bracket`` of (sigma a, sigma b) is
+        the relabeled one of (a, b) for every ordered pair of letters, and
+        Delta of sigma a, from ``_letter_coproduct``, the relabeled Delta of
+        a.  A bracket word or tensor monomial of more than one letter is not
+        certified."""
+        table = {(a, b): self._letter_bracket(a, b) for a in _DEGREE for b in _DEGREE}
+        for (a, b), terms in table.items():
+            rotated = {_relabeled(word): c for word, c in terms.items() if len(word[0]) < 2}
+            if len(rotated) < len(terms) or not _same_terms(table[_SIGMA[a], _SIGMA[b]], rotated):
+                return False
+        for a in _DEGREE:
+            terms = self._word_coproduct(((a,), 0, 0)).terms
+            rotated = {(_relabeled(u), _relabeled(w)): c for (u, w), c in terms.items()
+                       if len(u[0]) + len(w[0]) < 2}
+            if len(rotated) < len(terms) or not _same_terms(
+                    self._word_coproduct(((_SIGMA[a],), 0, 0)).terms, rotated):
+                return False
+        return True
 
     def bracket(self, g: str, h: str) -> UEAExpression:
         """Commutator [g, h] of two named generators: the shared zero on the

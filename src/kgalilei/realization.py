@@ -66,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .hopf import GENERATOR_NAMES, GalileiHopf, UEAExpression
+from .hopf import GENERATOR_NAMES, GalileiHopf, UEAExpression, _SIGMA
 from .masses import VARIABLES, pairing, variable_table
 from .scalars import I as _I, RationalFunction, Rat, _accumulate, _same_terms, sym
 from .weyl import WeylExpression, _normal_ordered, _rotated, momentum, scalar
@@ -185,10 +185,6 @@ def _realize_words(expr: UEAExpression, images: dict, e_value: RationalFunction,
 #: The checked pairs (g, h), g before h in ``_CHECKED``, in label order.
 _PAIRS = tuple((g, h) for n, g in enumerate(_CHECKED) for h in _CHECKED[n + 1:])
 
-#: sigma, the cyclic relabeling of the axes 1 -> 2 -> 3 -> 1; H, M and E are fixed.
-_ROTATION = {name: f"{name[0]}{int(name[1]) % 3 + 1}" if name[1:] in ("1", "2", "3") else name
-             for name in _CHECKED}
-
 
 def _orbit_plan() -> tuple:
     """(g, h, source, sign) for every checked pair, orbit by orbit under
@@ -203,7 +199,7 @@ def _orbit_plan() -> tuple:
         while pair not in seen:
             seen.add(pair)
             plan.append((*pair, source, sign))
-            g, h = (_ROTATION[name] for name in pair)
+            g, h = (_SIGMA[name] for name in pair)
             source, sign = pair, 1
             if rank[g] > rank[h]:
                 g, h, sign = h, g, -1
@@ -217,7 +213,7 @@ _ORBIT_PLAN = _orbit_plan()
 def _rotating(images: dict) -> set:
     """The generators g whose image sigma carries onto the image of sigma(g)."""
     return {g for g in _CHECKED
-            if _same_terms(_rotated(images[g].terms), images[_ROTATION[g]].terms)}
+            if _same_terms(_rotated(images[g].terms), images[_SIGMA[g]].terms)}
 
 
 def _carried(alg: GalileiHopf, source: tuple, bracket: UEAExpression, sign: int,
@@ -236,8 +232,7 @@ def _carried(alg: GalileiHopf, source: tuple, bracket: UEAExpression, sign: int,
     for (letters, m, e), coeff in alg.bracket(a, b).terms.items():
         if len(letters) > 1 or (letters and letters[0] not in rotating):
             return False
-        rotated[tuple(_ROTATION[letter] for letter in letters), m, e] = \
-            coeff if sign > 0 else -coeff
+        rotated[tuple(map(_SIGMA.__getitem__, letters)), m, e] = coeff if sign > 0 else -coeff
     return _same_terms(rotated, bracket.terms)
 
 

@@ -601,6 +601,20 @@ def _reference_hopf_axiom(alg, g):
     return total - alg.one().scale(alg.counit(g))
 
 
+def _single_axis_boost_momentum(self, a, b):
+    # [K1, P1] = i c (1 - E) in place of i c (1 - E^2), the other axes as
+    # they are: sigma no longer commutes with the letter table
+    if (a, b) == ("K1", "P1"):
+        i_c = I * sym("k") / 2
+        return {((), 0, 0): i_c, ((), 0, 1): -i_c}
+    return _letter_bracket(self, a, b)
+
+
+def _untwisted_momentum_one(self, letter):
+    # Delta P1 = P1 (x) 1 + 1 (x) P1, every other letter as it is
+    return _primitive_coproduct(self, letter) if letter == "P1" else _letter_coproduct(self, letter)
+
+
 #: name -> (patched attribute, on one instance, method, failing checks)
 _FAULTS = {
     "wrong-sign-bracket": ("_letter_bracket", False, _wrong_sign_rotation_momentum, {"jacobi"}),
@@ -609,7 +623,30 @@ _FAULTS = {
     "misplaced-class": ("_letter_coproduct", False, _momentum_twist_on_the_left, {"hom"}),
     "misplaced-instance": ("_letter_coproduct", True, _momentum_twist_on_the_left, {"hom"}),
     "flipped-antipode": ("_letter_antipode", False, _flipped_momentum_antipode, {"axiom"}),
+    "single-axis-bracket": ("_letter_bracket", False, _single_axis_boost_momentum,
+                            {"jacobi", "hom"}),
+    "single-axis-coproduct": ("_letter_coproduct", True, _untwisted_momentum_one,
+                              {"hom", "axiom"}),
 }
+
+#: The faults of ``_FAULTS`` that break sigma on the letter maps; the others
+#: keep it, or, as the flipped antipode, touch no letter map the certificate reads.
+_SINGLE_AXIS = {"single-axis-bracket", "single-axis-coproduct"}
+
+
+def _maker(monkeypatch, fault):
+    """A maker of algebras under ``fault``, patched on the class now or on
+    each algebra it makes."""
+    attr, on_instance, method, _ = _FAULTS[fault] if fault else (None, False, None, None)
+    if fault and not on_instance:
+        monkeypatch.setattr(GalileiHopf, attr, method)
+
+    def make():
+        alg = GalileiHopf()
+        if fault and on_instance:
+            monkeypatch.setattr(alg, attr, types.MethodType(method, alg))
+        return alg
+    return make
 
 
 @pytest.mark.parametrize("fault", [None, *_FAULTS])
@@ -619,17 +656,9 @@ def test_one_pass_residuals_match_the_long_routes(monkeypatch, fault):
     # second algebra: the Jacobi sum, the homomorphism residual and the
     # Hopf axiom, and the antipode of each generator.  Those with a central
     # name are the shared zero of their algebra, as the long route finds.
-    # Under each fault the suites it breaks fail, and only those
-    def make():
-        alg = GalileiHopf()
-        if fault and _FAULTS[fault][1]:
-            attr, _, method, _ = _FAULTS[fault]
-            monkeypatch.setattr(alg, attr, types.MethodType(method, alg))
-        return alg
-
-    if fault and not _FAULTS[fault][1]:
-        attr, _, method, _ = _FAULTS[fault]
-        monkeypatch.setattr(GalileiHopf, attr, method)
+    # Under each fault the suites it breaks fail, and only those; under a
+    # single-axis one the sigma certificate fails and every residual is built
+    make = _maker(monkeypatch, fault)
     alg, ref = make(), make()
     triples = list(itertools.product(GENERATOR_NAMES, repeat=3))
     pairs = list(itertools.product(GENERATOR_NAMES, repeat=2))
@@ -658,6 +687,39 @@ def test_one_pass_residuals_match_the_long_routes(monkeypatch, fault):
         if not value.is_zero:
             failing.add("axiom")
     assert failing == (_FAULTS[fault][3] if fault else set())
+
+
+@pytest.mark.parametrize("fault", [None, *_FAULTS])
+def test_sigma_certificate_holds_exactly_where_sigma_commutes(monkeypatch, fault):
+    # the certificate holds on the letter maps as they are and under every
+    # fault that keeps sigma, and fails under each single-axis one; a
+    # residual is stored for its orbit mates before they are asked exactly
+    # when it is zero and the certificate holds, so no nonzero one is carried
+    alg = _maker(monkeypatch, fault)()
+    holds = alg._sigma_equivariant()
+    assert holds is (fault not in _SINGLE_AXIS)
+    for names, mates in ((("J1", "K2", "P3"), [("J2", "K3", "P1"), ("P2", "K1", "J3")]),
+                         (("J3", "J1", "P1"), [("J1", "J2", "P2"), ("P3", "J3", "J2")]),
+                         (("K1", "P1", "J2"), [("K2", "P2", "J3"), ("P3", "J1", "K3")])):
+        carried = holds and alg.check_jacobi(*names).is_zero
+        assert all((mate in alg._store) is carried for mate in mates), (names, fault)
+    for pair, mates in ((("K1", "P1"), [("K2", "P2"), ("P3", "K3")]),
+                        (("K3", "H"), [("K1", "H"), ("H", "K2")])):
+        carried = holds and alg.check_hom(*pair).is_zero
+        assert all((("Delta", *mate) in alg._store) is carried for mate in mates), (pair, fault)
+    # sigma maps the three axes of one kind onto themselves: their Jacobi
+    # sum is written under each of its six orderings once
+    written = []
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            written.append(key)
+            super().__setitem__(key, value)
+
+    alg._store = Recording(alg._store)
+    alg.check_jacobi("P3", "P1", "P2")
+    assert sorted(key for key in written if len(key) == 3) == sorted(
+        itertools.permutations(("P1", "P2", "P3")))
 
 
 def test_flipped_antipode_fails_only_the_hopf_axiom(monkeypatch, capsys):
@@ -776,9 +838,13 @@ def test_verify_hopf_reuses_brackets(monkeypatch, capsys, scalar_products):
     # and a letter's coproduct is its table entry (45 commutators, 10 tensor
     # products, 463 scalar products and 39 tensor elements when each bracket
     # was the commutator of two generators and each letter's coproduct a
-    # product by 1 (x) 1).  Scalar products are counted at the kernel.  The
-    # bounds are the measured counts, the same under every hash seed tried:
-    # 358 scalar products, 114 enveloping-algebra and 29 tensor elements
+    # product by 1 (x) 1).  A zero residual is stored for its sigma orbit
+    # under the certificate, which builds no enveloping-algebra element, so
+    # the brackets of a carried residual are never read (358 scalar products
+    # and 114 enveloping-algebra elements when every residual was built).
+    # Scalar products are counted at the kernel.  The bounds are the
+    # measured counts, the same under every hash seed tried: 198 scalar
+    # products, 96 enveloping-algebra and 29 tensor elements
     calls = {(UEAExpression, "__mul__"): 0, (TensorExpression, "__mul__"): 0,
              (UEAExpression, "__add__"): 0, (LinearCombination, "commutator"): 0,
              (LinearCombination, "_bracket"): 0, (UEAExpression, "__init__"): 0,
@@ -809,8 +875,8 @@ def test_verify_hopf_reuses_brackets(monkeypatch, capsys, scalar_products):
     assert calls[TensorExpression, "__mul__"] == 0
     assert calls[UEAExpression, "__add__"] == 0
     assert calls[LinearCombination, "commutator"] == 0
-    assert 0 < scalar_products[0] <= 358
-    assert 0 < calls[UEAExpression, "__init__"] <= 114
+    assert 0 < scalar_products[0] <= 198
+    assert 0 < calls[UEAExpression, "__init__"] <= 96
     assert 0 < calls[TensorExpression, "__init__"] <= 29
     assert calls[LinearCombination, "_bracket"] == 0
     assert algebras and [alg.rewrite_steps for alg in algebras] == [0] * len(algebras)
@@ -819,11 +885,14 @@ def test_verify_hopf_reuses_brackets(monkeypatch, capsys, scalar_products):
 def test_verify_hopf_stores_only_built_residuals(monkeypatch, capsys):
     # work guard: an item with a repeated or central name, and a diagonal
     # pair, is the shared zero, answered from its names before any sort or
-    # store write, so only the 120 Jacobi sums and 45 homomorphism residuals
-    # that are built are sorted and stored, with their mirrors and the 81
-    # generator brackets they read (2,447 store entries, 858 fills and 767
-    # sorts when each such zero was stored under its orderings).  The counts
-    # are the measured ones, the same under every hash seed tried
+    # store write.  Of the 120 Jacobi sums and 45 homomorphism residuals of
+    # distinct non-central names, one per sigma orbit is built, sorted and
+    # stored, 42 sums and 15 residuals, each zero filled in for its whole
+    # orbit and every ordering in one fill, with the 53 generator brackets
+    # they read (2,447 store entries, 858 fills and 767 sorts when each such
+    # zero was stored under its orderings; 891 entries, 165 fills and 120
+    # sorts when every residual of an orbit was built).  The counts are the
+    # measured ones, the same under every hash seed tried
     calls = {"_fill": 0, "sorted": 0}
     fill, init = GalileiHopf._fill, GalileiHopf.__init__
     algebras = []
@@ -846,15 +915,15 @@ def test_verify_hopf_stores_only_built_residuals(monkeypatch, capsys):
     assert run(["verify", "hopf"]) == 0
     capsys.readouterr()
     (alg,) = algebras
-    assert calls == {"_fill": 165, "sorted": 120}
-    assert len(alg._store) == 891
+    assert calls == {"_fill": 57, "sorted": 42}
+    assert len(alg._store) == 863
     zero, zero_tensor = alg.zero(), alg.check_hom("M", "P1")
     for names in (("J1", "J1", "P2"), ("P2", "H", "P2"), ("K1", "M", "P1"), ("E", "E", "E")):
         assert alg.check_jacobi(*names) is zero
     for pair in (("H", "H"), ("Einv", "K3"), ("J2", "M")):
         assert alg.check_hom(*pair) is zero_tensor
     assert alg.bracket("P1", "P1") is zero and alg.bracket("E", "K1") is zero
-    assert len(alg._store) == 891 and calls == {"_fill": 165, "sorted": 120}
+    assert len(alg._store) == 863 and calls == {"_fill": 57, "sorted": 42}
 
 
 @pytest.mark.parametrize("command", ["hopf", "realization"])
@@ -898,3 +967,54 @@ def test_brackets_build_no_element(monkeypatch, capsys, command):
     else:
         assert entered.get((WeylExpression, "_bracket"), 0) > 0
     assert built == []
+
+
+def _mutants() -> dict:
+    """name -> {module attribute: value} for each mutant of the presentation:
+    each ``_BRACKETS`` row negated and each dropped, each ``_DEGREE`` entry
+    shifted by +1 and by -1, and the whole families [K_i, P_i], [K_i, H] and
+    [J_i, K_j] negated, each of which sigma maps onto itself."""
+    rows, degree = hopf._BRACKETS, hopf._DEGREE
+
+    def negated(keys):
+        return {"_BRACKETS": {**rows, **{key: {w: -c for w, c in rows[key].items()} for key in keys}}}
+
+    out = {}
+    for key in rows:
+        out[f"negate[{','.join(key)}]"] = negated([key])
+        out[f"drop[{','.join(key)}]"] = {"_BRACKETS": {k: v for k, v in rows.items() if k != key}}
+    for letter in degree:
+        for shift in (1, -1):
+            out[f"degree[{letter}{shift:+d}]"] = {"_DEGREE": {**degree, letter: degree[letter] + shift}}
+    for family, kinds in (("K_i,P_i", "KP"), ("K_i,H", "KH"), ("J_i,K_j", "JK")):
+        out[f"negate[{family}]"] = negated([(a, b) for a, b in rows
+                                            if (a[0], b[0]) == tuple(kinds)
+                                            and (kinds != "KP" or a[1] == b[1])])
+    return out
+
+
+_MUTANTS = _mutants()
+
+
+@pytest.mark.parametrize("mutant", _MUTANTS)
+def test_every_presentation_mutant_is_caught(monkeypatch, capsys, mutant):
+    # each mutant of the presentation fails verify hopf or verify
+    # realization, and the Hopf report is the same, but for its wall time,
+    # whether zero residuals are carried along their sigma orbits or all
+    # built: a mutant of one axis breaks the certificate, and the negated
+    # families and the shifted degree of H keep it
+    for name, value in _MUTANTS[mutant].items():
+        monkeypatch.setattr(hopf, name, value)
+    symmetric = "_i" in mutant or mutant.startswith("degree[H")
+    assert GalileiHopf()._sigma_equivariant() is symmetric
+
+    def verify_hopf():
+        code = run(["verify", "hopf", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        del report["wall_ms"]
+        return code, report
+
+    carried = verify_hopf()
+    monkeypatch.setattr(GalileiHopf, "_sigma_equivariant", lambda self: False)
+    assert verify_hopf() == carried
+    assert carried[0] == 1 or run(["verify", "realization"]) == 1
