@@ -61,13 +61,14 @@ order and Delta is linear.
 
 sigma, the cyclic relabeling of the axes 1 -> 2 -> 3 -> 1 (``_SIGMA``), maps
 the built residuals onto each other in orbits of three, or of one for the
-three axes of a kind.  ``_sigma_equivariant``, taken once per algebra,
-certifies that sigma commutes with the letter maps, none of whose words has
-two letters.  A generator's Jacobi sum and homomorphism residual then read
-only words of at most one letter, so they do no rewriting of letter order,
-and each is term for term sigma of its orbit source's.  A zero residual is
-then stored for its whole orbit; a nonzero one is never carried, so a
-failing report is the direct route's and no relabeled word needs a re-sort.
+three axes of a kind.  ``_sigma_equivariant``, taken once per algebra and
+held, certifies that sigma commutes with the letter maps, none of whose words
+has two letters; the realization suites read the same certificate.  A
+generator's Jacobi sum and homomorphism residual then read only words of at
+most one letter, so they do no rewriting of letter order, and each is term
+for term sigma of its orbit source's.  A zero residual is then stored for its
+whole orbit; a nonzero one is never carried, so a failing report is the
+direct route's and no relabeled word needs a re-sort.
 
 Most items are zero by their names alone, and are answered from the names
 before any sort, build or store write, once ``_LETTER`` has read each name,
@@ -258,7 +259,7 @@ class GalileiHopf:
         self._word_antipodes: dict = {}
         self._zero = UEAExpression(self, {})
         self._zero_tensor = TensorExpression(self, 2, {})
-        self._equivariant = None   # _sigma_equivariant, taken on first use in _fill
+        self._equivariant = None   # _sigma_equivariant, taken on first use
         self.rewrite_steps = 0
 
     # -- element constructors ------------------------------------------------
@@ -342,10 +343,8 @@ class GalileiHopf:
         """
         store = self._store
         mirror = -value
-        if not value.terms:
-            if self._equivariant is None:
-                self._equivariant = self._sigma_equivariant()
-            even, odd = (_orbit(even), _orbit(odd)) if self._equivariant else (even, odd)
+        if not value.terms and self._sigma_equivariant():
+            even, odd = _orbit(even), _orbit(odd)
         for key in even:
             store[key] = value
         for key in odd:
@@ -357,20 +356,28 @@ class GalileiHopf:
         the relabeled one of (a, b) for every ordered pair of letters, and
         Delta of sigma a, from ``_letter_coproduct``, the relabeled Delta of
         a.  A bracket word or tensor monomial of more than one letter is not
-        certified."""
+        certified.  Taken on first use and held: the Hopf scan and both
+        realization suites read this one certificate."""
+        if self._equivariant is None:
+            self._equivariant = all(self._sigma_commutes())
+        return self._equivariant
+
+    def _sigma_commutes(self):
+        """Whether sigma carries each letter map onto its relabeling: one
+        answer per ordered letter pair whose bracket or sigma image is not
+        empty, then one per letter's Delta; ``all`` stops at the first no."""
         table = {(a, b): self._letter_bracket(a, b) for a in _DEGREE for b in _DEGREE}
         for (a, b), terms in table.items():
-            rotated = {_relabeled(word): c for word, c in terms.items() if len(word[0]) < 2}
-            if len(rotated) < len(terms) or not _same_terms(table[_SIGMA[a], _SIGMA[b]], rotated):
-                return False
+            image = table[_SIGMA[a], _SIGMA[b]]
+            if terms or image:
+                rotated = {_relabeled(word): c for word, c in terms.items() if len(word[0]) < 2}
+                yield len(rotated) == len(terms) and _same_terms(image, rotated)
         for a in _DEGREE:
             terms = self._word_coproduct(((a,), 0, 0)).terms
             rotated = {(_relabeled(u), _relabeled(w)): c for (u, w), c in terms.items()
                        if len(u[0]) + len(w[0]) < 2}
-            if len(rotated) < len(terms) or not _same_terms(
-                    self._word_coproduct(((_SIGMA[a],), 0, 0)).terms, rotated):
-                return False
-        return True
+            yield len(rotated) == len(terms) and _same_terms(
+                self._word_coproduct(((_SIGMA[a],), 0, 0)).terms, rotated)
 
     def bracket(self, g: str, h: str) -> UEAExpression:
         """Commutator [g, h] of two named generators: the shared zero on the

@@ -74,8 +74,8 @@ def to_physical(m, k) -> float:
     mass is m itself, m (1 - m/k + ...) to well within rounding.
     """
     check_deformation(k)
-    if not m >= 0:
-        raise MassDomainError(f"algebra mass must be a nonnegative number, got {m}")
+    if not 0 <= m < math.inf:   # also rejects NaN, which fails every comparison
+        raise MassDomainError(f"algebra mass must be a finite nonnegative number, got {m}")
     if math.isinf(k):
         return m
     ratio = m / (k / 2)

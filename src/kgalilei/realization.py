@@ -36,14 +36,15 @@ The first pair of each orbit in label order is built in one dict: the
 commutator's terms of the two images, with the images of the words of the
 algebra's [g, h] subtracted into it, filtered once.  Each further pair is
 sigma of the pair before it (``weyl._rotated``), negated where sigma reverses
-the pair's order ([X1, X3] from [X2, X3]), under an exact certificate for
-that pair: sigma carries the images of both generators, and of every letter
-of their bracket, onto the images of the rotated generators, and the
-algebra's bracket of the pair is the relabeled bracket of its pre-image, read
-for g before h with the sign.  Images are compared by their terms, by stored
-form and else by exact difference, with no sympy; a pair that fails the
-certificate, as under a fault on one axis, takes its own commutator.  So a
-suite takes 24 commutators where the symmetry holds, and exactly the direct
+the pair's order ([X1, X3] from [X2, X3]).  A suite carries its orbits when
+two checks hold, each taken once: the algebra's own certificate
+(``GalileiHopf._sigma_equivariant``, held per algebra and shared with the
+Hopf scan) gives [sigma g, sigma h] = sigma [g, h] with words of at most one
+letter, and sigma carries the image of every checked generator onto the
+image of its relabeling, compared by terms with no sympy.  A carried residual
+is then term for term the built one.  Where either check fails, as under a
+fault on one axis, all 66 pairs take their own commutators.  So a suite
+takes 24 commutators where the symmetry holds, and exactly the direct
 route's residuals where it does not.
 
 The center-of-mass / relative variables (P, R, Pi, rho) of the direct and of
@@ -210,30 +211,10 @@ def _orbit_plan() -> tuple:
 _ORBIT_PLAN = _orbit_plan()
 
 
-def _rotating(images: dict) -> set:
-    """The generators g whose image sigma carries onto the image of sigma(g)."""
-    return {g for g in _CHECKED
-            if _same_terms(_rotated(images[g].terms), images[_SIGMA[g]].terms)}
-
-
-def _carried(alg: GalileiHopf, source: tuple, bracket: UEAExpression, sign: int,
-             rotating: set) -> bool:
-    """The certificate that sign times sigma of the residual of ``source`` is
-    the residual of the pair whose algebra bracket is ``bracket``: sigma
-    carries the images of both source generators, and of every letter of
-    their bracket, onto the rotated generators' images, and sign times the
-    relabeled bracket of the source is ``bracket``.  The source's bracket is
-    read for its first generator before its second, as stored; a word of
-    more than one letter is not certified."""
-    a, b = source
-    if a not in rotating or b not in rotating:
-        return False
-    rotated = {}
-    for (letters, m, e), coeff in alg.bracket(a, b).terms.items():
-        if len(letters) > 1 or (letters and letters[0] not in rotating):
-            return False
-        rotated[tuple(map(_SIGMA.__getitem__, letters)), m, e] = coeff if sign > 0 else -coeff
-    return _same_terms(rotated, bracket.terms)
+def _rotates(images: dict) -> bool:
+    """Whether sigma carries the image of every checked generator g onto the
+    image of sigma(g)."""
+    return all(_same_terms(_rotated(images[g].terms), images[_SIGMA[g]].terms) for g in _CHECKED)
 
 
 def _bracket_residuals(alg: GalileiHopf, images: dict, e_value: RationalFunction,
@@ -241,20 +222,20 @@ def _bracket_residuals(alg: GalileiHopf, images: dict, e_value: RationalFunction
     """("[g,h]", [image g, image h] - image of [g, h]) for each checked pair,
     in label order, with E -> e_value and M -> m_value.
 
-    The first pair of each sigma orbit, and any pair whose certificate
-    (``_carried``) fails, is built in one dict: the commutator's terms, minus
-    the bracket's words' images.  Every other pair is sigma of its source's
-    residual, negated where sigma reverses the pair (``weyl._rotated``).
+    Under the algebra's ``_sigma_equivariant`` and with every image rotating
+    (``_rotates``), the first pair of each sigma orbit is built in one dict:
+    the commutator's terms, minus the bracket's words' images; every other
+    pair is sigma of its source's residual, negated where sigma reverses the
+    pair (``weyl._rotated``).  Otherwise every pair is built.
     """
-    rotating = _rotating(images)
+    carry = alg._sigma_equivariant() and _rotates(images)
     done = {}
     for g, h, source, sign in _ORBIT_PLAN:
-        bracket = alg.bracket(g, h)
-        if source is not None and _carried(alg, source, bracket, sign, rotating):
+        if carry and source is not None:
             terms = _rotated(done[source].terms, sign)
         else:
             terms = images[g]._commutator_terms(images[h])
-            _accumulate_words(terms, bracket, images, e_value, m_value, -1)
+            _accumulate_words(terms, alg.bracket(g, h), images, e_value, m_value, -1)
         done[g, h] = WeylExpression(terms)
     return [(f"[{g},{h}]", done[g, h]) for g, h in _PAIRS]
 

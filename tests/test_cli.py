@@ -973,18 +973,24 @@ def test_cocycle_demo_deterministic(tmp_path):
     _SPECTRUM + ["--nmax", "1000", "--l", "999"],
     _SPECTRUM + ["--nmax", "100000", "--l", "99999", "--solver", "radial"],
     _SPECTRUM + ["--nmax", str(hydrogen.MAX_N_MAX + 1), "--solver", "closed"],
+    ["mass", "convert", "--k", "1", "--to", "physical", "inf"],
+    ["mass", "convert", "--k", "inf", "--to", "physical", "inf"],
 ])
 def test_out_of_domain_input_exits_two(argv, capsys):
-    # a mass outside [0, k/2] (or NaN), a k below the smallest normal float,
-    # quantum numbers outside 0 <= l < n_max, an n_max above the radial
-    # solver's cap and a grid too small for the demo are reported in one
-    # line, with no traceback and no report
+    # a mass outside [0, k/2] (or NaN), an infinite algebra mass, a k below
+    # the smallest normal float, quantum numbers outside 0 <= l < n_max, an
+    # n_max above the radial solver's cap and a grid too small for the demo
+    # are reported in one line, with no traceback and no report.  An
+    # infinite algebra mass is named as such, at finite and infinite k
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("kgalilei: error: ")
     assert "Traceback" not in captured.err
+    if argv[:2] == ["mass", "convert"]:
+        assert lines[0] == ("kgalilei: error: algebra mass must be a finite nonnegative "
+                            "number, got inf")
 
 
 GOLDEN = Path(__file__).parent / "golden"

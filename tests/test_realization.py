@@ -406,6 +406,24 @@ def test_each_suite_takes_24_commutators(free_mass):
     assert _count_commutators(lambda: _direct_route(sys_.verify_composed))[0] == 66
 
 
+@pytest.mark.parametrize("free_mass", [False, True])
+def test_a_failed_algebra_certificate_builds_every_pair(free_mass):
+    # the suites carry their orbits under the algebra's own sigma
+    # certificate: where it fails, each suite takes all 66 commutators, and
+    # every residual equals the carried route's key by key
+    r1, sys_ = _pair(free_mass)
+    carried = (verify_one_particle(r1), sys_.verify_composed())
+    r1, sys_ = _pair(free_mass)
+    with mock.patch.object(GalileiHopf, "_sigma_equivariant", lambda self: False):
+        built = (_count_commutators(lambda: verify_one_particle(r1)),
+                 _count_commutators(sys_.verify_composed))
+    for (count, residuals), reference in zip(built, carried):
+        assert count == 66
+        assert [label for label, _ in residuals] == [label for label, _ in reference]
+        for (label, residual), (_, expected) in zip(residuals, reference):
+            assert residual == expected, label
+
+
 def test_rotated_copies_keep_or_negate_their_coefficients():
     # a rotated copy keeps its source's coefficient objects, and the one
     # pair of each kind that the rotation reverses, [X1,X3] from [X2,X3],
