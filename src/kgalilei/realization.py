@@ -32,12 +32,13 @@ scalars, so Delta X = X (x) E^(deg X) + 1 (x) X and both realizations commute
 with sigma (the rotation covariance of the Galilei algebra): the residual of
 (sigma g, sigma h) is sigma of the residual of (g, h).  The 66 checked pairs
 fall into 24 orbits, 21 of three pairs and the three pairs of H, M and E.
-The first pair of each orbit in label order is built in one dict: the
-commutator's terms of the two images, with the images of the words of the
-algebra's [g, h] subtracted into it, filtered once.  Each further pair is
-sigma of the pair before it (``weyl._rotated``), negated where sigma reverses
-the pair's order ([X1, X3] from [X2, X3]).  A suite carries its orbits when
-two checks hold, each taken once: the algebra's own certificate
+The pairs are walked in label order, and each pair not yet reached is
+built in one dict: the commutator's terms of the two images, with the images
+of the words of the algebra's [g, h] subtracted into it, filtered once.  Its
+orbit is then walked until it closes: each further pair is sigma of the pair
+before it (``weyl._rotated``), negated where sigma reverses the pair's
+``hopf._RANK`` order ([X1, X3] from [X2, X3]).  A suite carries its orbits
+when two checks hold, each taken once: the algebra's own certificate
 (``GalileiHopf._sigma_equivariant``, held per algebra and shared with the
 Hopf scan) gives [sigma g, sigma h] = sigma [g, h] with words of at most one
 letter, and sigma carries the image of every checked generator onto the
@@ -67,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .hopf import GENERATOR_NAMES, GalileiHopf, UEAExpression, _SIGMA
+from .hopf import GENERATOR_NAMES, GalileiHopf, UEAExpression, _RANK, _SIGMA
 from .masses import VARIABLES, pairing, variable_table
 from .scalars import I as _I, RationalFunction, Rat, _accumulate, _same_terms, sym
 from .weyl import WeylExpression, _normal_ordered, _rotated, momentum, scalar
@@ -187,30 +188,6 @@ def _realize_words(expr: UEAExpression, images: dict, e_value: RationalFunction,
 _PAIRS = tuple((g, h) for n, g in enumerate(_CHECKED) for h in _CHECKED[n + 1:])
 
 
-def _orbit_plan() -> tuple:
-    """(g, h, source, sign) for every checked pair, orbit by orbit under
-    sigma.  The first pair of each orbit in label order has source None; the
-    next pair is sigma of the one before it, which is its source, with sign
-    -1 where sigma reverses the ``_CHECKED`` order of the pair.  24 orbits:
-    21 of three pairs and the three pairs of H, M and E."""
-    rank = {name: n for n, name in enumerate(_CHECKED)}
-    plan, seen = [], set()
-    for pair in _PAIRS:
-        source, sign = None, 1
-        while pair not in seen:
-            seen.add(pair)
-            plan.append((*pair, source, sign))
-            g, h = (_SIGMA[name] for name in pair)
-            source, sign = pair, 1
-            if rank[g] > rank[h]:
-                g, h, sign = h, g, -1
-            pair = (g, h)
-    return tuple(plan)
-
-
-_ORBIT_PLAN = _orbit_plan()
-
-
 def _rotates(images: dict) -> bool:
     """Whether sigma carries the image of every checked generator g onto the
     image of sigma(g)."""
@@ -222,21 +199,28 @@ def _bracket_residuals(alg: GalileiHopf, images: dict, e_value: RationalFunction
     """("[g,h]", [image g, image h] - image of [g, h]) for each checked pair,
     in label order, with E -> e_value and M -> m_value.
 
-    Under the algebra's ``_sigma_equivariant`` and with every image rotating
-    (``_rotates``), the first pair of each sigma orbit is built in one dict:
-    the commutator's terms, minus the bracket's words' images; every other
-    pair is sigma of its source's residual, negated where sigma reverses the
-    pair (``weyl._rotated``).  Otherwise every pair is built.
+    Each pair not yet reached is built in one dict: the commutator's terms,
+    minus the bracket's words' images.  Under the algebra's
+    ``_sigma_equivariant`` and with every image rotating (``_rotates``), its
+    sigma orbit is then walked until it closes, each pair sigma of the one
+    before it, negated where sigma reverses the pair's ``_RANK`` order
+    (``weyl._rotated``).  Otherwise every pair is built.
     """
     carry = alg._sigma_equivariant() and _rotates(images)
     done = {}
-    for g, h, source, sign in _ORBIT_PLAN:
-        if carry and source is not None:
-            terms = _rotated(done[source].terms, sign)
-        else:
-            terms = images[g]._commutator_terms(images[h])
-            _accumulate_words(terms, alg.bracket(g, h), images, e_value, m_value, -1)
-        done[g, h] = WeylExpression(terms)
+    for g, h in _PAIRS:
+        if (g, h) in done:
+            continue
+        terms = images[g]._commutator_terms(images[h])
+        _accumulate_words(terms, alg.bracket(g, h), images, e_value, m_value, -1)
+        done[g, h] = value = WeylExpression(terms)
+        while carry:
+            g, h, sign = _SIGMA[g], _SIGMA[h], 1
+            if _RANK[g] > _RANK[h]:
+                g, h, sign = h, g, -1
+            if (g, h) in done:
+                break
+            done[g, h] = value = WeylExpression(_rotated(value.terms, sign))
     return [(f"[{g},{h}]", done[g, h]) for g, h in _PAIRS]
 
 

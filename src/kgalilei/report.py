@@ -2,10 +2,11 @@
 
 JSON schema: {"command", "params", "results", "checks": [{"name", "status",
 "residual"}], "wall_ms"}, with canonical (sorted) key order and fixed float
-formatting at 12 significant digits (scientific notation below 1e-3), so that
-parsing an emitted report and re-serializing it is byte-identical.  JSON has
-no number for infinity or NaN (k = inf is the classical limit), so those are
-written as the strings "inf", "-inf" and "nan".
+formatting at 12 significant digits (scientific notation where the rounded
+value is below 1e-3, and -0 written as 0), so that parsing an emitted report
+and re-serializing it is byte-identical.  JSON has no number for infinity or
+NaN (k = inf is the classical limit), so those are written as the strings
+"inf", "-inf" and "nan".
 
 Every check is made by ``RunReport.check``.  A failing check carries a
 "detail" string that names its first failing item (exact checks) or its worst
@@ -31,11 +32,13 @@ STATUS_FAIL = "fail"
 
 
 def format_number(x) -> str:
-    """12 significant digits; scientific notation for small magnitudes."""
-    x = float(x)
-    if x != 0.0 and abs(x) < 1e-3:
+    """12 significant digits; scientific notation where the rounded value is
+    below 1e-3 in magnitude, and -0 written as 0."""
+    x = float(x) + 0.0
+    text = format(x, ".12g")
+    if x and abs(float(text)) < 1e-3:
         return format(x, ".11e")
-    return format(x, ".12g")
+    return text
 
 
 def canonical_json(obj) -> str:

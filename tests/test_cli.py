@@ -108,6 +108,18 @@ def test_classical_limit_json_round_trip(argv, capsys):
     assert canonical_json(data) + "\n" == text
 
 
+@pytest.mark.parametrize("argv", [
+    ["mass", "compose", "--k", "1", "-0.0", "0.3"],
+    ["mass", "convert", "--k", "1", "--to", "algebra", "0.0009999999999999998"],
+])
+def test_boundary_numbers_json_round_trip(argv, capsys):
+    # -0 and a value that rounds up to 1e-3 at 12 digits are printed as the
+    # numbers JSON reads back, so the report re-serializes byte for byte
+    assert run(argv + ["--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert canonical_json(json.loads(text)) + "\n" == text
+
+
 def test_classical_limit_text_and_csv_unchanged(capsys):
     assert run(["mass", "compose", "--k", "inf", "0.3", "0.4"]) == 0
     assert "  k = inf\n" in capsys.readouterr().out

@@ -1,10 +1,12 @@
-"""Tests for the check protocol, ``RunReport.check``."""
+"""Tests for the check protocol, ``RunReport.check``, and the JSON numbers."""
 
+import json
 import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from kgalilei.report import CheckFailure, RunReport
+from kgalilei.report import CheckFailure, RunReport, canonical_json
 
 
 class Residual:
@@ -124,3 +126,12 @@ def test_other_errors_propagate():
     with pytest.raises(ZeroDivisionError):
         report.check("a", [0], lambda x: 1 / x, tol=1.0)
     assert report.checks == []
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(math.nextafter(1e-3, 0))
+def test_every_finite_float_round_trips_through_json(x):
+    # a printed number reads back as a value that prints the same text
+    text = canonical_json(x)
+    assert canonical_json(json.loads(text)) == text
