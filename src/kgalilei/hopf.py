@@ -63,12 +63,13 @@ sigma, the cyclic relabeling of the axes 1 -> 2 -> 3 -> 1 (``_SIGMA``), maps
 the built residuals onto each other in orbits of three, or of one for the
 three axes of a kind.  ``_sigma_equivariant``, taken once per algebra and
 held, certifies that sigma commutes with the letter maps, none of whose words
-has two letters; the realization suites read the same certificate.  A
-generator's Jacobi sum and homomorphism residual then read only words of at
-most one letter, so they do no rewriting of letter order, and each is term
-for term sigma of its orbit source's.  A zero residual is then stored for its
-whole orbit; a nonzero one is never carried, so a failing report is the
-direct route's and no relabeled word needs a re-sort.
+has two letters; the realization suites and the composed images read the
+same certificate.  A generator's Jacobi sum and homomorphism residual then
+read only words of at most one letter, so they do no rewriting of letter
+order, and each is term for term sigma of its orbit source's.  A zero
+residual is then stored for its whole orbit; a nonzero one is never carried,
+so a failing report is the direct route's and no relabeled word needs a
+re-sort.
 
 Most items are zero by their names alone, and are answered from the names
 before any sort, build or store write, once ``_LETTER`` has read each name,
@@ -356,8 +357,10 @@ class GalileiHopf:
         the relabeled one of (a, b) for every ordered pair of letters, and
         Delta of sigma a, from ``_letter_coproduct``, the relabeled Delta of
         a.  A bracket word or tensor monomial of more than one letter is not
-        certified.  Taken on first use and held: the Hopf scan and both
-        realization suites read this one certificate."""
+        certified.  Taken on first use and held, one certificate for every
+        reader: the Hopf scan's orbit carry rests on both halves, the
+        realization suites' carried residuals on the bracket half, and the
+        composed realization's carried images on the coproduct half."""
         if self._equivariant is None:
             self._equivariant = all(self._sigma_commutes())
         return self._equivariant
@@ -441,7 +444,10 @@ class GalileiHopf:
         return TensorExpression(self, 2, out)
 
     def counit(self, g: str) -> RationalFunction:
-        return Rat(1) if g in ("E", "Einv") else Rat(0)
+        """epsilon of a named generator, read from its word: 1 for a word
+        with no letters and no M (a power of E), 0 otherwise."""
+        ((letters, m, _),) = self.gen(g).terms
+        return Rat(0) if letters or m else _ONE
 
     def _word_antipode(self, word: tuple) -> UEAExpression:
         """S of one word, built once per algebra: (-1)^m M^m E^-e times S of

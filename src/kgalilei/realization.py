@@ -26,39 +26,60 @@ word is its table entry.  A composed generator is the Weyl product of each
 coproduct term's legs, read from the two one-particle tables; a leg with no
 letters is 1, so the other leg's terms are added with no product.
 
-The bracket residuals are taken along the orbits of sigma, the cyclic
-relabeling of the axes 1 -> 2 -> 3 -> 1.  M and E = e^(-M/k) are rotation
-scalars, so Delta X = X (x) E^(deg X) + 1 (x) X and both realizations commute
-with sigma (the rotation covariance of the Galilei algebra): the residual of
-(sigma g, sigma h) is sigma of the residual of (g, h).  The 66 checked pairs
-fall into 24 orbits, 21 of three pairs and the three pairs of H, M and E.
-The pairs are walked in label order, and each pair not yet reached is
-built in one dict: the commutator's terms of the two images, with the images
-of the words of the algebra's [g, h] subtracted into it, filtered once.  Its
-orbit is then walked until it closes: each further pair is sigma of the pair
-before it (``weyl._rotated``), negated where sigma reverses the pair's
-``hopf._RANK`` order ([X1, X3] from [X2, X3]).  A suite carries its orbits
-when two checks hold, each taken once: the algebra's own certificate
+The composed images, the bracket residuals and the kinetic split are taken
+along the orbits of sigma, the cyclic relabeling of the axes
+1 -> 2 -> 3 -> 1 (``weyl._rotated``; a relabeled normal-ordered monomial is
+normal-ordered).  M and E = e^(-M/k) are rotation scalars, so
+Delta X = X (x) E^(deg X) + 1 (x) X commutes with sigma, and so do both
+realizations (the rotation covariance of the Galilei algebra).  Two checks
+decide, each taken once: the algebra's own certificate
 (``GalileiHopf._sigma_equivariant``, held per algebra and shared with the
-Hopf scan) gives [sigma g, sigma h] = sigma [g, h] with words of at most one
-letter, and sigma carries the image of every checked generator onto the
-image of its relabeling, compared by terms with no sympy.  A carried residual
-is then term for term the built one.  Where either check fails, as under a
-fault on one axis, all 66 pairs take their own commutators.  So a suite
-takes 24 commutators where the symmetry holds, and exactly the direct
-route's residuals where it does not.
+Hopf scan), and, per particle, that sigma carries the image of every checked
+generator onto the image of its relabeling (``_rotates``), compared by terms
+with no sympy.
+
+Composed images.  The certificate's coproduct half gives
+Delta(sigma a) = (sigma (x) sigma) Delta a with at most one letter per
+tensor monomial, and each particle's images rotate, with sigma keeping
+normal order on each particle's slots; so the composed image of sigma g is
+term for term sigma of the composed image of g.  Under both checks
+(``TwoParticleSystem._carried``) the images of J1, K1, P1, H, M and E are
+built through the coproduct and each axis-2 and axis-3 image is the rotated
+image of its axis predecessor: 6 coproducts realized, not 12.  The composed
+suite needs no image check of its own: the lemma gives it.
+
+Bracket residuals.  The 66 checked pairs fall into 24 orbits, 21 of three
+pairs and the three pairs of H, M and E.  The pairs are walked in label
+order, and each pair not yet reached is built in one dict: the commutator's
+terms of the two images, with the images of the words of the algebra's
+[g, h] subtracted into it, filtered once.  Where the checks hold, its orbit
+is then walked until it closes: each further pair is sigma of the pair
+before it, negated where sigma reverses the pair's ``hopf._RANK`` order
+([X1, X3] from [X2, X3]).  The certificate's bracket half gives
+[sigma g, sigma h] = sigma [g, h] with words of at most one letter, so a
+carried residual is term for term the built one.  So a suite takes 24
+commutators where the symmetry holds.
+
+Where either check fails, as under a fault on one axis, everything is
+built: all 12 composed images, all 66 pairs' commutators and all three
+axes of the kinetic split, with exactly the direct route's residuals.
 
 The center-of-mass / relative variables (P, R, Pi, rho) of the direct and of
 the transposed ("tilde") coproduct come from the exact coefficient table and
 commutator form of ``masses``, formed once per system with its M_f and v_f:
-``relative_variables`` turns the direct table into Weyl expressions, and
-``canonical_residuals`` takes each pairing as i u^T Omega v, antisymmetric in
-the pair, so only the six unordered pairings per axis are taken.  The
-Weyl-algebra composed brackets and the exact kinetic-split identity
+``relative_variables`` turns the direct table into Weyl expressions, one
+axis at a time, and ``canonical_residuals`` takes each pairing as
+i u^T Omega v, antisymmetric in the pair, so only the six unordered pairings
+per axis are taken.  The Weyl-algebra composed brackets and the exact
+kinetic-split identity
 
     H^tot = P^2 / (2 M_f) + Pi^2 / (2 v_f)
 
-stay as the independent end-to-end cross-check.
+stay as the independent end-to-end cross-check.  Under the checks the split
+squares only the axis-1 variables P_1 and Pi_1, built as
+``relative_variables`` builds them, and subtracts each square and its sigma
+and sigma^2 copies from the whole H^tot image: 2 Weyl products, not 6.
+H^tot is never split by axis, so a term across axes stays in the residual.
 
 Everything here is symbolic and exact.
 """
@@ -119,7 +140,8 @@ class OneParticleRealization:
         normal-ordered monomials, written as such through ``_normal_ordered``."""
         A = self.slot
         if name == "H":
-            return _normal_ordered({((), ((A, i), (A, i))): 1 / (2 * self.m_f) for i in _AXES})
+            factor = 1 / (2 * self.m_f)
+            return _normal_ordered({((), ((A, i), (A, i))): factor for i in _AXES})
         if name == "M":
             return WeylExpression.unit(self.algebra_mass_symbol)
         if name == "E":
@@ -140,6 +162,15 @@ class OneParticleRealization:
     def _images(self) -> dict[str, WeylExpression]:
         """The image of every checked generator, built once."""
         return {g: self.realize(g) for g in _CHECKED}
+
+    @cached_property
+    def _rotates(self) -> bool:
+        """Whether sigma carries the image of every checked generator g onto
+        the image of sigma(g), compared by terms; taken once and read by both
+        suites and the kinetic split."""
+        images = self._images
+        return all(_same_terms(_rotated(images[g].terms), images[_SIGMA[g]].terms)
+                   for g in _CHECKED)
 
     def realize_uea(self, expr: UEAExpression) -> WeylExpression:
         return _realize_words(expr, self._images, self.lam, self.algebra_mass_symbol)
@@ -188,25 +219,22 @@ def _realize_words(expr: UEAExpression, images: dict, e_value: RationalFunction,
 _PAIRS = tuple((g, h) for n, g in enumerate(_CHECKED) for h in _CHECKED[n + 1:])
 
 
-def _rotates(images: dict) -> bool:
-    """Whether sigma carries the image of every checked generator g onto the
-    image of sigma(g)."""
-    return all(_same_terms(_rotated(images[g].terms), images[_SIGMA[g]].terms) for g in _CHECKED)
+#: The axis predecessor sigma^-1(g) of each generator that sigma moves.
+_PREDECESSOR = {image: g for g, image in _SIGMA.items() if image != g}
 
 
 def _bracket_residuals(alg: GalileiHopf, images: dict, e_value: RationalFunction,
-                       m_value: RationalFunction) -> list[tuple[str, WeylExpression]]:
+                       m_value: RationalFunction, carry: bool) -> list[tuple[str, WeylExpression]]:
     """("[g,h]", [image g, image h] - image of [g, h]) for each checked pair,
     in label order, with E -> e_value and M -> m_value.
 
     Each pair not yet reached is built in one dict: the commutator's terms,
-    minus the bracket's words' images.  Under the algebra's
-    ``_sigma_equivariant`` and with every image rotating (``_rotates``), its
-    sigma orbit is then walked until it closes, each pair sigma of the one
-    before it, negated where sigma reverses the pair's ``_RANK`` order
-    (``weyl._rotated``).  Otherwise every pair is built.
+    minus the bracket's words' images.  Where ``carry`` holds (the algebra's
+    ``_sigma_equivariant``, and sigma carries every image onto its
+    relabeling), its sigma orbit is then walked until it closes, each pair
+    sigma of the one before it, negated where sigma reverses the pair's
+    ``_RANK`` order (``weyl._rotated``).  Otherwise every pair is built.
     """
-    carry = alg._sigma_equivariant() and _rotates(images)
     done = {}
     for g, h in _PAIRS:
         if (g, h) in done:
@@ -230,7 +258,8 @@ def verify_one_particle(r: OneParticleRealization) -> list[tuple[str, WeylExpres
     Each entry is ("[g,h]", commutator(real g, real h) - realize([g, h])).
     All residuals vanish identically iff m_f = (k/2)(1 - lam^2).
     """
-    return _bracket_residuals(r.algebra, r._images, r.lam, r.algebra_mass_symbol)
+    return _bracket_residuals(r.algebra, r._images, r.lam, r.algebra_mass_symbol,
+                              r.algebra._sigma_equivariant() and r._rotates)
 
 
 @dataclass(frozen=True)
@@ -287,9 +316,23 @@ class TwoParticleSystem:
         return WeylExpression(out)
 
     @cached_property
+    def _carried(self) -> bool:
+        """Whether sigma carries each composed image onto its relabeling
+        term for term: the algebra's ``_sigma_equivariant`` (its coproduct
+        half) and both particles' ``_rotates`` (module docstring)."""
+        return self.algebra._sigma_equivariant() and self.r1._rotates and self.r2._rotates
+
+    @cached_property
     def _images(self) -> dict[str, WeylExpression]:
-        """The composed image of every checked generator, built once."""
-        return {g: self.total(g) for g in _CHECKED}
+        """The composed image of every checked generator, built once: where
+        ``_carried`` holds, the image of an axis-2 or axis-3 generator is the
+        rotated image of its axis predecessor, and the other six are built."""
+        carry, images = self._carried, {}
+        for g in _CHECKED:
+            source = _PREDECESSOR.get(g)
+            images[g] = (WeylExpression(_rotated(images[source].terms))
+                         if carry and source in images else self.total(g))
+        return images
 
     @cached_property
     def _central_values(self) -> tuple[RationalFunction, RationalFunction]:
@@ -303,7 +346,7 @@ class TwoParticleSystem:
 
     def verify_composed(self) -> list[tuple[str, WeylExpression]]:
         """Brackets of the composed generators against the algebra's table."""
-        return _bracket_residuals(self.algebra, self._images, *self._central_values)
+        return _bracket_residuals(self.algebra, self._images, *self._central_values, self._carried)
 
     # -- relative variables -------------------------------------------------
 
@@ -316,28 +359,45 @@ class TwoParticleSystem:
         """The tables of ``variable_table``, formed once; shared, never mutated."""
         return variable_table(self.r1.m_f, self.r2.m_f, self.r1.lam, self.r2.lam, self.M_f)
 
-    def relative_variables(self) -> dict[str, list[WeylExpression]]:
-        """Total/center-of-mass/relative variable set of the direct coproduct."""
+    def _axis_variables(self, i: int, names: tuple = VARIABLES) -> dict[str, WeylExpression]:
+        """The direct variables ``names`` on axis i, from the table and the
+        particles' images of P_i and K_i."""
         direct = self.variable_table()[0]
-        out = {name: [] for name in VARIABLES}
-        for i in _AXES:
-            basis = (self.r1._images[f"P{i}"], self.r2._images[f"P{i}"],
-                     self.r1._images[f"K{i}"], self.r2._images[f"K{i}"])
-            for name in VARIABLES:
-                total: dict = {}
-                for coeff, op in zip(direct[name], basis):
-                    _accumulate(total, op.terms, Rat(coeff))
-                out[name].append(WeylExpression(total))
+        basis = (self.r1._images[f"P{i}"], self.r2._images[f"P{i}"],
+                 self.r1._images[f"K{i}"], self.r2._images[f"K{i}"])
+        out = {}
+        for name in names:
+            total: dict = {}
+            for coeff, op in zip(direct[name], basis):
+                _accumulate(total, op.terms, Rat(coeff))
+            out[name] = WeylExpression(total)
         return out
 
+    def relative_variables(self) -> dict[str, list[WeylExpression]]:
+        """Total/center-of-mass/relative variable set of the direct coproduct."""
+        per_axis = [self._axis_variables(i) for i in _AXES]
+        return {name: [variables[name] for variables in per_axis] for name in VARIABLES}
+
     def kinetic_split(self) -> WeylExpression:
-        """H^tot - P^2/(2 M_f) - Pi^2/(2 v_f); normalizes to exactly zero."""
-        variables = self.relative_variables()
+        """H^tot - P^2/(2 M_f) - Pi^2/(2 v_f); normalizes to exactly zero.
+
+        Under ``_carried`` (its particle half is what this reads) P_i and
+        Pi_i are sigma^(i-1) of their axis-1 variables, so only P_1^2 and
+        Pi_1^2 are Weyl products and the squares on axes 2 and 3 are their
+        rotated copies.  The whole H^tot image is kept, so a term across axes
+        stays in the residual.
+        """
+        carry = self._carried
+        per_axis = [self._axis_variables(i, ("P", "Pi")) for i in ((1,) if carry else _AXES)]
         residual = dict(self._images["H"].terms)
         for name, mass in (("P", self.M_f), ("Pi", self.v_f)):
             factor = 1 / (2 * mass)
-            for op in variables[name]:
-                _accumulate(residual, (op * op).terms, factor, -1)
+            for variables in per_axis:
+                square = (variables[name] * variables[name]).terms
+                _accumulate(residual, square, factor, -1)
+                for _ in range(2 if carry else 0):
+                    square = _rotated(square)
+                    _accumulate(residual, square, factor, -1)
         return WeylExpression(residual)
 
 

@@ -159,6 +159,8 @@ def test_unknown_generator_rejected(alg):
         alg.gen("Q1")
     with pytest.raises(KeyError):
         alg.coproduct("Q1")
+    with pytest.raises(KeyError):
+        alg.counit("Q1")
     # the checks read every name before they answer a zero from the names
     for call in (lambda: alg.check_hom("Q1", "Q1"), lambda: alg.bracket("Q1", "Q1"),
                  lambda: alg.bracket("Q1", "M"), lambda: alg.bracket("M", "Q1"),

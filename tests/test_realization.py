@@ -1,5 +1,6 @@
 """Tests for the one- and two-particle operator realizations."""
 
+import contextlib
 import math
 import os
 import subprocess
@@ -181,9 +182,11 @@ def test_composed_verdicts_take_few_weyl_brackets_and_products(monkeypatch):
     # work guard: the commutator skips a pair of commuting monomials by
     # their slot masks, the one-particle images of H and J are written as
     # the normal-ordered monomials they are, and only the first pair of each
-    # axis-rotation orbit takes a commutator, so the constraint-satisfying
-    # verdict (composed brackets, direct pairings, kinetic split) takes 20
-    # Weyl brackets and 6 products, and the refutation (one particle and
+    # axis-rotation orbit takes a commutator, and the kinetic split squares
+    # P_1 and Pi_1 only, the axis-2 and axis-3 squares being their rotated
+    # copies, so the constraint-satisfying verdict (composed brackets,
+    # direct pairings, kinetic split) takes 20 Weyl brackets and 2 products
+    # (6 when every axis was squared), and the refutation (one particle and
     # the pair, with m_f free) 30 and none (60 and 90 when every pair took
     # its commutator; 457 and 24, and 587 and 18, when each pair reached
     # the bracket and each image was a product of generators).  A system
@@ -195,7 +198,7 @@ def test_composed_verdicts_take_few_weyl_brackets_and_products(monkeypatch):
     assert all(res.is_zero for _, res in system.verify_composed())
     assert all(res.is_zero for res in canonical_residuals(system).values())
     assert system.kinetic_split().is_zero
-    assert calls == {"_bracket": 20, "__mul__": 6, "variable_table": 1}
+    assert calls == {"_bracket": 20, "__mul__": 2, "variable_table": 1}
     for name in calls:
         calls[name] = 0
     alg = GalileiHopf()
@@ -226,15 +229,24 @@ def test_total_momentum_twist(system):
         assert system.total(f"P{i}") == expected
 
 
-def test_composed_images_built_once(monkeypatch):
-    # verify_composed realizes each checked generator's coproduct once
+def _count_totals(suite) -> tuple:
+    """(names passed to ``TwoParticleSystem.total``, result) of one run."""
     calls = []
     total = TwoParticleSystem.total
-    monkeypatch.setattr(TwoParticleSystem, "total",
-                        lambda self, name: calls.append(name) or total(self, name))
-    residuals = default_system().verify_composed()
+    with mock.patch.object(TwoParticleSystem, "total",
+                           lambda self, name: calls.append(name) or total(self, name)):
+        result = suite()
+    return calls, result
+
+
+def test_composed_images_built_once():
+    # work guard: verify_composed realizes the coproduct of J1, K1, P1, H, M
+    # and E once each, and takes each axis-2 and axis-3 image as the rotated
+    # image of its axis predecessor (12 coproducts when each was realized).
+    # The count is exact
+    calls, residuals = _count_totals(default_system().verify_composed)
     assert len(residuals) == 66
-    assert sorted(calls) == sorted(set(calls)) and len(calls) <= 13
+    assert calls == ["J1", "K1", "P1", "H", "M", "E"]
 
 
 def test_composed_brackets_sample(system):
@@ -378,6 +390,19 @@ def _uncertified(suite):
         return suite()
 
 
+@contextlib.contextmanager
+def _direct(certificate=True, particles=True):
+    """The direct route: the algebra's sigma certificate, or each particle's
+    rotation check, or both, patched to False."""
+    with contextlib.ExitStack() as stack:
+        if certificate:
+            stack.enter_context(
+                mock.patch.object(GalileiHopf, "_sigma_equivariant", lambda self: False))
+        if particles:
+            stack.enter_context(mock.patch.object(OneParticleRealization, "_rotates", False))
+        yield
+
+
 def _count_commutators(suite) -> tuple:
     """(number of Weyl commutators taken, residuals) of one suite run."""
     calls = [0]
@@ -403,21 +428,92 @@ def test_each_suite_takes_24_commutators(free_mass):
     assert _count_commutators(sys_.verify_composed)[0] == 24
 
 
+def _run_system(r1, sys_) -> dict:
+    """Both suites, the composed images and the kinetic split of one system,
+    with the commutators, ``total`` calls and Weyl products they took."""
+    products = [0]
+    mul = WeylExpression.__mul__
+
+    def counted(self, other):
+        products[0] += 1
+        return mul(self, other)
+
+    with mock.patch.object(WeylExpression, "__mul__", counted):
+        one_count, one = _count_commutators(lambda: verify_one_particle(r1))
+        totals, (composed_count, composed) = _count_totals(
+            lambda: _count_commutators(sys_.verify_composed))
+        split = sys_.kinetic_split()
+    return {"work": (one_count, composed_count, len(totals), products[0]), "one": one,
+            "composed": composed, "images": sys_._images, "split": split}
+
+
+def _assert_same_system(new, reference):
+    """Equal residuals in label order, composed images and kinetic split,
+    key by key."""
+    for suite in ("one", "composed"):
+        assert [label for label, _ in new[suite]] == [label for label, _ in reference[suite]]
+        for (label, residual), (_, expected) in zip(new[suite], reference[suite]):
+            assert residual.terms.keys() == expected.terms.keys(), label
+            assert residual == expected, label
+    assert list(new["images"]) == list(reference["images"])
+    for g, image in new["images"].items():
+        assert image.terms.keys() == reference["images"][g].terms.keys(), g
+        assert image == reference["images"][g], g
+    assert new["split"].terms.keys() == reference["split"].terms.keys()
+    assert new["split"] == reference["split"]
+
+
+def _check_direct_route(free_mass, **forced):
+    # work guard, and the carried route against the direct one: with both
+    # checks the suites take 24 commutators each, the composed images 6
+    # coproducts and the kinetic split 2 Weyl products; with the check
+    # ``forced`` False, 66 commutators each, 12 coproducts and 6 products,
+    # and every residual, composed image and the split equal the carried
+    # route's key by key.  The counts are exact
+    carried = _run_system(*_pair(free_mass))
+    assert carried["work"] == (24, 24, 6, 2)
+    r1, sys_ = _pair(free_mass)
+    with _direct(**forced):
+        built = _run_system(r1, sys_)
+    assert built["work"] == (66, 66, 12, 6)
+    _assert_same_system(built, carried)
+
+
 @pytest.mark.parametrize("free_mass", [False, True])
 def test_a_failed_algebra_certificate_builds_every_pair(free_mass):
-    # the suites carry their orbits under the algebra's own sigma
-    # certificate: where it fails, each suite takes all 66 commutators, and
-    # every residual equals the carried route's key by key
-    r1, sys_ = _pair(free_mass)
-    carried = (verify_one_particle(r1), sys_.verify_composed())
-    r1, sys_ = _pair(free_mass)
-    built = _uncertified(lambda: (_count_commutators(lambda: verify_one_particle(r1)),
-                                  _count_commutators(sys_.verify_composed)))
-    for (count, residuals), reference in zip(built, carried):
-        assert count == 66
-        assert [label for label, _ in residuals] == [label for label, _ in reference]
-        for (label, residual), (_, expected) in zip(residuals, reference):
-            assert residual == expected, label
+    # the suites carry their orbits, and the composed system its images and
+    # squares, under the algebra's own sigma certificate: where it fails,
+    # everything is built
+    _check_direct_route(free_mass, particles=False)
+
+
+@pytest.mark.parametrize("free_mass", [False, True])
+def test_a_failed_particle_rotation_builds_every_pair_and_image(free_mass):
+    # the same where the certificate holds but no particle's images rotate
+    _check_direct_route(free_mass, certificate=False)
+
+
+def test_a_symmetric_cross_axis_term_in_h_stays_in_the_kinetic_split():
+    # H^tot is never split by axis: a sigma-symmetric stray
+    # s (p1 p2 + p2 p3 + p3 p1) in particle 1's H keeps every check, so the
+    # split squares axis 1 only, and the stray is its whole residual,
+    # exactly as on the direct route
+    stray = _normal_ordered({((), ((1, i), (1, i % 3 + 1))): sym("s") for i in (1, 2, 3)})
+    realize = OneParticleRealization.realize
+
+    def faulty(self, name):
+        image = realize(self, name)
+        return image + stray if name == "H" and self.slot == 1 else image
+
+    with mock.patch.object(OneParticleRealization, "realize", faulty):
+        carried = _run_system(*_pair(False))
+        r1, sys_ = _pair(False)
+        with _direct():
+            built = _run_system(r1, sys_)
+    assert carried["work"] == (24, 24, 6, 2) and built["work"] == (66, 66, 12, 6)
+    _assert_same_system(built, carried)
+    assert carried["split"].terms.keys() == stray.terms.keys()
+    assert carried["split"] == stray
 
 
 def test_rotated_copies_keep_or_negate_their_coefficients():
@@ -511,7 +607,9 @@ def test_orbit_route_matches_the_direct_route_under_a_broken_symmetry_hypothesis
     # rotation on one axis.  More than 24 pairs then take their commutator,
     # and every residual of both suites equals, key by key, the chained
     # reference's, with the nonzero labels of the direct route, where the
-    # certificate is patched to False and every pair takes its commutator
+    # certificate and each particle's rotation are patched to False and
+    # every pair takes its commutator; the composed images and the kinetic
+    # split equal that route's key by key too
     kind, target, change, value = fault
     realize = OneParticleRealization.realize
 
@@ -528,18 +626,18 @@ def test_orbit_route_matches_the_direct_route_under_a_broken_symmetry_hypothesis
                                 {target: _broken(hopf._BRACKETS[target], change, value)})
     with patch:
         r1, sys_ = _pair(free_mass)
-        (one_count, one), (composed_count, composed) = (
-            _count_commutators(lambda: verify_one_particle(r1)),
-            _count_commutators(sys_.verify_composed))
+        new = _run_system(r1, sys_)
+        one_count, composed_count = new["work"][:2]
         assert one_count > 24 and composed_count > 24
-        _assert_same_residuals(one, _reference_one_particle(r1))
-        _assert_same_residuals(composed, _reference_composed(sys_))
+        _assert_same_residuals(new["one"], _reference_one_particle(r1))
+        _assert_same_residuals(new["composed"], _reference_composed(sys_))
         r1, sys_ = _pair(free_mass)
-        for new, direct in ((one, _uncertified(lambda: verify_one_particle(r1))),
-                            (composed, _uncertified(sys_.verify_composed))):
-            assert ([label for label, res in new if not res.is_zero]
-                    == [label for label, res in direct if not res.is_zero])
-            assert all(a == b for (_, a), (_, b) in zip(new, direct))
+        with _direct():
+            direct = _run_system(r1, sys_)
+        for suite in ("one", "composed"):
+            assert ([label for label, res in new[suite] if not res.is_zero]
+                    == [label for label, res in direct[suite] if not res.is_zero])
+        _assert_same_system(new, direct)
 
 
 def test_canonical_pairs_direct(system):
