@@ -89,9 +89,12 @@ def adjoint_generator(m_f: float, mp_f: float) -> np.ndarray:
 
 
 def _lam(m_f: float, k: float) -> float:
+    """sqrt(1 - 2 m_f / k), 1 at k = inf.  The radicand is formed as
+    (k - 2 m_f) / k, whose difference is exact near the bound (Sterbenz's
+    lemma), where rounding 2 m_f / k first would wipe out its digits."""
     if math.isinf(k):
         return 1.0
-    return math.sqrt(1.0 - 2.0 * m_f / k)
+    return math.sqrt((k - 2 * m_f) / k)
 
 
 def variable_vectors(m_f: float, mp_f: float, k: float) -> tuple[dict, dict]:
@@ -127,9 +130,10 @@ def find_theta(m_f: float, mp_f: float, k: float) -> ThetaResult:
 
     theta* comes from the closed form of the adjoint block (module
     docstring).  It is held, relative to its own size, to the relation
-    c sin(omega theta) = omega sigma cos(omega theta), and the map
-    exp(theta* G_ad), itself built in closed form (no matrix exponential,
-    and no scipy), is validated on all four variables.  The residual is the
+    c sin(omega theta) = omega sigma cos(omega theta), with (cos, sin) of
+    omega theta pointing along (c, omega sigma), and the map
+    exp(theta* G_ad) = c I + sigma G_ad, built in closed form (no matrix
+    exponential, and no scipy), is validated on all four variables.  The residual is the
     map's largest coefficient mismatch relative to max(1, largest
     |coefficient|); StructuralFailureError is raised if either exceeds
     THETA_TOL.
@@ -144,13 +148,16 @@ def find_theta(m_f: float, mp_f: float, k: float) -> ThetaResult:
     # -2 / (k (1 + lam lam')), without the product k (1 + lam lam'), which
     # overflows for k above half the largest float
     sigma = 0.0 if math.isinf(k) else -1.0 / ((k / 2) * (1.0 + lam * lamp))
+    # x = omega sigma / c, formed without the product omega sigma (subnormal
+    # for a light pair at large k), and without sigma / c where that could
+    # overflow (k < 2)
     if c > 0.0:
-        # theta* = (sigma / c) atan(x) / x with x = omega sigma / c, formed
-        # without the product omega sigma (subnormal for a light pair at
-        # large k), and without sigma / c where that could overflow (k < 2)
         x = omega * (sigma / c) if abs(sigma) <= 1.0 else (omega / c) * sigma
-        theta = sigma * (math.atan(x) / x if x else 1.0) / c
+    if c > 0.0 and abs(x) <= 1.0:
+        # theta* = (sigma / c) atan(x) / x, with no subnormal product on the way
+        theta = (sigma / c) * (math.atan(x) / x if x else 1.0)
     else:
+        # |omega sigma| > c, which is 0 or above 1e-8, and |omega sigma| <= 1
         theta = math.atan2(omega * sigma, c) / omega
     # (c, omega sigma) is the unit vector at angle omega theta*, so theta*
     # keeps c sin(omega theta) = omega sigma cos(omega theta), a relation
@@ -158,18 +165,27 @@ def find_theta(m_f: float, mp_f: float, k: float) -> ThetaResult:
     # as theta sinc(omega theta), and relative to |sigma|, it holds theta
     # to its own size and forms no subnormal product omega sigma
     phase = omega * theta
-    sinc = math.sin(phase) / phase if phase else 1.0
-    gap = abs(c * theta * sinc - sigma * math.cos(phase))
+    cos, sin = math.cos(phase), math.sin(phase)
+    sinc = sin / phase if phase else 1.0
+    gap = abs(c * theta * sinc - sigma * cos)
     if not gap <= THETA_TOL * abs(sigma):
         relative = gap / abs(sigma) if sigma else math.inf
         raise StructuralFailureError(
             f"theta* = {theta} misses c sin(omega theta) = omega sigma cos(omega theta) "
             f"by a relative {relative:.3e} > {THETA_TOL} (m_f={m_f}, m'_f={mp_f}, k={k})",
             relative)
-    # each 2x2 block B of ad G has B^2 = -omega^2 I, so
-    # exp(theta B) = cos(omega theta) I + (sin(omega theta) / omega) B
-    mat = (math.cos(omega * theta) * np.eye(4)
-           + (math.sin(omega * theta) / omega) * adjoint_generator(m_f, mp_f))
+    # the relation holds at theta* + pi / omega too; the unit vector at angle
+    # omega theta must point along (c, omega sigma), not against it
+    turn = 1.0 - (c * cos + (omega * sigma) * sin)
+    if not turn < 1.0:
+        raise StructuralFailureError(
+            f"theta* = {theta} turns omega theta against (c, omega sigma): 1 - cos of "
+            f"their angle is {turn:.3e} (m_f={m_f}, m'_f={mp_f}, k={k})", turn)
+    # each 2x2 block B of ad G has B^2 = -omega^2 I, so exp(theta* B) =
+    # cos(omega theta*) I + (sin(omega theta*) / omega) B = c I + sigma B,
+    # formed from c and sigma, which keeps each entry to a few ulp also
+    # where c is near 0 and cos(omega theta) would cancel
+    mat = c * np.eye(4) + sigma * adjoint_generator(m_f, mp_f)
     # one row per variable; an array's max, unlike the builtin max, keeps a
     # NaN gap, which then fails the gate
     before = np.array([direct[name] for name in VARIABLES])
