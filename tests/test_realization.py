@@ -383,13 +383,6 @@ def test_one_dict_residuals_equal_commutator_minus_realized_bracket(free_mass):
                 assert (coeff - expected.terms[mono]).is_zero, (label, mono)
 
 
-def _uncertified(suite):
-    # every pair takes its own commutator: the algebra's sigma certificate
-    # patched to False
-    with mock.patch.object(GalileiHopf, "_sigma_equivariant", lambda self: False):
-        return suite()
-
-
 @contextlib.contextmanager
 def _direct(certificate=True, particles=True):
     """The direct route: the algebra's sigma certificate, or each particle's
