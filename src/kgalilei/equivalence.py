@@ -14,8 +14,8 @@ and (K_1, K_2) planes is [[c, -m'_f sigma], [m_f sigma, c]] with
 
     c = (lam + lam') / (1 + lam lam'),   sigma = -2 / (k (1 + lam lam')),
 
-so theta* = atan2(omega sigma, c) / omega with omega = sqrt(m_f m'_f); the
-map is validated on all four variable vectors.
+so theta* = atan2(omega sigma, c) / omega with omega = sqrt(m_f m'_f), in floats;
+the 4x4 map is validated on both sets' rows, one (8, 4) array (``_variable_rows``).
 
 The exchange operator S (``EXCHANGE``) swaps the two particles' momenta and
 boosts.  For identical masses, ``us_matrix`` forms U S; (U S)^2 = 1, and the
@@ -81,10 +81,8 @@ def adjoint_generator(m_f: float, mp_f: float) -> np.ndarray:
     """
     if m_f <= 0 or mp_f <= 0:
         raise masses.MassDomainError("masses must be positive")
-    block = np.array([[0.0, -mp_f], [m_f, 0.0]])
     out = np.zeros((4, 4))
-    out[:2, :2] = block
-    out[2:, 2:] = block
+    out[:2, :2] = out[2:, 2:] = ((0.0, -mp_f), (m_f, 0.0))
     return out
 
 
@@ -97,13 +95,9 @@ def _lam(m_f: float, k: float) -> float:
     return math.sqrt((k - 2 * m_f) / k)
 
 
-def variable_vectors(m_f: float, mp_f: float, k: float) -> tuple[dict, dict]:
-    """Coefficient vectors of the direct and transposed variable sets.
-
-    Returns (direct, tilde), each mapping a VARIABLES label to a float array
-    of 4 coefficients over BASIS; identical for every spatial axis.  Both
-    masses must be positive normal floats (rho divides by them).
-    """
+def _variable_rows(m_f: float, mp_f: float, k: float) -> np.ndarray:
+    """The (8, 4) float BASIS coefficients of the direct, then the tilde variables,
+    one row per VARIABLES label; both masses must be positive normal floats."""
     masses.check_physical(m_f, k)
     masses.check_physical(mp_f, k)
     if not (m_f > 0 and mp_f > 0):
@@ -112,10 +106,14 @@ def variable_vectors(m_f: float, mp_f: float, k: float) -> tuple[dict, dict]:
         raise masses.MassDomainError(
             f"mass {min(m_f, mp_f)} lies below the smallest normal float {sys.float_info.min}")
     tables = variable_table(m_f, mp_f, _lam(m_f, k), _lam(mp_f, k), masses.compose(m_f, mp_f, k))
-    return tuple(
-        {name: np.array([float(c) for c in coeffs]) for name, coeffs in table.items()}
-        for table in tables
-    )
+    return np.array([table[name] for table in tables for name in VARIABLES], dtype=float)
+
+
+def variable_vectors(m_f: float, mp_f: float, k: float) -> tuple[dict, dict]:
+    """Coefficient vectors of the direct and transposed variable sets: (direct,
+    tilde), each mapping a VARIABLES label to its row (a view) of ``_variable_rows``."""
+    rows = _variable_rows(m_f, mp_f, k)
+    return dict(zip(VARIABLES, rows[:4])), dict(zip(VARIABLES, rows[4:]))
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ def find_theta(m_f: float, mp_f: float, k: float) -> ThetaResult:
     |coefficient|); StructuralFailureError is raised if either exceeds
     THETA_TOL.
     """
-    direct, tilde = variable_vectors(m_f, mp_f, k)
+    rows = _variable_rows(m_f, mp_f, k)
     lam, lamp = _lam(m_f, k), _lam(mp_f, k)
     product = m_f * mp_f
     # one square root per mass where their product would underflow or overflow
@@ -186,12 +184,10 @@ def find_theta(m_f: float, mp_f: float, k: float) -> ThetaResult:
     # formed from c and sigma, which keeps each entry to a few ulp also
     # where c is near 0 and cos(omega theta) would cancel
     mat = c * np.eye(4) + sigma * adjoint_generator(m_f, mp_f)
-    # one row per variable; an array's max, unlike the builtin max, keeps a
-    # NaN gap, which then fails the gate
-    before = np.array([direct[name] for name in VARIABLES])
-    after = np.array([tilde[name] for name in VARIABLES])
-    scale = max(1.0, float(np.abs(before).max()), float(np.abs(after).max()))
-    residual = float(np.abs(before @ mat.T - after).max()) / scale
+    # an array's max, unlike the builtin max, keeps a NaN gap, which then
+    # fails the gate
+    scale = max(1.0, float(np.abs(rows).max()))
+    residual = float(np.abs(rows[:4] @ mat.T - rows[4:]).max()) / scale
     if not residual <= THETA_TOL:
         raise StructuralFailureError(
             f"theta* = {theta} leaves a relative residual {residual:.3e} > {THETA_TOL} "

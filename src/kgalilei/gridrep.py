@@ -11,11 +11,13 @@ and acts projectively on a momentum wavefunction (spin 0) by
 
 R is one of the 24 cube rotations (``CUBE_ROTATIONS``), which the product
 never leaves, so ``act`` resamples by strided slab copies, with numpy alone.
+A ``GroupElement`` carries its rotation's axes and signs, with a and v as
+read-only float arrays; the boost guard reads |m_f v| from three floats.
 The composition of two such actions differs from the action of the product
-by a constant phase (the 2-cocycle); ``cocycle_phase``
-extracts it numerically and checks that the pointwise ratio really is
-grid-constant.  The closed form exp(i m_f (v^2 tau' / 2 + v . R a')) is
-validated against this extraction in the tests, never assumed.
+by a constant phase (the 2-cocycle); ``cocycle_phase`` extracts it
+numerically and checks that the pointwise ratio really is grid-constant.
+The closed form exp(i m_f (v^2 tau' / 2 + v . R a')) is validated against
+this extraction in the tests, never assumed.
 
 A packet is either dense (``GridWavefunction``) or a product of one factor
 per axis (``SeparablePacket``), as the Gaussian test packet is.  The phase
@@ -76,10 +78,6 @@ class ProjectivityError(CheckFailure):
         self.spread = spread
 
 
-def _rotation_key(R: np.ndarray) -> tuple:
-    return tuple(R.ravel().tolist())
-
-
 def _cube_rotations() -> dict[tuple, tuple[np.ndarray, tuple, tuple]]:
     """The 24 cube rotations R, in a fixed order, each keyed by its entries' values.
 
@@ -96,7 +94,7 @@ def _cube_rotations() -> dict[tuple, tuple[np.ndarray, tuple, tuple]]:
                 R.setflags(write=False)
                 cols = tuple(perm.index(i) for i in range(3))
                 signs = tuple(row_signs[row] for row in cols)
-                table[_rotation_key(R)] = (R, cols, signs)
+                table[tuple(R.ravel().tolist())] = (R, cols, signs)
     return table
 
 
@@ -108,12 +106,13 @@ _ROTATIONS = _cube_rotations()
 CUBE_ROTATIONS = tuple(R for R, _, _ in _ROTATIONS.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupElement:
     """One classical Galilei transformation (time shift, translation, boost, rotation).
 
-    R must equal one of ``CUBE_ROTATIONS`` (any other matrix raises
-    ValueError), and the element keeps that table's own matrix.
+    a and v are read-only float copies.  R must equal one of ``CUBE_ROTATIONS``
+    (any other matrix raises ValueError), kept as that table's own matrix with
+    its axes and signs.  Elements are equal when tau, a, v and R are.
     """
 
     tau: float = 0.0
@@ -122,23 +121,27 @@ class GroupElement:
     R: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
+        for name in ("a", "v"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         R = np.asarray(self.R, dtype=float)
-        entry = _ROTATIONS.get(_rotation_key(R)) if R.shape == (3, 3) else None
+        entry = _ROTATIONS.get(tuple(R.ravel().tolist())) if R.shape == (3, 3) else None
         if entry is None:
             raise ValueError("a group element's rotation must be one of the 24 cube rotations")
         object.__setattr__(self, "R", entry[0])
+        object.__setattr__(self, "_axes", entry[1:])
+
+    def __eq__(self, other):
+        return isinstance(other, GroupElement) and bool(
+            self.tau == other.tau and np.array_equal(self.R, other.R)
+            and np.array_equal(self.a, other.a) and np.array_equal(self.v, other.v))
 
 
 def galilei_multiply(g: GroupElement, gp: GroupElement) -> GroupElement:
     """Group product g * g'."""
-    return GroupElement(
-        tau=g.tau + gp.tau,
-        a=g.R @ gp.a + g.v * gp.tau + g.a,
-        v=g.R @ gp.v + g.v,
-        R=g.R @ gp.R,
-    )
+    return GroupElement(tau=g.tau + gp.tau, a=g.R @ gp.a + g.v * gp.tau + g.a,
+                        v=g.R @ gp.v + g.v, R=g.R @ gp.R)
 
 
 @functools.lru_cache(maxsize=64)
@@ -276,7 +279,8 @@ def _tap_table(c: np.ndarray, steps: list[int]) -> list[list[tuple[float, slice,
 
 def _check_shift(g: GroupElement, psi: _Packet) -> None:
     """Reject a boost that moves the packet by more than p_max/4."""
-    shift = _boost_shift(psi.m_f, g.v)
+    v0, v1, v2 = g.v.tolist()  # |m_f v| in _boost_shift's order: (v0 v0 + v1 v1) + v2 v2
+    shift = psi.m_f * math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
     if shift > 0.25 * psi.p_max:
         raise OutOfGridError(f"boost shift {shift:.3g} exceeds p_max/4 = {psi.p_max / 4:.3g}")
 
@@ -294,7 +298,7 @@ def _actions(elements, psi: _Packet) -> list[tuple[tuple, list, np.ndarray]]:
     one ``_tap_table`` and one ``_phase``: input axis i is read along output
     axis cols[i] through taps[i], and phase holds the (3, n) phase rows."""
     ax = _axis(psi.n, psi.p_max)
-    _, cols, signs = zip(*(_ROTATIONS[_rotation_key(g.R)] for g in elements))
+    cols, signs = zip(*(g._axes for g in elements))
     # argument: R^{-1}(p - m_f v) -- the grouping that composes with the
     # group law; input axis i is sampled at signs[i] * (p - m_f v)[cols[i]],
     # along output axis cols[i], at the fractional grid indices c[i]
@@ -342,9 +346,8 @@ def act(g: GroupElement, psi: _Packet) -> GridWavefunction:
         values = psi.values
     if not np.isfinite(values).all():
         raise ValueError("wavefunction is not finite")
-    n = psi.n
     (cols, taps, e), = _actions((g,), psi)
-    out = np.zeros((n, n, n), dtype=complex)
+    out = np.zeros(values.shape, dtype=complex)
     _resample(out.transpose(cols), values, taps)
     out *= e[0, :, None, None] * e[1, None, :, None] * e[2, None, None, :]
     return GridWavefunction(out, psi.p_max, psi.m_f)
@@ -490,15 +493,16 @@ def random_in_grid_element(rng: np.random.Generator, psi: _Packet) -> GroupEleme
 
 @functools.lru_cache(maxsize=64)
 def _admitted_cells(max_cells: int, spacing: float, m_f: float,
-                    bound: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_cells(max_cells)``, their boosts, and the mask of the cells whose boost
-    alone moves a packet by at most ``bound``; built once per key and read-only."""
+                    bound: float) -> tuple[np.ndarray, ...]:
+    """``_cells(max_cells)``, their boosts, the mask of the cells whose boost alone
+    moves a packet by at most ``bound``, and those cells; cached, read-only."""
     cells = _cells(max_cells)
     boosts = cells * spacing / m_f
     fits = _boost_shift(m_f, boosts) <= bound
-    boosts.setflags(write=False)
-    fits.setflags(write=False)
-    return cells, boosts, fits
+    fitting = cells[fits]
+    for array in (boosts, fits, fitting):
+        array.setflags(write=False)
+    return cells, boosts, fits, fitting
 
 
 def random_in_grid_tuple(rng: np.random.Generator, psi: _Packet, count: int,
@@ -519,7 +523,8 @@ def random_in_grid_tuple(rng: np.random.Generator, psi: _Packet, count: int,
         raise OutOfGridError(
             f"a {psi.n}-point grid admits no whole-cell boost within p_max/4 = {bound:.3g}")
     # the element alone is the product of length one: its cells are cached
-    cells, boosts, alone = _admitted_cells(min(max_cells, admitted), psi.spacing, psi.m_f, bound)
+    cells, boosts, alone, alone_cells = _admitted_cells(
+        min(max_cells, admitted), psi.spacing, psi.m_f, bound)
     # (R, v) of each longer product of the elements drawn so far that ends at the last one
     products: list[tuple[np.ndarray, np.ndarray]] = []
     elements = []
@@ -527,8 +532,7 @@ def random_in_grid_tuple(rng: np.random.Generator, psi: _Packet, count: int,
         fits = alone
         for R, v in products:
             fits = fits & (_boost_shift(psi.m_f, boosts @ R.T + v) <= bound)
-        g = _random_element(rng, psi, cells[fits])
-        products = [(R @ g.R, R @ g.v + v) for R, v in products]
-        products.append((g.R, g.v))
+        g = _random_element(rng, psi, cells[fits] if products else alone_cells)
+        products = [(R @ g.R, R @ g.v + v) for R, v in products] + [(g.R, g.v)]
         elements.append(g)
     return tuple(elements)

@@ -17,7 +17,8 @@ exponentially in N.  Two meshes are solved, the second finer and on a box half
 again as large, so that a box too small for the states shows as a gap between
 them.  The default box is half again the classical turning point of the
 outermost requested state plus some of its decay lengths, 1.5 (2 n_max^2 +
-20 n_max) Bohr radii.  Only numpy is needed.
+20 n_max) Bohr radii.  Only numpy is needed; the levels leave the solver as
+plain float tuples, cached, which the gate and the scaling by v_f read.
 """
 
 from __future__ import annotations
@@ -173,14 +174,13 @@ def radial_solve(cfg: HydrogenConfig) -> list[float]:
         box = cfg.r_max / cfg.bohr_radius
     else:
         box = 1.5 * (2.0 * cfg.n_max ** 2 + 20.0 * cfg.n_max)
-    coarse, fine = (np.array(levels) for levels in _radial_eigenvalues(
-        cfg.l, box, cfg.n_points, cfg.n_max - cfg.l))
-    if np.any(fine >= 0.0):
+    coarse, fine = _radial_eigenvalues(cfg.l, box, cfg.n_points, cfg.n_max - cfg.l)
+    if any(e >= 0.0 for e in fine):
         raise GridConvergenceError("no bound state found on the mesh", len(fine))
-    gap = np.abs(fine - coarse) / np.abs(fine)
-    # written so that a NaN gap fails
-    if not np.all(gap <= RADIAL_TOL):
-        raise GridConvergenceError(
-            f"grid too coarse: the finer mesh changes eigenvalues by {gap.max():.3e} relative",
-            len(gap))
-    return (cfg.v_f * fine).tolist()
+    gaps = [abs(f - c) / abs(f) for c, f in zip(coarse, fine)]
+    if not all(gap <= RADIAL_TOL for gap in gaps):  # a NaN gap fails, and is the worst
+        worst = max(gaps) if all(gap == gap for gap in gaps) else float("nan")
+        raise GridConvergenceError("grid too coarse: the finer mesh changes eigenvalues by "
+                                   f"{worst:.3e} relative", len(gaps))
+    v_f = cfg.v_f
+    return [v_f * e for e in fine]

@@ -320,6 +320,24 @@ def test_verify_equivalence_fails_on_a_nan_us(monkeypatch, capsys):
     assert failed["projector-idempotence"] == "nan"
 
 
+def test_verify_equivalence_fails_on_a_nan_coefficient(monkeypatch, capsys):
+    # one NaN coefficient of either variable set, also where the table holds
+    # a 0, fails the theta gate with a NaN residual, never a zero one
+    variable_table = equivalence.variable_table
+    for side, name, column in itertools.product((0, 1), masses.VARIABLES, range(4)):
+        def nan_table(*args, side=side, name=name, column=column):
+            tables = variable_table(*args)
+            row = list(tables[side][name])
+            row[column] = math.nan
+            tables[side][name] = tuple(row)
+            return tables
+
+        monkeypatch.setattr(equivalence, "variable_table", nan_table)
+        failed = _failed_checks(["verify", "equivalence", "--mf", "0.3", "--mfp", "0.4",
+                                 "--k", "1"], capsys)
+        assert failed == {"theta-maps-all-variables": "nan"}, (side, name, column)
+
+
 def test_verify_equivalence_reports_a_failed_theta_gate(monkeypatch, capsys):
     # find_theta raises past its gate; the command names the failed check
     # with its residual and one line of detail, and prints no traceback
@@ -733,7 +751,14 @@ def _pair_argv(draw):
     k = draw(_EDGE_K)
     mass = _edge_mass(k)
     command = draw(st.sampled_from([["verify", "equivalence"], ["hydrogen", "spectrum"]]))
-    return [*command, "--mf", repr(draw(mass)), "--mfp", repr(draw(mass)), "--k", repr(k)]
+    argv = [*command, "--mf", repr(draw(mass)), "--mfp", repr(draw(mass)), "--k", repr(k)]
+    if command[0] == "hydrogen":
+        # --l inside [0, n_max), or just outside it on either side
+        nmax = draw(st.integers(1, 12))
+        l = draw(st.integers(0, nmax - 1) | st.integers(-2, -1) | st.integers(nmax, nmax + 2))
+        argv += ["--nmax", str(nmax), "--l", str(l),
+                 "--solver", draw(st.sampled_from(["closed", "radial", "both"]))]
+    return argv
 
 
 @settings(max_examples=200, deadline=None)
@@ -763,13 +788,15 @@ def _pair_argv(draw):
           "--solver", "closed"])
 @given(_pair_argv())
 def test_pair_commands_at_domain_edges_hypothesis(argv):
-    # `verify equivalence` and `hydrogen spectrum` (default --nmax) over the
-    # same edge masses: a correct report or a one-line domain error.  The
+    # `verify equivalence` and `hydrogen spectrum` (any --nmax 1..12, --l and
+    # --solver) over the same edge masses: a correct report, which
+    # re-serializes byte for byte, or a one-line domain error.  The
     # spectrum's v_f matches m_f m'_f / M_f in exact arithmetic, to the 12
     # digits a report prints
     code, out, err = _run_quietly(argv + ["--format", "json"])
     assert code in (0, 2), (code, err)
     if code == 0:
+        assert canonical_json(json.loads(out)) + "\n" == out
         report = json.loads(out)
         assert '"nan"' not in out
         if report["command"] == "hydrogen spectrum":

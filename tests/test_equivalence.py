@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from kgalilei import equivalence as eq
+from kgalilei import equivalence as eq, masses
 from kgalilei.cli import run
 from kgalilei.masses import VARIABLES, MassDomainError, variable_table
 from kgalilei.scalars import sym
@@ -47,6 +47,24 @@ def test_find_theta_reference_point():
     direct, tilde = eq.variable_vectors(0.3, 0.4, 1.0)
     for name in ("P", "R", "Pi", "rho"):
         assert np.allclose(result.matrix @ direct[name], tilde[name], atol=1e-12)
+
+
+@pytest.mark.parametrize("m_f, mp_f, k", [(0.3, 0.4, 1.0), (0.5, 0.3, 1.0), (1e-9, 0.3, 1.0),
+                                         (0.3, 0.4, math.inf), (1.19e73, 6.89e247, 2.69e259)])
+def test_variable_vectors_are_the_table_rows(m_f, mp_f, k):
+    # each vector is its table row in floats, and the residual is the map's
+    # largest mismatch over the vectors stacked one row per variable
+    lam = [1.0 if math.isinf(k) else math.sqrt((k - 2 * m) / k) for m in (m_f, mp_f)]
+    tables = variable_table(m_f, mp_f, *lam, masses.compose(m_f, mp_f, k))
+    vectors = eq.variable_vectors(m_f, mp_f, k)
+    for table, vector in zip(tables, vectors):
+        assert list(vector) == list(VARIABLES)
+        for name in VARIABLES:
+            assert vector[name].dtype == float and vector[name].tolist() == list(table[name])
+    result = eq.find_theta(m_f, mp_f, k)
+    before, after = (np.array([v[name] for name in VARIABLES]) for v in vectors)
+    scale = max(1.0, float(np.abs(before).max()), float(np.abs(after).max()))
+    assert result.residual == float(np.abs(before @ result.matrix.T - after).max()) / scale
 
 
 @pytest.mark.parametrize("m_f, mp_f, k", [

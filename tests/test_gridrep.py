@@ -1,8 +1,10 @@
 """Tests for the numeric projective Galilei action and cocycle extraction."""
 
+import copy
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -93,6 +95,45 @@ def test_negative_zero_entries_name_the_same_rotation():
         out = act(g, psi).values
         same = act(GroupElement(tau=0.3, a=g.a, v=g.v, R=R), psi).values
         assert np.array_equal(out, same)
+
+
+def test_element_keeps_read_only_copies_of_its_vectors():
+    # an element is frozen: writing to the caller's arrays, or to its own,
+    # cannot change it
+    a, v = np.zeros(3), np.array([0.5, 0.0, -0.5])
+    g = GroupElement(tau=0.3, a=a, v=v)
+    a[0] = 5.0
+    v[1] = 7.0
+    assert g.a.tolist() == [0.0, 0.0, 0.0] and g.v.tolist() == [0.5, 0.0, -0.5]
+    for vector in (g.a, g.v):
+        assert vector.dtype == float and not vector.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 1.0
+    # a list, an int array or a read-only array is copied to floats too
+    h = GroupElement(a=[1, 2, 3], v=np.arange(3))
+    assert h.a.dtype == h.v.dtype == float and not h.v.flags.writeable
+    assert GroupElement(a=h.a).a is not h.a
+
+
+def test_element_equality_is_a_value_bool():
+    # == compares tau, a, v and R by value and answers a bool; -0.0 and 0.0
+    # are one value, and NaN equals nothing
+    rng = np.random.default_rng(3)
+    g = random_element(rng)
+    same = GroupElement(tau=g.tau, a=g.a.tolist(), v=np.array(g.v), R=np.array(g.R))
+    assert (g == same) is True and (g != same) is False
+    # a copy or an unpickled element holds copies of the table's matrix
+    assert copy.deepcopy(g) == g and pickle.loads(pickle.dumps(g)) == g
+    assert GroupElement(a=[0.0, -0.0, 0.0]) == GroupElement(a=np.zeros(3))
+    signed = np.where(g.R == 0.0, -0.0, g.R)
+    assert g == GroupElement(tau=g.tau, a=g.a, v=g.v, R=signed)
+    for changed in (dict(tau=g.tau + 1.0), dict(a=g.a + [0.0, 1e-12, 0.0]),
+                    dict(v=-g.v), dict(R=next(R for R in CUBE_ROTATIONS if R is not g.R))):
+        other = GroupElement(**{"tau": g.tau, "a": g.a, "v": g.v, "R": g.R, **changed})
+        assert (g == other) is False and (g != other) is True
+    assert (GroupElement(tau=math.nan) == GroupElement(tau=math.nan)) is False
+    assert (g == (g.tau, g.a, g.v, g.R)) is False
+    assert g in [random_element(rng), same]
 
 
 def test_identity_acts_trivially():

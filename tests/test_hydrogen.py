@@ -180,6 +180,41 @@ def test_nan_level_fails_the_gate(monkeypatch):
     assert info.value.residual == 3
 
 
+@pytest.mark.parametrize("fine, message", [
+    ((-0.5, -0.125 * 1.001, -1 / 18), "by 9.990e-04 relative"),
+    ((-0.5, -0.125 * 1.001, math.nan), "by nan relative"),   # NaN after a finite failure
+    ((math.nan, -0.125 * 1.001, -1 / 18), "by nan relative"),
+    ((-0.5, 0.0, -1 / 18), "no bound state"),
+    ((-0.5, -0.125, -0.0), "no bound state"),
+    ((-0.5, -0.125, math.inf), "no bound state"),
+])
+def test_gate_names_the_worst_gap_or_an_unbound_level(monkeypatch, fine, message):
+    # the worst gap is NaN if any is; a level at or above 0, -0.0 too, is unbound
+    cfg = HydrogenConfig(m_f=0.3, mp_f=0.4, k=1.0)
+    monkeypatch.setattr(hydrogen, "_radial_eigenvalues",
+                        lambda *key: ((-0.5, -0.125, -1 / 18), fine))
+    with pytest.raises(GridConvergenceError, match=message) as info:
+        radial_solve(cfg)
+    assert info.value.residual == 3
+
+
+@pytest.mark.parametrize("n_max, l", [(1, 0), (3, 0), (4, 2), (12, 5)])
+def test_levels_are_the_cached_levels_times_v_f(monkeypatch, n_max, l):
+    # scaled level by level as plain floats, to the bit of the array product
+    # v_f * fine, at masses where v_f is normal, huge and near the smallest
+    # normal float
+    solved = []
+    eigenvalues = hydrogen._radial_eigenvalues
+    monkeypatch.setattr(hydrogen, "_radial_eigenvalues",
+                        lambda *key: solved.append(eigenvalues(*key)) or solved[-1])
+    for m_f, mp_f, k in ((0.3, 0.4, 1.0), (1.19e73, 6.89e247, 2.69e259),
+                         (4.5e-308, 4.5e-308, 1.0), (0.7, 0.2, math.inf)):
+        cfg = HydrogenConfig(m_f=m_f, mp_f=mp_f, k=k, n_max=n_max, l=l)
+        levels = radial_solve(cfg)
+        assert levels == (cfg.v_f * np.array(solved[-1][1])).tolist()
+        assert all(type(e) is float for e in levels)
+
+
 @pytest.mark.parametrize("n_max", [1, 4, 20, 40, 100, 200, MAX_N_MAX])
 def test_radial_solve_is_sound(n_max):
     # every gate decision is right: a level that passes is within RADIAL_TOL
